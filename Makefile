@@ -5,7 +5,7 @@
 PY ?= python
 PYPATH := PYTHONPATH=src
 
-.PHONY: test stress stress-faults stress-tenancy test-proc bench-smoke bench-check bench-dispatch bench-proc lint examples
+.PHONY: test stress stress-faults stress-tenancy test-proc bench-smoke bench-check bench-dispatch bench-proc bench-e2e-smoke lint examples
 
 ## tier-1 test suite (the driver's acceptance gate)
 test:
@@ -104,6 +104,14 @@ bench-check:
 bench-dispatch:
 	$(PYPATH) $(PY) -m pytest benchmarks/bench_aop_dispatch.py -q \
 		--benchmark-sort=name
+
+## end-to-end benchmark smoke: all four workloads of benchmarks/e2e on
+## the real thread/process/asyncio backends, traced and untraced, on
+## tiny op counts (~15 s).  Checks that every metric BENCHMARK.json
+## declares is emitted, every reply is right and nothing leaks; it
+## measures nothing (benchmarks/e2e/README.md has the measuring runs).
+bench-e2e-smoke:
+	python3 benchmarks/e2e/run.py --smoke
 
 ## run every example headless, in sequence, failing fast on the first
 ## broken one.  The examples double as end-to-end smoke tests of the

@@ -1,7 +1,18 @@
 """Real-thread execution backend (functional mode).
 
-``spawn`` starts one daemon thread per activity — the literal translation
-of the paper's concurrency aspect (``new Thread() { run() { proceed; } }``).
+Every ``spawn`` gives the activity a thread of its own, at once — the
+paper's concurrency aspect (``new Thread() { run() { proceed; } }``) —
+but the OS thread under it is recycled: a finished activity's *carrier*
+parks, the next ``spawn`` hands its activity to the most recently parked
+one, and each carrier lives :data:`CARRIER_LIFETIME` seconds
+(``Thread.start`` was 46 µs of a 0.72 ms farm submit, five times per
+submit).  A new OS thread starts only when no carrier is parked, so
+nothing queues behind a blocked activity and there is no pool size to
+deadlock on.  To the activity a carrier is a fresh thread: its own name,
+an empty ``contextvars`` context and — every ambient ``threading.local``
+in ``repro`` restores its state in a ``finally`` — clean thread-local
+state.
+
 Because of the GIL this buys no CPU-bound speed-up in CPython; it gives
 the correct *semantics* (overlap, synchronisation, futures) for tests and
 examples, while the performance experiments run on the simulation
@@ -10,8 +21,12 @@ backend (see DESIGN.md).
 
 from __future__ import annotations
 
+import _thread
+import contextvars
+import os
 import queue as _queue
 import threading
+import time
 from typing import Any, Callable
 
 from repro.api.registry import register_backend
@@ -19,38 +34,108 @@ from repro.runtime.backend import ExecutionBackend, TaskHandle
 
 __all__ = ["ThreadBackend", "ThreadTask"]
 
+#: Seconds a carrier thread lives: it exits at the first park after this
+#: age, or when it reaches it parked.  Bridges the gaps inside a burst
+#: (sub-ms) and between paced arrivals (a few ms) at one ``Thread.start``
+#: per carrier per lifetime, and puts a torn-down deployment back at its
+#: thread baseline well inside the 2 s the leak checks allow, so there is
+#: no ``close()``.  Age, not idleness, because a thread keeps its malloc
+#: arena for life: free space left in the arena of a carrier that split
+#: 130 KB payloads is of no use to it once it carries small pieces, and
+#: immortal carriers cost the process farm 20 MB of peak RSS (+16 %).
+CARRIER_LIFETIME = 0.1
+
+# Parked carriers, most recently parked last (LIFO keeps the live set at
+# the concurrency high-water mark).  Process-wide, like the OS thread
+# table it caches: every backend instance shares it.
+_idle: list["_Carrier"] = []
+_idle_lock = _thread.allocate_lock()
+
+
+def _forget_carriers() -> None:
+    # a forked child inherits the list but none of the threads on it (a
+    # hand-off to one would never run), and possibly a held lock
+    global _idle_lock
+    _idle.clear()
+    _idle_lock = _thread.allocate_lock()
+
+
+os.register_at_fork(after_in_child=_forget_carriers)
+
 
 class ThreadTask(TaskHandle):
-    """Handle wrapping one worker thread."""
+    """Handle on one activity running on a thread of its own."""
 
-    def __init__(self, fn: Callable[[], Any], name: str | None):
+    def __init__(self, fn: Callable[[], Any], name: str):
+        self.name = name
+        self._fn: Callable[[], Any] | None = fn
         self._result: Any = None
         self._exception: BaseException | None = None
-        self._finished = threading.Event()
+        self._started = _thread.allocate_lock()  # held until the body starts
+        self._started.acquire()
+        self._done = _thread.allocate_lock()  # held until the body ends
+        self._done.acquire()
 
-        def body() -> None:
-            try:
-                self._result = fn()
-            except BaseException as exc:  # noqa: BLE001 - re-raised in join
-                self._exception = exc
-            finally:
-                self._finished.set()
-
-        self._thread = threading.Thread(target=body, name=name, daemon=True)
-        self._thread.start()
+    def _run(self) -> None:
+        fn, self._fn = self._fn, None
+        self._started.release()
+        try:
+            self._result = fn()  # type: ignore[misc]
+        except BaseException as exc:  # noqa: BLE001 - re-raised in join
+            self._exception = exc
+        finally:
+            self._done.release()
 
     def join(self) -> Any:
-        """Wait for the thread; return its result or re-raise its
+        """Wait for the activity; return its result or re-raise its
         exception."""
-        self._finished.wait()
+        self._done.acquire()
+        self._done.release()
         if self._exception is not None:
             raise self._exception
         return self._result
 
     @property
     def done(self) -> bool:
-        """Has the thread's body finished (successfully or not)?"""
-        return self._finished.is_set()
+        """Has the activity's body finished (successfully or not)?"""
+        return not self._done.locked()
+
+
+class _Carrier:
+    """One OS thread running the activities handed to it, one at a time."""
+
+    __slots__ = ("task", "wake", "retire_at")
+
+    def __init__(self, task: ThreadTask):
+        self.task: ThreadTask | None = task
+        self.retire_at = time.monotonic() + CARRIER_LIFETIME
+        self.wake = _thread.allocate_lock()  # released to hand a task over
+        self.wake.acquire()
+        threading.Thread(target=self._carry, name=task.name, daemon=True).start()
+
+    def _carry(self) -> None:
+        thread = threading.current_thread()
+        while True:
+            task, self.task = self.task, None
+            thread.name = task.name  # type: ignore[union-attr]
+            contextvars.Context().run(task._run)  # type: ignore[union-attr]
+            # park holding nothing of the activity: its thunk and result
+            # belong to the handle, not to an idle thread
+            del task
+            remaining = self.retire_at - time.monotonic()
+            if remaining <= 0:
+                return
+            thread.name = "carrier.idle"
+            with _idle_lock:
+                _idle.append(self)
+            if not self.wake.acquire(timeout=remaining):
+                with _idle_lock:
+                    if self in _idle:
+                        _idle.remove(self)
+                        return
+                # a spawn popped this carrier as its time ran out; the
+                # hand-off is on the way
+                self.wake.acquire()
 
 
 class _ThreadEvent:
@@ -105,22 +190,42 @@ class _ThreadQueue:
 
 
 class ThreadBackend(ExecutionBackend):
-    """Spawn-per-call real threading."""
+    """Thread-per-activity real threading on recycled carrier threads."""
 
     name = "threads"
 
     def __init__(self) -> None:
+        #: activities spawned / OS threads started for them; the
+        #: difference is the hand-offs that reused a parked carrier
         self.spawned = 0
+        self.threads_started = 0
 
     def _spawn(
         self, fn: Callable[[], Any], name: str | None = None, daemon: bool = True
     ) -> ThreadTask:
-        # all worker threads are OS daemons already; the flag only
+        # all carrier threads are OS daemons already; the flag only
         # matters for the simulation backend's deadlock detection.  The
         # ExecutionBackend.spawn template has already bound fn to the
         # spawning call's dispatch ticket.
-        self.spawned += 1
-        return ThreadTask(fn, name or f"task-{self.spawned}")
+        with _idle_lock:  # also what makes the two counters exact
+            self.spawned += 1
+            number = self.spawned
+            carrier = _idle.pop() if _idle else None
+            if carrier is None:
+                self.threads_started += 1
+        task = ThreadTask(fn, name or f"task-{number}")
+        if carrier is None:
+            _Carrier(task)
+        else:
+            carrier.task = task
+            carrier.wake.release()
+            # return once the activity runs, as Thread.start does: with
+            # spawner and woken carriers all contending for the GIL, one
+            # activity in a hundred started a switch interval (5 ms)
+            # late (thread-farm paced p99 5.3 ms; 2.6 with this wait,
+            # for 6 % of the throughput)
+            task._started.acquire()
+        return task
 
     def make_lock(self, name: str = "lock") -> threading.Lock:
         """A plain (non-reentrant) ``threading.Lock``."""

@@ -111,6 +111,18 @@ class TestMultiPairGate:
         assert "no trajectory baseline yet" in proc.stdout
         assert "-> OK" in proc.stdout
 
+    def test_baseline_since_drops_the_runs_before_a_rebase(self, tmp_path):
+        def stamped(day: int, num: float) -> dict:
+            return dict(run_of(num, 1.0), timestamp=f"2026-10-{day:02d}T00:00:00+0000")
+
+        # the denominator got faster on the 5th: 0.5 was the old ratio
+        runs = [stamped(1, 0.5), stamped(2, 0.5), stamped(5, 0.8), stamped(6, 0.82)]
+        assert run_gate(tmp_path, runs).returncode == 1
+        rebased = dict(PAIR, baseline_since="2026-10-05T00:00:00+0000")
+        proc = run_gate(tmp_path, runs, pairs=[rebased])
+        assert proc.returncode == 0
+        assert "vs baseline 0.800 (median of 1 runs)" in proc.stdout
+
     def test_committed_config_gates_the_committed_pairs(self):
         committed = json.loads(
             (TOOL.parent / "bench_gates.json").read_text()

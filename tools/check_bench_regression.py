@@ -24,7 +24,10 @@ the committed baseline still carries slow pre-optimisation runs).  A
 pair whose benches are missing from the latest run fails too — a gate
 that silently stops measuring is worse than a red one.  Pairs with no
 earlier baseline are skipped with a notice (first run after the pair
-lands) unless they carry a ``max_ratio``, which needs no baseline.
+lands) unless they carry a ``max_ratio``, which needs no baseline.  A
+pair re-based after a change that moved its *denominator* (the ratio
+now measures something else) declares ``baseline_since``: runs stamped
+before it are not that pair's baseline.
 
 Every failing pair is reported as a GitHub Actions ``::error``
 annotation naming the pair (so the regression is visible on the PR
@@ -38,6 +41,7 @@ import json
 import os
 import statistics
 import sys
+from datetime import datetime
 from pathlib import Path
 
 TOOLS_DIR = Path(__file__).resolve().parent
@@ -66,6 +70,11 @@ def pair_ratio(run: dict, numerator: str, denominator: str) -> float | None:
     if not num or not den:
         return None
     return num / den
+
+
+def _stamp(timestamp: str) -> datetime:
+    """A run's ``%Y-%m-%dT%H:%M:%S%z`` stamp as a comparable instant."""
+    return datetime.strptime(timestamp, "%Y-%m-%dT%H:%M:%S%z")
 
 
 def annotate_error(title: str, message: str) -> None:
@@ -107,10 +116,13 @@ def check_pair(pair: dict, runs: list[dict], override: float | None) -> str:
             f"{float(max_ratio):.3f} — {meaning}",
         )
         return "fail"
+    since = pair.get("baseline_since")
     prior = [
         r
         for r in (
-            pair_ratio(run, numerator, denominator) for run in runs[:-1]
+            pair_ratio(run, numerator, denominator)
+            for run in runs[:-1]
+            if since is None or _stamp(run["timestamp"]) >= _stamp(since)
         )
         if r is not None
     ]
