@@ -5,7 +5,7 @@
 PY ?= python
 PYPATH := PYTHONPATH=src
 
-.PHONY: test stress stress-faults stress-tenancy test-proc bench-smoke bench-check bench-dispatch bench-proc bench-e2e-smoke lint examples
+.PHONY: test stress stress-faults stress-tenancy test-proc test-asyncio bench-smoke bench-check bench-dispatch bench-proc bench-e2e-smoke lint examples
 
 ## tier-1 test suite (the driver's acceptance gate)
 test:
@@ -70,6 +70,25 @@ test-proc:
 		tests/runtime/test_procbackend.py \
 		tests/middleware/test_serialize_roundtrip.py \
 		tests/parallel/test_process_backend_matrix.py
+
+## asyncio backend subset, the test-proc of this backend: its unit
+## suite (loop crossings, the event's thread-to-loop hand-over, task
+## cancellation), the overlap/admission/deadline/fault matrix on loop
+## tasks, and the webhook example — all with asyncio's debug mode on and
+## RuntimeWarning an error.  Debug mode raises on a non-thread-safe loop
+## call made off the loop thread, the one mistake a hand-written bridge
+## can make.  A coroutine nobody awaited warns from its finalizer, where
+## an error cannot propagate, so it does not fail the run: pytest names
+## it in the warnings summary and the example prints it.  CI
+## wraps this in a hard timeout-minutes: a lost wakeup is a hang, and
+## must fail fast instead of stalling the job.
+test-asyncio:
+	PYTHONASYNCIODEBUG=1 $(PYPATH) $(PY) -W error::RuntimeWarning \
+		-m pytest -q -p no:cacheprovider \
+		tests/runtime/test_asyncio_backend.py \
+		tests/parallel/test_asyncio_backend_matrix.py
+	PYTHONASYNCIODEBUG=1 $(PYPATH) $(PY) -W error::RuntimeWarning \
+		examples/webhook_async.py
 
 ## process-backend benchmark pairs only: thread-vs-process on the
 ## CPU-bound farm split and one-marshal-per-pack across the pipe.

@@ -21,7 +21,6 @@ provides the shared machinery:
 from __future__ import annotations
 
 import copy
-import inspect
 import threading
 import time
 from collections import deque
@@ -41,7 +40,7 @@ from repro.errors import (
 from repro.faults.schedule import fire_fault
 from repro.parallel.concern import LAYER, Concern, ParallelAspect
 from repro.runtime.admission import current_envelope
-from repro.runtime.backend import current_backend
+from repro.runtime.backend import _carries_awaitables, current_backend
 from repro.runtime.dispatch import (
     next_dispatch_id,
     register_dispatch,
@@ -176,7 +175,7 @@ def dispatch_with_retry(
             if policy is not None:
                 if isinstance(outcome, Future):
                     outcome = outcome.result()
-                elif _holds_awaitables(outcome):
+                elif _carries_awaitables(outcome):
                     # an async servant's coroutine: run it to completion
                     # on the backend's loop HERE so a loop-task failure
                     # is caught by this retry envelope too
@@ -201,17 +200,6 @@ def piece_key(piece: CallPiece | None) -> Any:
     return None if piece is None else piece.index
 
 
-def _holds_awaitables(outcome: Any) -> bool:
-    """Is the outcome something only an event loop can resolve — a
-    coroutine from an ``async def`` servant, or a pack result list
-    containing some?"""
-    if inspect.isawaitable(outcome):
-        return True
-    return isinstance(outcome, list) and any(
-        inspect.isawaitable(item) for item in outcome
-    )
-
-
 def piece_results(piece: CallPiece, outcome: Any) -> list:
     """Normalise one dispatch outcome to the per-item result list:
     futures are resolved, awaitables (async servants dispatched without
@@ -222,7 +210,7 @@ def piece_results(piece: CallPiece, outcome: Any) -> list:
     packed or not."""
     if isinstance(outcome, Future):
         outcome = outcome.result()
-    if _holds_awaitables(outcome):
+    if _carries_awaitables(outcome):
         outcome = current_backend().finish(outcome)
     if getattr(piece, "items", None) is not None:
         return list(outcome)

@@ -35,10 +35,9 @@ from repro.parallel.partition.base import (
     CallPiece,
     PartitionAspect,
     WorkSplitter,
-    _holds_awaitables,
     dispatch_with_retry,
 )
-from repro.runtime.backend import current_backend
+from repro.runtime.backend import _carries_awaitables, current_backend
 from repro.runtime.futures import Future
 
 __all__ = ["HeartbeatAspect", "heartbeat_module"]
@@ -206,7 +205,7 @@ class HeartbeatAspect(PartitionAspect):
         backend's loop, plain values pass through."""
         if isinstance(outcome, Future):
             outcome = outcome.result()
-        if _holds_awaitables(outcome):
+        if _carries_awaitables(outcome):
             outcome = current_backend().finish(outcome)
         return outcome
 

@@ -45,11 +45,10 @@ from repro.parallel.partition.base import (
     PackedPiece,
     PartitionAspect,
     WorkSplitter,
-    _holds_awaitables,
     dispatch_piece,
     piece_key,
 )
-from repro.runtime.backend import current_backend
+from repro.runtime.backend import _carries_awaitables, current_backend
 from repro.runtime.dispatch import (
     current_dispatch,
     current_piece,
@@ -301,7 +300,7 @@ class PipelineForwardAspect(ParallelAspect):
         # a no-op (the first failure wins).
         try:
             result = jp.proceed()  # the stage's own processing
-            if _holds_awaitables(result):
+            if _carries_awaitables(result):
                 # an async stage method: its value must exist before it
                 # can be forwarded (or deposited), so resolve it on the
                 # backend's loop here, inside the fail-fast envelope

@@ -18,11 +18,16 @@ admission waits, collectors, resident pool dispatchers, futures — is
 synchronous and blocking, so it keeps real-thread semantics.  What moves
 onto the event loop is the *servant dispatch*: a woven call whose target
 method is ``async def`` hands back a coroutine, and the backend bridges
-it onto its loop as an :class:`asyncio.Task` (the call's activity),
-resolving a plain :class:`~repro.runtime.futures.Future` through
-:func:`asyncio.run_coroutine_threadsafe`.  Plain (sync) methods run
+it onto its loop as an :class:`asyncio.Task` (the call's activity)
+whose done-callback resolves a plain
+:class:`~repro.runtime.futures.Future`.  Plain (sync) methods run
 inline — exactly the split the paper's aspect decomposition suggests:
 concurrency shape is the backend's business, not the servant's.
+
+A thread touches the loop only when a coroutine needs it: bridging one
+outcome is ONE ``loop.call_soon_threadsafe`` (the task is created and
+settled on the loop side), and resolving a future or setting an event
+that no coroutine awaits is none.
 
 * ``now()`` is the **loop clock** (``loop.time()``), so per-ticket
   :class:`~repro.runtime.admission.Deadline` budgets translate directly
@@ -33,7 +38,9 @@ concurrency shape is the backend's business, not the servant's.
 * :meth:`make_event` returns an :class:`AsyncioEvent` — waitable from
   submitter threads (admission ``block`` parks on it) *and* awaitable
   from loop tasks (``await event.wait_async()``), the dual-face gate the
-  backend's tests hold servants open with.
+  backend's tests hold servants open with.  The loop face is made by
+  the event's first awaiter; an event nobody awaits never calls into
+  the loop.
 * The ``"loop"`` fault site fires once per bridged task with awaitable
   semantics: ``delay_reply`` is an ``await asyncio.sleep`` (the loop
   stays free), ``drop_reply`` discards an outcome that was actually
@@ -50,6 +57,7 @@ import asyncio
 import atexit
 import inspect
 import threading
+from concurrent.futures import CancelledError
 from typing import Any, Awaitable
 
 from repro.api.registry import register_backend
@@ -60,7 +68,7 @@ from repro.errors import (
     WorkerKilled,
 )
 from repro.faults.schedule import fire_fault
-from repro.runtime.backend import _close_awaitables
+from repro.runtime.backend import _carries_awaitables, _close_awaitables
 from repro.runtime.dispatch import current_dispatch
 from repro.runtime.futures import Future
 from repro.runtime.threads import ThreadBackend
@@ -115,16 +123,19 @@ class AsyncioEvent:
     admission table's ``block`` parking) plus an awaitable face
     (:meth:`wait_async`) for coroutines running on the backend's loop.
 
-    ``set()`` is safe from any thread — the loop-side flag is flipped
-    through ``call_soon_threadsafe`` so awaiting tasks wake without the
-    caller touching the loop directly.
+    The thread flag is the truth; the loop face is an
+    :class:`asyncio.Event` built by the first :meth:`wait_async` and
+    kept in step with the flag by a callback run *on* the loop.  So
+    ``set()``/``clear()`` are safe from any thread, and they call into
+    the loop only once some coroutine has awaited the event — a future
+    resolved for a thread costs no loop wakeup.
     """
 
     def __init__(self, host: _LoopHost, name: str = "event"):
         self.name = name
         self._host = host
         self._thread_event = threading.Event()
-        self._async_event = asyncio.Event()
+        self._async_event: asyncio.Event | None = None
         self.value: Any = None
 
     @property
@@ -138,21 +149,17 @@ class AsyncioEvent:
         if not self._thread_event.is_set():
             self.value = value
             self._thread_event.set()
-        loop = self._host.loop
-        if loop.is_running():
-            loop.call_soon_threadsafe(self._async_event.set)
-        else:  # nobody can be awaiting on a stopped loop: flip directly
-            self._async_event.set()
+        # flag first, THEN look for the face: wait_async publishes the
+        # face and then reads the flag, so one of the two sees the other
+        if self._async_event is not None:
+            self._host.loop.call_soon_threadsafe(self._mirror)
 
     def clear(self) -> None:
         """Reset both faces of the event."""
         self._thread_event.clear()
         self.value = None
-        loop = self._host.loop
-        if loop.is_running():
-            loop.call_soon_threadsafe(self._async_event.clear)
-        else:
-            self._async_event.clear()
+        if self._async_event is not None:
+            self._host.loop.call_soon_threadsafe(self._mirror)
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block the calling *thread* until set (never call from a loop
@@ -162,17 +169,23 @@ class AsyncioEvent:
     async def wait_async(self) -> bool:
         """Await the event from a coroutine on the backend's loop —
         the loop stays free to run every other task meanwhile."""
+        if self._async_event is None:
+            self._async_event = asyncio.Event()
+        # re-read the flag AFTER the face is published: a set() that
+        # looked for the face too early to find it is seen here
+        self._mirror()
         await self._async_event.wait()
         return True
 
-
-def _needs_loop(outcome: Any) -> bool:
-    """Does this dispatch outcome carry awaitables the loop must run?"""
-    if inspect.isawaitable(outcome):
-        return True
-    return isinstance(outcome, list) and any(
-        inspect.isawaitable(item) for item in outcome
-    )
+    def _mirror(self) -> None:
+        """Copy the thread flag onto the loop face (loop thread only).
+        Copying the flag, not a set/clear order, means racing callers
+        cannot leave the face disagreeing with the flag: whichever
+        mirror runs last reads the final flag."""
+        if self._thread_event.is_set():
+            self._async_event.set()
+        else:
+            self._async_event.clear()
 
 
 class AsyncioBackend(ThreadBackend):
@@ -194,8 +207,10 @@ class AsyncioBackend(ThreadBackend):
     def __init__(self, host: _LoopHost | None = None) -> None:
         super().__init__()
         self._host = host if host is not None else _HOST
-        # task counters are only ever touched on the loop thread (inside
-        # _supervise), so they need no lock
+        # the loop holds tasks weakly: this set keeps each bridged task
+        # alive until it settles.  It and the task counters are only
+        # ever touched on the loop thread, so they need no lock
+        self._tasks: set[asyncio.Task] = set()
         self.tasks_started = 0
         self.tasks_finished = 0
         self.tasks_cancelled = 0
@@ -231,35 +246,57 @@ class AsyncioBackend(ThreadBackend):
         is scheduled on the loop as one :class:`asyncio.Task` — carrying
         the ambient dispatch ticket's deadline and cancel hooks — and a
         :class:`~repro.runtime.futures.Future` resolving with it is
-        returned.  A plain value comes back as an already-resolved
-        future, so sync methods cost no loop round-trip.
+        returned.  The calling thread crosses into the loop once
+        (``call_soon_threadsafe``); the task is created, and later
+        settles the future, on the loop side.  A plain value comes back
+        as an already-resolved future, so sync methods cost no loop
+        round-trip.
         """
         future = Future(name=name, backend=self)
-        if not _needs_loop(outcome):
+        if not _carries_awaitables(outcome):
             future.set_result(outcome)
             return future
         ticket = current_dispatch()
         self._host.ensure()
-        pending = asyncio.run_coroutine_threadsafe(
-            self._supervise(outcome, ticket), self._host.loop
-        )
+        loop = self._host.loop
 
-        def _transfer(done: Any) -> None:
-            if future.resolved:  # pragma: no cover - single producer
-                return
+        def start() -> None:
+            body = self._supervise(outcome, ticket)
             try:
-                future.set_result(done.result())
-            except BaseException as exc:  # noqa: BLE001 - via the future
+                task = loop.create_task(body)
+            except Exception as exc:  # noqa: BLE001 - via the future
+                # nothing will ever await them: close both so the
+                # failure does not also warn "never awaited"
+                body.close()
+                _close_awaitables(outcome)
                 future.set_exception(exc)
+                return
+            self._tasks.add(task)
+            task.add_done_callback(settle)
 
-        pending.add_done_callback(_transfer)
+        def settle(task: asyncio.Task) -> None:
+            self._tasks.discard(task)
+            if task.cancelled():
+                # cancelled with no ticket cause (a ticket's cause comes
+                # out of _supervise as the task's exception).  The
+                # waiter gets an Exception: asyncio's CancelledError is
+                # a BaseException and would escape the submit path
+                future.set_exception(CancelledError())
+                return
+            exc = task.exception()
+            if exc is not None:
+                future.set_exception(exc)
+            else:
+                future.set_result(task.result())
+
+        loop.call_soon_threadsafe(start)
         return future
 
     def finish(self, outcome: Any) -> Any:
         """Resolve a dispatch outcome: awaitables run to completion on
         the loop (the calling thread blocks, the loop does not); plain
         values pass through untouched."""
-        if not _needs_loop(outcome):
+        if not _carries_awaitables(outcome):
             return outcome
         return self.bridge(outcome, name="asyncio.finish").result()
 
@@ -269,7 +306,7 @@ class AsyncioBackend(ThreadBackend):
         completion, nobody waits for the reply."""
         if isinstance(outcome, Future):
             return  # already bridged: its task runs regardless of waiters
-        if _needs_loop(outcome):
+        if _carries_awaitables(outcome):
             self.bridge(outcome, name="asyncio.oneway")
 
     # -- the loop-side task wrapper -----------------------------------------

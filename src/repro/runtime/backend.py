@@ -145,7 +145,9 @@ class ExecutionBackend(abc.ABC):
 
 
 def _carries_awaitables(outcome: Any) -> bool:
-    """Does the outcome hold coroutines only an event loop could run?"""
+    """Does the outcome hold coroutines only an event loop could run —
+    one from an ``async def`` servant, or a pack result list containing
+    some?  The one such test: every resolution site imports it."""
     if inspect.isawaitable(outcome):
         return True
     return isinstance(outcome, list) and any(

@@ -1,20 +1,29 @@
 """Unit coverage for the asyncio execution backend: the loop clock,
-the dual-face event, coroutine bridging, fire-and-forget detachment,
-the base backend's awaitable rejection, registry/spec rules, and the
-``"loop"`` fault site."""
+the dual-face event, coroutine bridging (how often a thread crosses
+into the loop, how a task's end reaches the future), the event's
+thread-to-loop hand-over under a short switch interval, fire-and-forget
+detachment, the base backend's awaitable rejection, registry/spec
+rules, and the ``"loop"`` fault site."""
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import inspect
+import sys
+import threading
 import time
 
 import pytest
 
-from repro.api import StackSpec
+from repro.api import ParallelApp, StackSpec
 from repro.api.registry import BACKENDS
-from repro.errors import BackendError, DeploymentError
+from repro.errors import BackendError, CallShed, DeploymentError
 from repro.faults.schedule import FAULT_SITES, FaultEvent
+from repro.parallel import WorkSplitter
+from repro.parallel.partition import CallPiece, DispatchContext
 from repro.runtime import AsyncioBackend, AsyncioEvent, ThreadBackend
+from repro.runtime.dispatch import use_dispatch
 from repro.runtime.futures import Future
 
 
@@ -114,6 +123,215 @@ class TestBridge:
         while time.time() < deadline and not done:
             time.sleep(0.005)
         assert done == [True]
+
+    def test_bare_cancellation_fails_the_future_with_an_exception(self, backend):
+        # no ticket, so no cause: the waiter must still get an Exception
+        # (asyncio.CancelledError is a BaseException and would escape
+        # every ``except Exception`` on the submit path)
+        parked, tasks = threading.Event(), []
+        cancelled_before = backend.tasks_cancelled
+        future = backend.bridge(_sleeper(parked, tasks))
+        assert parked.wait(5.0)
+        backend.loop.call_soon_threadsafe(tasks[0].cancel)
+        with pytest.raises(concurrent.futures.CancelledError) as caught:
+            future.result(timeout=5.0)
+        assert isinstance(caught.value, Exception)
+        assert backend.tasks_cancelled == cancelled_before + 1
+
+    def test_ticket_cancellation_surfaces_the_tickets_cause(self, backend):
+        parked, tasks = threading.Event(), []
+        ticket = DispatchContext(name="unit", backend=backend)
+        with use_dispatch(ticket):
+            future = backend.bridge(_sleeper(parked, tasks))
+        assert parked.wait(5.0)
+        cause = CallShed("shed by the test")
+        ticket.cancel(cause)  # fires the task's cancel hook
+        with pytest.raises(CallShed) as caught:
+            future.result(timeout=5.0)
+        assert caught.value is cause
+
+    def test_task_creation_failing_fails_the_future(self, backend, monkeypatch):
+        made = []
+
+        def no_tasks(coro, **kwargs):
+            made.append(coro)
+            raise RuntimeError("no tasks today")
+
+        async def orphan():
+            return 1
+
+        outcome = orphan()
+        monkeypatch.setattr(backend.loop, "create_task", no_tasks)
+        with pytest.raises(RuntimeError, match="no tasks today"):
+            backend.bridge(outcome).result(timeout=5.0)
+        # neither the servant's coroutine nor the supervising one is left
+        # to warn "never awaited" when it is collected
+        assert [inspect.getcoroutinestate(c) for c in (outcome, *made)] == [
+            inspect.CORO_CLOSED,
+            inspect.CORO_CLOSED,
+        ]
+
+
+async def _sleeper(parked, tasks):
+    """Park on the loop for the cancellation tests: records its task and
+    reports once it is really suspended (``call_soon`` runs after this
+    coroutine has yielded to the loop)."""
+    tasks.append(asyncio.current_task())
+    asyncio.get_running_loop().call_soon(parked.set)
+    await asyncio.sleep(30)
+
+
+@pytest.fixture()
+def crossings(backend, monkeypatch):
+    """Every call a thread makes into the loop goes through
+    ``loop.call_soon_threadsafe``: record them."""
+    loop = backend.loop
+    real, calls = loop.call_soon_threadsafe, []
+
+    def counting(callback, *args, **kwargs):
+        calls.append(callback)
+        return real(callback, *args, **kwargs)
+
+    monkeypatch.setattr(loop, "call_soon_threadsafe", counting)
+    return calls
+
+
+class TestLoopCrossings:
+    """A thread touches the loop only when a coroutine needs it."""
+
+    def test_four_piece_async_farm_submit_crosses_four_times(self, crossings):
+        class Doubler:
+            async def bump(self, values):
+                await asyncio.sleep(0)
+                return [v * 2 for v in values]
+
+        splitter = WorkSplitter(
+            duplicates=4,
+            split=lambda args, kwargs: [
+                CallPiece(i, ([v],)) for i, v in enumerate(args[0])
+            ],
+            combine=lambda results: [v for part in results for v in part],
+        )
+        spec = StackSpec(
+            target=Doubler,
+            work="bump",
+            splitter=splitter,
+            strategy="farm",
+            concurrency=True,
+            backend="asyncio",
+        )
+        with ParallelApp(spec) as app:
+            app.start()
+            app.submit([0, 1, 2, 3]).result(timeout=10.0)  # warm the path
+            tasks_before = app.backend.tasks_started
+            del crossings[:]
+            assert app.submit([1, 2, 3, 4]).result(timeout=10.0) == [2, 4, 6, 8]
+            # one per bridged piece; none for the 5 futures that resolved
+            assert len(crossings) == 4
+            assert app.backend.tasks_started == tasks_before + 4
+
+    def test_unawaited_futures_and_events_never_cross(self, backend, crossings):
+        Future(name="value", backend=backend).set_result(1)
+        Future(name="error", backend=backend).set_exception(ValueError("x"))
+        event = backend.make_event(name="nobody-awaits")
+        event.set("v")
+        event.clear()
+        event.set()
+        assert backend.bridge(42).result() == 42
+        assert crossings == []
+
+    def test_first_await_then_set_crosses_once(self, backend, crossings):
+        event = backend.make_event(name="gate")
+        parked = threading.Event()
+
+        async def waiter():
+            # runs once this coroutine is suspended inside wait_async()
+            asyncio.get_running_loop().call_soon(parked.set)
+            await event.wait_async()
+            return "woken"
+
+        future = backend.bridge(waiter())
+        assert parked.wait(5.0)
+        del crossings[:]  # the bridge's own
+        event.set()
+        assert future.result(timeout=5.0) == "woken"
+        assert len(crossings) == 1
+
+
+@pytest.fixture()
+def short_switch_interval():
+    """Switch threads ~500x more often than the default, so the loop
+    thread and the test thread interleave inside set()/wait_async()."""
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(before)
+
+
+def _spin_until(cond, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not cond():
+        assert time.monotonic() < deadline, "a wakeup was lost"
+        time.sleep(0)
+
+
+class TestNoLostWakeup:
+    """The event's loop face is made by its first awaiter while any
+    thread may be calling ``set()``: the hand-over must wake the awaiter
+    in every interleaving."""
+
+    ROUNDS = 3000
+
+    def test_first_await_racing_set(self, backend, short_switch_interval):
+        events = [backend.make_event(name=f"race.{i}") for i in range(self.ROUNDS)]
+        reached = [0]  # written on the loop, read by the test thread
+
+        async def waiter():
+            for i, event in enumerate(events):
+                reached[0] = i + 1  # announce, THEN make the first await
+                await event.wait_async()
+            return len(events)
+
+        future = backend.bridge(waiter())
+        for i, event in enumerate(events):
+            if i % 2 == 0:
+                # let the coroutine get here first, so set() runs while
+                # it is building the face and parking on it ...
+                _spin_until(lambda: reached[0] > i)
+            # ... and on odd rounds set() runs first, before any face
+            # exists: only wait_async's re-read of the flag can see it
+            event.set()
+        assert future.result(timeout=10.0) == self.ROUNDS
+
+    def test_set_before_the_first_await(self, backend):
+        event = backend.make_event(name="early")
+        event.set("v")
+
+        async def waiter():
+            return await event.wait_async()
+
+        assert backend.bridge(waiter()).result(timeout=5.0) is True
+
+    def test_clear_then_wait_again(self, backend, short_switch_interval):
+        event = backend.make_event(name="reused")
+        cleared = [0]
+
+        async def waiter():
+            for i in range(self.ROUNDS):
+                await event.wait_async()
+                event.clear()
+                cleared[0] = i + 1
+            return cleared[0]
+
+        future = backend.bridge(waiter())
+        for i in range(self.ROUNDS):
+            # set() races the coroutine's way back into wait_async()
+            _spin_until(lambda: cleared[0] == i)
+            event.set()
+        assert future.result(timeout=10.0) == self.ROUNDS
+        assert not event.is_set
 
 
 class TestBaseBackendRejection:
