@@ -12,7 +12,9 @@ test:
 	$(PYPATH) $(PY) -m pytest -x -q
 
 ## overlap stress: rerun the concurrency-sensitive suites (dispatch
-## contexts, admission policies, deadlines, and the optimisation
+## contexts, admission policies, deadlines, the pipeline ride — pieces
+## hopping stages on one activity while others queue on the monitors,
+## on threads and on real workers — and the optimisation
 ## aspects — the shared-cache lock and replica builds race real
 ## threads) 5x with the pytest cache disabled, to surface flakes and
 ## hangs that a single ordered run hides.  CI wraps this in a hard
@@ -25,6 +27,7 @@ stress:
 			tests/parallel/test_dispatch_contexts.py \
 			tests/parallel/test_admission_policies.py \
 			tests/parallel/test_deadlines.py \
+			tests/parallel/test_pipeline_ride.py \
 			tests/parallel/test_optimisation.py || exit 1; \
 	done
 
@@ -60,16 +63,18 @@ stress-tenancy:
 			tests/faults/test_shed_retry.py || exit 1; \
 	done
 
-## out-of-process backend subset: worker lifecycle + crash fail-fast,
-## the wire-format round-trips, and the overlap/admission/deadline
-## matrix on resident worker processes.  CI wraps this in a hard
+## out-of-process backend subset: worker lifecycle + crash fail-fast
+## and the reply wait (death watch, deadline granularity, fd census),
+## the wire-format round-trips, the overlap/admission/deadline
+## matrix on resident worker processes, and the pipeline ride.  CI wraps this in a hard
 ## timeout-minutes: a hang here means a pipe wait without a liveness
 ## check, and must fail fast instead of stalling the job.
 test-proc:
 	$(PYPATH) $(PY) -m pytest -q -p no:cacheprovider \
 		tests/runtime/test_procbackend.py \
 		tests/middleware/test_serialize_roundtrip.py \
-		tests/parallel/test_process_backend_matrix.py
+		tests/parallel/test_process_backend_matrix.py \
+		tests/parallel/test_pipeline_ride.py
 
 ## asyncio backend subset, the test-proc of this backend: its unit
 ## suite (loop crossings, the event's thread-to-loop hand-over, task

@@ -174,7 +174,7 @@ class WorkerCrashed(RemoteError):
     """A resident worker process died with calls in flight.
 
     Raised by the process backend when a worker is found dead while a
-    request awaits its reply (or before a send).  Carries the worker's
+    request awaits its reply (or during a send).  Carries the worker's
     name, pid and exit code in the message so post-mortems can tell a
     SIGKILL from a segfault; in-flight splits fail fast through their
     collectors instead of hanging on a reply that will never arrive.

@@ -21,9 +21,8 @@ verdicts about the call, not the worker.
 
 from __future__ import annotations
 
-import time
-
 from repro.errors import AdmissionError, AdviceError, InjectedFault, WorkerCrashed
+from repro.runtime.backend import current_backend
 
 __all__ = ["RetryPolicy"]
 
@@ -68,9 +67,10 @@ class RetryPolicy:
         return isinstance(exc, self.retry_on)
 
     def pause(self, attempt: int) -> None:
-        """Linear backoff before re-dispatching attempt ``attempt + 1``."""
+        """Linear backoff before re-dispatching attempt ``attempt + 1``,
+        on the current backend's clock."""
         if self.backoff > 0:
-            time.sleep(self.backoff * attempt)
+            current_backend().sleep(self.backoff * attempt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kinds = ",".join(cls.__name__ for cls in self.retry_on)

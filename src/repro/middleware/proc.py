@@ -16,11 +16,13 @@ trip) *and* :class:`~repro.middleware.base.SimMiddleware` on the wire
 (``context_id`` travels in every envelope and echoes in the reply, so
 frames stay attributable however many calls share a worker).
 
-Deadlines and shedding are enforced **during** the reply wait: the poll
-loop calls the ambient ticket's ``check_deadline`` between frames, so an
-expired or shed call unwinds mid-wait.  Its eventual reply is identified
-by ``call_id`` and discarded by the next caller on that worker — an
-abandoned call never desynchronises the pipe.  A worker found dead
+Deadlines and shedding are enforced **during** the reply wait: it is
+bounded by the ambient ticket's remaining budget and calls the ticket's
+``check_deadline`` whenever it wakes without a frame, so a call expires
+at its deadline and a shed one unwinds within one poll interval.  Its
+eventual reply is identified by ``call_id`` and discarded by the next
+caller on that worker — an abandoned call never desynchronises the
+pipe.  A worker found dead
 raises :class:`~repro.errors.WorkerCrashed` (a
 :class:`~repro.errors.RemoteError`), which the skeletons' failure paths
 turn into a fail-fast ``ResultCollector.fail``.
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 from typing import Any
 
 from repro.aop.plan import piece_view
@@ -112,7 +113,7 @@ class ProcMiddleware(Middleware):
         )
         worker = self.backend.new_worker()
         try:
-            with worker.lock:
+            with worker.lock:  # recv's poll object is not re-entrant
                 worker.send(frame)
                 reply = self.serializer.decode(worker.recv())
         except BaseException:
@@ -218,9 +219,9 @@ class ProcMiddleware(Middleware):
         """One request/reply over the servant's worker pipe.
 
         The ambient dispatch ticket (this invoke runs on the caller's
-        activity) is consulted before the send and between reply polls:
-        a shed or deadline-expired call raises its cancellation cause
-        mid-wait.  ``attribute_remote`` is bumped like the local
+        activity) is consulted before the send and during the reply
+        wait: a shed or deadline-expired call raises its cancellation
+        cause mid-wait.  ``attribute_remote`` is bumped like the local
         middleware's — the servant-side execution happens on behalf of
         the ambient call.  Stale frames from calls that abandoned their
         wait are recognised by ``call_id`` and dropped.
@@ -247,14 +248,19 @@ class ProcMiddleware(Middleware):
             if event.kind == "kill_worker":
                 worker.kill()
             elif event.kind == "delay_reply":
-                time.sleep(event.delay)
+                self.backend.sleep(event.delay)
+        deadline = getattr(context, "deadline", None)
         try:
+            # one round trip at a time per worker: the pipe is shared,
+            # and the worker's poll object is not re-entrant
             with worker.lock:
                 worker.send(frame)
                 if envelope.oneway:
                     return None
                 while True:
-                    reply = self.serializer.decode(worker.recv(check=check))
+                    reply = self.serializer.decode(
+                        worker.recv(check=check, deadline=deadline)
+                    )
                     if reply.call_id in (envelope.call_id, -1):
                         if event is not None and event.kind == "drop_reply":
                             raise ReplyDropped(
@@ -294,7 +300,7 @@ class ProcMiddleware(Middleware):
                 )
                 fresh = self.backend.new_worker()
                 try:
-                    with fresh.lock:
+                    with fresh.lock:  # recv's poll object is not re-entrant
                         fresh.send(frame)
                         reply = self.serializer.decode(fresh.recv())
                     if reply.outcome == "error":

@@ -7,7 +7,9 @@ advice nests the way the methodology prescribes:
 * **partition** (outermost) — splits work before anything else sees it;
 * **concurrency** — spawns/synchronises each split call;
 * **partition-forward** — the pipeline's stage-to-stage forwarding runs
-  *inside* the spawned activity (paper Figure 11);
+  *inside* the spawned activity (paper Figure 11) and inside the stage's
+  monitor, so it leaves each hop to the activity's body
+  (:func:`repro.runtime.dispatch.ride`): one activity per piece journey;
 * **distribution** — redirects the (possibly spawned) call to a node;
 * **optimisation / instrumentation** (innermost) — platform tuning and
   cost accounting closest to the actual execution.

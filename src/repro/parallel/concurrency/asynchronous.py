@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
+from functools import partial
 from typing import Any, Callable
 
 from repro.aop import abstract_pointcut, around, pointcut
 from repro.faults.schedule import fire_fault
 from repro.parallel.concern import LAYER, Concern, ParallelAspect
 from repro.runtime.backend import ExecutionBackend, current_backend
-from repro.runtime.dispatch import bind_dispatch, shield_dispatch
+from repro.runtime.dispatch import bind_dispatch, ride, shield_dispatch, take_tail
 from repro.runtime.futures import Future
 
 __all__ = ["SpawnPerCall", "PooledSpawner", "AsyncInvocationAspect"]
@@ -157,7 +157,7 @@ class PooledSpawner:
                 self._die(queue, index, requeue=task)
                 return
             if event is not None and event.kind == "delay_reply":
-                time.sleep(event.delay)
+                current_backend().sleep(event.delay)
             try:
                 task()
             except Exception:  # noqa: BLE001 - the call observes its own error
@@ -222,6 +222,17 @@ class AsyncInvocationAspect(ParallelAspect):
         if self.passthrough(jp):
             return jp.proceed()
         backend = current_backend()
+        if take_tail():
+            # a pipeline hop: the piece rides the activity that
+            # forwarded it (Figure 11, "inside the per-call thread").
+            # Answered as a spawned call is, failure included, so no
+            # stage upstream reports a downstream failure again.
+            future = Future(name=f"async.{jp.signature}", backend=backend)
+            try:
+                future.set_result(jp.proceed())
+            except Exception as exc:  # noqa: BLE001 - delivered via future
+                future.set_exception(exc)
+            return future
         if getattr(backend, "native_async", False) and isinstance(
             self.spawner, SpawnPerCall
         ):
@@ -242,12 +253,13 @@ class AsyncInvocationAspect(ParallelAspect):
         future = Future(name=f"async.{jp.signature}", backend=backend)
         continuation = jp.capture_proceed()
 
-        def task() -> None:
+        def call() -> None:
             try:
                 future.set_result(continuation())
             except Exception as exc:  # noqa: BLE001 - delivered via future
                 future.set_exception(exc)
 
         self.spawned_calls += 1
-        self.spawner.spawn(backend, task)
+        # the body: the call, then the hops a pipeline forwarder left
+        self.spawner.spawn(backend, partial(ride, call))
         return future

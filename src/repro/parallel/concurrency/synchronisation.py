@@ -40,9 +40,13 @@ class SynchronisationAspect(ParallelAspect):
     def _lock_for(self, target: Any) -> Any:
         key = id(target)
         entry = self._locks.get(key)
-        if entry is None or entry[0] is not target:
-            entry = (target, current_backend().make_lock(name=f"sync.{key}"))
-            self._locks[key] = entry
+        if entry is None:
+            # setdefault, not get-then-store: of two activities reaching
+            # a fresh target together exactly one lock survives, and
+            # both get that one (the loser's is dropped unused)
+            entry = self._locks.setdefault(
+                key, (target, current_backend().make_lock(name=f"sync.{key}"))
+            )
         return entry[1]
 
     @around("guarded_calls")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import copy
 import threading
-import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
@@ -133,7 +132,7 @@ def dispatch_piece(
                 f"injected worker death under piece #{piece.index} ({where})"
             )
         if event.kind == "delay_reply":
-            time.sleep(event.delay)
+            current_backend().sleep(event.delay)
     items = getattr(piece, "items", None)
     with use_piece(piece):
         if items is not None:

@@ -20,21 +20,33 @@ outermost); block 3 lives in :class:`PipelineForwardAspect`
 inside the per-call thread.  :func:`pipeline_module` packages both as one
 pluggable module.
 
+**One activity per piece journey.**  The concurrency aspect spawns one
+activity per piece, for the call that feeds it into the head stage.
+Block 3 stands inside stage k's synchronisation monitor, so it does not
+call stage k+1 from there: it leaves the hop to the activity's body
+(:func:`~repro.runtime.dispatch.leave_hop`), which makes it once stage
+k's call has unwound, and the concurrency aspect runs a hop in place
+instead of spawning.  Monitors are never held across a hop, the stack
+does not grow with the stage count, and a split of p pieces costs p
+activities, not p × stages.
+
 The aspects hold only the *deployed topology* (stages, ``next``
 pointers).  Every split call opens its own
 :class:`~repro.parallel.partition.base.DispatchContext` — the collector
 the tail deposits into is the *originating call's*, found through the
-ambient ticket (:mod:`repro.runtime.dispatch`) that follows each piece
-across the spawned per-call activities.  A deployed pipeline therefore
-serves any number of overlapped in-flight splits.
+ambient ticket (:mod:`repro.runtime.dispatch`) the piece's activity runs
+under.  A deployed pipeline therefore serves any number of overlapped
+in-flight splits.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from repro.aop import around, pointcut
+from repro.aop.cflow import entered_advice
 from repro.aop.plan import BatchJoinPoint, batched_entry, piece_view
 from repro.api.registry import register_strategy
 from repro.parallel.composition import ParallelModule
@@ -52,6 +64,7 @@ from repro.runtime.backend import _carries_awaitables, current_backend
 from repro.runtime.dispatch import (
     current_dispatch,
     current_piece,
+    leave_hop,
     shield_dispatch,
     use_dispatch,
 )
@@ -161,8 +174,8 @@ class PipelineSplitAspect(PartitionAspect):
                 for piece in pieces:
                     # re-enters the chain through the head stage's compiled
                     # plan entry; packs enter through the compiled batched
-                    # entry.  The ambient ticket follows the piece across the
-                    # spawned per-call activities, so the tail deposits into
+                    # entry.  The ambient ticket follows the piece onto its
+                    # spawned per-call activity, so the tail deposits into
                     # THIS call's collector however many splits are in flight.
                     ctx.check_deadline("feeding the pipeline head")
                     if ctx.collector.failed:
@@ -331,7 +344,9 @@ class PipelineForwardAspect(ParallelAspect):
                 # re-intercepted: the attribute is the next stage's
                 # compiled plan (repro.aop.plan) — direct getattr, once
                 # per forward
-                return getattr(nxt, jp.name)(*args, **kwargs)
+                return self._hand_on(
+                    partial(getattr(nxt, jp.name), *args, **kwargs), ctx
+                )
             if ctx is not None and ctx.collector is not None:
                 # keyed by the originating head piece (carried here as
                 # the ambient piece): a retried piece whose first
@@ -344,6 +359,29 @@ class PipelineForwardAspect(ParallelAspect):
                 # the collector's retry plane when one is armed
                 ctx.fail(exc, piece=current_piece())
             raise
+
+    @staticmethod
+    def _hand_on(call: Callable[[], Any], ctx: Any) -> Any:
+        """Hand the piece to the next stage (``call`` enters it): left to
+        the body of the per-call activity, which makes the hop once this
+        stage's call has unwound — this advice stands inside the stage's
+        synchronisation monitor, one advice chain per stage deep.  With
+        no such body (concurrency unplugged, the asyncio backend's
+        inline calls) the next stage is simply called."""
+
+        def hop() -> None:
+            try:
+                # deferred advice code: the next stage must still see a
+                # forwarded call, not a core one
+                with entered_advice():
+                    call()
+            except Exception as exc:  # noqa: BLE001 - routed to collector
+                # short of the next stage's own fail-fast envelope, and
+                # the body has no caller to raise to: wake the waiter
+                if ctx is not None:
+                    ctx.fail(exc, piece=current_piece())
+
+        return None if leave_hop(hop) else call()
 
     def _forward_batch(self, jp, results, nxt, ctx):
         """Pack-granular block 3: forward a whole pack in one batched
@@ -367,7 +405,7 @@ class PipelineForwardAspect(ParallelAspect):
                     result, piece_args, piece_kwargs
                 )
                 items.append(CallPiece(index, args, kwargs))
-            return batched_entry(nxt, jp.name)(items)
+            return self._hand_on(partial(batched_entry(nxt, jp.name), items), ctx)
         if ctx is not None and ctx.collector is not None:
             pack = current_piece()
             base = getattr(pack, "index", None)

@@ -114,6 +114,13 @@ class ExecutionBackend(abc.ABC):
         """
         return time.monotonic()
 
+    def sleep(self, seconds: float) -> None:
+        """Pause the calling activity for ``seconds`` on :meth:`now`'s
+        clock — what retry back-off and injected ``delay_reply`` faults
+        wait with, so on the simulator they cost virtual time, not wall
+        time."""
+        time.sleep(seconds)
+
     def finish(self, outcome: Any) -> Any:
         """Resolve a dispatch outcome that may be backend-deferred.
 

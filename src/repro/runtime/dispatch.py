@@ -17,6 +17,9 @@ the backend-neutral plumbing that makes the ticket *ambient*:
   pooled spawner capture the ambient ticket at spawn/enqueue time and
   re-install it inside the spawned activity, so the ticket follows the
   call across every activity boundary the stack creates;
+* :func:`ride` / :func:`leave_hop` / :func:`take_tail` keep a pipeline
+  piece on ONE activity: the forwarder leaves each hop to the activity's
+  body, and the concurrency aspect runs a hop in place of spawning;
 * :func:`find_dispatch` resolves a ticket by id — the middlewares stamp
   the originating ticket id onto each request and re-install the ticket
   around the servant-side execution, so work performed on behalf of a
@@ -46,6 +49,9 @@ __all__ = [
     "shield_dispatch",
     "current_piece",
     "use_piece",
+    "ride",
+    "leave_hop",
+    "take_tail",
 ]
 
 
@@ -53,6 +59,10 @@ class _DispatchState(threading.local):
     def __init__(self) -> None:
         self.stack: list[Any] = []
         self.pieces: list[Any] = []
+        #: [ticket, pending hop] of the activity body running here (ride)
+        self.journey: list[Any] | None = None
+        #: one-shot: the next woven call is a hop (take_tail)
+        self.tail = False
 
 
 _STATE = _DispatchState()
@@ -134,6 +144,48 @@ def use_piece(piece: Any | None) -> Iterator[Any | None]:
         yield piece
     finally:
         pieces.pop()
+
+
+def ride(call: Callable[[], Any]) -> None:
+    """Body of a spawned per-call activity: run ``call``, then every hop
+    a forwarder left behind (:func:`leave_hop`), each after the one
+    before it has unwound — the piece stays on this activity for its
+    whole journey, no stage's monitor is held while the next stage is
+    entered, and the stack is as deep at stage 200 as at stage 1.  A hop
+    is run marked as this activity's tail call (:func:`take_tail`)."""
+    state = _STATE
+    outer = state.journey
+    journey = state.journey = [current_dispatch(), None]
+    try:
+        call()
+        while journey[1] is not None:
+            hop, journey[1] = journey[1], None
+            state.tail = True
+            hop()
+    finally:
+        state.journey, state.tail = outer, False
+
+
+def leave_hop(hop: Callable[[], Any]) -> bool:
+    """Pipeline forwarder only: leave ``hop`` (the call into the next
+    stage) to the activity body this call runs in; ``False`` when there
+    is none and the caller must make the hop itself.  A body takes hops
+    of the ticket it was started under only — a call nested inside a
+    stage waits for its own pieces, which must not queue behind it."""
+    journey = _STATE.journey
+    if journey is None or journey[0] is not current_dispatch():
+        return False
+    journey[1] = hop
+    return True
+
+
+def take_tail() -> bool:
+    """Concurrency aspect: is this woven call the tail a forwarder left
+    to this activity (one-shot)?  Calls other advice makes — divide &
+    conquer, heartbeat, dynamic farm — are never marked and spawn."""
+    state = _STATE
+    marked, state.tail = state.tail, False
+    return marked
 
 
 def bind_dispatch(fn: Callable[[], Any]) -> Callable[[], Any]:

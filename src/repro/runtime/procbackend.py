@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import select
 import threading
 from typing import Any, Callable
 
@@ -169,12 +170,14 @@ class ProcWorker:
     :class:`~repro.parallel.concurrency.asynchronous.PooledSpawner`'s
     pinned workers: a long-lived activity fed through a private channel
     (here a duplex pipe), serialised by a parent-side lock, torn down by
-    a sentinel.  The reply wait polls so it can interleave liveness and
-    cooperative-cancellation checks — a dead worker raises
-    :class:`~repro.errors.WorkerCrashed` instead of blocking forever.
+    a sentinel.  The reply wait is one ``poll(2)`` on the pipe and the
+    process's sentinel fd, both registered once: a reply wakes it, and
+    so does the worker's death — :class:`~repro.errors.WorkerCrashed`
+    at once, never a block on a pipe nobody will write to.
     """
 
-    #: reply-poll granularity (also the cadence of deadline/death checks)
+    #: longest single reply wait: the cadence of the caller's ``check``
+    #: (shed/cancel), not of death or deadline detection
     POLL_INTERVAL = 0.02
 
     def __init__(self, index: int, name: str = "proc.worker"):
@@ -192,92 +195,111 @@ class ProcWorker:
         )
         self.process.start()
         child_conn.close()  # the parent keeps only its own end
+        #: the worker's OS pid, and its exit code once reaped
+        self.pid: int | None = self.process.pid
+        self.exitcode: int | None = None
+        self._pipe_fd = self.conn.fileno()
+        self._poll = select.poll()  # poll(2): owns no fd of its own
+        self._poll.register(self._pipe_fd, select.POLLIN)
+        self._poll.register(self.process.sentinel, select.POLLIN)
         self._stopped = False
-
-    @property
-    def pid(self) -> int | None:
-        """The worker process's OS pid (``None`` before it starts)."""
-        return self.process.pid
 
     @property
     def alive(self) -> bool:
         """Is the worker process still running?"""
-        return self.process.is_alive()
+        return not self._stopped and self.process.is_alive()
 
     # -- request/reply ------------------------------------------------------
 
     def send(self, data: bytes) -> None:
-        """Ship one request frame; a dead worker or broken pipe raises
-        :class:`~repro.errors.WorkerCrashed` instead of hanging."""
-        if not self.process.is_alive():
-            raise WorkerCrashed(self._obituary("before a send"))
+        """Ship one request frame; a dead worker is a broken pipe here
+        (or a sentinel wake-up in the :meth:`recv` that follows), so
+        :class:`~repro.errors.WorkerCrashed`, never a hang."""
         try:
             self.conn.send_bytes(data)
-        except (BrokenPipeError, OSError) as exc:
+        except OSError as exc:
             raise WorkerCrashed(
                 self._obituary(f"during a send ({exc})")
             ) from exc
 
-    def recv(self, check: Callable[[], None] | None = None) -> bytes:
-        """Block for the next reply frame.
+    def recv(
+        self, check: Callable[[], None] | None = None, deadline: Any = None
+    ) -> bytes:
+        """Block for the next reply frame — under ``self.lock``: the
+        poll object is not re-entrant.
 
-        ``check`` is the cooperative cancellation hook called between
-        polls — the middleware passes the ambient ticket's
-        ``check_deadline`` so a per-call deadline expires *during* the
-        reply wait, not after it.
+        ``check`` is the cooperative cancellation hook (the ambient
+        ticket's ``check_deadline``), called at least every
+        :attr:`POLL_INTERVAL`; ``deadline`` is that ticket's
+        :class:`~repro.runtime.admission.Deadline`, and no wait outlasts
+        its remaining budget — ``check`` raises at the deadline, not a
+        poll interval after it.
         """
         while True:
+            quantum = self.POLL_INTERVAL
+            if deadline is not None:
+                quantum = min(quantum, deadline.remaining())
+            # poll rounds up to a whole millisecond, so a wait the
+            # deadline cut short ends with the deadline passed
+            ready = self._poll.poll(quantum * 1000.0)
             try:
-                if self.conn.poll(self.POLL_INTERVAL):
+                # the pipe first, whatever else fired: a reply that
+                # raced the worker's death still drains
+                if any(fd == self._pipe_fd for fd, _ in ready):
                     return self.conn.recv_bytes()
             except (EOFError, OSError) as exc:
                 raise WorkerCrashed(
                     self._obituary("awaiting its reply")
                 ) from exc
-            if not self.process.is_alive():
-                # drain a reply that raced the death
-                if self.conn.poll(0):
-                    return self.conn.recv_bytes()
+            if ready:  # the sentinel alone: dead, nothing left to read
                 raise WorkerCrashed(self._obituary("awaiting its reply"))
             if check is not None:
                 check()
 
     def _obituary(self, when: str) -> str:
-        # reap first so the exit code is populated, not a stale None
-        self.process.join(0.2)
+        self._reap(0.2)
         return (
             f"worker process {self.name} (pid {self.pid}) died {when} "
-            f"(exitcode {self.process.exitcode}); its in-flight splits "
+            f"(exitcode {self.exitcode}); its in-flight splits "
             f"fail fast instead of hanging"
         )
+
+    def _reap(self, timeout: float) -> None:
+        """Join the process so its exit code is populated, not a stale
+        ``None`` (no-op once :meth:`stop` has closed the handle)."""
+        try:
+            self.process.join(timeout)
+            self.exitcode = self.process.exitcode
+        except ValueError:
+            pass
 
     # -- lifecycle ----------------------------------------------------------
 
     def kill(self) -> None:
         """SIGKILL the worker (fault-injection hook for death tests)."""
-        self.process.kill()
+        if not self._stopped:
+            self.process.kill()
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Graceful stop: sentinel, join, escalate to terminate."""
+        """Graceful stop: sentinel, join, escalate to terminate; then
+        give back the pipe and the process handle's two fds."""
         if self._stopped:
             return
         self._stopped = True
-        if self.process.is_alive():
-            try:
-                self.conn.send_bytes(STOP_FRAME)
-            except (BrokenPipeError, OSError):
-                pass  # already dying; the join/terminate below settles it
-        self.process.join(timeout)
+        try:
+            self.conn.send_bytes(STOP_FRAME)
+        except OSError:
+            pass  # already dead or dying; the join/terminate settles it
+        self._reap(timeout)
         if self.process.is_alive():  # pragma: no cover - stuck worker
             self.process.terminate()
-            self.process.join(timeout)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+            self._reap(timeout)
+        self.conn.close()
+        if self.exitcode is not None:  # reaped: the handle can go too
+            self.process.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "alive" if self.process.is_alive() else "dead"
+        state = "alive" if self.alive else "dead"
         return f"<ProcWorker {self.name} pid={self.pid} {state}>"
 
 

@@ -95,6 +95,11 @@ class SimBackend(ExecutionBackend):
         interact with the cost model, not the wall clock."""
         return self.sim.now
 
+    def sleep(self, seconds: float) -> None:
+        """Hold the calling simulated process for ``seconds`` of virtual
+        time (no wall time passes)."""
+        self.sim.hold(seconds)
+
 
 @register_backend("sim")
 def _make_sim_backend(cluster: Any = None, sim: Any = None) -> SimBackend:

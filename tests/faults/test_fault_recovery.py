@@ -260,3 +260,51 @@ class TestAdmissionSlotRelease:
             assert app.submit([3]).result(timeout=10) == [6]
         assert wait_until(lambda: app.admitted == 0)
         assert app.in_flight == 0
+
+
+class TestSleepsOnTheBackendClock:
+    """Injected reply delays and retry back-off wait through
+    ``ExecutionBackend.sleep``: on ``backend="sim"`` they hold the
+    simulated process — virtual seconds pass, wall time does not."""
+
+    def _run(self, schedule, retry=None):
+        app = ParallelApp(
+            echo_spec(
+                "farm",
+                backend="sim",
+                concurrency=False,
+                faults=schedule,
+                retry=retry,
+            )
+        )
+        out = {}
+
+        def main():
+            app.start()
+            began = app.sim.now
+            out["result"] = app.submit([1, 2]).result()
+            out["virtual"] = app.sim.now - began
+
+        with app:
+            wall = time.perf_counter()
+            app.execute(main)  # drives the simulator
+            out["wall"] = time.perf_counter() - wall
+        return out
+
+    def test_delay_reply_advances_virtual_time_only(self):
+        schedule = FaultSchedule(
+            [FaultEvent("delay_reply", site="dispatch", on_call=1, delay=5.0)]
+        )
+        out = self._run(schedule)
+        assert out["result"] == [2, 4]
+        assert out["virtual"] == pytest.approx(5.0)
+        assert out["wall"] < 0.05
+
+    def test_retry_backoff_advances_virtual_time_only(self):
+        schedule = FaultSchedule(
+            [FaultEvent("kill_worker", site="dispatch", on_call=1)]
+        )
+        out = self._run(schedule, retry=RetryPolicy(max_attempts=3, backoff=3.0))
+        assert out["result"] == [2, 4]
+        assert out["virtual"] == pytest.approx(3.0)
+        assert out["wall"] < 0.05

@@ -3,6 +3,9 @@ where interleavings are deterministic)."""
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.aop import weave
@@ -25,7 +28,7 @@ from repro.parallel import (
     RmiDistributionAspect,
     SynchronisationAspect,
 )
-from repro.runtime import Future, SimBackend, use_backend
+from repro.runtime import Future, SimBackend, ThreadBackend, use_backend
 from repro.sim import Simulator
 
 
@@ -139,6 +142,35 @@ class TestSynchronisation:
             return sim.now
 
         assert sim_main(body) == pytest.approx(1.0)
+
+    def test_racing_first_calls_on_a_fresh_target_share_one_lock(self):
+        """32 activities released by one barrier onto a target the
+        aspect has never seen must all get the SAME lock: a
+        get-then-store insert let each racer keep a lock of its own, and
+        all of them entered the "monitor" together."""
+        aspect = SynchronisationAspect(guarded_calls="call(Nothing.never(..))")
+        racers = 32
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        backend = ThreadBackend()
+        try:
+            with use_backend(backend):
+                for _ in range(150):
+                    target = object()
+                    barrier = threading.Barrier(racers)
+                    seen: list = []
+
+                    def race():
+                        barrier.wait(10)
+                        seen.append(aspect._lock_for(target))
+
+                    tasks = [backend.spawn(race) for _ in range(racers)]
+                    for task in tasks:
+                        task.join()
+                    assert len(seen) == racers
+                    assert len({id(lock) for lock in seen}) == 1
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDistributionAspects:

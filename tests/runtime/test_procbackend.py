@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from repro.api import ParallelApp, StackSpec
 from repro.api.registry import BACKENDS
 from repro.errors import (
     BackendError,
+    DeadlineExceeded,
     DeploymentError,
     MiddlewareError,
     RemoteError,
@@ -24,9 +26,12 @@ from repro.errors import (
     WorkerCrashed,
 )
 from repro.middleware.proc import ProcMiddleware
+from repro.middleware.serialize import RequestEnvelope
+from repro.runtime.admission import Deadline
+from repro.runtime.dispatch import use_dispatch
 from repro.runtime.procbackend import ProcessBackend, ProcWorker
 from repro.parallel import WorkSplitter
-from repro.parallel.partition import CallPiece
+from repro.parallel.partition import CallPiece, DispatchContext
 
 
 def wait_until(cond, timeout=10.0):
@@ -242,8 +247,6 @@ class TestWorkerCrash:
         try:
             ref = middleware.export(GatedDoubler())
             worker = middleware.worker_of(ref)
-            import threading
-
             outcome: dict = {}
 
             def call():
@@ -320,6 +323,115 @@ class TestWorkerCrash:
         worker.stop()
         worker.stop()  # second stop is a no-op
         assert not worker.alive
+
+
+class Sleeper:
+    def nap(self, seconds, token):
+        time.sleep(seconds)
+        return token
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestReplyWait:
+    """The reply wait is one poll on the pipe and the worker's sentinel:
+    death and deadline are seen when they happen, not a quantum later."""
+
+    def test_sigkill_mid_wait_raises_at_once(self, tmp_path, monkeypatch):
+        # were death only looked for between polls, this would take 5 s
+        monkeypatch.setattr(ProcWorker, "POLL_INTERVAL", 5.0)
+        GatedDoubler.gate_path = str(tmp_path / "gate")
+        middleware = ProcMiddleware(respawn=False)
+        try:
+            ref = middleware.export(GatedDoubler())
+            worker = middleware.worker_of(ref)
+            outcome: dict = {}
+
+            def call():
+                try:
+                    middleware.invoke(ref, "bump", ([1],))
+                except Exception as exc:  # noqa: BLE001 - inspected below
+                    outcome["error"] = exc
+                    outcome["at"] = time.perf_counter()
+
+            thread = threading.Thread(target=call)
+            thread.start()
+            assert wait_until(worker.lock.locked)
+            time.sleep(0.05)  # the request is with the parked servant
+            pid = worker.pid
+            killed_at = time.perf_counter()
+            worker.kill()
+            thread.join(timeout=10)
+            assert not thread.is_alive(), "reply wait hung on a dead worker"
+            assert isinstance(outcome.get("error"), WorkerCrashed)
+            assert outcome["at"] - killed_at < 0.02
+            message = str(outcome["error"])
+            assert f"pid {pid}" in message
+            assert "exitcode -9" in message
+        finally:
+            middleware.shutdown()
+
+    def test_reply_in_the_pipe_survives_the_workers_death(self):
+        middleware = ProcMiddleware(respawn=False)
+        try:
+            ref = middleware.export(Doubler())
+            worker = middleware.worker_of(ref)
+            frame = middleware.serializer.encode(
+                RequestEnvelope(77, ref.object_id, "bump", ([4],), {})
+            )
+            with worker.lock:
+                worker.send(frame)
+                assert wait_until(lambda: worker.conn.poll(0))  # reply landed
+                worker.kill()
+                assert wait_until(lambda: not worker.alive)
+                # pipe and sentinel are both readable: the pipe wins
+                reply = middleware.serializer.decode(worker.recv())
+                assert (reply.call_id, reply.payload) == (77, [8])
+                with pytest.raises(WorkerCrashed, match="exitcode -9"):
+                    worker.recv()
+        finally:
+            middleware.shutdown()
+
+    def test_deadline_fires_at_the_deadline_and_late_reply_is_discarded(self):
+        middleware = ProcMiddleware()
+        try:
+            ref = middleware.export(Sleeper())
+            middleware.invoke(ref, "nap", (0.0, "warm"))
+            ticket = DispatchContext("reply-wait")
+            began = time.perf_counter()
+            ticket.adopt_deadline(Deadline(0.005, middleware.backend.now))
+            with use_dispatch(ticket), pytest.raises(DeadlineExceeded):
+                middleware.invoke(ref, "nap", (0.2, "abandoned"))
+            waited = time.perf_counter() - began
+            # at the deadline, not at the next 20 ms poll after it
+            assert 0.005 <= waited < 0.015
+            # the abandoned call's reply arrives ~200 ms later, ahead of
+            # this call's: it is recognised by call_id and dropped
+            assert middleware.invoke(ref, "nap", (0.0, "mine")) == "mine"
+        finally:
+            middleware.shutdown()
+
+    def test_no_fd_leaks_over_export_stop_cycles(self):
+        middleware = ProcMiddleware()
+        middleware.export(Doubler())
+        middleware.shutdown()  # warm: lazily opened fds are now open
+        baseline = _open_fds()
+        for cycle in range(50):
+            middleware = ProcMiddleware(backend=middleware.backend)
+            ref = middleware.export(Doubler())
+            if cycle % 10 == 0:
+                # the refill path: crash, respawn behind the same ref
+                middleware.worker_of(ref).kill()
+                with pytest.raises(WorkerCrashed):
+                    middleware.invoke(ref, "bump", ([1],))
+                assert middleware.worker_respawns == 1
+            assert middleware.invoke(ref, "bump", ([cycle],)) == [cycle * 2]
+            middleware.shutdown()
+        # pipe end, sentinel and the fork's exit-status pipe: all back
+        assert _open_fds() == baseline
+        assert not multiprocessing.active_children()
 
 
 class TestRegistryCatalogue:
