@@ -14,7 +14,8 @@ test:
 ## overlap stress: rerun the concurrency-sensitive suites (dispatch
 ## contexts, admission policies, deadlines, the pipeline ride — pieces
 ## hopping stages on one activity while others queue on the monitors,
-## on threads and on real workers — and the optimisation
+## on threads and on real workers — the splitter carrying its last
+## piece, and the optimisation
 ## aspects — the shared-cache lock and replica builds race real
 ## threads) 5x with the pytest cache disabled, to surface flakes and
 ## hangs that a single ordered run hides.  CI wraps this in a hard
@@ -28,6 +29,7 @@ stress:
 			tests/parallel/test_admission_policies.py \
 			tests/parallel/test_deadlines.py \
 			tests/parallel/test_pipeline_ride.py \
+			tests/parallel/test_carried_piece.py \
 			tests/parallel/test_optimisation.py || exit 1; \
 	done
 
@@ -66,7 +68,8 @@ stress-tenancy:
 ## out-of-process backend subset: worker lifecycle + crash fail-fast
 ## and the reply wait (death watch, deadline granularity, fd census),
 ## the wire-format round-trips, the overlap/admission/deadline
-## matrix on resident worker processes, and the pipeline ride.  CI wraps this in a hard
+## matrix on resident worker processes, the pipeline ride and the
+## carried last piece.  CI wraps this in a hard
 ## timeout-minutes: a hang here means a pipe wait without a liveness
 ## check, and must fail fast instead of stalling the job.
 test-proc:
@@ -74,7 +77,8 @@ test-proc:
 		tests/runtime/test_procbackend.py \
 		tests/middleware/test_serialize_roundtrip.py \
 		tests/parallel/test_process_backend_matrix.py \
-		tests/parallel/test_pipeline_ride.py
+		tests/parallel/test_pipeline_ride.py \
+		tests/parallel/test_carried_piece.py
 
 ## asyncio backend subset, the test-proc of this backend: its unit
 ## suite (loop crossings, the event's thread-to-loop hand-over, task
@@ -83,13 +87,14 @@ test-proc:
 ## RuntimeWarning an error.  Debug mode raises on a non-thread-safe loop
 ## call made off the loop thread, the one mistake a hand-written bridge
 ## can make.  A coroutine nobody awaited warns from its finalizer, where
-## an error cannot propagate, so it does not fail the run: pytest names
-## it in the warnings summary and the example prints it.  CI
+## an error cannot propagate: pytest reports it as an unraisable
+## exception, which is an error here too (the example prints it).  CI
 ## wraps this in a hard timeout-minutes: a lost wakeup is a hang, and
 ## must fail fast instead of stalling the job.
 test-asyncio:
 	PYTHONASYNCIODEBUG=1 $(PYPATH) $(PY) -W error::RuntimeWarning \
 		-m pytest -q -p no:cacheprovider \
+		-W error::pytest.PytestUnraisableExceptionWarning \
 		tests/runtime/test_asyncio_backend.py \
 		tests/parallel/test_asyncio_backend_matrix.py
 	PYTHONASYNCIODEBUG=1 $(PYPATH) $(PY) -W error::RuntimeWarning \

@@ -603,6 +603,12 @@ def test_map_pack4_farm_mpp(benchmark):
             return out
 
         assert benchmark(loop) == expected
+        # what the pack-routed-farm-map gate guards, as a count over
+        # every pack the timed run routed: one request and one reply on
+        # the wire per pack, nothing per item
+        packs = app.partition.dispatches
+        assert app.middleware.batched_calls == packs
+        assert cluster.network.messages - before == 2 * packs
     finally:
         app.undeploy()
         app.shutdown()
@@ -619,6 +625,8 @@ def test_map_unpacked_farm_mpp(benchmark):
     try:
         app.deploy()
         app.start()
+        cluster = app.spec.cluster
+        before = cluster.network.messages
 
         def loop():
             out = None
@@ -627,6 +635,10 @@ def test_map_unpacked_farm_mpp(benchmark):
             return out
 
         assert benchmark(loop) == expected
+        # the other side of the gate, as a count: one round-trip per item
+        items = app.partition.dispatches
+        assert app.middleware.batched_calls == 0
+        assert cluster.network.messages - before == 2 * items
     finally:
         app.undeploy()
         app.shutdown()

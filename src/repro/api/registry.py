@@ -1,10 +1,8 @@
 """Open registries for strategies, middlewares, and execution backends.
 
-The seed's front door hard-coded its catalogues as tuples
-(``STRATEGIES``/``MIDDLEWARES`` in ``skeletons.py``), so adding a new
-partition strategy meant editing the facade.  This module replaces the
-tuples with three :class:`Registry` instances that any package — the
-built-in modules or an application — can extend::
+Three :class:`Registry` instances that any package — the built-in
+modules or an application — can extend, so adding a partition strategy
+edits no front door::
 
     from repro.api.registry import register_strategy
 

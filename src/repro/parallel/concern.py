@@ -10,6 +10,7 @@ advice nests the way the methodology prescribes:
   *inside* the spawned activity (paper Figure 11) and inside the stage's
   monitor, so it leaves each hop to the activity's body
   (:func:`repro.runtime.dispatch.ride`): one activity per piece journey;
+  the last piece of a split rides the splitting activity;
 * **distribution** — redirects the (possibly spawned) call to a node;
 * **optimisation / instrumentation** (innermost) — platform tuning and
   cost accounting closest to the actual execution.

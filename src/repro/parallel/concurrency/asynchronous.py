@@ -222,17 +222,8 @@ class AsyncInvocationAspect(ParallelAspect):
         if self.passthrough(jp):
             return jp.proceed()
         backend = current_backend()
-        if take_tail():
-            # a pipeline hop: the piece rides the activity that
-            # forwarded it (Figure 11, "inside the per-call thread").
-            # Answered as a spawned call is, failure included, so no
-            # stage upstream reports a downstream failure again.
-            future = Future(name=f"async.{jp.signature}", backend=backend)
-            try:
-                future.set_result(jp.proceed())
-            except Exception as exc:  # noqa: BLE001 - delivered via future
-                future.set_exception(exc)
-            return future
+        # read (and so clear) the mark whatever path answers the call
+        carried = take_tail(jp.target)
         if getattr(backend, "native_async", False) and isinstance(
             self.spawner, SpawnPerCall
         ):
@@ -251,7 +242,7 @@ class AsyncInvocationAspect(ParallelAspect):
                 return failed
             return backend.bridge(outcome, name=f"async.{jp.signature}")
         future = Future(name=f"async.{jp.signature}", backend=backend)
-        continuation = jp.capture_proceed()
+        continuation = jp.proceed if carried else jp.capture_proceed()
 
         def call() -> None:
             try:
@@ -259,7 +250,16 @@ class AsyncInvocationAspect(ParallelAspect):
             except Exception as exc:  # noqa: BLE001 - delivered via future
                 future.set_exception(exc)
 
-        self.spawned_calls += 1
-        # the body: the call, then the hops a pipeline forwarder left
-        self.spawner.spawn(backend, partial(ride, call))
+        # the body of the piece's activity either way (ride): the call,
+        # then the hops a pipeline forwarder left
+        if carried:
+            # this activity's tail — a pipeline hop (Figure 11, "inside
+            # the per-call thread") or the last piece of a split, which
+            # the splitting activity carries: run here.  Answered as a
+            # spawned call is, failure included, so no stage upstream
+            # reports a downstream failure again and a retry sees it.
+            ride(call)
+        else:
+            self.spawned_calls += 1
+            self.spawner.spawn(backend, partial(ride, call))
         return future

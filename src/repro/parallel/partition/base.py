@@ -24,6 +24,7 @@ import copy
 import threading
 from collections import deque
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.aop import abstract_pointcut, pointcut
@@ -41,6 +42,7 @@ from repro.parallel.concern import LAYER, Concern, ParallelAspect
 from repro.runtime.admission import current_envelope
 from repro.runtime.backend import _carries_awaitables, current_backend
 from repro.runtime.dispatch import (
+    carry,
     next_dispatch_id,
     register_dispatch,
     use_dispatch,
@@ -101,7 +103,11 @@ class PackedPiece(CallPiece):
 
 
 def dispatch_piece(
-    target: Any, name: str, piece: CallPiece, worker_index: int | None = None
+    target: Any,
+    name: str,
+    piece: CallPiece,
+    worker_index: int | None = None,
+    carried: bool = False,
 ) -> Any:
     """Send one split piece into ``target``'s woven entry point.
 
@@ -119,6 +125,10 @@ def dispatch_piece(
     stay exactly-once.  The piece is made ambient for the duration of
     the call (:func:`~repro.runtime.dispatch.current_piece`), which is
     how forwarding advice hops away attributes tail results to it.
+
+    ``carried``: the splitter's last piece — the entry call is made as
+    the calling activity's tail (:func:`~repro.runtime.dispatch.carry`),
+    so a concurrency aspect runs it here instead of spawning.
     """
     event = fire_fault("dispatch", worker_index)
     if event is not None:
@@ -136,9 +146,10 @@ def dispatch_piece(
     items = getattr(piece, "items", None)
     with use_piece(piece):
         if items is not None:
-            outcome = batched_entry(target, name)(items)
+            enter = partial(batched_entry(target, name), items)
         else:
-            outcome = getattr(target, name)(*piece.args, **piece.kwargs)
+            enter = partial(getattr(target, name), *piece.args, **piece.kwargs)
+        outcome = carry(target, enter) if carried else enter()
     if event is not None and event.kind == "drop_reply":
         raise ReplyDropped(
             f"injected reply drop for piece #{piece.index} ({where})"
@@ -151,6 +162,7 @@ def dispatch_with_retry(
     pick_worker: Callable[[int], tuple[Any, int | None]],
     name: str,
     piece: CallPiece,
+    carried: bool = False,
 ) -> Any:
     """Dispatch ``piece``, re-dispatching to a (possibly different)
     worker on retryable failure, per the ticket's adopted
@@ -164,13 +176,18 @@ def dispatch_with_retry(
     propagate.  With one, future-valued outcomes are resolved *inside*
     the protected region so a concurrency-mode worker failure is caught
     (and retried) here rather than surfacing at gather time.
+    ``carried`` (see :func:`dispatch_piece`) holds for the first attempt
+    only: a re-dispatch spawns.
     """
     policy = getattr(ctx, "retry_policy", None) if ctx is not None else None
     attempt = 0
     while True:
         worker, index = pick_worker(attempt)
         try:
-            outcome = dispatch_piece(worker, name, piece, worker_index=index)
+            outcome = dispatch_piece(
+                worker, name, piece, worker_index=index,
+                carried=carried and attempt == 0,
+            )
             if policy is not None:
                 if isinstance(outcome, Future):
                     outcome = outcome.result()

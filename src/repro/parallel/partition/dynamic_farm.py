@@ -33,7 +33,7 @@ from repro.parallel.partition.base import (
     dispatch_with_retry,
     piece_results,
 )
-from repro.runtime.backend import current_backend
+from repro.runtime.backend import _close_awaitables, current_backend
 
 __all__ = ["DynamicFarmAspect", "dynamic_farm_module"]
 
@@ -162,6 +162,8 @@ class DynamicFarmAspect(PartitionAspect):
                         results[piece.index] = dispatch_with_retry(
                             ctx, pick_from(index), method_name, piece
                         )
+                        if ctx.cancelled:  # the gather may be gone already
+                            _close_awaitables(results[piece.index])
                         # ledger unit is ITEMS (a k-item pack counts k),
                         # matching route_pack's charge so the demand-aware
                         # pack steering compares like with like
@@ -188,36 +190,43 @@ class DynamicFarmAspect(PartitionAspect):
                     if drained:
                         done.set()
 
-            with ctx.span("dispatch"):
-                pool = self._pool
-                if pool is not None:
-                    # resident mode: the per-call drain reaches the
-                    # long-lived dispatcher pinned to each worker — no
-                    # spawn on the hot path, overlapped calls amortise
-                    # the activities spawned once per deployment
-                    for index, worker in enumerate(self.workers):
-                        pool.spawn(
-                            backend,
-                            lambda w=worker, i=index: worker_loop(w, i),
-                            index=index,
-                        )
-                else:
-                    # the paper's literal formulation: one fresh
-                    # dispatcher activity per worker per split call
-                    for index, worker in enumerate(self.workers):
-                        backend.spawn(
-                            lambda w=worker, i=index: worker_loop(w, i),
-                            name=f"dynfarm.worker{index}",
-                        )
-                self._await_drained(done, ctx)
-            if state["failure"] is not None:
-                raise state["failure"]
-            ctx.check_deadline("gathering dynamic-farm results")
-            with ctx.span("merge"):
-                flat: list[Any] = []
-                for piece in pieces:
-                    flat.extend(piece_results(piece, results[piece.index]))
-                combined = self.splitter.combine(flat)
+            try:
+                with ctx.span("dispatch"):
+                    pool = self._pool
+                    if pool is not None:
+                        # resident mode: the per-call drain reaches the
+                        # long-lived dispatcher pinned to each worker — no
+                        # spawn on the hot path, overlapped calls amortise
+                        # the activities spawned once per deployment
+                        for index, worker in enumerate(self.workers):
+                            pool.spawn(
+                                backend,
+                                lambda w=worker, i=index: worker_loop(w, i),
+                                index=index,
+                            )
+                    else:
+                        # the paper's literal formulation: one fresh
+                        # dispatcher activity per worker per split call
+                        for index, worker in enumerate(self.workers):
+                            backend.spawn(
+                                lambda w=worker, i=index: worker_loop(w, i),
+                                name=f"dynfarm.worker{index}",
+                            )
+                    self._await_drained(done, ctx)
+                if state["failure"] is not None:
+                    raise state["failure"]
+                ctx.check_deadline("gathering dynamic-farm results")
+                with ctx.span("merge"):
+                    flat: list[Any] = []
+                    for piece in pieces:
+                        flat.extend(piece_results(piece, results[piece.index]))
+                    combined = self.splitter.combine(flat)
+            except BaseException:
+                # failed, shed or expired: what an async servant handed
+                # back and nobody will await any more
+                for outcome in results:
+                    _close_awaitables(outcome)
+                raise
         return combined
 
     @staticmethod

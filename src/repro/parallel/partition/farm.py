@@ -39,7 +39,7 @@ from repro.parallel.partition.base import (
     dispatch_with_retry,
     piece_results,
 )
-from repro.runtime.backend import current_backend
+from repro.runtime.backend import _close_awaitables, current_backend
 
 __all__ = ["FarmAspect", "farm_module"]
 
@@ -137,26 +137,42 @@ class FarmAspect(PartitionAspect):
             if self._pool is not None:
                 return self._split_pooled(jp.name, pieces, ctx)
             outcomes: list[Any] = [None] * len(pieces)
-            with ctx.span("dispatch"):
-                for piece in pieces:
-                    # deadline/shed boundary: remaining pieces of an
-                    # expired or shed call are dropped, the workers move
-                    # straight on to other calls' pieces
-                    ctx.check_deadline("dispatching farm pieces")
-                    # re-enters the chain (concurrency / distribution) through
-                    # the worker's compiled plan entry — per-piece for plain
-                    # pieces, per-pack through the compiled batched entry for
-                    # packs (one BatchJoinPoint per pack); fetched per piece so
-                    # an aspect (un)plugged mid-split applies to the remainder
-                    outcomes[piece.index] = dispatch_with_retry(
-                        ctx, self._pick(piece.index), jp.name, ctx.record(piece)
-                    )
-            with ctx.span("merge"):
-                results: list[Any] = []
-                for piece in pieces:
-                    ctx.check_deadline("gathering farm piece results")
-                    results.extend(piece_results(piece, outcomes[piece.index]))
-                combined = self.splitter.combine(results)
+            try:
+                with ctx.span("dispatch"):
+                    for piece in pieces:
+                        # deadline/shed boundary: remaining pieces of an
+                        # expired or shed call are dropped, the workers move
+                        # straight on to other calls' pieces
+                        ctx.check_deadline("dispatching farm pieces")
+                        # re-enters the chain (concurrency / distribution)
+                        # through the worker's compiled plan entry — per-piece
+                        # for plain pieces, per-pack through the compiled
+                        # batched entry for packs (one BatchJoinPoint per
+                        # pack); fetched per piece so an aspect (un)plugged
+                        # mid-split applies to the remainder
+                        outcomes[piece.index] = dispatch_with_retry(
+                            ctx,
+                            self._pick(piece.index),
+                            jp.name,
+                            ctx.record(piece),
+                            # this activity would only wait while its last
+                            # piece ran on another: it carries that one
+                            carried=piece is pieces[-1],
+                        )
+                with ctx.span("merge"):
+                    results: list[Any] = []
+                    for piece in pieces:
+                        ctx.check_deadline("gathering farm piece results")
+                        results.extend(
+                            piece_results(piece, outcomes[piece.index])
+                        )
+            except BaseException:
+                # shed or expired mid-split: what an async servant already
+                # handed back and nobody will await any more
+                for outcome in outcomes:
+                    _close_awaitables(outcome)
+                raise
+            combined = self.splitter.combine(results)
         return combined
 
     def _split_pooled(self, method_name: str, pieces: list, ctx: Any) -> Any:

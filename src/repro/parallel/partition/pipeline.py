@@ -188,17 +188,31 @@ class PipelineSplitAspect(PartitionAspect):
                             index=piece.index % len(self.instances),
                         )
                     else:
-                        self._feed(ctx, head, jp.name, piece)
+                        # this activity would only wait in the gather
+                        # while its last piece ran on another: it
+                        # carries that one through the stages itself
+                        self._feed(
+                            ctx, head, jp.name, piece,
+                            carried=piece is pieces[-1],
+                        )
             with ctx.span("gather"):
                 results = ctx.gather()
             with ctx.span("merge"):
                 combined = self.splitter.combine(results)
         return combined
 
-    def _feed(self, ctx: Any, head: Any, name: str, piece: CallPiece) -> None:
+    def _feed(
+        self,
+        ctx: Any,
+        head: Any,
+        name: str,
+        piece: CallPiece,
+        carried: bool = False,
+    ) -> None:
         """Feed one piece into the head stage, routing a feed-side
         failure through the collector's retry plane (latch when none is
-        armed) instead of aborting the whole call's feed loop."""
+        armed) instead of aborting the whole call's feed loop.
+        ``carried``: see :func:`dispatch_piece`."""
         flagged = self._pool is not None and getattr(
             self._internal, "active", False
         ) is False
@@ -208,7 +222,7 @@ class PipelineSplitAspect(PartitionAspect):
             self._internal.active = True
         try:
             if not ctx.cancelled:
-                dispatch_piece(head, name, piece)
+                dispatch_piece(head, name, piece, carried=carried)
         except Exception as exc:
             ctx.fail(exc, piece=piece)
         finally:
@@ -345,7 +359,7 @@ class PipelineForwardAspect(ParallelAspect):
                 # compiled plan (repro.aop.plan) — direct getattr, once
                 # per forward
                 return self._hand_on(
-                    partial(getattr(nxt, jp.name), *args, **kwargs), ctx
+                    nxt, partial(getattr(nxt, jp.name), *args, **kwargs), ctx
                 )
             if ctx is not None and ctx.collector is not None:
                 # keyed by the originating head piece (carried here as
@@ -361,10 +375,10 @@ class PipelineForwardAspect(ParallelAspect):
             raise
 
     @staticmethod
-    def _hand_on(call: Callable[[], Any], ctx: Any) -> Any:
-        """Hand the piece to the next stage (``call`` enters it): left to
-        the body of the per-call activity, which makes the hop once this
-        stage's call has unwound — this advice stands inside the stage's
+    def _hand_on(nxt: Any, call: Callable[[], Any], ctx: Any) -> Any:
+        """Hand the piece to the next stage ``nxt`` (``call`` enters it):
+        left to the body of the per-call activity, which makes the hop once
+        this stage's call has unwound — this advice stands inside the stage's
         synchronisation monitor, one advice chain per stage deep.  With
         no such body (concurrency unplugged, the asyncio backend's
         inline calls) the next stage is simply called."""
@@ -381,7 +395,7 @@ class PipelineForwardAspect(ParallelAspect):
                 if ctx is not None:
                     ctx.fail(exc, piece=current_piece())
 
-        return None if leave_hop(hop) else call()
+        return None if leave_hop(hop, nxt) else call()
 
     def _forward_batch(self, jp, results, nxt, ctx):
         """Pack-granular block 3: forward a whole pack in one batched
@@ -405,7 +419,9 @@ class PipelineForwardAspect(ParallelAspect):
                     result, piece_args, piece_kwargs
                 )
                 items.append(CallPiece(index, args, kwargs))
-            return self._hand_on(partial(batched_entry(nxt, jp.name), items), ctx)
+            return self._hand_on(
+                nxt, partial(batched_entry(nxt, jp.name), items), ctx
+            )
         if ctx is not None and ctx.collector is not None:
             pack = current_piece()
             base = getattr(pack, "index", None)

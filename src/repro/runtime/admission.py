@@ -45,10 +45,10 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict, deque
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.errors import AdmissionRejected, CallShed, DeadlineExceeded
+from repro.runtime.dispatch import Ambient
 
 __all__ = [
     "OVERFLOW_POLICIES",
@@ -473,21 +473,12 @@ class _EnvelopeState(threading.local):
 _ENVELOPES = _EnvelopeState()
 
 
-@contextmanager
-def use_envelope(slot: AdmissionSlot | None) -> Iterator[AdmissionSlot | None]:
+def use_envelope(slot: AdmissionSlot | None) -> Ambient:
     """Make ``slot`` the ambient admission envelope for this activity.
 
     ``None`` is a pass-through so call sites can wrap unconditionally.
     """
-    if slot is None:
-        yield None
-        return
-    stack = _ENVELOPES.stack
-    stack.append(slot)
-    try:
-        yield slot
-    finally:
-        stack.pop()
+    return Ambient(_ENVELOPES.stack, slot)
 
 
 def current_envelope() -> AdmissionSlot | None:

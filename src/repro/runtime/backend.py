@@ -24,11 +24,10 @@ import abc
 import inspect
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.errors import BackendError
-from repro.runtime.dispatch import bind_dispatch
+from repro.runtime.dispatch import Ambient, bind_dispatch
 
 __all__ = [
     "TaskHandle",
@@ -81,8 +80,12 @@ class ExecutionBackend(abc.ABC):
         bound = bind_dispatch(fn)
 
         def run() -> Any:
-            with use_backend(self):
+            stack = _STATE.stack  # use_backend(self), inline
+            stack.append(self)
+            try:
                 return bound()
+            finally:
+                stack.pop()
 
         return self._spawn(run, name=name, **kwargs)
 
@@ -151,11 +154,25 @@ class ExecutionBackend(abc.ABC):
         return f"<{type(self).__name__}>"
 
 
+#: exact types that are never awaitable: what piece results are made of
+_PLAIN = frozenset(
+    (type(None), bool, int, float, complex, str, bytes, bytearray,
+     tuple, list, dict, set, frozenset)
+)
+
+
 def _carries_awaitables(outcome: Any) -> bool:
     """Does the outcome hold coroutines only an event loop could run —
     one from an ``async def`` servant, or a pack result list containing
-    some?  The one such test: every resolution site imports it."""
-    if inspect.isawaitable(outcome):
+    some?  The one such test: every resolution site imports it, so the
+    result of every piece of every call passes through.  Plain builtin
+    values, and lists of them, are told by their exact type; only what
+    is left is asked ``inspect.isawaitable`` (three ABC checks a value)."""
+    kind = type(outcome)
+    if kind in _PLAIN:
+        if kind is not list or _PLAIN.issuperset(map(type, outcome)):
+            return False
+    elif inspect.isawaitable(outcome):
         return True
     return isinstance(outcome, list) and any(
         inspect.isawaitable(item) for item in outcome
@@ -206,13 +223,8 @@ def current_backend() -> ExecutionBackend:
     return _DEFAULT[0]
 
 
-@contextmanager
-def use_backend(backend: ExecutionBackend) -> Iterator[ExecutionBackend]:
+def use_backend(backend: ExecutionBackend) -> Ambient:
     """Make ``backend`` current for this thread within the block."""
     if not isinstance(backend, ExecutionBackend):
         raise BackendError(f"not an ExecutionBackend: {backend!r}")
-    _STATE.stack.append(backend)
-    try:
-        yield backend
-    finally:
-        _STATE.stack.pop()
+    return Ambient(_STATE.stack, backend)

@@ -17,9 +17,8 @@ the backend-neutral plumbing that makes the ticket *ambient*:
   pooled spawner capture the ambient ticket at spawn/enqueue time and
   re-install it inside the spawned activity, so the ticket follows the
   call across every activity boundary the stack creates;
-* :func:`ride` / :func:`leave_hop` / :func:`take_tail` keep a pipeline
-  piece on ONE activity: the forwarder leaves each hop to the activity's
-  body, and the concurrency aspect runs a hop in place of spawning;
+* :func:`ride` / :func:`leave_hop` / :func:`carry` / :func:`take_tail`
+  keep a piece on ONE activity (see *The tail mark* below);
 * :func:`find_dispatch` resolves a ticket by id — the middlewares stamp
   the originating ticket id onto each request and re-install the ticket
   around the servant-side execution, so work performed on behalf of a
@@ -28,6 +27,25 @@ the backend-neutral plumbing that makes the ticket *ambient*:
 Tickets register themselves on creation and are dropped automatically
 (the registry holds weak references), so a ticket's lifetime is exactly
 its call's.
+
+**The tail mark.**  One per-thread, one-shot mark names the object whose
+next woven call is the *tail* of the running activity: the concurrency
+aspect (:func:`take_tail`) answers that call by running it in place and
+handing back a resolved future, where it would have spawned.  Two
+parties may set it, nobody else:
+
+* the body of a per-call activity (:func:`ride`), for each hop the
+  pipeline forwarder left it (:func:`leave_hop`) — a piece crosses all
+  its stages on one activity;
+* a splitter (:func:`carry`: the farm's dispatch loop and the pipeline's
+  feed loop, through ``dispatch_piece``), for the LAST piece of a split —
+  the splitting activity would only block in the gather while that piece
+  ran elsewhere, so it carries it: p pieces cost p − 1 spawns.
+
+It is cleared by whichever comes first: the concurrency aspect that
+reads it (whatever its verdict — a call on another object is not the
+tail and spawns), or the ``finally`` of the party that set it, so a
+stack with no concurrency aspect leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -35,10 +53,10 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 __all__ = [
+    "Ambient",
     "current_dispatch",
     "use_dispatch",
     "dispatch_id",
@@ -51,6 +69,7 @@ __all__ = [
     "use_piece",
     "ride",
     "leave_hop",
+    "carry",
     "take_tail",
 ]
 
@@ -59,10 +78,12 @@ class _DispatchState(threading.local):
     def __init__(self) -> None:
         self.stack: list[Any] = []
         self.pieces: list[Any] = []
-        #: [ticket, pending hop] of the activity body running here (ride)
+        #: [ticket, pending hop, the object the hop calls into] of the
+        #: activity body running here (ride)
         self.journey: list[Any] | None = None
-        #: one-shot: the next woven call is a hop (take_tail)
-        self.tail = False
+        #: one-shot: the object whose next woven call is this activity's
+        #: tail (take_tail)
+        self.tail: Any = None
 
 
 _STATE = _DispatchState()
@@ -103,20 +124,34 @@ def find_dispatch(context_id: Any) -> Any | None:
     return _LIVE.get(context_id)
 
 
-@contextmanager
-def use_dispatch(ticket: Any | None) -> Iterator[Any | None]:
+class Ambient:
+    """``with`` block that keeps ``value`` on top of one of the calling
+    thread's ambient stacks — what every ``use_*`` scope of the runtime
+    returns.  ``None`` is a pass-through, so call sites can wrap an
+    absent value unconditionally.  A plain push and pop: these scopes
+    open a dozen times per submit."""
+
+    __slots__ = ("_stack", "_value")
+
+    def __init__(self, stack: list, value: Any):
+        self._stack = stack
+        self._value = value
+
+    def __enter__(self) -> Any:
+        if self._value is not None:
+            self._stack.append(self._value)
+        return self._value
+
+    def __exit__(self, *exc: Any) -> None:
+        if self._value is not None:
+            self._stack.pop()
+
+
+def use_dispatch(ticket: Any | None) -> Ambient:
     """Make ``ticket`` the ambient dispatch for this activity within the
     block.  ``None`` is a no-op (so call sites can pass through an
     absent ticket unconditionally)."""
-    if ticket is None:
-        yield None
-        return
-    stack = _STATE.stack
-    stack.append(ticket)
-    try:
-        yield ticket
-    finally:
-        stack.pop()
+    return Ambient(_STATE.stack, ticket)
 
 
 def current_piece() -> Any | None:
@@ -131,61 +166,72 @@ def current_piece() -> Any | None:
     return pieces[-1] if pieces else None
 
 
-@contextmanager
-def use_piece(piece: Any | None) -> Iterator[Any | None]:
+def use_piece(piece: Any | None) -> Ambient:
     """Make ``piece`` the ambient in-flight piece for the block
     (``None`` is a no-op pass-through, like :func:`use_dispatch`)."""
-    if piece is None:
-        yield None
-        return
-    pieces = _STATE.pieces
-    pieces.append(piece)
-    try:
-        yield piece
-    finally:
-        pieces.pop()
+    return Ambient(_STATE.pieces, piece)
 
 
 def ride(call: Callable[[], Any]) -> None:
-    """Body of a spawned per-call activity: run ``call``, then every hop
-    a forwarder left behind (:func:`leave_hop`), each after the one
-    before it has unwound — the piece stays on this activity for its
-    whole journey, no stage's monitor is held while the next stage is
-    entered, and the stack is as deep at stage 200 as at stage 1.  A hop
-    is run marked as this activity's tail call (:func:`take_tail`)."""
+    """Body of a per-call activity — spawned, or the splitting activity
+    carrying its last piece: run ``call``, then every hop a forwarder
+    left behind (:func:`leave_hop`), each after the one before it has
+    unwound — the piece stays on this activity for its whole journey,
+    no stage's monitor is held while the next stage is entered, and the
+    stack is as deep at stage 200 as at stage 1.  A hop is run marked as
+    this activity's tail call (:func:`take_tail`); run as one, ``call``
+    is just called — the body under way makes the next hop too."""
     state = _STATE
     outer = state.journey
-    journey = state.journey = [current_dispatch(), None]
+    ticket = current_dispatch()
+    if outer is not None and outer[0] is ticket:
+        call()
+        return
+    journey = state.journey = [ticket, None, None]
     try:
         call()
         while journey[1] is not None:
             hop, journey[1] = journey[1], None
-            state.tail = True
+            state.tail = journey[2]
             hop()
     finally:
-        state.journey, state.tail = outer, False
+        state.journey, state.tail = outer, None
 
 
-def leave_hop(hop: Callable[[], Any]) -> bool:
+def leave_hop(hop: Callable[[], Any], target: Any) -> bool:
     """Pipeline forwarder only: leave ``hop`` (the call into the next
-    stage) to the activity body this call runs in; ``False`` when there
-    is none and the caller must make the hop itself.  A body takes hops
-    of the ticket it was started under only — a call nested inside a
-    stage waits for its own pieces, which must not queue behind it."""
+    stage, ``target``) to the activity body this call runs in; ``False``
+    when there is none and the caller must make the hop itself.  A body
+    takes hops of the ticket it was started under only — a call nested
+    inside a stage waits for its own pieces, which must not queue behind
+    it."""
     journey = _STATE.journey
     if journey is None or journey[0] is not current_dispatch():
         return False
-    journey[1] = hop
+    journey[1], journey[2] = hop, target
     return True
 
 
-def take_tail() -> bool:
-    """Concurrency aspect: is this woven call the tail a forwarder left
-    to this activity (one-shot)?  Calls other advice makes — divide &
-    conquer, heartbeat, dynamic farm — are never marked and spawn."""
+def carry(target: Any, enter: Callable[[], Any]) -> Any:
+    """Splitters only: make ``enter`` — the call into a woven entry
+    point of ``target`` — as the tail of the calling activity, which
+    carries the piece instead of waiting for an activity spawned for it."""
     state = _STATE
-    marked, state.tail = state.tail, False
-    return marked
+    state.tail = target
+    try:
+        return enter()
+    finally:
+        state.tail = None
+
+
+def take_tail(target: Any) -> bool:
+    """Concurrency aspect: is this woven call into ``target`` the tail
+    of the running activity (one-shot: reading the mark clears it)?
+    Calls other advice makes — divide & conquer, heartbeat, dynamic
+    farm — and calls a servant makes are never marked and spawn."""
+    state = _STATE
+    marked, state.tail = state.tail, None
+    return marked is not None and marked is target
 
 
 def bind_dispatch(fn: Callable[[], Any]) -> Callable[[], Any]:
@@ -206,8 +252,19 @@ def bind_dispatch(fn: Callable[[], Any]) -> Callable[[], Any]:
         return fn
 
     def bound() -> Any:
-        with use_dispatch(ticket), use_piece(piece):
+        # use_dispatch + use_piece, inline: once per spawned activity
+        state = _STATE
+        if ticket is not None:
+            state.stack.append(ticket)
+        if piece is not None:
+            state.pieces.append(piece)
+        try:
             return fn()
+        finally:
+            if piece is not None:
+                state.pieces.pop()
+            if ticket is not None:
+                state.stack.pop()
 
     return bound
 

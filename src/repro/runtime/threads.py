@@ -50,14 +50,18 @@ CARRIER_LIFETIME = 0.1
 # table it caches: every backend instance shares it.
 _idle: list["_Carrier"] = []
 _idle_lock = _thread.allocate_lock()
+# Guards every write of a _ThreadEvent's waiting face (its build, and
+# set/clear once it exists); never held across a wait.
+_face_lock = _thread.allocate_lock()
 
 
 def _forget_carriers() -> None:
     # a forked child inherits the list but none of the threads on it (a
-    # hand-off to one would never run), and possibly a held lock
-    global _idle_lock
+    # hand-off to one would never run), and possibly held locks
+    global _idle_lock, _face_lock
     _idle.clear()
     _idle_lock = _thread.allocate_lock()
+    _face_lock = _thread.allocate_lock()
 
 
 os.register_at_fork(after_in_child=_forget_carriers)
@@ -139,28 +143,65 @@ class _Carrier:
 
 
 class _ThreadEvent:
-    """threading.Event with a value slot, matching SimEvent's surface."""
+    """threading.Event with a value slot, matching SimEvent's surface.
+
+    The flag is the truth.  The ``threading.Event`` (with its Condition
+    and lock) is only the *face* waiters park on, built by the first
+    waiter that finds the flag down: four of the five futures of a farm
+    submit resolve before anybody waits on them and never build one.
+    """
+
+    __slots__ = ("name", "value", "_flag", "_face")
 
     def __init__(self, name: str = "event"):
         self.name = name
-        self._event = threading.Event()
         self.value: Any = None
+        self._flag = False
+        self._face: threading.Event | None = None
 
     @property
     def is_set(self) -> bool:
-        return self._event.is_set()
+        return self._flag
 
     def set(self, value: Any = None) -> None:
-        if not self._event.is_set():
-            self.value = value
-            self._event.set()
+        if self._flag:
+            return
+        self.value = value
+        # flag first, THEN look for the face: wait() publishes the face
+        # and then reads the flag, so one of the two sees the other
+        self._flag = True
+        face = self._face
+        if face is not None:
+            with _face_lock:
+                face.set()  # every parked waiter wakes, whatever follows
+                if not self._flag:  # a clear() overtook this set
+                    face.clear()
 
     def clear(self) -> None:
-        self._event.clear()
+        self._flag = False
         self.value = None
+        face = self._face
+        if face is not None:
+            # under the lock whoever writes the face last leaves it
+            # agreeing with the flag, however set() and clear() race
+            with _face_lock:
+                if not self._flag:
+                    face.clear()
 
     def wait(self, timeout: float | None = None) -> bool:
-        return self._event.wait(timeout)
+        if self._flag:
+            return True
+        face = self._face
+        if face is None:
+            with _face_lock:  # racing first waiters share one face
+                face = self._face
+                if face is None:
+                    face = self._face = threading.Event()
+            # re-read the flag AFTER the face is published: a set() that
+            # looked for the face too early to find it is seen here
+            if self._flag:
+                return True
+        return face.wait(timeout)
 
 
 class _ThreadQueue:
@@ -232,8 +273,7 @@ class ThreadBackend(ExecutionBackend):
         return threading.Lock()
 
     def make_event(self, name: str = "event") -> _ThreadEvent:
-        """A ``threading.Event`` carrying a value slot (SimEvent's
-        surface)."""
+        """An event carrying a value slot (SimEvent's surface)."""
         return _ThreadEvent(name)
 
     def make_queue(self, name: str = "queue") -> _ThreadQueue:

@@ -14,8 +14,10 @@ gate.wait_async()`` — thousands could park without burning a thread.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -376,3 +378,51 @@ class TestAsyncioOneway:
             group = app.map(range(4), pack=True, oneway=True)
             assert group.results() == [None] * 4
             assert wait_until(lambda: sorted(done) == [0, 1, 2, 3])
+
+
+class TestNoOrphanedCoroutines:
+    """A call shed while its gather awaits one piece had the coroutines
+    of the pieces behind it in hand, created and not yet awaited: the
+    unwinding gather closes them ("coroutine ... was never awaited"
+    otherwise, from the finalizer)."""
+
+    @pytest.mark.parametrize("strategy", ["farm", "dynamic-farm"])
+    def test_shed_mid_gather_leaves_no_coroutine_unawaited(self, strategy):
+        app = ParallelApp(
+            StackSpec(
+                backend="asyncio",
+                target=GatedEcho,
+                work="bump",
+                splitter=WorkSplitter(
+                    duplicates=2,
+                    split=lambda args, kwargs: [
+                        CallPiece(0, (args[0][:2],)),
+                        CallPiece(1, (args[0][2:],)),
+                    ],
+                    combine=lambda rs: [v for r in rs for v in r],
+                ),
+                strategy=strategy,
+                concurrency=False,  # the gather awaits piece by piece
+                max_in_flight=1,
+                overflow="shed-oldest",
+            )
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with app:
+                app.start()
+                gate = app.backend.make_event(name="test.gate")
+                GatedEcho.gate = gate
+                oldest = app.submit([1, 2, 3, 4])
+                # piece 0's await is parked on the gate; piece 1's
+                # coroutine exists and waits its turn in the gather
+                assert wait_until(lambda: app.backend.live_tasks == 1)
+                newest = app.submit([5, 6, 7, 8])  # sheds `oldest`
+                with pytest.raises(CallShed):
+                    oldest.result(timeout=20)
+                gate.set()
+                assert newest.result(timeout=20) == [10, 12, 14, 16]
+                del oldest  # its traceback holds the gather's frame
+            assert wait_until(lambda: app.admitted == 0)
+            gc.collect()
+        assert [str(w.message) for w in caught if "awaited" in str(w.message)] == []

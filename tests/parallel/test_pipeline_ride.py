@@ -6,7 +6,8 @@ head stage; the body makes the hop once the stage call has unwound.
 These tests pin what that buys and what it must not change, on the
 thread and the process backend:
 
-* activities per submit are 1 + pieces, whatever the stage count;
+* activities per submit are as many as pieces, whatever the stage count
+  (the submission's own carries the last piece, one more per other piece);
 * a stage's synchronisation monitor is released before the next stage is
   entered (a piece parked downstream does not block the stage upstream);
 * the Python stack does not grow with the stage count;
@@ -136,10 +137,11 @@ class TestOneActivityPerJourney:
             before = app.backend.spawned
             calls_before = app.async_aspect.spawned_calls
             assert app.submit([5, 6, 7, 8]).result(timeout=20) == [8, 9, 10, 11]
-            # the submission's activity + one per piece; it was one per
-            # piece per STAGE (7) when every forward spawned
-            assert app.backend.spawned - before == 3
-            assert app.async_aspect.spawned_calls - calls_before == 2
+            # the submission's activity, which carries the last piece, +
+            # one per other piece; it was one per piece per STAGE (7) when
+            # every forward spawned
+            assert app.backend.spawned - before == 2
+            assert app.async_aspect.spawned_calls - calls_before == 1
             # every piece still visited every stage exactly once
             for stage in range(3):
                 assert visits(stage, [5 + stage, 6 + stage]) == 1
@@ -261,7 +263,7 @@ class TestJourneyShape:
             app.start()
             before = app.backend.spawned
             assert app.submit([3, 1, 2, 4]).result(timeout=30) == [1, 2, 3, 4]
-            assert app.backend.spawned - before == 3
+            assert app.backend.spawned - before == 2
             assert app.partition.trace_history()[-1]["hops"] == 2 * 255
         assert app.in_flight == 0
 

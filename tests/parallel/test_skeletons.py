@@ -1,21 +1,39 @@
-"""The parallelise() facade."""
+"""A StackSpec stack driven by calling the woven class directly.
+
+Everything else drives an app through ``submit``; here the app is only
+deployed and the core class is used the way sequential code uses it —
+``PrimeFilter(...)``, ``pf.filter(...)`` — on real threads and, with a
+middleware, on the simulated cluster.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.aop.weaver import default_weaver
+from repro.api import ParallelApp, StackSpec
+from repro.api.registry import MIDDLEWARES, STRATEGIES
 from repro.apps.primes import PrimeFilter, SieveWorkload, expected_sieve_output
 from repro.cluster import paper_testbed
 from repro.errors import DeploymentError
 from repro.middleware.context import use_node
-from repro.parallel.skeletons import MIDDLEWARES, STRATEGIES, parallelise
 from repro.runtime import Future, SimBackend, ThreadBackend, use_backend
 from repro.sim import Simulator
 
 MAX = 10_000
 PACKS = 4
+
+
+def sieve_app(splitter, **spec):
+    return ParallelApp(
+        StackSpec(
+            target=PrimeFilter,
+            work="call(PrimeFilter.filter(..))",
+            creation="initialization(PrimeFilter.new(..))",
+            splitter=splitter,
+            **spec,
+        )
+    )
 
 
 class TestParalleliseValidation:
@@ -26,24 +44,12 @@ class TestParalleliseValidation:
     def test_unknown_strategy_rejected(self):
         workload = SieveWorkload(MAX, PACKS)
         with pytest.raises(DeploymentError):
-            parallelise(
-                PrimeFilter,
-                workload.farm_splitter(2),
-                "initialization(PrimeFilter.new(..))",
-                "call(PrimeFilter.filter(..))",
-                strategy="fractal",
-            )
+            sieve_app(workload.farm_splitter(2), strategy="fractal")
 
     def test_middleware_needs_cluster(self):
         workload = SieveWorkload(MAX, PACKS)
         with pytest.raises(DeploymentError):
-            parallelise(
-                PrimeFilter,
-                workload.farm_splitter(2),
-                "initialization(PrimeFilter.new(..))",
-                "call(PrimeFilter.filter(..))",
-                middleware="rmi",
-            )
+            sieve_app(workload.farm_splitter(2), middleware="rmi")
 
 
 class TestParalleliseThreads:
@@ -55,15 +61,9 @@ class TestParalleliseThreads:
             if strategy == "pipeline"
             else workload.farm_splitter(3)
         )
-        stack = parallelise(
-            PrimeFilter,
-            splitter,
-            "initialization(PrimeFilter.new(..))",
-            "call(PrimeFilter.filter(..))",
-            strategy=strategy,
-        )
+        app = sieve_app(splitter, strategy=strategy)
         with use_backend(ThreadBackend()):
-            with stack:
+            with app:
                 pf = PrimeFilter(2, workload.sqrt)
                 result = pf.filter(workload.candidates)
                 if isinstance(result, Future):
@@ -74,25 +74,13 @@ class TestParalleliseThreads:
 
     def test_describe_mentions_concerns(self):
         workload = SieveWorkload(MAX, PACKS)
-        stack = parallelise(
-            PrimeFilter,
-            workload.farm_splitter(2),
-            "initialization(PrimeFilter.new(..))",
-            "call(PrimeFilter.filter(..))",
-        )
-        text = stack.describe()
+        text = sieve_app(workload.farm_splitter(2)).describe()
         assert "partition" in text and "concurrency" in text
 
     def test_dynamic_farm_does_not_add_concurrency_module(self):
         workload = SieveWorkload(MAX, PACKS)
-        stack = parallelise(
-            PrimeFilter,
-            workload.farm_splitter(2),
-            "initialization(PrimeFilter.new(..))",
-            "call(PrimeFilter.filter(..))",
-            strategy="dynamic-farm",
-        )
-        names = [m.name for m in stack.composition.modules]
+        app = sieve_app(workload.farm_splitter(2), strategy="dynamic-farm")
+        names = [m.name for m in app.composition.modules]
         assert "concurrency" not in names
 
 
@@ -102,15 +90,13 @@ class TestParalleliseSim:
         sim = Simulator()
         cluster = paper_testbed(sim)
         workload = SieveWorkload(MAX, PACKS)
-        stack = parallelise(
-            PrimeFilter,
+        backend = SimBackend(sim)
+        app = sieve_app(
             workload.farm_splitter(3),
-            "initialization(PrimeFilter.new(..))",
-            "call(PrimeFilter.filter(..))",
             middleware=middleware,
             cluster=cluster,
+            backend=backend,
         )
-        backend = SimBackend(sim)
         out = {}
 
         def main():
@@ -121,13 +107,13 @@ class TestParalleliseSim:
                     result = result.result()
                 out["primes"] = np.sort(np.asarray(result))
 
-        stack.deploy()
+        app.deploy()
         try:
             sim.spawn(main)
             sim.run()
         finally:
-            stack.undeploy()
-            stack.shutdown()
+            app.undeploy()
+            app.shutdown()
             sim.shutdown()
         assert np.array_equal(out["primes"], expected_sieve_output(MAX))
-        assert stack.middleware.calls >= PACKS
+        assert app.middleware.calls >= PACKS
