@@ -645,93 +645,6 @@ def test_map_unpacked_farm_mpp(benchmark):
         sim.shutdown()
 
 
-DYN_WORKERS = 4
-DYN_SUBMITS = 4
-
-
-def make_dynfarm_app(resident):
-    """A thread-backend dynamic farm with trivial per-piece work — the
-    wall clock is dominated by dispatcher activity management, which is
-    exactly what the resident-vs-respawn pair measures."""
-    from repro.api import ParallelApp, StackSpec
-    from repro.parallel import WorkSplitter
-    from repro.runtime import ThreadBackend
-
-    class Service:
-        def __init__(self, tag=0):
-            self.tag = tag
-
-        def handle(self, x):
-            return x + 1
-
-    backend = ThreadBackend()
-    app = ParallelApp(
-        StackSpec(
-            target=Service,
-            work="handle",
-            splitter=WorkSplitter(
-                duplicates=DYN_WORKERS, combine=lambda rs: rs[0]
-            ),
-            strategy="dynamic-farm",
-            strategy_options=dict(resident_pool=resident),
-            backend=backend,
-        )
-    )
-    return backend, app
-
-
-def test_submit_resident_dynfarm(benchmark):
-    """4 submissions per round through a dynamic farm whose deployment
-    owns a RESIDENT dispatcher pool: zero dispatcher spawns on the hot
-    path (invariant asserted) — the spawn cost is paid once per
-    deployment instead of once per split.  CI gates this pair's ratio
-    (resident/respawn) via tools/check_bench_regression.py."""
-    backend, app = make_dynfarm_app(resident=True)
-    try:
-        app.deploy()
-        app.start()
-        app.submit(0).result()  # warm-up: spawns the resident pool
-        before = backend.spawned
-
-        def round_trip():
-            futures = [app.submit(i) for i in range(DYN_SUBMITS)]
-            return [f.result() for f in futures]
-
-        assert round_trip() == [i + 1 for i in range(DYN_SUBMITS)]
-        # invariant: only the submission activities were spawned — the
-        # dispatchers are resident
-        assert backend.spawned - before == DYN_SUBMITS
-        assert benchmark(round_trip) == [i + 1 for i in range(DYN_SUBMITS)]
-    finally:
-        app.undeploy()
-        app.shutdown()
-
-
-def test_submit_respawn_dynfarm(benchmark):
-    """The same 4 submissions with resident_pool=False — the paper's
-    literal formulation spawns one fresh dispatcher activity per worker
-    per split call (invariant asserted): the cost the resident pool
-    amortises away."""
-    backend, app = make_dynfarm_app(resident=False)
-    try:
-        app.deploy()
-        app.start()
-        app.submit(0).result()
-        before = backend.spawned
-
-        def round_trip():
-            futures = [app.submit(i) for i in range(DYN_SUBMITS)]
-            return [f.result() for f in futures]
-
-        assert round_trip() == [i + 1 for i in range(DYN_SUBMITS)]
-        # invariant: every submission paid DYN_WORKERS dispatcher spawns
-        assert backend.spawned - before == DYN_SUBMITS * (1 + DYN_WORKERS)
-        assert benchmark(round_trip) == [i + 1 for i in range(DYN_SUBMITS)]
-    finally:
-        app.undeploy()
-        app.shutdown()
-
-
 # ---------------------------------------------------------------------------
 # Out-of-process execution: thread-vs-process on CPU-bound splits, and
 # one-marshal-per-pack across the pipe

@@ -1036,6 +1036,9 @@ def compile_call_impl(weaver: "Weaver", shadow: Shadow) -> Callable:
         )
     track_stack = weaver._cflow_active
     if all(entry.kind is AdviceKind.AROUND for entry in entries):
+        # kept because the five-aspect-stack gate pays for it: through
+        # the segment-nested path below its numerator read 2.16-2.83 ms
+        # against 1.84-2.07 ms per 1000 calls (ROADMAP 3(4), PR 18)
         impl = _all_around_impl(shadow.cls, shadow.name, original, entries,
                                 track_stack)
     else:

@@ -139,7 +139,7 @@ class DeadlineExceeded(AdmissionError):
     """A per-call deadline expired before the call completed.
 
     Carries the ticket's ``trace`` (the span timeline recorded on the
-    call's :class:`~repro.parallel.partition.base.DispatchContext` up to
+    call's :class:`~repro.runtime.ticket.DispatchContext` up to
     the moment of expiry) so the failure is debuggable post mortem.
     """
 

@@ -2,8 +2,8 @@
 
 A :class:`RetryPolicy` travels with an admitted call (``StackSpec.retry``
 → :class:`~repro.runtime.admission.AdmissionSlot` →
-:meth:`~repro.parallel.partition.base.DispatchContext.adopt_retry`) and
-tells the per-call :class:`~repro.parallel.partition.base.ResultCollector`
+:meth:`~repro.runtime.ticket.DispatchContext.adopt_retry`) and
+tells the per-call :class:`~repro.runtime.ticket.ResultCollector`
 and the skeletons' dispatch loops how to respond when a piece fails:
 how many attempts a piece gets, how long to back off between them, and
 which exception classes are worth retrying at all.

@@ -23,7 +23,7 @@ model.
 Every request carries the **originating dispatch-ticket id**
 (:func:`repro.runtime.dispatch.dispatch_id`): the server-side activity
 re-installs the caller's per-call
-:class:`~repro.parallel.partition.base.DispatchContext` around the
+:class:`~repro.runtime.ticket.DispatchContext` around the
 servant execution, so work done — and replies produced — on behalf of a
 call stay attributed to that call however many calls are in flight on
 one servant.
@@ -42,7 +42,7 @@ from repro.cluster.topology import Cluster
 from repro.errors import MiddlewareError, RemoteError
 from repro.middleware.context import current_node, server_dispatch, use_node
 from repro.middleware.serialize import Serializer, measure_size
-from repro.runtime.backend import current_backend
+from repro.runtime.backend import resolve
 from repro.runtime.dispatch import (
     dispatch_id,
     find_dispatch,
@@ -82,7 +82,7 @@ def perform_request(
     batched requests ``args`` holds the pack's piece views.
 
     An ``async def`` servant method hands back a coroutine here; the
-    outcome is resolved through the current backend's ``finish`` hook
+    outcome is resolved (:func:`~repro.runtime.backend.resolve`)
     before it is shipped, so a middleware stack either runs it on a
     loop-owning backend or ships the backend's targeted configuration
     error — never a raw, unmarshalable coroutine object.
@@ -93,7 +93,7 @@ def perform_request(
                 result = table.invoke_batch(obj, method, args)
             else:
                 result = table.invoke(obj, method, args, kwargs or {})
-            result = current_backend().finish(result)
+            result = resolve(result)
         return ("ok", result)
     except Exception as exc:  # noqa: BLE001 - shipped to the client
         return ("error", exc)
@@ -301,46 +301,7 @@ class SimMiddleware(Middleware):
         kwargs: dict | None = None,
         oneway: bool = False,
     ) -> Any:
-        kwargs = kwargs or {}
-        servant = self._servants.get(ref.object_id)
-        if servant is None:
-            raise MiddlewareError(f"unknown ref {ref!r}")
-        self.calls += 1
-        if oneway:
-            self.oneway_calls += 1
-        src = current_node()
-        # 1. marshal on the caller's CPU
-        wire_args, size = self.serializer.pack((args, kwargs))
-        if src is not None:
-            src.execute(self.costs.marshal_time(size))
-        # 2. wire transit
-        delay = self.cluster.transit_delay(size, src, servant.node)
-        reply_channel = (
-            None if oneway else Channel(self.sim, name=f"{self.name}.reply")
-        )
-        servant.channel.send(
-            _Request(
-                method, wire_args[0], wire_args[1], reply_channel, oneway, size,
-                src, context_id=dispatch_id(),
-            ),
-            delay=delay,
-            size_bytes=size,
-            tag=method,
-        )
-        if oneway:
-            return None
-        # 3. synchronous wait for the reply
-        reply = reply_channel.recv()
-        outcome, payload = reply.payload
-        # 4. unmarshal the reply on the caller's CPU
-        if src is not None:
-            src.execute(self.costs.unmarshal_time(reply.size_bytes))
-        if outcome == "error":
-            raise RemoteError(
-                f"remote invocation {ref.type_name}.{method} failed: {payload}",
-                cause=payload,
-            )
-        return self.serializer.unpack(payload)
+        return self._round_trip(ref, method, (args, kwargs or {}), oneway)
 
     def invoke_batch(
         self, ref: RemoteRef, method: str, pieces: Any, oneway: bool = False
@@ -359,47 +320,66 @@ class SimMiddleware(Middleware):
         ``None`` placeholders — one message on the wire, zero reply
         wait.
         """
-        servant = self._servants.get(ref.object_id)
-        if servant is None:
-            raise MiddlewareError(f"unknown ref {ref!r}")
-        self.calls += 1
-        self.batched_calls += 1
-        if oneway:
-            self.oneway_calls += 1
-        src = current_node()
         views = [
             (tuple(args), dict(kwargs))
             for args, kwargs in map(piece_view, pieces)
         ]
-        wire_views, size = self.serializer.pack(views)
+        self.batched_calls += 1
+        results = self._round_trip(ref, method, views, oneway, batch=True)
+        return [None] * len(views) if oneway else results
+
+    def _round_trip(
+        self,
+        ref: RemoteRef,
+        method: str,
+        payload: Any,
+        oneway: bool,
+        batch: bool = False,
+    ) -> Any:
+        """One request (and, unless ``oneway``, its reply) over the
+        simulated wire.  ``payload`` is the call's ``(args, kwargs)``
+        or, for a ``batch``, the pack's piece views."""
+        servant = self._servants.get(ref.object_id)
+        if servant is None:
+            raise MiddlewareError(f"unknown ref {ref!r}")
+        self.calls += 1
+        if oneway:
+            self.oneway_calls += 1
+        src = current_node()
+        # 1. marshal on the caller's CPU
+        wire, size = self.serializer.pack(payload)
         if src is not None:
             src.execute(self.costs.marshal_time(size))
+        # 2. wire transit
         delay = self.cluster.transit_delay(size, src, servant.node)
         reply_channel = (
             None if oneway else Channel(self.sim, name=f"{self.name}.reply")
         )
+        args, kwargs = (wire, None) if batch else wire
         servant.channel.send(
             _Request(
-                method, wire_views, None, reply_channel, oneway, size, src,
-                batch=True, context_id=dispatch_id(),
+                method, args, kwargs, reply_channel, oneway, size, src,
+                batch=batch, context_id=dispatch_id(),
             ),
             delay=delay,
             size_bytes=size,
             tag=method,
         )
         if oneway:
-            return [None] * len(views)
+            return None
+        # 3. synchronous wait for the reply
         reply = reply_channel.recv()
-        outcome, payload = reply.payload
+        outcome, result = reply.payload
+        # 4. unmarshal the reply on the caller's CPU
         if src is not None:
             src.execute(self.costs.unmarshal_time(reply.size_bytes))
         if outcome == "error":
+            kind = "remote batched invocation" if batch else "remote invocation"
             raise RemoteError(
-                f"remote batched invocation {ref.type_name}.{method} "
-                f"failed: {payload}",
-                cause=payload,
+                f"{kind} {ref.type_name}.{method} failed: {result}",
+                cause=result,
             )
-        return self.serializer.unpack(payload)
+        return self.serializer.unpack(result)
 
     # -- server side -----------------------------------------------------------
 
@@ -422,22 +402,22 @@ class SimMiddleware(Middleware):
         # the request's reply therefore resolves against the call that
         # sent it, however many calls are in flight on this servant
         context = find_dispatch(request.context_id)
-        if context is not None and getattr(context, "cancelled", False):
+        if context is not None and context.cancelled:
             # the originating call is gone (shed, or its deadline
             # expired): don't burn servant CPU on work nobody will
             # collect — reply with the cancellation cause (the caller
             # side is unwinding anyway) and keep serving other calls
             if not request.oneway:
-                cause = getattr(context, "cancel_cause", None)
-                self._reply_error(
-                    servant,
-                    request,
-                    cause
-                    if cause is not None
-                    else MiddlewareError("originating call was cancelled"),
+                request.reply_channel.send(
+                    ("error", context.cancel_cause),
+                    delay=self.cluster.transit_delay(
+                        0, servant.node, request.caller_node
+                    ),
+                    size_bytes=0,
+                    tag="reply",
                 )
             return
-        if context is not None and hasattr(context, "attribute_remote"):
+        if context is not None:
             context.attribute_remote()
         with use_node(servant.node):
             # unmarshal on the servant's CPU
@@ -462,18 +442,6 @@ class SimMiddleware(Middleware):
                 size_bytes=size,
                 tag="reply",
             )
-
-    def _reply_error(
-        self, servant: _Servant, request: _Request, exc: BaseException
-    ) -> None:
-        """Ship an error reply without executing the servant method
-        (used for requests whose originating ticket was cancelled)."""
-        delay = self.cluster.transit_delay(
-            0, servant.node, request.caller_node
-        )
-        request.reply_channel.send(
-            ("error", exc), delay=delay, size_bytes=0, tag="reply"
-        )
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -11,7 +11,6 @@ uses:
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
 from repro.aop.plan import MethodTable
@@ -22,15 +21,6 @@ from repro.middleware.context import server_dispatch
 from repro.runtime.dispatch import current_dispatch
 
 __all__ = ["LocalMiddleware"]
-
-
-def _attribute_dispatch() -> None:
-    """Bump the ambient ticket's servant-side counter (the in-process
-    middleware executes on the caller's activity, so the originating
-    per-call context is already installed — no wire id needed)."""
-    context = current_dispatch()
-    if context is not None and hasattr(context, "attribute_remote"):
-        context.attribute_remote()
 
 
 class LocalMiddleware(Middleware):
@@ -58,20 +48,7 @@ class LocalMiddleware(Middleware):
         kwargs: dict | None = None,
         oneway: bool = False,
     ) -> Any:
-        entry = self._objects.get(ref.object_id)
-        if entry is None:
-            raise MiddlewareError(f"unknown ref {ref!r}")
-        obj, table = entry
-        self.calls += 1
-        _attribute_dispatch()
-        try:
-            with server_dispatch():
-                return table.invoke(obj, method, args, kwargs or {})
-        except Exception as exc:  # noqa: BLE001 - uniform error surface
-            raise RemoteError(
-                f"local invocation {ref.type_name}.{method} failed: {exc}",
-                cause=exc,
-            ) from exc
+        return self._round_trip(ref, method, args, kwargs or {})
 
     def invoke_batch(
         self, ref: RemoteRef, method: str, pieces: Any, oneway: bool = False
@@ -80,21 +57,39 @@ class LocalMiddleware(Middleware):
         advice pass (one BatchJoinPoint) for the whole pack.  A
         ``oneway`` pack still executes (there is no wire to race) but
         reports ``None`` placeholders, matching the remote contract."""
+        results = self._round_trip(ref, method, pieces, batch=True)
+        return [None] * len(results) if oneway else results
+
+    def _round_trip(
+        self,
+        ref: RemoteRef,
+        method: str,
+        args: Any,
+        kwargs: dict | None = None,
+        batch: bool = False,
+    ) -> Any:
+        """The direct call both faces make (for a ``batch``, ``args``
+        holds the pack's pieces): counted, attributed to the ambient
+        ticket, and failing as a :class:`RemoteError`."""
         entry = self._objects.get(ref.object_id)
         if entry is None:
             raise MiddlewareError(f"unknown ref {ref!r}")
         obj, table = entry
         self.calls += 1
-        _attribute_dispatch()
+        # executed on the caller's activity, so the originating ticket
+        # is already ambient — no wire id needed
+        context = current_dispatch()
+        if context is not None:
+            context.attribute_remote()
         try:
             with server_dispatch():
-                results = table.invoke_batch(obj, method, pieces)
-                return [None] * len(results) if oneway else results
+                if batch:
+                    return table.invoke_batch(obj, method, args)
+                return table.invoke(obj, method, args, kwargs)
         except Exception as exc:  # noqa: BLE001 - uniform error surface
+            kind = "local batched invocation" if batch else "local invocation"
             raise RemoteError(
-                f"local batched invocation {ref.type_name}.{method} "
-                f"failed: {exc}",
-                cause=exc,
+                f"{kind} {ref.type_name}.{method} failed: {exc}", cause=exc
             ) from exc
 
     def servant_of(self, ref: RemoteRef) -> Any:

@@ -10,7 +10,7 @@ pipe.
 
 Dispatch-ticket semantics match :class:`~repro.middleware.local.LocalMiddleware`
 on the client side (the invoke runs on the caller's activity, so the
-originating :class:`~repro.parallel.partition.base.DispatchContext` is
+originating :class:`~repro.runtime.ticket.DispatchContext` is
 ambient — ``attribute_remote`` and deadline checks need no wire round
 trip) *and* :class:`~repro.middleware.base.SimMiddleware` on the wire
 (``context_id`` travels in every envelope and echoes in the reply, so
@@ -133,17 +133,11 @@ class ProcMiddleware(Middleware):
     def servant_of(self, ref: RemoteRef) -> Any:
         """The parent-side twin behind a ref (observability only: the
         authoritative state lives in the worker process)."""
-        export = self._servants.get(ref.object_id)
-        if export is None:
-            raise MiddlewareError(f"unknown ref {ref!r}")
-        return export.local
+        return self._require(ref).local
 
     def worker_of(self, ref: RemoteRef) -> ProcWorker:
         """The resident worker hosting a ref (fault-injection hook)."""
-        export = self._servants.get(ref.object_id)
-        if export is None:
-            raise MiddlewareError(f"unknown ref {ref!r}")
-        return export.worker
+        return self._require(ref).worker
 
     # -- invoke -------------------------------------------------------------
 
@@ -155,25 +149,7 @@ class ProcMiddleware(Middleware):
         kwargs: dict | None = None,
         oneway: bool = False,
     ) -> Any:
-        export = self._require(ref)
-        self.calls += 1
-        if oneway:
-            self.oneway_calls += 1
-        envelope = RequestEnvelope(
-            next(self._call_ids),
-            ref.object_id,
-            method,
-            tuple(args),
-            dict(kwargs or {}),
-            oneway=oneway,
-            context_id=dispatch_id(),
-        )
-        reply = self._round_trip(export, envelope)
-        if oneway:
-            return None
-        if reply.outcome == "error":
-            raise self._remote_error(ref, method, reply.payload)
-        return reply.payload
+        return self._call(ref, method, tuple(args), dict(kwargs or {}), oneway)
 
     def invoke_batch(
         self, ref: RemoteRef, method: str, pieces: Any, oneway: bool = False
@@ -183,31 +159,46 @@ class ProcMiddleware(Middleware):
         :meth:`~repro.aop.plan.MethodTable.invoke_batch` dispatch — the
         per-frame pickling overhead is paid once per pack, not per item
         (the process-backend face of communication packing)."""
-        export = self._require(ref)
-        self.calls += 1
-        self.batched_calls += 1
-        if oneway:
-            self.oneway_calls += 1
         views = [
             (tuple(args), dict(kwargs))
             for args, kwargs in map(piece_view, pieces)
         ]
+        self.batched_calls += 1
+        results = self._call(ref, method, views, None, oneway, batch=True)
+        return [None] * len(views) if oneway else list(results)
+
+    def _call(
+        self,
+        ref: RemoteRef,
+        method: str,
+        args: Any,
+        kwargs: dict | None,
+        oneway: bool,
+        batch: bool = False,
+    ) -> Any:
+        """What both faces share: count the call, frame it (for a
+        ``batch``, ``args`` holds the pack's piece views), make the
+        round trip and turn an error reply into the client-side raise."""
+        export = self._require(ref)
+        self.calls += 1
+        if oneway:
+            self.oneway_calls += 1
         envelope = RequestEnvelope(
             next(self._call_ids),
             ref.object_id,
             method,
-            views,
-            None,
+            args,
+            kwargs,
             oneway=oneway,
-            batch=True,
+            batch=batch,
             context_id=dispatch_id(),
         )
         reply = self._round_trip(export, envelope)
         if oneway:
-            return [None] * len(views)
+            return None
         if reply.outcome == "error":
-            raise self._remote_error(ref, method, reply.payload, batch=True)
-        return list(reply.payload)
+            raise self._remote_error(ref, method, reply.payload, batch=batch)
+        return reply.payload
 
     def _require(self, ref: RemoteRef) -> _Export:
         export = self._servants.get(ref.object_id)
@@ -229,10 +220,10 @@ class ProcMiddleware(Middleware):
         context = current_dispatch()
 
         def check() -> None:
-            if context is not None and hasattr(context, "check_deadline"):
+            if context is not None:
                 context.check_deadline("awaiting a process-backend reply")
 
-        if context is not None and hasattr(context, "attribute_remote"):
+        if context is not None:
             context.attribute_remote()
         check()  # don't ship work for a call that is already cancelled
         frame = self.serializer.encode(envelope)  # names a culprit field
@@ -249,7 +240,7 @@ class ProcMiddleware(Middleware):
                 worker.kill()
             elif event.kind == "delay_reply":
                 self.backend.sleep(event.delay)
-        deadline = getattr(context, "deadline", None)
+        deadline = context.deadline if context is not None else None
         try:
             # one round trip at a time per worker: the pipe is shared,
             # and the worker's poll object is not re-entrant

@@ -37,8 +37,8 @@ from repro.parallel.concern import LAYER, Concern, ParallelAspect
 from repro.parallel.partition.base import (
     CallPiece,
     DispatchContextOwner,
+    PieceOutcomes,
     dispatch_with_retry,
-    piece_results,
 )
 from repro.runtime.dispatch import current_dispatch
 
@@ -53,7 +53,7 @@ class DivideAndConquerAspect(DispatchContextOwner, ParallelAspect):
     """Recursive call-split with per-branch worker creation.
 
     The top-level intercepted call opens one per-call
-    :class:`~repro.parallel.partition.base.DispatchContext`; every
+    :class:`~repro.runtime.ticket.DispatchContext`; every
     recursive division (whatever activity it runs on) records its pieces
     into that originating ticket, so overlapped top-level calls keep
     fully separate accounting.
@@ -140,46 +140,43 @@ class DivideAndConquerAspect(DispatchContextOwner, ParallelAspect):
             with self._dispatch_lock:
                 self.leaves += 1
             return jp.proceed()
-        outcomes = []
-        self._depth.value = depth + 1
-        try:
-            for piece in pieces:
+        with PieceOutcomes() as outcomes:
+            self._depth.value = depth + 1
+            try:
+                for piece in pieces:
+                    if ctx is not None:
+                        # deadline/shed boundary per branch: an expired
+                        # recursion stops dividing wherever it is in the
+                        # tree and unwinds through the top-level ticket
+                        ctx.check_deadline("dividing sub-problems")
+                        ctx.record(piece)
+                    worker = self.make_worker(jp.target)
+                    self.remember_branch(worker)
+
+                    def pick(attempt: int, first=worker, proto=jp.target):
+                        # attempt 0 uses the branch clone just built; a
+                        # retry abandons the (possibly poisoned) clone and
+                        # recurses on a FRESH clone of the prototype
+                        if attempt == 0:
+                            return first, None
+                        fresh = self.make_worker(proto)
+                        self.remember_branch(fresh)
+                        return fresh, None
+
+                    # recurse through the branch worker's compiled plan
+                    # entry; a divide() returning PackedPiece groups
+                    # recurses through the compiled batched entry (one
+                    # advice pass per pack)
+                    outcomes.append(
+                        dispatch_with_retry(ctx, pick, jp.name, piece)
+                    )
+            except BaseException as exc:
                 if ctx is not None:
-                    # deadline/shed boundary per branch: an expired
-                    # recursion stops dividing wherever it is in the
-                    # tree and unwinds through the top-level ticket
-                    ctx.check_deadline("dividing sub-problems")
-                    ctx.record(piece)
-                worker = self.make_worker(jp.target)
-                self.remember_branch(worker)
-
-                def pick(attempt: int, first=worker, proto=jp.target):
-                    # attempt 0 uses the branch clone just built; a retry
-                    # abandons the (possibly poisoned) clone and recurses
-                    # on a FRESH clone of the prototype
-                    if attempt == 0:
-                        return first, None
-                    fresh = self.make_worker(proto)
-                    self.remember_branch(fresh)
-                    return fresh, None
-
-                # recurse through the branch worker's compiled plan entry;
-                # a divide() returning PackedPiece groups recurses through
-                # the compiled batched entry (one advice pass per pack)
-                outcomes.append(
-                    dispatch_with_retry(ctx, pick, jp.name, piece)
-                )
-        except BaseException as exc:
-            if ctx is not None:
-                ctx.fail(exc)
-            raise
-        finally:
-            self._depth.value = depth
-        results: list = []
-        for piece, outcome in zip(pieces, outcomes):
-            if ctx is not None:
-                ctx.check_deadline("merging sub-results")
-            results.extend(piece_results(piece, outcome))
+                    ctx.fail(exc)
+                raise
+            finally:
+                self._depth.value = depth
+            results = outcomes.results(ctx, pieces, "merging sub-results")
         return self.merge(results)
 
     # -- bookkeeping -------------------------------------------------------------

@@ -30,8 +30,9 @@ from repro.parallel.partition.base import (
     PackedPiece,
     PartitionAspect,
     WorkSplitter,
+    PieceOutcomes,
     dispatch_with_retry,
-    piece_results,
+    rotating,
 )
 from repro.runtime.backend import _close_awaitables, current_backend
 
@@ -41,15 +42,13 @@ __all__ = ["DynamicFarmAspect", "dynamic_farm_module"]
 class DynamicFarmAspect(PartitionAspect):
     """Worker-pull farm: merged partition + concurrency.
 
-    By default the deployment owns a **resident worker pool**: one
-    long-lived dispatcher activity per worker instance (a *pinned*
+    The deployment owns a **resident worker pool**: one long-lived
+    dispatcher activity per worker instance (a *pinned*
     :class:`~repro.parallel.concurrency.asynchronous.PooledSpawner`),
     spawned once and fed per call through the call's own piece queue.
     Overlapped submissions therefore amortise the spawn cost the
-    original formulation paid on every split (one fresh activity per
-    worker per call) — the respawn behaviour is kept behind
-    ``resident_pool=False`` for comparison (the
-    resident-vs-respawn bench pair in ``BENCH_dispatch.json``).
+    paper's formulation paid on every split (one fresh activity per
+    worker per call).
     """
 
     #: concerns covered by this single module (see module docstring)
@@ -59,19 +58,12 @@ class DynamicFarmAspect(PartitionAspect):
     #: like the static farm: pack routing is pure scatter, oneway is sound
     oneway_packs = True
 
-    def __init__(
-        self,
-        splitter: WorkSplitter,
-        creation=None,
-        work=None,
-        resident_pool: bool = True,
-    ):
+    def __init__(self, splitter: WorkSplitter, creation=None, work=None):
         super().__init__(splitter, creation, work)
         self.workers: list[Any] = []
         #: pieces served per worker index (load-balance observability)
         self.served: dict[int, int] = {}
-        #: amortise spawns: one resident dispatcher activity per worker
-        self.resident_pool = resident_pool
+        #: one resident dispatcher activity per worker, per duplication
         self._pool: PooledSpawner | None = None
         self._internal = threading.local()
 
@@ -84,14 +76,11 @@ class DynamicFarmAspect(PartitionAspect):
         # one batched initialization joinpoint builds the whole worker set
         self.workers = self.build_duplicates(jp)
         self.served = {i: 0 for i in range(len(self.workers))}
-        if self._pool is not None:  # re-duplication: retire the old pool
-            self._pool.stop()
-            self._pool = None
-        if self.resident_pool:
-            # pinned: resident activity i always drives worker i; the
-            # activities themselves start lazily on the first dispatch
-            # (binding to whatever backend that call runs on)
-            self._pool = PooledSpawner(len(self.workers), pinned=True)
+        self.on_undeploy()  # re-duplication: retire the old pool
+        # pinned: resident activity i always drives worker i; the
+        # activities themselves start lazily on the first dispatch
+        # (binding to whatever backend that call runs on)
+        self._pool = PooledSpawner(len(self.workers), pinned=True)
         return self.workers[0]
 
     def on_undeploy(self) -> None:
@@ -106,9 +95,7 @@ class DynamicFarmAspect(PartitionAspect):
     def dispatch(self, jp):
         if self.passthrough(jp) or getattr(self._internal, "active", False):
             return jp.proceed()
-        if jp.from_advice:
-            return jp.proceed()
-        if not self.workers:
+        if jp.from_advice or not self.workers:
             return jp.proceed()
         if isinstance(jp, BatchJoinPoint):
             return self.route_pack(jp)
@@ -119,10 +106,9 @@ class DynamicFarmAspect(PartitionAspect):
             # the per-ticket queue: THIS call's pieces, pulled on demand
             # by whichever dispatcher activity frees up first
             queue = backend.make_queue(name="dynfarm.work")
-            for piece in pieces:
-                queue.put(ctx.record(piece))
-            results: list[Any] = [None] * len(pieces)
-            method_name = jp.name
+            for slot, piece in enumerate(pieces):
+                queue.put((slot, ctx.record(piece)))
+            outcomes = PieceOutcomes([None] * len(pieces))
             done = backend.make_event(name="dynfarm.done")
             state: dict[str, Any] = {
                 "remaining": len(self.workers),
@@ -131,16 +117,6 @@ class DynamicFarmAspect(PartitionAspect):
             state_lock = threading.Lock()
 
             workers = self.workers
-
-            def pick_from(index: int):
-                # attempt 0 stays on the pulling dispatcher's own worker;
-                # retries rotate to the neighbours (a killed worker's
-                # piece lands on a healthy one)
-                def pick(attempt: int):
-                    pos = (index + attempt) % len(workers)
-                    return workers[pos], pos
-
-                return pick
 
             def worker_loop(worker: Any, index: int) -> None:
                 # Calls from here must skip this advice but still traverse
@@ -151,19 +127,22 @@ class DynamicFarmAspect(PartitionAspect):
                 # piece so an aspect (un)plugged mid-run applies to the
                 # remaining work.
                 self._internal.active = True
+                # attempt 0 stays on the pulling dispatcher's own worker
+                pick = rotating(workers, index)
                 try:
                     # a cancelled ticket (shed / deadline expired) drops
                     # its remaining queued pieces: the dispatcher goes
                     # straight back to serving other calls
                     while not ctx.cancelled:
-                        ok, piece = queue.try_get()
+                        ok, pulled = queue.try_get()
                         if not ok:
                             break
-                        results[piece.index] = dispatch_with_retry(
-                            ctx, pick_from(index), method_name, piece
+                        slot, piece = pulled
+                        outcomes[slot] = dispatch_with_retry(
+                            ctx, pick, jp.name, piece
                         )
                         if ctx.cancelled:  # the gather may be gone already
-                            _close_awaitables(results[piece.index])
+                            _close_awaitables(outcomes[slot])
                         # ledger unit is ITEMS (a k-item pack counts k),
                         # matching route_pack's charge so the demand-aware
                         # pack steering compares like with like
@@ -190,55 +169,37 @@ class DynamicFarmAspect(PartitionAspect):
                     if drained:
                         done.set()
 
-            try:
+            # failed, shed or expired: what an async servant handed back
+            # and nobody will await any more is closed
+            with outcomes:
                 with ctx.span("dispatch"):
-                    pool = self._pool
-                    if pool is not None:
-                        # resident mode: the per-call drain reaches the
-                        # long-lived dispatcher pinned to each worker — no
-                        # spawn on the hot path, overlapped calls amortise
-                        # the activities spawned once per deployment
-                        for index, worker in enumerate(self.workers):
-                            pool.spawn(
-                                backend,
-                                lambda w=worker, i=index: worker_loop(w, i),
-                                index=index,
-                            )
-                    else:
-                        # the paper's literal formulation: one fresh
-                        # dispatcher activity per worker per split call
-                        for index, worker in enumerate(self.workers):
-                            backend.spawn(
-                                lambda w=worker, i=index: worker_loop(w, i),
-                                name=f"dynfarm.worker{index}",
-                            )
-                    self._await_drained(done, ctx)
+                    # the per-call drain reaches the long-lived dispatcher
+                    # pinned to each worker — no spawn on the hot path,
+                    # overlapped calls amortise the activities spawned
+                    # once per deployment
+                    for index, worker in enumerate(self.workers):
+                        self._pool.spawn(
+                            backend,
+                            lambda w=worker, i=index: worker_loop(w, i),
+                            index=index,
+                        )
+                    # deadline-aware wait for the call's queue to drain: a
+                    # timeout expires the ticket (cancelling the drain loops
+                    # at their next pull) and raises DeadlineExceeded with
+                    # the ticket's trace
+                    if ctx.deadline is None:
+                        done.wait(None)
+                    elif not done.wait(ctx.deadline.remaining()):
+                        raise ctx.expire("draining the work queue")
                 if state["failure"] is not None:
                     raise state["failure"]
-                ctx.check_deadline("gathering dynamic-farm results")
                 with ctx.span("merge"):
-                    flat: list[Any] = []
-                    for piece in pieces:
-                        flat.extend(piece_results(piece, results[piece.index]))
-                    combined = self.splitter.combine(flat)
-            except BaseException:
-                # failed, shed or expired: what an async servant handed
-                # back and nobody will await any more
-                for outcome in results:
-                    _close_awaitables(outcome)
-                raise
+                    combined = self.splitter.combine(
+                        outcomes.results(
+                            ctx, pieces, "gathering dynamic-farm results"
+                        )
+                    )
         return combined
-
-    @staticmethod
-    def _await_drained(done: Any, ctx: Any) -> None:
-        """Deadline-aware wait for the call's queue to drain: a timeout
-        expires the ticket (cancelling the drain loops at their next
-        pull) and raises DeadlineExceeded with the ticket's trace."""
-        if ctx.deadline is None:
-            done.wait(None)
-            return
-        if not done.wait(max(ctx.deadline.remaining(), 0.0)):
-            raise ctx.expire("draining the work queue")
 
     def route_pack(self, jp: BatchJoinPoint) -> Any:
         """Top-level pack routing, demand-aware: one whole submitted pack
@@ -251,12 +212,7 @@ class DynamicFarmAspect(PartitionAspect):
             # pick-and-charge atomically so overlapped packs spread out
             index = min(self.served, key=lambda i: self.served[i])
             self.served[index] += len(pieces)
-        workers = self.workers
-
-        def pick(attempt: int):
-            pos = (index + attempt) % len(workers)
-            return workers[pos], pos
-
+        pick = rotating(self.workers, index)
         with self.dispatch_scope(
             f"dynamic-farm.pack.{jp.name}", backend=current_backend()
         ) as ctx:
@@ -274,17 +230,9 @@ def dynamic_farm_module(
     creation: str,
     work: str,
     name: str = "dynamic-farm",
-    resident_pool: bool = True,
 ) -> ParallelModule:
-    """Build the merged partition+concurrency dynamic-farm module.
-
-    ``resident_pool=False`` restores the spawn-per-split dispatchers
-    (the bench pair's baseline); the default amortises dispatcher
-    spawns across every call served by the deployment.
-    """
-    aspect = DynamicFarmAspect(
-        splitter, creation=creation, work=work, resident_pool=resident_pool
-    )
+    """Build the merged partition+concurrency dynamic-farm module."""
+    aspect = DynamicFarmAspect(splitter, creation=creation, work=work)
     module = ParallelModule(name, Concern.PARTITION, [aspect])
     module.coordinator = aspect  # type: ignore[attr-defined]
     module.provides_concurrency = True  # type: ignore[attr-defined]

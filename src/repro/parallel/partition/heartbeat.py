@@ -35,10 +35,10 @@ from repro.parallel.partition.base import (
     CallPiece,
     PartitionAspect,
     WorkSplitter,
+    PieceOutcomes,
     dispatch_with_retry,
 )
-from repro.runtime.backend import _carries_awaitables, current_backend
-from repro.runtime.futures import Future
+from repro.runtime.backend import resolve
 
 __all__ = ["HeartbeatAspect", "heartbeat_module"]
 
@@ -48,7 +48,7 @@ class HeartbeatAspect(PartitionAspect):
 
     The aspect holds the deployed block topology (``workers``) and
     append-only counters; each intercepted iterate call opens a per-call
-    :class:`~repro.parallel.partition.base.DispatchContext` — the
+    :class:`~repro.runtime.ticket.DispatchContext` — the
     compute and exchange phases both run under the originating call's
     ticket (piece accounting per step, forwarding cursor per exchange
     phase), so overlapped iterate calls keep fully separate state.
@@ -94,6 +94,7 @@ class HeartbeatAspect(PartitionAspect):
             return jp.proceed()
         (iterations,) = jp.args or (1,)
         last_combined: Any = None
+        steps = [CallPiece(index, (1,)) for index in range(len(self.workers))]
         with self.dispatch_scope(f"heartbeat.{jp.name}") as ctx:
             for beat in range(iterations):
                 # deadline boundary per beat: an expired or shed iterate
@@ -110,17 +111,20 @@ class HeartbeatAspect(PartitionAspect):
                     # block's state lives with its worker, so recovery
                     # means a refilled worker for that index (the process
                     # middleware re-exports on crash), never a neighbour
-                    outcomes = [
-                        dispatch_with_retry(
-                            ctx,
-                            lambda attempt, w=worker, i=index: (w, i),
-                            jp.name,
-                            CallPiece(index, (1,)),
+                    with PieceOutcomes() as outcomes:
+                        for step, worker in zip(steps, self.workers):
+                            outcomes.append(
+                                dispatch_with_retry(
+                                    ctx,
+                                    lambda attempt, w=worker, i=step.index: (w, i),
+                                    jp.name,
+                                    step,
+                                )
+                            )
+                        ctx.record_pack(len(outcomes))  # one step per block
+                        results = outcomes.results(
+                            ctx, steps, "gathering heartbeat steps"
                         )
-                        for index, worker in enumerate(self.workers)
-                    ]
-                    ctx.record_pack(len(outcomes))  # one step per block
-                    results = [self._value(o) for o in outcomes]
                 with ctx.span(f"merge[{beat}]"):
                     # only the latest combined value is retained (a long run
                     # must not accumulate per-iteration results)
@@ -130,7 +134,7 @@ class HeartbeatAspect(PartitionAspect):
                     self._exchange(ctx)
         return last_combined
 
-    def _exchange(self, ctx=None) -> None:
+    def _exchange(self, ctx) -> None:
         """Swap boundary data between adjacent workers (1-D chain), one
         *batched* accessor call per worker and phase.
 
@@ -151,8 +155,7 @@ class HeartbeatAspect(PartitionAspect):
             # while halos are being gathered stops the exchange before
             # the next worker is touched — the ticket unwinds, the
             # workers' boundary state for OTHER calls is untouched
-            if ctx is not None:
-                ctx.check_deadline("gathering heartbeat boundaries")
+            ctx.check_deadline("gathering heartbeat boundaries")
             sides = []
             if index < last:
                 sides.append("bottom")  # read by the pair below
@@ -160,21 +163,20 @@ class HeartbeatAspect(PartitionAspect):
                 sides.append("top")  # read by the pair above
             if not sides:
                 continue
-            values = self._value(  # an async aspect may future the pack
+            values = resolve(  # an async aspect may future the pack
                 batched_entry(worker, self.exchange_out)(
                     [CallPiece(i, (side,)) for i, side in enumerate(sides)]
                 )
             )
             for side, value in zip(sides, values):
-                boundaries[(index, side)] = self._value(value)
+                boundaries[(index, side)] = resolve(value)
         # ONE deadline check before the write phase, not per worker: the
         # block grid is shared state across iterate calls, so a scatter
         # must apply atomically — aborting half-way would leave some
         # blocks with new halos and some with stale ones, corrupting
         # every subsequent call's input.  (The gather checks above are
         # per-worker because reads cannot damage shared state.)
-        if ctx is not None:
-            ctx.check_deadline("scattering heartbeat boundaries")
+        ctx.check_deadline("scattering heartbeat boundaries")
         for index, worker in enumerate(workers):
             updates = []
             if index > 0:
@@ -186,28 +188,16 @@ class HeartbeatAspect(PartitionAspect):
             # resolve the write outcome: a scatter must have LANDED
             # before the next compute phase reads the halos (async
             # boundary accessors would otherwise still be in flight)
-            self._value(
+            resolve(
                 batched_entry(worker, self.exchange_in)(
                     [CallPiece(i, update) for i, update in enumerate(updates)]
                 )
             )
         with self._dispatch_lock:
             self.exchanges += 2 * max(last, 0)
-        if ctx is not None:
-            # the forwarding cursor records exchange phases driven on
-            # behalf of the originating call (gather + scatter)
-            ctx.advance(2 * max(last, 0))
-
-    @staticmethod
-    def _value(outcome: Any) -> Any:
-        """Resolve one step/boundary outcome: futures are awaited,
-        coroutines (async servants) run to completion on the current
-        backend's loop, plain values pass through."""
-        if isinstance(outcome, Future):
-            outcome = outcome.result()
-        if _carries_awaitables(outcome):
-            outcome = current_backend().finish(outcome)
-        return outcome
+        # the forwarding cursor records exchange phases driven on
+        # behalf of the originating call (gather + scatter)
+        ctx.advance(2 * max(last, 0))
 
 
 @register_strategy("heartbeat")

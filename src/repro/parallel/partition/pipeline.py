@@ -32,7 +32,7 @@ activities, not p × stages.
 
 The aspects hold only the *deployed topology* (stages, ``next``
 pointers).  Every split call opens its own
-:class:`~repro.parallel.partition.base.DispatchContext` — the collector
+:class:`~repro.runtime.ticket.DispatchContext` — the collector
 the tail deposits into is the *originating call's*, found through the
 ambient ticket (:mod:`repro.runtime.dispatch`) the piece's activity runs
 under.  A deployed pipeline therefore serves any number of overlapped
@@ -51,7 +51,6 @@ from repro.aop.plan import BatchJoinPoint, batched_entry, piece_view
 from repro.api.registry import register_strategy
 from repro.parallel.composition import ParallelModule
 from repro.parallel.concern import LAYER, Concern, ParallelAspect
-from repro.parallel.concurrency.asynchronous import PooledSpawner
 from repro.parallel.partition.base import (
     CallPiece,
     PackedPiece,
@@ -60,7 +59,7 @@ from repro.parallel.partition.base import (
     dispatch_piece,
     piece_key,
 )
-from repro.runtime.backend import _carries_awaitables, current_backend
+from repro.runtime.backend import current_backend, resolve
 from repro.runtime.dispatch import (
     current_dispatch,
     current_piece,
@@ -75,11 +74,7 @@ __all__ = ["PipelineSplitAspect", "PipelineForwardAspect", "pipeline_module"]
 class PipelineSplitAspect(PartitionAspect):
     """Blocks 1 (duplication) and 2 (call split) of Figure 8.
 
-    ``resident_pool=True`` feeds head pieces through long-lived pinned
-    feeder activities (one per stage, a
-    :class:`~repro.parallel.concurrency.asynchronous.PooledSpawner`)
-    instead of feeding inline — the resident shape the fault tests kill
-    and replace mid-split.  When the call's ticket carries a
+    When the call's ticket carries a
     :class:`~repro.faults.RetryPolicy`, the collector's re-dispatch hook
     re-feeds a failed piece into the head stage, and the tail's keyed
     deposits keep delivery exactly-once even when a dropped reply's
@@ -92,24 +87,14 @@ class PipelineSplitAspect(PartitionAspect):
     #: — StackSpec.validate() rejects such oneway declarations
     oneway_packs = False
 
-    def __init__(
-        self,
-        splitter: WorkSplitter,
-        creation=None,
-        work=None,
-        resident_pool: bool = False,
-    ):
+    def __init__(self, splitter: WorkSplitter, creation=None, work=None):
         super().__init__(splitter, creation, work)
         #: id(stage) -> next stage (None at the tail) — the paper's
         #: ``next`` HashMap
         self.next: dict[int, Any] = {}
         self.first: Any = None
-        #: long-lived head-feeder activities (opt-in)
-        self.resident_pool = resident_pool
-        self._pool: PooledSpawner | None = None
-        #: per-thread re-entry flag: pooled feeds and retry re-feeds
-        #: re-enter the woven call from activities where jp.from_advice
-        #: is False
+        #: per-thread re-entry flag: retry re-feeds re-enter the woven
+        #: call from activities where jp.from_advice is False
         self._internal = threading.local()
 
     # -- block 1: object duplication ----------------------------------------
@@ -132,26 +117,15 @@ class PipelineSplitAspect(PartitionAspect):
                 stages[index + 1] if index + 1 < len(stages) else None
             )
         self.first = stages[0]
-        if self._pool is not None:  # re-duplication: retire the old pool
-            self._pool.stop()
-            self._pool = None
-        if self.resident_pool:
-            self._pool = PooledSpawner(len(stages), pinned=True)
         return self.first  # the first pipeline element goes back to the client
-
-    def on_undeploy(self) -> None:
-        """Retire the deployment's resident feeder activities."""
-        if self._pool is not None:
-            self._pool.stop()
-            self._pool = None
 
     # -- block 2: method call split ----------------------------------------
 
     @around("work")
     def split(self, jp):
         # Core-functionality calls only: forwarded (advice-made) calls,
-        # pooled feeds / retry re-feeds (per-thread flag) and
-        # servant-side execution pass through untouched.
+        # retry re-feeds (per-thread flag) and servant-side execution
+        # pass through untouched.
         if self.passthrough(jp) or getattr(self._internal, "active", False):
             return jp.proceed()
         if jp.from_advice:
@@ -170,7 +144,6 @@ class PipelineSplitAspect(PartitionAspect):
         ) as ctx:
             self._arm_refeed(ctx, head, jp.name)
             with ctx.span("dispatch"):
-                pool = self._pool
                 for piece in pieces:
                     # re-enters the chain through the head stage's compiled
                     # plan entry; packs enter through the compiled batched
@@ -180,29 +153,21 @@ class PipelineSplitAspect(PartitionAspect):
                     ctx.check_deadline("feeding the pipeline head")
                     if ctx.collector.failed:
                         break  # the call is lost: stop feeding it
-                    piece = ctx.record(piece)
-                    if pool is not None:
-                        pool.spawn(
-                            current_backend(),
-                            lambda p=piece: self._feed(ctx, head, jp.name, p),
-                            index=piece.index % len(self.instances),
-                        )
-                    else:
-                        # this activity would only wait in the gather
-                        # while its last piece ran on another: it
-                        # carries that one through the stages itself
-                        self._feed(
-                            ctx, head, jp.name, piece,
-                            carried=piece is pieces[-1],
-                        )
+                    # this activity would only wait in the gather while
+                    # its last piece ran on another: it carries that one
+                    # through the stages itself
+                    self._feed(
+                        ctx, head, jp.name, ctx.record(piece),
+                        carried=piece is pieces[-1],
+                    )
             with ctx.span("gather"):
                 results = ctx.gather()
             with ctx.span("merge"):
                 combined = self.splitter.combine(results)
         return combined
 
+    @staticmethod
     def _feed(
-        self,
         ctx: Any,
         head: Any,
         name: str,
@@ -213,21 +178,11 @@ class PipelineSplitAspect(PartitionAspect):
         failure through the collector's retry plane (latch when none is
         armed) instead of aborting the whole call's feed loop.
         ``carried``: see :func:`dispatch_piece`."""
-        flagged = self._pool is not None and getattr(
-            self._internal, "active", False
-        ) is False
-        if flagged:
-            # pooled feeds arrive on resident activities where
-            # jp.from_advice is False — keep this aspect out of the way
-            self._internal.active = True
         try:
             if not ctx.cancelled:
                 dispatch_piece(head, name, piece, carried=carried)
         except Exception as exc:
             ctx.fail(exc, piece=piece)
-        finally:
-            if flagged:
-                self._internal.active = False
 
     def _arm_refeed(self, ctx: Any, head: Any, name: str) -> None:
         """Install the collector's re-dispatch hook: a failed piece is
@@ -243,10 +198,7 @@ class PipelineSplitAspect(PartitionAspect):
                 self._internal.active = True
                 try:
                     with use_dispatch(ctx):
-                        if not ctx.cancelled:
-                            dispatch_piece(head, name, piece)
-                except Exception as exc:  # noqa: BLE001 - routed to collector
-                    ctx.fail(exc, piece=piece)
+                        self._feed(ctx, head, name, piece)
                 finally:
                     self._internal.active = False
 
@@ -287,7 +239,7 @@ class PipelineForwardAspect(ParallelAspect):
     advises every call, including the ones it makes itself.  Stateless
     apart from the append-only ``forwards`` counter: the collector it
     deposits into and the forwarding cursor it advances belong to the
-    ambient per-call :class:`~repro.parallel.partition.base.DispatchContext`
+    ambient per-call :class:`~repro.runtime.ticket.DispatchContext`
     of whichever split originated the piece.
     """
 
@@ -326,12 +278,10 @@ class PipelineForwardAspect(ParallelAspect):
         # a later hop latches in that hop's activity; re-latching here is
         # a no-op (the first failure wins).
         try:
-            result = jp.proceed()  # the stage's own processing
-            if _carries_awaitables(result):
-                # an async stage method: its value must exist before it
-                # can be forwarded (or deposited), so resolve it on the
-                # backend's loop here, inside the fail-fast envelope
-                result = current_backend().finish(result)
+            # the stage's own processing.  An async stage method's value
+            # must exist before it can be forwarded (or deposited), so it
+            # is resolved here, inside the fail-fast envelope
+            result = resolve(jp.proceed())
             nxt = co.next[key]
             # mid-forward deadline boundary: a deadline that ran out
             # while this stage processed unwinds HERE — the ticket is
@@ -439,17 +389,9 @@ def pipeline_module(
     creation: str,
     work: str,
     name: str = "pipeline",
-    resident_pool: bool = False,
 ) -> ParallelModule:
-    """Build the pluggable pipeline-partition module (both aspects).
-
-    ``resident_pool=True`` feeds head pieces through long-lived pinned
-    feeder activities (one per stage) — the shape the fault-injection
-    tests kill and replace mid-split.
-    """
-    split_aspect = PipelineSplitAspect(
-        splitter, creation=creation, work=work, resident_pool=resident_pool
-    )
+    """Build the pluggable pipeline-partition module (both aspects)."""
+    split_aspect = PipelineSplitAspect(splitter, creation=creation, work=work)
     forward_aspect = PipelineForwardAspect(split_aspect)
     module = ParallelModule(name, Concern.PARTITION, [split_aspect, forward_aspect])
     module.coordinator = split_aspect  # type: ignore[attr-defined]

@@ -27,7 +27,7 @@ the backpressure layer on top of :mod:`repro.runtime.dispatch`:
 * :class:`AdmissionSlot` — the envelope linking a submission to the
   dispatch ticket it eventually opens.  The slot is made *ambient*
   (:func:`use_envelope`) for the duration of the submission's activity;
-  :meth:`~repro.parallel.partition.base.DispatchContextOwner.dispatch_scope`
+  :meth:`~repro.runtime.ticket.DispatchContextOwner.dispatch_scope`
   reads it (:func:`current_envelope`) and attaches the fresh ticket, so
   cancelling the slot (shed, deadline) cancels the live ticket: the
   collector latches, waiters fail fast, and the skeletons drop the
@@ -169,8 +169,7 @@ class AdmissionSlot:
             self.ticket_id = context.context_id
             cancelled, cause = self.cancelled, self.cancel_cause
         context.adopt_deadline(self.deadline)
-        if self.retry is not None and hasattr(context, "adopt_retry"):
-            context.adopt_retry(self.retry)
+        context.adopt_retry(self.retry)
         if cancelled and cause is not None:
             context.cancel(cause)
 

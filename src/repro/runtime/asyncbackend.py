@@ -33,7 +33,7 @@ that no coroutine awaits is none.
   :class:`~repro.runtime.admission.Deadline` budgets translate directly
   into ``asyncio.wait_for`` timeouts: an expired deadline cancels the
   task *mid-await*, not at the next cooperative boundary.
-* A shed or cancelled :class:`~repro.parallel.partition.base.DispatchContext`
+* A shed or cancelled :class:`~repro.runtime.ticket.DispatchContext`
   cancels its in-flight loop tasks through the ticket's cancel hooks.
 * :meth:`make_event` returns an :class:`AsyncioEvent` — waitable from
   submitter threads (admission ``block`` parks on it) *and* awaitable
@@ -355,7 +355,7 @@ class AsyncioBackend(ThreadBackend):
             # cancelled before (or while) consuming the outcome: close
             # any not-yet-awaited coroutine (no-op when already closed)
             _close_awaitables(outcome)
-            cause = getattr(ticket, "cancel_cause", None)
+            cause = ticket.cancel_cause if ticket is not None else None
             if cause is not None:
                 # a shed/expired ticket cancelled this task: surface the
                 # ticket's cause (CallShed, DeadlineExceeded + trace),
@@ -373,7 +373,7 @@ class AsyncioBackend(ThreadBackend):
         ``now()`` IS the loop clock, ``deadline.remaining()`` is an
         exact ``wait_for`` budget, and expiry cancels the await mid-
         flight — the ticket expires with its trace."""
-        deadline = getattr(ticket, "deadline", None) if ticket is not None else None
+        deadline = ticket.deadline if ticket is not None else None
         if deadline is None:
             return await self._gathered(outcome)
         try:

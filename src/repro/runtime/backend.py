@@ -35,6 +35,7 @@ __all__ = [
     "current_backend",
     "use_backend",
     "set_default_backend",
+    "resolve",
 ]
 
 
@@ -179,6 +180,22 @@ def _carries_awaitables(outcome: Any) -> bool:
     )
 
 
+def resolve(outcome: Any) -> Any:
+    """The result boundary: the value behind one dispatch outcome.  A
+    :class:`~repro.runtime.futures.Future` (a concurrency aspect
+    answered the call) is awaited; an awaitable (an ``async def``
+    servant did, directly or through that future) goes to the current
+    backend's :meth:`~ExecutionBackend.finish`; a plain value is
+    itself.  Skeletons, the retry envelope, the pipeline forwarder and
+    the servant side of every transport resolve here, so no raw
+    coroutine reaches result merging or the wire."""
+    if isinstance(outcome, Future):
+        outcome = outcome.result()
+    if _carries_awaitables(outcome):
+        outcome = current_backend().finish(outcome)
+    return outcome
+
+
 def _close_awaitables(outcome: Any) -> None:
     """Close orphaned coroutines so rejecting them does not also emit
     'coroutine was never awaited' warnings."""
@@ -228,3 +245,7 @@ def use_backend(backend: ExecutionBackend) -> Ambient:
     if not isinstance(backend, ExecutionBackend):
         raise BackendError(f"not an ExecutionBackend: {backend!r}")
     return Ambient(_STATE.stack, backend)
+
+
+# down here: futures.py imports current_backend from this module
+from repro.runtime.futures import Future  # noqa: E402

@@ -3,9 +3,8 @@
 A deployed stack is *immutable topology* — workers, stages, exported
 servants.  Everything owned by one in-flight call (its result collector,
 piece accounting, forwarding cursor) lives on a per-call *ticket*
-instead: the partition layer's
-:class:`~repro.parallel.partition.base.DispatchContext`.  This module is
-the backend-neutral plumbing that makes the ticket *ambient*:
+instead: :class:`~repro.runtime.ticket.DispatchContext`.  This module
+is the backend-neutral plumbing that makes the ticket *ambient*:
 
 * :func:`use_dispatch` installs a ticket for the current activity;
 * :func:`current_dispatch` reads it — the pipeline's forwarding advice

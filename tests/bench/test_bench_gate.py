@@ -131,7 +131,6 @@ class TestMultiPairGate:
         assert names == {
             "overlapped-pipeline",
             "pack-routed-farm-map",
-            "resident-pool-dynfarm",
             "cpu-farm-process",
             "io-farm-asyncio",
             "pack-marshal-process",

@@ -9,6 +9,7 @@ release its in-flight slot.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -16,6 +17,8 @@ from repro.api import ParallelApp, StackSpec
 from repro.errors import InjectedFault, WorkerCrashed, WorkerKilled
 from repro.faults import FaultEvent, FaultSchedule, RetryPolicy
 from repro.parallel import WorkSplitter
+from repro.parallel.optimisation import ThreadPoolAspect
+from repro.parallel.partition import CallPiece
 
 
 def wait_until(cond, timeout=10.0):
@@ -49,67 +52,88 @@ def echo_spec(strategy, **overrides):
     return StackSpec(**fields)
 
 
+def halves_spec(strategy, **overrides):
+    """A 2-piece split: one piece is spawned (through the plugged pool),
+    the splitting activity carries the other."""
+    return echo_spec(
+        strategy,
+        splitter=WorkSplitter(
+            duplicates=2,
+            split=lambda args, kwargs: [
+                CallPiece(0, (args[0][:1],)),
+                CallPiece(1, (args[0][1:],)),
+            ],
+            combine=lambda rs: [v for r in rs for v in r],
+        ),
+        **overrides,
+    )
+
+
+@contextmanager
+def deployed_pool(app):
+    """Plug the thread-pool optimisation aspect under the deployed
+    app's concurrency aspect; yields its two-resident shared pool."""
+    aspect = ThreadPoolAspect(app.async_aspect, size=2)
+    app.weaver.deploy(aspect)
+    try:
+        yield aspect.pool
+    finally:
+        app.weaver.undeploy(aspect)
+
+
 class TestPoolKillAndReplace:
     """A killed resident pool activity is replaced and its pulled task
     is re-enqueued — the split completes without even needing a retry
-    (no piece was lost, only the activity serving it)."""
+    (no piece was lost, only the activity serving it).  The pool is the
+    thread-pool optimisation aspect plugged under the skeleton; its two
+    residents share one queue, so the scheduled kill names no index: it
+    takes whichever resident pulls the spawned piece."""
 
     def test_scheduled_pool_kill_farm_split_completes(self):
         schedule = FaultSchedule(
-            [FaultEvent("kill_worker", site="pool", index=0, on_call=1)]
+            [FaultEvent("kill_worker", site="pool", on_call=1)]
         )
-        app = ParallelApp(
-            echo_spec(
-                "farm",
-                strategy_options=dict(resident_pool=True),
-                faults=schedule,
-            )
-        )
+        app = ParallelApp(halves_spec("farm", faults=schedule))
         with app:
             app.start()
-            assert app.submit([1, 2, 3]).result(timeout=10) == [2, 4, 6]
-            pool = app.partition._pool
-            assert wait_until(lambda: pool.replacements == 1)
-            assert pool.killed == 1
-            assert schedule.fired_count() == 1
-            # the refilled pool keeps serving
-            assert app.submit([4]).result(timeout=10) == [8]
+            with deployed_pool(app) as pool:
+                assert app.submit([1, 2]).result(timeout=10) == [2, 4]
+                assert wait_until(lambda: pool.replacements == 1)
+                assert pool.killed == 1
+                assert schedule.fired_count() == 1
+                # the refilled pool keeps serving
+                assert app.submit([4, 5]).result(timeout=10) == [8, 10]
         assert app.in_flight == 0
 
     def test_scheduled_pool_kill_pipeline_split_completes(self):
         schedule = FaultSchedule(
-            [FaultEvent("kill_worker", site="pool", index=0, on_call=1)]
+            [FaultEvent("kill_worker", site="pool", on_call=1)]
         )
-        app = ParallelApp(
-            echo_spec(
-                "pipeline",
-                strategy_options=dict(resident_pool=True),
-                faults=schedule,
-            )
-        )
+        app = ParallelApp(halves_spec("pipeline", faults=schedule))
         with app:
             app.start()
-            # two stages double twice
-            assert app.submit([1, 2]).result(timeout=10) == [4, 8]
-            pool = app.partition._pool
-            assert wait_until(lambda: pool.replacements == 1)
-            assert pool.killed == 1
-            assert app.submit([3]).result(timeout=10) == [12]
+            with deployed_pool(app) as pool:
+                # two stages double twice; the tail deposits in arrival
+                # order
+                assert sorted(app.submit([1, 2]).result(timeout=10)) == [4, 8]
+                assert wait_until(lambda: pool.replacements == 1)
+                assert pool.killed == 1
+                assert schedule.fired_count() == 1
+                assert sorted(app.submit([3, 5]).result(timeout=10)) == [12, 20]
         assert app.in_flight == 0
 
     def test_explicit_kill_is_replaced(self):
-        app = ParallelApp(
-            echo_spec("farm", strategy_options=dict(resident_pool=True))
-        )
+        app = ParallelApp(halves_spec("farm"))
         with app:
             app.start()
-            assert app.submit([1]).result(timeout=10) == [2]  # starts pool
-            pool = app.partition._pool
-            pool.kill(0)
-            assert wait_until(lambda: pool.replacements == 1)
-            assert pool.killed == 1
-            # the replacement resident serves worker 0's pieces
-            assert app.submit([5]).result(timeout=10) == [10]
+            with deployed_pool(app) as pool:
+                # starts the pool
+                assert app.submit([1, 2]).result(timeout=10) == [2, 4]
+                pool.kill(0)
+                assert wait_until(lambda: pool.replacements == 1)
+                assert pool.killed == 1
+                # the replacement resident serves the spawned piece
+                assert app.submit([5, 6]).result(timeout=10) == [10, 12]
 
 
 class TestDispatchRetry:

@@ -386,42 +386,41 @@ class TestNoOrphanedCoroutines:
     unwinding gather closes them ("coroutine ... was never awaited"
     otherwise, from the finalizer)."""
 
-    @pytest.mark.parametrize("strategy", ["farm", "dynamic-farm"])
+    @pytest.mark.parametrize(
+        "strategy", ["farm", "dynamic-farm", "heartbeat", "divide-conquer"]
+    )
     def test_shed_mid_gather_leaves_no_coroutine_unawaited(self, strategy):
-        app = ParallelApp(
-            StackSpec(
-                backend="asyncio",
-                target=GatedEcho,
-                work="bump",
-                splitter=WorkSplitter(
-                    duplicates=2,
-                    split=lambda args, kwargs: [
-                        CallPiece(0, (args[0][:2],)),
-                        CallPiece(1, (args[0][2:],)),
-                    ],
-                    combine=lambda rs: [v for r in rs for v in r],
-                ),
-                strategy=strategy,
-                concurrency=False,  # the gather awaits piece by piece
-                max_in_flight=1,
-                overflow="shed-oldest",
+        case = Case(strategy)
+        if strategy in ("farm", "dynamic-farm"):
+            # two pieces (heartbeat steps two blocks, divide & conquer
+            # halves its list: two coroutines each, as they are)
+            case.fields["splitter"] = WorkSplitter(
+                duplicates=2,
+                split=lambda args, kwargs: [
+                    CallPiece(0, (args[0][:1],)),
+                    CallPiece(1, (args[0][1:],)),
+                ],
+                combine=lambda rs: [v for r in rs for v in r],
             )
+        app = case.asyncio_app(
+            concurrency=False,  # the gather awaits piece by piece
+            max_in_flight=1,
+            overflow="shed-oldest",
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with app:
-                app.start()
-                gate = app.backend.make_event(name="test.gate")
-                GatedEcho.gate = gate
-                oldest = app.submit([1, 2, 3, 4])
+                app.start(*case.start_args)
+                open_gate = arm_gate(case, app)
+                oldest = app.submit(*case.payload(0))
                 # piece 0's await is parked on the gate; piece 1's
                 # coroutine exists and waits its turn in the gather
                 assert wait_until(lambda: app.backend.live_tasks == 1)
-                newest = app.submit([5, 6, 7, 8])  # sheds `oldest`
+                newest = app.submit(*case.payload(1))  # sheds `oldest`
                 with pytest.raises(CallShed):
                     oldest.result(timeout=20)
-                gate.set()
-                assert newest.result(timeout=20) == [10, 12, 14, 16]
+                open_gate()
+                assert newest.result(timeout=20) == case.expected(1)
                 del oldest  # its traceback holds the gather's frame
             assert wait_until(lambda: app.admitted == 0)
             gc.collect()

@@ -62,7 +62,7 @@ class TestExchangeWhileDeployed:
                 for aspect in farm.aspects:
                     assert aspect in deployed
                 assert np.array_equal(run_filter(workload), expected)
-                assert farm.coordinator.split_calls == 1
+                assert farm.coordinator.dispatches == 1
         # context exit undeploys the *current* module set cleanly
         assert not default_weaver.deployed
 

@@ -2,7 +2,7 @@
 
 One deployed stack must serve many overlapped ``submit()``s — the
 aspects hold only topology, every in-flight call owns a
-:class:`~repro.parallel.partition.base.DispatchContext`.  For each of
+:class:`~repro.runtime.ticket.DispatchContext`.  For each of
 the five skeletons (farm, dynamic-farm, pipeline, heartbeat,
 divide-and-conquer) on both backends these tests drive N overlapped
 submissions and assert:

@@ -229,7 +229,7 @@ class TestPipelineAspect:
         assert result == [3, 3, 3, 3]
         # 2 pieces × (3-1) forwards
         assert forward_aspect.forwards == 4
-        assert split_aspect.split_calls == 1
+        assert split_aspect.dispatches == 1
         # every stage saw every piece
         assert [s.calls for s in split_aspect.instances] == [2, 2, 2]
 

@@ -22,7 +22,7 @@ class Echo:
         return [v * 2 for v in values]
 
 
-def dynfarm_app(duplicates=3, **strategy_options):
+def dynfarm_app(duplicates=3):
     backend = ThreadBackend()
     app = ParallelApp(
         StackSpec(
@@ -30,7 +30,6 @@ def dynfarm_app(duplicates=3, **strategy_options):
             work="bump",
             splitter=WorkSplitter(duplicates=duplicates, combine=lambda rs: rs[0]),
             strategy="dynamic-farm",
-            strategy_options=strategy_options,
             backend=backend,
         )
     )
@@ -38,7 +37,7 @@ def dynfarm_app(duplicates=3, **strategy_options):
 
 
 class TestResidentPool:
-    def test_resident_pool_amortises_dispatcher_spawns(self):
+    def test_residents_amortise_dispatcher_spawns(self):
         backend, app = dynfarm_app(duplicates=3)
         with app:
             app.start()
@@ -53,19 +52,6 @@ class TestResidentPool:
             # activity) — zero dispatcher spawns on the hot path
             assert backend.spawned - warm == 4
             assert app.partition._pool.executed >= 3 * 5
-
-    def test_respawn_mode_spawns_dispatchers_per_call(self):
-        backend, app = dynfarm_app(duplicates=3, resident_pool=False)
-        with app:
-            app.start()
-            assert app.partition._pool is None
-            app.submit([1]).result(timeout=10)
-            warm = backend.spawned
-            for i in range(4):
-                assert app.submit([i]).result(timeout=10) == [i * 2]
-            # 1 submission activity + 3 fresh dispatchers per call: the
-            # cost the resident pool removes
-            assert backend.spawned - warm == 4 * (1 + 3)
 
     def test_pool_retires_on_undeploy(self):
         _, app = dynfarm_app(duplicates=2)

@@ -1,0 +1,70 @@
+"""Import direction of the per-call core: the dispatch ticket, its
+collector and the ticket-owner mixin are runtime types, defined in
+:mod:`repro.runtime.ticket`, and nothing in the layers below the
+skeletons — runtime, middlewares, fault plane — reaches up into
+:mod:`repro.parallel` to name them (or anything else).  With the ticket
+a known type, nobody duck-types it either."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import repro
+from repro.parallel import partition
+from repro.runtime import ticket
+
+SRC = Path(repro.__file__).resolve().parent
+LOWER_LAYERS = ("runtime", "middleware", "faults")
+CORE = ("DispatchContext", "ResultCollector", "DispatchContextOwner")
+
+
+def test_the_per_call_core_is_defined_in_runtime_ticket():
+    for name in CORE:
+        assert getattr(ticket, name).__module__ == "repro.runtime.ticket"
+        # ... and still answers to the name the skeletons always used
+        assert getattr(partition, name) is getattr(ticket, name)
+    definitions = [
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name in CORE
+    ]
+    assert definitions == ["runtime/ticket.py"] * len(CORE)
+
+
+def _imports(path: Path) -> list[str]:
+    """Every module a file imports, ``import`` and ``from`` forms both
+    (function-level and ``TYPE_CHECKING`` imports included)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"{path}: relative import"
+            found.append(node.module)
+            found.extend(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_lower_layers_do_not_import_the_skeletons():
+    upward = [
+        f"{path.relative_to(SRC).as_posix()} imports {module}"
+        for layer in LOWER_LAYERS
+        for path in sorted((SRC / layer).rglob("*.py"))
+        for module in _imports(path)
+        if module == "repro.parallel" or module.startswith("repro.parallel.")
+    ]
+    assert upward == []
+
+
+def test_nobody_duck_types_the_ticket():
+    guard = re.compile(r"hasattr\(\s*(context|ctx|ticket)\b")
+    guarded = [
+        f"{path.relative_to(SRC).as_posix()}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if guard.search(line)
+    ]
+    assert guarded == []
