@@ -67,7 +67,9 @@ stress-tenancy:
 
 ## out-of-process backend subset: worker lifecycle + crash fail-fast
 ## and the reply wait (death watch, deadline granularity, fd census),
-## the wire-format round-trips, the overlap/admission/deadline
+## the frames on the pipe (the reader's kept bytes, a frame cut short
+## by a death) and the hop's budget as counts, the wire-format
+## round-trips, the overlap/admission/deadline
 ## matrix on resident worker processes, the pipeline ride and the
 ## carried last piece.  CI wraps this in a hard
 ## timeout-minutes: a hang here means a pipe wait without a liveness
@@ -75,6 +77,8 @@ stress-tenancy:
 test-proc:
 	$(PYPATH) $(PY) -m pytest -q -p no:cacheprovider \
 		tests/runtime/test_procbackend.py \
+		tests/runtime/test_proc_framing.py \
+		tests/runtime/test_process_hop_budget.py \
 		tests/middleware/test_serialize_roundtrip.py \
 		tests/parallel/test_process_backend_matrix.py \
 		tests/parallel/test_pipeline_ride.py \

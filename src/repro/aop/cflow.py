@@ -95,15 +95,17 @@ def entered_joinpoint(jp: "JoinPoint") -> Iterator[None]:
         stack.pop()
 
 
-@contextmanager
-def entered_advice() -> Iterator[None]:
-    """Mark advice execution (for ``adviceexecution()`` pointcuts)."""
-    flow = _LOCAL.flow
-    flow.advice_depth += 1
-    try:
-        yield
-    finally:
-        flow.advice_depth -= 1
+class entered_advice:
+    """``with`` block marking advice execution (for ``adviceexecution()``
+    pointcuts).  Plain bumps, no generator: every hop opens one."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        _LOCAL.flow.advice_depth += 1
+
+    def __exit__(self, *exc: object) -> None:
+        _LOCAL.flow.advice_depth -= 1
 
 
 @contextmanager

@@ -34,37 +34,42 @@ class _NodeState(threading.local):
         self.dispatch_depth = 0
 
 
-_STATE = _NodeState()
+#: the calling thread's placement; ``ParallelAspect.passthrough`` reads
+#: ``dispatch_depth`` itself (:func:`in_server_dispatch` minus the call)
+STATE = _NodeState()
 
 
 def current_node() -> "Node | None":
     """The node the calling activity is placed on (``None`` = unplaced,
     treated as colocated/loopback by the network model)."""
-    return _STATE.node
+    return STATE.node
 
 
 @contextmanager
 def use_node(node: "Node | None") -> Iterator[None]:
     """Pin the calling thread/process to ``node`` within the block."""
-    previous = _STATE.node
-    _STATE.node = node
+    previous = STATE.node
+    STATE.node = node
     try:
         yield
     finally:
-        _STATE.node = previous
+        STATE.node = previous
 
 
 def in_server_dispatch() -> bool:
     """Is this activity executing a servant method on behalf of the
     middleware?"""
-    return _STATE.dispatch_depth > 0
+    return STATE.dispatch_depth > 0
 
 
-@contextmanager
-def server_dispatch() -> Iterator[None]:
-    """Mark servant execution (distribution aspects must not redirect)."""
-    _STATE.dispatch_depth += 1
-    try:
-        yield
-    finally:
-        _STATE.dispatch_depth -= 1
+class server_dispatch:
+    """``with`` block marking servant execution (distribution aspects
+    must not redirect).  Plain bumps, no generator: one per request."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        STATE.dispatch_depth += 1
+
+    def __exit__(self, *exc: object) -> None:
+        STATE.dispatch_depth -= 1

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from functools import partial
 from typing import Any
 
 from repro.aop.plan import piece_view
@@ -39,7 +40,7 @@ from repro.errors import MiddlewareError, RemoteError, ReplyDropped, WorkerCrash
 from repro.faults.schedule import fire_fault
 from repro.middleware.base import Middleware, RemoteRef
 from repro.middleware.serialize import ExportEnvelope, RequestEnvelope, Serializer
-from repro.runtime.dispatch import current_dispatch, dispatch_id
+from repro.runtime.dispatch import current_dispatch
 from repro.runtime.procbackend import ProcessBackend, ProcWorker
 
 __all__ = ["ProcMiddleware"]
@@ -106,29 +107,33 @@ class ProcMiddleware(Middleware):
             self.name,
             type(obj).__name__,
         )
+        self._servants[ref.object_id] = _Export(self._host(ref, obj), ref, obj)
+        if node is not None:
+            node.place(obj)
+        return ref
+
+    def _host(self, ref: RemoteRef, obj: Any) -> ProcWorker:
+        """A fresh worker process hosting ``obj`` behind ``ref``, its
+        export acknowledged; a failed one leaves no process behind."""
         # encode BEFORE forking: an unpicklable servant fails with no
         # worker process to clean up (nothing to leak)
         frame = self.serializer.encode(
-            ExportEnvelope(ref.object_id, obj, type(obj).__name__)
+            ExportEnvelope(ref.object_id, obj, ref.type_name)
         )
         worker = self.backend.new_worker()
         try:
             with worker.lock:  # recv's poll object is not re-entrant
                 worker.send(frame)
                 reply = self.serializer.decode(worker.recv())
+            if reply.outcome == "error":
+                raise MiddlewareError(
+                    f"exporting {ref.type_name} to worker process "
+                    f"{worker.name} failed: {reply.payload}"
+                )
         except BaseException:
             worker.stop()
             raise
-        if reply.outcome == "error":
-            worker.stop()
-            raise MiddlewareError(
-                f"exporting {type(obj).__name__} to worker process "
-                f"{worker.name} failed: {reply.payload}"
-            )
-        self._servants[ref.object_id] = _Export(worker, ref, obj)
-        if node is not None:
-            node.place(obj)
-        return ref
+        return worker
 
     def servant_of(self, ref: RemoteRef) -> Any:
         """The parent-side twin behind a ref (observability only: the
@@ -149,7 +154,7 @@ class ProcMiddleware(Middleware):
         kwargs: dict | None = None,
         oneway: bool = False,
     ) -> Any:
-        return self._call(ref, method, tuple(args), dict(kwargs or {}), oneway)
+        return self._round_trip(ref, method, tuple(args), dict(kwargs or {}), oneway)
 
     def invoke_batch(
         self, ref: RemoteRef, method: str, pieces: Any, oneway: bool = False
@@ -164,10 +169,10 @@ class ProcMiddleware(Middleware):
             for args, kwargs in map(piece_view, pieces)
         ]
         self.batched_calls += 1
-        results = self._call(ref, method, views, None, oneway, batch=True)
+        results = self._round_trip(ref, method, views, None, oneway, batch=True)
         return [None] * len(views) if oneway else list(results)
 
-    def _call(
+    def _round_trip(
         self,
         ref: RemoteRef,
         method: str,
@@ -177,37 +182,9 @@ class ProcMiddleware(Middleware):
         batch: bool = False,
     ) -> Any:
         """What both faces share: count the call, frame it (for a
-        ``batch``, ``args`` holds the pack's piece views), make the
-        round trip and turn an error reply into the client-side raise."""
-        export = self._require(ref)
-        self.calls += 1
-        if oneway:
-            self.oneway_calls += 1
-        envelope = RequestEnvelope(
-            next(self._call_ids),
-            ref.object_id,
-            method,
-            args,
-            kwargs,
-            oneway=oneway,
-            batch=batch,
-            context_id=dispatch_id(),
-        )
-        reply = self._round_trip(export, envelope)
-        if oneway:
-            return None
-        if reply.outcome == "error":
-            raise self._remote_error(ref, method, reply.payload, batch=batch)
-        return reply.payload
-
-    def _require(self, ref: RemoteRef) -> _Export:
-        export = self._servants.get(ref.object_id)
-        if export is None:
-            raise MiddlewareError(f"unknown ref {ref!r}")
-        return export
-
-    def _round_trip(self, export: _Export, envelope: RequestEnvelope) -> Any:
-        """One request/reply over the servant's worker pipe.
+        ``batch``, ``args`` holds the pack's piece views), make one
+        request/reply round trip over the servant's worker pipe and turn
+        an error reply into the client-side raise.
 
         The ambient dispatch ticket (this invoke runs on the caller's
         activity) is consulted before the send and during the reply
@@ -217,16 +194,25 @@ class ProcMiddleware(Middleware):
         the ambient call.  Stale frames from calls that abandoned their
         wait are recognised by ``call_id`` and dropped.
         """
+        export = self._servants.get(ref.object_id) or self._require(ref)  # raises
+        self.calls += 1
+        if oneway:
+            self.oneway_calls += 1
         context = current_dispatch()
-
-        def check() -> None:
-            if context is not None:
-                context.check_deadline("awaiting a process-backend reply")
-
+        call_id = next(self._call_ids)
+        check = deadline = context_id = None
         if context is not None:
+            context_id = context.context_id
+            deadline = context.deadline
+            check = partial(context.check_deadline, "awaiting a process-backend reply")
             context.attribute_remote()
-        check()  # don't ship work for a call that is already cancelled
-        frame = self.serializer.encode(envelope)  # names a culprit field
+            check()  # don't ship work for a call that is already cancelled
+        frame = self.serializer.encode(  # names a culprit field
+            RequestEnvelope(
+                call_id, ref.object_id, method, args, kwargs, oneway, batch,
+                context_id,
+            )
+        )
         worker = export.worker
         # the "proc" fault site: consulted once per round trip, indexed
         # by the resident worker.  kill_worker SIGKILLs the real process
@@ -240,31 +226,36 @@ class ProcMiddleware(Middleware):
                 worker.kill()
             elif event.kind == "delay_reply":
                 self.backend.sleep(event.delay)
-        deadline = context.deadline if context is not None else None
         try:
             # one round trip at a time per worker: the pipe is shared,
             # and the worker's poll object is not re-entrant
             with worker.lock:
                 worker.send(frame)
-                if envelope.oneway:
+                if oneway:
                     return None
                 while True:
-                    reply = self.serializer.decode(
-                        worker.recv(check=check, deadline=deadline)
-                    )
-                    if reply.call_id in (envelope.call_id, -1):
-                        if event is not None and event.kind == "drop_reply":
-                            raise ReplyDropped(
-                                f"injected reply drop on worker "
-                                f"{worker.name} (call {envelope.call_id})"
-                            )
-                        return reply
+                    reply = self.serializer.decode(worker.recv(check, deadline))
+                    if reply.call_id == call_id or reply.call_id == -1:
+                        break
                     # a previous caller's abandoned reply: discard
         except WorkerCrashed:
             self.worker_crashes += 1
             if self.respawn:
                 self._refill(export, worker)
             raise
+        if event is not None and event.kind == "drop_reply":
+            raise ReplyDropped(
+                f"injected reply drop on worker {worker.name} (call {call_id})"
+            )
+        if reply.outcome == "error":
+            raise self._remote_error(ref, method, reply.payload, batch=batch)
+        return reply.payload
+
+    def _require(self, ref: RemoteRef) -> _Export:
+        export = self._servants.get(ref.object_id)
+        if export is None:
+            raise MiddlewareError(f"unknown ref {ref!r}")
+        return export
 
     def _refill(self, export: _Export, dead: ProcWorker) -> None:
         """Replace a crashed servant worker: re-export the parent-side
@@ -282,28 +273,10 @@ class ProcMiddleware(Middleware):
             if export.worker is not dead:
                 return  # another caller already refilled this servant
             try:
-                frame = self.serializer.encode(
-                    ExportEnvelope(
-                        export.ref.object_id,
-                        export.local,
-                        export.ref.type_name,
-                    )
-                )
-                fresh = self.backend.new_worker()
-                try:
-                    with fresh.lock:  # recv's poll object is not re-entrant
-                        fresh.send(frame)
-                        reply = self.serializer.decode(fresh.recv())
-                    if reply.outcome == "error":
-                        fresh.stop()
-                        return  # leave the export dead; callers keep failing
-                except BaseException:
-                    fresh.stop()
-                    raise
-                export.worker = fresh
+                export.worker = self._host(export.ref, export.local)
                 self.worker_respawns += 1
-            except Exception:  # noqa: BLE001 - refill is best-effort
-                return
+            except Exception:  # noqa: BLE001 - best-effort: the export
+                pass  # stays dead and its callers keep failing
             finally:
                 dead.stop()  # reap the corpse (idempotent)
 

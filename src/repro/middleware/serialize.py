@@ -29,11 +29,12 @@ from __future__ import annotations
 import copy
 import pickle
 import traceback
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
 
-from repro.aop.cflow import bypassing_construction
+from repro.aop.cflow import bypassing_construction, flow_state
 from repro.errors import SerializationError
 
 __all__ = [
@@ -100,15 +101,18 @@ def loads(data: bytes) -> Any:
     materialise without re-running initialization advice (the servant
     copy must not re-trigger duplication or create-remote logic).
     """
+    flow = flow_state()
+    flow.construction_bypass += 1  # inline: once per frame received
     try:
-        with bypassing_construction():
-            return pickle.loads(data)
+        return pickle.loads(data)
     except SerializationError:
         raise
     except Exception as exc:  # noqa: BLE001
         raise SerializationError(
             f"cannot unpickle wire payload: {exc}"
         ) from exc
+    finally:
+        flow.construction_bypass -= 1
 
 
 class RequestEnvelope:
@@ -200,35 +204,45 @@ class ExportEnvelope:
         self.type_name = type_name or type(servant).__name__
 
 
+#: envelope class per wire kind, and per class the getter that reads its
+#: slots in declaration order — which is also its constructor's order
+_ENVELOPES = {c.kind: c for c in (RequestEnvelope, ReplyEnvelope, ExportEnvelope)}
+_FIELDS = {cls: attrgetter(*cls.__slots__) for cls in _ENVELOPES.values()}
+
+
 def encode_envelope(envelope: Any) -> bytes:
-    """Pickle an envelope, naming the offending field on failure.
+    """Pickle an envelope as the plain tuple ``(kind, *slots)`` (half the
+    cost of pickling the instance), naming the offending field on failure.
 
     A request whose argument cannot pickle (an open file, a lambda, a
     thread lock smuggled into a payload) must fail at the *send site*
     with an error that says which field is at fault — not crash the
     worker's decode loop and hang the caller on a reply.
     """
+    cls = type(envelope)
+    fields = _FIELDS[cls](envelope)
     try:
-        return pickle.dumps(envelope, protocol=_PROTOCOL)
+        return pickle.dumps((cls.kind, *fields), protocol=_PROTOCOL)
     except Exception as exc:  # noqa: BLE001 - re-raised with a culprit
-        for slot in getattr(type(envelope), "__slots__", ()):
-            value = getattr(envelope, slot, None)
+        for slot, value in zip(cls.__slots__, fields):
             try:
                 pickle.dumps(value, protocol=_PROTOCOL)
             except Exception:  # noqa: BLE001 - this slot is the culprit
                 raise SerializationError(
-                    f"{type(envelope).__name__}.{slot} cannot cross the "
+                    f"{cls.__name__}.{slot} cannot cross the "
                     f"process boundary: {type(value).__name__} is not "
                     f"picklable ({exc})"
                 ) from exc
         raise SerializationError(
-            f"cannot pickle {type(envelope).__name__} for transport: {exc}"
+            f"cannot pickle {cls.__name__} for transport: {exc}"
         ) from exc
 
 
 def decode_envelope(data: bytes) -> Any:
-    """Materialise a wire frame (construction bypass, see :func:`loads`)."""
-    return loads(data)
+    """Materialise a wire frame: rebuild the envelope its ``(kind,
+    *slots)`` tuple names (construction bypass, see :func:`loads`)."""
+    kind, *fields = loads(data)
+    return _ENVELOPES[kind](*fields)
 
 
 def exception_payload(exc: BaseException) -> BaseException:
@@ -295,10 +309,8 @@ class Serializer:
         self.bytes_out += _HEADER_BYTES + len(data)
         return data
 
-    def decode(self, data: bytes) -> Any:
-        """Materialise a received wire frame (not counted: accounting
-        charges the sender, matching :meth:`pack`)."""
-        return decode_envelope(data)
+    #: materialise a received frame (uncounted: :meth:`pack` bills the sender)
+    decode = staticmethod(decode_envelope)
 
     def clone(self, payload: Any) -> Any:
         """Standalone deep copy with woven-class safety (used to build

@@ -43,7 +43,9 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import os
 import select
+import signal
 import threading
 from typing import Any, Callable
 
@@ -51,11 +53,59 @@ from repro.api.registry import register_backend
 from repro.errors import BackendError, WorkerCrashed
 from repro.runtime.threads import ThreadBackend
 
-__all__ = ["ProcessBackend", "ProcWorker", "STOP_FRAME"]
+__all__ = ["ProcessBackend", "ProcWorker", "FrameReader", "write_frame", "STOP_FRAME"]
 
 #: raw stop frame — recognised by the worker loop BEFORE unpickling, so
 #: shutdown never depends on a healthy codec
 STOP_FRAME = b"__repro_proc_stop__"
+
+
+def write_frame(fd: int, body: bytes) -> None:
+    """Ship ``body`` as one frame — one ``os.write``, more only after a
+    short one; a body over 16 KB follows its prefix instead of being
+    copied behind it."""
+    prefix = len(body).to_bytes(4, "big")
+    for part in (prefix + body,) if len(body) <= 16384 else (prefix, body):
+        sent = os.write(fd, part)
+        while sent < len(part):
+            sent += os.write(fd, memoryview(part)[sent:])
+
+
+class FrameReader:
+    """Reads :func:`write_frame`'s frames off ``fd``.  One read may bring
+    more than a frame (an abandoned call's late reply right ahead of the
+    awaited one): the bytes beyond it wait in ``pending`` for the next."""
+
+    __slots__ = ("fd", "pending")
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self.pending = bytearray()  # read, not yet handed out
+
+    def take(self) -> bytes | None:
+        """The next frame if ``pending`` holds all of it (no fd touched)."""
+        pending = self.pending
+        if len(pending) >= 4:
+            end = 4 + int.from_bytes(pending[:4], "big")
+            if len(pending) >= end:
+                with memoryview(pending) as view:  # one copy, not two
+                    frame = bytes(view[4:end])
+                del pending[:end]
+                return frame
+        return None
+
+    def read(self) -> bytes | None:
+        """One ``os.read`` (blocking on an empty pipe), then :meth:`take`.
+        ``EOFError`` once the peer is gone, mid-frame included."""
+        pending = self.pending
+        want = 16384  # small frames whole; 64 KB a read was +3 MB of parent RSS
+        if len(pending) >= 4:  # the rest of a large frame in one read
+            want = max(want, 4 + int.from_bytes(pending[:4], "big") - len(pending))
+        chunk = os.read(self.fd, want)
+        if not chunk:
+            raise EOFError("pipe closed by the peer")
+        pending += chunk
+        return self.take()
 
 
 def _start_method() -> str:
@@ -75,7 +125,13 @@ def _worker_main(conn: Any) -> None:
     discarded by the parent instead of desynchronising the stream.
     Imports are deferred: the parent-side import graph stays acyclic
     and a spawn-started child pays them once here.
+
+    ``SIGINT`` is ignored: Ctrl-C reaches the whole foreground process
+    group, and teardown is the parent's (stop frame, then ``terminate``;
+    a vanished parent is EOF on the pipe).
     """
+    if threading.current_thread() is threading.main_thread():  # not a test's thread
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
     from repro.aop.plan import MethodTable
     from repro.errors import MiddlewareError, SerializationError
     from repro.middleware.base import perform_request
@@ -87,10 +143,14 @@ def _worker_main(conn: Any) -> None:
         exception_payload,
     )
 
-    servants: dict[int, tuple[Any, MethodTable]] = {}
+    servants: dict[int, tuple[MethodTable, Any]] = {}
+    fd = conn.fileno()
+    reader = FrameReader(fd)
     while True:
         try:
-            data = conn.recv_bytes()
+            data = reader.take() if reader.pending else None
+            while data is None:
+                data = reader.read()
         except (EOFError, OSError):
             return  # the parent is gone: nothing left to serve
         if data == STOP_FRAME:
@@ -100,24 +160,19 @@ def _worker_main(conn: Any) -> None:
         except Exception as exc:  # noqa: BLE001 - reported, loop survives
             # call_id -1: "whatever you were waiting for" — the parent
             # treats it as the pending call's (fatal) reply
-            conn.send_bytes(
-                encode_envelope(
-                    ReplyEnvelope(-1, "error", exception_payload(exc))
-                )
-            )
+            reply = ReplyEnvelope(-1, "error", exception_payload(exc))
+            write_frame(fd, encode_envelope(reply))
             continue
         if isinstance(envelope, ExportEnvelope):
             try:
                 servants[envelope.object_id] = (
-                    envelope.servant,
                     MethodTable(type(envelope.servant)),
+                    envelope.servant,
                 )
                 outcome: tuple[str, Any] = ("ok", envelope.object_id)
             except Exception as exc:  # noqa: BLE001 - export ack carries it
                 outcome = ("error", exception_payload(exc))
-            conn.send_bytes(
-                encode_envelope(ReplyEnvelope(0, outcome[0], outcome[1]))
-            )
+            write_frame(fd, encode_envelope(ReplyEnvelope(0, *outcome)))
             continue
         entry = servants.get(envelope.object_id)
         if entry is None:
@@ -128,39 +183,22 @@ def _worker_main(conn: Any) -> None:
                 ),
             )
         else:
-            obj, table = entry
             outcome = perform_request(
-                table,
-                obj,
-                envelope.method,
-                envelope.args,
-                envelope.kwargs,
-                batch=envelope.batch,
+                *entry, envelope.method, envelope.args, envelope.kwargs, envelope.batch
             )
         if envelope.oneway:
             continue  # fire-and-forget: executed, no reply frame
         if outcome[0] == "error":
             outcome = ("error", exception_payload(outcome[1]))
-        reply = ReplyEnvelope(
-            envelope.call_id,
-            outcome[0],
-            outcome[1],
-            context_id=envelope.context_id,
-        )
+        reply = ReplyEnvelope(envelope.call_id, *outcome, envelope.context_id)
         try:
             frame = encode_envelope(reply)
         except SerializationError as exc:
             # an unpicklable RESULT degrades to a targeted error reply —
             # the caller gets a SerializationError, never a hang
-            frame = encode_envelope(
-                ReplyEnvelope(
-                    envelope.call_id,
-                    "error",
-                    exception_payload(exc),
-                    context_id=envelope.context_id,
-                )
-            )
-        conn.send_bytes(frame)
+            reply.outcome, reply.payload = "error", exception_payload(exc)
+            frame = encode_envelope(reply)
+        write_frame(fd, frame)
 
 
 class ProcWorker:
@@ -198,9 +236,9 @@ class ProcWorker:
         #: the worker's OS pid, and its exit code once reaped
         self.pid: int | None = self.process.pid
         self.exitcode: int | None = None
-        self._pipe_fd = self.conn.fileno()
+        self._reader = FrameReader(self.conn.fileno())
         self._poll = select.poll()  # poll(2): owns no fd of its own
-        self._poll.register(self._pipe_fd, select.POLLIN)
+        self._poll.register(self._reader.fd, select.POLLIN)
         self._poll.register(self.process.sentinel, select.POLLIN)
         self._stopped = False
 
@@ -216,7 +254,7 @@ class ProcWorker:
         (or a sentinel wake-up in the :meth:`recv` that follows), so
         :class:`~repro.errors.WorkerCrashed`, never a hang."""
         try:
-            self.conn.send_bytes(data)
+            write_frame(self._reader.fd, data)
         except OSError as exc:
             raise WorkerCrashed(
                 self._obituary(f"during a send ({exc})")
@@ -235,26 +273,33 @@ class ProcWorker:
         its remaining budget — ``check`` raises at the deadline, not a
         poll interval after it.
         """
-        while True:
+        reader = self._reader
+        # kept bytes first: a stale reply and the awaited one can arrive
+        # in one read, and poll knows nothing of them
+        frame = reader.take() if reader.pending else None
+        while frame is None:
             quantum = self.POLL_INTERVAL
             if deadline is not None:
                 quantum = min(quantum, deadline.remaining())
             # poll rounds up to a whole millisecond, so a wait the
             # deadline cut short ends with the deadline passed
             ready = self._poll.poll(quantum * 1000.0)
+            if not ready:
+                if check is not None:
+                    check()
+                continue
             try:
-                # the pipe first, whatever else fired: a reply that
-                # raced the worker's death still drains
-                if any(fd == self._pipe_fd for fd, _ in ready):
-                    return self.conn.recv_bytes()
+                if len(ready) == 1 and ready[0][0] != reader.fd:
+                    raise EOFError  # the sentinel alone: dead, nothing to read
+                # the pipe, whatever else fired: a reply that raced the
+                # worker's death still drains; a frame still short goes
+                # back to the poll, the same death watch and deadline
+                frame = reader.read()
             except (EOFError, OSError) as exc:
                 raise WorkerCrashed(
                     self._obituary("awaiting its reply")
                 ) from exc
-            if ready:  # the sentinel alone: dead, nothing left to read
-                raise WorkerCrashed(self._obituary("awaiting its reply"))
-            if check is not None:
-                check()
+        return frame
 
     def _obituary(self, when: str) -> str:
         self._reap(0.2)
@@ -287,7 +332,7 @@ class ProcWorker:
             return
         self._stopped = True
         try:
-            self.conn.send_bytes(STOP_FRAME)
+            write_frame(self._reader.fd, STOP_FRAME)
         except OSError:
             pass  # already dead or dying; the join/terminate settles it
         self._reap(timeout)
@@ -295,6 +340,8 @@ class ProcWorker:
             self.process.terminate()
             self._reap(timeout)
         self.conn.close()
+        # a late send/recv gets EBADF, not the fd number's next owner
+        self._reader.fd = -1
         if self.exitcode is not None:  # reaped: the handle can go too
             self.process.close()
 

@@ -174,6 +174,22 @@ class ResultCollector:
         return len(self._items)
 
 
+class _Span:
+    """``with`` block of :meth:`DispatchContext.span`: stamps the end."""
+
+    __slots__ = ("_entry", "_clock")
+
+    def __init__(self, entry: dict, clock: Callable[[], float]):
+        self._entry = entry
+        self._clock = clock
+
+    def __enter__(self) -> dict:
+        return self._entry
+
+    def __exit__(self, *exc: object) -> None:
+        self._entry["end"] = self._clock()
+
+
 class DispatchContext:
     """Per-call dispatch ticket: everything ONE in-flight split owns.
 
@@ -403,17 +419,13 @@ class DispatchContext:
         if self.deadline is not None and self.deadline.expired:
             raise self.expire(where)
 
-    @contextmanager
-    def span(self, name: str) -> Iterator[dict]:
+    def span(self, name: str) -> "_Span":
         """Record one timed span of the call's timeline (split, piece
         dispatch, merge...) on the backend's clock."""
         entry = {"name": name, "start": self._clock(), "end": None}
         with self._lock:
             self.spans.append(entry)
-        try:
-            yield entry
-        finally:
-            entry["end"] = self._clock()
+        return _Span(entry, self._clock)
 
     def mark(self, name: str) -> None:
         """Record one point event (a forwarding hop, an exchange phase)

@@ -200,6 +200,17 @@ class TestSerializerAccounting:
 
     def test_protocol_is_binary_stable(self):
         # frames produced here must be consumable by a forked child
-        # running the same interpreter: plain pickle bytes, no wrapper
-        frame = encode_envelope(ReplyEnvelope(1, "ok", [1, 2]))
-        assert pickle.loads(frame).payload == [1, 2]
+        # running the same interpreter: plain pickle bytes, no wrapper,
+        # of a plain tuple — the envelope's kind, then its slots in
+        # declaration order (no class instance crosses the pipe)
+        frame = encode_envelope(ReplyEnvelope(1, "ok", [1, 2], context_id=9))
+        assert pickle.loads(frame) == ("reply", 1, "ok", [1, 2], 9)
+        assert decode_envelope(frame).payload == [1, 2]
+        request = RequestEnvelope(7, 3, "work", (1,), {"k": 2}, batch=True)
+        wire = pickle.loads(encode_envelope(request))
+        assert type(wire) is tuple and wire[0] == RequestEnvelope.kind
+        assert wire[1:] == tuple(
+            getattr(request, slot) for slot in RequestEnvelope.__slots__
+        )
+        export = pickle.loads(encode_envelope(ExportEnvelope(11, [4], "list")))
+        assert export == ("export", 11, [4], "list")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.api import ParallelApp, StackSpec
 from repro.api.registry import BACKENDS
+from repro.apps.wordcount import wordcount_spec
 from repro.errors import (
     BackendError,
     DeadlineExceeded,
@@ -323,6 +325,43 @@ class TestWorkerCrash:
         worker.stop()
         worker.stop()  # second stop is a no-op
         assert not worker.alive
+
+
+class TestWorkersIgnoreSigint:
+    def test_sigint_leaves_workers_to_the_parents_teardown(self):
+        """Ctrl-C reaches the whole foreground process group: a worker
+        that took it died with a KeyboardInterrupt traceback before the
+        parent's ``__exit__`` could stop it in order, and the servant's
+        next call was a broken pipe."""
+        middleware = ProcMiddleware(respawn=False)
+        try:
+            ref = middleware.export(Doubler())
+            worker = middleware.worker_of(ref)
+            assert middleware.invoke(ref, "bump", ([1],)) == [2]
+            os.kill(worker.pid, signal.SIGINT)  # parked in its pipe read
+            assert not wait_until(lambda: not worker.alive, timeout=0.3)
+            assert middleware.invoke(ref, "bump", ([2],)) == [4]
+            assert middleware.worker_crashes == 0
+        finally:
+            middleware.shutdown()
+        assert not worker.alive and worker.exitcode == 0  # the stop frame
+        assert wait_until(lambda: not multiprocessing.active_children())
+
+    def test_deployed_word_counter_survives_sigint(self):
+        docs = ["the quick brown fox", "jumps over the lazy dog"] * 2
+        app = ParallelApp(wordcount_spec(batches=2, backend="process"))
+        with app:
+            app.start()
+            expected = app.submit(docs).result(timeout=10)
+            workers = list(app.backend.workers)
+            for worker in workers:
+                os.kill(worker.pid, signal.SIGINT)
+            assert not wait_until(
+                lambda: not all(w.alive for w in workers), timeout=0.3
+            )
+            assert app.submit(docs).result(timeout=10) == expected
+        assert wait_until(lambda: app.backend.live_workers == 0)
+        assert wait_until(lambda: not multiprocessing.active_children())
 
 
 class Sleeper:

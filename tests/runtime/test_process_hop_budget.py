@@ -1,0 +1,207 @@
+"""The process hop's budget, as counts instead of timings.
+
+100 sequential submits of the 2-batch word counter on the process
+backend — six request/reply round trips per op over resident workers'
+pipes — counted in the parent, and one resident worker's serving loop
+counted on a thread.  Counts repeat where timings do not, so this runs
+in tier-1 on every lane; the numbers are printed (``pytest -s``) so the
+next diet of the hop has its baseline.
+
+* Python-level ``call`` events per op, over every parent thread;
+* ``contextlib._GeneratorContextManager`` objects built per op — only
+  the ticket's ``dispatch_scope`` is still a generator;
+* ``os.read`` calls per frame received and ``os.write`` calls per frame
+  sent on the worker pipes — one each: these frames are under 1 KB;
+* in the worker: no generator scope and no ``multiprocessing.connection``
+  frame per request served.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import multiprocessing
+import os
+import sys
+import threading
+import time
+
+from repro.api import ParallelApp
+from repro.apps.wordcount import wordcount_spec
+from repro.middleware.serialize import (
+    ExportEnvelope,
+    RequestEnvelope,
+    decode_envelope,
+    encode_envelope,
+)
+from repro.runtime.procbackend import (
+    STOP_FRAME,
+    FrameReader,
+    _worker_main,
+    write_frame,
+)
+from repro.runtime.threads import CARRIER_LIFETIME
+
+OPS = 100
+ROUND_TRIPS_PER_OP = 6  # 2 batches through 3 stages
+#: what the hop measures is 542 per op on CPython 3.11, the same on
+#: every run (the path before it read 716 counted this way, with 14
+#: generator scopes per op and every frame through
+#: multiprocessing.Connection)
+CALLS_PER_OP_CEILING = 560
+GENERATOR_SCOPES_PER_OP_CEILING = 1
+
+DOCUMENTS = [
+    "the quick brown fox jumps over the lazy dog",
+    "Foxes don't mix with dogs in the afternoon sun",
+    "water flows under the old stone bridge near the river bank",
+    "a very loud barking hound runs away from the quick fox",
+] * 2
+
+
+class Echo:
+    def echo(self, value):
+        return value
+
+
+def _count_generator_scopes(monkeypatch, built: list) -> None:
+    """Append the building thread's ident to ``built`` per scope."""
+    generator_cm_init = contextlib._GeneratorContextManager.__init__
+
+    def counting_init(self, func, args, kwds):
+        built.append(threading.get_ident())
+        generator_cm_init(self, func, args, kwds)
+
+    monkeypatch.setattr(
+        contextlib._GeneratorContextManager, "__init__", counting_init
+    )
+
+
+def test_parent_side_hop_budget(monkeypatch):
+    app = ParallelApp(wordcount_spec(batches=2, backend="process"))
+    scopes_built: list = []
+    reads, writes = [0], [0]
+    calls = [0]
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    with app:
+        app.start()
+        for _ in range(20):  # warm: plans compiled, carriers parked
+            expected = app.submit(DOCUMENTS).result(timeout=10)
+        assert sum(expected.values()) > 0
+        pipe_fds = {w.conn.fileno() for w in app.backend.workers}
+        os_read, os_write = os.read, os.write
+
+        def counting_read(fd, size):
+            reads[0] += fd in pipe_fds
+            return os_read(fd, size)
+
+        def counting_write(fd, data):
+            writes[0] += fd in pipe_fds
+            return os_write(fd, data)
+
+        _count_generator_scopes(monkeypatch, scopes_built)
+        monkeypatch.setattr(os, "read", counting_read)
+        monkeypatch.setattr(os, "write", counting_write)
+        round_trips_before = app.middleware.calls
+        results = [
+            app.submit(DOCUMENTS).result(timeout=10) for _ in range(OPS)
+        ]
+        round_trips = app.middleware.calls - round_trips_before
+        monkeypatch.undo()
+        # the profile hooks slow every call, so they get a pass of their
+        # own: the counts above are taken at full speed.  A thread takes
+        # its hook when it starts, so let the parked carriers retire
+        time.sleep(3 * CARRIER_LIFETIME)
+        threading.setprofile(profiler)
+        sys.setprofile(profiler)
+        try:
+            results += [
+                app.submit(DOCUMENTS).result(timeout=10) for _ in range(OPS)
+            ]
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+    assert all(result == expected for result in results)
+    assert app.in_flight == 0
+
+    print(
+        f"\nprocess hop budget, per op over {OPS} ops: "
+        f"python calls {calls[0] / OPS:.0f}, "
+        f"generator scopes {len(scopes_built) / OPS:.2f}, "
+        f"os.read per frame received {reads[0] / round_trips:.2f}, "
+        f"os.write per frame sent {writes[0] / round_trips:.2f}"
+    )
+    assert round_trips == ROUND_TRIPS_PER_OP * OPS
+    assert reads[0] == round_trips
+    assert writes[0] == round_trips
+    assert len(scopes_built) <= GENERATOR_SCOPES_PER_OP_CEILING * OPS
+    assert calls[0] / OPS <= CALLS_PER_OP_CEILING
+
+
+def test_worker_side_hop_budget(monkeypatch):
+    """The serving loop of a resident worker, hosted on a thread so the
+    same hooks can see it: per request served it builds no generator
+    scope and runs no ``multiprocessing.connection`` frame."""
+    parent_conn, child_conn = multiprocessing.Pipe()
+    scopes_built: list = []
+    connection_calls: list = []
+    calls = [0]
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+            filename = frame.f_code.co_filename
+            if filename.endswith(os.path.join("multiprocessing", "connection.py")):
+                connection_calls.append(frame.f_code.co_name)
+
+    threading.setprofile(profiler)
+    try:
+        worker = threading.Thread(target=_worker_main, args=(child_conn,))
+        worker.start()
+    finally:
+        threading.setprofile(None)
+    fd = parent_conn.fileno()
+    reader = FrameReader(fd)
+
+    def reply():
+        frame = reader.take() if reader.pending else None
+        while frame is None:
+            frame = reader.read()
+        return decode_envelope(frame)
+
+    try:
+        write_frame(fd, encode_envelope(ExportEnvelope(1, Echo(), "Echo")))
+        assert reply().outcome == "ok"
+        for call_id in range(1, 11):  # warm: the method table's plans
+            write_frame(
+                fd, encode_envelope(RequestEnvelope(call_id, 1, "echo", ([call_id],), {}))
+            )
+            assert reply().payload == [call_id]
+        _count_generator_scopes(monkeypatch, scopes_built)
+        calls[0] = 0
+        del connection_calls[:]
+        for call_id in range(11, 11 + OPS):
+            write_frame(
+                fd, encode_envelope(RequestEnvelope(call_id, 1, "echo", ([call_id],), {}))
+            )
+            answer = reply()
+            assert (answer.call_id, answer.payload) == (call_id, [call_id])
+        served_calls = calls[0]
+    finally:
+        write_frame(fd, STOP_FRAME)
+        worker.join(timeout=10)
+        parent_conn.close()
+        child_conn.close()
+    assert not worker.is_alive()
+
+    print(
+        f"\nprocess hop budget, worker side, per request over {OPS}: "
+        f"python calls {served_calls / OPS:.0f}, "
+        f"generator scopes {scopes_built.count(worker.ident) / OPS:.2f}, "
+        f"multiprocessing.connection frames {len(connection_calls) / OPS:.2f}"
+    )
+    assert scopes_built.count(worker.ident) == 0
+    assert connection_calls == []
