@@ -5,7 +5,7 @@
 PY ?= python
 PYPATH := PYTHONPATH=src
 
-.PHONY: test stress stress-faults stress-tenancy test-proc test-asyncio bench-smoke bench-check bench-dispatch bench-proc bench-e2e-smoke lint examples
+.PHONY: test stress stress-faults stress-tenancy test-proc test-asyncio bench-smoke bench-check bench-dispatch bench-proc bench-e2e-smoke reproduce lint loc examples
 
 ## tier-1 test suite (the driver's acceptance gate)
 test:
@@ -52,15 +52,18 @@ stress-faults:
 			-k "FaultMatrix" || exit 1; \
 	done
 
-## tenancy/traffic stress: rerun the cluster-scheduler suites (stride
-## hand-offs race real threads), the sim fairness scenarios, and the
-## traffic determinism tests 5x with the cache disabled.  CI wraps this
-## in a hard timeout-minutes so a lost hand-off wakeup (a hang, not a
-## failure) fails the job fast.
+## tenancy/traffic stress: rerun the slot table's policy-case table
+## (one table, run against the deployment's controller and the cluster
+## scheduler; its block rows park real threads), the cluster-scheduler
+## suites (stride hand-offs race real threads), the sim fairness
+## scenarios, and the traffic determinism tests 5x with the cache
+## disabled.  CI wraps this in a hard timeout-minutes so a lost hand-off
+## wakeup (a hang, not a failure) fails the job fast.
 stress-tenancy:
 	@for i in 1 2 3 4 5; do \
 		echo "--- tenancy stress round $$i/5 ---"; \
 		$(PYPATH) $(PY) -m pytest -q -p no:cacheprovider \
+			tests/runtime/test_admission.py \
 			tests/tenancy tests/traffic \
 			tests/faults/test_shed_retry.py || exit 1; \
 	done
@@ -138,6 +141,18 @@ bench-dispatch:
 	$(PYPATH) $(PY) -m pytest benchmarks/bench_aop_dispatch.py -q \
 		--benchmark-sort=name
 
+## the paper's own figures, at the DEFAULT (paper-scale) knobs: Fig. 16
+## (overhead), Fig. 17 and Table 1 (module combinations), each with its
+## shape assertions, on the simulator (~2 min).  --benchmark-disable
+## keeps benchmarks/BENCH_dispatch.json untouched.  The bench-smoke
+## knobs are NOT an option here: they fail the Fig. 16 and Fig. 17 shape
+## checks (benchmarks/README.md).
+reproduce:
+	$(PYPATH) $(PY) -m pytest --benchmark-disable \
+		benchmarks/bench_fig16_overhead.py \
+		benchmarks/bench_fig17_combinations.py \
+		benchmarks/bench_table1_combinations.py
+
 ## end-to-end benchmark smoke: all four workloads of benchmarks/e2e on
 ## the real thread/process/asyncio backends, traced and untraced, on
 ## tiny op counts (~15 s).  Checks that every metric BENCHMARK.json
@@ -167,3 +182,8 @@ lint:
 	$(PY) -m compileall -q src tests benchmarks examples tools
 	@echo "lint ok (compileall)"
 	$(PY) tools/lint_docstrings.py
+
+## lines of Python under src/ — the number every PR states with its
+## +/- counts (ROADMAP item 6: it should go down)
+loc:
+	@find src -name '*.py' | xargs cat | wc -l

@@ -47,7 +47,6 @@ _EXPORTS = {
     "register_backend": "repro.api.registry",
     "StackSpec": "repro.api.spec",
     "ParallelApp": "repro.api.app",
-    "AppBuilder": "repro.api.app",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -56,7 +56,7 @@ from repro.runtime.futures import Future, FutureGroup
 from repro.runtime.simbackend import SimBackend
 from repro.sim import current_process
 
-__all__ = ["ParallelApp", "AppBuilder"]
+__all__ = ["ParallelApp"]
 
 
 class ParallelApp:
@@ -150,7 +150,7 @@ class ParallelApp:
             name=self.composition.name,
         )
         #: the cluster-level tenant plane (spec.tenant/spec.scheduler):
-        #: when installed, every submission unit acquires a TenantGrant
+        #: when installed, every submission unit acquires a cluster slot
         #: before its admission slot; the tenant must already be
         #: registered, so typos fail at construction time
         self.scheduler = spec.scheduler
@@ -372,12 +372,12 @@ class ParallelApp:
         return Deadline(budget, clock=self.backend.now)
 
     def _admit(self, deadline: Deadline | None, name: str) -> Any:
-        """Acquire the call's capacity: the cluster-level tenant grant
-        first (when a scheduler is installed — quotas, fairness and the
+        """Acquire the call's capacity: the cluster-level slot first
+        (when a scheduler is installed — quotas, fairness and the
         tenant's own overflow policy apply there), then the
-        deployment's admission slot.  The grant rides the slot and is
-        released with it; a deployment-level rejection refunds the
-        grant before propagating, so cluster capacity never leaks."""
+        deployment's admission slot.  The cluster slot rides it and is
+        released with it; a deployment-level rejection refunds it
+        before propagating, so cluster capacity never leaks."""
         grant = None
         if self.scheduler is not None:
             grant = self.scheduler.acquire(
@@ -393,7 +393,7 @@ class ParallelApp:
             raise
         if grant is not None:
             slot.grant = grant
-            grant.attach_slot(slot)
+            grant.attach(slot)
         return slot
 
     def submit(
@@ -689,124 +689,5 @@ class ParallelApp:
         """Synchronous convenience: ``submit(...).result()``."""
         return self.submit(*args, **kwargs).result()
 
-    # -- fluent construction --------------------------------------------------
-
-    @classmethod
-    def of(cls, target: type) -> "AppBuilder":
-        """Start a fluent builder: ``ParallelApp.of(X).work("f").build()``."""
-        return AppBuilder(target)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ParallelApp {self.composition.name} target={self.spec.target.__name__}>"
-
-
-class AppBuilder:
-    """Fluent accumulator producing a validated :class:`ParallelApp`.
-
-    Every setter returns the builder; :meth:`build` validates the
-    accumulated spec eagerly and assembles the app::
-
-        app = (ParallelApp.of(MandelbrotRenderer)
-               .work("render")
-               .splitter(mandelbrot_splitter(4, 12))
-               .strategy("farm")
-               .backend("thread")
-               .build())
-    """
-
-    def __init__(self, target: type):
-        self._fields: dict[str, Any] = {"target": target}
-
-    def _set(self, **values: Any) -> "AppBuilder":
-        self._fields.update(values)
-        return self
-
-    def work(self, pointcut: str, method: str | None = None) -> "AppBuilder":
-        """Name the work joinpoints (bare method name or pointcut)."""
-        return self._set(work=pointcut, work_method=method)
-
-    def creation(self, pointcut: str) -> "AppBuilder":
-        """Name the construction joinpoint to duplicate."""
-        return self._set(creation=pointcut)
-
-    def splitter(self, splitter: Any) -> "AppBuilder":
-        """Attach the application-supplied WorkSplitter."""
-        return self._set(splitter=splitter)
-
-    def strategy(self, name: str, **options: Any) -> "AppBuilder":
-        """Choose the partition strategy (plus builder options)."""
-        return self._set(strategy=name, strategy_options=options)
-
-    def concurrency(self, enabled: bool = True) -> "AppBuilder":
-        """Toggle the asynchronous-invocation module."""
-        return self._set(concurrency=enabled)
-
-    def middleware(self, name: str, cluster: Any = None, **options: Any) -> "AppBuilder":
-        """Choose the distribution middleware (plus its cluster)."""
-        values: dict[str, Any] = {"middleware": name, "middleware_options": options}
-        if cluster is not None:
-            values["cluster"] = cluster
-        return self._set(**values)
-
-    def cluster(self, cluster: Any) -> "AppBuilder":
-        """Attach the simulated cluster."""
-        return self._set(cluster=cluster)
-
-    def placement(self, policy: Any) -> "AppBuilder":
-        """Choose the servant placement policy."""
-        return self._set(placement=policy)
-
-    def backend(self, backend: Any) -> "AppBuilder":
-        """Choose the execution backend (registry name or instance)."""
-        return self._set(backend=backend)
-
-    def oneway(self, *methods: str) -> "AppBuilder":
-        """Declare fire-and-forget methods."""
-        return self._set(oneway=tuple(methods))
-
-    def cost(self, aspect: Any) -> "AppBuilder":
-        """Attach a cost-instrumentation aspect (simulated runs)."""
-        return self._set(cost=aspect)
-
-    def optimise(self, *extras: Any) -> "AppBuilder":
-        """Plug optimisation modules/aspects (innermost, in order)."""
-        existing = self._fields.get("optimisations", ())
-        return self._set(optimisations=tuple(existing) + extras)
-
-    def admission(
-        self, max_in_flight: int, overflow: str = "block"
-    ) -> "AppBuilder":
-        """Bound in-flight submissions and pick the overflow policy."""
-        return self._set(max_in_flight=max_in_flight, overflow=overflow)
-
-    def timeout(self, seconds: float) -> "AppBuilder":
-        """Set the spec-level default per-call deadline."""
-        return self._set(timeout=seconds)
-
-    def retry(self, policy: Any) -> "AppBuilder":
-        """Attach the per-call piece retry policy (a RetryPolicy)."""
-        return self._set(retry=policy)
-
-    def tenant(self, name: str, scheduler: Any) -> "AppBuilder":
-        """Submit as ``name`` through a shared ClusterScheduler."""
-        return self._set(tenant=name, scheduler=scheduler)
-
-    def faults(self, schedule: Any) -> "AppBuilder":
-        """Install a fault-injection schedule for the deployment (tests)."""
-        return self._set(faults=schedule)
-
-    def named(self, name: str) -> "AppBuilder":
-        """Set the composition's display name."""
-        return self._set(name=name)
-
-    def weaver(self, weaver: Any) -> "AppBuilder":
-        """Use a non-default weaver (isolated tests)."""
-        return self._set(weaver=weaver)
-
-    def spec(self) -> StackSpec:
-        """The accumulated (validated) StackSpec."""
-        return StackSpec(**self._fields).validate()
-
-    def build(self) -> ParallelApp:
-        """Validate eagerly and assemble the ParallelApp."""
-        return ParallelApp(self.spec())

@@ -142,8 +142,8 @@ class StackSpec:
     #: lifetime — a TEST knob, never set in production specs
     faults: Any = None
     #: tenant name this deployment submits as — requires ``scheduler``;
-    #: every submit/map unit then acquires a cluster-level
-    #: :class:`~repro.tenancy.TenantGrant` before its admission slot
+    #: every submit/map unit then acquires a slot of the cluster's
+    #: table before its own admission slot
     tenant: str | None = None
     #: the shared :class:`~repro.tenancy.ClusterScheduler` (one instance
     #: across the deployments it arbitrates) — requires ``tenant``

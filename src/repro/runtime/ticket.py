@@ -544,6 +544,9 @@ class DispatchContextOwner:
         ctx = DispatchContext(name, expected=expected, backend=backend)
         envelope = current_envelope()
         if envelope is not None and envelope.ticket_id is None:
+            envelope.ticket_id = ctx.context_id
+            ctx.adopt_deadline(envelope.deadline)
+            ctx.adopt_retry(envelope.retry)
             envelope.attach(ctx)
         with self._dispatch_lock:
             self.contexts[ctx.context_id] = ctx

@@ -1,22 +1,22 @@
 """Multi-tenant cluster scheduling above per-deployment admission.
 
-PR 5's :class:`~repro.runtime.admission.AdmissionController` bounds one
-deployment.  This package adds the layer the ROADMAP names next: a
-cluster-wide slot table shared by *many* deployments, carved into
-per-tenant quotas (reserved + burst), with integer priorities, a
-weighted-fair queue for blocked submitters (stride scheduling —
-starvation-free by construction), per-tenant overflow policies composed
-from the existing block/fail/shed-oldest primitives, and placement
-feedback driven by :func:`repro.cluster.metrics.snapshot` so hot
-tenants spread across machines.
+:class:`~repro.runtime.admission.AdmissionController` bounds one
+deployment: a :class:`~repro.runtime.admission.SlotTable` with one
+tenant.  This package is the same table shared by *many* deployments,
+carved into per-tenant quotas (reserved + burst), with integer
+priorities, a weighted-fair queue for blocked submitters (stride
+scheduling — starvation-free by construction), a block/fail/shed-oldest
+overflow policy per tenant, and placement feedback driven by
+:func:`repro.cluster.metrics.snapshot` so hot tenants spread across
+machines.
 
 Wiring: ``StackSpec(tenant="gold", scheduler=sched)`` routes every
-``submit``/``map`` unit of that app through the tenant plane — a
-:class:`TenantGrant` is acquired before the deployment's own admission
-slot and released with it.
+``submit``/``map`` unit of that app through the tenant plane — a cluster
+slot is acquired before the deployment's own admission slot, rides it,
+and is released with it.
 """
 
 from repro.tenancy.placement import PlacementFeedback
-from repro.tenancy.scheduler import ClusterScheduler, Tenant, TenantGrant
+from repro.tenancy.scheduler import ClusterScheduler, Tenant
 
-__all__ = ["ClusterScheduler", "Tenant", "TenantGrant", "PlacementFeedback"]
+__all__ = ["ClusterScheduler", "Tenant", "PlacementFeedback"]

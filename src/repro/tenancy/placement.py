@@ -64,11 +64,6 @@ class PlacementFeedback:
         with self._lock:
             return tuple(self._assignments.get(tenant, ()))
 
-    def known_nodes(self) -> tuple:
-        """Node ids seen in observations so far (sorted)."""
-        with self._lock:
-            return tuple(sorted(self._utilisation))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         with self._lock:
             return f"<PlacementFeedback nodes={len(self._utilisation)}>"

@@ -1,198 +1,36 @@
 """The cluster-level tenant scheduler: quotas, priorities, fair queueing.
 
-:class:`ClusterScheduler` owns one bounded slot table shared by every
-deployment that names it in its spec.  Each :class:`Tenant` declares:
+:class:`ClusterScheduler` is the runtime's one
+:class:`~repro.runtime.admission.SlotTable` shared by every deployment
+that names it in its spec, with many
+:class:`~repro.runtime.admission.Tenant` s registered on it (a
+deployment's own table is the same class with one).  The quota check,
+overflow policies, stride-fair hand-off and deadline-bounded park are
+the table's; the scheduler adds registration by name, the placement
+feedback loop and the deployments' admission snapshots.
 
-* ``reserved`` — slots only this tenant may use.  A tenant below its
-  reserve is *always* admissible, so reserved capacity is the
-  starvation-freedom guarantee: no amount of higher-priority or
-  heavier-weight traffic can take it away.
-* ``burst`` — how far above the reserve the tenant may stretch into the
-  shared pool (``None`` = up to whatever the pool has free).
-* ``priority`` — strict ordering for *shared-pool* hand-offs: a freed
-  shared slot goes to the highest-priority backlogged tenant class.
-* ``weight`` — fair share *within* a priority class, enforced by stride
-  scheduling: each shared grant advances the tenant's pass by
-  ``stride ∝ 1/weight``, and the backlogged tenant with the smallest
-  pass wins the next hand-off.  Over any busy interval the grant counts
-  of equal-priority backlogged tenants converge to the weight ratio.
-* ``overflow`` — what happens when the tenant cannot be admitted:
-  ``block`` parks the submitter (FIFO per tenant, deadline-bounded),
-  ``fail`` raises :class:`~repro.errors.AdmissionRejected`, and
-  ``shed-oldest`` cancels the *tenant's own* oldest live call with
-  :class:`~repro.errors.CallShed` — tenant isolation means shedding
-  never touches another tenant's work, so a tenant with nothing left to
-  shed is rejected instead.
-
-A tenant whose backlog just formed has its pass clamped forward to the
-smallest waiting pass, so idle periods bank no credit (the standard
-stride-scheduling join rule).  Grants link to the deployment-level
-:class:`~repro.runtime.admission.AdmissionSlot` (``attach_slot``) so a
-scheduler-level shed cancels the live dispatch ticket exactly like a
-deployment-level one, and the slot's release returns the cluster slot.
+A cluster slot is an ordinary
+:class:`~repro.runtime.admission.AdmissionSlot` that rides the
+deployment-level one (``grant.attach(slot)``), so a scheduler-level shed
+cancels the live dispatch ticket exactly like a deployment-level one,
+and the deployment slot's release returns the cluster slot.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
-from collections import OrderedDict, deque
 from typing import Any
 
-from repro.errors import AdmissionRejected, CallShed, DeploymentError
-from repro.runtime.admission import OVERFLOW_POLICIES, Deadline
+from repro.errors import DeploymentError
+from repro.runtime.admission import AdmissionSlot, Deadline, SlotTable, Tenant
 from repro.tenancy.placement import PlacementFeedback
 
-__all__ = ["Tenant", "TenantGrant", "ClusterScheduler"]
-
-#: stride numerator: pass += _STRIDE_UNIT / weight per shared grant
-_STRIDE_UNIT = float(1 << 16)
+__all__ = ["Tenant", "ClusterScheduler"]
 
 
-class Tenant:
-    """One tenant's declared share of the cluster slot table."""
-
-    __slots__ = ("name", "weight", "reserved", "burst", "priority", "overflow")
-
-    def __init__(
-        self,
-        name: str,
-        weight: float = 1.0,
-        reserved: int = 0,
-        burst: int | None = None,
-        priority: int = 0,
-        overflow: str = "block",
-    ):
-        if not name:
-            raise DeploymentError("tenant name must be non-empty")
-        if not weight > 0:
-            raise DeploymentError(
-                f"tenant {name!r}: weight must be > 0, got {weight!r}"
-            )
-        if reserved < 0:
-            raise DeploymentError(
-                f"tenant {name!r}: reserved must be >= 0, got {reserved!r}"
-            )
-        if burst is not None and burst < 0:
-            raise DeploymentError(
-                f"tenant {name!r}: burst must be >= 0 or None, got {burst!r}"
-            )
-        if overflow not in OVERFLOW_POLICIES:
-            raise DeploymentError(
-                f"tenant {name!r}: unknown overflow policy {overflow!r} "
-                f"(choose from {', '.join(OVERFLOW_POLICIES)})"
-            )
-        self.name = name
-        self.weight = float(weight)
-        self.reserved = int(reserved)
-        self.burst = None if burst is None else int(burst)
-        self.priority = int(priority)
-        self.overflow = overflow
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        cap = "∞" if self.burst is None else str(self.reserved + self.burst)
-        return (
-            f"<Tenant {self.name} w={self.weight} reserved={self.reserved} "
-            f"cap={cap} prio={self.priority} overflow={self.overflow}>"
-        )
-
-
-class TenantGrant:
-    """One admitted cluster slot, owned by a tenant's submission.
-
-    Mirrors :class:`~repro.runtime.admission.AdmissionSlot`'s lifecycle:
-    ``attach_slot`` links the deployment-level slot once it is admitted
-    (a grant cancelled before the link forwards the cancellation at
-    attach time, closing the race both ways), ``cancel`` sheds the call,
-    and ``release`` returns the cluster slot exactly once.
-    """
-
-    __slots__ = (
-        "grant_id",
-        "tenant",
-        "name",
-        "cancelled",
-        "cancel_cause",
-        "_scheduler",
-        "_slot",
-        "_released",
-        "_lock",
-    )
-
-    def __init__(
-        self,
-        grant_id: int,
-        tenant: str,
-        name: str,
-        scheduler: "ClusterScheduler | None" = None,
-    ):
-        self.grant_id = grant_id
-        self.tenant = tenant
-        self.name = name
-        self.cancelled = False
-        self.cancel_cause: BaseException | None = None
-        self._scheduler = scheduler
-        self._slot: Any = None
-        self._released = False
-        self._lock = threading.Lock()
-
-    def attach_slot(self, slot: Any) -> None:
-        """Link the deployment-level admission slot to this grant."""
-        with self._lock:
-            self._slot = slot
-            cancelled, cause = self.cancelled, self.cancel_cause
-        if cancelled and cause is not None:
-            slot.cancel(cause)
-
-    def cancel(self, exc: BaseException) -> None:
-        """Shed this grant's call: latch the cause and forward it to the
-        linked admission slot (which cancels the live ticket)."""
-        with self._lock:
-            if self.cancelled:
-                return
-            self.cancelled = True
-            self.cancel_cause = exc
-            slot = self._slot
-        if slot is not None:
-            slot.cancel(exc)
-
-    def release(self) -> None:
-        """Return the cluster slot (idempotent)."""
-        with self._lock:
-            if self._released:
-                return
-            self._released = True
-        if self._scheduler is not None:
-            self._scheduler._release(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "live"
-        return f"<TenantGrant #{self.grant_id} {self.tenant}:{self.name} {state}>"
-
-
-class _BlockedTenant:
-    """FIFO record for one submitter parked by a tenant's ``block``
-    policy — direct hand-off, same shape as the admission layer's
-    ``_BlockedSubmitter``."""
-
-    __slots__ = ("event", "tenant", "name", "deadline", "grant")
-
-    def __init__(
-        self, event: Any, tenant: Tenant, name: str, deadline: Deadline | None
-    ):
-        self.event = event
-        self.tenant = tenant
-        self.name = name
-        self.deadline = deadline
-        self.grant: TenantGrant | None = None
-
-
-class ClusterScheduler:
+class ClusterScheduler(SlotTable):
     """A shared, bounded slot table carved into per-tenant quotas.
 
-    ``capacity`` is the cluster-wide in-flight bound; every registered
-    tenant's ``reserved`` slots are carved out of it and the remainder
-    forms the shared pool burst traffic competes for.  Backend
+    ``capacity`` is the cluster-wide in-flight bound.  Backend
     primitives come from ``backend`` when given, else from the ambient
     backend at wait time — so one scheduler serves many apps as long as
     they run on the same kind of backend (the sim scenarios share one
@@ -204,52 +42,12 @@ class ClusterScheduler:
     ):
         if capacity < 1:
             raise DeploymentError(f"capacity must be >= 1, got {capacity!r}")
-        self.capacity = int(capacity)
-        self.name = name
-        self._backend = backend
-        self._ids = itertools.count(1)
-        self._lock = threading.Lock()
-        self._tenants: dict[str, Tenant] = {}
-        #: live grants per tenant in admission order (the shed queue)
-        self._held: dict[str, OrderedDict[int, TenantGrant]] = {}
-        self._waiters: dict[str, deque[_BlockedTenant]] = {}
-        #: stride-scheduling pass per tenant (shared-pool fairness meter)
-        self._pass: dict[str, float] = {}
-        self._counters: dict[str, dict[str, int]] = {}
-        self._reserved_total = 0
+        super().__init__(int(capacity), backend=backend, name=name)
         #: placement feedback fed by cluster metrics snapshots
         self.placement = PlacementFeedback()
         self._admission_stats: dict[str, dict] = {}
 
     # -- registration --------------------------------------------------------
-
-    def register(self, tenant: Tenant) -> Tenant:
-        """Register one tenant; reserves must fit inside ``capacity``."""
-        with self._lock:
-            if tenant.name in self._tenants:
-                raise DeploymentError(
-                    f"{self.name}: tenant {tenant.name!r} already registered"
-                )
-            if self._reserved_total + tenant.reserved > self.capacity:
-                raise DeploymentError(
-                    f"{self.name}: reserving {tenant.reserved} slots for "
-                    f"{tenant.name!r} exceeds capacity "
-                    f"({self._reserved_total} of {self.capacity} already "
-                    f"reserved)"
-                )
-            self._tenants[tenant.name] = tenant
-            self._reserved_total += tenant.reserved
-            self._held[tenant.name] = OrderedDict()
-            self._waiters[tenant.name] = deque()
-            self._pass[tenant.name] = self._min_waiting_pass_locked()
-            self._counters[tenant.name] = {
-                "admitted_total": 0,
-                "rejected": 0,
-                "shed": 0,
-                "blocked": 0,
-                "peak_held": 0,
-            }
-        return tenant
 
     def tenant(self, name: str, **kwargs: Any) -> Tenant:
         """Construct-and-register convenience: ``sched.tenant("gold",
@@ -276,200 +74,11 @@ class ClusterScheduler:
         tenant: str,
         deadline: Deadline | None = None,
         name: str = "call",
-    ) -> TenantGrant:
-        """Acquire one cluster slot for ``tenant``, applying its quota
-        and overflow policy.  Returns the grant; raises
-        :class:`AdmissionRejected` under ``fail`` (or a ``block`` wait
-        whose deadline drained, or a ``shed-oldest`` tenant with nothing
-        of its own left to shed)."""
-        t = self.ensure_tenant(tenant)
-        victim: TenantGrant | None = None
-        waiter: _BlockedTenant | None = None
-        handoffs: list[_BlockedTenant] = []
-        donation: AdmissionRejected | None = None
-        grant: TenantGrant | None = None
-        with self._lock:
-            if self._can_admit_locked(t):
-                grant = self._grant_locked(t, name)
-            elif t.overflow == "fail":
-                self._counters[t.name]["rejected"] += 1
-                raise AdmissionRejected(
-                    f"{self.name}: tenant {t.name!r} is at its quota "
-                    f"({len(self._held[t.name])} held) and the shared "
-                    f"pool is full (overflow policy 'fail')"
-                )
-            elif t.overflow == "shed-oldest":
-                victim = self._pick_victim_locked(t)
-                if victim is None:
-                    # nothing of this tenant's own to shed: isolation
-                    # forbids shedding a neighbour, so reject instead
-                    self._counters[t.name]["rejected"] += 1
-                    raise AdmissionRejected(
-                        f"{self.name}: tenant {t.name!r} holds no "
-                        f"sheddable call and the shared pool is full "
-                        f"(overflow policy 'shed-oldest' never touches "
-                        f"other tenants)"
-                    )
-                self._counters[t.name]["shed"] += 1
-                if self._should_donate_locked(t):
-                    # a below-reserve or strictly-higher-priority tenant
-                    # is parked: recycling the slot in place would let a
-                    # shed-mode tenant hold its quota forever (it never
-                    # *releases*, it swaps) — instead the freed slot
-                    # re-enters the fair queue and the new call is
-                    # rejected, so priority and reserves stay meaningful
-                    # against shed-mode neighbours
-                    self._handoff_locked(handoffs)
-                    self._counters[t.name]["rejected"] += 1
-                    donation = AdmissionRejected(
-                        f"{self.name}: tenant {t.name!r} shed its oldest "
-                        f"call but donated the slot to a waiting "
-                        f"higher-priority (or under-reserve) tenant; "
-                        f"{name!r} rejected"
-                    )
-                else:
-                    grant = self._grant_locked(t, name)
-            else:  # block
-                self._counters[t.name]["blocked"] += 1
-                queue = self._waiters[t.name]
-                if not queue:
-                    # fresh backlog: clamp the pass forward so idle
-                    # time banks no stride credit
-                    self._pass[t.name] = max(
-                        self._pass[t.name], self._min_waiting_pass_locked()
-                    )
-                waiter = _BlockedTenant(self._make_event(), t, name, deadline)
-                queue.append(waiter)
-        if victim is not None:
-            victim.cancel(
-                CallShed(
-                    f"{self.name}: tenant {t.name!r} call {victim.name!r} "
-                    f"shed to admit {name!r} (overflow policy "
-                    f"'shed-oldest', quota reached)"
-                )
-            )
-        for woken in handoffs:
-            woken.event.set()
-        if donation is not None:
-            raise donation
-        if waiter is None:
-            return grant
-        return self._await_handoff(waiter)
-
-    def _should_donate_locked(self, t: Tenant) -> bool:
-        """Is a tenant parked that outranks ``t`` for the slot its shed
-        just freed?  (Below its reserve, or strictly higher priority.)"""
-        for name, queue in self._waiters.items():
-            if not queue or name == t.name:
-                continue
-            u = self._tenants[name]
-            if not self._can_admit_locked(u):
-                continue
-            if len(self._held[name]) < u.reserved or u.priority > t.priority:
-                return True
-        return False
-
-    def _can_admit_locked(self, t: Tenant) -> bool:
-        held = len(self._held[t.name])
-        if t.burst is not None and held >= t.reserved + t.burst:
-            return False
-        if held < t.reserved:
-            return True
-        return self._shared_in_use_locked() < self.capacity - self._reserved_total
-
-    def _shared_in_use_locked(self) -> int:
-        return sum(
-            max(0, len(self._held[name]) - tenant.reserved)
-            for name, tenant in self._tenants.items()
-        )
-
-    def _grant_locked(self, t: Tenant, name: str) -> TenantGrant:
-        held = len(self._held[t.name])
-        grant = TenantGrant(next(self._ids), t.name, name, scheduler=self)
-        self._held[t.name][grant.grant_id] = grant
-        counters = self._counters[t.name]
-        counters["admitted_total"] += 1
-        counters["peak_held"] = max(counters["peak_held"], held + 1)
-        if held >= t.reserved:
-            # a shared-pool draw spends fairness credit; reserved draws
-            # are entitlements and never touch the meter
-            self._pass[t.name] += _STRIDE_UNIT / t.weight
-        return grant
-
-    def _pick_victim_locked(self, t: Tenant) -> TenantGrant | None:
-        # oldest of the TENANT'S OWN live grants; drop it from the table
-        # now so repeated sheds walk forward (its release becomes a
-        # no-op for capacity) — same shape as the admission layer
-        for grant in self._held[t.name].values():
-            if not grant.cancelled:
-                del self._held[t.name][grant.grant_id]
-                return grant
-        return None
-
-    def _min_waiting_pass_locked(self) -> float:
-        waiting = [
-            self._pass[name] for name, q in self._waiters.items() if q
-        ]
-        return min(waiting, default=0.0)
-
-    def _await_handoff(self, waiter: _BlockedTenant) -> TenantGrant:
-        deadline = waiter.deadline
-        while True:
-            timeout = deadline.remaining() if deadline is not None else None
-            woke = waiter.event.wait(timeout)
-            with self._lock:
-                if waiter.grant is not None:
-                    return waiter.grant
-                if not woke:  # timed out without a hand-off
-                    try:
-                        self._waiters[waiter.tenant.name].remove(waiter)
-                    except ValueError:  # pragma: no cover - handed off
-                        continue  # a hand-off raced the timeout: retry
-                    self._counters[waiter.tenant.name]["rejected"] += 1
-                    raise AdmissionRejected(
-                        f"{self.name}: tenant {waiter.tenant.name!r} "
-                        f"submission {waiter.name!r} ran out of deadline "
-                        f"budget ({deadline.budget}s) waiting for a slot"
-                    )
-
-    # -- release + hand-off --------------------------------------------------
-
-    def _release(self, grant: TenantGrant) -> None:
-        handoffs: list[_BlockedTenant] = []
-        with self._lock:
-            table = self._held.get(grant.tenant)
-            if table is None or table.pop(grant.grant_id, None) is None:
-                return  # already shed out of the table: capacity moved on
-            self._handoff_locked(handoffs)
-        for waiter in handoffs:
-            waiter.event.set()
-
-    def _handoff_locked(self, handoffs: list[_BlockedTenant]) -> None:
-        """Hand freed capacity to parked submitters: tenants below their
-        reserve first (the guarantee), then strict priority over the
-        shared pool, then smallest stride pass within the class."""
-        while True:
-            best: Tenant | None = None
-            best_rank: tuple | None = None
-            for name, queue in self._waiters.items():
-                if not queue:
-                    continue
-                t = self._tenants[name]
-                if not self._can_admit_locked(t):
-                    continue
-                rank = (
-                    0 if len(self._held[name]) < t.reserved else 1,
-                    -t.priority,
-                    self._pass[name],
-                    name,
-                )
-                if best is None or rank < best_rank:
-                    best, best_rank = t, rank
-            if best is None:
-                return
-            waiter = self._waiters[best.name].popleft()
-            waiter.grant = self._grant_locked(best, waiter.name)
-            handoffs.append(waiter)
+    ) -> AdmissionSlot:
+        """Acquire one cluster slot for ``tenant`` under its quota and
+        overflow policy: the slot, or the table's
+        :class:`~repro.errors.AdmissionRejected`."""
+        return self._admit(self.ensure_tenant(tenant), deadline, name)
 
     # -- placement feedback --------------------------------------------------
 
@@ -522,14 +131,6 @@ class ClusterScheduler:
                     k: dict(v) for k, v in self._admission_stats.items()
                 },
             }
-
-    def _make_event(self) -> Any:
-        backend = self._backend
-        if backend is None:
-            from repro.runtime.backend import current_backend
-
-            backend = current_backend()
-        return backend.make_event(name=f"{self.name}.tenancy")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         with self._lock:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.app import AppBuilder, ParallelApp
+from repro.api.app import ParallelApp
 from repro.api.registry import STRATEGIES, register_strategy
 from repro.api.spec import StackSpec
 from repro.apps.primes import PrimeFilter, SieveWorkload, expected_sieve_output
@@ -397,38 +397,6 @@ class TestOnewayPacks:
             assert out["results"] == [2, 4, 6]
         finally:
             sim.shutdown()
-
-
-class TestFluentBuilder:
-    def test_builder_accumulates_and_builds(self):
-        workload = SieveWorkload(MAX, PACKS)
-        app = (
-            ParallelApp.of(PrimeFilter)
-            .work("filter")
-            .splitter(workload.farm_splitter(3))
-            .strategy("farm")
-            .backend("thread")
-            .named("fluent-farm")
-            .build()
-        )
-        assert isinstance(app, ParallelApp)
-        assert app.composition.name == "fluent-farm"
-        with app:
-            app.start(2, workload.sqrt)
-            result = app.submit(workload.candidates).result()
-        assert np.array_equal(
-            np.sort(np.asarray(result)), expected_sieve_output(MAX)
-        )
-
-    def test_builder_validates_eagerly(self):
-        builder = (
-            ParallelApp.of(PrimeFilter)
-            .work("filter")
-            .strategy("farm")  # no splitter
-        )
-        assert isinstance(builder, AppBuilder)
-        with pytest.raises(DeploymentError, match="splitter"):
-            builder.build()
 
 
 class TestOpenRegistry:

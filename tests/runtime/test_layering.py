@@ -3,7 +3,9 @@ collector and the ticket-owner mixin are runtime types, defined in
 :mod:`repro.runtime.ticket`, and nothing in the layers below the
 skeletons — runtime, middlewares, fault plane — reaches up into
 :mod:`repro.parallel` to name them (or anything else).  With the ticket
-a known type, nobody duck-types it either."""
+a known type, nobody duck-types it either.  Likewise bounded admission:
+one slot table in :mod:`repro.runtime.admission`, which the tenant plane
+builds on and the runtime never imports back."""
 
 from __future__ import annotations
 
@@ -57,6 +59,49 @@ def test_lower_layers_do_not_import_the_skeletons():
         if module == "repro.parallel" or module.startswith("repro.parallel.")
     ]
     assert upward == []
+
+
+def test_runtime_does_not_import_the_tenant_plane():
+    upward = [
+        f"{path.relative_to(SRC).as_posix()} imports {module}"
+        for path in sorted((SRC / "runtime").rglob("*.py"))
+        for module in _imports(path)
+        if module == "repro.tenancy" or module.startswith("repro.tenancy.")
+    ]
+    assert upward == []
+
+
+def test_bounded_admission_is_written_once():
+    """One slot table: the cluster scheduler and the deployment's
+    controller are constructions of ``runtime/admission.py::SlotTable``,
+    so the second set of records and helpers is gone, and the three
+    overflow policies are told apart in exactly one function."""
+    trees = {
+        path.relative_to(SRC).as_posix(): ast.parse(path.read_text())
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    defined = [
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    ]
+    for gone in ("TenantGrant", "_BlockedTenant", "_BlockedSubmitter", "AppBuilder"):
+        assert gone not in defined
+    for once in ("_await_handoff", "_make_event", "_pick_victim_locked"):
+        assert defined.count(once) == 1
+    policies = {"block", "fail", "shed-oldest"}
+    comparing = {
+        f"{name}::{function.name}"
+        for name, tree in trees.items()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        if isinstance(operand, ast.Constant) and operand.value in policies
+    }
+    assert comparing == {"runtime/admission.py::_admit"}
 
 
 def test_nobody_duck_types_the_ticket():

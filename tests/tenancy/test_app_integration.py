@@ -63,17 +63,9 @@ class TestSpecValidation:
         with pytest.raises(DeploymentError, match="unknown tenant 'silver'"):
             ParallelApp(plain_spec(tenant="silver", scheduler=sched))
 
-    def test_builder_sets_the_tenant_plane(self):
+    def test_spec_sets_the_tenant_plane(self):
         sched = make_scheduler(2, gold={})
-        app = (
-            ParallelApp.of(Echo)
-            .work("handle")
-            .strategy("none")
-            .concurrency(False)
-            .backend("thread")
-            .tenant("gold", sched)
-            .build()
-        )
+        app = ParallelApp(plain_spec(tenant="gold", scheduler=sched))
         assert app.tenant == "gold"
         assert app.scheduler is sched
 

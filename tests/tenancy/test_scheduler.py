@@ -1,6 +1,10 @@
-"""ClusterScheduler units: quotas, priorities, stride fairness, overflow
-policies, placement feedback — all on the thread backend (no simulator
-needed; hand-offs are exercised by releasing held grants directly)."""
+"""ClusterScheduler units, the multi-tenant-only properties: quotas,
+priorities, stride fairness, isolation and donation under shedding,
+placement feedback — all on the thread backend (no simulator needed;
+hand-offs are exercised by releasing held slots directly).  What one
+tenant alone can show — the three overflow policies, hand-off order,
+release, the downstream link — is the case table in
+tests/runtime/test_admission.py, run there against this class too."""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.errors import AdmissionRejected, CallShed, DeploymentError
+from repro.errors import AdmissionRejected, DeploymentError
 from repro.runtime import ThreadBackend
 from repro.tenancy import ClusterScheduler, PlacementFeedback, Tenant
 
@@ -33,6 +37,28 @@ class TestRegistration:
         sched = make(4, a={"reserved": 3})
         with pytest.raises(DeploymentError, match="exceeds capacity"):
             sched.tenant("b", reserved=2)
+
+    def test_a_tenant_that_could_never_hold_a_slot_is_rejected(self):
+        # reserved=0 + burst=0 caps the tenant at zero slots: a `block`
+        # submission would park forever
+        with pytest.raises(DeploymentError, match="reserved=0 . burst=0"):
+            Tenant("z", reserved=0, burst=0)
+        with pytest.raises(DeploymentError, match="never be admitted"):
+            ClusterScheduler(4).tenant("z", reserved=0, burst=0)
+        Tenant("ok", reserved=1, burst=0)  # its reserve is a cap of 1
+
+    def test_reserves_must_leave_zero_reserve_tenants_a_pool(self):
+        # capacity == sum(reserved) means an empty shared pool, the
+        # only place a zero-reserve tenant can draw from — whichever
+        # of the two registers last
+        sched = make(4, paid={"reserved": 4})
+        with pytest.raises(DeploymentError, match="all 4 slots.*'free'"):
+            sched.tenant("free")
+        sched = make(4, free={}, paid={"reserved": 3})
+        with pytest.raises(DeploymentError, match="all 4 slots.*'free'"):
+            sched.tenant("more", reserved=1)
+        assert sorted(sched.stats()["tenants"]) == ["free", "paid"]
+        make(4, a={"reserved": 2}, b={"reserved": 2})  # nobody poolless
 
     def test_duplicate_and_unknown_tenants(self):
         sched = make(2, a={})
@@ -64,28 +90,8 @@ class TestQuotas:
         with pytest.raises(AdmissionRejected):
             sched.acquire("capped")
 
-    def test_release_is_idempotent(self):
-        sched = make(1, a={"overflow": "fail"})
-        grant = sched.acquire("a")
-        grant.release()
-        grant.release()  # must not free a phantom slot
-        second = sched.acquire("a")
-        with pytest.raises(AdmissionRejected):
-            sched.acquire("a")
-        second.release()
-
 
 class TestShedOldest:
-    def test_sheds_the_tenants_own_oldest_grant(self):
-        sched = make(2, hot={"overflow": "shed-oldest"})
-        oldest = sched.acquire("hot", name="first")
-        sched.acquire("hot", name="second")
-        sched.acquire("hot", name="third")  # full: sheds "first"
-        assert oldest.cancelled
-        assert isinstance(oldest.cancel_cause, CallShed)
-        assert sched.stats()["tenants"]["hot"]["shed"] == 1
-        assert sched.stats()["tenants"]["hot"]["held"] == 2
-
     def test_never_sheds_another_tenants_work(self):
         # the pool is full of "other"'s calls; "hot" owns nothing to
         # shed, so isolation demands rejection — not a cross-tenant kill
@@ -96,36 +102,6 @@ class TestShedOldest:
         with pytest.raises(AdmissionRejected, match="no sheddable call"):
             sched.acquire("hot")
         assert not any(grant.cancelled for grant in held)
-
-    def test_shed_forwards_to_attached_slot(self):
-        class FakeSlot:
-            def __init__(self):
-                self.cancelled_with = None
-
-            def cancel(self, exc):
-                self.cancelled_with = exc
-
-        sched = make(1, hot={"overflow": "shed-oldest"})
-        grant = sched.acquire("hot")
-        slot = FakeSlot()
-        grant.attach_slot(slot)
-        sched.acquire("hot")
-        assert isinstance(slot.cancelled_with, CallShed)
-
-    def test_cancel_before_attach_forwards_at_attach_time(self):
-        class FakeSlot:
-            def __init__(self):
-                self.cancelled_with = None
-
-            def cancel(self, exc):
-                self.cancelled_with = exc
-
-        sched = make(1, hot={"overflow": "shed-oldest"})
-        grant = sched.acquire("hot")
-        sched.acquire("hot")  # sheds before the slot ever attached
-        slot = FakeSlot()
-        grant.attach_slot(slot)
-        assert isinstance(slot.cancelled_with, CallShed)
 
 
 class TestHandoffOrdering:
