@@ -36,7 +36,8 @@ stress:
 ## fault-injection stress: rerun the whole fault matrix 5x — the
 ## tests/faults suites (schedule determinism, retry-collector
 ## properties, kill-and-replace recovery, golden trace) plus the fault
-## parametrisations of the thread and process dispatch matrices.  Kills
+## parametrisations of the thread and process dispatch matrices and the
+## proc-site cells of the co-location table (every placement topology).  Kills
 ## and respawns are timing-sensitive by construction; 5 rounds with the
 ## cache disabled surface interleavings a single run hides.  CI wraps
 ## this in a hard timeout-minutes so a lost wakeup (a hang, not a
@@ -50,6 +51,9 @@ stress-faults:
 			tests/parallel/test_dispatch_contexts.py \
 			tests/parallel/test_process_backend_matrix.py \
 			-k "FaultMatrix" || exit 1; \
+		$(PYPATH) $(PY) -m pytest -q -p no:cacheprovider \
+			tests/parallel/test_process_colocation.py \
+			-k "ProcFaults" || exit 1; \
 	done
 
 ## tenancy/traffic stress: rerun the slot table's policy-case table
@@ -73,8 +77,9 @@ stress-tenancy:
 ## the frames on the pipe (the reader's kept bytes, a frame cut short
 ## by a death) and the hop's budget as counts, the wire-format
 ## round-trips, the overlap/admission/deadline
-## matrix on resident worker processes, the pipeline ride and the
-## carried last piece.  CI wraps this in a hard
+## matrix on resident worker processes, the co-location case table (the
+## same cells on one, two and a worker per stage), the pipeline ride and
+## the carried last piece.  CI wraps this in a hard
 ## timeout-minutes: a hang here means a pipe wait without a liveness
 ## check, and must fail fast instead of stalling the job.
 test-proc:
@@ -84,6 +89,7 @@ test-proc:
 		tests/runtime/test_process_hop_budget.py \
 		tests/middleware/test_serialize_roundtrip.py \
 		tests/parallel/test_process_backend_matrix.py \
+		tests/parallel/test_process_colocation.py \
 		tests/parallel/test_pipeline_ride.py \
 		tests/parallel/test_carried_piece.py
 

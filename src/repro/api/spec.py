@@ -385,8 +385,9 @@ class StackSpec:
         if self.placement is not None:
             raise DeploymentError(
                 "placement policies choose simulated nodes; the process "
-                "stack places one resident worker process per servant "
-                "(the OS schedules them) — drop placement="
+                "stack places the servants of a construction itself, by "
+                "block over no more resident worker processes than the "
+                "run has CPUs — drop placement="
             )
         if self.middleware == "process" and backend_name not in (None, "process"):
             raise DeploymentError(

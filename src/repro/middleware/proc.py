@@ -2,11 +2,26 @@
 
 The third concrete middleware, and the first one that is not simulated:
 ``export`` ships a pickled servant into a resident worker process owned
-by the :class:`~repro.runtime.procbackend.ProcessBackend` (one worker
-per servant — the literal "each servant's MethodTable in a resident
-worker process"), and ``invoke``/``invoke_batch`` carry
+by the :class:`~repro.runtime.procbackend.ProcessBackend`, and
+``invoke``/``invoke_batch`` carry
 :class:`~repro.middleware.serialize.RequestEnvelope` frames across the
 pipe.
+
+**Placement.**  The servants of one batched construction (:meth:`batch`)
+go onto ``min(n, usable_cpus())`` resident workers by block
+(:class:`~repro.middleware.placement.BlockPlacement` over the worker
+slots): neighbours share a worker, and with CPUs to spare that is a
+worker per servant.  A worker serves one request at a time, so a servant
+that *blocks* stalls those hosted beside it (waits belong on asyncio).
+
+**Runs.**  :meth:`link` tells each worker which adjacent pipeline stages
+it hosts both ends of.  A stage call the forwarder marked
+(:func:`~repro.runtime.dispatch.run_ahead`) then ships the ticket's
+remaining budget, the worker goes on through the linked stages itself —
+the paper's stages forward to each other, distribution only decides
+where one lives — and answers once, with its ``hops``.  Stages on
+different workers keep the parent-mediated hop; a bare ``invoke`` is
+always one stage.
 
 Dispatch-ticket semantics match :class:`~repro.middleware.local.LocalMiddleware`
 on the client side (the invoke runs on the caller's activity, so the
@@ -22,41 +37,77 @@ bounded by the ambient ticket's remaining budget and calls the ticket's
 at its deadline and a shed one unwinds within one poll interval.  Its
 eventual reply is identified by ``call_id`` and discarded by the next
 caller on that worker — an abandoned call never desynchronises the
-pipe.  A worker found dead
+pipe.  A run is one round trip under the same rules: the worker ends it
+at the stage boundary where the budget is spent, and a call shed while
+one is under way wastes at most the rest of it.  A worker found dead
 raises :class:`~repro.errors.WorkerCrashed` (a
 :class:`~repro.errors.RemoteError`), which the skeletons' failure paths
-turn into a fail-fast ``ResultCollector.fail``.
+turn into a fail-fast ``ResultCollector.fail``; it is refilled with
+every servant it hosted, and their links, behind the same refs.
+Placement, links and refills are logged on ``repro.middleware.proc``.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import threading
 from functools import partial
+from math import inf
+from types import SimpleNamespace
 from typing import Any
 
 from repro.aop.plan import piece_view
-from repro.errors import MiddlewareError, RemoteError, ReplyDropped, WorkerCrashed
+from repro.errors import (
+    MiddlewareError,
+    RemoteError,
+    ReplyDropped,
+    SerializationError,
+    WorkerCrashed,
+)
 from repro.faults.schedule import fire_fault
 from repro.middleware.base import Middleware, RemoteRef
-from repro.middleware.serialize import ExportEnvelope, RequestEnvelope, Serializer
-from repro.runtime.dispatch import current_dispatch
+from repro.middleware.placement import BlockPlacement
+from repro.middleware.serialize import (
+    ExportEnvelope,
+    LinkEnvelope,
+    RequestEnvelope,
+    Serializer,
+)
+from repro.runtime import procbackend
+from repro.runtime.dispatch import current_dispatch, leave_run, take_run
 from repro.runtime.procbackend import ProcessBackend, ProcWorker
 
 __all__ = ["ProcMiddleware"]
+
+log = logging.getLogger("repro.middleware.proc")
+
+
+class _Slot:
+    """One resident worker (forked when the first servant is placed
+    here) and the exports it hosts: what a crash takes down and a refill
+    puts back."""
+
+    __slots__ = ("worker", "exports")
+
+    def __init__(self) -> None:
+        self.worker: ProcWorker | None = None
+        self.exports: list[_Export] = []
 
 
 class _Export:
     """Parent-side record for one exported servant."""
 
-    __slots__ = ("worker", "ref", "local")
+    __slots__ = ("slot", "ref", "local", "next_id")
 
-    def __init__(self, worker: ProcWorker, ref: RemoteRef, local: Any):
-        self.worker = worker
+    def __init__(self, slot: _Slot, ref: RemoteRef, local: Any):
+        self.slot = slot
         self.ref = ref
         #: the parent-side twin the client code holds — its state does
         #: NOT track the remote copy (value semantics, like RMI)
         self.local = local
+        #: the stage this one hands on to inside the worker (a link)
+        self.next_id: int | None = None
 
 
 class ProcMiddleware(Middleware):
@@ -81,21 +132,34 @@ class ProcMiddleware(Middleware):
         # passes, the invariant the pack-amortisation bench asserts
         self.serializer = Serializer(copy=copy_payloads)
         self._servants: dict[int, _Export] = {}
+        #: the slots the exports of the batch under way go to, in order
+        self._placement: Any = iter(())
+        #: forward_args of the linked pipeline, as its links carry it
+        self._forward_args: Any = None
         self._call_ids = itertools.count(1)
         self.calls = 0
         self.oneway_calls = 0
         self.batched_calls = 0
         self.worker_crashes = 0
-        #: refill a crashed servant's worker from the parent-side twin so
-        #: a retried piece finds a healthy process behind the same ref
+        #: refill a crashed worker from the parent-side twins so a
+        #: retried piece finds a healthy process behind the same refs
         self.respawn = respawn
         self.worker_respawns = 0
         self._refill_lock = threading.Lock()
 
     # -- export -------------------------------------------------------------
 
+    def batch(self, servants: int) -> None:
+        """The next ``servants`` exports are one batched construction:
+        they go onto ``min(servants, usable_cpus())`` workers by block,
+        neighbours together.  Any other export gets a worker of its own."""
+        width = min(servants, procbackend.usable_cpus())
+        slots = SimpleNamespace(nodes=[_Slot() for _ in range(width)])
+        policy = BlockPlacement(-(-servants // width))
+        self._placement = iter([policy.choose(slots, i) for i in range(servants)])
+
     def export(self, obj: Any, node: Any = None) -> RemoteRef:
-        """Ship ``obj`` into a fresh resident worker process.
+        """Ship ``obj`` into a resident worker process.
 
         Waits for the worker's export acknowledgement: a servant that
         cannot materialise in the child (unpicklable state, a class a
@@ -107,33 +171,87 @@ class ProcMiddleware(Middleware):
             self.name,
             type(obj).__name__,
         )
-        self._servants[ref.object_id] = _Export(self._host(ref, obj), ref, obj)
+        slot = next(self._placement, None) or _Slot()
+        export = _Export(slot, ref, obj)
+        # encode BEFORE forking: an unpicklable servant fails with no
+        # worker process to clean up (nothing to leak)
+        frames = self._frames([export])
+        fresh = slot.worker is None
+        if fresh:
+            slot.worker = self.backend.new_worker()
+        try:
+            self._ship(slot.worker, frames)
+        except BaseException:
+            self._placement = iter(())  # the batch is over
+            if fresh:  # a failed export leaves no process behind
+                slot.worker.stop()
+                slot.worker = None
+            raise
+        slot.exports.append(export)
+        self._servants[ref.object_id] = export
         if node is not None:
             node.place(obj)
         return ref
 
-    def _host(self, ref: RemoteRef, obj: Any) -> ProcWorker:
-        """A fresh worker process hosting ``obj`` behind ``ref``, its
-        export acknowledged; a failed one leaves no process behind."""
-        # encode BEFORE forking: an unpicklable servant fails with no
-        # worker process to clean up (nothing to leak)
-        frame = self.serializer.encode(
-            ExportEnvelope(ref.object_id, obj, ref.type_name)
-        )
-        worker = self.backend.new_worker()
-        try:
+    def _frames(self, exports: list, servants: bool = True) -> list:
+        """What rebuilds ``exports`` in a worker: an export frame each
+        (``servants``), then a link frame for each that hands on there."""
+        envelopes: list = [
+            ExportEnvelope(e.ref.object_id, e.local, e.ref.type_name)
+            for e in exports
+            if servants
+        ]
+        envelopes += [
+            LinkEnvelope(e.ref.object_id, e.next_id, self._forward_args)
+            for e in exports
+            if e.next_id is not None
+        ]
+        return [self.serializer.encode(envelope) for envelope in envelopes]
+
+    def _ship(self, worker: ProcWorker, frames: list) -> None:
+        """Send deploy-time frames, each acknowledged by the worker."""
+        for frame in frames:
             with worker.lock:  # recv's poll object is not re-entrant
                 worker.send(frame)
                 reply = self.serializer.decode(worker.recv())
             if reply.outcome == "error":
                 raise MiddlewareError(
-                    f"exporting {ref.type_name} to worker process "
-                    f"{worker.name} failed: {reply.payload}"
+                    f"deploying to worker process {worker.name} failed: "
+                    f"{reply.payload}"
                 )
-        except BaseException:
-            worker.stop()
-            raise
-        return worker
+
+    def link(self, stages: Any = (), forward_args: Any = None) -> None:
+        """Close a batched construction.  ``stages`` are the refs of a
+        pipeline's stages in order (none for any other construction):
+        each worker is told which adjacent pairs it hosts both ends of,
+        so a run crosses them without coming back here.  A custom
+        ``forward_args`` that cannot be pickled turns runs off for the
+        deployment: every hop returns to the parent, results equal."""
+        exports = [self._require(ref) for ref in stages]
+        pairs = [(a, b) for a, b in zip(exports, exports[1:]) if a.slot is b.slot]
+        self._forward_args = forward_args
+        try:
+            for a, b in pairs:
+                a.next_id = b.ref.object_id
+                self._ship(a.slot.worker, self._frames([a], servants=False))
+        except SerializationError as exc:
+            log.warning(
+                "forward_args %r cannot be shipped to the workers: no stage "
+                "runs ahead in this deployment, every hop returns to the "
+                "parent (%s)", forward_args, exc,
+            )
+            for a, _ in pairs:
+                a.next_id = None
+            pairs = []
+        hosted: dict[int, list[int]] = {}
+        for export in self._servants.values():
+            hosted.setdefault(export.slot.worker.index, []).append(export.ref.object_id)
+        log.info(
+            "deployed %d servants on %d workers (usable_cpus=%d): servants "
+            "by worker %s, %d links",
+            len(self._servants), len(hosted), procbackend.usable_cpus(),
+            hosted, len(pairs),
+        )
 
     def servant_of(self, ref: RemoteRef) -> Any:
         """The parent-side twin behind a ref (observability only: the
@@ -142,7 +260,7 @@ class ProcMiddleware(Middleware):
 
     def worker_of(self, ref: RemoteRef) -> ProcWorker:
         """The resident worker hosting a ref (fault-injection hook)."""
-        return self._require(ref).worker
+        return self._require(ref).slot.worker
 
     # -- invoke -------------------------------------------------------------
 
@@ -186,6 +304,12 @@ class ProcMiddleware(Middleware):
         request/reply round trip over the servant's worker pipe and turn
         an error reply into the client-side raise.
 
+        A call the pipeline forwarder marked, into a stage linked to the
+        next, asks for a *run*: it carries what is left of the ticket's
+        budget and the reply's ``hops`` goes back to the forwarder.
+        Still one round trip: one ``"proc"`` fault consultation, one
+        reply wait bounded by the budget.  Any other call is one stage.
+
         The ambient dispatch ticket (this invoke runs on the caller's
         activity) is consulted before the send and during the reply
         wait: a shed or deadline-expired call raises its cancellation
@@ -200,20 +324,23 @@ class ProcMiddleware(Middleware):
             self.oneway_calls += 1
         context = current_dispatch()
         call_id = next(self._call_ids)
-        check = deadline = context_id = None
+        check = deadline = context_id = budget = None
         if context is not None:
             context_id = context.context_id
             deadline = context.deadline
             check = partial(context.check_deadline, "awaiting a process-backend reply")
             context.attribute_remote()
             check()  # don't ship work for a call that is already cancelled
+        if export.next_id is not None and take_run():
+            budget = inf if deadline is None else deadline.remaining()
         frame = self.serializer.encode(  # names a culprit field
             RequestEnvelope(
                 call_id, ref.object_id, method, args, kwargs, oneway, batch,
-                context_id,
+                context_id, budget,
             )
         )
-        worker = export.worker
+        slot = export.slot
+        worker = slot.worker
         # the "proc" fault site: consulted once per round trip, indexed
         # by the resident worker.  kill_worker SIGKILLs the real process
         # and lets the send/recv below surface the genuine WorkerCrashed
@@ -230,7 +357,7 @@ class ProcMiddleware(Middleware):
             # one round trip at a time per worker: the pipe is shared,
             # and the worker's poll object is not re-entrant
             with worker.lock:
-                worker.send(frame)
+                worker.send(frame, check, deadline)
                 if oneway:
                     return None
                 while True:
@@ -241,7 +368,7 @@ class ProcMiddleware(Middleware):
         except WorkerCrashed:
             self.worker_crashes += 1
             if self.respawn:
-                self._refill(export, worker)
+                self._refill(slot, worker)
             raise
         if event is not None and event.kind == "drop_reply":
             raise ReplyDropped(
@@ -249,6 +376,8 @@ class ProcMiddleware(Middleware):
             )
         if reply.outcome == "error":
             raise self._remote_error(ref, method, reply.payload, batch=batch)
+        if reply.hops:
+            leave_run(reply.hops, reply.view)
         return reply.payload
 
     def _require(self, ref: RemoteRef) -> _Export:
@@ -257,28 +386,42 @@ class ProcMiddleware(Middleware):
             raise MiddlewareError(f"unknown ref {ref!r}")
         return export
 
-    def _refill(self, export: _Export, dead: ProcWorker) -> None:
-        """Replace a crashed servant worker: re-export the parent-side
-        twin into a fresh process behind the SAME ref, so the retry that
-        follows the :class:`~repro.errors.WorkerCrashed` finds a healthy
-        resident.  The twin carries deploy-time state (value semantics) —
-        mid-run servant mutations die with the process, which is the
-        honest recovery contract for state that only lived remotely.
+    def _refill(self, slot: _Slot, dead: ProcWorker) -> None:
+        """Replace a crashed worker: re-export the parent-side twin of
+        every servant it hosted into a fresh process, links included,
+        behind the SAME refs, so the retry that follows the
+        :class:`~repro.errors.WorkerCrashed` finds a healthy resident.
+        The twins carry deploy-time state (value semantics) — mid-run
+        servant mutations die with the process, which is the honest
+        recovery contract for state that only lived remotely.
 
         Best-effort and idempotent: concurrent crashed calls on one
         worker race here, the identity check makes the first one refill
         and the rest keep the already-fresh worker.
         """
         with self._refill_lock:
-            if export.worker is not dead:
-                return  # another caller already refilled this servant
+            if slot.worker is not dead:
+                return  # another caller already refilled this worker
+            hosted = [export.ref.object_id for export in slot.exports]
+            fresh = None
             try:
-                export.worker = self._host(export.ref, export.local)
+                frames = self._frames(slot.exports)  # BEFORE forking
+                fresh = self.backend.new_worker()
+                self._ship(fresh, frames)
+                slot.worker = fresh
                 self.worker_respawns += 1
-            except Exception:  # noqa: BLE001 - best-effort: the export
-                pass  # stays dead and its callers keep failing
+                outcome = f"re-hosted on {fresh.name} (pid {fresh.pid})"
+            except Exception as exc:  # noqa: BLE001 - best-effort: the slot
+                # stays dead and its callers keep failing
+                if fresh is not None:
+                    fresh.stop()
+                outcome = f"could not be re-hosted: {exc}"
             finally:
                 dead.stop()  # reap the corpse (idempotent)
+            log.warning(
+                "worker %s (pid %s) died with exit code %s; its servants %s %s",
+                dead.name, dead.pid, dead.exitcode, hosted, outcome,
+            )
 
     def _remote_error(
         self, ref: RemoteRef, method: str, payload: Any, batch: bool = False
@@ -303,5 +446,5 @@ class ProcMiddleware(Middleware):
         (idempotent; reached from ``on_undeploy``/``ParallelApp.__exit__``
         and backstopped by the backend's ``atexit`` hook)."""
         for export in self._servants.values():
-            export.worker.stop()
+            export.slot.worker.stop()
         self._servants.clear()

@@ -45,6 +45,7 @@ __all__ = [
     "RequestEnvelope",
     "ReplyEnvelope",
     "ExportEnvelope",
+    "LinkEnvelope",
     "encode_envelope",
     "decode_envelope",
     "exception_payload",
@@ -122,6 +123,11 @@ class RequestEnvelope:
     (``(args, kwargs)`` pairs) and ``kwargs`` is unused — the whole pack
     is ONE envelope, so it pays one marshalling pass and one wire frame
     (the process-backend face of communication packing).
+
+    ``budget`` asks for a *run*: the worker goes on through the stages
+    linked behind this one (:class:`LinkEnvelope`) until that many
+    seconds have passed — what the ticket's deadline had left, ``inf``
+    without one.  ``None`` is a bare call: this stage, nothing more.
     """
 
     kind = "request"
@@ -135,6 +141,7 @@ class RequestEnvelope:
         "oneway",
         "batch",
         "context_id",
+        "budget",
     )
 
     def __init__(
@@ -147,6 +154,7 @@ class RequestEnvelope:
         oneway: bool = False,
         batch: bool = False,
         context_id: int | None = None,
+        budget: float | None = None,
     ):
         self.call_id = call_id
         self.object_id = object_id
@@ -159,6 +167,7 @@ class RequestEnvelope:
         #: an id (tickets are process-local objects) and echoes back in
         #: the reply, so the caller side re-associates work with the call
         self.context_id = context_id
+        self.budget = budget
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -169,11 +178,16 @@ class RequestEnvelope:
 
 class ReplyEnvelope:
     """The reply frame: ``outcome`` is ``"ok"`` or ``"error"`` (payload
-    then carries the exception, see :func:`exception_payload`)."""
+    then carries the exception, see :func:`exception_payload`).
+
+    A run's reply says how many stages it went on through (``hops``;
+    the payload is the last one's result) and, under a custom
+    ``forward_args`` only, what the last one was called with (``view``:
+    ``(args, kwargs)``, for a pack ``args`` holds the piece views)."""
 
     kind = "reply"
 
-    __slots__ = ("call_id", "outcome", "payload", "context_id")
+    __slots__ = ("call_id", "outcome", "payload", "context_id", "hops", "view")
 
     def __init__(
         self,
@@ -181,11 +195,15 @@ class ReplyEnvelope:
         outcome: str,
         payload: Any = None,
         context_id: int | None = None,
+        hops: int = 0,
+        view: Any = None,
     ):
         self.call_id = call_id
         self.outcome = outcome
         self.payload = payload
         self.context_id = context_id
+        self.hops = hops
+        self.view = view
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ReplyEnvelope #{self.call_id} {self.outcome}>"
@@ -204,9 +222,27 @@ class ExportEnvelope:
         self.type_name = type_name or type(servant).__name__
 
 
+class LinkEnvelope:
+    """Tells a worker that stage ``object_id`` hands on to ``next_id``,
+    hosted there too: a run may cross.  ``forward_args`` is the
+    splitter's hook when not the default (pickled by reference)."""
+
+    kind = "link"
+
+    __slots__ = ("object_id", "next_id", "forward_args")
+
+    def __init__(self, object_id: int, next_id: int, forward_args: Any = None):
+        self.object_id = object_id
+        self.next_id = next_id
+        self.forward_args = forward_args
+
+
 #: envelope class per wire kind, and per class the getter that reads its
 #: slots in declaration order — which is also its constructor's order
-_ENVELOPES = {c.kind: c for c in (RequestEnvelope, ReplyEnvelope, ExportEnvelope)}
+_ENVELOPES = {
+    c.kind: c
+    for c in (RequestEnvelope, ReplyEnvelope, ExportEnvelope, LinkEnvelope)
+}
 _FIELDS = {cls: attrgetter(*cls.__slots__) for cls in _ENVELOPES.values()}
 
 

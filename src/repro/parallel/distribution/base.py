@@ -94,12 +94,13 @@ class DistributionAspect(ParallelAspect):
         if self.passthrough(jp):
             return jp.proceed()
         result = jp.proceed()  # local reference(s) the client will hold
-        if ctor_pack_of(jp) is not None:
-            for obj in result:
-                self._associate(obj)
-            return result
-        self._associate(result)
+        self._associate_all(result if ctor_pack_of(jp) is not None else [result])
         return result
+
+    def _associate_all(self, objs: list) -> None:
+        """Export the instances of one construction, in index order."""
+        for obj in objs:
+            self._associate(obj)
 
     def _associate(self, obj: Any) -> None:
         """Export one freshly built instance and remember its ref."""

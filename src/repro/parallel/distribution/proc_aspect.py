@@ -8,8 +8,13 @@ deliberate differences from the simulated aspects:
 * ``make_servant`` is the identity — the simulated middlewares deep-copy
   the object to fake value semantics, but here pickling across the pipe
   IS the copy, and cloning first would pay it twice;
-* there is no placement policy and no cluster: workers are homogeneous
-  OS processes, one per servant, placed by the operating system.
+* there is no cluster and no placement policy to pick: workers are
+  homogeneous OS processes, and the middleware spreads the servants of
+  one batched construction over no more of them than the run has CPUs,
+  neighbours together.  When that construction is a pipeline's chain of
+  stages (:func:`~repro.runtime.dispatch.chain_built`) the middleware
+  links the neighbours a worker hosts: this aspect decides where a stage
+  lives, the stages forward to each other (paper Section 4.3).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from repro.middleware.proc import ProcMiddleware
 from repro.parallel.composition import ParallelModule
 from repro.parallel.concern import Concern
 from repro.parallel.distribution.base import DistributionAspect
+from repro.runtime.dispatch import chain_built
 
 __all__ = ["ProcDistributionAspect", "proc_distribution_module", "proc_bundle"]
 
@@ -50,6 +56,16 @@ class ProcDistributionAspect(DistributionAspect):
         """Identity: the pickle crossing the pipe at export is the value
         copy; a parent-side clone first would serialise twice."""
         return obj
+
+    def _associate_all(self, objs: list) -> None:
+        """One batched construction is one placement decision; when it
+        is a pipeline's chain of stages, the middleware links the
+        neighbours it put on one worker."""
+        self.middleware.batch(len(objs))
+        super()._associate_all(objs)
+        chain = chain_built()
+        stages = [self.ref_of(obj) for obj in objs] if chain else ()
+        self.middleware.link(stages, chain and chain[0])
 
 
 def proc_distribution_module(

@@ -330,6 +330,16 @@ class WorkSplitter:
             return (result,), {}
         return self._forward_args(result, args, kwargs)
 
+    @property
+    def shipped_forward_args(self) -> Callable | None:
+        """What a distribution layer that runs stages ahead applies
+        between them: ``None`` for the default (the result as the sole
+        argument), else the hook — ``forward_args`` itself if replaced."""
+        replaced = getattr(self.forward_args, "__func__", None)
+        if replaced is not WorkSplitter.forward_args:
+            return self.forward_args
+        return self._forward_args
+
     def merge_pieces(self, pieces: Sequence[CallPiece]) -> CallPiece:
         if self._merge_pieces is None:
             raise AdviceError(

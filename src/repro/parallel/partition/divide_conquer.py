@@ -25,13 +25,14 @@ Hooks (constructor arguments):
 
 from __future__ import annotations
 
+import copy
 import threading
 from typing import Any, Callable, Sequence
 
 from repro.aop import abstract_pointcut, around, pointcut
+from repro.aop.cflow import bypassing_construction
 from repro.api.registry import register_strategy
 from repro.errors import AdviceError
-from repro.middleware.serialize import Serializer
 from repro.parallel.composition import ParallelModule
 from repro.parallel.concern import LAYER, Concern, ParallelAspect
 from repro.parallel.partition.base import (
@@ -88,7 +89,6 @@ class DivideAndConquerAspect(DispatchContextOwner, ParallelAspect):
         self.merge = merge
         self.max_depth = max_depth
         self._make_worker = make_worker
-        self._cloner = Serializer(copy=True)
         self._depth = threading.local()
         self._init_dispatch_state()
         self.divisions = 0
@@ -105,7 +105,8 @@ class DivideAndConquerAspect(DispatchContextOwner, ParallelAspect):
             self.workers_created += 1
         if self._make_worker is not None:
             return self._make_worker(prototype)
-        return self._cloner.clone(prototype)
+        with bypassing_construction():  # a copy, not a woven construction
+            return copy.deepcopy(prototype)
 
     # -- the advice -----------------------------------------------------------
 

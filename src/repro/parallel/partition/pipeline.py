@@ -30,6 +30,16 @@ instead of spawning.  Monitors are never held across a hop, the stack
 does not grow with the stage count, and a split of p pieces costs p
 activities, not p × stages.
 
+**Stages that live together forward to each other.**  Duplication
+runs inside :func:`~repro.runtime.dispatch.publish_chain`, so a
+distribution layer knows the instances are a chain, and block 3 enters
+a stage that has a successor through
+:func:`~repro.runtime.dispatch.run_ahead`.  The process middleware may
+answer such a call with the result of the last stage its worker hosts
+in a row and the hops it took; block 3 accounts them to the ticket and
+goes on from there — the next hop, or the tail's deposit.  Every other
+layer ignores the mark: the journey is stage by stage, as above.
+
 The aspects hold only the *deployed topology* (stages, ``next``
 pointers).  Every split call opens its own
 :class:`~repro.runtime.ticket.DispatchContext` — the collector
@@ -64,6 +74,8 @@ from repro.runtime.dispatch import (
     current_dispatch,
     current_piece,
     leave_hop,
+    publish_chain,
+    run_ahead,
     shield_dispatch,
     use_dispatch,
 )
@@ -110,8 +122,11 @@ class PipelineSplitAspect(PartitionAspect):
         # in pipeline order — this also keeps placement policies (which
         # see creations in order) assigning stage i and the hand-coded
         # baseline's stage i to the same node.  The whole stage set is
-        # built through one batched initialization joinpoint.
-        stages = self.build_duplicates(jp)
+        # built through one batched initialization joinpoint, as a chain
+        # (a distribution layer may host neighbours together).
+        stages = publish_chain(
+            partial(self.build_duplicates, jp), self.splitter.shipped_forward_args
+        )
         for index, stage in enumerate(stages):
             self.next[id(stage)] = (
                 stages[index + 1] if index + 1 < len(stages) else None
@@ -281,8 +296,20 @@ class PipelineForwardAspect(ParallelAspect):
             # the stage's own processing.  An async stage method's value
             # must exist before it can be forwarded (or deposited), so it
             # is resolved here, inside the fail-fast envelope
-            result = resolve(jp.proceed())
             nxt = co.next[key]
+            view = None
+            if nxt is None:
+                result = resolve(jp.proceed())
+            else:
+                # a distribution layer hosting the stages behind this one
+                # together may run them too: go on from the last it ran
+                result, run = run_ahead(jp.proceed)
+                result = resolve(result)
+                if run is not None:
+                    hops, view = run
+                    for _ in range(hops):
+                        nxt = co.next[id(nxt)]
+                    self._forwarded(ctx, hops, remote=True)
             # mid-forward deadline boundary: a deadline that ran out
             # while this stage processed unwinds HERE — the ticket is
             # expired (latching DeadlineExceeded with its trace into the
@@ -295,15 +322,13 @@ class PipelineForwardAspect(ParallelAspect):
                     ctx.expire("forwarding between pipeline stages")
                     return None
             if isinstance(jp, BatchJoinPoint):
-                return self._forward_batch(jp, result, nxt, ctx)
+                return self._forward_batch(
+                    jp.name, view[0] if view else jp.args[0], result, nxt, ctx
+                )
             if nxt is not None:
-                with self._forwards_lock:
-                    self.forwards += 1
-                if ctx is not None:
-                    ctx.advance()
-                    ctx.mark("forward")
+                self._forwarded(ctx, 1)
                 args, kwargs = co.splitter.forward_args(
-                    result, jp.args, jp.kwargs
+                    result, *(view or (jp.args, jp.kwargs))
                 )
                 # re-intercepted: the attribute is the next stage's
                 # compiled plan (repro.aop.plan) — direct getattr, once
@@ -323,6 +348,18 @@ class PipelineForwardAspect(ParallelAspect):
                 # the collector's retry plane when one is armed
                 ctx.fail(exc, piece=current_piece())
             raise
+
+    def _forwarded(self, ctx: Any, hops: int, remote: bool = False) -> None:
+        """Account ``hops`` forwards to this aspect and the ticket —
+        ``remote``: taken servant-side, each into a stage run for it."""
+        with self._forwards_lock:
+            self.forwards += hops
+        if ctx is not None:
+            ctx.advance(hops)
+            for _ in range(hops):
+                ctx.mark("forward")
+                if remote:
+                    ctx.attribute_remote()
 
     @staticmethod
     def _hand_on(nxt: Any, call: Callable[[], Any], ctx: Any) -> Any:
@@ -347,30 +384,28 @@ class PipelineForwardAspect(ParallelAspect):
 
         return None if leave_hop(hop, nxt) else call()
 
-    def _forward_batch(self, jp, results, nxt, ctx):
+    def _forward_batch(self, name, pack, results, nxt, ctx):
         """Pack-granular block 3: forward a whole pack in one batched
         call.  Per-item forward arguments are computed with the same
         ``forward_args`` hook, but the pack traverses each inter-stage
         hop as one compiled batched dispatch (one BatchJoinPoint, and —
-        under distribution — one message) instead of one per item."""
+        under distribution — one message) instead of one per item.
+        ``pack`` holds what the stage that produced ``results`` was
+        called with."""
         co = self.coordinator
         if nxt is not None:
-            with self._forwards_lock:
-                self.forwards += 1
-            if ctx is not None:
-                ctx.advance()
-                ctx.mark("forward")
+            self._forwarded(ctx, 1)
             items = []
-            # jp.args[0] is the pack at this advice level — an outer
-            # around may have substituted it via proceed(new_pieces)
-            for index, (piece, result) in enumerate(zip(jp.args[0], results)):
+            # the pack at this advice level — an outer around may have
+            # substituted it via proceed(new_pieces)
+            for index, (piece, result) in enumerate(zip(pack, results)):
                 piece_args, piece_kwargs = piece_view(piece)
                 args, kwargs = co.splitter.forward_args(
                     result, piece_args, piece_kwargs
                 )
                 items.append(CallPiece(index, args, kwargs))
             return self._hand_on(
-                nxt, partial(batched_entry(nxt, jp.name), items), ctx
+                nxt, partial(batched_entry(nxt, name), items), ctx
             )
         if ctx is not None and ctx.collector is not None:
             pack = current_piece()

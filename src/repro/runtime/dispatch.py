@@ -45,6 +45,15 @@ It is cleared by whichever comes first: the concurrency aspect that
 reads it (whatever its verdict — a call on another object is not the
 tail and spawns), or the ``finally`` of the party that set it, so a
 stack with no concurrency aspect leaves nothing behind.
+
+**The chain and the run** let the pipeline talk to a distribution layer
+it never imports.  At deploy it builds its stages inside
+:func:`publish_chain`, so the aspect exporting them (:func:`chain_built`)
+knows they hand on to each other in order — the process middleware links
+the neighbours one worker hosts.  Per call, the forwarder enters a stage
+inside :func:`run_ahead`; a middleware that takes the mark
+(:func:`take_run`) may let the servant side run the stages behind it too
+and says how far it got (:func:`leave_run`).
 """
 
 from __future__ import annotations
@@ -70,6 +79,11 @@ __all__ = [
     "leave_hop",
     "carry",
     "take_tail",
+    "publish_chain",
+    "chain_built",
+    "run_ahead",
+    "take_run",
+    "leave_run",
 ]
 
 
@@ -83,6 +97,11 @@ class _DispatchState(threading.local):
         #: one-shot: the object whose next woven call is this activity's
         #: tail (take_tail)
         self.tail: Any = None
+        #: ``(forward_args,)`` while a pipeline builds its stages
+        self.chain: tuple | None = None
+        #: ``True`` while a stage call whose successors may run ahead is
+        #: on its way down; ``(hops, view)`` once a middleware ran some
+        self.run: Any = None
 
 
 _STATE = _DispatchState()
@@ -231,6 +250,56 @@ def take_tail(target: Any) -> bool:
     state = _STATE
     marked, state.tail = state.tail, None
     return marked is not None and marked is target
+
+
+def publish_chain(build: Callable[[], list], forward_args: Any) -> list:
+    """Pipeline only: run ``build``, the batched duplication whose
+    instances are the stages in pipeline order, as one a distribution
+    layer may recognise (:func:`chain_built`).  ``forward_args`` is the
+    splitter's hook, ``None`` for the default."""
+    state = _STATE
+    state.chain = (forward_args,)
+    try:
+        return build()
+    finally:
+        state.chain = None
+
+
+def chain_built() -> tuple | None:
+    """Distribution aspects: ``(forward_args,)`` when the batched
+    construction under way is a pipeline's chain of stages, else ``None``."""
+    return _STATE.chain
+
+
+def run_ahead(enter: Callable[[], Any]) -> tuple[Any, Any]:
+    """Pipeline forwarder only: make ``enter`` — the call into a stage
+    that has a successor — marked as one whose successors may run ahead.
+    Returns ``(result, run)``; ``run`` is ``None`` when that stage alone
+    ran, else what :func:`leave_run` left."""
+    state = _STATE
+    state.run = True
+    try:
+        result = enter()
+        run = state.run
+    finally:
+        state.run = None
+    return result, (None if run is True else run)
+
+
+def take_run() -> bool:
+    """Middlewares: was this invocation marked by :func:`run_ahead`?
+    One-shot: a second invocation under the same stage call is bare."""
+    state = _STATE
+    marked, state.run = state.run is True, None
+    return marked
+
+
+def leave_run(hops: int, view: Any) -> None:
+    """Middlewares: the marked invocation went on through ``hops``
+    further stages; its result is the last one's, and ``view`` what that
+    stage was called with where the forwarder needs it (a custom
+    ``forward_args``)."""
+    _STATE.run = (hops, view)
 
 
 def bind_dispatch(fn: Callable[[], Any]) -> Callable[[], Any]:

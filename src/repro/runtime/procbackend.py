@@ -6,9 +6,11 @@ farm/pipeline runs gain nothing from extra cores.  This backend is the
 activities stay OS threads (the :class:`~repro.runtime.threads.ThreadBackend`
 primitives and wall clock are inherited unchanged — deadlines and
 admission waits mean the same thing), while **servant execution** moves
-into resident `multiprocessing` worker processes, one per exported
-servant, each holding the servant's compiled
-:class:`~repro.aop.plan.MethodTable`.
+into resident `multiprocessing` worker processes, each holding the
+compiled :class:`~repro.aop.plan.MethodTable` of every servant it hosts
+— the servants of one batched construction share at most
+:func:`usable_cpus` workers, neighbours together: a process beyond the
+CPUs the run may use adds time-slicing, not throughput.
 
 The process boundary deliberately lives at the *middleware* layer
 (:class:`~repro.middleware.proc.ProcMiddleware`), not at ``spawn()``:
@@ -19,7 +21,12 @@ laid down for the simulated transports.  What crosses the boundary:
 * at export — one :class:`~repro.middleware.serialize.ExportEnvelope`
   carrying the pickled servant (value semantics: pickling IS the copy);
 * per call — one :class:`~repro.middleware.serialize.RequestEnvelope`
-  (a whole pack is ONE envelope) and one reply frame;
+  (a whole pack is ONE envelope) and one reply frame.  A request with
+  a ``budget`` asks for a *run*: the worker goes on through the
+  pipeline stages linked behind the requested one
+  (:class:`~repro.middleware.serialize.LinkEnvelope`, one at deploy per
+  adjacent pair a worker hosts) until the chain leaves it, a stage
+  fails or the budget is spent, and answers once, with its ``hops``;
 * never — dispatch tickets, locks, futures, or aspects.  Tickets travel
   as ids and all collector/deadline bookkeeping stays caller-side.
 
@@ -47,25 +54,44 @@ import os
 import select
 import signal
 import threading
+import time
 from typing import Any, Callable
 
 from repro.api.registry import register_backend
 from repro.errors import BackendError, WorkerCrashed
 from repro.runtime.threads import ThreadBackend
 
-__all__ = ["ProcessBackend", "ProcWorker", "FrameReader", "write_frame", "STOP_FRAME"]
+__all__ = [
+    "ProcessBackend",
+    "ProcWorker",
+    "FrameReader",
+    "write_frame",
+    "usable_cpus",
+    "STOP_FRAME",
+]
 
 #: raw stop frame — recognised by the worker loop BEFORE unpickling, so
 #: shutdown never depends on a healthy codec
 STOP_FRAME = b"__repro_proc_stop__"
 
 
-def write_frame(fd: int, body: bytes) -> None:
-    """Ship ``body`` as one frame — one ``os.write``, more only after a
-    short one; a body over 16 KB follows its prefix instead of being
-    copied behind it."""
+def usable_cpus() -> int:
+    """CPUs this process may run on — the most workers one batched
+    construction is spread over (``ProcessPoolExecutor``'s sizing rule)."""
+    return len(os.sched_getaffinity(0))
+
+
+def frame_parts(body: bytes) -> tuple:
+    """The buffers one frame is written from: a body over 16 KB follows
+    its length prefix instead of being copied behind it."""
     prefix = len(body).to_bytes(4, "big")
-    for part in (prefix + body,) if len(body) <= 16384 else (prefix, body):
+    return (prefix + body,) if len(body) <= 16384 else (prefix, body)
+
+
+def write_frame(fd: int, body: bytes) -> None:
+    """Ship ``body`` as one frame on a blocking ``fd`` — one
+    ``os.write``, more only after a short one."""
+    for part in frame_parts(body):
         sent = os.write(fd, part)
         while sent < len(part):
             sent += os.write(fd, memoryview(part)[sent:])
@@ -97,6 +123,11 @@ class FrameReader:
     def read(self) -> bytes | None:
         """One ``os.read`` (blocking on an empty pipe), then :meth:`take`.
         ``EOFError`` once the peer is gone, mid-frame included."""
+        self.fill()
+        return self.take()
+
+    def fill(self) -> None:
+        """The ``os.read`` alone: what arrived waits in ``pending``."""
         pending = self.pending
         want = 16384  # small frames whole; 64 KB a read was +3 MB of parent RSS
         if len(pending) >= 4:  # the rest of a large frame in one read
@@ -105,7 +136,6 @@ class FrameReader:
         if not chunk:
             raise EOFError("pipe closed by the peer")
         pending += chunk
-        return self.take()
 
 
 def _start_method() -> str:
@@ -119,8 +149,8 @@ def _start_method() -> str:
 def _worker_main(conn: Any) -> None:
     """Child entry point: host servants, serve envelope requests.
 
-    One request at a time (per-servant workers make the pipe the
-    serialisation point); replies echo the request's ``call_id`` and
+    One request at a time (the pipe is the serialisation point of every
+    servant hosted here); replies echo the request's ``call_id`` and
     ``context_id`` so an abandoned call's late reply is identified and
     discarded by the parent instead of desynchronising the stream.
     Imports are deferred: the parent-side import graph stays acyclic
@@ -137,6 +167,7 @@ def _worker_main(conn: Any) -> None:
     from repro.middleware.base import perform_request
     from repro.middleware.serialize import (
         ExportEnvelope,
+        LinkEnvelope,
         ReplyEnvelope,
         decode_envelope,
         encode_envelope,
@@ -144,6 +175,9 @@ def _worker_main(conn: Any) -> None:
     )
 
     servants: dict[int, tuple[MethodTable, Any]] = {}
+    #: pipeline stage -> (the stage it hands on to, hosted here too, the
+    #: splitter's forward_args when it is not the default)
+    links: dict[int, tuple[int, Any]] = {}
     fd = conn.fileno()
     reader = FrameReader(fd)
     while True:
@@ -163,6 +197,10 @@ def _worker_main(conn: Any) -> None:
             reply = ReplyEnvelope(-1, "error", exception_payload(exc))
             write_frame(fd, encode_envelope(reply))
             continue
+        if isinstance(envelope, LinkEnvelope):
+            links[envelope.object_id] = (envelope.next_id, envelope.forward_args)
+            write_frame(fd, encode_envelope(ReplyEnvelope(0, "ok")))
+            continue
         if isinstance(envelope, ExportEnvelope):
             try:
                 servants[envelope.object_id] = (
@@ -174,31 +212,65 @@ def _worker_main(conn: Any) -> None:
                 outcome = ("error", exception_payload(exc))
             write_frame(fd, encode_envelope(ReplyEnvelope(0, *outcome)))
             continue
-        entry = servants.get(envelope.object_id)
+        object_id, args, kwargs = envelope.object_id, envelope.args, envelope.kwargs
+        method, batch, budget = envelope.method, envelope.batch, envelope.budget
+        entry = servants.get(object_id)
+        hops = 0
         if entry is None:
             outcome = (
                 "error",
-                MiddlewareError(
-                    f"worker hosts no servant #{envelope.object_id}"
-                ),
+                MiddlewareError(f"worker hosts no servant #{object_id}"),
             )
         else:
-            outcome = perform_request(
-                *entry, envelope.method, envelope.args, envelope.kwargs, envelope.batch
-            )
+            # what the ticket had left when the request was framed: this
+            # end is no earlier than its deadline
+            end = None if budget is None else time.monotonic() + budget
+            outcome = perform_request(*entry, method, args, kwargs, batch)
+            # a run: the stage handed on to lives here too, so the piece
+            # goes on without a round trip through the parent; as there,
+            # a failed stage or a spent budget ends the journey
+            while (
+                end is not None
+                and outcome[0] == "ok"
+                and object_id in links
+                and time.monotonic() < end
+            ):
+                object_id, forward = links[object_id]
+                forward = forward or _default_forward_args
+                try:
+                    if batch:  # item by item: args holds the piece views
+                        args = [forward(r, *view) for r, view in zip(outcome[1], args)]
+                    else:
+                        args, kwargs = forward(outcome[1], args, kwargs or {})
+                except Exception as exc:  # noqa: BLE001 - the run's error
+                    outcome = ("error", exc)
+                    break
+                outcome = perform_request(*servants[object_id], method, args, kwargs, batch)
+                hops += 1
         if envelope.oneway:
             continue  # fire-and-forget: executed, no reply frame
         if outcome[0] == "error":
             outcome = ("error", exception_payload(outcome[1]))
-        reply = ReplyEnvelope(envelope.call_id, *outcome, envelope.context_id)
+        # the parent's forwarder goes on from the last stage run: a
+        # custom forward_args may read what that stage was called with
+        view = (args, kwargs) if hops and links[envelope.object_id][1] else None
+        reply = ReplyEnvelope(
+            envelope.call_id, *outcome, envelope.context_id, hops, view
+        )
         try:
             frame = encode_envelope(reply)
         except SerializationError as exc:
             # an unpicklable RESULT degrades to a targeted error reply —
             # the caller gets a SerializationError, never a hang
             reply.outcome, reply.payload = "error", exception_payload(exc)
+            reply.view = None
             frame = encode_envelope(reply)
         write_frame(fd, frame)
+
+
+def _default_forward_args(result: Any, args: tuple, kwargs: dict) -> tuple:
+    """``WorkSplitter.forward_args`` unset: the result, alone."""
+    return (result,), {}
 
 
 class ProcWorker:
@@ -237,6 +309,10 @@ class ProcWorker:
         self.pid: int | None = self.process.pid
         self.exitcode: int | None = None
         self._reader = FrameReader(self.conn.fileno())
+        os.set_blocking(self._reader.fd, False)
+        #: buffers accepted for sending and not written yet: the rest of
+        #: a frame whose sender gave up goes out ahead of the next one
+        self._unsent: list = []
         self._poll = select.poll()  # poll(2): owns no fd of its own
         self._poll.register(self._reader.fd, select.POLLIN)
         self._poll.register(self.process.sentinel, select.POLLIN)
@@ -249,16 +325,59 @@ class ProcWorker:
 
     # -- request/reply ------------------------------------------------------
 
-    def send(self, data: bytes) -> None:
-        """Ship one request frame; a dead worker is a broken pipe here
-        (or a sentinel wake-up in the :meth:`recv` that follows), so
+    def send(
+        self,
+        data: bytes,
+        check: Callable[[], None] | None = None,
+        deadline: Any = None,
+    ) -> None:
+        """Ship one request frame (under ``self.lock``): one ``os.write``
+        when the pipe has room.  When it has none, the worker may be
+        stuck writing a reply nobody awaits — each side waiting for the
+        other to read — so the wait for room reads what arrives, and is
+        cut short like :meth:`recv`'s by ``check`` and ``deadline``.  A
+        dead worker is a broken pipe (or a sentinel wake-up), so
         :class:`~repro.errors.WorkerCrashed`, never a hang."""
+        fd = self._reader.fd
+        unsent = self._unsent
+        unsent.extend(frame_parts(data))
         try:
-            write_frame(self._reader.fd, data)
-        except OSError as exc:
+            while unsent:
+                try:
+                    sent = os.write(fd, unsent[0])
+                except BlockingIOError:
+                    sent = 0
+                if sent == len(unsent[0]):
+                    del unsent[0]
+                else:
+                    unsent[0] = memoryview(unsent[0])[sent:]
+                    self._await_room(check, deadline)
+        except (EOFError, OSError) as exc:
             raise WorkerCrashed(
                 self._obituary(f"during a send ({exc})")
             ) from exc
+
+    def _await_room(self, check: Callable[[], None] | None, deadline: Any) -> None:
+        """Until the pipe takes more or brought something (kept for the
+        next :meth:`recv`), on the reply wait's poll and its terms."""
+        fd = self._reader.fd
+        self._poll.modify(fd, select.POLLIN | select.POLLOUT)
+        try:
+            while True:
+                quantum = self.POLL_INTERVAL
+                if deadline is not None:
+                    quantum = min(quantum, deadline.remaining())
+                ready = dict(self._poll.poll(quantum * 1000.0))
+                if fd in ready:
+                    if ready[fd] & select.POLLIN:
+                        self._reader.fill()
+                    return
+                if ready:
+                    raise EOFError("the worker died")  # the sentinel alone
+                if check is not None:
+                    check()
+        finally:
+            self._poll.modify(fd, select.POLLIN)
 
     def recv(
         self, check: Callable[[], None] | None = None, deadline: Any = None
@@ -294,7 +413,10 @@ class ProcWorker:
                 # the pipe, whatever else fired: a reply that raced the
                 # worker's death still drains; a frame still short goes
                 # back to the poll, the same death watch and deadline
-                frame = reader.read()
+                reader.fill()
+                frame = reader.take()
+            except BlockingIOError:
+                continue  # woken for bytes a send's wait already took
             except (EOFError, OSError) as exc:
                 raise WorkerCrashed(
                     self._obituary("awaiting its reply")

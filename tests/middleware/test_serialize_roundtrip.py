@@ -18,6 +18,7 @@ import pytest
 from repro.errors import SerializationError
 from repro.middleware.serialize import (
     ExportEnvelope,
+    LinkEnvelope,
     ReplyEnvelope,
     RequestEnvelope,
     Serializer,
@@ -183,6 +184,54 @@ class TestExportEnvelope:
             encode_envelope(ExportEnvelope(1, bad))
 
 
+def every_third(result, args, kwargs):
+    """A module-level ``forward_args``: pickled by reference."""
+    return (result[::3],), kwargs
+
+
+class TestRunSlots:
+    """The trailing slots a co-located run travels in, and the link
+    frame that sets one up: absent means a bare call and a plain reply,
+    so constructions that never heard of them keep working."""
+
+    def test_defaults_are_a_bare_call_and_a_plain_reply(self):
+        # the spellings the end-to-end benchmark's probes use
+        request = decode_envelope(
+            encode_envelope(RequestEnvelope(7, 1, "work", ([1],), {}, context_id=7))
+        )
+        assert (request.budget, request.context_id) == (None, 7)
+        reply = decode_envelope(
+            encode_envelope(ReplyEnvelope(7, "ok", [2], context_id=7))
+        )
+        assert (reply.hops, reply.view, reply.context_id) == (0, None, 7)
+        assert RequestEnvelope.__slots__[-1] == "budget"
+        assert ReplyEnvelope.__slots__[-2:] == ("hops", "view")
+
+    @pytest.mark.parametrize("budget", [0.25, float("inf")])
+    def test_a_run_request_and_its_reply_round_trip(self, budget):
+        request = decode_envelope(
+            encode_envelope(
+                RequestEnvelope(8, 2, "work", ([1],), {}, context_id=3, budget=budget)
+            )
+        )
+        assert request.budget == budget
+        view = (([5],), {"note": ".."})
+        reply = decode_envelope(
+            encode_envelope(ReplyEnvelope(8, "ok", [6], 3, hops=2, view=view))
+        )
+        assert (reply.hops, reply.view, reply.payload) == (2, view, [6])
+
+    def test_link_round_trip_ships_forward_args_by_reference(self):
+        link = decode_envelope(encode_envelope(LinkEnvelope(4, 5, every_third)))
+        assert (link.object_id, link.next_id) == (4, 5)
+        assert link.forward_args is every_third
+        assert decode_envelope(encode_envelope(LinkEnvelope(4, 5))).forward_args is None
+
+    def test_unpicklable_forward_args_names_the_field(self):
+        with pytest.raises(SerializationError, match="LinkEnvelope.forward_args"):
+            encode_envelope(LinkEnvelope(4, 5, lambda result, args, kwargs: args))
+
+
 class TestSerializerAccounting:
     def test_encode_counts_messages_and_bytes(self):
         serializer = Serializer()
@@ -204,7 +253,8 @@ class TestSerializerAccounting:
         # of a plain tuple — the envelope's kind, then its slots in
         # declaration order (no class instance crosses the pipe)
         frame = encode_envelope(ReplyEnvelope(1, "ok", [1, 2], context_id=9))
-        assert pickle.loads(frame) == ("reply", 1, "ok", [1, 2], 9)
+        # ... the run's trailing slots included, at their defaults
+        assert pickle.loads(frame) == ("reply", 1, "ok", [1, 2], 9, 0, None)
         assert decode_envelope(frame).payload == [1, 2]
         request = RequestEnvelope(7, 3, "work", (1,), {"k": 2}, batch=True)
         wire = pickle.loads(encode_envelope(request))

@@ -61,6 +61,19 @@ def test_lower_layers_do_not_import_the_skeletons():
     assert upward == []
 
 
+def test_the_skeletons_do_not_import_the_middlewares():
+    """The pipeline shows its chain of stages to whoever hosts them, and
+    learns how far a run went, through ``runtime.dispatch`` only: the
+    partition layer names no middleware."""
+    sideways = [
+        f"{path.relative_to(SRC).as_posix()} imports {module}"
+        for path in sorted((SRC / "parallel" / "partition").rglob("*.py"))
+        for module in _imports(path)
+        if module == "repro.middleware" or module.startswith("repro.middleware.")
+    ]
+    assert sideways == []
+
+
 def test_runtime_does_not_import_the_tenant_plane():
     upward = [
         f"{path.relative_to(SRC).as_posix()} imports {module}"

@@ -2,7 +2,10 @@
 frames on the pipe's own fd, one write and (arriving whole) one read
 each.  The reader keeps what a read brought beyond a frame, and is asked
 before ``poll`` is — which is what lets a stale reply and the awaited
-one arrive together.
+one arrive together.  A send the pipe has no room for reads while it
+waits (the worker may be stuck writing a reply nobody awaits), bounded
+by the ticket's deadline; what a sender that gave up left unsent goes
+out ahead of the next frame.
 """
 
 from __future__ import annotations
@@ -248,5 +251,68 @@ class TestLiveWorker:
             assert reads == [fd]
             # nothing of either reply is left for the next call to trip on
             assert middleware.invoke(ref, "nap", (0.0, "next")) == "next"
+        finally:
+            middleware.shutdown()
+
+    def test_abandoned_large_reply_then_large_request_is_not_a_deadlock(self):
+        """Both larger than the pipe's buffer: the worker blocks writing
+        the reply nobody reads, the parent used to block writing the
+        request nobody read — each waiting for the other, for good."""
+        middleware = ProcMiddleware()
+        outcome: dict = {}
+        try:
+            ref = middleware.export(Sleeper())
+            worker = middleware.worker_of(ref)
+            fd = worker.conn.fileno()
+            blob = os.urandom(600_000)
+            ticket = DispatchContext("abandons-a-large-reply")
+            ticket.adopt_deadline(Deadline(0.2, middleware.backend.now))
+            with use_dispatch(ticket), pytest.raises(DeadlineExceeded):
+                middleware.invoke(ref, "nap", (0.4, blob))
+            # the worker has filled the pipe with as much of the reply
+            # as fits and sits in its os.write
+            assert wait_until(lambda: readable_bytes(fd) > 100_000)
+            time.sleep(0.1)
+
+            def call():
+                try:
+                    outcome["reply"] = middleware.invoke(ref, "nap", (0.0, blob[::-1]))
+                except Exception as exc:  # noqa: BLE001 - inspected below
+                    outcome["error"] = exc
+
+            thread = threading.Thread(target=call)
+            thread.start()
+            thread.join(timeout=10)
+            hung = thread.is_alive()
+            if hung:
+                worker.kill()  # unblock the writer so the test can end
+                thread.join(timeout=10)
+            assert not hung, "parent and worker both blocked in os.write"
+            assert outcome.get("reply") == blob[::-1]
+            assert middleware.invoke(ref, "nap", (0.0, "next")) == "next"
+            assert middleware.worker_crashes == 0
+        finally:
+            middleware.shutdown()
+
+    def test_send_gives_up_at_the_deadline_and_the_rest_goes_out_first(self):
+        middleware = ProcMiddleware()
+        try:
+            ref = middleware.export(Sleeper())
+            napping = DispatchContext("keeps-the-worker-busy")
+            napping.adopt_deadline(Deadline(0.05, middleware.backend.now))
+            with use_dispatch(napping), pytest.raises(DeadlineExceeded):
+                middleware.invoke(ref, "nap", (1.0, "busy"))
+            # the worker reads nothing for a second: a request larger
+            # than the pipe cannot all be written before this deadline
+            ticket = DispatchContext("gives-up-mid-send")
+            ticket.adopt_deadline(Deadline(0.1, middleware.backend.now))
+            started = time.monotonic()
+            with use_dispatch(ticket), pytest.raises(DeadlineExceeded):
+                middleware.invoke(ref, "nap", (0.0, os.urandom(2_000_000)))
+            assert time.monotonic() - started < 0.5
+            # half a frame is in the pipe: the next caller completes it
+            # before its own, and the stream stays in step
+            assert middleware.invoke(ref, "nap", (0.0, "next")) == "next"
+            assert middleware.worker_crashes == 0
         finally:
             middleware.shutdown()

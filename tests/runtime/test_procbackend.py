@@ -29,6 +29,7 @@ from repro.errors import (
 )
 from repro.middleware.proc import ProcMiddleware
 from repro.middleware.serialize import RequestEnvelope
+from repro.runtime import procbackend
 from repro.runtime.admission import Deadline
 from repro.runtime.dispatch import use_dispatch
 from repro.runtime.procbackend import ProcessBackend, ProcWorker
@@ -220,6 +221,34 @@ class TestProcMiddlewareDirect:
             pids = {middleware.worker_of(ref).pid for ref in refs}
             assert len(pids) == 3  # genuinely distinct processes
             assert os.getpid() not in pids
+        finally:
+            middleware.shutdown()
+        assert middleware.backend.live_workers == 0
+
+    @pytest.mark.parametrize(
+        "cpus, servants, hosts",
+        [(1, 3, [0, 0, 0]), (2, 3, [0, 0, 1]), (2, 5, [0, 0, 0, 1, 1]), (3, 3, [0, 1, 2])],
+    )
+    def test_a_batch_gets_no_more_workers_than_cpus(
+        self, monkeypatch, cpus, servants, hosts
+    ):
+        """The capped twin: the servants of one batched construction go
+        onto ``min(servants, usable_cpus())`` workers by block, each
+        beside its neighbours; an export outside a batch still gets a
+        worker of its own."""
+        monkeypatch.setattr(procbackend, "usable_cpus", lambda: cpus)
+        middleware = ProcMiddleware()
+        try:
+            middleware.batch(servants)
+            refs = [middleware.export(Doubler()) for _ in range(servants)]
+            assert [middleware.worker_of(ref).index for ref in refs] == hosts
+            assert len(middleware.backend.workers) == min(cpus, servants)
+            for ref in refs:
+                assert middleware.invoke(ref, "bump", ([ref.object_id],)) == [
+                    ref.object_id * 2
+                ]
+            alone = middleware.export(Doubler())
+            assert middleware.worker_of(alone).index == min(cpus, servants)
         finally:
             middleware.shutdown()
         assert middleware.backend.live_workers == 0

@@ -1,11 +1,15 @@
 """The process hop's budget, as counts instead of timings.
 
 100 sequential submits of the 2-batch word counter on the process
-backend — six request/reply round trips per op over resident workers'
-pipes — counted in the parent, and one resident worker's serving loop
+backend, counted in the parent, and one resident worker's serving loop
 counted on a thread.  Counts repeat where timings do not, so this runs
 in tier-1 on every lane; the numbers are printed (``pytest -s``) so the
-next diet of the hop has its baseline.
+next diet of the hop has its baseline.  Two topologies: *spread* (a
+worker per stage, CPUs to spare: six request/reply round trips per op,
+every hop through the parent) and *co-located* (one usable CPU: the
+three stages share a worker and a batch's journey is one run — two
+round trips per op).  A subprocess that really pins itself to one CPU,
+as the end-to-end benchmark does, must land on the second.
 
 * Python-level ``call`` events per op, over every parent thread;
 * ``contextlib._GeneratorContextManager`` objects built per op — only
@@ -21,9 +25,13 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
+
+import repro
 
 from repro.api import ParallelApp
 from repro.apps.wordcount import wordcount_spec
@@ -33,6 +41,7 @@ from repro.middleware.serialize import (
     decode_envelope,
     encode_envelope,
 )
+from repro.runtime import procbackend
 from repro.runtime.procbackend import (
     STOP_FRAME,
     FrameReader,
@@ -43,11 +52,17 @@ from repro.runtime.threads import CARRIER_LIFETIME
 
 OPS = 100
 ROUND_TRIPS_PER_OP = 6  # 2 batches through 3 stages
-#: what the hop measures is 542 per op on CPython 3.11, the same on
-#: every run (the path before it read 716 counted this way, with 14
-#: generator scopes per op and every frame through
-#: multiprocessing.Connection)
+#: what the hop measures is 550 per op on CPython 3.11, the same on
+#: every run (542 before the forwarder asked whether a stage's
+#: successors may run ahead; the path before the hop's diet read 716
+#: counted this way, with 14 generator scopes per op and every frame
+#: through multiprocessing.Connection)
 CALLS_PER_OP_CEILING = 560
+#: one run per batch: the request, then the reply with its hops
+COLOCATED_ROUND_TRIPS_PER_OP = 2
+#: measured 319 per op on CPython 3.11, the same on every run; the
+#: ceiling is 3 % above it
+COLOCATED_CALLS_PER_OP_CEILING = 329
 GENERATOR_SCOPES_PER_OP_CEILING = 1
 
 DOCUMENTS = [
@@ -77,6 +92,25 @@ def _count_generator_scopes(monkeypatch, built: list) -> None:
 
 
 def test_parent_side_hop_budget(monkeypatch):
+    """Spread: a worker per stage, every hop through the parent."""
+    _parent_side_budget(
+        monkeypatch, "spread", 3, ROUND_TRIPS_PER_OP, CALLS_PER_OP_CEILING
+    )
+
+
+def test_parent_side_hop_budget_colocated(monkeypatch):
+    """One usable CPU: the stages share a worker, a batch is one run."""
+    monkeypatch.setattr(procbackend, "usable_cpus", lambda: 1)
+    _parent_side_budget(
+        monkeypatch,
+        "co-located",
+        1,
+        COLOCATED_ROUND_TRIPS_PER_OP,
+        COLOCATED_CALLS_PER_OP_CEILING,
+    )
+
+
+def _parent_side_budget(monkeypatch, topology, workers, round_trips_per_op, ceiling):
     app = ParallelApp(wordcount_spec(batches=2, backend="process"))
     scopes_built: list = []
     reads, writes = [0], [0]
@@ -91,6 +125,7 @@ def test_parent_side_hop_budget(monkeypatch):
         for _ in range(20):  # warm: plans compiled, carriers parked
             expected = app.submit(DOCUMENTS).result(timeout=10)
         assert sum(expected.values()) > 0
+        assert len(app.backend.workers) == workers
         pipe_fds = {w.conn.fileno() for w in app.backend.workers}
         os_read, os_write = os.read, os.write
 
@@ -106,11 +141,13 @@ def test_parent_side_hop_budget(monkeypatch):
         monkeypatch.setattr(os, "read", counting_read)
         monkeypatch.setattr(os, "write", counting_write)
         round_trips_before = app.middleware.calls
+        messages_before = app.middleware.serializer.messages
         results = [
             app.submit(DOCUMENTS).result(timeout=10) for _ in range(OPS)
         ]
         round_trips = app.middleware.calls - round_trips_before
-        monkeypatch.undo()
+        messages = app.middleware.serializer.messages - messages_before
+        monkeypatch.undo()  # the workers are placed: the topology stays
         # the profile hooks slow every call, so they get a pass of their
         # own: the counts above are taken at full speed.  A thread takes
         # its hook when it starts, so let the parked carriers retire
@@ -128,17 +165,54 @@ def test_parent_side_hop_budget(monkeypatch):
     assert app.in_flight == 0
 
     print(
-        f"\nprocess hop budget, per op over {OPS} ops: "
+        f"\nprocess hop budget ({topology}), per op over {OPS} ops: "
         f"python calls {calls[0] / OPS:.0f}, "
         f"generator scopes {len(scopes_built) / OPS:.2f}, "
         f"os.read per frame received {reads[0] / round_trips:.2f}, "
         f"os.write per frame sent {writes[0] / round_trips:.2f}"
     )
-    assert round_trips == ROUND_TRIPS_PER_OP * OPS
+    assert round_trips == messages == round_trips_per_op * OPS
     assert reads[0] == round_trips
     assert writes[0] == round_trips
     assert len(scopes_built) <= GENERATOR_SCOPES_PER_OP_CEILING * OPS
-    assert calls[0] / OPS <= CALLS_PER_OP_CEILING
+    assert calls[0] / OPS <= ceiling
+
+
+_PINNED = """
+import os
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from repro.api import ParallelApp
+from repro.apps.wordcount import wordcount_spec
+
+documents = ["the quick brown fox", "jumps over the lazy dog"] * 4
+with ParallelApp(wordcount_spec(batches=2, backend="process")) as app:
+    app.start()
+    app.submit(documents).result(timeout=20)
+    calls, messages = app.middleware.calls, app.middleware.serializer.messages
+    for _ in range(10):
+        app.submit(documents).result(timeout=20)
+    print(
+        len(app.backend.workers),
+        (app.middleware.calls - calls) / 10,
+        (app.middleware.serializer.messages - messages) / 10,
+        app.middleware.worker_respawns,
+    )
+"""
+
+
+def test_a_process_pinned_to_one_cpu_runs_colocated():
+    """No seam: the interpreter pins itself with ``sched_setaffinity``
+    before it deploys, which is what the end-to-end benchmark does."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _PINNED],
+        env={**os.environ, "PYTHONPATH": source},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "2.0", "2.0", "0"]
 
 
 def test_worker_side_hop_budget(monkeypatch):
