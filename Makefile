@@ -190,6 +190,14 @@ lint:
 	$(PY) tools/lint_docstrings.py
 
 ## lines of Python under src/ — the number every PR states with its
-## +/- counts (ROADMAP item 6: it should go down)
+## +/- counts (ROADMAP item 6: it should go down).  A gate: prints the
+## count and fails above LOC_CEILING, the count of the last PR that
+## moved it — a PR that grows src/ raises the ceiling in the same diff
+## and says why in CHANGES.md, one that shrinks it lowers the ceiling.
+LOC_CEILING := 19620
 loc:
-	@find src -name '*.py' | xargs cat | wc -l
+	@count=$$(find src -name '*.py' | xargs cat | wc -l); echo $$count; \
+	if [ $$count -gt $(LOC_CEILING) ]; then \
+		echo "src/ is $$count lines, over LOC_CEILING = $(LOC_CEILING) (Makefile): delete, or raise it and justify" >&2; \
+		exit 1; \
+	fi

@@ -38,21 +38,17 @@ from repro.aop.plan import batched_entry
 from repro.aop.weaver import Weaver, default_weaver
 from repro.api.registry import BACKENDS, MIDDLEWARES, STRATEGIES
 from repro.api.spec import StackSpec
-from repro.errors import (
-    AdmissionError,
-    DeadlineExceeded,
-    DeploymentError,
-    FutureError,
-)
-from repro.faults.schedule import install_faults, remove_faults
+from repro.errors import AdmissionError, DeploymentError, FutureError
 from repro.middleware.context import use_node
 from repro.parallel.composition import Composition, ParallelModule
 from repro.parallel.concern import Concern
 from repro.parallel.concurrency import concurrency_module
 from repro.parallel.partition.base import CallPiece
-from repro.runtime.admission import AdmissionController, Deadline, use_envelope
+from repro.runtime.admission import AdmissionController, Deadline
 from repro.runtime.backend import ExecutionBackend, use_backend
+from repro.runtime.dispatch import use_dispatch
 from repro.runtime.futures import Future, FutureGroup
+from repro.runtime.ticket import DispatchContext, DispatchContextOwner
 from repro.runtime.simbackend import SimBackend
 from repro.sim import current_process
 
@@ -158,8 +154,11 @@ class ParallelApp:
         if self.scheduler is not None:
             self.scheduler.ensure_tenant(self.tenant)
         self._submissions = 0
-        #: the spec's fault schedule while installed on the fault plane
-        #: (deploy installs it, undeploy removes it)
+        #: the tickets submit()/map() build: live from admission until
+        #: the future resolves, then a bounded history of timelines
+        self._tickets = DispatchContextOwner()
+        #: the spec's fault schedule while in force (deploy to undeploy);
+        #: it rides every ticket built meanwhile
         self._faults_active: Any = None
 
     @staticmethod
@@ -188,19 +187,16 @@ class ParallelApp:
 
     def deploy(self) -> "ParallelApp":
         """Weave the target and deploy every module.  A spec-level fault
-        schedule goes live on the ambient fault plane here and comes
-        down at :meth:`undeploy` — the deployment's lifetime IS the
-        schedule's."""
+        schedule goes into force here, for this deployment's calls only
+        (it rides their tickets), and comes down at :meth:`undeploy` —
+        the deployment's lifetime IS the schedule's."""
         self.composition.deploy(self.weaver, targets=[self.spec.target])
-        if self.spec.faults is not None and self._faults_active is None:
-            self._faults_active = install_faults(self.spec.faults)
+        self._faults_active = self.spec.faults
         return self
 
     def undeploy(self) -> None:
         """Undeploy every module (the target class stays woven)."""
-        if self._faults_active is not None:
-            remove_faults(self._faults_active)
-            self._faults_active = None
+        self._faults_active = None
         self.composition.undeploy()
 
     def shutdown(self) -> None:
@@ -265,29 +261,21 @@ class ParallelApp:
         return self.weaver.plan_stats.summary()
 
     def trace(self, ticket_id: int) -> dict | None:
-        """The span timeline of one dispatch ticket.
+        """The span timeline of one submission's ticket, on any spec.
 
-        ``ticket_id`` is a dispatch-context id — take it from
-        ``future.admission.ticket_id`` after a submission dispatched, or
-        from the ``trace`` attribute of a
-        :class:`~repro.errors.DeadlineExceeded`.  Live tickets are
-        snapshotted in place; retired ones come from the partition
-        coordinator's bounded history.  Returns ``None`` for unknown or
-        evicted ids (and always for partition-less specs, which open no
-        tickets).
+        ``ticket_id`` is ``future.admission.ticket_id`` (set when
+        ``submit`` returns), or the ``context_id`` of the ``trace`` a
+        :class:`~repro.errors.DeadlineExceeded` carries.  A call in
+        flight is snapshotted in place, a finished one comes from the
+        bounded history (the newest ``TRACE_HISTORY``); ``None`` for
+        unknown or evicted ids.
         """
-        owner = self.partition
-        if owner is None or not hasattr(owner, "trace_of"):
-            return None
-        return owner.trace_of(ticket_id)
+        return self._tickets.trace_of(ticket_id)
 
     def traces(self) -> list[dict]:
-        """Recent ticket timelines, oldest first: every live ticket plus
-        the retired ones still in the bounded history."""
-        owner = self.partition
-        if owner is None or not hasattr(owner, "trace_history"):
-            return []
-        return owner.trace_history()
+        """Recent submission timelines, oldest first: the finished ones
+        still in the bounded history, then every call in flight."""
+        return self._tickets.trace_history()
 
     # -- execution context ---------------------------------------------------
 
@@ -323,15 +311,31 @@ class ParallelApp:
             return out["result"]
         return body()
 
-    def _dispatch(self, perform: Callable[[], None], name: str) -> None:
-        """Run ``perform`` asynchronously in context: a spawned activity
-        inside a live execution, a driven simulation run from outside."""
-        body = self._contextualise(perform)
-        if self._outside_simulation():
-            self.sim.spawn(body, name=name)
-            self.sim.run()
-            return
-        self.backend.spawn(body, name=name)
+    def _dispatch(
+        self,
+        ticket: DispatchContext,
+        futures: list[Future],
+        produce: Callable[[], Any],
+        name: str,
+        packed: bool = False,
+        detach: bool = False,
+    ) -> None:
+        """Run one admitted unit asynchronously in context: a spawned
+        activity inside a live execution, a driven simulation run from
+        outside."""
+        body = self._contextualise(
+            lambda: self._run_admitted(ticket, futures, produce, packed, detach)
+        )
+        try:
+            if self._outside_simulation():
+                self.sim.spawn(body, name=name)
+                self.sim.run()
+            else:
+                self.backend.spawn(body, name=name)
+        except BaseException:
+            # an activity that never started will never close its call
+            self._close(ticket)
+            raise
 
     # -- submission ----------------------------------------------------------
 
@@ -363,38 +367,34 @@ class ParallelApp:
                 f"fire-and-forget must be declared so the transport knows"
             )
 
-    def _deadline(self, timeout: float | None) -> Deadline | None:
-        """Build the call's deadline: the explicit ``timeout=`` wins,
-        the spec's default applies otherwise, None means no deadline."""
+    def _admit(self, name: str, timeout: float | None) -> DispatchContext:
+        """Open one call's ticket — name, backend clock, deadline (the
+        explicit ``timeout=`` wins over the spec's default), retry
+        policy, fault schedule — and acquire its capacity: the cluster's
+        place first (when a scheduler is installed — quotas, fairness
+        and the tenant's own overflow policy apply there), then the
+        deployment's.  Both point at the ticket and go back together; a
+        deployment-level rejection refunds the cluster's place before
+        propagating."""
         budget = timeout if timeout is not None else self.spec.timeout
-        if budget is None:
-            return None
-        return Deadline(budget, clock=self.backend.now)
-
-    def _admit(self, deadline: Deadline | None, name: str) -> Any:
-        """Acquire the call's capacity: the cluster-level slot first
-        (when a scheduler is installed — quotas, fairness and the
-        tenant's own overflow policy apply there), then the
-        deployment's admission slot.  The cluster slot rides it and is
-        released with it; a deployment-level rejection refunds it
-        before propagating, so cluster capacity never leaks."""
-        grant = None
-        if self.scheduler is not None:
-            grant = self.scheduler.acquire(
-                self.tenant, deadline=deadline, name=name
-            )
+        ticket = DispatchContext(
+            name,
+            backend=self.backend,
+            deadline=None if budget is None else Deadline(budget, self.backend.now),
+            retry=self.spec.retry,
+            faults=self._faults_active,
+        )
         try:
-            slot = self.admission.admit(
-                deadline=deadline, name=name, retry=self.spec.retry
-            )
+            if self.scheduler is not None:
+                ticket.places.append(
+                    self.scheduler.acquire(self.tenant, ticket, name=name)
+                )
+            ticket.places.append(self.admission.admit(ticket, name=name))
         except BaseException:
-            if grant is not None:
-                grant.release()
+            ticket.release()
             raise
-        if grant is not None:
-            slot.grant = grant
-            grant.attach(slot)
-        return slot
+        self._tickets.enter_ticket(ticket)
+        return ticket
 
     def submit(
         self,
@@ -412,19 +412,20 @@ class ParallelApp:
         ``spec.oneway``) the future resolves to ``None`` as soon as the
         send completes.
 
-        Admission control: the call first acquires a slot in the app's
-        bounded admission table.  Beyond ``spec.max_in_flight`` the
-        spec's overflow policy applies — ``block`` parks THIS caller
-        until a slot frees, ``fail`` raises
+        Admission control: the call's ticket is built and then acquires
+        a slot in the app's bounded admission table.  Beyond
+        ``spec.max_in_flight`` the spec's overflow policy applies —
+        ``block`` parks THIS caller until a slot frees, ``fail`` raises
         :class:`~repro.errors.AdmissionRejected` here, ``shed-oldest``
         cancels the oldest in-flight call (its future raises
         :class:`~repro.errors.CallShed`).  ``timeout=`` (or the spec's
-        default) arms a per-call deadline: expiry cancels the call's
-        dispatch ticket at the next boundary, unwinds its collector, and
-        the future raises :class:`~repro.errors.DeadlineExceeded`
-        carrying the ticket's trace.  The admission slot rides on the
-        returned future as ``future.admission`` (its ``ticket_id``
-        resolves traces via :meth:`trace`).
+        default) arms a per-call deadline: expiry cancels the ticket at
+        the next boundary (an await on the loop: mid-flight), unwinds
+        its collector, and the future raises
+        :class:`~repro.errors.DeadlineExceeded` carrying the ticket's
+        trace.  The ticket rides on the returned future as
+        ``future.admission`` (its ``ticket_id`` resolves traces via
+        :meth:`trace`).
 
         Like ``oneway``, the ``timeout`` keyword is reserved by the
         submission API and never forwarded to the work method — a work
@@ -434,124 +435,97 @@ class ParallelApp:
         self._check_oneway(oneway)
         instance = self._entry_instance()
         method = self.spec.resolved_work_method
-        deadline = self._deadline(timeout)
         # acquire before dispatching: this is where backpressure (block),
         # rejection (fail) and shedding happen — in the submitter
-        slot = self._admit(deadline, name=f"submit.{method}")
+        ticket = self._admit(f"submit.{method}", timeout)
         self._submissions += 1
         future = Future(
             name=f"submit.{method}.{self._submissions}", backend=self.backend
         )
-        future.admission = slot  # type: ignore[attr-defined]
-        # middleware-less oneway (asyncio only, per validation): no
-        # transport drops the reply, so the backend detaches the
-        # outcome itself — a fire-and-forget loop task
-        native_oneway = oneway and self.spec.middleware == "none"
-
-        def perform() -> None:
-            self._run_admitted(
-                slot,
-                method,
-                produce=lambda: getattr(instance, method)(*args, **kwargs),
-                deliver=lambda result: (
-                    None if future.resolved else future.set_result(result)
-                ),
-                fail=lambda exc: (
-                    None if future.resolved else future.set_exception(exc)
-                ),
-                detach=native_oneway,
-            )
-
-        try:
-            self._dispatch(perform, name=future.name)
-        except BaseException:
-            # the activity never started, so perform's release will
-            # never run — give the capacity back before re-raising
-            slot.release()
-            raise
+        future.admission = ticket  # type: ignore[attr-defined]
+        self._dispatch(
+            ticket,
+            [future],
+            lambda: getattr(instance, method)(*args, **kwargs),
+            future.name,
+            # middleware-less oneway (asyncio only, per validation): no
+            # transport drops the reply, so the backend detaches the
+            # outcome itself — a fire-and-forget loop task
+            detach=oneway and self.spec.middleware == "none",
+        )
         return future
+
+    def _close(self, ticket: DispatchContext) -> None:
+        """The call is over: places back, timeline kept (idempotent)."""
+        ticket.release()
+        self._tickets.leave_ticket(ticket, retire=True)
 
     def _run_admitted(
         self,
-        slot: Any,
-        method: str,
+        ticket: DispatchContext,
+        futures: list[Future],
         produce: Callable[[], Any],
-        deliver: Callable[[Any], None],
-        fail: Callable[[Exception], None],
-        detach: bool = False,
+        packed: bool,
+        detach: bool,
     ) -> None:
-        """The admission lifecycle shared by every dispatched unit
-        (single submits and whole packs): re-check the slot (it may
-        have been shed while the activity waited to run), run the woven
-        call under the slot's envelope, enforce the strict completion
-        deadline, close the deliver-vs-cancel race atomically, and —
-        crucially — release the slot *before* resolving the caller's
-        future, so a submitter waking from ``result()`` never finds the
-        finished call still counted against ``max_in_flight``.
+        """The lifecycle shared by every dispatched unit (single submits
+        and whole packs): re-check the ticket (shed or expired while the
+        activity waited to run?), run the woven call under it — the
+        first skeleton to open a scope claims it, a loop await is
+        bounded and cancelled by it — close the deliver-vs-cancel race
+        atomically (a unit shed mid-flight must not deliver: its place
+        went to someone else; a delivered one cannot be shed) and —
+        crucially — give the places back *before* resolving the futures,
+        so a submitter waking from ``result()`` never finds the finished
+        call still counted against ``max_in_flight``.
 
-        ``detach=True`` is the middleware-less oneway path: the produced
-        outcome is handed to the backend fire-and-forget (an unawaited
-        loop task on asyncio) and the caller's future resolves to
-        ``None`` as soon as the send completed."""
+        ``packed``: ``produce`` answers with one result per future (none
+        at all for a oneway pack).  ``detach=True`` is the
+        middleware-less oneway path: the outcome goes to the backend
+        fire-and-forget (an unawaited loop task on asyncio) and the
+        future resolves to ``None`` once the send completed."""
+        failure: Exception | None = None
         try:
-            slot.check()
-            with use_envelope(slot):
+            ticket.check_deadline("before the call was dispatched")
+            with use_dispatch(ticket):
                 result = produce()
                 if detach:
                     self.backend.detach(result)
                     result = None
                 else:
                     if isinstance(result, Future):
-                        result = self._await_nested(result, slot.deadline)
+                        # unwrapped within the deadline: how a spec with
+                        # no partition honours ``timeout=`` off the loop
+                        budget = ticket.deadline
+                        try:
+                            result = result.result(
+                                None if budget is None else budget.remaining()
+                            )
+                        except FutureError:
+                            ticket.check_deadline("awaiting the call's result")
+                            raise
                     # an async servant's coroutine (raw, or carried
                     # through a thread-spawned future untouched) runs to
                     # completion on the backend's loop here — a targeted
                     # error on backends without one
                     result = self.backend.finish(result)
-            self._enforce_completion_deadline(slot, method)
-            # atomic deliver-vs-cancel: a unit shed (or expired)
-            # mid-flight must not deliver — its slot was already handed
-            # to someone else — while a delivered one cannot be shed
-            cancelled = slot.finish()
+            cancelled = ticket.finish()
             if cancelled is not None:
                 raise cancelled
-            slot.release()  # free capacity before waking the waiter
-            deliver(result)
         except Exception as exc:  # noqa: BLE001 - delivered via futures
-            slot.release()  # likewise: capacity first, then the error
-            fail(exc)
+            failure = exc
         finally:
-            slot.release()  # idempotent backstop for exotic unwinds
-
-    def _enforce_completion_deadline(self, slot: Any, method: str) -> None:
-        """Deadlines are strict: a call whose result arrives after its
-        budget drained fails with :class:`DeadlineExceeded` (carrying
-        the ticket's trace when one opened) instead of delivering late —
-        even when no cooperative boundary noticed the expiry in flight.
-        """
-        deadline = slot.deadline
-        if deadline is None or not deadline.expired:
+            self._close(ticket)  # capacity first, then the waiters
+        if failure is not None:
+            for future in futures:
+                future.set_exception(failure)
             return
-        trace = (
-            self.trace(slot.ticket_id) if slot.ticket_id is not None else None
-        )
-        raise DeadlineExceeded(
-            f"submit.{method}: call completed after its deadline of "
-            f"{deadline.budget}s drained",
-            trace=trace,
-        )
-
-    @staticmethod
-    def _await_nested(result: Future, deadline: Deadline | None) -> Any:
-        """Unwrap a nested future, bounding the wait by the deadline
-        (how partition-less specs honour ``timeout=``)."""
-        if deadline is None:
-            return result.result()
-        try:
-            return result.result(timeout=max(deadline.remaining(), 0.0))
-        except FutureError:
-            deadline.check("awaiting the call's result")
-            raise
+        if not packed:
+            result = [result]
+        elif result is None:
+            result = [None] * len(futures)
+        for future, value in zip(futures, result):
+            future.set_result(value)
 
     def map(
         self,
@@ -631,58 +605,32 @@ class ParallelApp:
             for i in range(len(payloads))
         ]
 
-        def perform_pack(start: int, pieces: list[CallPiece], slot: Any) -> None:
-            def produce() -> Any:
-                return batched_entry(instance, method, self.weaver)(pieces)
-
-            def deliver(results: Any) -> None:
-                if results is None:  # oneway pack: no reply at all
-                    results = [None] * len(pieces)
-                for offset, result in enumerate(results):
-                    if not futures[start + offset].resolved:
-                        futures[start + offset].set_result(result)
-
-            def fail(exc: Exception) -> None:
-                for offset in range(len(pieces)):
-                    if not futures[start + offset].resolved:
-                        futures[start + offset].set_exception(exc)
-
-            self._run_admitted(
-                slot,
-                method,
-                produce,
-                deliver,
-                fail,
-                detach=oneway and self.spec.middleware == "none",
-            )
-
         for start in range(0, len(payloads), size):
-            chunk = payloads[start : start + size]
+            unit = futures[start : start + size]
             pieces = [
-                CallPiece(index, payload) for index, payload in enumerate(chunk)
+                CallPiece(index, payload)
+                for index, payload in enumerate(payloads[start : start + size])
             ]
             # one admission unit per pack: blocking/failing/shedding
             # happens HERE, in the mapping caller, pack by pack — a
             # rejected pack fails its own futures and the map goes on,
             # keeping every handle in the returned group reachable
             try:
-                slot = self._admit(
-                    self._deadline(timeout), name=f"map.pack.{method}"
-                )
+                ticket = self._admit(f"map.pack.{method}", timeout)
             except AdmissionError as exc:
-                for offset in range(len(chunk)):
-                    futures[start + offset].set_exception(exc)
+                for future in unit:
+                    future.set_exception(exc)
                 continue
-            for offset in range(len(chunk)):
-                futures[start + offset].admission = slot  # type: ignore[attr-defined]
-            try:
-                self._dispatch(
-                    lambda s=start, p=pieces, a=slot: perform_pack(s, p, a),
-                    name=f"map.pack.{method}.{start}",
-                )
-            except BaseException:
-                slot.release()  # the pack activity never started
-                raise
+            for future in unit:
+                future.admission = ticket  # type: ignore[attr-defined]
+            self._dispatch(
+                ticket,
+                unit,
+                lambda p=pieces: batched_entry(instance, method, self.weaver)(p),
+                f"map.pack.{method}.{start}",
+                packed=True,
+                detach=oneway and self.spec.middleware == "none",
+            )
         return group
 
     def call(self, *args: Any, **kwargs: Any) -> Any:

@@ -1,9 +1,8 @@
 """Per-call retry policies for failed piece dispatches.
 
-A :class:`RetryPolicy` travels with an admitted call (``StackSpec.retry``
-→ :class:`~repro.runtime.admission.AdmissionSlot` →
-:meth:`~repro.runtime.ticket.DispatchContext.adopt_retry`) and
-tells the per-call :class:`~repro.runtime.ticket.ResultCollector`
+A :class:`RetryPolicy` travels on a call's ticket (``StackSpec.retry``
+→ the :class:`~repro.runtime.ticket.DispatchContext` ``submit`` builds)
+and tells the per-call :class:`~repro.runtime.ticket.ResultCollector`
 and the skeletons' dispatch loops how to respond when a piece fails:
 how many attempts a piece gets, how long to back off between them, and
 which exception classes are worth retrying at all.

@@ -9,13 +9,17 @@ the same deterministic workload (the sim backend's virtual time)
 produces the identical event trace, which is what the golden-trace
 regression test pins down.
 
-The schedule is installed on a process-global *plane* (a stack, like
-the ambient backend) rather than a thread-local one on purpose: faults
-must be visible from every activity the runtime creates — resident pool
-workers, per-call spawned activities, middleware reply waits — none of
-which share the installing thread.  Hook sites consult the plane with
-:func:`fire_fault`, which is a no-op costing one truthiness check when
-no schedule is installed, so the production hot path stays unpriced.
+A deployment's schedule (``StackSpec.faults``) rides the dispatch
+tickets of that deployment's calls (``ticket.faults``): a hook site
+hands :func:`fire_fault` the ticket of the call it is working for, so
+two deployments never see each other's events.  A call whose ticket
+carries none — a skeleton driven without an app, an app deployed
+without ``faults=`` — is answered by the *plane*: a process-global stack
+(like the ambient backend, and NOT thread-local on purpose: resident
+pool workers, per-call spawned activities and middleware reply waits
+share no thread with whoever installed it).  With neither,
+:func:`fire_fault` is a no-op costing a truthiness check or two, so the
+production hot path stays unpriced.
 
 Hook sites (the ``site`` key):
 
@@ -231,9 +235,9 @@ class FaultSchedule:
 # The ambient fault plane
 # ---------------------------------------------------------------------------
 
-#: installed schedules, innermost last — deliberately process-global
-#: (NOT thread-local): pool residents and spawned activities must see
-#: the schedule the deploying thread installed
+#: the plane: installed schedules, innermost last — deliberately
+#: process-global (NOT thread-local): pool residents and spawned
+#: activities must see the schedule the installing thread pushed
 _ACTIVE: list[FaultSchedule] = []
 _PLANE_LOCK = threading.Lock()
 
@@ -273,11 +277,15 @@ def current_faults() -> FaultSchedule | None:
     return _ACTIVE[-1] if _ACTIVE else None
 
 
-def fire_fault(site: str, index: int | None = None) -> FaultEvent | None:
-    """Consult the innermost schedule at a hook site.  The fast path —
-    no schedule installed — is one truthiness check, so instrumented
-    boundaries cost nothing in production."""
-    if not _ACTIVE:
-        return None
-    schedule = _ACTIVE[-1]
-    return schedule.fire(site, index)
+def fire_fault(
+    site: str, index: int | None = None, ticket: Any = None
+) -> FaultEvent | None:
+    """Consult, at a hook site, the schedule of the call being worked
+    for: the one ``ticket`` carries, else the innermost on the plane.
+    The fast path — neither — makes no call, so instrumented boundaries
+    cost nothing in production."""
+    if ticket is None or ticket.faults is None:
+        if not _ACTIVE:
+            return None
+        return _ACTIVE[-1].fire(site, index)
+    return ticket.faults.fire(site, index)

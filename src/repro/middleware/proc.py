@@ -347,7 +347,7 @@ class ProcMiddleware(Middleware):
         # (the full obituary path, not a synthetic error); delay_reply
         # stalls the round trip; drop_reply completes the call in the
         # worker but discards the matched reply on the way back.
-        event = fire_fault("proc", worker.index)
+        event = fire_fault("proc", worker.index, context)
         if event is not None:
             if event.kind == "kill_worker":
                 worker.kill()

@@ -149,7 +149,8 @@ class PooledSpawner:
             if task is self._KILL:
                 self._die(queue, index, requeue=None)
                 return
-            event = fire_fault("pool", index)
+            # asked on behalf of the call whose task this is
+            event = fire_fault("pool", index, getattr(task, "ticket", None))
             if event is not None and event.kind == "kill_worker":
                 # the resident dies BEFORE running the task; the pulled
                 # task goes back on the queue so no piece is lost — the

@@ -101,6 +101,7 @@ def dispatch_piece(
     piece: CallPiece,
     worker_index: int | None = None,
     carried: bool = False,
+    ctx: "DispatchContext | None" = None,
 ) -> Any:
     """Send one split piece into ``target``'s woven entry point.
 
@@ -109,10 +110,11 @@ def dispatch_piece(
     applies to the remaining pieces); packs go through the compiled
     batched entry — one advice pass for the whole pack.
 
-    This is the ``"dispatch"`` fault-injection site: an installed
-    :class:`~repro.faults.FaultSchedule` is consulted once per piece
-    (keyed by ``worker_index`` when the strategy routes to a known
-    worker).  ``raise_in_piece``/``kill_worker`` fail the piece before
+    This is the ``"dispatch"`` fault-injection site: the
+    :class:`~repro.faults.FaultSchedule` in force for the call (its
+    ticket ``ctx`` carries the deployment's; else the installed one) is
+    consulted once per piece (keyed by ``worker_index`` when the
+    strategy routes to a known worker).  ``raise_in_piece``/``kill_worker`` fail the piece before
     the call, ``delay_reply`` stalls it, and ``drop_reply`` runs the
     call but discards its outcome — so recovery needs keyed deposits to
     stay exactly-once.  The piece is made ambient for the duration of
@@ -123,7 +125,7 @@ def dispatch_piece(
     the calling activity's tail (:func:`~repro.runtime.dispatch.carry`),
     so a concurrency aspect runs it here instead of spawning.
     """
-    event = fire_fault("dispatch", worker_index)
+    event = fire_fault("dispatch", worker_index, ctx)
     if event is not None:
         where = f"worker {worker_index}" if worker_index is not None else "dispatch"
         if event.kind == "raise_in_piece":
@@ -158,7 +160,7 @@ def dispatch_with_retry(
     carried: bool = False,
 ) -> Any:
     """Dispatch ``piece``, re-dispatching to a (possibly different)
-    worker on retryable failure, per the ticket's adopted
+    worker on retryable failure, per the ticket's
     :class:`~repro.faults.RetryPolicy`.
 
     ``pick_worker(attempt)`` returns ``(worker, index)`` for the given
@@ -179,7 +181,7 @@ def dispatch_with_retry(
         try:
             outcome = dispatch_piece(
                 worker, name, piece, worker_index=index,
-                carried=carried and attempt == 0,
+                carried=carried and attempt == 0, ctx=ctx,
             )
             if policy is not None:
                 # HERE, so a failure of the spawned activity or of an
@@ -395,7 +397,7 @@ class PartitionAspect(DispatchContextOwner, ParallelAspect):
         self.managed: dict[int, int] = {}
         #: duplicates in creation order (index order)
         self.instances: list[Any] = []
-        self._init_dispatch_state()
+        DispatchContextOwner.__init__(self)
 
     # -- shared duplication bookkeeping ------------------------------------
 

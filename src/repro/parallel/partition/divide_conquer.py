@@ -90,7 +90,7 @@ class DivideAndConquerAspect(DispatchContextOwner, ParallelAspect):
         self.max_depth = max_depth
         self._make_worker = make_worker
         self._depth = threading.local()
-        self._init_dispatch_state()
+        DispatchContextOwner.__init__(self)
         self.divisions = 0
         self.workers_created = 0
         self.leaves = 0

@@ -195,7 +195,7 @@ class PipelineSplitAspect(PartitionAspect):
         ``carried``: see :func:`dispatch_piece`."""
         try:
             if not ctx.cancelled:
-                dispatch_piece(head, name, piece, carried=carried)
+                dispatch_piece(head, name, piece, carried=carried, ctx=ctx)
         except Exception as exc:
             ctx.fail(exc, piece=piece)
 

@@ -8,8 +8,6 @@ from repro.runtime.admission import (
     AdmissionController,
     AdmissionSlot,
     Deadline,
-    current_envelope,
-    use_envelope,
 )
 from repro.runtime.backend import (
     ExecutionBackend,
@@ -54,6 +52,4 @@ __all__ = [
     "AdmissionController",
     "AdmissionSlot",
     "Deadline",
-    "current_envelope",
-    "use_envelope",
 ]

@@ -31,21 +31,15 @@ the backpressure layer on top of :mod:`repro.runtime.dispatch`:
   pipeline forward, heartbeat exchange, collector wait).  Expiry raises
   :class:`~repro.errors.DeadlineExceeded` carrying the ticket's trace.
 
-* :class:`AdmissionSlot` — one held unit of capacity, at either level,
-  and the envelope linking a submission to the dispatch ticket it
-  eventually opens.  The deployment's slot is made *ambient*
-  (:func:`use_envelope`) for the duration of the submission's activity;
-  :meth:`~repro.runtime.ticket.DispatchContextOwner.dispatch_scope`
-  reads it (:func:`current_envelope`) and attaches the fresh ticket, so
-  cancelling the slot (shed, deadline) cancels the live ticket: the
-  collector latches, waiters fail fast, and the skeletons drop the
-  call's remaining work at the next boundary while the workers keep
-  serving other calls.
-
-The envelope never needs to cross a spawn boundary: the slot is
-installed inside the submission's own activity, the skeleton's top-level
-advice runs in that same activity, and everything deeper follows the
-*ticket* (which the backends already propagate).
+* :class:`AdmissionSlot` — one held unit of capacity, at either level:
+  a place in a table, pointing at the call's dispatch ticket
+  (:class:`~repro.runtime.ticket.DispatchContext`, built by the
+  submitter *before* it asks for capacity).  What the call owns is the
+  ticket's: its deadline bounds a parked submitter's wait, a shed
+  cancels it (the collector latches, waiters fail fast, the skeletons
+  drop the call's remaining work at the next boundary while the workers
+  keep serving other calls), and a place whose ticket is already
+  cancelled or delivered is dying and never shed.
 """
 
 from __future__ import annotations
@@ -55,14 +49,8 @@ import threading
 from collections import OrderedDict, deque
 from typing import Any, Callable
 
-from repro.errors import (
-    AdmissionRejected,
-    CallShed,
-    DeadlineExceeded,
-    DeploymentError,
-)
+from repro.errors import AdmissionRejected, CallShed, DeploymentError
 from repro.runtime.backend import current_backend
-from repro.runtime.dispatch import Ambient
 
 __all__ = [
     "OVERFLOW_POLICIES",
@@ -71,8 +59,6 @@ __all__ = [
     "AdmissionSlot",
     "SlotTable",
     "AdmissionController",
-    "use_envelope",
-    "current_envelope",
 ]
 
 #: the three overflow policies a StackSpec or a Tenant may declare
@@ -87,9 +73,9 @@ class Deadline:
 
     ``clock`` is the owning backend's ``now`` (monotonic seconds —
     wall time on threads, virtual time on the simulator).  The deadline
-    is *cooperative*: skeletons call :meth:`check` at dispatch
-    boundaries; blocking waits size their timeouts with
-    :meth:`remaining`.
+    is *cooperative*: skeletons ask the ticket that carries it
+    (``check_deadline``) at dispatch boundaries; blocking waits size
+    their timeouts with :meth:`remaining`.
     """
 
     __slots__ = ("budget", "clock", "expires_at")
@@ -106,14 +92,6 @@ class Deadline:
     def remaining(self) -> float:
         """Seconds of budget left (clamped at zero)."""
         return max(0.0, self.expires_at - self.clock())
-
-    def check(self, what: str = "", trace: dict | None = None) -> None:
-        """Raise :class:`DeadlineExceeded` when the budget is spent."""
-        if self.expired:
-            suffix = f" {what}" if what else ""
-            raise DeadlineExceeded(
-                f"deadline of {self.budget}s exceeded{suffix}", trace=trace
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Deadline {self.remaining():.4f}s of {self.budget}s left>"
@@ -191,131 +169,33 @@ class Tenant:
 
 
 class AdmissionSlot:
-    """One unit of capacity held in a :class:`SlotTable` by one
-    submission, and the link to what its cancellation must reach.
+    """One unit of capacity held in a :class:`SlotTable` for one call:
+    the place, and a pointer at the call's ticket (``None`` for a place
+    no call stands behind — a probe).  The table reads the ticket's
+    deadline to bound a parked wait and its ``cancelled`` / ``delivered``
+    latches to tell a dying place from a live one; it cancels it to shed."""
 
-    ``attach`` links the downstream: ``dispatch_scope`` attaches the
-    call's :class:`DispatchContext` to the deployment's slot when the
-    ticket opens (handing it the slot's deadline and retry policy, and
-    recording ``ticket_id`` so traces can be looked up from the
-    future); the deployment's slot is attached to the cluster-level
-    slot riding it (``grant``).  ``cancel`` (shed / deadline) marks the
-    slot and forwards the cancellation downstream if something is
-    attached already — a slot cancelled *before* that forwards it at
-    attach time instead, so the race is closed both ways.
-    """
-
-    __slots__ = (
-        "slot_id",
-        "tenant",
-        "name",
-        "deadline",
-        "retry",
-        "grant",
-        "cancelled",
-        "cancel_cause",
-        "delivered",
-        "ticket_id",
-        "_table",
-        "_downstream",
-        "_released",
-        "_lock",
-    )
+    __slots__ = ("slot_id", "tenant", "name", "ticket", "_table", "_released")
 
     def __init__(
-        self,
-        slot_id: int,
-        tenant: str,
-        name: str,
-        deadline: Deadline | None,
-        table: "SlotTable",
+        self, slot_id: int, tenant: str, name: str, ticket: Any, table: "SlotTable"
     ):
         self.slot_id = slot_id
         #: the tenant whose quota this slot is drawn from (a
         #: deployment's own table has one: the deployment)
         self.tenant = tenant
         self.name = name
-        self.deadline = deadline
-        #: per-call retry policy handed to the ticket at attach time
-        #: (the deployment's; admission itself never reads it)
-        self.retry: Any = None
-        #: the cluster-level slot riding this one (when the app routes
-        #: through a tenant plane) — released with this slot so the
-        #: cluster capacity frees exactly when the deployment's does
-        self.grant: AdmissionSlot | None = None
-        self.cancelled = False
-        self.cancel_cause: BaseException | None = None
-        #: the call's result was handed to its future — a later cancel
-        #: (shed racing completion) is a no-op
-        self.delivered = False
-        #: the dispatch ticket id, filled in when the call's
-        #: DispatchContext opens (None until then / for ticket-less calls)
-        self.ticket_id: int | None = None
+        self.ticket = ticket
         self._table = table
-        #: what a cancel must reach: the dispatch ticket for a
-        #: deployment's slot, the deployment's slot for a cluster slot
-        self._downstream: Any = None
         self._released = False
-        self._lock = threading.Lock()
-
-    def attach(self, downstream: Any) -> None:
-        """Link what this slot's cancellation must reach: the freshly
-        opened dispatch ticket for a deployment's slot, the deployment's
-        slot for a cluster slot."""
-        with self._lock:
-            self._downstream = downstream
-            cause = self.cancel_cause
-        if cause is not None:
-            downstream.cancel(cause)
-
-    def cancel(self, exc: BaseException) -> None:
-        """Cancel this submission (shed or deadline): latch the cause
-        and cancel what is linked downstream, if anything is yet.  A
-        slot whose result was already delivered cannot be cancelled."""
-        with self._lock:
-            if self.cancelled or self.delivered:
-                return
-            self.cancelled = True
-            self.cancel_cause = exc
-            downstream = self._downstream
-        if downstream is not None:
-            downstream.cancel(exc)
-
-    def finish(self) -> BaseException | None:
-        """Atomically close the slot for result delivery: returns the
-        cancellation cause when a cancel won the race (the call must
-        fail, not deliver), else marks the slot delivered so any later
-        cancel is a no-op.  This is the check-and-act the delivering
-        activity runs right before resolving its future."""
-        with self._lock:
-            if self.cancelled:
-                return self.cancel_cause
-            self.delivered = True
-            return None
-
-    def check(self) -> None:
-        """Raise the cancellation cause (shed) or a deadline expiry —
-        the guard submissions run before entering the woven call."""
-        if self.cancelled and self.cancel_cause is not None:
-            raise self.cancel_cause
-        if self.deadline is not None:
-            self.deadline.check(f"before {self.name} was dispatched")
 
     def release(self) -> None:
-        """Return the slot to its table (idempotent), and the cluster
-        slot riding it to the cluster's; called when the submission's
-        future resolves, however it resolved."""
-        with self._lock:
-            if self._released:
-                return
-            self._released = True
+        """Return the slot to its table (idempotent); called before the
+        submission's future resolves, however it resolves."""
         self._table._release(self)
-        if self.grant is not None:
-            self.grant.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "live"
-        return f"<AdmissionSlot #{self.slot_id} {self.tenant}:{self.name} {state}>"
+        return f"<AdmissionSlot #{self.slot_id} {self.tenant}:{self.name}>"
 
 
 class _Waiter:
@@ -327,15 +207,13 @@ class _Waiter:
     thundering herd, no lost wakeups through event clear/retry races).
     """
 
-    __slots__ = ("event", "tenant", "name", "deadline", "slot")
+    __slots__ = ("event", "tenant", "name", "ticket", "slot")
 
-    def __init__(
-        self, event: Any, tenant: Tenant, name: str, deadline: Deadline | None
-    ):
+    def __init__(self, event: Any, tenant: Tenant, name: str, ticket: Any):
         self.event = event
         self.tenant = tenant
         self.name = name
-        self.deadline = deadline
+        self.ticket = ticket
         self.slot: AdmissionSlot | None = None
 
 
@@ -412,9 +290,10 @@ class SlotTable:
 
     # -- admission -----------------------------------------------------------
 
-    def _admit(self, t: Tenant, deadline: Deadline | None, name: str) -> AdmissionSlot:
-        """Acquire one slot for ``t``, applying its quota and, when it
-        cannot be admitted, its overflow policy.  Returns the slot;
+    def _admit(self, t: Tenant, ticket: Any, name: str) -> AdmissionSlot:
+        """Acquire one slot for ``t`` on behalf of the call ``ticket``
+        stands for, applying the tenant's quota and, when it cannot be
+        admitted, its overflow policy.  Returns the slot;
         raises :class:`AdmissionRejected` under ``fail`` (or a ``block``
         wait whose deadline drained, or a ``shed-oldest`` tenant with
         nothing of its own to shed, or one that donated the slot)."""
@@ -424,7 +303,7 @@ class SlotTable:
         handoffs: list[_Waiter] = []
         with self._lock:
             if self._can_admit_locked(t):
-                return self._grant_locked(t, name, deadline)
+                return self._grant_locked(t, name, ticket)
             who = self._who(t)
             held = self._held[t.name]
             counters = self._counters[t.name]
@@ -476,7 +355,7 @@ class SlotTable:
                             f"under-reserve) tenant; {name!r} rejected"
                         )
                 if donation is None:
-                    slot = self._grant_locked(t, name, deadline)
+                    slot = self._grant_locked(t, name, ticket)
             else:  # block
                 counters["blocked"] += 1
                 queue = self._waiters[t.name]
@@ -486,10 +365,10 @@ class SlotTable:
                     self._pass[t.name] = max(
                         self._pass[t.name], self._min_waiting_pass_locked()
                     )
-                waiter = _Waiter(self._make_event(), t, name, deadline)
+                waiter = _Waiter(self._make_event(), t, name, ticket)
                 queue.append(waiter)
-        if victim is not None:
-            victim.cancel(
+        if victim is not None and victim.ticket is not None:
+            victim.ticket.cancel(
                 CallShed(
                     f"{who}: call {victim.name!r} shed to admit {name!r} "
                     f"(overflow policy 'shed-oldest', quota reached)"
@@ -523,11 +402,9 @@ class SlotTable:
             for name, tenant in self._tenants.items()
         )
 
-    def _grant_locked(
-        self, t: Tenant, name: str, deadline: Deadline | None
-    ) -> AdmissionSlot:
+    def _grant_locked(self, t: Tenant, name: str, ticket: Any) -> AdmissionSlot:
         held = self._held[t.name]
-        slot = AdmissionSlot(next(self._ids), t.name, name, deadline, self)
+        slot = AdmissionSlot(next(self._ids), t.name, name, ticket, self)
         held[slot.slot_id] = slot
         counters = self._counters[t.name]
         counters["admitted_total"] += 1
@@ -543,7 +420,8 @@ class SlotTable:
         # already cancelled, not already delivered (its result is
         # final; only its release is pending)
         for slot in held.values():
-            if not slot.cancelled and not slot.delivered:
+            ticket = slot.ticket
+            if ticket is None or not (ticket.cancelled or ticket.delivered):
                 # drop it from the table now so repeated sheds walk
                 # forward instead of re-cancelling the same dying call
                 # (its own release becomes a no-op for capacity)
@@ -558,7 +436,8 @@ class SlotTable:
         return min(waiting, default=0.0)
 
     def _await_handoff(self, waiter: _Waiter) -> AdmissionSlot:
-        deadline = waiter.deadline
+        ticket = waiter.ticket
+        deadline = ticket.deadline if ticket is not None else None
         while True:
             timeout = deadline.remaining() if deadline is not None else None
             woke = waiter.event.wait(timeout)
@@ -580,6 +459,9 @@ class SlotTable:
 
     def _release(self, slot: AdmissionSlot) -> None:
         with self._lock:
+            if slot._released:
+                return
+            slot._released = True
             if self._held[slot.tenant].pop(slot.slot_id, None) is None:
                 return  # already shed out of the table: capacity moved on
             handoffs = self._handoff_locked()
@@ -615,7 +497,7 @@ class SlotTable:
         handoffs = []
         while (best := self._next_locked()) is not None:
             waiter = self._waiters[best.name].popleft()
-            waiter.slot = self._grant_locked(best, waiter.name, waiter.deadline)
+            waiter.slot = self._grant_locked(best, waiter.name, waiter.ticket)
             handoffs.append(waiter)
         return handoffs
 
@@ -697,13 +579,9 @@ class AdmissionController(SlotTable):
 
     # -- admission ---------------------------------------------------------
 
-    def admit(
-        self,
-        deadline: Deadline | None = None,
-        name: str = "call",
-        retry: Any = None,
-    ) -> AdmissionSlot:
-        """Acquire one slot, applying the overflow policy when full.
+    def admit(self, ticket: Any = None, name: str = "call") -> AdmissionSlot:
+        """Acquire one slot for the call ``ticket`` stands for, applying
+        the overflow policy when full.
 
         Returns the slot; raises :class:`AdmissionRejected` (``fail``
         policy, or a ``block`` wait whose deadline ran out) — the
@@ -711,25 +589,23 @@ class AdmissionController(SlotTable):
         live call instead.
         """
         if self.limit is not None:
-            slot = self._admit(self._tenant, deadline, name)
-        else:
-            # unbounded fast path: nothing to police, so no table —
-            # just the counters (the slot still carries the deadline /
-            # envelope / ticket linkage every submission uses)
-            counts = self._counts
-            with self._lock:
-                self._live += 1
-                counts["admitted_total"] += 1
-                counts["peak_held"] = max(counts["peak_held"], self._live)
-            slot = AdmissionSlot(next(self._ids), self.name, name, deadline, self)
-        slot.retry = retry
-        return slot
+            return self._admit(self._tenant, ticket, name)
+        # unbounded fast path: nothing to police, so no table — just the
+        # counters
+        counts = self._counts
+        with self._lock:
+            self._live += 1
+            counts["admitted_total"] += 1
+            counts["peak_held"] = max(counts["peak_held"], self._live)
+        return AdmissionSlot(next(self._ids), self.name, name, ticket, self)
 
     def _release(self, slot: AdmissionSlot) -> None:
         if self.limit is not None:
             return super()._release(slot)
         with self._lock:
-            self._live -= 1
+            if not slot._released:
+                slot._released = True
+                self._live -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         bound = "∞" if self.limit is None else str(self.limit)
@@ -737,30 +613,3 @@ class AdmissionController(SlotTable):
             f"<AdmissionController {self.name} {self.admitted}/{bound} "
             f"policy={self.policy}>"
         )
-
-
-# ---------------------------------------------------------------------------
-# The ambient envelope: how a submission's slot reaches dispatch_scope
-# ---------------------------------------------------------------------------
-
-
-class _EnvelopeState(threading.local):
-    def __init__(self) -> None:
-        self.stack: list[AdmissionSlot] = []
-
-
-_ENVELOPES = _EnvelopeState()
-
-
-def use_envelope(slot: AdmissionSlot | None) -> Ambient:
-    """Make ``slot`` the ambient admission envelope for this activity.
-
-    ``None`` is a pass-through so call sites can wrap unconditionally.
-    """
-    return Ambient(_ENVELOPES.stack, slot)
-
-
-def current_envelope() -> AdmissionSlot | None:
-    """The innermost ambient admission slot, or ``None``."""
-    stack = _ENVELOPES.stack
-    return stack[-1] if stack else None

@@ -63,6 +63,7 @@ from typing import Any, Awaitable
 from repro.api.registry import register_backend
 from repro.errors import (
     BackendError,
+    DeadlineExceeded,
     InjectedFault,
     ReplyDropped,
     WorkerKilled,
@@ -325,7 +326,7 @@ class AsyncioBackend(ThreadBackend):
         self.live_tasks += 1
         self.peak_tasks = max(self.peak_tasks, self.live_tasks)
         try:
-            event = fire_fault("loop", None)
+            event = fire_fault("loop", None, ticket)
             if event is not None:
                 if event.kind in ("raise_in_piece", "kill_worker"):
                     # failing before the await: close the unconsumed
@@ -351,11 +352,16 @@ class AsyncioBackend(ThreadBackend):
                 )
             return value
         except asyncio.CancelledError:
-            self.tasks_cancelled += 1
             # cancelled before (or while) consuming the outcome: close
             # any not-yet-awaited coroutine (no-op when already closed)
             _close_awaitables(outcome)
             cause = ticket.cancel_cause if ticket is not None else None
+            # a thread-side waiter on the same deadline may notice the
+            # expiry just before the wait_for below: expired either way
+            if isinstance(cause, DeadlineExceeded):
+                self.tasks_expired += 1
+            else:
+                self.tasks_cancelled += 1
             if cause is not None:
                 # a shed/expired ticket cancelled this task: surface the
                 # ticket's cause (CallShed, DeadlineExceeded + trace),

@@ -308,7 +308,8 @@ def bind_dispatch(fn: Callable[[], Any]) -> Callable[[], Any]:
     activity (or a pooled task executed much later, on a long-lived
     worker) still runs under the ticket of the call that created it.
     The ambient piece rides along, so forwarding work spawned mid-piece
-    keeps its piece identity too.
+    keeps its piece identity too.  The thunk names its ticket
+    (``.ticket``): a pool resident asks the fault plane on its behalf.
 
     Thunks marked by :func:`shield_dispatch` pass through uncaptured.
     """
@@ -334,6 +335,7 @@ def bind_dispatch(fn: Callable[[], Any]) -> Callable[[], Any]:
             if ticket is not None:
                 state.stack.pop()
 
+    bound.ticket = ticket  # type: ignore[attr-defined]
     return bound
 
 

@@ -3,14 +3,14 @@
 A deployed stack is immutable topology; everything ONE in-flight call
 owns lives on its *ticket* (:class:`DispatchContext`, made ambient by
 :mod:`repro.runtime.dispatch`), with a :class:`ResultCollector` where
-results arrive out of band; :class:`DispatchContextOwner` is the mixin
-of aspects that open a ticket per intercepted call.  Runtime types: the
-API attaches admission slots to them, the middlewares re-install them on
-the servant side of the wire, the fault plane retries through them and
-every backend carries them across its activities, so they are defined
-below all of those — the skeletons (:mod:`repro.parallel.partition`)
-are only their heaviest users.  Of a *piece* this module reads
-``index`` and, on a pack, ``items``.
+results arrive out of band; :class:`DispatchContextOwner` keeps the
+books of whoever opens tickets — the skeletons mix it in, a deployment
+holds one.  Runtime types: ``ParallelApp.submit`` builds the ticket
+before it asks for capacity, the slot tables point their places at it,
+the middlewares re-install it on the servant side of the wire, the fault
+plane retries through it and every backend carries it across its
+activities, so they are defined below all of those.  Of a *piece* this
+module reads ``index`` and, on a pack, ``items``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,14 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 from repro.errors import DeadlineExceeded
-from repro.runtime.admission import current_envelope
+from repro.runtime.admission import AdmissionSlot, Deadline
 from repro.runtime.backend import current_backend
-from repro.runtime.dispatch import next_dispatch_id, register_dispatch, use_dispatch
+from repro.runtime.dispatch import (
+    current_dispatch,
+    next_dispatch_id,
+    register_dispatch,
+    use_dispatch,
+)
 
 __all__ = ["ResultCollector", "DispatchContext", "DispatchContextOwner"]
 
@@ -191,26 +196,33 @@ class _Span:
 
 
 class DispatchContext:
-    """Per-call dispatch ticket: everything ONE in-flight split owns.
+    """Per-call dispatch ticket: everything ONE in-flight call owns,
+    from admission to resolved future.
 
     A deployed partition aspect holds only immutable topology (workers,
-    stages, ``next`` pointers).  Each intercepted call gets its own
-    ticket instead of parking state on the aspect, which is what lets a
-    single deployed stack serve many overlapped ``submit()``s:
+    stages, ``next`` pointers).  Each call gets its own ticket instead
+    of parking state on the aspect, which is what lets a single deployed
+    stack serve many overlapped ``submit()``s.  ``ParallelApp.submit``
+    builds it before asking for capacity and runs the call under it; the
+    first skeleton to open a scope there *claims* it (:meth:`claim`),
+    scopes nested below open tickets of their own:
 
     * ``collector`` — the call's own :class:`ResultCollector` (present
-      when the strategy gathers out-of-band deposits, i.e. the pipeline
-      tail; strategies that gather via futures carry no collector);
+      when the claiming strategy gathers out-of-band deposits, i.e. the
+      pipeline tail; strategies that gather via futures carry none);
     * piece accounting — ``pieces`` dispatched and item-granular
       ``items`` (packs spread), plus the latched failure;
     * ``hops`` — the forwarding cursor: inter-stage forwards taken on
       behalf of this call (pipeline) or exchange phases driven
       (heartbeat);
-    * admission state — an optional :class:`~repro.runtime.admission.Deadline`
-      adopted from the submission's admission slot, the ``cancelled``
-      latch (deadline expiry or shed), and the lightweight ``spans``
-      timeline (split → piece dispatch → merge) that
-      ``ParallelApp.trace`` exports.
+    * admission state — the optional ``deadline``, the ``retry_policy``,
+      the serving deployment's ``faults`` schedule, the ``places`` held
+      in slot tables (:meth:`release` gives them back), ONE ``cancelled``
+      latch with its cause (deadline expiry or shed) and the
+      ``delivered`` latch closing the deliver-vs-cancel race
+      (:meth:`finish`);
+    * the lightweight ``spans`` timeline (split → piece dispatch →
+      merge) that ``ParallelApp.trace`` exports.
 
     The ticket is made *ambient* (:mod:`repro.runtime.dispatch`) for the
     duration of the call and follows it across spawned activities and
@@ -235,9 +247,13 @@ class DispatchContext:
         "remote_dispatches",
         "deadline",
         "retry_policy",
+        "faults",
+        "places",
         "retries",
+        "claimed",
         "cancelled",
         "cancel_cause",
+        "delivered",
         "_cancel_hooks",
         "spans",
         "_clock",
@@ -250,26 +266,38 @@ class DispatchContext:
         name: str = "dispatch",
         expected: int | None = None,
         backend: Any = None,
+        deadline: Deadline | None = None,
+        retry: Any = None,
+        faults: Any = None,
     ):
         backend = backend if backend is not None else current_backend()
         self.context_id = next_dispatch_id()
+        #: who serves the call: the submission, then the claiming split
         self.name = name
-        self.collector = (
-            ResultCollector(expected, backend) if expected is not None else None
-        )
+        self.collector: ResultCollector | None = None
         self.pieces = 0
         self.items = 0
         self.hops = 0
         #: servant-side executions the middlewares attributed to this call
         self.remote_dispatches = 0
-        #: per-call deadline (adopted from the admission slot, if any)
-        self.deadline = None
-        #: per-call retry policy (adopted from the admission slot)
-        self.retry_policy = None
+        #: per-call time budget on the backend's clock
+        self.deadline = deadline
+        #: per-call :class:`~repro.faults.RetryPolicy`
+        self.retry_policy = retry
+        #: the serving deployment's fault schedule (``None``: the plane's)
+        self.faults = faults
+        #: capacity held for this call: the cluster's place, then the
+        #: deployment's
+        self.places: list[AdmissionSlot] = []
         #: piece re-dispatches performed on behalf of this call
         self.retries = 0
+        #: a skeleton's split took this ticket for its own
+        self.claimed = False
         self.cancelled = False
         self.cancel_cause: BaseException | None = None
+        #: the call's result was handed to its future — a later cancel
+        #: (shed racing completion) is a no-op
+        self.delivered = False
         #: callbacks fired once on cancellation — the asyncio backend
         #: registers one per in-flight loop task so a shed/expired
         #: ticket cancels its awaits mid-flight instead of waiting for
@@ -287,6 +315,39 @@ class DispatchContext:
         #: blocking operation)
         self._lock = threading.Lock()
         register_dispatch(self)
+        if expected is not None:
+            self.claim(name, expected, backend)
+
+    @property
+    def ticket_id(self) -> int:
+        """``context_id``, as ``future.admission.ticket_id`` spells it."""
+        return self.context_id
+
+    def claim(self, name: str, expected: int | None, backend: Any) -> bool:
+        """A skeleton's split takes this ticket for its own — once: the
+        first scope under a submission's ticket gets ``True`` and names
+        it, nested ones get ``False``.  ``expected`` installs the
+        collector, armed with the retry policy (keyed failures
+        re-dispatch instead of latching) and failed on the spot when a
+        shed or an expiry came first."""
+        if self.claimed:
+            return False
+        collector = (
+            ResultCollector(expected, backend) if expected is not None else None
+        )
+        with self._lock:
+            if self.claimed:  # lost a race to another activity's scope
+                return False
+            self.claimed = True
+            self.name = name
+            self.collector = collector
+            cause = self.cancel_cause
+        if collector is not None:
+            if self.retry_policy is not None:
+                collector.arm_retry(self.retry_policy)
+            if cause is not None:
+                collector.fail(cause)
+        return True
 
     # -- piece accounting ---------------------------------------------------
 
@@ -315,23 +376,7 @@ class DispatchContext:
         with self._lock:
             self.remote_dispatches += 1
 
-    # -- admission: deadline, cancellation, spans ---------------------------
-
-    def adopt_deadline(self, deadline: Any) -> None:
-        """Take on the submission's deadline (set by the admission slot
-        at attach time; a no-op for deadline-less submissions)."""
-        if deadline is not None:
-            self.deadline = deadline
-
-    def adopt_retry(self, policy: Any) -> None:
-        """Take on the submission's retry policy (set by the admission
-        slot at attach time) and arm the collector with it, so keyed
-        failures re-dispatch instead of latching."""
-        if policy is None:
-            return
-        self.retry_policy = policy
-        if self.collector is not None:
-            self.collector.arm_retry(policy)
+    # -- admission: deadline, cancellation, delivery, spans -----------------
 
     def record_retry(self, piece: Any, exc: BaseException, attempt: int) -> None:
         """Account one piece re-dispatch on the ticket (counter + a span
@@ -348,9 +393,10 @@ class DispatchContext:
         fire the registered cancel hooks (in-flight loop tasks), and
         fail the collector so any gather-side waiter unwinds with
         ``exc`` instead of blocking on deposits that will never count.
-        Idempotent — the first cancellation wins."""
+        Idempotent — the first cancellation wins — and a no-op once the
+        result was delivered (:meth:`finish`)."""
         with self._lock:
-            if self.cancelled:
+            if self.cancelled or self.delivered:
                 return
             # cause first: readers of the latch take no lock
             self.cancel_cause = exc
@@ -418,6 +464,27 @@ class DispatchContext:
             raise self.cancel_cause
         if self.deadline is not None and self.deadline.expired:
             raise self.expire(where)
+
+    def finish(self) -> BaseException | None:
+        """Atomically close the call for delivery, right before its
+        future resolves: the cancellation cause when a cancel won the
+        race (the call must fail, not deliver), else ``delivered``
+        latches and any later cancel is a no-op.  Deadlines are strict:
+        a result that comes after the budget drained expires the ticket
+        here, even when no boundary noticed in flight."""
+        if self.deadline is not None and self.deadline.expired:
+            self.expire("by the time the call completed")
+        with self._lock:
+            if self.cancelled:
+                return self.cancel_cause
+            self.delivered = True
+            return None
+
+    def release(self) -> None:
+        """Give back the places held (idempotent), newest first."""
+        places, self.places = self.places, []
+        for place in reversed(places):
+            place.release()
 
     def span(self, name: str) -> "_Span":
         """Record one timed span of the call's timeline (split, piece
@@ -496,33 +563,48 @@ class DispatchContext:
 
 
 class DispatchContextOwner:
-    """Mixin for aspects that open a :class:`DispatchContext` per
-    intercepted call.
-
-    Keeps the live-ticket table (observability: ``contexts`` maps
-    context id → in-flight ticket) and append-only aggregates
-    (``dispatches`` served, ``peak_in_flight`` overlap high-water mark)
-    — the only state left on the aspect, none of it coordinating.
+    """The books of whoever opens tickets: the live table (``contexts``
+    maps context id → in-flight ticket), the bounded history of retired
+    timelines and append-only aggregates (``dispatches`` served,
+    ``peak_in_flight`` overlap high-water mark) — observability, none of
+    it coordinating.  The skeletons mix it in and open a ticket per
+    intercepted call (:meth:`dispatch_scope`); a deployment holds one
+    for the tickets its ``submit``/``map`` build.
     """
 
     #: completed-ticket trace snapshots retained for ``trace_of``
     TRACE_HISTORY = 64
 
-    def _init_dispatch_state(self) -> None:
+    def __init__(self) -> None:
         #: live in-flight tickets, context_id -> DispatchContext
         self.contexts: dict[int, DispatchContext] = {}
-        #: total split calls served since deployment
+        #: total calls served since deployment
         self.dispatches = 0
         #: most tickets ever live at once (overlap high-water mark)
         self.peak_in_flight = 0
-        #: bounded ring of completed tickets' trace snapshots, newest
-        #: last — ``ParallelApp.trace`` resolves retired ticket ids here
+        #: bounded ring of retired tickets' trace snapshots, newest last
         self.trace_log: deque[dict] = deque(maxlen=self.TRACE_HISTORY)
         #: guards the table and counters above — overlapped submits hit
         #: them from many activities; held only for the mutation itself,
         #: never across a blocking operation (safe on both backends: sim
         #: processes are OS threads)
         self._dispatch_lock = threading.Lock()
+
+    def enter_ticket(self, ctx: DispatchContext) -> None:
+        """Put ``ctx`` into the live table."""
+        with self._dispatch_lock:
+            self.contexts[ctx.context_id] = ctx
+            self.dispatches += 1
+            self.peak_in_flight = max(self.peak_in_flight, len(self.contexts))
+
+    def leave_ticket(self, ctx: DispatchContext, retire: bool) -> None:
+        """Take ``ctx`` out of the live table and, built here
+        (``retire``), put its timeline into the history: a ticket is
+        retired once, by whoever built it."""
+        snapshot = ctx.trace_snapshot() if retire else None
+        with self._dispatch_lock:
+            if self.contexts.pop(ctx.context_id, None) is not None and retire:
+                self.trace_log.append(snapshot)
 
     @contextmanager
     def dispatch_scope(
@@ -531,35 +613,32 @@ class DispatchContextOwner:
         expected: int | None = None,
         backend: Any = None,
     ) -> Iterator[DispatchContext]:
-        """Open a per-call ticket, make it ambient for the block, and
-        retire it afterwards (the ``finally`` runs even when the call
-        fails, so the live table never leaks tickets).
+        """The ticket of one intercepted call, ambient and in the live
+        table for the block (the ``finally`` runs even when the call
+        fails, so the table never leaks tickets).
 
-        When the submission carries an ambient admission envelope
-        (:func:`repro.runtime.admission.current_envelope`), the fresh
-        ticket is attached to it: the ticket adopts the submission's
-        deadline and a shed/expired slot cancels the ticket — closing
-        the race where a call is shed before its ticket even opens.
+        Under a submission's ticket nobody claimed yet this IS that
+        ticket (:meth:`DispatchContext.claim`): deadline, retry policy
+        and a cancel latch a shed or a drained deadline already set are
+        the submission's, and the submitter retires it.  Anywhere else
+        (no ambient ticket, or nested inside a claimed one) a fresh
+        ticket opens, under the same fault schedule, and retires here.
         """
-        ctx = DispatchContext(name, expected=expected, backend=backend)
-        envelope = current_envelope()
-        if envelope is not None and envelope.ticket_id is None:
-            envelope.ticket_id = ctx.context_id
-            ctx.adopt_deadline(envelope.deadline)
-            ctx.adopt_retry(envelope.retry)
-            envelope.attach(ctx)
-        with self._dispatch_lock:
-            self.contexts[ctx.context_id] = ctx
-            self.dispatches += 1
-            self.peak_in_flight = max(self.peak_in_flight, len(self.contexts))
+        ctx = current_dispatch()
+        fresh = ctx is None or not ctx.claim(name, expected, backend)
+        if fresh:
+            faults = ctx.faults if ctx is not None else None
+            ctx = DispatchContext(name, expected, backend, faults=faults)
+            ctx.claimed = True
+        self.enter_ticket(ctx)
         try:
-            with use_dispatch(ctx):
+            if fresh:
+                with use_dispatch(ctx):
+                    yield ctx
+            else:  # claimed: ambient already
                 yield ctx
         finally:
-            snapshot = ctx.trace_snapshot()
-            with self._dispatch_lock:
-                self.contexts.pop(ctx.context_id, None)
-                self.trace_log.append(snapshot)
+            self.leave_ticket(ctx, retire=fresh)
 
     def trace_of(self, context_id: int) -> dict | None:
         """The span timeline of one ticket — live tickets are

@@ -10,10 +10,10 @@ the table's; the scheduler adds registration by name, the placement
 feedback loop and the deployments' admission snapshots.
 
 A cluster slot is an ordinary
-:class:`~repro.runtime.admission.AdmissionSlot` that rides the
-deployment-level one (``grant.attach(slot)``), so a scheduler-level shed
-cancels the live dispatch ticket exactly like a deployment-level one,
-and the deployment slot's release returns the cluster slot.
+:class:`~repro.runtime.admission.AdmissionSlot` pointing at the same
+dispatch ticket as the deployment-level one, so a scheduler-level shed
+cancels the call exactly like a deployment-level one, and the ticket
+gives both places back together.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import DeploymentError
-from repro.runtime.admission import AdmissionSlot, Deadline, SlotTable, Tenant
+from repro.runtime.admission import AdmissionSlot, SlotTable, Tenant
 from repro.tenancy.placement import PlacementFeedback
 
 __all__ = ["Tenant", "ClusterScheduler"]
@@ -70,15 +70,13 @@ class ClusterScheduler(SlotTable):
     # -- admission -----------------------------------------------------------
 
     def acquire(
-        self,
-        tenant: str,
-        deadline: Deadline | None = None,
-        name: str = "call",
+        self, tenant: str, ticket: Any = None, name: str = "call"
     ) -> AdmissionSlot:
-        """Acquire one cluster slot for ``tenant`` under its quota and
+        """Acquire one cluster slot for ``tenant``, on behalf of the
+        call ``ticket`` stands for, under the tenant's quota and
         overflow policy: the slot, or the table's
         :class:`~repro.errors.AdmissionRejected`."""
-        return self._admit(self.ensure_tenant(tenant), deadline, name)
+        return self._admit(self.ensure_tenant(tenant), ticket, name)
 
     # -- placement feedback --------------------------------------------------
 

@@ -8,7 +8,8 @@ import threading
 
 import pytest
 
-from repro.errors import AdviceError
+from repro.api import ParallelApp, StackSpec
+from repro.errors import AdviceError, InjectedFault, ReplyDropped
 from repro.faults import (
     FaultEvent,
     FaultSchedule,
@@ -18,6 +19,10 @@ from repro.faults import (
     remove_faults,
     use_faults,
 )
+from repro.parallel import WorkSplitter
+from repro.runtime import ThreadBackend, use_dispatch
+from repro.runtime.dispatch import bind_dispatch
+from repro.runtime.ticket import DispatchContext
 
 
 class TestFaultEvent:
@@ -160,3 +165,89 @@ class TestAmbientPlane:
             thread.start()
             thread.join(timeout=5)
         assert seen and seen[0].kind == "kill_worker"
+
+
+class Doubler:
+    def run(self, values):
+        return [v * 2 for v in values]
+
+
+class Neighbour:
+    def run(self, values):
+        return [v * 2 for v in values]
+
+
+def farm_app(target=Doubler, **spec):
+    return ParallelApp(
+        StackSpec(
+            target=target,
+            work="run",
+            splitter=WorkSplitter(duplicates=2, combine=lambda rs: rs[0]),
+            strategy="farm",
+            backend="thread",
+            **spec,
+        )
+    )
+
+
+def every_dispatch_raises():
+    return FaultSchedule(
+        [FaultEvent("raise_in_piece", site="dispatch", every=1)]
+    )
+
+
+class TestASchedulePerDeployment:
+    """``StackSpec.faults`` rides the tickets of that deployment's calls:
+    a hook site asks the schedule of the call it works for, so two
+    deployments never consult each other's events (ROADMAP 2(c))."""
+
+    def test_a_neighbours_schedule_is_not_mine_and_mine_still_is(self):
+        faulty = every_dispatch_raises()
+        with farm_app(faults=faulty) as a, farm_app(Neighbour) as b:
+            a.start(), b.start()
+            assert b.submit([1, 2]).result(timeout=10) == [2, 4]
+            assert faulty.fired_count() == 0  # B never even asked A's
+            with pytest.raises(InjectedFault):
+                a.submit([1, 2]).result(timeout=10)
+            assert faulty.fired_count() == 1
+            assert current_faults() is None  # nothing went onto the plane
+
+    def test_each_of_two_schedules_sees_its_own_calls_only(self):
+        drops = FaultSchedule([FaultEvent("drop_reply", site="dispatch", every=1)])
+        raises = every_dispatch_raises()
+        with farm_app(faults=drops) as a, farm_app(Neighbour, faults=raises) as b:
+            a.start(), b.start()
+            for _ in range(3):
+                with pytest.raises(ReplyDropped):
+                    a.submit([1]).result(timeout=10)
+                with pytest.raises(InjectedFault):
+                    b.submit([1]).result(timeout=10)
+        assert {row[4] for row in drops.trace} == {"drop_reply"}
+        assert {row[4] for row in raises.trace} == {"raise_in_piece"}
+        assert len(drops.trace) == len(raises.trace) == 3
+
+    def test_a_call_without_a_schedule_falls_back_to_the_plane(self):
+        with farm_app() as app:
+            app.start()
+            with use_faults(every_dispatch_raises()) as plane:
+                with pytest.raises(InjectedFault):
+                    app.submit([1]).result(timeout=10)
+                assert plane.fired_count() == 1
+            assert app.submit([1]).result(timeout=10) == [2]
+
+    def test_fire_fault_asks_the_tickets_schedule_before_the_plane(self):
+        mine = FaultSchedule([FaultEvent("drop_reply", site="pool", every=1)])
+        plane = FaultSchedule([FaultEvent("kill_worker", site="pool", every=1)])
+        carrying = DispatchContext("mine", backend=ThreadBackend(), faults=mine)
+        bare = DispatchContext("bare", backend=ThreadBackend())
+        assert fire_fault("pool", 0, carrying).kind == "drop_reply"
+        assert fire_fault("pool", 0, bare) is None  # no plane to fall back to
+        assert current_faults() is None  # ... a ticket's is not on the plane
+        with use_dispatch(carrying):
+            # what a pool resident asks with: the pulled task's ticket
+            assert bind_dispatch(lambda: None).ticket is carrying
+        with use_faults(plane):
+            assert fire_fault("pool", 0, carrying).kind == "drop_reply"
+            assert fire_fault("pool", 0, bare).kind == "kill_worker"
+            assert fire_fault("pool", 0).kind == "kill_worker"
+        assert len(mine.trace) == 2 and len(plane.trace) == 2

@@ -248,7 +248,7 @@ class TestFailureInTheCarriedPiece:
             # two pieces, then the re-dispatch of the third: the attempt
             # the splitter carried is the only one that did not spawn
             assert spawn_counts(app) == (spawned + 4, calls + 3)
-            assert app.partition.trace_history()[-1]["retries"] == 1
+            assert app.traces()[-1]["retries"] == 1
             # the retry rotated to the next worker, on another thread
             assert visits(2, [5, 6]) == 1 and visits(0, [5, 6]) == 1
             assert probe.carried_by[(5, 6)] != probe.splitter
@@ -267,7 +267,7 @@ class TestFailureInTheCarriedPiece:
             # once per stage
             assert [visits(s, [5 + s, 6 + s]) for s in range(3)] == [2, 2, 2]
             assert [visits(s, [1 + s, 2 + s]) for s in range(3)] == [1, 1, 1]
-            assert app.partition.trace_history()[-1]["cancelled"] is False
+            assert app.traces()[-1]["cancelled"] is False
         assert app.in_flight == 0
 
 
@@ -356,7 +356,7 @@ class TestJourneyShape:
             before = app.backend.spawned
             assert app.submit([3, 1, 2]).result(timeout=30) == [3, 1, 2]
             assert app.backend.spawned - before == 1  # the submission only
-            assert app.partition.trace_history()[-1]["hops"] == 255
+            assert app.traces()[-1]["hops"] == 255
         assert app.in_flight == 0
 
 

@@ -5,6 +5,7 @@ serving the next call — plus the span-timeline export (``app.trace``)."""
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from repro.api import ParallelApp, StackSpec
 from repro.errors import DeadlineExceeded
 from repro.parallel import WorkSplitter
+from repro.runtime.ticket import DispatchContextOwner
 
 
 class SlowStage:
@@ -293,3 +295,99 @@ class TestTraces:
             )
             # unknown ids resolve to None, not an error
             assert app.trace(10**9) is None
+
+
+class Dawdler:
+    """Partition-less servant: leaves a mark once its nap is over."""
+
+    finished: list = []
+
+    def nap(self, seconds):
+        time.sleep(seconds)
+        Dawdler.finished.append(seconds)
+        return seconds
+
+
+class AsyncDawdler:
+    finished: list = []
+
+    async def nap(self, seconds):
+        await asyncio.sleep(seconds)
+        AsyncDawdler.finished.append(seconds)
+        return seconds
+
+
+def plain_app(target, backend, **spec):
+    return ParallelApp(
+        StackSpec(
+            target=target, work="nap", strategy="none", backend=backend, **spec
+        )
+    )
+
+
+class TestPartitionLessCallsGetATicket:
+    """The ticket opens at admission, not at the first split: a spec
+    with no partition skeleton has ``future.admission.ticket_id``, a
+    timeline in the bounded history and a ``DeadlineExceeded`` that
+    carries it — and on the loop its deadline cancels the await."""
+
+    @pytest.mark.parametrize(
+        "target, backend", [(Dawdler, "thread"), (AsyncDawdler, "asyncio")]
+    )
+    def test_ticket_id_is_set_when_submit_returns_and_traces_afterwards(
+        self, target, backend
+    ):
+        with plain_app(target, backend) as app:
+            app.start()
+            future = app.submit(0.0)
+            ticket = future.admission.ticket_id
+            assert ticket is not None
+            assert future.result(timeout=10) == 0.0
+            trace = app.trace(ticket)  # after the call ended: the history
+            assert trace is not None and trace["context_id"] == ticket
+            assert trace["name"] == "submit.nap" and not trace["cancelled"]
+            assert [t["context_id"] for t in app.traces()] == [ticket]
+
+    def test_the_history_is_bounded(self):
+        with plain_app(Dawdler, "thread") as app:
+            app.start()
+            futures = [
+                app.submit(0.0)
+                for _ in range(DispatchContextOwner.TRACE_HISTORY + 6)
+            ]
+            for future in futures:
+                future.result(timeout=10)
+            assert len(app.traces()) == DispatchContextOwner.TRACE_HISTORY == 64
+            assert app.trace(futures[0].admission.ticket_id) is None  # evicted
+            assert app.trace(futures[-1].admission.ticket_id) is not None
+
+    @pytest.mark.parametrize(
+        "target, backend", [(Dawdler, "thread"), (AsyncDawdler, "asyncio")]
+    )
+    def test_deadline_exceeded_carries_the_trace(self, target, backend):
+        with plain_app(target, backend) as app:
+            app.start()
+            future = app.submit(0.3, timeout=0.05)
+            with pytest.raises(DeadlineExceeded) as caught:
+                future.result(timeout=10)
+            trace = caught.value.trace
+            assert trace is not None
+            assert trace["context_id"] == future.admission.ticket_id
+            assert trace["deadline"] == 0.05 and trace["cancelled"]
+            assert trace["spans"][-1]["name"] == "cancelled"
+            assert app.trace(trace["context_id"])["cancelled"]
+            assert app.admitted == 0
+
+    def test_an_expired_await_is_cancelled_mid_flight(self):
+        AsyncDawdler.finished = []
+        with plain_app(AsyncDawdler, "asyncio") as app:
+            app.start()
+            future = app.submit(0.3, timeout=0.05)
+            began = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                future.result(timeout=10)
+            assert time.monotonic() - began < 0.25  # at the deadline
+            time.sleep(0.4)  # the servant's nap would be over by now
+            assert app.backend.tasks_expired == 1  # counted on the loop
+            assert AsyncDawdler.finished == []  # ... had it not been cancelled
+            assert app.submit(0.0).result(timeout=10) == 0.0

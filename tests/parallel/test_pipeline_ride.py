@@ -194,7 +194,7 @@ class TestOneActivityPerJourney:
             # forward reported the tail's failure again, the head would
             # have been re-fed three times
             assert [visits(s, [1 + s]) for s in range(3)] == [2, 2, 2]
-            assert app.partition.trace_history()[-1]["cancelled"] is False
+            assert app.traces()[-1]["cancelled"] is False
         assert app.in_flight == 0
 
     def test_expiry_mid_journey_drops_the_piece_at_the_next_forward(
@@ -264,7 +264,7 @@ class TestJourneyShape:
             before = app.backend.spawned
             assert app.submit([3, 1, 2, 4]).result(timeout=30) == [1, 2, 3, 4]
             assert app.backend.spawned - before == 2
-            assert app.partition.trace_history()[-1]["hops"] == 2 * 255
+            assert app.traces()[-1]["hops"] == 2 * 255
         assert app.in_flight == 0
 
     def test_without_concurrency_the_forward_calls_on_inline(self):

@@ -207,7 +207,7 @@ class TestPlacement:
             )
             assert [visits(s, [5 + s]) for s in range(STAGES)] == [1, 1, 1]
             # the ticket saw the same journey whatever carried it
-            trace = app.partition.trace_history()[-1]
+            trace = app.traces()[-1]
             assert trace["hops"] == STAGES - 1
             assert trace["remote_dispatches"] == STAGES
             assert [s["name"] for s in trace["spans"]].count("forward") == 2

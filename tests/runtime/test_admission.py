@@ -1,6 +1,7 @@
 """Admission-control units: deadlines, the bounded slot table and its
 three overflow policies — one table of cases run against both
-constructions of it — plus the envelope→ticket linkage."""
+constructions of it — plus the place→ticket linkage: what a table hands
+out holds capacity and points at the call's one record."""
 
 from __future__ import annotations
 
@@ -20,9 +21,9 @@ from repro.runtime import (
     AdmissionController,
     Deadline,
     ThreadBackend,
-    current_envelope,
+    current_dispatch,
     use_backend,
-    use_envelope,
+    use_dispatch,
 )
 from repro.tenancy import ClusterScheduler
 
@@ -39,13 +40,14 @@ class TestDeadline:
         assert deadline.expired
         assert deadline.remaining() == 0.0
 
-    def test_check_raises_deadline_exceeded_with_context(self):
+    def test_the_ticket_checks_it_and_the_expiry_carries_the_trace(self):
         clock = {"t": 0.0}
-        deadline = Deadline(1.0, clock=lambda: clock["t"])
-        deadline.check("early")  # within budget: no-op
+        ticket = ticket_for("timed", Deadline(1.0, clock=lambda: clock["t"]))
+        ticket.check_deadline("early")  # within budget: no-op
         clock["t"] = 2.0
-        with pytest.raises(DeadlineExceeded, match="1.0s exceeded mid-hop"):
-            deadline.check("mid-hop", trace={"spans": []})
+        with pytest.raises(DeadlineExceeded, match="1.0s exceeded mid-hop") as caught:
+            ticket.check_deadline("mid-hop")
+        assert caught.value.trace["spans"][-1]["name"] == "cancelled"
 
     def test_backend_clocks_feed_deadlines(self):
         backend = ThreadBackend()
@@ -61,6 +63,11 @@ def wait_until(predicate, timeout=5.0):
     return predicate()
 
 
+def ticket_for(name, deadline=None):
+    """The call's record as a submitter builds it, before admission."""
+    return DispatchContext(name, backend=ThreadBackend(), deadline=deadline)
+
+
 class Controller:
     """The table as a deployment builds it: one tenant, the deployment."""
 
@@ -68,7 +75,12 @@ class Controller:
         self.table = AdmissionController(
             limit=limit, policy=policy, backend=backend, name="t"
         )
-        self.admit = self.table.admit
+
+    def admit(self, name, deadline=None):
+        return self.table.admit(ticket_for(name, deadline), name=name)
+
+    def probe(self):
+        return self.table.admit(name="probe")
 
     def counters(self):
         stats = self.table.stats()
@@ -84,8 +96,11 @@ class Scheduler:
         self.table = ClusterScheduler(capacity=limit, backend=backend, name="t")
         self.table.tenant("only", overflow=policy)
 
-    def admit(self, **kwargs):
-        return self.table.acquire("only", **kwargs)
+    def admit(self, name, deadline=None):
+        return self.table.acquire("only", ticket_for(name, deadline), name=name)
+
+    def probe(self):
+        return self.table.acquire("only", name="probe")
 
     def counters(self):
         stats = self.table.stats()["tenants"]["only"]
@@ -187,17 +202,17 @@ def handoff_racing_the_timeout(make):
     slot = table.admit(
         deadline=Deadline(30.0, clock=time.monotonic), name="racer"
     )
-    return slot.name, slot.cancelled, table.counters()
+    return slot.name, slot.ticket.cancelled, table.counters()
 
 
 def shed_oldest_victim_order(make):
     table = make(2, "shed-oldest")
     slots = [table.admit(name=name) for name in "abcd"]  # c, d each shed
-    shed = [slot.name for slot in slots if slot.cancelled]
+    shed = [slot.name for slot in slots if slot.ticket.cancelled]
     assert all(
-        isinstance(slot.cancel_cause, CallShed) for slot in slots[:2]
+        isinstance(slot.ticket.cancel_cause, CallShed) for slot in slots[:2]
     )
-    assert "'a' shed to admit 'c'" in str(slots[0].cancel_cause)
+    assert "'a' shed to admit 'c'" in str(slots[0].ticket.cancel_cause)
     return shed, table.counters()
 
 
@@ -206,48 +221,60 @@ def shed_of_an_all_dying_table(make):
     # newcomer is admitted over the limit, nothing is shed
     table = make(2, "shed-oldest")
     expired, done = table.admit(name="expired"), table.admit(name="done")
-    expired.cancel(DeadlineExceeded("too late"))
-    assert done.finish() is None
+    expired.ticket.cancel(DeadlineExceeded("too late"))
+    assert done.ticket.finish() is None
     table.admit(name="newcomer")
     over = table.counters()
     expired.release(), done.release()
-    return isinstance(expired.cancel_cause, DeadlineExceeded), over, table.counters()
+    return (
+        isinstance(expired.ticket.cancel_cause, DeadlineExceeded),
+        over,
+        table.counters(),
+    )
 
 
 def delivered_slot_cannot_be_shed(make):
-    # check-then-act closure: finish() atomically closes the slot for
-    # delivery, so the shed walks past it to the oldest LIVE call — and
-    # a cancel that won first makes finish() return the cause
+    # check-then-act closure: finish() atomically closes the ticket for
+    # delivery, so the shed walks past its place to the oldest LIVE call
+    # (and a cancel that comes after delivery is a no-op) — while a
+    # cancel that won first makes finish() return the cause
     table = make(2, "shed-oldest")
     done, live = table.admit(name="done"), table.admit(name="live")
-    assert done.finish() is None
+    assert done.ticket.finish() is None
     table.admit(name="newcomer")
-    return done.cancelled, type(live.finish()), table.counters()
+    done.ticket.cancel(CallShed("too late: delivered"))
+    return done.ticket.cancelled, type(live.ticket.finish()), table.counters()
 
 
-def shed_reaches_an_attached_downstream(make):
+def shed_reaches_the_claimed_collector(make):
     table = make(1, "shed-oldest")
-    with use_backend(ThreadBackend()):
-        slot = table.admit(name="victim")
-        ctx = DispatchContext("victim.call", expected=2)
-        slot.attach(ctx)
-        table.admit(name="newcomer")
-        with pytest.raises(CallShed):
-            ctx.wait(timeout=1)  # the latched collector fails fast
-    return slot.cancelled, ctx.cancelled
+    backend = ThreadBackend()
+    ticket = table.admit(name="victim").ticket
+    assert ticket.claim("victim.call", 2, backend)  # a skeleton took it
+    table.admit(name="newcomer")
+    with pytest.raises(CallShed):
+        ticket.wait(timeout=1)  # the latched collector fails fast
+    return ticket.name, ticket.cancelled, ticket.collector.failed
 
 
-def cancel_before_attach_reaches_downstream_at_attach_time(make):
+def shed_before_the_claim_fails_the_collector_at_claim_time(make):
     table = make(1, "shed-oldest")
-    with use_backend(ThreadBackend()):
-        slot = table.admit(name="early-victim")
-        table.admit(name="newcomer")  # shed before any ticket opened
-        ctx = DispatchContext("late.call")
-        before = ctx.cancelled
-        slot.attach(ctx)  # the race is closed at attach time
-        with pytest.raises(CallShed):
-            ctx.check_deadline()
-    return slot.cancelled, before, ctx.cancelled
+    ticket = table.admit(name="early-victim").ticket
+    table.admit(name="newcomer")  # shed before any skeleton opened a scope
+    before = ticket.collector
+    assert ticket.claim("late.call", 2, ThreadBackend())
+    with pytest.raises(CallShed):
+        ticket.check_deadline()
+    return ticket.cancelled, before, ticket.collector.failed  # race closed
+
+
+def a_place_without_a_ticket_is_shed_silently(make):
+    # what a probe holds: capacity nobody's call stands behind
+    table = make(1, "shed-oldest")
+    probe = table.probe()
+    table.admit(name="newcomer")
+    probe.release()  # its place already moved on: a no-op for capacity
+    return probe.ticket, table.counters()
 
 
 def release_is_idempotent_and_frees_one_waiter(make):
@@ -280,11 +307,12 @@ POLICY_CASES = [
         delivered_slot_cannot_be_shed,
         (False, CallShed, counts(2, 0, 3, 0, 1, 0, 2)),
     ),
-    (shed_reaches_an_attached_downstream, (True, True)),
+    (shed_reaches_the_claimed_collector, ("victim.call", True, True)),
     (
-        cancel_before_attach_reaches_downstream_at_attach_time,
-        (True, False, True),
+        shed_before_the_claim_fails_the_collector_at_claim_time,
+        (True, None, True),
     ),
+    (a_place_without_a_ticket_is_shed_silently, (None, counts(1, 0, 2, 0, 1, 0, 1))),
     (
         release_is_idempotent_and_frees_one_waiter,
         (counts(1, 1, 2, 0, 0, 2, 1), ["w1", "w2"], counts(0, 0, 3, 0, 0, 2, 1)),
@@ -324,58 +352,107 @@ class TestPolicies:
         with pytest.raises(DeploymentError, match="overflow policy"):
             AdmissionController(limit=1, policy="panic")
 
-    def test_cluster_slot_rides_the_deployment_slot(self):
-        # two slots of one class, chained: a cancel from above reaches
-        # the deployment slot (at attach time when it came first), and
-        # the deployment slot's release returns both
+    def test_both_places_point_at_one_ticket_and_go_back_together(self):
+        # the cluster's place and the deployment's hold capacity only: a
+        # shed at either level cancels the one ticket, whose release
+        # returns both (idempotently)
         cluster = Scheduler(2, "shed-oldest", ThreadBackend())
         ctrl = AdmissionController(backend=ThreadBackend())
-        early, late = cluster.admit(name="early"), cluster.admit(name="late")
-        slot = ctrl.admit(name="late")
-        late.attach(slot)
-        cluster.admit(name="x"), cluster.admit(name="y")  # sheds both
-        assert isinstance(slot.cancel_cause, CallShed)
-        doomed = ctrl.admit(name="early")
-        early.attach(doomed)  # cancelled before the link
-        assert isinstance(doomed.cancel_cause, CallShed)
-        fresh = ctrl.admit(name="fresh")
-        fresh.grant = cluster.admit(name="fresh")  # sheds x
-        fresh.grant.attach(fresh)
-        fresh.release()
-        fresh.release()
-        assert cluster.counters()["held"] == 1  # y
-        assert (fresh.grant.tenant, fresh.tenant) == ("only", "app")
+        tickets = {}
+        for name in ("early", "late", "x", "y"):  # x and y shed the first two
+            ticket = tickets[name] = ticket_for(name)
+            ticket.places.append(cluster.table.acquire("only", ticket, name=name))
+            ticket.places.append(ctrl.admit(ticket, name=name))
+        assert [t.cancelled for t in tickets.values()] == [True, True, False, False]
+        assert isinstance(tickets["late"].cancel_cause, CallShed)
+        assert [p.tenant for p in tickets["x"].places] == ["only", "app"]
+        assert all(p.ticket is tickets["x"] for p in tickets["x"].places)
+        assert (cluster.counters()["held"], ctrl.admitted) == (2, 4)
+        tickets["x"].release()
+        tickets["x"].release()
+        assert (cluster.counters()["held"], ctrl.admitted) == (1, 3)  # y
+        for name in ("early", "late"):  # shed out of the cluster's table
+            tickets[name].release()
+        assert (cluster.counters()["held"], ctrl.admitted) == (1, 1)
+
+    def test_a_probe_needs_no_ticket(self):
+        ctrl = AdmissionController(limit=1, backend=ThreadBackend())
+        ctrl.admit(name="probe").release()
+        slot = ctrl.admit(name="probe")
+        assert slot.ticket is None and ctrl.admitted == 1
+        slot.release()
+        assert ctrl.admitted == 0
 
 
-class TestEnvelope:
-    def test_envelope_is_ambient_and_nests(self):
-        ctrl = AdmissionController(backend=ThreadBackend())
-        outer, inner = ctrl.admit(name="outer"), ctrl.admit(name="inner")
-        assert current_envelope() is None
-        with use_envelope(outer):
-            assert current_envelope() is outer
-            with use_envelope(inner):
-                assert current_envelope() is inner
-            assert current_envelope() is outer
-        assert current_envelope() is None
+class TestTheTicketIsTheEnvelope:
+    def test_the_submission_ticket_is_ambient_and_nests(self):
+        outer, inner = ticket_for("outer"), ticket_for("inner")
+        assert current_dispatch() is None
+        with use_dispatch(outer):
+            assert current_dispatch() is outer
+            with use_dispatch(inner):
+                assert current_dispatch() is inner
+            assert current_dispatch() is outer
+        assert current_dispatch() is None
 
-    def test_none_envelope_is_a_passthrough(self):
-        with use_envelope(None):
-            assert current_envelope() is None
+    def test_none_is_a_passthrough(self):
+        with use_dispatch(None):
+            assert current_dispatch() is None
 
-    def test_attach_adopts_the_slot_deadline(self):
+    def test_the_first_scope_claims_the_submission_ticket(self):
         class Owner(DispatchContextOwner):
-            def __init__(self):
-                self._init_dispatch_state()
+            pass
 
-        ctrl = AdmissionController(backend=ThreadBackend())
         deadline = Deadline(30.0, clock=time.monotonic)
-        slot = ctrl.admit(deadline=deadline, name="timed", retry="policy")
-        with use_backend(ThreadBackend()), use_envelope(slot):
-            with Owner().dispatch_scope("timed.call") as ctx:
+        ticket = DispatchContext(
+            "submit.timed", backend=ThreadBackend(), deadline=deadline, retry="policy"
+        )
+        slot = AdmissionController(backend=ThreadBackend()).admit(ticket, name="timed")
+        owner = Owner()
+        with use_backend(ThreadBackend()), use_dispatch(ticket):
+            with owner.dispatch_scope("timed.call") as ctx:
+                assert ctx is ticket and slot.ticket is ctx  # one record
+                assert ctx.name == "timed.call" and ctx.claimed
                 assert ctx.deadline is deadline
                 assert ctx.retry_policy == "policy"
-                assert slot.ticket_id == ctx.context_id
+                assert owner.contexts == {ticket.ticket_id: ticket}
                 ctx.check_deadline()  # plenty of budget: no-op
-                slot.cancel(CallShed("gone"))  # ... and the link is live
-                assert ctx.cancelled
+                with owner.dispatch_scope("nested.call") as nested:
+                    # a scope below a claimed ticket opens its own
+                    assert nested is not ticket and nested.deadline is None
+                    assert current_dispatch() is nested
+                assert current_dispatch() is ticket
+                ticket.cancel(CallShed("gone"))  # what a shed does
+                with pytest.raises(CallShed):
+                    ctx.check_deadline()
+        assert owner.contexts == {} and owner.dispatches == 2
+        # each ticket is retired once, by whoever built it: the nested
+        # one here, the submission's by its submitter
+        assert [t["name"] for t in owner.trace_log] == ["nested.call"]
+
+    def test_a_scope_with_no_submission_opens_and_retires_its_own(self):
+        owner = DispatchContextOwner()
+        with use_backend(ThreadBackend()):
+            with owner.dispatch_scope("bare.call", expected=1) as ctx:
+                assert ctx.claimed and ctx.collector is not None
+                assert owner.trace_of(ctx.context_id)["name"] == "bare.call"
+        assert [t["context_id"] for t in owner.trace_log] == [ctx.context_id]
+
+    def test_delivery_and_cancellation_race_is_decided_once(self):
+        won, lost = ticket_for("won"), ticket_for("lost")
+        assert won.finish() is None and won.delivered
+        won.cancel(CallShed("after delivery"))
+        assert not won.cancelled and won.cancel_cause is None
+        cause = CallShed("before delivery")
+        lost.cancel(cause)
+        assert lost.finish() is cause and not lost.delivered
+
+    def test_a_result_after_the_budget_drained_expires_the_ticket(self):
+        clock = {"t": 0.0}
+        ticket = DispatchContext(
+            "late", backend=ThreadBackend(), deadline=Deadline(1.0, lambda: clock["t"])
+        )
+        clock["t"] = 2.0
+        cause = ticket.finish()
+        assert isinstance(cause, DeadlineExceeded) and not ticket.delivered
+        assert cause.trace["spans"][-1]["name"] == "cancelled"

@@ -126,3 +126,57 @@ def test_nobody_duck_types_the_ticket():
         if guard.search(line)
     ]
     assert guarded == []
+
+
+def _trees() -> dict:
+    return {
+        path.relative_to(SRC).as_posix(): ast.parse(path.read_text())
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+
+def test_no_envelope_and_no_hand_over():
+    """The ticket ``submit``/``map`` build before admission is ambient
+    itself: no second stack carries a slot to ``dispatch_scope``, and
+    nothing is handed from a slot to a ticket after the fact."""
+    defined = {
+        node.name
+        for tree in _trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+    gone = {"use_envelope", "current_envelope", "adopt_deadline", "adopt_retry"}
+    assert defined & gone == set()
+
+
+def test_one_class_latches_a_cancellation():
+    latching = {
+        f"{name}::{cls.name}"
+        for name, tree in _trees().items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "cancel_cause"
+        and isinstance(node.ctx, ast.Store)
+    }
+    assert latching == {"runtime/ticket.py::DispatchContext"}
+
+
+def test_ticket_and_admission_import_one_way():
+    between = [
+        (name, other)
+        for name, other in (("admission", "ticket"), ("ticket", "admission"))
+        if f"repro.runtime.{other}" in _imports(SRC / "runtime" / f"{name}.py")
+    ]
+    assert between == [("ticket", "admission")]  # the record names its places
+
+
+def test_the_app_asks_its_own_ticket_table_for_traces():
+    """Every spec opens a ticket, so ``api/app.py`` has nothing to probe
+    the partition for."""
+    assert "hasattr(" not in (SRC / "api" / "app.py").read_text()
+    for function in ast.walk(_trees()["api/app.py"]):
+        if isinstance(function, ast.FunctionDef) and function.name in ("trace", "traces"):
+            source = ast.unparse(function.body[1:])  # past the docstring
+            assert "getattr(" not in source and "self.partition" not in source

@@ -219,13 +219,15 @@ class TestLiveWorker:
             ref = middleware.export(Sleeper())
             worker = middleware.worker_of(ref)
             assert middleware.invoke(ref, "nap", (0.0, "warm")) == "warm"  # call 1
-            ticket = DispatchContext("abandons-its-wait")
-            ticket.adopt_deadline(Deadline(0.005, middleware.backend.now))
+            ticket = DispatchContext(
+                "abandons-its-wait", deadline=Deadline(0.005, middleware.backend.now)
+            )
             with use_dispatch(ticket), pytest.raises(DeadlineExceeded):
                 middleware.invoke(ref, "nap", (0.05, "abandoned"))  # call 2
             # bounded, so a reader that lost the kept reply fails, not hangs
-            mine = DispatchContext("finds-both-replies")
-            mine.adopt_deadline(Deadline(5.0, middleware.backend.now))
+            mine = DispatchContext(
+                "finds-both-replies", deadline=Deadline(5.0, middleware.backend.now)
+            )
             both = sum(
                 4 + len(encode_envelope(reply))
                 for reply in (
@@ -265,8 +267,9 @@ class TestLiveWorker:
             worker = middleware.worker_of(ref)
             fd = worker.conn.fileno()
             blob = os.urandom(600_000)
-            ticket = DispatchContext("abandons-a-large-reply")
-            ticket.adopt_deadline(Deadline(0.2, middleware.backend.now))
+            ticket = DispatchContext(
+                "abandons-a-large-reply", deadline=Deadline(0.2, middleware.backend.now)
+            )
             with use_dispatch(ticket), pytest.raises(DeadlineExceeded):
                 middleware.invoke(ref, "nap", (0.4, blob))
             # the worker has filled the pipe with as much of the reply
@@ -298,14 +301,16 @@ class TestLiveWorker:
         middleware = ProcMiddleware()
         try:
             ref = middleware.export(Sleeper())
-            napping = DispatchContext("keeps-the-worker-busy")
-            napping.adopt_deadline(Deadline(0.05, middleware.backend.now))
+            napping = DispatchContext(
+                "keeps-the-worker-busy", deadline=Deadline(0.05, middleware.backend.now)
+            )
             with use_dispatch(napping), pytest.raises(DeadlineExceeded):
                 middleware.invoke(ref, "nap", (1.0, "busy"))
             # the worker reads nothing for a second: a request larger
             # than the pipe cannot all be written before this deadline
-            ticket = DispatchContext("gives-up-mid-send")
-            ticket.adopt_deadline(Deadline(0.1, middleware.backend.now))
+            ticket = DispatchContext(
+                "gives-up-mid-send", deadline=Deadline(0.1, middleware.backend.now)
+            )
             started = time.monotonic()
             with use_dispatch(ticket), pytest.raises(DeadlineExceeded):
                 middleware.invoke(ref, "nap", (0.0, os.urandom(2_000_000)))

@@ -467,9 +467,10 @@ class TestReplyWait:
         try:
             ref = middleware.export(Sleeper())
             middleware.invoke(ref, "nap", (0.0, "warm"))
-            ticket = DispatchContext("reply-wait")
+            ticket = DispatchContext(
+                "reply-wait", deadline=Deadline(0.005, middleware.backend.now)
+            )
             began = time.perf_counter()
-            ticket.adopt_deadline(Deadline(0.005, middleware.backend.now))
             with use_dispatch(ticket), pytest.raises(DeadlineExceeded):
                 middleware.invoke(ref, "nap", (0.2, "abandoned"))
             waited = time.perf_counter() - began

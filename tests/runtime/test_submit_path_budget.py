@@ -7,9 +7,9 @@ the next diet of the submit path has its baseline.
 
 * activities spawned per op — the submission's own plus one per piece
   but the last, which the splitting activity carries;
-* ``contextlib._GeneratorContextManager`` objects built by the four
-  ambient scopes (``use_dispatch``/``use_piece``/``use_backend``/
-  ``use_envelope``) — none: they are plain push/pop;
+* ``contextlib._GeneratorContextManager`` objects built by the three
+  ambient scopes (``use_dispatch``/``use_piece``/``use_backend``) —
+  none: they are plain push/pop;
 * ``threading.Event`` builds per op — only a future somebody waits on
   before it resolves may build one;
 * Python-level ``call`` events per op, over every thread.
@@ -29,7 +29,7 @@ from repro.runtime.threads import CARRIER_LIFETIME
 
 OPS = 200
 PIECES = 4
-AMBIENT_SCOPES = {"use_dispatch", "use_piece", "use_backend", "use_envelope"}
+AMBIENT_SCOPES = {"use_dispatch", "use_piece", "use_backend"}
 #: 10 % above what the carried-piece submit path measures: 371 per op on
 #: CPython 3.10 and 3.11, 365 on 3.12 and 3.13, the same on every run
 #: (the path before it read 631, with 5 spawns, 20 generator scopes and

@@ -31,7 +31,6 @@ from repro.parallel.partition import DispatchContext
 from repro.runtime import ThreadBackend, current_backend, current_dispatch, use_backend
 from repro.runtime import backend as backend_module
 from repro.runtime import threads
-from repro.runtime.admission import current_envelope, use_envelope
 from repro.runtime.dispatch import current_piece, use_dispatch, use_piece
 
 PATIENCE = 5.0
@@ -233,7 +232,7 @@ class TestLooksLikeAFreshThread:
         def dirty():
             var.set("dirty")
             with use_backend(other), use_dispatch(ticket), use_piece(object()):
-                with use_envelope(object()), use_node(object()), server_dispatch():
+                with use_node(object()), server_dispatch():
                     with entered_joinpoint(object()), entered_advice():
                         with bypassing_construction():
                             raise RuntimeError(threading.get_ident())
@@ -250,7 +249,6 @@ class TestLooksLikeAFreshThread:
                 "backend_depth": len(backend_module._STATE.stack),
                 "dispatch": current_dispatch(),
                 "piece": current_piece(),
-                "envelope": current_envelope(),
                 "node": current_node(),
                 "server_dispatch": in_server_dispatch(),
                 "cflow": list(current_stack()),
@@ -265,7 +263,6 @@ class TestLooksLikeAFreshThread:
             "backend_depth": 1,
             "dispatch": None,
             "piece": None,
-            "envelope": None,
             "node": None,
             "server_dispatch": False,
             "cflow": [],

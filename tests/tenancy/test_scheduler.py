@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import AdmissionRejected, DeploymentError
 from repro.runtime import ThreadBackend
+from repro.runtime.ticket import DispatchContext
 from repro.tenancy import ClusterScheduler, PlacementFeedback, Tenant
 
 
@@ -98,10 +99,12 @@ class TestShedOldest:
         sched = make(
             2, other={"overflow": "fail"}, hot={"overflow": "shed-oldest"}
         )
-        held = [sched.acquire("other"), sched.acquire("other")]
+        calls = [DispatchContext("other.call") for _ in range(2)]
+        for call in calls:
+            sched.acquire("other", call)
         with pytest.raises(AdmissionRejected, match="no sheddable call"):
             sched.acquire("hot")
-        assert not any(grant.cancelled for grant in held)
+        assert not any(call.cancelled for call in calls)
 
 
 class TestHandoffOrdering:
@@ -177,7 +180,8 @@ class TestHandoffOrdering:
             hot={"overflow": "shed-oldest", "priority": 0},
             vip={"priority": 5},
         )
-        oldest = sched.acquire("hot", name="old")
+        oldest = DispatchContext("old")
+        sched.acquire("hot", oldest, name="old")
         sched.acquire("hot", name="newer")
         results: list = []
         thread = self.parked(sched, "vip", results)
@@ -198,7 +202,8 @@ class TestHandoffOrdering:
             hot={"overflow": "shed-oldest", "priority": 1},
             peer={"priority": 1},
         )
-        first = sched.acquire("hot", name="a")
+        first = DispatchContext("a")
+        sched.acquire("hot", first, name="a")
         second = sched.acquire("hot", name="b")
         results: list = []
         thread = self.parked(sched, "peer", results)
