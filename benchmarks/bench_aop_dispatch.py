@@ -883,7 +883,7 @@ def make_pack_process_app():
             work="handle",
             strategy="none",
             concurrency=False,
-            middleware="process",
+            backend="process",
         )
     )
 

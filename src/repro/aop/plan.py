@@ -84,6 +84,7 @@ from __future__ import annotations
 import functools
 import sys
 import types
+from collections import Counter
 from itertools import groupby
 from threading import get_ident
 from typing import TYPE_CHECKING, Any, Callable
@@ -288,9 +289,9 @@ class Shadow:
 class PlanStats:
     """Compilation counters + hooks for the plan compiler.
 
-    ``hooks`` are called with the :class:`Shadow` on every compilation —
-    the regression tests use this to prove that deploying an aspect only
-    recompiles the shadows its pointcuts can match.
+    ``hooks`` are called with the :class:`Shadow` on every call-plan
+    compilation — the regression tests use this to prove that deploying
+    an aspect only recompiles the shadows its pointcuts can match.
 
     Beyond the per-shadow compile counts, the stats track the *shape*
     each compilation picked (``kinds`` / ``batch_kinds`` histograms over
@@ -302,57 +303,55 @@ class PlanStats:
     """
 
     def __init__(self) -> None:
-        self.total = 0
-        self.by_shadow: dict[tuple[type, str, JoinPointKind], int] = {}
         self.hooks: list[Callable[[Shadow], None]] = []
-        #: batch-plan compilations (see :func:`batched_entry`)
-        self.batch_total = 0
-        self.batch_by_shadow: dict[tuple[type, str, JoinPointKind], int] = {}
-        #: plan-kind histogram over call-plan compilations
-        self.kinds: dict[str, int] = {}
-        #: plan-kind histogram over batch-plan compilations
-        self.batch_kinds: dict[str, int] = {}
+        #: one keyed counter over call- and batch-plan compilations
+        #: (:func:`batched_entry`) alike: ``(batch, "compiles", None)``
+        #: totals, ``(batch, "shadow", (cls, name, kind))`` per shadow and
+        #: ``(batch, "kind", label)`` the plan-kind histogram
+        self.counter: Counter = Counter()
         #: runtime calls served by the generic interpreter fallback
         #: (dynamic-residue chains only; tracing redirections not counted)
         self.interpreter_calls = 0
 
-    def record(self, shadow: Shadow) -> None:
-        self.total += 1
-        key = shadow.key
-        self.by_shadow[key] = self.by_shadow.get(key, 0) + 1
-        kind = getattr(shadow.impl, "__aop_plan_kind__", None)
+    def record(self, shadow: Shadow, batch: bool = False) -> None:
+        counter = self.counter
+        counter[batch, "compiles", None] += 1
+        counter[batch, "shadow", shadow.key] += 1
+        impl = shadow.batch_impl if batch else shadow.impl
+        kind = getattr(impl, "__aop_plan_kind__", None)
         if kind is not None:
-            self.kinds[kind] = self.kinds.get(kind, 0) + 1
-        for hook in self.hooks:
-            hook(shadow)
+            counter[batch, "kind", kind] += 1
+        if not batch:
+            for hook in self.hooks:
+                hook(shadow)
 
-    def record_batch(self, shadow: Shadow) -> None:
-        self.batch_total += 1
-        key = shadow.key
-        self.batch_by_shadow[key] = self.batch_by_shadow.get(key, 0) + 1
-        kind = getattr(shadow.batch_impl, "__aop_plan_kind__", None)
-        if kind is not None:
-            self.batch_kinds[kind] = self.batch_kinds.get(kind, 0) + 1
+    def _view(self, batch: bool, field: str) -> dict:
+        return {
+            key: n for (b, f, key), n in self.counter.items() if b is batch and f == field
+        }
+
+    by_shadow = property(lambda self: self._view(False, "shadow"))
+    batch_by_shadow = property(lambda self: self._view(True, "shadow"))
 
     def count(self, cls: type, name: str,
               kind: JoinPointKind = JoinPointKind.CALL) -> int:
-        return self.by_shadow.get((cls, name, kind), 0)
+        return self.counter[False, "shadow", (cls, name, kind)]
 
     def batch_count(self, cls: type, name: str,
                     kind: JoinPointKind = JoinPointKind.CALL) -> int:
-        return self.batch_by_shadow.get((cls, name, kind), 0)
+        return self.counter[True, "shadow", (cls, name, kind)]
 
     def snapshot(self) -> dict[tuple[type, str, JoinPointKind], int]:
-        return dict(self.by_shadow)
+        return self.by_shadow
 
     def summary(self) -> dict[str, Any]:
         """Read-only scalar snapshot: compile counts, the per-kind plan
         histograms, and the interpreter-fallback call counter."""
         return {
-            "compiles": self.total,
-            "batch_compiles": self.batch_total,
-            "kinds": dict(self.kinds),
-            "batch_kinds": dict(self.batch_kinds),
+            "compiles": self.counter[False, "compiles", None],
+            "batch_compiles": self.counter[True, "compiles", None],
+            "kinds": self._view(False, "kind"),
+            "batch_kinds": self._view(True, "kind"),
             "interpreter_calls": self.interpreter_calls,
         }
 
@@ -360,18 +359,11 @@ class PlanStats:
         """Drop counters for an unwoven class so long-lived processes
         weaving ephemeral classes don't pin them (and grow) forever.
         Covers call-plan and batch-plan counters alike."""
-        for key in [k for k in self.by_shadow if k[0] is cls]:
-            del self.by_shadow[key]
-        for key in [k for k in self.batch_by_shadow if k[0] is cls]:
-            del self.batch_by_shadow[key]
+        for key in [k for k in self.counter if k[1] == "shadow" and k[2][0] is cls]:
+            del self.counter[key]
 
     def clear(self) -> None:
-        self.total = 0
-        self.by_shadow.clear()
-        self.batch_total = 0
-        self.batch_by_shadow.clear()
-        self.kinds.clear()
-        self.batch_kinds.clear()
+        self.counter.clear()
         self.interpreter_calls = 0
 
 
@@ -1205,7 +1197,7 @@ def _resolve_batch_impl(
     if impl is None:
         impl = compile_batch_impl(weaver, shadow)
         shadow.batch_impl = impl
-        weaver.plan_stats.record_batch(shadow)
+        weaver.plan_stats.record(shadow, batch=True)
     return impl
 
 

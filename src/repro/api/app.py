@@ -43,6 +43,7 @@ from repro.middleware.context import use_node
 from repro.parallel.composition import Composition, ParallelModule
 from repro.parallel.concern import Concern
 from repro.parallel.concurrency import concurrency_module
+from repro.parallel.distribution.proc_aspect import proc_bundle
 from repro.parallel.partition.base import CallPiece
 from repro.runtime.admission import AdmissionController, Deadline
 from repro.runtime.backend import ExecutionBackend, use_backend
@@ -88,32 +89,21 @@ class ParallelApp:
             self._plug(conc)
             self.async_aspect = conc.async_aspect  # type: ignore[attr-defined]
 
-        # -- execution backend (before distribution: the process bundle
-        # parks its workers on the app's backend, and backend='process'
-        # auto-promotes middleware 'none' → 'process') -----------------
+        # -- execution backend, then distribution: servants a backend
+        # hosts in worker processes get there through the process
+        # bundle (the spec names no middleware for such a backend) -------
         self.backend = self._resolve_backend(spec)
-
-        # -- distribution --------------------------------------------------
-        middleware_name = spec.middleware
-        if (
-            middleware_name == "none"
-            and getattr(self.backend, "name", "") == "process"
-        ):
-            # backend='process' without a middleware is inert (servants
-            # would never leave the parent); the promotion is what makes
-            # the one-knob spec change deliver out-of-process execution
-            middleware_name = "process"
-        bundle = MIDDLEWARES.get(middleware_name)
-        bundle_kwargs = dict(spec.middleware_options)
-        if getattr(bundle, "wants_backend", False):
-            bundle_kwargs.setdefault("backend", self.backend)
+        if self.backend.servant_host == "process":
+            bundle = proc_bundle
+        else:
+            bundle = MIDDLEWARES.get(spec.middleware)
         self.middleware, self.extra_middleware, dist_module = bundle(
             spec.cluster,
             creation,
             work,
             placement=spec.placement,
             oneway=spec.oneway,
-            **bundle_kwargs,
+            **spec.middleware_options,
         )
         if dist_module is not None:
             self._plug(dist_module)
@@ -165,12 +155,9 @@ class ParallelApp:
     def _resolve_backend(spec: StackSpec) -> ExecutionBackend:
         backend = spec.backend
         if backend is None:
-            if spec.middleware == "process":
-                backend = "process"
-            else:
-                backend = "sim" if spec.cluster is not None else "thread"
+            backend = "sim" if spec.cluster is not None else "thread"
         if isinstance(backend, str):
-            return BACKENDS.get(backend)(cluster=spec.cluster)
+            return BACKENDS.get(backend).for_cluster(spec.cluster)
         if not isinstance(backend, ExecutionBackend):
             raise DeploymentError(
                 f"StackSpec.backend must be a registry name or an "
@@ -448,10 +435,9 @@ class ParallelApp:
             [future],
             lambda: getattr(instance, method)(*args, **kwargs),
             future.name,
-            # middleware-less oneway (asyncio only, per validation): no
-            # transport drops the reply, so the backend detaches the
-            # outcome itself — a fire-and-forget loop task
-            detach=oneway and self.spec.middleware == "none",
+            # oneway on the loop: no transport drops the reply, so the
+            # backend detaches the outcome itself — a fire-and-forget task
+            detach=oneway and self.backend.servant_host == "loop",
         )
         return future
 
@@ -480,10 +466,10 @@ class ParallelApp:
         call still counted against ``max_in_flight``.
 
         ``packed``: ``produce`` answers with one result per future (none
-        at all for a oneway pack).  ``detach=True`` is the
-        middleware-less oneway path: the outcome goes to the backend
-        fire-and-forget (an unawaited loop task on asyncio) and the
-        future resolves to ``None`` once the send completed."""
+        at all for a oneway pack).  ``detach=True`` is oneway on a loop
+        host: the outcome goes to the backend fire-and-forget (an
+        unawaited loop task) and the future resolves to ``None`` once the
+        send completed."""
         failure: Exception | None = None
         try:
             ticket.check_deadline("before the call was dispatched")
@@ -629,7 +615,7 @@ class ParallelApp:
                 lambda p=pieces: batched_entry(instance, method, self.weaver)(p),
                 f"map.pack.{method}.{start}",
                 packed=True,
-                detach=oneway and self.spec.middleware == "none",
+                detach=oneway and self.backend.servant_host == "loop",
             )
         return group
 

@@ -20,8 +20,9 @@ Registered entries:
   oneway=(), **options) -> (middleware, extra_middleware, module)``
   (the distribution modules register themselves; ``"none"`` is
   registered by :mod:`repro.api.spec`);
-* **backends** — factories ``(cluster=None, sim=None) ->
-  ExecutionBackend`` (the thread and sim backends register themselves).
+* **backends** — :class:`~repro.runtime.backend.ExecutionBackend`
+  classes, built with ``for_cluster(cluster)`` (the built-in backends
+  register themselves).
 
 Unknown names raise :class:`UnknownNameError`, a
 :class:`~repro.errors.DeploymentError` that lists every registered name
@@ -160,7 +161,7 @@ class Registry:
 STRATEGIES = Registry("strategy")
 #: distribution bundles, e.g. ``"rmi"`` → RMI middleware + module builder
 MIDDLEWARES = Registry("middleware")
-#: execution-backend factories, e.g. ``"thread"`` → ThreadBackend
+#: execution-backend classes, e.g. ``"thread"`` → ThreadBackend
 BACKENDS = Registry("backend")
 
 
@@ -176,10 +177,10 @@ def register_middleware(name: str, builder: Callable | None = None, **kw: Any) -
     return MIDDLEWARES.register(name, builder, **kw)
 
 
-def register_backend(name: str, factory: Callable | None = None, **kw: Any) -> Any:
-    """Register an execution-backend factory (decorator form when
-    ``factory`` is omitted)."""
-    return BACKENDS.register(name, factory, **kw)
+def register_backend(name: str, backend: type | None = None, **kw: Any) -> Any:
+    """Register an execution-backend class (decorator form when
+    ``backend`` is omitted)."""
+    return BACKENDS.register(name, backend, **kw)
 
 
 def _builtin_bootstrap() -> None:
@@ -192,7 +193,7 @@ def _builtin_bootstrap() -> None:
     """
     import repro.api.spec  # noqa: F401 - registers middleware "none"
     import repro.parallel  # noqa: F401 - strategies + distribution bundles
-    import repro.runtime  # noqa: F401 - thread/sim/process backends
+    import repro.runtime  # noqa: F401 - the built-in backends
 
 
 for _registry in (STRATEGIES, MIDDLEWARES, BACKENDS):

@@ -256,8 +256,10 @@ class StackSpec:
             )
         builder = STRATEGIES.get(self.strategy)  # raises UnknownNameError
         MIDDLEWARES.get(self.middleware)
-        if isinstance(self.backend, str):
-            BACKENDS.get(self.backend)
+        backend = self.backend  # a name, a class's instance, or None (auto)
+        if isinstance(backend, str):
+            backend = BACKENDS.get(backend)
+        host = getattr(backend, "servant_host", None)
         needs_splitter = getattr(builder, "requires_splitter", True)
         if self.strategy != "none" and needs_splitter and self.splitter is None:
             raise DeploymentError(
@@ -315,28 +317,33 @@ class StackSpec:
                 f"StackSpec.scheduler must be a ClusterScheduler-like "
                 f"object (acquire + ensure_tenant), got {self.scheduler!r}"
             )
-        # the process-stack cross-checks run first: "rmi over the process
-        # backend" should say THAT, not fall into the generic cluster rule
-        self._validate_process_rules()
-        self._validate_asyncio_rules()
-        if self.middleware != "none" and self.cluster is None:
-            bundle = MIDDLEWARES.get(self.middleware)
-            if getattr(bundle, "requires_cluster", True):
+        # where servants live decides the pairings: a backend that hosts
+        # them itself (worker processes, an event loop) has no use for a
+        # transport or the simulated nodes one places them on, and drops
+        # a oneway reply without one; anywhere else the middleware moves
+        # servants, onto a cluster's nodes
+        if host is not None:
+            if self.cluster is not None or self.placement is not None or self.middleware != "none":
                 raise DeploymentError(
-                    f"middleware {self.middleware!r} needs a cluster "
-                    f"(e.g. repro.cluster.paper_testbed(Simulator()))"
+                    f"backend {self.backend!r} hosts its servants itself "
+                    f"(servant_host={host!r}) and takes no middleware, "
+                    f"cluster or placement: those move servants onto a "
+                    f"simulated cluster's nodes (backend='sim'); got "
+                    f"middleware={self.middleware!r}, cluster={self.cluster!r}, "
+                    f"placement={self.placement!r}"
                 )
-        if self.oneway and self.middleware == "none" and not self._is_asyncio():
-            # fire-and-forget is a transport property — EXCEPT on the
-            # asyncio backend, where the event loop is the transport:
-            # a oneway call there is an unawaited loop task, dropped by
-            # the backend without any middleware in the stack
+        elif self.middleware != "none" and self.cluster is None:
             raise DeploymentError(
-                "oneway methods need a distribution middleware "
-                "(fire-and-forget is a transport property); "
-                f"declared oneway={self.oneway!r} with middleware='none' "
-                "(backend='asyncio' is the exception: its loop tasks can "
-                "be detached natively)"
+                f"middleware {self.middleware!r} needs a cluster "
+                f"(e.g. repro.cluster.paper_testbed(Simulator()))"
+            )
+        elif self.oneway and self.middleware == "none":
+            raise DeploymentError(
+                f"oneway methods need a distribution middleware or a "
+                f"backend that hosts servants itself (fire-and-forget "
+                f"drops the reply in transit); declared "
+                f"oneway={self.oneway!r} with middleware='none' on "
+                f"backend {self.backend!r}"
             )
         if (
             self.oneway
@@ -360,88 +367,6 @@ class StackSpec:
         # wildcard work pattern is deployable, it just cannot back
         # submit(), which raises its own targeted error on first use.
         return self
-
-    def _validate_process_rules(self) -> None:
-        """Cross-checks for the real out-of-process stack.
-
-        The process backend/middleware run actual OS worker processes, so
-        every *simulation-only* knob (cluster topologies, placement
-        policies — both describe virtual nodes) is a contradiction worth
-        failing on eagerly, as is mixing the process middleware with a
-        backend that cannot host its workers.
-        """
-        backend_name = self.backend if isinstance(self.backend, str) else getattr(
-            self.backend, "name", None
-        )
-        uses_process = self.middleware == "process" or backend_name == "process"
-        if not uses_process:
-            return
-        if self.cluster is not None:
-            raise DeploymentError(
-                "the process stack runs real OS worker processes and "
-                "cannot attach to a simulated cluster; drop cluster= or "
-                "use backend='sim' with middleware 'rmi'/'mpp'"
-            )
-        if self.placement is not None:
-            raise DeploymentError(
-                "placement policies choose simulated nodes; the process "
-                "stack places the servants of a construction itself, by "
-                "block over no more resident worker processes than the "
-                "run has CPUs — drop placement="
-            )
-        if self.middleware == "process" and backend_name not in (None, "process"):
-            raise DeploymentError(
-                f"middleware 'process' needs backend='process' (or "
-                f"backend=None for auto-resolution), got "
-                f"backend={backend_name!r}"
-            )
-        if backend_name == "process" and self.middleware not in ("none", "process"):
-            raise DeploymentError(
-                f"backend 'process' pairs only with middleware 'process' "
-                f"(auto-promoted from 'none'); middleware "
-                f"{self.middleware!r} is a simulated transport"
-            )
-
-    def _backend_name(self) -> str | None:
-        """The backend's registry name, whether given as a string or an
-        instance (``None`` for auto-resolution)."""
-        if isinstance(self.backend, str):
-            return self.backend
-        return getattr(self.backend, "name", None)
-
-    def _is_asyncio(self) -> bool:
-        return self._backend_name() == "asyncio"
-
-    def _validate_asyncio_rules(self) -> None:
-        """Cross-checks for the event-loop stack.
-
-        The asyncio backend runs one real event loop in-process:
-        simulation-only knobs (clusters, placement — both describe
-        virtual nodes) and message-passing middlewares (whose reply
-        waits would park loop-side activities on thread events) are
-        contradictions worth failing on eagerly.
-        """
-        if not self._is_asyncio():
-            return
-        if self.cluster is not None:
-            raise DeploymentError(
-                "the asyncio backend runs a real event loop and cannot "
-                "attach to a simulated cluster; drop cluster= or use "
-                "backend='sim' with middleware 'rmi'/'mpp'"
-            )
-        if self.placement is not None:
-            raise DeploymentError(
-                "placement policies choose simulated nodes; the asyncio "
-                "backend hosts every servant coroutine on its one event "
-                "loop — drop placement="
-            )
-        if self.middleware != "none":
-            raise DeploymentError(
-                f"backend 'asyncio' pairs only with middleware 'none' "
-                f"(the event loop IS the transport); middleware "
-                f"{self.middleware!r} would marshal coroutines across a "
-                f"boundary they cannot cross"
-            )
 
     # -- convenience --------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Process middleware: real out-of-process invocation over pipes.
 
 The third concrete middleware, and the first one that is not simulated:
-``export`` ships a pickled servant into a resident worker process owned
-by the :class:`~repro.runtime.procbackend.ProcessBackend`, and
+``export`` ships a pickled servant into a resident worker process this
+middleware forks, refills and stops, and
 ``invoke``/``invoke_batch`` carry
 :class:`~repro.middleware.serialize.RequestEnvelope` frames across the
 pipe.
@@ -49,6 +49,7 @@ Placement, links and refills are logged on ``repro.middleware.proc``.
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import logging
 import threading
@@ -75,8 +76,9 @@ from repro.middleware.serialize import (
     Serializer,
 )
 from repro.runtime import procbackend
+from repro.runtime.backend import current_backend
 from repro.runtime.dispatch import current_dispatch, leave_run, take_run
-from repro.runtime.procbackend import ProcessBackend, ProcWorker
+from repro.runtime.procbackend import ProcWorker
 
 __all__ = ["ProcMiddleware"]
 
@@ -115,18 +117,11 @@ class ProcMiddleware(Middleware):
 
     name = "process"
 
-    def __init__(
-        self,
-        backend: ProcessBackend | None = None,
-        copy_payloads: bool = True,
-        respawn: bool = True,
-    ):
-        if backend is not None and not isinstance(backend, ProcessBackend):
-            raise MiddlewareError(
-                f"ProcMiddleware needs a ProcessBackend to park its "
-                f"workers on, got {type(backend).__name__}"
-            )
-        self.backend = backend if backend is not None else ProcessBackend()
+    def __init__(self, copy_payloads: bool = True, respawn: bool = True):
+        #: every worker this middleware started, in start order (index ==
+        #: position): crashed and stopped ones stay, for the record
+        self.workers: list[ProcWorker] = []
+        self._armed = False  # is shutdown registered with atexit?
         # copy mode is meaningless here (pickling IS the copy); the
         # serializer exists for its accounting: messages == marshalling
         # passes, the invariant the pack-amortisation bench asserts
@@ -145,7 +140,8 @@ class ProcMiddleware(Middleware):
         #: retried piece finds a healthy process behind the same refs
         self.respawn = respawn
         self.worker_respawns = 0
-        self._refill_lock = threading.Lock()
+        #: guards the worker list and refills (a refill starts a worker)
+        self._lock = threading.RLock()
 
     # -- export -------------------------------------------------------------
 
@@ -178,7 +174,7 @@ class ProcMiddleware(Middleware):
         frames = self._frames([export])
         fresh = slot.worker is None
         if fresh:
-            slot.worker = self.backend.new_worker()
+            slot.worker = self._start_worker()
         try:
             self._ship(slot.worker, frames)
         except BaseException:
@@ -252,6 +248,22 @@ class ProcMiddleware(Middleware):
             len(self._servants), len(hosted), procbackend.usable_cpus(),
             hosted, len(pairs),
         )
+
+    def _start_worker(self) -> ProcWorker:
+        """Fork one resident worker and keep it for teardown; the first
+        arms the ``atexit`` backstop :meth:`shutdown` disarms."""
+        with self._lock:
+            worker = ProcWorker(len(self.workers))
+            self.workers.append(worker)
+            if not self._armed:
+                atexit.register(self.shutdown)
+                self._armed = True
+        return worker
+
+    @property
+    def live_workers(self) -> int:
+        """Worker processes currently alive (leak observability)."""
+        return sum(worker.alive for worker in self.workers)
 
     def servant_of(self, ref: RemoteRef) -> Any:
         """The parent-side twin behind a ref (observability only: the
@@ -352,7 +364,7 @@ class ProcMiddleware(Middleware):
             if event.kind == "kill_worker":
                 worker.kill()
             elif event.kind == "delay_reply":
-                self.backend.sleep(event.delay)
+                current_backend().sleep(event.delay)
         try:
             # one round trip at a time per worker: the pipe is shared,
             # and the worker's poll object is not re-entrant
@@ -399,14 +411,14 @@ class ProcMiddleware(Middleware):
         worker race here, the identity check makes the first one refill
         and the rest keep the already-fresh worker.
         """
-        with self._refill_lock:
+        with self._lock:
             if slot.worker is not dead:
                 return  # another caller already refilled this worker
             hosted = [export.ref.object_id for export in slot.exports]
             fresh = None
             try:
                 frames = self._frames(slot.exports)  # BEFORE forking
-                fresh = self.backend.new_worker()
+                fresh = self._start_worker()
                 self._ship(fresh, frames)
                 slot.worker = fresh
                 self.worker_respawns += 1
@@ -442,9 +454,14 @@ class ProcMiddleware(Middleware):
     # -- lifecycle ----------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Stop every resident worker this middleware exported to
-        (idempotent; reached from ``on_undeploy``/``ParallelApp.__exit__``
-        and backstopped by the backend's ``atexit`` hook)."""
-        for export in self._servants.values():
-            export.slot.worker.stop()
+        """Stop every worker this middleware started (idempotent;
+        reached from ``ParallelApp.shutdown``/``__exit__``) and disarm
+        the ``atexit`` backstop, which would keep this middleware and its
+        workers' pipes alive until the interpreter exits."""
+        with self._lock:
+            atexit.unregister(self.shutdown)
+            self._armed = False
+            workers = list(self.workers)
+        for worker in workers:
+            worker.stop()
         self._servants.clear()

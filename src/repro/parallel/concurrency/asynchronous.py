@@ -225,9 +225,7 @@ class AsyncInvocationAspect(ParallelAspect):
         backend = current_backend()
         # read (and so clear) the mark whatever path answers the call
         carried = take_tail(jp.target)
-        if getattr(backend, "native_async", False) and isinstance(
-            self.spawner, SpawnPerCall
-        ):
+        if backend.servant_host == "loop" and isinstance(self.spawner, SpawnPerCall):
             # asyncio backend: the call's activity is an event-loop
             # task, not a thread.  Proceed inline — an ``async def``
             # method hands back its coroutine without running (cheap),

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.api.registry import register_middleware
 from repro.middleware.proc import ProcMiddleware
 from repro.parallel.composition import ParallelModule
 from repro.parallel.concern import Concern
@@ -88,31 +87,20 @@ def proc_distribution_module(
     return module
 
 
-@register_middleware("process")
 def proc_bundle(
     cluster: Any,
     creation: str,
     work: str,
     placement: Any = None,
     oneway: Iterable[str] = (),
-    backend: Any = None,
     **options: Any,
 ) -> tuple[ProcMiddleware, None, ParallelModule]:
-    """Registry entry: process middleware + its distribution module.
-
-    ``backend`` (a :class:`~repro.runtime.procbackend.ProcessBackend`)
-    arrives from :class:`~repro.api.app.ParallelApp` because this bundle
-    sets ``wants_backend`` — the middleware parks its workers on the
-    app's backend so teardown and leak accounting see one worker list.
-    """
-    middleware = ProcMiddleware(backend=backend)
+    """Process middleware + its distribution module: what
+    :class:`~repro.api.app.ParallelApp` plugs for a backend whose
+    ``servant_host`` is ``"process"`` (the spec names no middleware, so
+    ``cluster`` and ``placement`` are ``None``)."""
+    middleware = ProcMiddleware()
     module = proc_distribution_module(
         middleware, creation, work, placement=placement, oneway=oneway, **options
     )
     return middleware, None, module
-
-
-#: this middleware runs on the local machine: no cluster required
-proc_bundle.requires_cluster = False  # type: ignore[attr-defined]
-#: ask ParallelApp to pass its resolved backend into the bundle call
-proc_bundle.wants_backend = True  # type: ignore[attr-defined]

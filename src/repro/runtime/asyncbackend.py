@@ -62,7 +62,6 @@ from typing import Any, Awaitable
 
 from repro.api.registry import register_backend
 from repro.errors import (
-    BackendError,
     DeadlineExceeded,
     InjectedFault,
     ReplyDropped,
@@ -189,6 +188,7 @@ class AsyncioEvent:
             self._async_event.clear()
 
 
+@register_backend("asyncio")
 class AsyncioBackend(ThreadBackend):
     """Event-loop execution backend for ``async def`` servants.
 
@@ -201,13 +201,13 @@ class AsyncioBackend(ThreadBackend):
     """
 
     name = "asyncio"
-    #: the concurrency aspect's signal: dispatch inline and bridge the
-    #: outcome instead of spawning a thread per call
-    native_async = True
+    #: servants run on the loop: the concurrency aspect dispatches inline
+    #: and bridges the outcome instead of spawning a thread per call
+    servant_host = "loop"
 
-    def __init__(self, host: _LoopHost | None = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._host = host if host is not None else _HOST
+        self._host = _HOST
         # the loop holds tasks weakly: this set keeps each bridged task
         # alive until it settles.  It and the task counters are only
         # ever touched on the loop thread, so they need no lock
@@ -407,16 +407,3 @@ class AsyncioBackend(ThreadBackend):
         ]
         return list(await asyncio.gather(*parts))
 
-
-@register_backend("asyncio")
-def _make_asyncio_backend(cluster: Any = None, sim: Any = None) -> AsyncioBackend:
-    """Registry factory for the asyncio backend.  A simulated cluster is
-    rejected eagerly: the loop runs real wall-clock awaits and cannot
-    host virtual nodes (use backend='sim' with a middleware for that)."""
-    if cluster is not None:
-        raise BackendError(
-            "the asyncio backend runs a real event loop and cannot attach "
-            "to a simulated cluster; drop cluster= or use backend='sim' "
-            "with middleware 'rmi'/'mpp'"
-        )
-    return AsyncioBackend()

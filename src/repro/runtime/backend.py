@@ -57,6 +57,19 @@ class ExecutionBackend(abc.ABC):
     """Factory for concurrency primitives in one execution mode."""
 
     name: str = "backend"
+    #: where this backend runs servants, the one fact every per-backend
+    #: rule reads: ``None`` — wherever the spec's middleware places them
+    #: (in this interpreter, or on a simulated cluster's nodes);
+    #: ``"loop"`` — on the backend's event loop; ``"process"`` — in its
+    #: resident worker processes.  A backend that hosts servants itself
+    #: takes no middleware, cluster or placement.
+    servant_host: str | None = None
+
+    @classmethod
+    def for_cluster(cls, cluster: Any) -> "ExecutionBackend":
+        """The backend a spec naming this class in ``backend=`` runs on;
+        ``cluster`` is the spec's (only the simulator runs on it)."""
+        return cls()
 
     def spawn(
         self, fn: Callable[[], Any], name: str | None = None, **kwargs: Any

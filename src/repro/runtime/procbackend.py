@@ -31,10 +31,10 @@ laid down for the simulated transports.  What crosses the boundary:
   as ids and all collector/deadline bookkeeping stays caller-side.
 
 Worker lifecycle: forked lazily at export, resident until the
-middleware's ``shutdown`` (reached from ``on_undeploy`` /
-``ParallelApp.__exit__``), with an ``atexit`` backstop and daemon
-processes so an orphaned run cannot leak children.  A worker found dead
-while a reply is pending raises :class:`~repro.errors.WorkerCrashed`
+middleware's ``shutdown`` (reached from ``ParallelApp.shutdown`` /
+``__exit__``), with an ``atexit`` backstop that shutdown disarms and
+daemon processes so an orphaned run cannot leak children.  A worker
+found dead while a reply is pending raises :class:`~repro.errors.WorkerCrashed`
 (pid + exit code in the message) instead of hanging — in-flight splits
 fail fast through their collectors.
 
@@ -48,7 +48,6 @@ simulated middlewares' servant activities follow.
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
 import select
@@ -58,7 +57,7 @@ import time
 from typing import Any, Callable
 
 from repro.api.registry import register_backend
-from repro.errors import BackendError, WorkerCrashed
+from repro.errors import WorkerCrashed
 from repro.runtime.threads import ThreadBackend
 
 __all__ = [
@@ -472,65 +471,20 @@ class ProcWorker:
         return f"<ProcWorker {self.name} pid={self.pid} {state}>"
 
 
+@register_backend("process")
 class ProcessBackend(ThreadBackend):
-    """Thread-backed caller side + resident servant worker processes.
+    """Thread-backed caller side + servants in resident worker processes.
 
     Subclassing :class:`~repro.runtime.threads.ThreadBackend` is the
     point, not a shortcut: submissions, admission waits, collectors and
     futures all live in the parent and need real-thread semantics on the
     wall clock (``now`` is inherited ``time.monotonic``, so ``timeout=``
-    means wall seconds exactly as on threads).  The processes this
-    backend adds host *servants*, reached through
-    :class:`~repro.middleware.proc.ProcMiddleware` — never through
-    ``spawn()``, which cannot ship closures across a process boundary.
+    means wall seconds exactly as on threads).  What the declaration
+    adds is where servants live: ``ParallelApp`` plugs the process
+    distribution bundle, whose :class:`~repro.middleware.proc.ProcMiddleware`
+    forks, refills and stops the workers — never ``spawn()``, which
+    cannot ship closures across a process boundary.
     """
 
     name = "process"
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: every worker ever started, in export order (index == position)
-        self.workers: list[ProcWorker] = []
-        self._workers_lock = threading.Lock()
-        self._atexit_armed = False
-
-    def new_worker(self) -> ProcWorker:
-        """Fork one resident worker process and track it for teardown."""
-        with self._workers_lock:
-            worker = ProcWorker(len(self.workers))
-            self.workers.append(worker)
-            if not self._atexit_armed:
-                # backstop only: the middleware's shutdown is the real
-                # teardown path; daemon processes close the last gap
-                atexit.register(self.stop_workers)
-                self._atexit_armed = True
-        return worker
-
-    def stop_workers(self) -> None:
-        """Stop every live worker (idempotent)."""
-        with self._workers_lock:
-            workers = list(self.workers)
-        for worker in workers:
-            worker.stop()
-
-    @property
-    def live_workers(self) -> int:
-        """Worker processes currently alive (leak observability)."""
-        return sum(1 for worker in self.workers if worker.alive)
-
-
-@register_backend("process")
-def _make_process_backend(cluster: Any = None, sim: Any = None) -> ProcessBackend:
-    """Registry factory for the out-of-process backend.
-
-    Rejects simulated clusters eagerly: real OS processes cannot run on
-    virtual time or simulated nodes — simulated distribution is the sim
-    backend's job.
-    """
-    if cluster is not None:
-        raise BackendError(
-            "backend 'process' runs real OS worker processes and cannot "
-            "attach to a simulated cluster; use backend='sim' with "
-            "middleware 'rmi'/'mpp' for simulated distribution"
-        )
-    return ProcessBackend()
+    servant_host = "process"

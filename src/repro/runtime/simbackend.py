@@ -44,6 +44,7 @@ class SimTask(TaskHandle):
         return self._proc
 
 
+@register_backend("sim")
 class SimBackend(ExecutionBackend):
     """Concurrency primitives on simulated time."""
 
@@ -52,6 +53,11 @@ class SimBackend(ExecutionBackend):
     def __init__(self, sim: Simulator):
         self.sim = sim
         self.spawned = 0
+
+    @classmethod
+    def for_cluster(cls, cluster: Any) -> "SimBackend":
+        """Runs on the spec's cluster's simulator, or a fresh kernel."""
+        return cls(cluster.sim if cluster is not None else Simulator())
 
     def _spawn(
         self, fn: Callable[[], Any], name: str | None = None, daemon: bool = False
@@ -99,12 +105,3 @@ class SimBackend(ExecutionBackend):
         """Hold the calling simulated process for ``seconds`` of virtual
         time (no wall time passes)."""
         self.sim.hold(seconds)
-
-
-@register_backend("sim")
-def _make_sim_backend(cluster: Any = None, sim: Any = None) -> SimBackend:
-    """Registry factory for the simulation backend: reuses the cluster's
-    simulator when one is in the spec, else creates a fresh kernel."""
-    if sim is None:
-        sim = cluster.sim if cluster is not None else Simulator()
-    return SimBackend(sim)

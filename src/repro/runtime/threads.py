@@ -230,6 +230,7 @@ class _ThreadQueue:
         return self._q.qsize()
 
 
+@register_backend("thread")
 class ThreadBackend(ExecutionBackend):
     """Thread-per-activity real threading on recycled carrier threads."""
 
@@ -279,10 +280,3 @@ class ThreadBackend(ExecutionBackend):
     def make_queue(self, name: str = "queue") -> _ThreadQueue:
         """A ``queue.Queue`` adapter matching SimQueue's surface."""
         return _ThreadQueue(name)
-
-
-@register_backend("thread")
-def _make_thread_backend(cluster: Any = None, sim: Any = None) -> ThreadBackend:
-    """Registry factory for the functional (real-thread) backend; the
-    cluster/sim context is irrelevant here and ignored."""
-    return ThreadBackend()

@@ -92,8 +92,9 @@ class TestBuiltinRegistrations:
     def test_backend_factories_produce_backends(self):
         from repro.runtime import ExecutionBackend
 
-        backend = BACKENDS.get("thread")()
+        # entries are classes, built through one classmethod
+        backend = BACKENDS.get("thread").for_cluster(None)
         assert isinstance(backend, ExecutionBackend)
-        sim_backend = BACKENDS.get("sim")()
+        sim_backend = BACKENDS.get("sim").for_cluster(None)
         assert isinstance(sim_backend, ExecutionBackend)
         assert sim_backend.sim is not None

@@ -227,11 +227,11 @@ class TestProcessRespawn:
             assert app.middleware.worker_crashes == 1
             assert wait_until(lambda: app.middleware.worker_respawns == 1)
             # the corpse was reaped and a fresh resident stands in
-            assert wait_until(lambda: app.backend.live_workers == 2)
+            assert wait_until(lambda: app.middleware.live_workers == 2)
             # the refilled worker serves follow-up calls
             assert app.submit([5]).result(timeout=30) == [10]
         assert wait_until(lambda: app.admitted == 0)
-        assert wait_until(lambda: app.backend.live_workers == 0)
+        assert wait_until(lambda: app.middleware.live_workers == 0)
 
     def test_proc_crash_without_respawn_or_retry_fails(self):
         schedule = FaultSchedule(

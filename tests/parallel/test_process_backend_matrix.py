@@ -190,7 +190,7 @@ class TestProcessPolicies:
             results = [f.result(timeout=20) for f in futures]
         assert results == [case.expected(i) for i in range(2)]
         assert wait_until(lambda: app.admitted == 0)
-        assert app.backend.live_workers == 0  # undeploy stopped them
+        assert app.middleware.live_workers == 0  # undeploy stopped them
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_shed_oldest_cancels_oldest_in_flight_call(self, strategy, gate):
@@ -292,7 +292,7 @@ class TestProcessDeadlines:
             open_gate()
             follow_up = app.submit(*case.payload(1))
             assert follow_up.result(timeout=20) == case.expected(1)
-            assert app.backend.live_workers > 0
+            assert app.middleware.live_workers > 0
         assert wait_until(lambda: app.admitted == 0)
 
     def test_deadline_trace_present(self, gate):
@@ -363,11 +363,11 @@ class TestProcessHygiene:
         app = case.process_app()
         with app:
             app.start()
-            assert app.backend.live_workers == 2  # one per duplicate
+            assert app.middleware.live_workers == 2  # one per duplicate
             assert app.submit(*case.payload(0)).result(timeout=20) == (
                 case.expected(0)
             )
-        assert wait_until(lambda: app.backend.live_workers == 0)
+        assert wait_until(lambda: app.middleware.live_workers == 0)
         assert wait_until(
             lambda: not multiprocessing.active_children()
         ), "leaked child processes"
@@ -379,4 +379,4 @@ class TestProcessHygiene:
             app.start()
         app.middleware.shutdown()
         app.middleware.shutdown()
-        assert app.backend.live_workers == 0
+        assert app.middleware.live_workers == 0

@@ -164,11 +164,11 @@ def deployed(app, cpus):
     fds = _open_fds()
     with app:
         app.start()
-        assert app.backend.live_workers == TOPOLOGIES[cpus][0]
+        assert app.middleware.live_workers == TOPOLOGIES[cpus][0]
         yield app
     assert wait_until(lambda: app.admitted == 0)  # slots released
     assert app.in_flight == 0
-    assert app.backend.live_workers == 0
+    assert app.middleware.live_workers == 0
     assert wait_until(lambda: not multiprocessing.active_children())
     assert wait_until(lambda: _open_fds() == fds), (_open_fds(), fds)
 
@@ -261,7 +261,7 @@ class TestProcFaults:
             # worker_respawns counts processes, not servants
             assert app.middleware.worker_crashes == 1
             assert app.middleware.worker_respawns == 1
-            assert app.backend.live_workers == TOPOLOGIES[cpus][0]
+            assert app.middleware.live_workers == TOPOLOGIES[cpus][0]
             # every servant the dead worker hosted is back behind its
             # ref, links included: the next journey costs what one did
             before = app.middleware.calls
@@ -269,7 +269,7 @@ class TestProcFaults:
             assert app.middleware.calls - before == TOPOLOGIES[cpus][1]
         # one record per refill: who died, how, and who moved
         (record,) = [r for r in caplog.records if "re-hosted" in r.message]
-        dead = app.backend.workers[0]  # the head's worker took the fault
+        dead = app.middleware.workers[0]  # the head's worker took the fault
         assert f"pid {dead.pid}" in record.getMessage()
         assert "exit code -9" in record.getMessage()
         assert len(record.args[3]) == {1: 3, 2: 2, 64: 1}[cpus]

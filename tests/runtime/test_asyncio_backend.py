@@ -2,8 +2,9 @@
 the dual-face event, coroutine bridging (how often a thread crosses
 into the loop, how a task's end reaches the future), the event's
 thread-to-loop hand-over under a short switch interval, fire-and-forget
-detachment, the base backend's awaitable rejection, registry/spec
-rules, and the ``"loop"`` fault site."""
+detachment, the base backend's awaitable rejection, the registry entry
+and the ``"loop"`` fault site (the pairing rules are one table,
+``tests/api/test_backend_rules.py``)."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import pytest
 
 from repro.api import ParallelApp, StackSpec
 from repro.api.registry import BACKENDS
-from repro.errors import BackendError, CallShed, DeploymentError
+from repro.errors import BackendError, CallShed
 from repro.faults.schedule import FAULT_SITES, FaultEvent
 from repro.parallel import WorkSplitter
 from repro.parallel.partition import CallPiece, DispatchContext
@@ -353,47 +354,14 @@ class TestBaseBackendRejection:
         assert ThreadBackend().finish([1, 2, 3]) == [1, 2, 3]
 
 
-class TestRegistryAndSpec:
+class TestRegistry:
     def test_registered_under_asyncio(self):
         import repro.runtime  # noqa: F401 - triggers registration
 
-        made = BACKENDS.get("asyncio")()
-        assert isinstance(made, AsyncioBackend)
+        assert BACKENDS.get("asyncio") is AsyncioBackend
+        made = AsyncioBackend.for_cluster(None)
         assert made.name == "asyncio"
-
-    def test_factory_rejects_clusters(self):
-        import repro.runtime  # noqa: F401
-
-        with pytest.raises(BackendError, match="simulated cluster"):
-            BACKENDS.get("asyncio")(cluster=object())
-
-    def _spec(self, **overrides):
-        class Io:
-            async def ping(self, x):
-                return x
-
-        fields = dict(target=Io, work="ping", strategy="none", backend="asyncio")
-        fields.update(overrides)
-        return StackSpec(**fields)
-
-    def test_spec_rejects_cluster(self):
-        with pytest.raises(DeploymentError, match="simulated cluster"):
-            self._spec(cluster=object()).validate()
-
-    def test_spec_rejects_placement(self):
-        with pytest.raises(DeploymentError, match="placement"):
-            self._spec(placement=object()).validate()
-
-    def test_spec_rejects_middlewares(self):
-        with pytest.raises(DeploymentError, match="pairs only with middleware"):
-            self._spec(middleware="rmi", cluster=None).validate()
-
-    def test_spec_allows_native_oneway(self):
-        # middleware-less oneway is legal ONLY on asyncio (the loop is
-        # the transport); the thread backend still rejects it
-        self._spec(oneway=("ping",)).validate()
-        with pytest.raises(DeploymentError, match="distribution middleware"):
-            self._spec(backend="thread", oneway=("ping",)).validate()
+        assert made.servant_host == "loop"
 
 
 class TestLoopFaultSite:

@@ -180,3 +180,61 @@ def test_the_app_asks_its_own_ticket_table_for_traces():
         if isinstance(function, ast.FunctionDef) and function.name in ("trace", "traces"):
             source = ast.unparse(function.body[1:])  # past the docstring
             assert "getattr(" not in source and "self.partition" not in source
+
+
+def test_one_servant_host_declaration():
+    """Which servant host a backend brings is declared once, as
+    ``servant_host`` on the backend class, and every per-backend rule
+    reads that: no flag beside it, no per-backend validator, no second
+    worker registry, and no module telling backends apart by name."""
+    trees = _trees()
+    gone = {
+        "native_async", "wants_backend", "requires_cluster",
+        "_validate_process_rules", "_validate_asyncio_rules", "_is_asyncio",
+        "_backend_name", "new_worker", "stop_workers",
+    }
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                named.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)  # getattr(x, "name")
+    assert named & gone == set()
+
+    classes = {
+        cls.name: cls
+        for tree in trees.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+    }
+    methods = [
+        node.name
+        for node in classes["ProcessBackend"].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert methods == []
+    declaring = {
+        name
+        for name, cls in classes.items()
+        for node in cls.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id == "servant_host"
+    }
+    assert declaring == {"ExecutionBackend", "ProcessBackend", "AsyncioBackend"}
+
+    by_name = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for leaf in ast.walk(operand)
+        if isinstance(leaf, ast.Constant) and leaf.value in ("thread", "sim", "asyncio")
+    ]
+    assert by_name == []

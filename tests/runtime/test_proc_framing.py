@@ -220,13 +220,13 @@ class TestLiveWorker:
             worker = middleware.worker_of(ref)
             assert middleware.invoke(ref, "nap", (0.0, "warm")) == "warm"  # call 1
             ticket = DispatchContext(
-                "abandons-its-wait", deadline=Deadline(0.005, middleware.backend.now)
+                "abandons-its-wait", deadline=Deadline(0.005, time.monotonic)
             )
             with use_dispatch(ticket), pytest.raises(DeadlineExceeded):
                 middleware.invoke(ref, "nap", (0.05, "abandoned"))  # call 2
             # bounded, so a reader that lost the kept reply fails, not hangs
             mine = DispatchContext(
-                "finds-both-replies", deadline=Deadline(5.0, middleware.backend.now)
+                "finds-both-replies", deadline=Deadline(5.0, time.monotonic)
             )
             both = sum(
                 4 + len(encode_envelope(reply))
@@ -268,7 +268,7 @@ class TestLiveWorker:
             fd = worker.conn.fileno()
             blob = os.urandom(600_000)
             ticket = DispatchContext(
-                "abandons-a-large-reply", deadline=Deadline(0.2, middleware.backend.now)
+                "abandons-a-large-reply", deadline=Deadline(0.2, time.monotonic)
             )
             with use_dispatch(ticket), pytest.raises(DeadlineExceeded):
                 middleware.invoke(ref, "nap", (0.4, blob))
@@ -302,14 +302,14 @@ class TestLiveWorker:
         try:
             ref = middleware.export(Sleeper())
             napping = DispatchContext(
-                "keeps-the-worker-busy", deadline=Deadline(0.05, middleware.backend.now)
+                "keeps-the-worker-busy", deadline=Deadline(0.05, time.monotonic)
             )
             with use_dispatch(napping), pytest.raises(DeadlineExceeded):
                 middleware.invoke(ref, "nap", (1.0, "busy"))
             # the worker reads nothing for a second: a request larger
             # than the pipe cannot all be written before this deadline
             ticket = DispatchContext(
-                "gives-up-mid-send", deadline=Deadline(0.1, middleware.backend.now)
+                "gives-up-mid-send", deadline=Deadline(0.1, time.monotonic)
             )
             started = time.monotonic()
             with use_dispatch(ticket), pytest.raises(DeadlineExceeded):

@@ -7,11 +7,13 @@ undeploy cleanly, and leak no child processes.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -19,9 +21,7 @@ from repro.api import ParallelApp, StackSpec
 from repro.api.registry import BACKENDS
 from repro.apps.wordcount import wordcount_spec
 from repro.errors import (
-    BackendError,
     DeadlineExceeded,
-    DeploymentError,
     MiddlewareError,
     RemoteError,
     SerializationError,
@@ -86,63 +86,11 @@ def clear_gates():
 
 class TestProcessBackendBasics:
     def test_registry_resolves_process_backend(self):
-        backend = BACKENDS.get("process")(cluster=None)
+        assert BACKENDS.get("process") is ProcessBackend
+        backend = ProcessBackend.for_cluster(None)
         assert isinstance(backend, ProcessBackend)
         assert backend.name == "process"
-
-    def test_factory_rejects_simulated_clusters(self):
-        with pytest.raises(BackendError, match="simulated cluster"):
-            BACKENDS.get("process")(cluster=object())
-
-    def test_spec_rejects_cluster_and_placement(self):
-        with pytest.raises(DeploymentError, match="simulated cluster"):
-            StackSpec(
-                target=Doubler,
-                work="bump",
-                strategy="none",
-                backend="process",
-                cluster=object(),
-            ).validate()
-        with pytest.raises(DeploymentError, match="placement"):
-            StackSpec(
-                target=Doubler,
-                work="bump",
-                strategy="none",
-                backend="process",
-                placement=object(),
-            ).validate()
-
-    def test_spec_rejects_mismatched_pairings(self):
-        with pytest.raises(DeploymentError, match="backend='process'"):
-            StackSpec(
-                target=Doubler,
-                work="bump",
-                strategy="none",
-                middleware="process",
-                backend="thread",
-            ).validate()
-        with pytest.raises(DeploymentError, match="simulated transport"):
-            StackSpec(
-                target=Doubler,
-                work="bump",
-                strategy="none",
-                middleware="rmi",
-                backend="process",
-            ).validate()
-
-    def test_backend_auto_resolves_from_process_middleware(self):
-        app = ParallelApp(
-            StackSpec(
-                target=Doubler,
-                work="bump",
-                strategy="none",
-                middleware="process",
-            )
-        )
-        try:
-            assert isinstance(app.backend, ProcessBackend)
-        finally:
-            app.shutdown()
+        assert backend.servant_host == "process"
 
     def test_wall_clock_semantics_inherited_from_threads(self):
         backend = ProcessBackend()
@@ -208,7 +156,7 @@ class TestProcMiddlewareDirect:
                 middleware.export(bad)
             # the servant is encoded BEFORE the fork: the failed export
             # left no worker process behind to leak
-            assert middleware.backend.workers == []
+            assert middleware.workers == []
         finally:
             middleware.shutdown()
         assert not multiprocessing.active_children()
@@ -217,13 +165,26 @@ class TestProcMiddlewareDirect:
         middleware = ProcMiddleware()
         try:
             refs = [middleware.export(Doubler()) for _ in range(3)]
-            assert len(middleware.backend.workers) == 3
+            assert len(middleware.workers) == 3
             pids = {middleware.worker_of(ref).pid for ref in refs}
             assert len(pids) == 3  # genuinely distinct processes
             assert os.getpid() not in pids
         finally:
             middleware.shutdown()
-        assert middleware.backend.live_workers == 0
+        assert middleware.live_workers == 0
+
+    def test_a_shut_down_middleware_is_not_kept_alive(self):
+        """``shutdown`` disarms the ``atexit`` backstop: nothing pins a
+        finished middleware, or its stopped workers' pipes and poll
+        objects, until the interpreter exits."""
+        middleware = ProcMiddleware()
+        ref = middleware.export(Doubler())
+        assert middleware.invoke(ref, "bump", ([1],)) == [2]
+        worker = weakref.ref(middleware.worker_of(ref))
+        middleware.shutdown()
+        del middleware
+        gc.collect()
+        assert worker() is None
 
     @pytest.mark.parametrize(
         "cpus, servants, hosts",
@@ -242,7 +203,7 @@ class TestProcMiddlewareDirect:
             middleware.batch(servants)
             refs = [middleware.export(Doubler()) for _ in range(servants)]
             assert [middleware.worker_of(ref).index for ref in refs] == hosts
-            assert len(middleware.backend.workers) == min(cpus, servants)
+            assert len(middleware.workers) == min(cpus, servants)
             for ref in refs:
                 assert middleware.invoke(ref, "bump", ([ref.object_id],)) == [
                     ref.object_id * 2
@@ -251,7 +212,7 @@ class TestProcMiddlewareDirect:
             assert middleware.worker_of(alone).index == min(cpus, servants)
         finally:
             middleware.shutdown()
-        assert middleware.backend.live_workers == 0
+        assert middleware.live_workers == 0
 
 
 class TestWorkerCrash:
@@ -326,7 +287,7 @@ class TestWorkerCrash:
         with app:
             app.start()
             doomed = app.submit([1, 11])
-            workers = app.middleware.backend.workers
+            workers = app.middleware.workers
             # wait until BOTH workers have a round-trip in flight (the
             # parent-side pipe lock is held for the whole round-trip and
             # the servants are parked on the gate) — the demand-driven
@@ -342,7 +303,7 @@ class TestWorkerCrash:
             assert str(victim.pid) in message
             assert "fail fast" in message  # the obituary, not a timeout
         # clean undeploy: every worker (dead and alive) is stopped...
-        assert wait_until(lambda: app.backend.live_workers == 0)
+        assert wait_until(lambda: app.middleware.live_workers == 0)
         # ...and nothing leaked at the OS level
         assert wait_until(lambda: not multiprocessing.active_children())
 
@@ -382,14 +343,14 @@ class TestWorkersIgnoreSigint:
         with app:
             app.start()
             expected = app.submit(docs).result(timeout=10)
-            workers = list(app.backend.workers)
+            workers = list(app.middleware.workers)
             for worker in workers:
                 os.kill(worker.pid, signal.SIGINT)
             assert not wait_until(
                 lambda: not all(w.alive for w in workers), timeout=0.3
             )
             assert app.submit(docs).result(timeout=10) == expected
-        assert wait_until(lambda: app.backend.live_workers == 0)
+        assert wait_until(lambda: app.middleware.live_workers == 0)
         assert wait_until(lambda: not multiprocessing.active_children())
 
 
@@ -468,7 +429,7 @@ class TestReplyWait:
             ref = middleware.export(Sleeper())
             middleware.invoke(ref, "nap", (0.0, "warm"))
             ticket = DispatchContext(
-                "reply-wait", deadline=Deadline(0.005, middleware.backend.now)
+                "reply-wait", deadline=Deadline(0.005, time.monotonic)
             )
             began = time.perf_counter()
             with use_dispatch(ticket), pytest.raises(DeadlineExceeded):
@@ -488,7 +449,7 @@ class TestReplyWait:
         middleware.shutdown()  # warm: lazily opened fds are now open
         baseline = _open_fds()
         for cycle in range(50):
-            middleware = ProcMiddleware(backend=middleware.backend)
+            middleware = ProcMiddleware()
             ref = middleware.export(Doubler())
             if cycle % 10 == 0:
                 # the refill path: crash, respawn behind the same ref

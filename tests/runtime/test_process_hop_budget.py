@@ -125,8 +125,8 @@ def _parent_side_budget(monkeypatch, topology, workers, round_trips_per_op, ceil
         for _ in range(20):  # warm: plans compiled, carriers parked
             expected = app.submit(DOCUMENTS).result(timeout=10)
         assert sum(expected.values()) > 0
-        assert len(app.backend.workers) == workers
-        pipe_fds = {w.conn.fileno() for w in app.backend.workers}
+        assert len(app.middleware.workers) == workers
+        pipe_fds = {w.conn.fileno() for w in app.middleware.workers}
         os_read, os_write = os.read, os.write
 
         def counting_read(fd, size):
@@ -192,7 +192,7 @@ with ParallelApp(wordcount_spec(batches=2, backend="process")) as app:
     for _ in range(10):
         app.submit(documents).result(timeout=20)
     print(
-        len(app.backend.workers),
+        len(app.middleware.workers),
         (app.middleware.calls - calls) / 10,
         (app.middleware.serializer.messages - messages) / 10,
         app.middleware.worker_respawns,
