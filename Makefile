@@ -11,8 +11,9 @@ PYPATH := PYTHONPATH=src
 test:
 	$(PYPATH) $(PY) -m pytest -x -q
 
-## overlap stress: rerun the concurrency-sensitive suites (dispatch
-## contexts, admission policies, deadlines, the pipeline ride — pieces
+## overlap stress: rerun the concurrency-sensitive suites (the backend
+## conformance table: overlap, admission policies, routing, deadlines
+## and faults on every backend; per-ticket deadlines; the pipeline ride — pieces
 ## hopping stages on one activity while others queue on the monitors,
 ## on threads and on real workers — the splitter carrying its last
 ## piece, and the optimisation
@@ -25,8 +26,7 @@ stress:
 	@for i in 1 2 3 4 5; do \
 		echo "--- stress round $$i/5 ---"; \
 		$(PYPATH) $(PY) -m pytest -q -p no:cacheprovider \
-			tests/parallel/test_dispatch_contexts.py \
-			tests/parallel/test_admission_policies.py \
+			tests/parallel/test_backend_conformance.py \
 			tests/parallel/test_deadlines.py \
 			tests/parallel/test_pipeline_ride.py \
 			tests/parallel/test_carried_piece.py \
@@ -36,8 +36,9 @@ stress:
 ## fault-injection stress: rerun the whole fault matrix 5x — the
 ## tests/faults suites (schedule determinism, retry-collector
 ## properties, kill-and-replace recovery, golden trace) plus the fault
-## parametrisations of the thread and process dispatch matrices and the
-## proc-site cells of the co-location table (every placement topology).  Kills
+## cells of the backend conformance table (every strategy, armed and
+## unarmed, on every backend) and the proc-site cells of the co-location
+## table (every placement topology).  Kills
 ## and respawns are timing-sensitive by construction; 5 rounds with the
 ## cache disabled surface interleavings a single run hides.  CI wraps
 ## this in a hard timeout-minutes so a lost wakeup (a hang, not a
@@ -48,9 +49,8 @@ stress-faults:
 		$(PYPATH) $(PY) -m pytest -q -p no:cacheprovider \
 			tests/faults || exit 1; \
 		$(PYPATH) $(PY) -m pytest -q -p no:cacheprovider \
-			tests/parallel/test_dispatch_contexts.py \
-			tests/parallel/test_process_backend_matrix.py \
-			-k "FaultMatrix" || exit 1; \
+			tests/parallel/test_backend_conformance.py \
+			-k fault || exit 1; \
 		$(PYPATH) $(PY) -m pytest -q -p no:cacheprovider \
 			tests/parallel/test_process_colocation.py \
 			-k "ProcFaults" || exit 1; \
@@ -77,10 +77,11 @@ stress-tenancy:
 ## and the reply wait (death watch, deadline granularity, fd census),
 ## the frames on the pipe (the reader's kept bytes, a frame cut short
 ## by a death) and the hop's budget as counts, the wire-format
-## round-trips, the overlap/admission/deadline
-## matrix on resident worker processes, the co-location case table (the
-## same cells on one, two and a worker per stage), the pipeline ride and
-## the carried last piece.  CI wraps this in a hard
+## round-trips, the co-location case table (the
+## same cells on one, two and a worker per stage), the pipeline ride,
+## the carried last piece, and the process column of the backend
+## conformance table (overlap, admission, deadline and fault cells on
+## resident worker processes).  CI wraps this in a hard
 ## timeout-minutes: a hang here means a pipe wait without a liveness
 ## check, and must fail fast instead of stalling the job.
 test-proc:
@@ -90,15 +91,17 @@ test-proc:
 		tests/runtime/test_proc_framing.py \
 		tests/runtime/test_process_hop_budget.py \
 		tests/middleware/test_serialize_roundtrip.py \
-		tests/parallel/test_process_backend_matrix.py \
 		tests/parallel/test_process_colocation.py \
 		tests/parallel/test_pipeline_ride.py \
 		tests/parallel/test_carried_piece.py
+	$(PYPATH) $(PY) -m pytest -q -p no:cacheprovider \
+		tests/parallel/test_backend_conformance.py -k process
 
 ## asyncio backend subset, the test-proc of this backend: the pairing
 ## rules' case table, its unit suite (loop crossings, the event's thread-to-loop hand-over, task
-## cancellation), the overlap/admission/deadline/fault matrix on loop
-## tasks, and the webhook example — all with asyncio's debug mode on and
+## cancellation), the asyncio column of the backend conformance table
+## (overlap, admission, deadline and fault cells on loop tasks), and the
+## webhook example — all with asyncio's debug mode on and
 ## RuntimeWarning an error.  Debug mode raises on a non-thread-safe loop
 ## call made off the loop thread, the one mistake a hand-written bridge
 ## can make.  A coroutine nobody awaited warns from its finalizer, where
@@ -111,8 +114,11 @@ test-asyncio:
 		-m pytest -q -p no:cacheprovider \
 		-W error::pytest.PytestUnraisableExceptionWarning \
 		tests/api/test_backend_rules.py \
-		tests/runtime/test_asyncio_backend.py \
-		tests/parallel/test_asyncio_backend_matrix.py
+		tests/runtime/test_asyncio_backend.py
+	PYTHONASYNCIODEBUG=1 $(PYPATH) $(PY) -W error::RuntimeWarning \
+		-m pytest -q -p no:cacheprovider \
+		-W error::pytest.PytestUnraisableExceptionWarning \
+		tests/parallel/test_backend_conformance.py -k asyncio
 	PYTHONASYNCIODEBUG=1 $(PYPATH) $(PY) -W error::RuntimeWarning \
 		examples/webhook_async.py
 
@@ -197,7 +203,7 @@ lint:
 ## count and fails above LOC_CEILING, the count of the last PR that
 ## moved it — a PR that grows src/ raises the ceiling in the same diff
 ## and says why in CHANGES.md, one that shrinks it lowers the ceiling.
-LOC_CEILING := 19472
+LOC_CEILING := 19138
 loc:
 	@count=$$(find src -name '*.py' | xargs cat | wc -l); echo $$count; \
 	if [ $$count -gt $(LOC_CEILING) ]; then \

@@ -138,8 +138,8 @@ class StackSpec:
     #: (None = fail-fast, the pre-fault behaviour)
     retry: Any = None
     #: fault-injection schedule (a :class:`repro.faults.FaultSchedule`)
-    #: installed on the ambient fault plane for the deployment's
-    #: lifetime — a TEST knob, never set in production specs
+    #: carried on the ticket of every call this deployment serves — a
+    #: TEST knob, never set in production specs
     faults: Any = None
     #: tenant name this deployment submits as — requires ``scheduler``;
     #: every submit/map unit then acquires a slot of the cluster's

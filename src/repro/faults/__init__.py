@@ -7,13 +7,13 @@ a first-class *test axis*: a seeded :class:`FaultSchedule` of
 events fires at the dispatch boundaries every skeleton already shares —
 :func:`~repro.parallel.partition.base.dispatch_piece`, the
 :class:`~repro.parallel.concurrency.asynchronous.PooledSpawner` worker
-loops, and :class:`~repro.middleware.proc.ProcMiddleware`'s reply wait
-— while :class:`RetryPolicy` supplies the recovery semantics that make
-those faults survivable (re-dispatch to a healthy worker instead of
-latching failure).
+loops, :class:`~repro.middleware.proc.ProcMiddleware`'s round trip and
+the asyncio backend's loop tasks — while :class:`RetryPolicy` supplies
+the recovery semantics that make those faults survivable (re-dispatch
+to a healthy worker instead of latching failure).
 
-See ``docs/ARCHITECTURE.md`` ("Fault injection and retry") for the hook
-point diagram and lifecycle.
+See ``docs/ARCHITECTURE.md`` ("Fault injection and recovery") for the
+hook point diagram, what each site honours, and the lifecycle.
 """
 
 from repro.faults.retry import RetryPolicy
@@ -22,11 +22,7 @@ from repro.faults.schedule import (
     FAULT_SITES,
     FaultEvent,
     FaultSchedule,
-    current_faults,
     fire_fault,
-    install_faults,
-    remove_faults,
-    use_faults,
 )
 
 __all__ = [
@@ -35,9 +31,5 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "RetryPolicy",
-    "current_faults",
     "fire_fault",
-    "install_faults",
-    "remove_faults",
-    "use_faults",
 ]

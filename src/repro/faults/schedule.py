@@ -1,4 +1,4 @@
-"""Seeded fault schedules and the ambient fault plane.
+"""Seeded fault schedules.
 
 A :class:`FaultSchedule` is a *deterministic* description of when the
 runtime misbehaves: a list of explicit :class:`FaultEvent` entries
@@ -13,13 +13,8 @@ A deployment's schedule (``StackSpec.faults``) rides the dispatch
 tickets of that deployment's calls (``ticket.faults``): a hook site
 hands :func:`fire_fault` the ticket of the call it is working for, so
 two deployments never see each other's events.  A call whose ticket
-carries none — a skeleton driven without an app, an app deployed
-without ``faults=`` — is answered by the *plane*: a process-global stack
-(like the ambient backend, and NOT thread-local on purpose: resident
-pool workers, per-call spawned activities and middleware reply waits
-share no thread with whoever installed it).  With neither,
-:func:`fire_fault` is a no-op costing a truthiness check or two, so the
-production hot path stays unpriced.
+carries none — or work done for no ticket at all — meets no fault, and
+:func:`fire_fault` costs a truthiness check.
 
 Hook sites (the ``site`` key):
 
@@ -28,7 +23,8 @@ Hook sites (the ``site`` key):
   index the piece was routed to, when the strategy knows one);
 * ``"pool"``     — the :class:`~repro.parallel.concurrency.asynchronous.PooledSpawner`
   worker loop, between pulling a task and running it (``index`` = the
-  resident worker's pin index);
+  resident worker's pin index); ``kill_worker`` and ``delay_reply``
+  only (:data:`HONOURED`);
 * ``"proc"``     — :class:`~repro.middleware.proc.ProcMiddleware`'s
   request/reply round trip (``index`` = the resident worker process
   index);
@@ -43,8 +39,7 @@ from __future__ import annotations
 
 import random
 import threading
-from contextlib import contextmanager
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.errors import AdviceError
 
@@ -53,17 +48,22 @@ __all__ = [
     "FAULT_SITES",
     "FaultEvent",
     "FaultSchedule",
-    "current_faults",
     "fire_fault",
-    "install_faults",
-    "remove_faults",
-    "use_faults",
 ]
 
 #: the four injectable misbehaviours
 FAULT_KINDS = ("kill_worker", "drop_reply", "delay_reply", "raise_in_piece")
-#: the four hook sites (see module docstring)
-FAULT_SITES = ("dispatch", "pool", "proc", "loop")
+#: the four hook sites (see module docstring) and the kinds each can
+#: carry out.  A pool resident runs its task, and the task delivers its
+#: own result: the resident can die before running it or stall, but it
+#: holds no reply to drop or to fail
+HONOURED = {
+    "dispatch": FAULT_KINDS,
+    "pool": ("kill_worker", "delay_reply"),
+    "proc": FAULT_KINDS,
+    "loop": FAULT_KINDS,
+}
+FAULT_SITES = tuple(HONOURED)
 
 
 class FaultEvent:
@@ -98,6 +98,11 @@ class FaultEvent:
             raise AdviceError(
                 f"unknown fault site {site!r} (choose from "
                 f"{', '.join(FAULT_SITES)})"
+            )
+        if kind not in HONOURED[site]:
+            raise AdviceError(
+                f"fault site {site!r} cannot honour {kind!r} (it honours "
+                f"{', '.join(HONOURED[site])})"
             )
         if on_call < 1:
             raise AdviceError("on_call counts from 1")
@@ -205,11 +210,14 @@ class FaultSchedule:
 
     def _draw_locked(self, site: str, index: int | None) -> FaultEvent | None:
         # one draw per consultation, whatever the outcome: the RNG
-        # consumption order IS the determinism contract
+        # consumption order IS the determinism contract.  A kind the
+        # site cannot honour is drawn and fires nothing
         draw = self._rng.random()
         floor = 0.0
         for kind, rate in self.rates.items():
             if floor <= draw < floor + rate:
+                if kind not in HONOURED[site]:
+                    return None
                 return FaultEvent(kind, site=site, index=index)
             floor += rate
         return None
@@ -231,61 +239,13 @@ class FaultSchedule:
         )
 
 
-# ---------------------------------------------------------------------------
-# The ambient fault plane
-# ---------------------------------------------------------------------------
-
-#: the plane: installed schedules, innermost last — deliberately
-#: process-global (NOT thread-local): pool residents and spawned
-#: activities must see the schedule the installing thread pushed
-_ACTIVE: list[FaultSchedule] = []
-_PLANE_LOCK = threading.Lock()
-
-
-def install_faults(schedule: FaultSchedule) -> FaultSchedule:
-    """Push ``schedule`` onto the fault plane (innermost wins); returns
-    the schedule as the removal token."""
-    with _PLANE_LOCK:
-        _ACTIVE.append(schedule)
-    return schedule
-
-
-def remove_faults(schedule: FaultSchedule) -> None:
-    """Remove one installation of ``schedule`` (idempotent)."""
-    with _PLANE_LOCK:
-        for position in range(len(_ACTIVE) - 1, -1, -1):
-            if _ACTIVE[position] is schedule:
-                del _ACTIVE[position]
-                return
-
-
-@contextmanager
-def use_faults(schedule: FaultSchedule | None) -> Iterator[FaultSchedule | None]:
-    """Install ``schedule`` for the block (``None`` is a pass-through)."""
-    if schedule is None:
-        yield None
-        return
-    install_faults(schedule)
-    try:
-        yield schedule
-    finally:
-        remove_faults(schedule)
-
-
-def current_faults() -> FaultSchedule | None:
-    """The innermost installed schedule, or ``None``."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
 def fire_fault(
     site: str, index: int | None = None, ticket: Any = None
 ) -> FaultEvent | None:
     """Consult, at a hook site, the schedule of the call being worked
-    for: the one ``ticket`` carries, else the innermost on the plane.
-    The fast path — neither — makes no call, so instrumented boundaries
-    cost nothing in production."""
+    for — the one its ``ticket`` carries.  The fast path (no schedule)
+    makes no call, so instrumented boundaries cost nothing in
+    production."""
     if ticket is None or ticket.faults is None:
-        if not _ACTIVE:
-            return None
-        return _ACTIVE[-1].fire(site, index)
+        return None
     return ticket.faults.fire(site, index)

@@ -60,6 +60,7 @@ from typing import Any
 
 from repro.aop.plan import piece_view
 from repro.errors import (
+    InjectedFault,
     MiddlewareError,
     RemoteError,
     ReplyDropped,
@@ -356,13 +357,18 @@ class ProcMiddleware(Middleware):
         # the "proc" fault site: consulted once per round trip, indexed
         # by the resident worker.  kill_worker SIGKILLs the real process
         # and lets the send/recv below surface the genuine WorkerCrashed
-        # (the full obituary path, not a synthetic error); delay_reply
-        # stalls the round trip; drop_reply completes the call in the
-        # worker but discards the matched reply on the way back.
+        # (the full obituary path, not a synthetic error); raise_in_piece
+        # fails the call before the send; delay_reply stalls the round
+        # trip; drop_reply completes the call in the worker but discards
+        # the matched reply on the way back.
         event = fire_fault("proc", worker.index, context)
         if event is not None:
             if event.kind == "kill_worker":
                 worker.kill()
+            elif event.kind == "raise_in_piece":
+                raise InjectedFault(
+                    f"injected failure before the send to worker {worker.name}"
+                )
             elif event.kind == "delay_reply":
                 current_backend().sleep(event.delay)
         try:

@@ -6,7 +6,6 @@ from repro.parallel.composition import Composition, ParallelModule
 from repro.parallel.concern import LAYER, Concern, ParallelAspect
 from repro.parallel.concurrency import (
     AsyncInvocationAspect,
-    BarrierAspect,
     PooledSpawner,
     SpawnPerCall,
     SynchronisationAspect,
@@ -74,7 +73,6 @@ __all__ = [
     # concurrency
     "AsyncInvocationAspect",
     "SynchronisationAspect",
-    "BarrierAspect",
     "SpawnPerCall",
     "PooledSpawner",
     "concurrency_module",

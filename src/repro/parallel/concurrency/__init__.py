@@ -1,12 +1,11 @@
-"""Concurrency concern: asynchronous invocation (spawn + futures),
-per-target synchronisation, and phase barriers."""
+"""Concurrency concern: asynchronous invocation (spawn + futures) and
+per-target synchronisation."""
 
 from repro.parallel.concurrency.asynchronous import (
     AsyncInvocationAspect,
     PooledSpawner,
     SpawnPerCall,
 )
-from repro.parallel.concurrency.barrier import BarrierAspect
 from repro.parallel.concurrency.synchronisation import SynchronisationAspect
 from repro.parallel.composition import ParallelModule
 from repro.parallel.concern import Concern
@@ -14,7 +13,6 @@ from repro.parallel.concern import Concern
 __all__ = [
     "AsyncInvocationAspect",
     "SynchronisationAspect",
-    "BarrierAspect",
     "SpawnPerCall",
     "PooledSpawner",
     "concurrency_module",

@@ -63,7 +63,7 @@ class PooledSpawner:
     errors belong to the enqueueing call, which observes them through
     its own ticket/collector, never to the pool.
 
-    Fault axis: each pulled task first consults the ambient
+    Fault axis: each pulled task first consults its call's
     :class:`~repro.faults.FaultSchedule` at site ``"pool"`` (index = the
     resident's position).  A ``kill_worker`` event — or an explicit
     :meth:`kill` — terminates the resident *before* the task runs; the

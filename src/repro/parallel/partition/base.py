@@ -111,10 +111,10 @@ def dispatch_piece(
     batched entry — one advice pass for the whole pack.
 
     This is the ``"dispatch"`` fault-injection site: the
-    :class:`~repro.faults.FaultSchedule` in force for the call (its
-    ticket ``ctx`` carries the deployment's; else the installed one) is
-    consulted once per piece (keyed by ``worker_index`` when the
-    strategy routes to a known worker).  ``raise_in_piece``/``kill_worker`` fail the piece before
+    :class:`~repro.faults.FaultSchedule` the call's ticket ``ctx``
+    carries (the deployment's) is consulted once per piece (keyed by
+    ``worker_index`` when the strategy routes to a known worker).
+    ``raise_in_piece``/``kill_worker`` fail the piece before
     the call, ``delay_reply`` stalls it, and ``drop_reply`` runs the
     call but discards its outcome — so recovery needs keyed deposits to
     stay exactly-once.  The piece is made ambient for the duration of

@@ -1,7 +1,6 @@
-"""Concurrency substrate: execution backends (threads / simulation),
-futures with wait-by-necessity, and active objects."""
+"""Concurrency substrate: execution backends (threads / simulation /
+processes / asyncio) and futures with wait-by-necessity."""
 
-from repro.runtime.active import ActiveObject
 from repro.runtime.asyncbackend import AsyncioBackend, AsyncioEvent
 from repro.runtime.admission import (
     OVERFLOW_POLICIES,
@@ -43,7 +42,6 @@ __all__ = [
     "AsyncioEvent",
     "Future",
     "FutureGroup",
-    "ActiveObject",
     "current_dispatch",
     "use_dispatch",
     "dispatch_id",

@@ -309,7 +309,7 @@ def bind_dispatch(fn: Callable[[], Any]) -> Callable[[], Any]:
     worker) still runs under the ticket of the call that created it.
     The ambient piece rides along, so forwarding work spawned mid-piece
     keeps its piece identity too.  The thunk names its ticket
-    (``.ticket``): a pool resident asks the fault plane on its behalf.
+    (``.ticket``): a pool resident asks the pulled task's ticket.
 
     Thunks marked by :func:`shield_dispatch` pass through uncaptured.
     """

@@ -284,7 +284,7 @@ class DispatchContext:
         self.deadline = deadline
         #: per-call :class:`~repro.faults.RetryPolicy`
         self.retry_policy = retry
-        #: the serving deployment's fault schedule (``None``: the plane's)
+        #: the serving deployment's fault schedule (``None``: no faults)
         self.faults = faults
         #: capacity held for this call: the cluster's place, then the
         #: deployment's

@@ -9,8 +9,7 @@ in for the paper's 7-node Xeon cluster.
 from repro.sim.channel import Channel, Message
 from repro.sim.kernel import SimProcess, Simulator, current_process, current_simulator
 from repro.sim.resources import ProcessorSharingCPU, total_rate
-from repro.sim.sync import SimBarrier, SimEvent, SimLock, SimQueue, SimSemaphore
-from repro.sim.trace import Trace, TraceEvent
+from repro.sim.sync import SimEvent, SimLock, SimQueue, SimSemaphore
 
 __all__ = [
     "Simulator",
@@ -20,12 +19,9 @@ __all__ = [
     "SimEvent",
     "SimLock",
     "SimSemaphore",
-    "SimBarrier",
     "SimQueue",
     "Channel",
     "Message",
     "ProcessorSharingCPU",
     "total_rate",
-    "Trace",
-    "TraceEvent",
 ]

@@ -5,9 +5,8 @@ blocked process is resumed **exactly once**.  Every wait registers a
 :class:`_Waiter` token; both the granting path and the timeout path must
 win a check-and-set on that token before scheduling the resume.
 
-Provided: :class:`SimEvent`, :class:`SimLock` (FIFO), :class:`SimSemaphore`,
-:class:`SimBarrier`, and :class:`SimQueue` (unbounded FIFO used by
-channels and mailboxes).
+Provided: :class:`SimEvent`, :class:`SimLock` (FIFO), :class:`SimSemaphore`
+and :class:`SimQueue` (unbounded FIFO used by channels and mailboxes).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Any
 from repro.errors import SimulationError
 from repro.sim.kernel import SimProcess, Simulator, current_process
 
-__all__ = ["SimEvent", "SimLock", "SimSemaphore", "SimBarrier", "SimQueue"]
+__all__ = ["SimEvent", "SimLock", "SimSemaphore", "SimQueue"]
 
 
 class _Waiter:
@@ -203,37 +202,6 @@ class SimSemaphore:
 
     def __exit__(self, *exc: Any) -> None:
         self.release()
-
-
-class SimBarrier:
-    """Cyclic barrier for ``parties`` processes (heartbeat phase sync)."""
-
-    def __init__(self, sim: Simulator, parties: int, name: str = "barrier"):
-        if parties < 1:
-            raise ValueError("barrier needs >= 1 party")
-        self.sim = sim
-        self.parties = parties
-        self.name = name
-        self._waiting: list[_Waiter] = []
-        #: completed barrier cycles
-        self.generation = 0
-
-    def wait(self) -> int:
-        """Block until ``parties`` processes arrive; returns the arrival
-        index (0 = first, parties-1 = releasing arrival)."""
-        proc = _require(self.sim)
-        index = len(self._waiting)
-        if index == self.parties - 1:
-            for waiter in self._waiting:
-                if waiter.claim():
-                    self.sim.schedule_resume(waiter.proc)
-            self._waiting.clear()
-            self.generation += 1
-            return index
-        waiter = _Waiter(proc)
-        self._waiting.append(waiter)
-        self.sim._block(f"barrier:{self.name}")
-        return index
 
 
 class SimQueue:

@@ -1,24 +1,15 @@
-"""Unit tests for the fault plane: event matching, per-site and
+"""Unit tests for fault schedules: event matching, per-site and
 per-(site, index) counters, seeded rate draws, determinism of the
-trace, and the ambient install/remove/use plane."""
+trace, what each site honours, and the schedule riding the tickets of
+one deployment's calls."""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
 from repro.api import ParallelApp, StackSpec
 from repro.errors import AdviceError, InjectedFault, ReplyDropped
-from repro.faults import (
-    FaultEvent,
-    FaultSchedule,
-    current_faults,
-    fire_fault,
-    install_faults,
-    remove_faults,
-    use_faults,
-)
+from repro.faults import FaultEvent, FaultSchedule, fire_fault
 from repro.parallel import WorkSplitter
 from repro.runtime import ThreadBackend, use_dispatch
 from repro.runtime.dispatch import bind_dispatch
@@ -120,51 +111,34 @@ class TestSeededRates:
         assert row == [0, "dispatch", 2, 1, "kill_worker"]
 
 
-class TestAmbientPlane:
-    def test_fire_fault_without_schedule_is_none(self):
-        assert current_faults() is None
+class TestWhatASiteHonours:
+    def test_the_pool_refuses_a_kind_it_cannot_carry_out(self):
+        # a pool resident's task delivers its own result: there is no
+        # reply for the resident to drop or to fail
+        for kind in ("drop_reply", "raise_in_piece"):
+            with pytest.raises(AdviceError, match="fault site 'pool' cannot honour"):
+                FaultEvent(kind, site="pool")
+        for kind in ("kill_worker", "delay_reply"):
+            assert FaultEvent(kind, site="pool").site == "pool"
+
+    def test_a_drawn_kind_the_site_cannot_honour_fires_nothing(self):
+        def run(other_site):
+            schedule = FaultSchedule(seed=11, rates={"drop_reply": 0.5})
+            for _ in range(20):
+                schedule.fire(other_site, 0)
+                schedule.fire("dispatch", 0)
+            return schedule.trace_snapshot()
+
+        pooled, procs = run("pool"), run("proc")
+        assert {row[1] for row in pooled} == {"dispatch"}
+        assert {row[1] for row in procs} == {"dispatch", "proc"}
+        # the pool's draws were made all the same: one per consultation
+        assert [row[1:] for row in pooled] == [
+            row[1:] for row in procs if row[1] == "dispatch"
+        ]
+
+    def test_fire_fault_without_a_ticket_is_none(self):
         assert fire_fault("dispatch") is None
-
-    def test_install_and_remove(self):
-        schedule = FaultSchedule([FaultEvent("drop_reply", on_call=1)])
-        token = install_faults(schedule)
-        try:
-            assert current_faults() is schedule
-            assert fire_fault("dispatch").kind == "drop_reply"
-        finally:
-            remove_faults(token)
-        assert current_faults() is None
-        remove_faults(token)  # idempotent
-
-    def test_use_faults_nests_innermost_wins(self):
-        outer = FaultSchedule(name="outer")
-        inner = FaultSchedule(name="inner")
-        with use_faults(outer):
-            assert current_faults() is outer
-            with use_faults(inner):
-                assert current_faults() is inner
-            assert current_faults() is outer
-        assert current_faults() is None
-
-    def test_use_faults_none_is_passthrough(self):
-        with use_faults(None) as token:
-            assert token is None
-            assert current_faults() is None
-
-    def test_plane_is_visible_from_other_threads(self):
-        # the reason the plane is process-global: pool residents and
-        # spawned activities never share the installing thread
-        schedule = FaultSchedule(
-            [FaultEvent("kill_worker", site="pool", on_call=1)]
-        )
-        seen: list = []
-        with use_faults(schedule):
-            thread = threading.Thread(
-                target=lambda: seen.append(fire_fault("pool", 0))
-            )
-            thread.start()
-            thread.join(timeout=5)
-        assert seen and seen[0].kind == "kill_worker"
 
 
 class Doubler:
@@ -210,7 +184,6 @@ class TestASchedulePerDeployment:
             with pytest.raises(InjectedFault):
                 a.submit([1, 2]).result(timeout=10)
             assert faulty.fired_count() == 1
-            assert current_faults() is None  # nothing went onto the plane
 
     def test_each_of_two_schedules_sees_its_own_calls_only(self):
         drops = FaultSchedule([FaultEvent("drop_reply", site="dispatch", every=1)])
@@ -226,28 +199,13 @@ class TestASchedulePerDeployment:
         assert {row[4] for row in raises.trace} == {"raise_in_piece"}
         assert len(drops.trace) == len(raises.trace) == 3
 
-    def test_a_call_without_a_schedule_falls_back_to_the_plane(self):
-        with farm_app() as app:
-            app.start()
-            with use_faults(every_dispatch_raises()) as plane:
-                with pytest.raises(InjectedFault):
-                    app.submit([1]).result(timeout=10)
-                assert plane.fired_count() == 1
-            assert app.submit([1]).result(timeout=10) == [2]
-
-    def test_fire_fault_asks_the_tickets_schedule_before_the_plane(self):
-        mine = FaultSchedule([FaultEvent("drop_reply", site="pool", every=1)])
-        plane = FaultSchedule([FaultEvent("kill_worker", site="pool", every=1)])
+    def test_fire_fault_asks_only_the_tickets_schedule(self):
+        mine = FaultSchedule([FaultEvent("delay_reply", site="pool", every=1)])
         carrying = DispatchContext("mine", backend=ThreadBackend(), faults=mine)
         bare = DispatchContext("bare", backend=ThreadBackend())
-        assert fire_fault("pool", 0, carrying).kind == "drop_reply"
-        assert fire_fault("pool", 0, bare) is None  # no plane to fall back to
-        assert current_faults() is None  # ... a ticket's is not on the plane
+        assert fire_fault("pool", 0, carrying).kind == "delay_reply"
+        assert fire_fault("pool", 0, bare) is None
         with use_dispatch(carrying):
             # what a pool resident asks with: the pulled task's ticket
             assert bind_dispatch(lambda: None).ticket is carrying
-        with use_faults(plane):
-            assert fire_fault("pool", 0, carrying).kind == "drop_reply"
-            assert fire_fault("pool", 0, bare).kind == "kill_worker"
-            assert fire_fault("pool", 0).kind == "kill_worker"
-        assert len(mine.trace) == 2 and len(plane.trace) == 2
+        assert len(mine.trace) == 1

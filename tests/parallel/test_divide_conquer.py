@@ -1,4 +1,5 @@
-"""Divide-and-conquer partition: object creation at call interception."""
+"""Divide-and-conquer partition: object creation at call interception,
+and overlapped calls into a deployed composition driven without an app."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from repro.parallel import (
     divide_and_conquer_module,
 )
 from repro.parallel.partition import CallPiece
-from repro.runtime import ThreadBackend, use_backend
+from repro.runtime import SimBackend, ThreadBackend, use_backend
+from repro.sim import Simulator
 
 THRESHOLD = 8
 
@@ -193,3 +195,67 @@ class TestDivideAndConquer:
             with comp.deployed(default_weaver, targets=[Sorter]):
                 assert Sorter().sort([4, 3, 2, 1]) == [1, 2, 3, 4]
         assert len(made) == module.coordinator.workers_created
+
+
+class Summer:
+    gate = None
+
+    def total(self, values):
+        if Summer.gate is not None:
+            Summer.gate.wait(5)
+        return sum(values)
+
+
+@pytest.mark.parametrize("backend", ["thread", "sim"])
+def test_overlapped_calls_into_a_bare_composition_keep_their_own_contexts(backend):
+    """Without an app, calls made straight into the deployed composition
+    from three activities at once each own a dispatch context while
+    their leaves park, and each gets its own sum back."""
+    sim = Simulator()
+    chosen = SimBackend(sim) if backend == "sim" else ThreadBackend()
+    module = divide_and_conquer_module(
+        should_divide=lambda args, kwargs, depth: len(args[0]) > 4,
+        divide=lambda args, kwargs: [
+            CallPiece(0, (args[0][: len(args[0]) // 2],)),
+            CallPiece(1, (args[0][len(args[0]) // 2 :],)),
+        ],
+        merge=sum,
+        work="call(Summer.total(..))",
+    )
+    aspect = module.coordinator
+    payloads = [list(range(i, i + 8)) for i in range(3)]
+    results: dict[int, int] = {}
+
+    def drive():
+        with use_backend(chosen):
+            callers = [
+                chosen.spawn(
+                    lambda i=i: results.__setitem__(i, Summer().total(payloads[i]))
+                )
+                for i in range(3)
+            ]
+            for _ in range(1000):  # two seconds, of the backend's clock
+                if len(aspect.contexts) >= 2:
+                    break
+                chosen.sleep(0.002)
+            assert len(aspect.contexts) >= 2
+            Summer.gate.set()
+            for caller in callers:
+                caller.join()
+
+    weave(Summer)
+    Summer.gate = chosen.make_event(name="gate")
+    try:
+        with Composition("dnc", [module]).deployed(default_weaver, targets=[Summer]):
+            if backend == "sim":
+                sim.spawn(drive, name="callers")
+                sim.run()
+            else:
+                drive()
+    finally:
+        Summer.gate = None
+        sim.shutdown()
+    assert results == {i: sum(payloads[i]) for i in range(3)}
+    assert aspect.peak_in_flight >= 2
+    assert not aspect.contexts
+    assert aspect.dispatches == 3

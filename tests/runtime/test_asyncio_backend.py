@@ -2,25 +2,30 @@
 the dual-face event, coroutine bridging (how often a thread crosses
 into the loop, how a task's end reaches the future), the event's
 thread-to-loop hand-over under a short switch interval, fire-and-forget
-detachment, the base backend's awaitable rejection, the registry entry
-and the ``"loop"`` fault site (the pairing rules are one table,
-``tests/api/test_backend_rules.py``)."""
+detachment, the base backend's awaitable rejection, the registry entry,
+the ``"loop"`` fault site, and what only a deployment on the loop does:
+overlapping awaits, a deadline trace naming the await, native oneway
+and no coroutine left unawaited by a shed (the pairing rules are one
+table, ``tests/api/test_backend_rules.py``; what every backend does
+alike is ``tests/parallel/test_backend_conformance.py``)."""
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import gc
 import inspect
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
 from repro.api import ParallelApp, StackSpec
 from repro.api.registry import BACKENDS
-from repro.errors import BackendError, CallShed
-from repro.faults.schedule import FAULT_SITES, FaultEvent
+from repro.errors import BackendError, CallShed, DeadlineExceeded
+from repro.faults.schedule import FAULT_SITES, FaultEvent, FaultSchedule
 from repro.parallel import WorkSplitter
 from repro.parallel.partition import CallPiece, DispatchContext
 from repro.runtime import AsyncioBackend, AsyncioEvent, ThreadBackend
@@ -370,17 +375,193 @@ class TestLoopFaultSite:
         assert FaultEvent("drop_reply", site="loop").site == "loop"
 
     def test_delay_reply_is_awaitable(self, backend):
-        from repro.faults import FaultSchedule
-        from repro.faults.schedule import use_faults
-
         async def quick():
             return "v"
 
         schedule = FaultSchedule(
             [FaultEvent("delay_reply", site="loop", on_call=1, delay=0.05)]
         )
-        with use_faults(schedule):
-            t0 = time.perf_counter()
+        ticket = DispatchContext("delayed", backend=backend, faults=schedule)
+        t0 = time.perf_counter()
+        with use_dispatch(ticket):
             assert backend.finish(quick()) == "v"
-            assert time.perf_counter() - t0 >= 0.04
+        assert time.perf_counter() - t0 >= 0.04
         assert schedule.fired_count() == 1
+
+
+# -- deployed on the loop: what only this backend does ----------------------
+
+
+class Gated:
+    """Where the deployed servants below park: ``gate``, when set up."""
+
+    gate = None
+
+
+async def _parked(value):
+    if Gated.gate is not None:
+        await Gated.gate.wait_async()
+    return value
+
+
+class AsyncEcho:
+    def __init__(self, tag=0):
+        self.tag = tag
+
+    async def bump(self, values):
+        return await _parked([v * 2 for v in values])
+
+
+class AsyncBlock:
+    def __init__(self, size=4):
+        self.size = size
+
+    async def step(self, iterations):
+        return await _parked(1.0)
+
+    def get_boundary(self, side):
+        return 0.0
+
+    def set_boundary(self, side, data):
+        return None
+
+
+class AsyncSummer:
+    async def total(self, values):
+        return await _parked(sum(values))
+
+
+def _halves(args, kwargs):
+    middle = len(args[0]) // 2
+    return [CallPiece(0, (args[0][:middle],)), CallPiece(1, (args[0][middle:],))]
+
+
+def _deployed(strategy, **spec):
+    """An asyncio app whose calls are two pieces each, with its start
+    arguments, the payload of call ``i`` and its expected result."""
+    start = ()
+    if strategy in ("farm", "dynamic-farm"):
+        fields = dict(
+            target=AsyncEcho,
+            work="bump",
+            splitter=WorkSplitter(
+                duplicates=2,
+                split=_halves,
+                combine=lambda rs: [v for r in rs for v in r],
+            ),
+        )
+        payload, expected = (lambda i: [i, i + 10]), (lambda i: [2 * i, 2 * i + 20])
+    elif strategy == "heartbeat":
+        fields = dict(
+            target=AsyncBlock, work="step", splitter=WorkSplitter(duplicates=2, combine=sum)
+        )
+        start, payload, expected = (4,), (lambda i: 2), (lambda i: 2.0)
+    else:
+        fields = dict(
+            target=AsyncSummer,
+            work="total",
+            strategy_options=dict(
+                should_divide=lambda args, kwargs, depth: len(args[0]) > 4,
+                divide=_halves,
+                merge=sum,
+            ),
+        )
+        payload = lambda i: list(range(i, i + 8))  # noqa: E731
+        expected = lambda i: sum(range(i, i + 8))  # noqa: E731
+    app = ParallelApp(StackSpec(strategy=strategy, backend="asyncio", **fields, **spec))
+    return app, start, payload, expected
+
+
+class TestDeployedOnTheLoop:
+    @pytest.fixture(autouse=True)
+    def no_gate(self):
+        Gated.gate = None
+        yield
+        Gated.gate = None
+
+    def test_an_apps_deadline_clock_is_the_loop_clock(self):
+        app = _deployed("farm")[0]
+        assert abs(app.backend.now() - app.backend.loop.time()) < 0.5
+
+    def test_awaits_overlap_on_the_loop(self):
+        # the point of the backend: piece awaits run CONCURRENTLY as loop
+        # tasks, not one thread per in-flight call
+        app, _, payload, expected = _deployed("farm")
+        with app:
+            app.start()
+            Gated.gate = app.backend.make_event(name="gate")
+            futures = [app.submit(payload(i)) for i in range(4)]
+            _spin_until(lambda: app.backend.live_tasks >= 2)
+            Gated.gate.set()
+            outcomes = [f.result(timeout=20) for f in futures]
+            assert outcomes == [expected(i) for i in range(4)]
+        assert app.backend.peak_tasks >= 2
+        _spin_until(lambda: app.backend.live_tasks == 0)
+
+    def test_deadline_trace_names_the_await(self):
+        app, _, payload, _ = _deployed("farm")
+        with app:
+            app.start()
+            Gated.gate = app.backend.make_event(name="gate")
+            doomed = app.submit(payload(0), timeout=0.2)
+            with pytest.raises(DeadlineExceeded) as err:
+                doomed.result(timeout=20)
+            assert err.value.trace is not None
+            assert "awaiting an async servant" in str(err.value)
+            Gated.gate.set()
+
+    def test_native_oneway_farm_pack(self):
+        # no middleware, the loop is the transport: a oneway submit
+        # resolves to None at once while the detached task runs on
+        done = []
+
+        class Sink:
+            async def note(self, x):
+                done.append(x)
+
+        app = ParallelApp(
+            StackSpec(
+                target=Sink,
+                work="note",
+                strategy="none",
+                backend="asyncio",
+                oneway=("note",),
+            )
+        )
+        with app:
+            app.start()
+            assert app.map(range(4), pack=True, oneway=True).results() == [None] * 4
+            _spin_until(lambda: sorted(done) == [0, 1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "strategy", ["farm", "dynamic-farm", "heartbeat", "divide-conquer"]
+    )
+    def test_shed_mid_gather_leaves_no_coroutine_unawaited(self, strategy):
+        """A call shed while its gather awaits one piece has the
+        coroutine of the piece behind it in hand, created and not yet
+        awaited: the unwinding gather closes it ("coroutine ... was
+        never awaited" otherwise, from the finalizer)."""
+        app, start, payload, expected = _deployed(
+            strategy,
+            concurrency=False,  # the gather awaits piece by piece
+            max_in_flight=1,
+            overflow="shed-oldest",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with app:
+                app.start(*start)
+                Gated.gate = app.backend.make_event(name="gate")
+                oldest = app.submit(payload(0))
+                # piece 0's await is parked on the gate; piece 1's
+                # coroutine exists and waits its turn in the gather
+                _spin_until(lambda: app.backend.live_tasks == 1)
+                newest = app.submit(payload(1))  # sheds `oldest`
+                with pytest.raises(CallShed):
+                    oldest.result(timeout=20)
+                Gated.gate.set()
+                assert newest.result(timeout=20) == expected(1)
+                del oldest  # its traceback holds the gather's frame
+            _spin_until(lambda: app.admitted == 0)
+            gc.collect()
+        assert [str(w.message) for w in caught if "awaited" in str(w.message)] == []

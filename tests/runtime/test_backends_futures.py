@@ -1,4 +1,4 @@
-"""Execution backends, futures, active objects — both modes."""
+"""Execution backends and futures — both modes."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import FutureError
 from repro.runtime import (
-    ActiveObject,
     Future,
     FutureGroup,
     SimBackend,
@@ -187,90 +186,3 @@ class TestFutureGroup:
             group = FutureGroup.of([Future.completed(i) for i in range(4)])
             assert len(group) == 4
             assert group.results() == [0, 1, 2, 3]
-
-
-class TestActiveObject:
-    class Counter:
-        def __init__(self):
-            self.value = 0
-
-        def add(self, n):
-            self.value += n
-            return self.value
-
-        def fail(self):
-            raise RuntimeError("servant error")
-
-    def test_requests_serialised_in_order_sim(self):
-        sim = Simulator()
-        backend = SimBackend(sim)
-        out = []
-
-        def main():
-            with use_backend(backend):
-                active = ActiveObject(self.Counter())
-                futures = [active.send("add", 1) for _ in range(5)]
-                out.append([f.result() for f in futures])
-                active.stop()
-                active.join()
-
-        sim.spawn(main)
-        sim.run()
-        assert out == [[1, 2, 3, 4, 5]]
-
-    def test_proxy_attribute_access(self):
-        sim = Simulator()
-        backend = SimBackend(sim)
-        out = []
-
-        def main():
-            with use_backend(backend):
-                active = ActiveObject(self.Counter())
-                proxy = active.proxy()
-                out.append(proxy.add(10).result())
-                with pytest.raises(AttributeError):
-                    proxy.no_such_method
-                active.stop()
-
-        sim.spawn(main)
-        sim.run()
-        assert out == [10]
-
-    def test_exception_delivered_via_future(self):
-        sim = Simulator()
-        backend = SimBackend(sim)
-        caught = []
-
-        def main():
-            with use_backend(backend):
-                active = ActiveObject(self.Counter())
-                future = active.send("fail")
-                try:
-                    future.result()
-                except RuntimeError:
-                    caught.append("yes")
-                active.stop()
-
-        sim.spawn(main)
-        sim.run()
-        assert caught == ["yes"]
-
-    def test_send_after_stop_rejected(self):
-        from repro.errors import BackendError
-
-        sim = Simulator()
-        backend = SimBackend(sim)
-        caught = []
-
-        def main():
-            with use_backend(backend):
-                active = ActiveObject(self.Counter())
-                active.stop()
-                try:
-                    active.send("add", 1)
-                except BackendError:
-                    caught.append("rejected")
-
-        sim.spawn(main)
-        sim.run()
-        assert caught == ["rejected"]

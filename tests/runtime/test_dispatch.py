@@ -88,33 +88,6 @@ class TestBackendPropagation:
         assert seen == [a, b, None]
 
 
-class TestShieldedLoops:
-    def test_active_object_server_does_not_inherit_creator_ticket(self):
-        # the server loop outlives the creating call: requests from
-        # callers with no ambient ticket must not run under the (long
-        # finished) creator's context
-        from repro.runtime import ActiveObject
-
-        class Probe:
-            def who(self):
-                return current_dispatch()
-
-        creator = DispatchContext("creator")
-        caller = DispatchContext("caller")
-        with use_backend(ThreadBackend()):
-            with use_dispatch(creator):
-                active = ActiveObject(Probe())
-            try:
-                assert active.proxy().who().result(timeout=5) is None
-                # ...while each request runs under ITS caller's ticket
-                with use_dispatch(caller):
-                    future = active.proxy().who()
-                assert future.result(timeout=5) is caller
-            finally:
-                active.stop()
-                active.join()
-
-
 class TestMiddlewareContextRouting:
     def test_request_carries_ticket_id_and_server_runs_under_it(self):
         sim = Simulator()

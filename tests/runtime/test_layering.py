@@ -1,7 +1,7 @@
 """Import direction of the per-call core: the dispatch ticket, its
 collector and the ticket-owner mixin are runtime types, defined in
 :mod:`repro.runtime.ticket`, and nothing in the layers below the
-skeletons — runtime, middlewares, fault plane — reaches up into
+skeletons — runtime, middlewares, faults — reaches up into
 :mod:`repro.parallel` to name them (or anything else).  With the ticket
 a known type, nobody duck-types it either.  Likewise bounded admission:
 one slot table in :mod:`repro.runtime.admission`, which the tenant plane
@@ -238,3 +238,33 @@ def test_one_servant_host_declaration():
         if isinstance(leaf, ast.Constant) and leaf.value in ("thread", "sim", "asyncio")
     ]
     assert by_name == []
+
+
+def test_code_only_tests_used_is_gone():
+    """The process-wide fault plane, the phase barrier, active objects
+    and the simulator's event trace had no caller outside the tests: a
+    deployment's schedule rides its tickets, and nothing else needs the
+    rest.  None of them is defined, imported or exported in ``src/``."""
+    gone = {
+        "install_faults", "remove_faults", "use_faults", "current_faults",
+        "_ACTIVE", "_PLANE_LOCK",
+        "BarrierAspect", "SimBarrier", "ActiveObject", "Trace", "TraceEvent",
+    }
+    named = set()
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                named.add(node.name)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        named.add(target.id)
+                        if target.id == "__all__":
+                            named.update(
+                                leaf.value
+                                for leaf in ast.walk(node.value)
+                                if isinstance(leaf, ast.Constant)
+                            )
+    assert named & gone == set()

@@ -99,6 +99,41 @@ class TestProcessBackendBasics:
         assert backend.now() - t0 >= 0.005  # monotonic wall seconds
 
 
+class TestProcessHygiene:
+    """No resident worker process outlives its deployment."""
+
+    @staticmethod
+    def farm_app():
+        return ParallelApp(
+            StackSpec(
+                target=Doubler,
+                work="bump",
+                splitter=WorkSplitter(duplicates=2, combine=lambda rs: rs[0]),
+                strategy="farm",
+                backend="process",
+            )
+        )
+
+    def test_workers_stop_on_exit(self):
+        app = self.farm_app()
+        with app:
+            app.start()
+            assert app.middleware.live_workers == 2  # one per duplicate
+            assert app.submit([1, 11]).result(timeout=20) == [2, 22]
+        assert wait_until(lambda: app.middleware.live_workers == 0)
+        assert wait_until(
+            lambda: not multiprocessing.active_children()
+        ), "leaked child processes"
+
+    def test_shutdown_is_idempotent(self):
+        app = self.farm_app()
+        with app:
+            app.start()
+        app.middleware.shutdown()
+        app.middleware.shutdown()
+        assert app.middleware.live_workers == 0
+
+
 class TestProcMiddlewareDirect:
     def test_export_invoke_roundtrip(self):
         middleware = ProcMiddleware()

@@ -1,11 +1,11 @@
-"""Synchronisation primitives: events, locks, semaphores, barriers, queues."""
+"""Synchronisation primitives: events, locks, semaphores, queues."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import SimBarrier, SimEvent, SimLock, SimQueue, SimSemaphore, Simulator
+from repro.sim import SimEvent, SimLock, SimQueue, SimSemaphore, Simulator
 
 
 class TestSimEvent:
@@ -191,46 +191,6 @@ class TestSimSemaphore:
         sem = SimSemaphore(sim, value=0)
         sem.release()
         assert sem.value == 1
-
-
-class TestSimBarrier:
-    def test_barrier_releases_all_at_last_arrival(self):
-        sim = Simulator()
-        barrier = SimBarrier(sim, parties=3)
-        log = []
-
-        def worker(wid, delay):
-            sim.hold(delay)
-            barrier.wait()
-            log.append((wid, sim.now))
-
-        sim.spawn(lambda: worker(0, 1.0))
-        sim.spawn(lambda: worker(1, 5.0))
-        sim.spawn(lambda: worker(2, 3.0))
-        sim.run()
-        assert sorted(log) == [(0, 5.0), (1, 5.0), (2, 5.0)]
-        assert barrier.generation == 1
-
-    def test_barrier_is_cyclic(self):
-        sim = Simulator()
-        barrier = SimBarrier(sim, parties=2)
-        rounds = []
-
-        def worker(wid):
-            for r in range(3):
-                sim.hold(wid + 1.0)
-                barrier.wait()
-                rounds.append((r, wid))
-
-        sim.spawn(lambda: worker(0))
-        sim.spawn(lambda: worker(1))
-        sim.run()
-        assert barrier.generation == 3
-        assert len(rounds) == 6
-
-    def test_invalid_parties(self):
-        with pytest.raises(ValueError):
-            SimBarrier(Simulator(), parties=0)
 
 
 class TestSimQueue:
