@@ -90,8 +90,7 @@ from threading import get_ident
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.aop import joinpoint as _joinpoint_module
-from repro.aop.advice import AdviceKind, BoundAdvice
-from repro.aop.advice import run_chain as _baseline_run_chain
+from repro.aop.advice import AdviceKind, BoundAdvice, run_chain
 from repro.aop.cflow import _LOCAL as _FLOW_LOCAL
 from repro.aop.joinpoint import CallerInfo, JoinPoint, JoinPointKind
 
@@ -112,12 +111,6 @@ __all__ = [
     "piece_view",
     "resolve_caller",
 ]
-
-#: Chain interpreter used by compiled plans.  A module-level *name* (not a
-#: baked-in reference) so :func:`repro.aop.tools.trace_advice` can patch it;
-#: the compiled fast paths check it against the baseline and fall back
-#: to the interpreter whenever tracing (or any other wrapper) is installed.
-run_chain = _baseline_run_chain
 
 _CALL = JoinPointKind.CALL
 _MISS = object()
@@ -310,7 +303,7 @@ class PlanStats:
         #: ``(batch, "kind", label)`` the plan-kind histogram
         self.counter: Counter = Counter()
         #: runtime calls served by the generic interpreter fallback
-        #: (dynamic-residue chains only; tracing redirections not counted)
+        #: (dynamic-residue chains only)
         self.interpreter_calls = 0
 
     def record(self, shadow: Shadow, batch: bool = False) -> None:
@@ -811,15 +804,13 @@ def _static_impl(
     cls: type,
     name: str,
     original: Callable,
-    entries: tuple[BoundAdvice, ...],
     runner: Callable[[JoinPoint, Any, tuple, dict], Any],
     track_stack: bool,
 ) -> Callable:
     """The dispatch wrapper shared by compiled mixed-segment plans: build
     the joinpoint, maintain the flow stack (only while a flow-sensitive
     pointcut is live — flipping that recompiles every plan), and enter
-    the compiled ``runner`` (falling back to the interpreter only while
-    advice tracing has patched :data:`run_chain`)."""
+    the compiled ``runner``."""
 
     if track_stack:
 
@@ -828,15 +819,9 @@ def _static_impl(
             jp = JoinPoint(_CALL, cls, name, self_obj, args, kwargs)
             flow = _FLOW_LOCAL.flow
             jp.from_advice = flow.advice_depth > 0
-            interpreter = run_chain
             stack = flow.stack
             stack.append(jp)
             try:
-                if interpreter is not _baseline_run_chain:  # tracing on
-                    return interpreter(
-                        entries, jp,
-                        lambda *a, **k: original(self_obj, *a, **k),
-                    )
                 return runner(jp, self_obj, args, kwargs)
             finally:
                 stack.pop()
@@ -847,11 +832,6 @@ def _static_impl(
     def impl(self_obj: Any, *args: Any, **kwargs: Any) -> Any:
         jp = JoinPoint(_CALL, cls, name, self_obj, args, kwargs)
         jp.from_advice = _FLOW_LOCAL.flow.advice_depth > 0
-        interpreter = run_chain
-        if interpreter is not _baseline_run_chain:  # tracing installed
-            return interpreter(
-                entries, jp, lambda *a, **k: original(self_obj, *a, **k)
-            )
         return runner(jp, self_obj, args, kwargs)
 
     return impl
@@ -906,16 +886,9 @@ def _all_around_impl(
             flow = _FLOW_LOCAL.flow
             depth = flow.advice_depth
             jp.from_advice = depth > 0
-            interpreter = run_chain
             stack = flow.stack
             stack.append(jp)
             try:
-                if interpreter is not _baseline_run_chain:  # tracing on
-                    jp._armed_tid = -1
-                    return interpreter(
-                        entries, jp,
-                        lambda *a, **k: original(self_obj, *a, **k),
-                    )
                 jp._funcs = funcs
                 jp._n = n
                 jp._tail = tail
@@ -952,12 +925,6 @@ def _all_around_impl(
         flow = _FLOW_LOCAL.flow
         depth = flow.advice_depth
         jp.from_advice = depth > 0
-        interpreter = run_chain
-        if interpreter is not _baseline_run_chain:  # tracing installed
-            jp._armed_tid = -1
-            return interpreter(
-                entries, jp, lambda *a, **k: original(self_obj, *a, **k)
-            )
         jp._funcs = funcs
         jp._n = n
         jp._tail = tail
@@ -985,9 +952,9 @@ def _chain_impl(
     stats: "PlanStats | None" = None,
 ) -> Callable:
     """General advised plan: chain and flags baked in, interpreted by
-    :func:`run_chain` (looked up through the patchable module global).
-    Reached only by dynamic-residue chains; each call is tallied in
-    ``stats.interpreter_calls`` when stats are supplied."""
+    :func:`~repro.aop.advice.run_chain`.  Reached only by dynamic-residue
+    chains; each call is tallied in ``stats.interpreter_calls`` when stats
+    are supplied."""
 
     @functools.wraps(original)
     def impl(self_obj: Any, *args: Any, **kwargs: Any) -> Any:
@@ -1035,8 +1002,8 @@ def compile_call_impl(weaver: "Weaver", shadow: Shadow) -> Callable:
                                 track_stack)
     else:
         runner = _compile_static_runner(entries, _original_tail(original))
-        impl = _static_impl(shadow.cls, shadow.name, original, entries,
-                            runner, track_stack)
+        impl = _static_impl(shadow.cls, shadow.name, original, runner,
+                            track_stack)
     return _mark(impl, original, kind=_static_kind(entries))
 
 
@@ -1119,16 +1086,14 @@ def compile_batch_impl(weaver: "Weaver", shadow: Shadow) -> Callable[[Any, Any],
         jp.from_advice = flow.advice_depth > 0
         if needs_caller:
             jp._caller = resolve_caller()
-        interpreter = run_chain
         stack = flow.stack
         stack.append(jp)
         try:
-            if runner is None or interpreter is not _baseline_run_chain:
-                if runner is None:
-                    stats.interpreter_calls += 1
+            if runner is None:
+                stats.interpreter_calls += 1
                 # jp.args is (pieces,): the interpreter's innermost call
                 # unpacks it back into the batch core
-                return interpreter(
+                return run_chain(
                     entries, jp, lambda pack: batch_core(self_obj, pack)
                 )
             return runner(jp, self_obj, jp.args, {})

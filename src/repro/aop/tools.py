@@ -2,26 +2,20 @@
 
 The paper argues aspects make parallel code *easier to understand*; that
 only holds if developers can see what is woven where.  These helpers
-answer the three questions that come up while (un)plugging modules:
+answer the two questions that come up while (un)plugging modules:
 
 * :func:`explain` — which advice (from which aspects, in which order)
   applies at one method, and which parts are dynamic residues;
 * :func:`weaving_report` — every woven class with its intercepted
-  methods and the deployed aspects, one screenful;
-* :func:`trace_advice` — a context manager recording every advice
-  execution (aspect, joinpoint, order) for a block of code.
+  methods and the deployed aspects, one screenful.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator
-
-from repro.aop.advice import AdviceKind, run_chain
 from repro.aop.joinpoint import JoinPointKind
 from repro.aop.weaver import Weaver, default_weaver
 
-__all__ = ["explain", "weaving_report", "trace_advice", "AdviceTrace"]
+__all__ = ["explain", "weaving_report"]
 
 
 def explain(
@@ -79,58 +73,3 @@ def weaving_report(weaver: Weaver | None = None) -> str:
         )
     return "\n".join(lines)
 
-
-class AdviceTrace:
-    """Recorded advice executions: ``(aspect, kind, signature)`` rows."""
-
-    def __init__(self) -> None:
-        self.rows: list[tuple[str, str, str]] = []
-
-    def record(self, aspect: Any, kind: AdviceKind, signature: str) -> None:
-        self.rows.append((type(aspect).__name__, str(kind), signature))
-
-    def of_aspect(self, name: str) -> list[tuple[str, str, str]]:
-        return [row for row in self.rows if row[0] == name]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def format(self) -> str:
-        return "\n".join(
-            f"{index:4d}. {aspect:<28} {kind:<16} {signature}"
-            for index, (aspect, kind, signature) in enumerate(self.rows, 1)
-        )
-
-
-@contextmanager
-def trace_advice() -> Iterator[AdviceTrace]:
-    """Record every advice execution inside the block.
-
-    Implemented by temporarily wrapping the chain interpreter — zero
-    per-deployment bookkeeping, works for any weaver.
-    """
-    import repro.aop.advice as advice_module
-    import repro.aop.plan as plan_module
-    import repro.aop.weaver as weaver_module
-
-    trace = AdviceTrace()
-    original_run_chain = advice_module.run_chain
-
-    def traced_run_chain(entries, jp, original):
-        for entry in entries:
-            trace.record(entry.aspect, entry.kind, jp.signature)
-        return original_run_chain(entries, jp, original)
-
-    # Compiled plans consult their module's ``run_chain`` global per call
-    # (the single-around fast path checks it against the baseline and
-    # falls back to the interpreter while a wrapper is installed), so
-    # patching the three modules covers every dispatch path.
-    advice_module.run_chain = traced_run_chain
-    weaver_module.run_chain = traced_run_chain
-    plan_module.run_chain = traced_run_chain
-    try:
-        yield trace
-    finally:
-        advice_module.run_chain = original_run_chain
-        weaver_module.run_chain = original_run_chain
-        plan_module.run_chain = original_run_chain

@@ -71,7 +71,7 @@ class _HandCodedBase:
 
     def _export(self, pmin: int, pmax: int, index: int) -> None:
         servant = CostedPrimeFilter(pmin, pmax, self.ns_per_op)
-        node = self.placement.choose(self.cluster, index)
+        node = self.placement.choose(self.cluster.nodes, index)
         name = f"PS{index + 1}"
         self.rmi.export_and_bind(name, servant, node)
         self.refs.append(self.rmi.lookup(name))

@@ -34,7 +34,7 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.aop.plan import MethodTable, piece_view
 from repro.cluster.machine import Node
@@ -145,9 +145,15 @@ class Middleware(abc.ABC):
 
     name: str = "middleware"
 
+    def hosts(self, count: int) -> Sequence:
+        """The host group ``count`` servants of one construction are
+        placed on: the distribution aspect's policy chooses out of it,
+        one host per export.  None by default: nothing to place on."""
+        return ()
+
     @abc.abstractmethod
-    def export(self, obj: Any, node: Node) -> RemoteRef:
-        """Install ``obj`` as a servant on ``node``; returns its ref."""
+    def export(self, obj: Any, host: Any) -> RemoteRef:
+        """Install ``obj`` as a servant on ``host``; returns its ref."""
 
     @abc.abstractmethod
     def invoke(
@@ -261,6 +267,10 @@ class SimMiddleware(Middleware):
         self.batched_calls = 0
 
     # -- export -----------------------------------------------------------
+
+    def hosts(self, count: int) -> Sequence:
+        """The cluster's nodes, whatever the construction's size."""
+        return self.cluster.nodes
 
     def export(self, obj: Any, node: Node) -> RemoteRef:
         ref = RemoteRef(node.node_id, self.name, type(obj).__name__)

@@ -1,8 +1,8 @@
 """In-process middleware.
 
-The null object of the middleware family: ``export`` records placement
-but ``invoke`` is a direct method call with no communication cost.  Two
-uses:
+The null object of the middleware family: it offers no hosts, so
+``export`` only registers the object, and ``invoke`` is a direct method
+call with no communication cost.  Two uses:
 
 * the "distribution unplugged" configuration (FarmThreads) still runs
   through a uniform code path in tests;
@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.aop.plan import MethodTable
-from repro.cluster.machine import Node
 from repro.errors import MiddlewareError, RemoteError
 from repro.middleware.base import Middleware, RemoteRef
 from repro.middleware.context import server_dispatch
@@ -24,7 +23,7 @@ __all__ = ["LocalMiddleware"]
 
 
 class LocalMiddleware(Middleware):
-    """Direct dispatch; placement is bookkeeping only."""
+    """Direct dispatch; no placement."""
 
     name = "local"
 
@@ -32,12 +31,9 @@ class LocalMiddleware(Middleware):
         self._objects: dict[int, tuple[Any, MethodTable]] = {}
         self.calls = 0
 
-    def export(self, obj: Any, node: Node | None = None) -> RemoteRef:
-        ref = RemoteRef(node.node_id if node is not None else -1, self.name,
-                        type(obj).__name__)
+    def export(self, obj: Any, host: Any = None) -> RemoteRef:
+        ref = RemoteRef(-1, self.name, type(obj).__name__)
         self._objects[ref.object_id] = (obj, MethodTable(type(obj)))
-        if node is not None:
-            node.place(obj)
         return ref
 
     def invoke(

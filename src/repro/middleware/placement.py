@@ -4,17 +4,18 @@
 adequate node for a particular object instance.  Several policies can be
 implemented in this aspect (e.g., random, round-robin)."  — Section 4.3.
 
-A policy maps the *i*-th placement request onto a node of the cluster.
+A policy maps the *i*-th placement request onto one host of a *host
+group*: any sequence the middleware offers (``Middleware.hosts``) — a
+simulated cluster's nodes, or the process middleware's worker slots.
+The distribution aspect asks; the middleware only offers.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import Any
+from typing import Any, Sequence
 
-from repro.cluster.machine import Node
-from repro.cluster.topology import Cluster
 from repro.errors import PlacementError
 
 __all__ = [
@@ -28,18 +29,18 @@ __all__ = [
 
 
 class PlacementPolicy(abc.ABC):
-    """Chooses the node for each successive exported object."""
+    """Chooses the host for each successive exported object."""
 
     @abc.abstractmethod
-    def choose(self, cluster: Cluster, index: int, obj: Any = None) -> Node:
-        """Node for the ``index``-th placement (0-based)."""
+    def choose(self, hosts: Sequence, index: int, obj: Any = None) -> Any:
+        """Host out of ``hosts`` for the ``index``-th placement (0-based)."""
 
     def reset(self) -> None:
         """Forget placement history (new experiment run)."""
 
 
 class RoundRobin(PlacementPolicy):
-    """Cycle through nodes, optionally starting at an offset.
+    """Cycle through the hosts, optionally starting at an offset.
 
     The default (offset 0) also uses the head node: the paper's client
     mostly waits, so its machine hosts filters too.
@@ -48,29 +49,29 @@ class RoundRobin(PlacementPolicy):
     def __init__(self, offset: int = 0):
         self.offset = offset
 
-    def choose(self, cluster: Cluster, index: int, obj: Any = None) -> Node:
-        return cluster.nodes[(self.offset + index) % len(cluster.nodes)]
+    def choose(self, hosts: Sequence, index: int, obj: Any = None) -> Any:
+        return hosts[(self.offset + index) % len(hosts)]
 
 
 class RandomPlacement(PlacementPolicy):
-    """Uniform random node, deterministic under a fixed seed."""
+    """Uniform random host, deterministic under a fixed seed."""
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._rng = random.Random(seed)
 
-    def choose(self, cluster: Cluster, index: int, obj: Any = None) -> Node:
-        return self._rng.choice(cluster.nodes)
+    def choose(self, hosts: Sequence, index: int, obj: Any = None) -> Any:
+        return self._rng.choice(hosts)
 
     def reset(self) -> None:
         self._rng = random.Random(self.seed)
 
 
 class BlockPlacement(PlacementPolicy):
-    """First ``block`` objects on node 0, next ``block`` on node 1, ...
+    """First ``block`` objects on host 0, next ``block`` on host 1, ...
 
-    Natural for heartbeat data partitions where neighbouring blocks
-    should share a node.
+    Natural for heartbeat data partitions and pipeline stages, where
+    neighbours should share a host.
     """
 
     def __init__(self, block: int):
@@ -78,27 +79,27 @@ class BlockPlacement(PlacementPolicy):
             raise PlacementError("block size must be >= 1")
         self.block = block
 
-    def choose(self, cluster: Cluster, index: int, obj: Any = None) -> Node:
-        node_index = index // self.block
-        if node_index >= len(cluster.nodes):
-            node_index = node_index % len(cluster.nodes)
-        return cluster.nodes[node_index]
+    def choose(self, hosts: Sequence, index: int, obj: Any = None) -> Any:
+        return hosts[index // self.block % len(hosts)]
 
 
 class LeastLoaded(PlacementPolicy):
-    """Node currently hosting the fewest placed objects (ties → lowest id)."""
+    """Host currently holding the fewest placed objects (ties → first)."""
 
-    def choose(self, cluster: Cluster, index: int, obj: Any = None) -> Node:
-        return min(
-            cluster.nodes, key=lambda n: (len(n.resident_objects), n.node_id)
-        )
+    def choose(self, hosts: Sequence, index: int, obj: Any = None) -> Any:
+        return min(hosts, key=lambda host: len(host.resident_objects))
 
 
 class FixedPlacement(PlacementPolicy):
-    """Everything on one node (degenerate case; useful in tests)."""
+    """Everything on one host (degenerate case; useful in tests)."""
 
-    def __init__(self, node_id: int = 0):
-        self.node_id = node_id
+    def __init__(self, position: int = 0):
+        self.position = position
 
-    def choose(self, cluster: Cluster, index: int, obj: Any = None) -> Node:
-        return cluster.node(self.node_id)
+    def choose(self, hosts: Sequence, index: int, obj: Any = None) -> Any:
+        if not 0 <= self.position < len(hosts):
+            raise PlacementError(
+                f"fixed placement at position {self.position} is outside "
+                f"a group of {len(hosts)} hosts"
+            )
+        return hosts[self.position]

@@ -7,12 +7,13 @@ middleware forks, refills and stops, and
 :class:`~repro.middleware.serialize.RequestEnvelope` frames across the
 pipe.
 
-**Placement.**  The servants of one batched construction (:meth:`batch`)
-go onto ``min(n, usable_cpus())`` resident workers by block
-(:class:`~repro.middleware.placement.BlockPlacement` over the worker
-slots): neighbours share a worker, and with CPUs to spare that is a
-worker per servant.  A worker serves one request at a time, so a servant
-that *blocks* stalls those hosted beside it (waits belong on asyncio).
+**Placement.**  The host group of one construction (:meth:`hosts`) is
+``min(n, usable_cpus())`` fresh worker slots; the distribution aspect
+chooses a slot for each servant and passes it to :meth:`export`, which
+forks the slot's worker on its first servant.  A host-less export gets
+a worker of its own.  A worker serves one request at a time, so a
+servant that *blocks* stalls those hosted beside it (waits belong on
+asyncio).
 
 **Runs.**  :meth:`link` tells each worker which adjacent pipeline stages
 it hosts both ends of.  A stage call the forwarder marked
@@ -55,7 +56,6 @@ import logging
 import threading
 from functools import partial
 from math import inf
-from types import SimpleNamespace
 from typing import Any
 
 from repro.aop.plan import piece_view
@@ -69,7 +69,6 @@ from repro.errors import (
 )
 from repro.faults.schedule import fire_fault
 from repro.middleware.base import Middleware, RemoteRef
-from repro.middleware.placement import BlockPlacement
 from repro.middleware.serialize import (
     ExportEnvelope,
     LinkEnvelope,
@@ -128,8 +127,6 @@ class ProcMiddleware(Middleware):
         # passes, the invariant the pack-amortisation bench asserts
         self.serializer = Serializer(copy=copy_payloads)
         self._servants: dict[int, _Export] = {}
-        #: the slots the exports of the batch under way go to, in order
-        self._placement: Any = iter(())
         #: forward_args of the linked pipeline, as its links carry it
         self._forward_args: Any = None
         self._call_ids = itertools.count(1)
@@ -146,29 +143,23 @@ class ProcMiddleware(Middleware):
 
     # -- export -------------------------------------------------------------
 
-    def batch(self, servants: int) -> None:
-        """The next ``servants`` exports are one batched construction:
-        they go onto ``min(servants, usable_cpus())`` workers by block,
-        neighbours together.  Any other export gets a worker of its own."""
-        width = min(servants, procbackend.usable_cpus())
-        slots = SimpleNamespace(nodes=[_Slot() for _ in range(width)])
-        policy = BlockPlacement(-(-servants // width))
-        self._placement = iter([policy.choose(slots, i) for i in range(servants)])
+    def hosts(self, count: int) -> list:
+        """``min(count, usable_cpus())`` fresh worker slots: the host
+        group of one construction of ``count`` servants."""
+        return [_Slot() for _ in range(min(count, procbackend.usable_cpus()))]
 
-    def export(self, obj: Any, node: Any = None) -> RemoteRef:
-        """Ship ``obj`` into a resident worker process.
+    def export(self, obj: Any, host: _Slot | None = None) -> RemoteRef:
+        """Ship ``obj`` into the resident worker of ``host`` (a slot of
+        :meth:`hosts`, whose worker forks with its first servant), or
+        into a worker of its own.
 
         Waits for the worker's export acknowledgement: a servant that
         cannot materialise in the child (unpicklable state, a class a
         spawn-started child cannot import) fails HERE, at deploy time,
         not on the first invocation.
         """
-        ref = RemoteRef(
-            node.node_id if node is not None else -1,
-            self.name,
-            type(obj).__name__,
-        )
-        slot = next(self._placement, None) or _Slot()
+        ref = RemoteRef(-1, self.name, type(obj).__name__)
+        slot = host if host is not None else _Slot()
         export = _Export(slot, ref, obj)
         # encode BEFORE forking: an unpicklable servant fails with no
         # worker process to clean up (nothing to leak)
@@ -179,15 +170,12 @@ class ProcMiddleware(Middleware):
         try:
             self._ship(slot.worker, frames)
         except BaseException:
-            self._placement = iter(())  # the batch is over
             if fresh:  # a failed export leaves no process behind
                 slot.worker.stop()
                 slot.worker = None
             raise
         slot.exports.append(export)
         self._servants[ref.object_id] = export
-        if node is not None:
-            node.place(obj)
         return ref
 
     def _frames(self, exports: list, servants: bool = True) -> list:

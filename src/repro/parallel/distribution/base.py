@@ -3,8 +3,10 @@
 The distribution aspect intercepts *both sides* of a call:
 
 * at the client, constructions of distributable objects are associated
-  with freshly exported remote servants on placement-chosen nodes, and
-  calls on those objects are redirected through the middleware;
+  with freshly exported remote servants, and calls on those objects are
+  redirected through the middleware.  Placement is decided here: the
+  middleware offers a host group (``Middleware.hosts``) and this
+  aspect's policy chooses a host out of it for each export;
 * at the server, the servant executes the call locally — our middlewares
   flag servant execution (``in_server_dispatch``), which is what makes
   every parallelisation aspect step aside there.
@@ -66,9 +68,9 @@ class DistributionAspect(ParallelAspect):
 
     # -- hooks for subclasses -----------------------------------------------
 
-    def register(self, servant: Any, node: Any, name: str) -> RemoteRef:
-        """Export ``servant`` on ``node``; returns the client-side ref."""
-        return self.middleware.export(servant, node)
+    def register(self, servant: Any, host: Any, name: str) -> RemoteRef:
+        """Export ``servant`` on ``host``; returns the client-side ref."""
+        return self.middleware.export(servant, host)
 
     def make_servant(self, obj: Any) -> Any:
         """Server-side instance (a state copy, value semantics)."""
@@ -98,21 +100,26 @@ class DistributionAspect(ParallelAspect):
         return result
 
     def _associate_all(self, objs: list) -> None:
-        """Export the instances of one construction, in index order."""
-        for obj in objs:
-            self._associate(obj)
+        """Export the instances of one construction, in index order, each
+        on the host the policy chooses out of the middleware's host group
+        (no host where the middleware offers none)."""
+        hosts = self.middleware.hosts(len(objs))
+        policy, first = self.policy_for(len(objs), hosts)
+        for index, obj in enumerate(objs, first):
+            self._associate(obj, policy.choose(hosts, index, obj) if hosts else None)
 
-    def _associate(self, obj: Any) -> None:
-        """Export one freshly built instance and remember its ref."""
+    def policy_for(self, count: int, hosts: Any) -> tuple[PlacementPolicy, int]:
+        """The policy placing a construction of ``count`` instances, and
+        the index of its first: the aspect's own, indexed by the running
+        export count."""
+        return self.placement, self.count
+
+    def _associate(self, obj: Any, host: Any) -> None:
+        """Export one freshly built instance on ``host`` and remember its
+        ref."""
         self.count += 1
-        cluster = getattr(self.middleware, "cluster", None)
-        node = (
-            self.placement.choose(cluster, self.count - 1, obj)
-            if cluster is not None
-            else None
-        )
         servant = self.make_servant(obj)
-        ref = self.register(servant, node, f"{self.name_prefix}{self.count}")
+        ref = self.register(servant, host, f"{self.name_prefix}{self.count}")
         self._refs[id(obj)] = (obj, ref)
 
     def remote_invoke(

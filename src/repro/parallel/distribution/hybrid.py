@@ -55,16 +55,16 @@ class HybridDistributionAspect(DistributionAspect):
         self.data_calls = 0
         self.control_calls = 0
 
-    def register(self, servant: Any, node: Any, name: str) -> Any:
-        rmi_ref = self.middleware.export_and_bind(name, servant, node)
+    def register(self, servant: Any, host: Any, name: str) -> Any:
+        self.middleware.export_and_bind(name, servant, host)
         # the SAME servant exported to MPP: both transports reach one state
-        self._pending_mpp_ref = self.mpp.export(servant, node)
+        self._pending_mpp_ref = self.mpp.export(servant, host)
         return self.middleware.lookup(name)
 
-    def _associate(self, obj):
+    def _associate(self, obj: Any, host: Any) -> None:
         # extends the base association (which is pack-aware and calls
         # this once per instance) with the MPP export bookkeeping
-        super()._associate(obj)
+        super()._associate(obj, host)
         self._mpp_refs[id(obj)] = self._pending_mpp_ref
 
     @around("remote_calls")

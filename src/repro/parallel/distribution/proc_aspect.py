@@ -8,19 +8,19 @@ deliberate differences from the simulated aspects:
 * ``make_servant`` is the identity — the simulated middlewares deep-copy
   the object to fake value semantics, but here pickling across the pipe
   IS the copy, and cloning first would pay it twice;
-* there is no cluster and no placement policy to pick: workers are
-  homogeneous OS processes, and the middleware spreads the servants of
-  one batched construction over no more of them than the run has CPUs,
-  neighbours together.  When that construction is a pipeline's chain of
-  stages (:func:`~repro.runtime.dispatch.chain_built`) the middleware
-  links the neighbours a worker hosts: this aspect decides where a stage
-  lives, the stages forward to each other (paper Section 4.3).
+* the placement is block, over the worker slots the middleware offers
+  for one construction (no more than the run has CPUs): neighbours share
+  a worker.  When that construction is a pipeline's chain of stages
+  (:func:`~repro.runtime.dispatch.chain_built`) the middleware links the
+  neighbours a worker hosts: this aspect decides where a stage lives,
+  the stages forward to each other (paper Section 4.3).
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.middleware.placement import BlockPlacement, PlacementPolicy
 from repro.middleware.proc import ProcMiddleware
 from repro.parallel.composition import ParallelModule
 from repro.parallel.concern import Concern
@@ -56,11 +56,14 @@ class ProcDistributionAspect(DistributionAspect):
         copy; a parent-side clone first would serialise twice."""
         return obj
 
+    def policy_for(self, count: int, hosts: Any) -> tuple[PlacementPolicy, int]:
+        """Block over the construction's worker slots, from its first
+        instance: ``ceil(count / len(hosts))`` neighbours per worker."""
+        return BlockPlacement(-(-count // (len(hosts) or 1))), 0
+
     def _associate_all(self, objs: list) -> None:
-        """One batched construction is one placement decision; when it
-        is a pipeline's chain of stages, the middleware links the
-        neighbours it put on one worker."""
-        self.middleware.batch(len(objs))
+        """Place and export one construction, then link the neighbours
+        placed on one worker when it is a pipeline's chain of stages."""
         super()._associate_all(objs)
         chain = chain_built()
         stages = [self.ref_of(obj) for obj in objs] if chain else ()

@@ -55,9 +55,9 @@ class RmiDistributionAspect(DistributionAspect):
                 for cls in distributed_classes
             ]
 
-    def register(self, servant: Any, node: Any, name: str) -> Any:
+    def register(self, servant: Any, host: Any, name: str) -> Any:
         # modification #2 (server side): export + bind
-        self.middleware.export_and_bind(name, servant, node)
+        self.middleware.export_and_bind(name, servant, host)
         # modification #3 (client side): initial reference via lookup —
         # charges the registry round-trip like a real Naming.lookup
         return self.middleware.lookup(name)

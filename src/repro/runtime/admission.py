@@ -23,7 +23,7 @@ the backpressure layer on top of :mod:`repro.runtime.dispatch`:
   from before dispatching, released when the call's future resolves —
   is the table with exactly one tenant, the deployment itself;
   :class:`repro.tenancy.ClusterScheduler` is the table shared by many
-  deployments, with tenant registration and placement feedback on top.
+  deployments, with tenant registration on top.
 
 * :class:`Deadline` — a per-call time budget measured on the *backend's*
   clock (wall time on threads, virtual time on the simulator), checked
@@ -560,9 +560,7 @@ class AdmissionController(SlotTable):
 
     def stats(self) -> dict:
         """Read-only snapshot of the table: occupancy, queue depth and
-        the append-only counters — the feed for cluster-level placement
-        (:meth:`repro.tenancy.ClusterScheduler.observe_admission`) and
-        for dashboards, without reaching into private state."""
+        the append-only counters, without reaching into private state."""
         with self._lock:
             return {
                 "name": self.name,

@@ -5,10 +5,9 @@ deployment: a :class:`~repro.runtime.admission.SlotTable` with one
 tenant.  This package is the same table shared by *many* deployments,
 carved into per-tenant quotas (reserved + burst), with integer
 priorities, a weighted-fair queue for blocked submitters (stride
-scheduling — starvation-free by construction), a block/fail/shed-oldest
-overflow policy per tenant, and placement feedback driven by
-:func:`repro.cluster.metrics.snapshot` so hot tenants spread across
-machines.
+scheduling — starvation-free by construction) and a block/fail/shed-oldest
+overflow policy per tenant.  Where a servant lives is the distribution
+aspect's decision, not this package's.
 
 Wiring: ``StackSpec(tenant="gold", scheduler=sched)`` routes every
 ``submit``/``map`` unit of that app through the tenant plane — a cluster
@@ -16,7 +15,6 @@ slot is acquired before the deployment's own admission slot, rides it,
 and is released with it.
 """
 
-from repro.tenancy.placement import PlacementFeedback
 from repro.tenancy.scheduler import ClusterScheduler, Tenant
 
-__all__ = ["ClusterScheduler", "Tenant", "PlacementFeedback"]
+__all__ = ["ClusterScheduler", "Tenant"]

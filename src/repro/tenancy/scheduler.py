@@ -6,8 +6,7 @@ that names it in its spec, with many
 :class:`~repro.runtime.admission.Tenant` s registered on it (a
 deployment's own table is the same class with one).  The quota check,
 overflow policies, stride-fair hand-off and deadline-bounded park are
-the table's; the scheduler adds registration by name, the placement
-feedback loop and the deployments' admission snapshots.
+the table's; the scheduler adds registration by name.
 
 A cluster slot is an ordinary
 :class:`~repro.runtime.admission.AdmissionSlot` pointing at the same
@@ -22,7 +21,6 @@ from typing import Any
 
 from repro.errors import DeploymentError
 from repro.runtime.admission import AdmissionSlot, SlotTable, Tenant
-from repro.tenancy.placement import PlacementFeedback
 
 __all__ = ["Tenant", "ClusterScheduler"]
 
@@ -43,9 +41,6 @@ class ClusterScheduler(SlotTable):
         if capacity < 1:
             raise DeploymentError(f"capacity must be >= 1, got {capacity!r}")
         super().__init__(int(capacity), backend=backend, name=name)
-        #: placement feedback fed by cluster metrics snapshots
-        self.placement = PlacementFeedback()
-        self._admission_stats: dict[str, dict] = {}
 
     # -- registration --------------------------------------------------------
 
@@ -78,30 +73,11 @@ class ClusterScheduler(SlotTable):
         :class:`~repro.errors.AdmissionRejected`."""
         return self._admit(self.ensure_tenant(tenant), ticket, name)
 
-    # -- placement feedback --------------------------------------------------
-
-    def observe(self, snapshot: dict) -> None:
-        """Feed one :func:`repro.cluster.metrics.snapshot` into the
-        placement feedback loop."""
-        self.placement.observe(snapshot)
-
-    def observe_admission(self, stats: dict) -> None:
-        """Feed one deployment's ``AdmissionController.stats()``
-        snapshot (keyed by its ``name``) into the scheduler's view."""
-        with self._lock:
-            self._admission_stats[stats.get("name", "app")] = dict(stats)
-
-    def placement_hint(self, tenant: str = "") -> Any:
-        """The least-loaded node for this tenant's next servant; each
-        hint adds pending pressure so a hot tenant's repeated asks
-        spread instead of piling onto one machine."""
-        return self.placement.suggest(tenant)
-
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> dict:
-        """Read-only snapshot: capacity, per-tenant holds/waits/credit,
-        counters, and the deployment admission snapshots observed."""
+        """Read-only snapshot: capacity, and per-tenant holds, waits,
+        credit and counters."""
         with self._lock:
             tenants = {}
             in_use = 0
@@ -125,9 +101,6 @@ class ClusterScheduler(SlotTable):
                 "shared_in_use": self._shared_in_use_locked(),
                 "reserved_total": self._reserved_total,
                 "tenants": tenants,
-                "deployments": {
-                    k: dict(v) for k, v in self._admission_stats.items()
-                },
             }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,9 +1,9 @@
-"""Introspection tools: explain, weaving_report, trace_advice."""
+"""Introspection tools: explain, weaving_report."""
 
 from __future__ import annotations
 
 from repro.aop import Aspect, around, before, deploy, weave
-from repro.aop.tools import explain, trace_advice, weaving_report
+from repro.aop.tools import explain, weaving_report
 
 
 def make_machine():
@@ -83,49 +83,3 @@ class TestWeavingReport:
         assert "start" in report and "stop" in report
         assert "A (precedence 0, 1 advice)" in report
 
-
-class TestTraceAdvice:
-    def test_records_executions_in_order(self):
-        Machine = make_machine()
-
-        class First(Aspect):
-            precedence = 2
-
-            @before("call(Machine.start(..))")
-            def one(self, jp):
-                pass
-
-        class Second(Aspect):
-            precedence = 1
-
-            @before("call(Machine.start(..))")
-            def two(self, jp):
-                pass
-
-        weave(Machine)
-        deploy(First())
-        deploy(Second())
-        machine = Machine()
-        with trace_advice() as trace:
-            machine.start()
-            machine.stop()  # no advice -> nothing recorded
-        assert len(trace) == 2
-        assert [row[0] for row in trace.rows] == ["First", "Second"]
-        assert trace.of_aspect("First")[0][2] == "Machine.start"
-        assert "First" in trace.format()
-
-    def test_tracing_stops_after_block(self):
-        Machine = make_machine()
-
-        class A(Aspect):
-            @before("call(Machine.start(..))")
-            def note(self, jp):
-                pass
-
-        weave(Machine)
-        deploy(A())
-        machine = Machine()
-        with trace_advice() as trace:
-            machine.start()
-        machine.start()
-        assert len(trace) == 1

@@ -322,7 +322,7 @@ class TestSleepsOnTheBackendClock:
         out = self._run(schedule)
         assert out["result"] == [2, 4]
         assert out["virtual"] == pytest.approx(5.0)
-        assert out["wall"] < 0.05
+        assert out["wall"] < 1.0  # the virtual sleep never happens for real
 
     def test_retry_backoff_advances_virtual_time_only(self):
         schedule = FaultSchedule(
@@ -331,4 +331,4 @@ class TestSleepsOnTheBackendClock:
         out = self._run(schedule, retry=RetryPolicy(max_attempts=3, backoff=3.0))
         assert out["result"] == [2, 4]
         assert out["virtual"] == pytest.approx(3.0)
-        assert out["wall"] < 0.05
+        assert out["wall"] < 1.0  # the virtual sleep never happens for real

@@ -11,7 +11,7 @@ import pytest
 from repro.aop import weave
 from repro.aop.weaver import default_weaver
 from repro.cluster import paper_testbed
-from repro.errors import RemoteError
+from repro.errors import PlacementError, RemoteError
 from repro.middleware import (
     BlockPlacement,
     FixedPlacement,
@@ -281,55 +281,75 @@ class TestDistributionAspects:
         assert mpp.oneway_calls == 1
 
 
+class Host:
+    """A host that is not a cluster node: what a policy needs of one."""
+
+    def __init__(self, name):
+        self.name = name
+        self.resident_objects = []
+
+
 class TestPlacementPolicies:
+    """Policies choose out of any sequence of hosts: a simulated
+    cluster's nodes, or a plain list such as the process middleware's
+    worker slots."""
+
+    hosts = [Host("a"), Host("b"), Host("c")]
+
+    def names(self, policy, count, hosts=None):
+        hosts = self.hosts if hosts is None else hosts
+        return [policy.choose(hosts, i).name for i in range(count)]
+
     def test_round_robin_cycles(self):
-        sim = Simulator()
-        cluster = paper_testbed(sim)
-        policy = RoundRobin()
-        chosen = [policy.choose(cluster, i).node_id for i in range(9)]
+        nodes = paper_testbed(Simulator()).nodes
+        chosen = [RoundRobin().choose(nodes, i).node_id for i in range(9)]
         assert chosen == [0, 1, 2, 3, 4, 5, 6, 0, 1]
 
+    def test_round_robin_over_a_list(self):
+        assert self.names(RoundRobin(), 4) == ["a", "b", "c", "a"]
+
     def test_round_robin_offset(self):
-        sim = Simulator()
-        cluster = paper_testbed(sim)
-        policy = RoundRobin(offset=2)
-        assert policy.choose(cluster, 0).node_id == 2
+        assert self.names(RoundRobin(offset=2), 2) == ["c", "a"]
 
     def test_random_deterministic_under_seed(self):
-        sim = Simulator()
-        cluster = paper_testbed(sim)
         a = RandomPlacement(seed=7)
         b = RandomPlacement(seed=7)
-        seq_a = [a.choose(cluster, i).node_id for i in range(10)]
-        seq_b = [b.choose(cluster, i).node_id for i in range(10)]
-        assert seq_a == seq_b
+        seq_a = self.names(a, 10)
+        assert seq_a == self.names(b, 10)
+        assert set(seq_a) <= {"a", "b", "c"}
         a.reset()
-        assert [a.choose(cluster, i).node_id for i in range(10)] == seq_a
+        assert self.names(a, 10) == seq_a
 
     def test_block_placement(self):
-        sim = Simulator()
-        cluster = paper_testbed(sim)
+        nodes = paper_testbed(Simulator()).nodes
         policy = BlockPlacement(block=3)
-        assert [policy.choose(cluster, i).node_id for i in range(7)] == [
+        assert [policy.choose(nodes, i).node_id for i in range(7)] == [
             0, 0, 0, 1, 1, 1, 2,
         ]
 
     def test_block_placement_wraps(self):
-        sim = Simulator()
-        cluster = paper_testbed(sim)
-        policy = BlockPlacement(block=1)
-        assert policy.choose(cluster, 8).node_id == 1
+        assert self.names(BlockPlacement(block=2), 7) == [
+            "a", "a", "b", "b", "c", "c", "a",
+        ]
 
     def test_least_loaded_follows_resident_objects(self):
-        sim = Simulator()
-        cluster = paper_testbed(sim)
+        nodes = paper_testbed(Simulator()).nodes
         policy = LeastLoaded()
-        first = policy.choose(cluster, 0)
+        first = policy.choose(nodes, 0)
         assert first.node_id == 0
         first.place(object())
-        assert policy.choose(cluster, 1).node_id == 1
+        assert policy.choose(nodes, 1).node_id == 1
+
+    def test_least_loaded_over_a_list_takes_the_first_of_a_tie(self):
+        hosts = [Host("a"), Host("b"), Host("c")]
+        hosts[0].resident_objects.append(object())
+        assert LeastLoaded().choose(hosts, 0).name == "b"
 
     def test_fixed_placement(self):
-        sim = Simulator()
-        cluster = paper_testbed(sim)
-        assert FixedPlacement(3).choose(cluster, 5).node_id == 3
+        nodes = paper_testbed(Simulator()).nodes
+        assert FixedPlacement(3).choose(nodes, 5).node_id == 3
+        assert self.names(FixedPlacement(1), 2) == ["b", "b"]
+
+    def test_fixed_placement_outside_the_group_is_refused(self):
+        with pytest.raises(PlacementError, match="position 3 .* 3 hosts"):
+            FixedPlacement(3).choose(self.hosts, 0)

@@ -240,16 +240,9 @@ def test_one_servant_host_declaration():
     assert by_name == []
 
 
-def test_code_only_tests_used_is_gone():
-    """The process-wide fault plane, the phase barrier, active objects
-    and the simulator's event trace had no caller outside the tests: a
-    deployment's schedule rides its tickets, and nothing else needs the
-    rest.  None of them is defined, imported or exported in ``src/``."""
-    gone = {
-        "install_faults", "remove_faults", "use_faults", "current_faults",
-        "_ACTIVE", "_PLANE_LOCK",
-        "BarrierAspect", "SimBarrier", "ActiveObject", "Trace", "TraceEvent",
-    }
+def _defined() -> set:
+    """Every name ``src/`` defines, imports or exports: classes,
+    functions, import aliases, assigned names and ``__all__`` entries."""
     named = set()
     for tree in _trees().values():
         for node in ast.walk(tree):
@@ -267,4 +260,57 @@ def test_code_only_tests_used_is_gone():
                                 for leaf in ast.walk(node.value)
                                 if isinstance(leaf, ast.Constant)
                             )
-    assert named & gone == set()
+    return named
+
+
+def test_code_only_tests_used_is_gone():
+    """The process-wide fault plane, the phase barrier, active objects
+    and the simulator's event trace had no caller outside the tests: a
+    deployment's schedule rides its tickets, and nothing else needs the
+    rest.  None of them is defined, imported or exported in ``src/``."""
+    gone = {
+        "install_faults", "remove_faults", "use_faults", "current_faults",
+        "_ACTIVE", "_PLANE_LOCK",
+        "BarrierAspect", "SimBarrier", "ActiveObject", "Trace", "TraceEvent",
+    }
+    assert _defined() & gone == set()
+
+
+def test_one_placement_decision():
+    """Placement is one decision, made by the distribution aspect's
+    policy over the host group its middleware offers.  The process
+    middleware keeps no batch, no fake cluster and no policy of its own;
+    nothing outside the distribution aspects (and the hand-coded
+    baseline, which has none) calls a policy; and the tenant plane's
+    unread placement feedback and the advice-trace monkey-patch are
+    gone."""
+    trees = _trees()
+    proc = next(
+        cls
+        for cls in ast.walk(trees["middleware/proc.py"])
+        if isinstance(cls, ast.ClassDef) and cls.name == "ProcMiddleware"
+    )
+    assert "batch" not in {
+        node.name for node in proc.body if isinstance(node, ast.FunctionDef)
+    }
+    imported = _imports(SRC / "middleware" / "proc.py")
+    assert "types.SimpleNamespace" not in imported
+    assert "repro.middleware.placement" not in imported
+    choosing = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "choose"
+    }
+    assert choosing and all(
+        name.startswith("parallel/distribution/")
+        or name == "apps/primes/handcoded.py"
+        for name in choosing
+    ), choosing
+    gone = {
+        "PlacementFeedback", "placement_hint", "observe_admission",
+        "trace_advice", "AdviceTrace", "_baseline_run_chain",
+    }
+    assert _defined() & gone == set()

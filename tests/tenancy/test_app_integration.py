@@ -174,15 +174,3 @@ class TestStatsSurfaces:
         sched = make_scheduler(2, gold={})
         app = ParallelApp(plain_spec(tenant="gold", scheduler=sched))
         assert app.stats()["tenant"] == "gold"
-
-    def test_controller_stats_feed_scheduler_observation(self):
-        sched = make_scheduler(2, gold={})
-        app = ParallelApp(
-            plain_spec(tenant="gold", scheduler=sched, name="gold-app")
-        )
-        with app:
-            app.start()
-            app.submit(7).result()
-            sched.observe_admission(app.stats())
-        seen = sched.stats()["deployments"]["gold-app"]
-        assert seen["admitted_total"] == 1

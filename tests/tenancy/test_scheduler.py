@@ -1,6 +1,6 @@
 """ClusterScheduler units, the multi-tenant-only properties: quotas,
-priorities, stride fairness, isolation and donation under shedding,
-placement feedback — all on the thread backend (no simulator needed;
+priorities, stride fairness, isolation and donation under shedding —
+all on the thread backend (no simulator needed;
 hand-offs are exercised by releasing held slots directly).  What one
 tenant alone can show — the three overflow policies, hand-off order,
 release, the downstream link — is the case table in
@@ -15,7 +15,7 @@ import pytest
 from repro.errors import AdmissionRejected, DeploymentError
 from repro.runtime import ThreadBackend
 from repro.runtime.ticket import DispatchContext
-from repro.tenancy import ClusterScheduler, PlacementFeedback, Tenant
+from repro.tenancy import ClusterScheduler, Tenant
 
 
 def make(capacity, **tenants):
@@ -256,36 +256,3 @@ class TestHandoffOrdering:
         heavy_share = window.count("heavy") / len(window)
         assert abs(heavy_share - 0.75) <= 0.05, window
 
-
-class TestPlacement:
-    def snapshot(self, *utils):
-        return {
-            "nodes": [
-                {"node": i, "cores": 2, "utilisation": u}
-                for i, u in enumerate(utils)
-            ]
-        }
-
-    def test_suggest_prefers_least_utilised(self):
-        feedback = PlacementFeedback()
-        assert feedback.suggest("t") is None  # before any observation
-        feedback.observe(self.snapshot(0.9, 0.1, 0.5))
-        assert feedback.suggest("t") == 1
-
-    def test_repeated_hints_spread_a_hot_tenant(self):
-        feedback = PlacementFeedback()
-        feedback.observe(self.snapshot(0.0, 0.0, 0.8))
-        picks = [feedback.suggest("hot") for _ in range(4)]
-        # pending pressure pushes successive picks off the first node
-        assert set(picks[:2]) == {0, 1}
-        assert len(set(picks)) >= 2
-        assert feedback.assignments("hot") == tuple(picks)
-
-    def test_scheduler_wires_metrics_to_placement(self):
-        sched = make(2, a={})
-        sched.observe(self.snapshot(0.7, 0.2))
-        assert sched.placement_hint("a") == 1
-        sched.observe_admission(
-            {"name": "app-x", "admitted": 1, "waiting": 0}
-        )
-        assert sched.stats()["deployments"]["app-x"]["admitted"] == 1
