@@ -16,6 +16,7 @@ from repro.middleware import (
     BlockPlacement,
     FixedPlacement,
     LeastLoaded,
+    LocalMiddleware,
     MppMiddleware,
     RandomPlacement,
     RmiMiddleware,
@@ -353,3 +354,24 @@ class TestPlacementPolicies:
     def test_fixed_placement_outside_the_group_is_refused(self):
         with pytest.raises(PlacementError, match="position 3 .* 3 hosts"):
             FixedPlacement(3).choose(self.hosts, 0)
+
+
+class TestHostGroups:
+    """What each middleware offers a construction to be placed on."""
+
+    def test_a_simulated_middleware_offers_its_cluster_nodes(self):
+        cluster = paper_testbed(Simulator())
+        for middleware in (RmiMiddleware(cluster), MppMiddleware(cluster)):
+            for count in (1, 3, 20):
+                assert middleware.hosts(count) is cluster.nodes
+
+    def test_the_local_middleware_offers_none_and_exports_hostless(self):
+        local = LocalMiddleware()
+        assert tuple(local.hosts(4)) == ()
+        aspect = MppDistributionAspect(local, placement=FixedPlacement(9))
+        built = [make_worker()(wid) for wid in range(2)]
+        # no host group: the policy is never asked, so a position no
+        # group could hold is not refused
+        aspect._associate_all(built)
+        refs = [aspect.ref_of(obj) for obj in built]
+        assert [local.servant_of(ref).wid for ref in refs] == [0, 1]

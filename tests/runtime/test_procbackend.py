@@ -252,6 +252,25 @@ class TestProcMiddlewareDirect:
             middleware.shutdown()
         assert middleware.live_workers == 0
 
+    def test_hosts_are_fresh_slots_capped_at_cpus(self, monkeypatch):
+        """``hosts(n)`` offers ``min(n, usable_cpus())`` worker slots,
+        fresh on every call and forking nothing until a servant is
+        placed on one."""
+        monkeypatch.setattr(procbackend, "usable_cpus", lambda: 2)
+        middleware = ProcMiddleware()
+        try:
+            assert len(middleware.hosts(1)) == 1
+            first, second = middleware.hosts(5), middleware.hosts(5)
+            assert len(first) == len(second) == 2
+            assert not {id(slot) for slot in first} & {id(slot) for slot in second}
+            assert middleware.workers == []
+            refs = [middleware.export(Doubler(), first[0]) for _ in range(2)]
+            assert [middleware.worker_of(ref).index for ref in refs] == [0, 0]
+            assert len(middleware.workers) == 1
+        finally:
+            middleware.shutdown()
+        assert middleware.live_workers == 0
+
     def test_a_failed_export_leaves_no_placement_behind(self, monkeypatch):
         """A construction whose second servant cannot be shipped fails
         there, and the host-less exports made after it each get a fresh
