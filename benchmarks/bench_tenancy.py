@@ -4,8 +4,9 @@ Three tenants with asymmetric weights share one cluster slot table
 while an open-loop, Zipf-skewed million-user population offers 10x the
 cluster's throughput.  Everything runs on the simulator, so minutes of
 cluster time replay in seconds of wall time and every number below is
-bit-stable — the trajectory metrics these scenarios register are gated
-by ``tools/bench_gates.json`` exactly like the timing pairs:
+bit-stable.  Each scenario records its numbers in :data:`METRICS`;
+``tests/bench/test_tenancy_record.py`` requires them to equal
+``tests/bench/tenancy_record.json`` bit for bit:
 
 * ``tenancy_p99_overload`` / ``tenancy_p99_light`` — the completed-
   request p99 under 10x overload vs the same cluster at half load (the
@@ -21,7 +22,7 @@ low-priority neighbour.
 
 from __future__ import annotations
 
-from conftest import register_metric, register_report
+from conftest import register_report
 
 from repro.api import ParallelApp, StackSpec
 from repro.runtime.simbackend import SimBackend
@@ -36,6 +37,9 @@ from repro.traffic import (
 )
 
 USERS = 1_000_000
+
+#: metric name -> value, filled by the scenarios below
+METRICS: dict[str, float] = {}
 
 
 class VirtualService:
@@ -130,7 +134,7 @@ def test_light_load_tail_latency():
     assert recorder.total("completed") == recorder.total("offered")
     p99 = recorder.percentile(0.99)
     assert p99 is not None and p99 < 0.5
-    register_metric("tenancy_p99_light", p99)
+    METRICS["tenancy_p99_light"] = float(p99)
     register_report(tenant_table("tenancy: light load (0.5x)", report))
 
 
@@ -153,7 +157,7 @@ def test_overload_fairness_and_tail():
     assert recorder.total("offered") > 5 * total  # overload was real
     p99 = recorder.percentile(0.99)
     assert p99 is not None
-    register_metric("tenancy_p99_overload", p99)
+    METRICS["tenancy_p99_overload"] = float(p99)
     register_report(tenant_table("tenancy: 10x overload", report))
 
 
@@ -208,6 +212,6 @@ def test_overload_shedding_and_no_starvation():
     assert free["offered"] > 200
     assert free["shed"] > 50, report
     assert sched.stats()["in_use"] == 0
-    register_metric("tenancy_shed_overload", recorder.total("shed"))
-    register_metric("tenancy_offered_overload", recorder.total("offered"))
+    METRICS["tenancy_shed_overload"] = float(recorder.total("shed"))
+    METRICS["tenancy_offered_overload"] = float(recorder.total("offered"))
     register_report(tenant_table("tenancy: shed-oldest overload", report))

@@ -5,66 +5,21 @@ figures).  pytest captures stdout, so benches register their reports
 here and a terminal-summary hook prints them after the run — they appear
 in ``bench_output.txt`` alongside pytest-benchmark's own tables.
 
-Machine-readable trajectory: after every run that collected
-pytest-benchmark stats, the session hook appends a run record to
-``benchmarks/BENCH_dispatch.json`` (per-bench mean/min/stddev plus
-ratios against the plain-call baseline), so the dispatch-overhead
-numbers can be compared across PRs instead of being re-eyeballed from
-terminal tables.
-
 Environment knobs:
 
 * ``REPRO_BENCH_MAXIMUM`` — sieve scale (default 10_000_000, the paper's);
-* ``REPRO_BENCH_PACKS``   — number of messages (default 50, the paper's);
-* ``REPRO_BENCH_JSON``    — override the results-file path.
+* ``REPRO_BENCH_PACKS``   — number of messages (default 50, the paper's).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
-import time
-from pathlib import Path
 
 _REPORTS: list[str] = []
-
-#: scenario-level scalars registered by benches (virtual-time p99s,
-#: shed counts, ...) — merged into the trajectory as pseudo-benches
-_METRICS: dict[str, float] = {}
-
-#: how many historical runs to keep in the JSON trajectory
-_KEEP_RUNS = 50
 
 
 def register_report(text: str) -> None:
     _REPORTS.append(text)
-
-
-def register_metric(name: str, value: float) -> None:
-    """Record one scenario scalar for the trajectory JSON.
-
-    The value lands in the run record shaped like a pytest-benchmark
-    entry (``mean = median = min = value``, zero stddev, one round) so
-    ``tools/check_bench_regression.py`` can gate metric pairs with the
-    same machinery as timing pairs.  Scenario metrics measured on the
-    sim's virtual clock are bit-stable across machines — a moved number
-    is a behaviour change, not noise.
-    """
-    _METRICS[name] = float(value)
-
-
-def _metric_entries() -> dict[str, dict[str, float]]:
-    return {
-        name: {
-            "mean": value,
-            "median": value,
-            "min": value,
-            "stddev": 0.0,
-            "rounds": 1,
-        }
-        for name, value in _METRICS.items()
-    }
 
 
 def bench_maximum() -> int:
@@ -75,83 +30,7 @@ def bench_packs() -> int:
     return int(os.environ.get("REPRO_BENCH_PACKS", 50))
 
 
-def _results_path() -> Path:
-    override = os.environ.get("REPRO_BENCH_JSON")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "BENCH_dispatch.json"
-
-
-def _collect_benchmarks(config) -> dict[str, dict[str, float]]:
-    session = getattr(config, "_benchmarksession", None)
-    benchmarks = getattr(session, "benchmarks", None) or []
-    collected: dict[str, dict[str, float]] = {}
-    for bench in benchmarks:
-        # only the dispatch bench belongs in the dispatch trajectory —
-        # figure/sim benches collected in the same run are not comparable
-        if "bench_aop_dispatch" not in getattr(bench, "fullname", ""):
-            continue
-        stats = getattr(bench, "stats", None)
-        # pytest-benchmark >= 4 nests Stats inside Metadata.stats
-        stats = getattr(stats, "stats", stats)
-        if stats is None or not getattr(stats, "rounds", 0):
-            continue
-        collected[bench.name] = {
-            "mean": stats.mean,
-            "min": stats.min,
-            "median": stats.median,
-            "stddev": stats.stddev,
-            "rounds": stats.rounds,
-        }
-    return collected
-
-
-def _ratios_vs_plain(benches: dict[str, dict[str, float]]) -> dict[str, float]:
-    plain = benches.get("test_plain_call")
-    if not plain or not plain["mean"]:
-        return {}
-    return {
-        name: round(stats["mean"] / plain["mean"], 3)
-        for name, stats in benches.items()
-        if name != "test_plain_call"
-    }
-
-
-def pytest_sessionfinish(session, exitstatus):
-    benches = _collect_benchmarks(session.config)
-    metrics = _metric_entries()
-    if not benches and not metrics:
-        return
-    path = _results_path()
-    try:
-        history = json.loads(path.read_text()) if path.exists() else {}
-    except (OSError, ValueError):
-        history = {}
-    runs = history.get("runs", [])
-    runs.append(
-        {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            # ratios are computed over the timing benches only; the
-            # scenario metrics ride along as pseudo-bench entries
-            "benchmarks": {**benches, **metrics},
-            "ratios_vs_plain_call": _ratios_vs_plain(benches),
-        }
-    )
-    history["runs"] = runs[-_KEEP_RUNS:]
-    try:
-        path.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
-    except OSError:  # read-only checkout: benches still report to terminal
-        pass
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if _collect_benchmarks(config) or _METRICS:
-        terminalreporter.write_sep("-", "dispatch trajectory")
-        terminalreporter.write_line(
-            f"benchmark stats appended to {_results_path()}"
-        )
     if not _REPORTS:
         return
     terminalreporter.write_sep("=", "paper reproduction reports")

@@ -21,7 +21,7 @@ from typing import Any, Callable, Sequence
 
 from repro.aop.cflow import entered_advice
 from repro.aop.joinpoint import JoinPoint
-from repro.aop.pointcut import MAYBE, Pointcut
+from repro.aop.pointcut import Pointcut
 from repro.errors import AdviceError
 
 __all__ = ["AdviceKind", "AdviceDecl", "BoundAdvice", "run_chain"]
@@ -164,8 +164,3 @@ def run_chain(
         raise AdviceError(f"unknown advice kind {kind!r}")  # pragma: no cover
 
     return invoke(0, jp.args, jp.kwargs)
-
-
-def chain_needs_eval(pointcut: Pointcut, shadow_result: int) -> bool:
-    """Whether a statically matched advice still needs per-call checks."""
-    return shadow_result is MAYBE or pointcut.needs_caller

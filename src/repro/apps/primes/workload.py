@@ -50,10 +50,6 @@ class SieveWorkload:
         """The candidate array as ``packs`` near-equal messages."""
         return [np.ascontiguousarray(p) for p in np.array_split(self.candidates, self.packs)]
 
-    @property
-    def pack_size(self) -> int:
-        return math.ceil(len(self.candidates) / self.packs)
-
     # -- splitter building blocks ----------------------------------------------
 
     def split_call(self, args: tuple, kwargs: dict) -> list[CallPiece]:

@@ -36,10 +36,6 @@ class CostModel:
     #: additive per-joinpoint interception cost (seconds)
     dispatch_cost: float = 2e-6
 
-    @property
-    def seconds_per_op(self) -> float:
-        return self.ns_per_op
-
 
 #: the woven (AspectJ-analogue) configuration
 PAPER_COST_MODEL = CostModel()

@@ -75,10 +75,6 @@ class SimDeadlockError(SimulationError):
     """The event queue drained while processes were still blocked."""
 
 
-class SimInterrupt(SimulationError):
-    """A blocked process was interrupted by another process."""
-
-
 class SimTimeError(SimulationError):
     """An event was scheduled in the past or with a negative delay."""
 

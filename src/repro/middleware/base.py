@@ -295,12 +295,6 @@ class SimMiddleware(Middleware):
             raise MiddlewareError(f"unknown ref {ref!r}")
         return servant.obj
 
-    def node_of(self, ref: RemoteRef) -> Node:
-        servant = self._servants.get(ref.object_id)
-        if servant is None:
-            raise MiddlewareError(f"unknown ref {ref!r}")
-        return servant.node
-
     # -- invoke -----------------------------------------------------------
 
     def invoke(

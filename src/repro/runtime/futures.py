@@ -103,10 +103,6 @@ class FutureGroup:
         """Block until every member resolves; results in add order."""
         return [future.result() for future in self._futures]
 
-    def wait_all(self) -> None:
-        for future in self._futures:
-            future.result()
-
     @classmethod
     def of(cls, futures: Iterable[Future]) -> "FutureGroup":
         group = cls()

@@ -10,8 +10,8 @@ arrival instant and spawns one handler activity per request — arrivals
 never wait for completions, so overload builds exactly as it would
 against a real service.  Everything is driven by ``random.Random``
 seeds: the same scenario replays bit-identically, which is what lets
-latency percentiles and shed rates under overload live in the committed
-benchmark trajectory instead of being anecdotes.
+latency percentiles and shed rates under overload live in a committed
+golden record instead of being anecdotes.
 """
 
 from repro.traffic.arrivals import (

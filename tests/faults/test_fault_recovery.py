@@ -168,6 +168,41 @@ class TestDispatchRetry:
             assert schedule.fired_count() == 1
         assert app.in_flight == 0
 
+    def test_every_kill_costs_exactly_one_redispatch(self):
+        # a 4-way farm under a kill on every 7th dispatch: each kill is
+        # one retry on the ticket, and the split's own pieces are all
+        # there is (a retry re-dispatches the one killed piece)
+        pieces, submits = 4, 40
+        schedule = FaultSchedule(
+            [FaultEvent("kill_worker", site="dispatch", every=7)]
+        )
+        app = ParallelApp(
+            echo_spec(
+                "farm",
+                splitter=WorkSplitter(
+                    duplicates=pieces,
+                    split=lambda args, kwargs: [
+                        CallPiece(i, (args[0][i::pieces],)) for i in range(pieces)
+                    ],
+                    combine=lambda rs: sorted(v for r in rs for v in r),
+                ),
+                faults=schedule,
+                retry=RetryPolicy(max_attempts=3),
+            )
+        )
+        values = list(range(8))
+        with app:
+            app.start()
+            futures = [app.submit(values) for _ in range(submits)]
+            for future in futures:
+                assert future.result(timeout=10) == [v * 2 for v in values]
+            traces = app.traces()
+        assert len(traces) == submits
+        assert schedule.fired_count() > 0
+        assert sum(t["retries"] for t in traces) == schedule.fired_count()
+        assert sum(t["pieces"] for t in traces) == pieces * submits
+        assert app.in_flight == 0
+
     def test_dropped_reply_completed_work_deposits_once(self):
         # drop_reply AFTER the piece ran: the pipeline tail already
         # deposited (keyed), so the failure report finds the result

@@ -533,6 +533,74 @@ class TestReadReplica:
         assert stranger.reads == 1  # served by the servant itself
         assert aspect.local_reads == 0
 
+    READS = 20
+
+    def remote_read_messages(self, replicated):
+        """Messages on the simulated wire for READS reads of a table the
+        MPP distribution aspect serves from a remote node of the paper
+        testbed, counted after one read that builds any replica."""
+        from repro.cluster import paper_testbed
+        from repro.middleware import MppMiddleware, use_node
+        from repro.parallel import MppDistributionAspect, ReadReplicaAspect
+
+        class Table:
+            def __init__(self):
+                self.data = {i: i * 2 for i in range(16)}
+
+            def get(self, key):
+                return self.data.get(key)
+
+        weave(Table)
+        sim = Simulator()
+        cluster = paper_testbed(sim)
+        mpp = MppMiddleware(cluster)
+        default_weaver.deploy(
+            MppDistributionAspect(
+                mpp,
+                remote_new="initialization(Table.new(..))",
+                remote_calls="call(Table.get(..))",
+            )
+        )
+        backend = SimBackend(sim)
+        out = {}
+
+        def on_head(body):
+            def main():
+                with use_backend(backend), use_node(cluster.head):
+                    body()
+
+            sim.spawn(main)
+            sim.run()
+
+        try:
+            on_head(lambda: out.update(table=Table()))
+            table = out["table"]
+            if replicated:
+                default_weaver.deploy(
+                    ReadReplicaAspect(
+                        self.make_partition(table),
+                        read_calls="call(Table.get(..))",
+                    )
+                )
+            on_head(lambda: table.get(0))
+            before = cluster.network.messages
+            on_head(
+                lambda: out.update(
+                    reads=[table.get(i % 16) for i in range(self.READS)]
+                )
+            )
+            assert out["reads"] == [(i % 16) * 2 for i in range(self.READS)]
+            return cluster.network.messages - before
+        finally:
+            mpp.shutdown()
+            sim.shutdown()
+
+    def test_replica_reads_over_distribution_send_no_message(self):
+        assert self.remote_read_messages(replicated=True) == 0
+
+    def test_remote_reads_send_a_request_and_a_reply_each(self):
+        assert self.remote_read_messages(replicated=False) == 2 * self.READS
+
     def test_snapshot_rejects_unmanaged(self):
         Store = self.make_store()
         partition = self.make_partition()

@@ -546,6 +546,112 @@ class TestReplyWait:
         assert not multiprocessing.active_children()
 
 
+class Plus:
+    def handle(self, x):
+        return x + 1
+
+
+class TestPackOverThePipe:
+    """Communication packing carried over the real pipe: a pack is one
+    marshalled request, where the same items unpacked are one each
+    (replies are encoded in the worker, so they count there)."""
+
+    PACK = 8
+
+    def sent(self, pack):
+        app = ParallelApp(
+            StackSpec(
+                target=Plus,
+                work="handle",
+                strategy="none",
+                concurrency=False,
+                backend="process",
+            )
+        )
+        payload = list(range(self.PACK))
+        with app:
+            app.start()
+            middleware = app.middleware
+            messages = middleware.serializer.messages
+            batched = middleware.batched_calls
+            results = app.map(payload, pack=pack).results()
+            assert results == [x + 1 for x in payload]
+            return (
+                middleware.serializer.messages - messages,
+                middleware.batched_calls - batched,
+            )
+
+    def test_a_pack_is_one_request(self):
+        assert self.sent(pack=True) == (1, 1)
+
+    def test_unpacked_items_are_one_request_each(self):
+        assert self.sent(pack=False) == (self.PACK, 0)
+
+
+#: the function ``tests/conftest.py`` pins to 64 for every test, read
+#: before any test runs
+REAL_USABLE_CPUS = procbackend.usable_cpus
+CPU_PIECES = 4
+CPU_SPAN = 200_000
+
+
+class Burner:
+    """Pure-Python CPU burn: GIL-bound on threads, parallel across
+    worker processes."""
+
+    def burn(self, span):
+        lo, hi = span
+        total = 0
+        for i in range(lo, hi):
+            total += i * i
+        return total
+
+
+def burn_quarters(args, kwargs):
+    lo, hi = args[0]
+    step = (hi - lo) // CPU_PIECES
+    bounds = [lo + i * step for i in range(CPU_PIECES)] + [hi]
+    return [
+        CallPiece(i, ((bounds[i], bounds[i + 1]),)) for i in range(CPU_PIECES)
+    ]
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < CPU_PIECES,
+    reason=f"needs {CPU_PIECES} usable CPUs",
+)
+def test_process_farm_is_twice_the_thread_farm_on_cpu_bound_pieces(monkeypatch):
+    """The payoff of out-of-process execution: a 4-way CPU-bound farm on
+    worker processes takes at most half the thread farm's time, best of
+    3 each, with the servants spread over the box's real CPUs."""
+    monkeypatch.setattr(procbackend, "usable_cpus", REAL_USABLE_CPUS)
+    expected = sum(i * i for i in range(CPU_SPAN))
+    best = {}
+    for backend in ("thread", "process"):
+        app = ParallelApp(
+            StackSpec(
+                target=Burner,
+                work="burn",
+                splitter=WorkSplitter(
+                    duplicates=CPU_PIECES, split=burn_quarters, combine=sum
+                ),
+                strategy="farm",
+                backend=backend,
+            )
+        )
+        with app:
+            app.start()
+            assert app.submit((0, CPU_SPAN)).result(timeout=60) == expected
+            rounds = []
+            for _ in range(3):
+                began = time.perf_counter()
+                assert app.submit((0, CPU_SPAN)).result(timeout=60) == expected
+                rounds.append(time.perf_counter() - began)
+            best[backend] = min(rounds)
+    speedup = best["thread"] / best["process"]
+    assert speedup >= 2.0, f"process farm only {speedup:.2f}x the thread farm"
+
+
 class TestRegistryCatalogue:
     def test_unknown_backend_lists_full_catalogue(self):
         # historically this error listed only whatever had been imported
