@@ -17,7 +17,7 @@ from __future__ import annotations
 from conftest import register_report
 
 from repro.aop.weaver import default_weaver
-from repro.apps.primes import PrimeFilter, SieveWorkload, build_sieve_stack, sieve_cost_aspect
+from repro.apps.primes import PrimeFilter, SieveWorkload, sieve_app, sieve_cost_aspect
 from repro.bench import PAPER_COST_MODEL, run_sieve
 from repro.bench.report import render_checks, render_series
 from repro.cluster import paper_testbed
@@ -38,7 +38,7 @@ def run_with_extra(combo, extra_module_factory=None):
     workload = SieveWorkload(MAXIMUM, PACKS)
     cm = PAPER_COST_MODEL
     cost = sieve_cost_aspect(cm.ns_per_op, cm.aop_factor, cm.dispatch_cost)
-    stack = build_sieve_stack(combo, workload, FILTERS, cluster=cluster, cost=cost)
+    stack = sieve_app(combo, workload, FILTERS, cluster=cluster, cost=cost)
     if extra_module_factory is not None:
         stack.composition.plug(extra_module_factory(stack))
     backend = SimBackend(sim)

@@ -1,8 +1,9 @@
 """`ParallelApp`: assemble, deploy, and drive a stack — futures first.
 
 Where :class:`~repro.api.spec.StackSpec` *describes* a stack, a
-:class:`ParallelApp` *is* one: it resolves the spec's registry names
-into modules, assembles the :class:`~repro.parallel.composition.Composition`,
+:class:`ParallelApp` *is* one: it builds the aspect classes the spec's
+registry names resolve to, plugs each as a module of the
+:class:`~repro.parallel.composition.Composition`,
 resolves the execution backend, and exposes a submission API built on
 :mod:`repro.runtime.futures`:
 
@@ -43,7 +44,7 @@ from repro.middleware.context import use_node
 from repro.parallel.composition import Composition, ParallelModule
 from repro.parallel.concern import Concern
 from repro.parallel.concurrency import concurrency_module
-from repro.parallel.distribution.proc_aspect import proc_bundle
+from repro.parallel.distribution.proc_aspect import ProcDistributionAspect
 from repro.parallel.partition.base import CallPiece
 from repro.runtime.admission import AdmissionController, Deadline
 from repro.runtime.backend import ExecutionBackend, use_backend
@@ -64,9 +65,7 @@ class ParallelApp:
         self.spec = spec
         self.weaver: Weaver = spec.weaver if spec.weaver is not None else default_weaver
         self.instance: Any = None
-        self.partition: Any = None
         self.async_aspect: Any = None
-        self.distribution: Any = None
         self.middleware: Any = None
         self.extra_middleware: Any = None
         self.modules: dict[str, ParallelModule] = {}
@@ -76,28 +75,26 @@ class ParallelApp:
         self.composition = Composition(name)
 
         # -- partition -----------------------------------------------------
-        builder = STRATEGIES.get(spec.strategy)
-        module = builder(spec.splitter, creation, work, **spec.strategy_options)
-        if module is not None:
-            self._plug(module)
-            self.partition = getattr(module, "coordinator", None)
+        strategy = STRATEGIES.get(spec.strategy)
+        self.partition: Any = strategy(
+            spec.splitter, creation, work, **spec.strategy_options
+        )
+        if self.partition is not None:
+            self._plug(ParallelModule.of(self.partition, spec.strategy))
 
-        # -- concurrency (unless merged into the partition module) ---------
-        merged = module is not None and getattr(module, "provides_concurrency", False)
-        if spec.concurrency and not merged:
-            conc = concurrency_module(work, work)
-            self._plug(conc)
-            self.async_aspect = conc.async_aspect  # type: ignore[attr-defined]
+        # -- concurrency (unless the partition spawns its pieces itself) ---
+        if spec.concurrency and not strategy.provides_concurrency:
+            self.async_aspect = self._plug(concurrency_module(work, work)).aspects[0]
 
         # -- execution backend, then distribution: servants a backend
         # hosts in worker processes get there through the process
-        # bundle (the spec names no middleware for such a backend) -------
+        # distribution (the spec names no middleware for such a backend)
         self.backend = self._resolve_backend(spec)
         if self.backend.servant_host == "process":
-            bundle = proc_bundle
+            distribution, name = ProcDistributionAspect, "process"
         else:
-            bundle = MIDDLEWARES.get(spec.middleware)
-        self.middleware, self.extra_middleware, dist_module = bundle(
+            distribution, name = MIDDLEWARES.get(spec.middleware), spec.middleware
+        self.distribution: Any = distribution.for_cluster(
             spec.cluster,
             creation,
             work,
@@ -105,9 +102,10 @@ class ParallelApp:
             oneway=spec.oneway,
             **spec.middleware_options,
         )
-        if dist_module is not None:
-            self._plug(dist_module)
-            self.distribution = getattr(dist_module, "aspect", None)
+        if self.distribution is not None:
+            self.middleware = self.distribution.middleware
+            self.extra_middleware = self.distribution.extra_middleware
+            self._plug(ParallelModule.of(self.distribution, f"distribution-{name}"))
 
         # -- instrumentation + optimisations -------------------------------
         if spec.cost is not None:

@@ -7,22 +7,24 @@ edits no front door::
     from repro.api.registry import register_strategy
 
     @register_strategy("wavefront")
-    def wavefront_module(splitter, creation, work, **options):
+    class WavefrontAspect(FarmAspect):
         ...
-        return module
 
-Registered entries:
+Every entry is a class:
 
-* **strategies** — builders ``(splitter, creation, work, **options) ->
-  ParallelModule`` (the partition modules register themselves on
-  import);
-* **middlewares** — builders ``(cluster, creation, work, placement=None,
-  oneway=(), **options) -> (middleware, extra_middleware, module)``
-  (the distribution modules register themselves; ``"none"`` is
-  registered by :mod:`repro.api.spec`);
+* **strategies** — partition-aspect classes, built by their constructor
+  ``(splitter, creation, work, **strategy_options)`` (the partition
+  aspects register themselves on import);
+* **middlewares** — distribution-aspect classes, built by
+  ``for_cluster(cluster, creation, work, placement=None, oneway=(),
+  **middleware_options)`` (the distribution aspects register
+  themselves);
 * **backends** — :class:`~repro.runtime.backend.ExecutionBackend`
-  classes, built with ``for_cluster(cluster)`` (the built-in backends
+  classes, built by ``for_cluster(cluster)`` (the built-in backends
   register themselves).
+
+``"none"``, in the strategy and the middleware registry, is the one
+null entry (:mod:`repro.api.spec`): it builds no aspect.
 
 Unknown names raise :class:`UnknownNameError`, a
 :class:`~repro.errors.DeploymentError` that lists every registered name
@@ -157,24 +159,24 @@ class Registry:
         return f"<Registry {self.kind}: {', '.join(self.names())}>"
 
 
-#: partition-strategy builders, e.g. ``"farm"`` → :func:`farm_module`
+#: partition-aspect classes, e.g. ``"farm"`` → ``FarmAspect``
 STRATEGIES = Registry("strategy")
-#: distribution bundles, e.g. ``"rmi"`` → RMI middleware + module builder
+#: distribution-aspect classes, e.g. ``"rmi"`` → ``RmiDistributionAspect``
 MIDDLEWARES = Registry("middleware")
 #: execution-backend classes, e.g. ``"thread"`` → ThreadBackend
 BACKENDS = Registry("backend")
 
 
-def register_strategy(name: str, builder: Callable | None = None, **kw: Any) -> Any:
-    """Register a partition-strategy builder (decorator form when
-    ``builder`` is omitted)."""
-    return STRATEGIES.register(name, builder, **kw)
+def register_strategy(name: str, aspect: type | None = None, **kw: Any) -> Any:
+    """Register a partition-aspect class (decorator form when
+    ``aspect`` is omitted)."""
+    return STRATEGIES.register(name, aspect, **kw)
 
 
-def register_middleware(name: str, builder: Callable | None = None, **kw: Any) -> Any:
-    """Register a distribution-middleware builder (decorator form when
-    ``builder`` is omitted)."""
-    return MIDDLEWARES.register(name, builder, **kw)
+def register_middleware(name: str, aspect: type | None = None, **kw: Any) -> Any:
+    """Register a distribution-aspect class (decorator form when
+    ``aspect`` is omitted)."""
+    return MIDDLEWARES.register(name, aspect, **kw)
 
 
 def register_backend(name: str, backend: type | None = None, **kw: Any) -> Any:
@@ -188,11 +190,9 @@ def _builtin_bootstrap() -> None:
 
     Installed as each registry's ``_bootstrap`` so the catalogues are
     complete from the first lookup, however the caller reached them.
-    The imports are the same ones :func:`repro.api.spec.
-    _ensure_builtin_registrations` performs on the facade path.
     """
-    import repro.api.spec  # noqa: F401 - registers middleware "none"
-    import repro.parallel  # noqa: F401 - strategies + distribution bundles
+    import repro.api.spec  # noqa: F401 - registers the null entry "none"
+    import repro.parallel  # noqa: F401 - partition + distribution aspects
     import repro.runtime  # noqa: F401 - the built-in backends
 
 

@@ -21,11 +21,11 @@ are names resolved through the open registries of
 eagerly, so a typo fails at construction time with the full catalogue
 and a nearest-match suggestion instead of deep inside deployment.
 
-The special names registered here:
-
-* strategy ``"none"`` — no partition module (service-style stacks that
-  only need concurrency/distribution, e.g. for pack submission);
-* middleware ``"none"`` — no distribution module (single-machine runs).
+A strategy name resolves to a partition-aspect class and a middleware
+name to a distribution-aspect class; the spec reads its rules off the
+strategy class (``requires_splitter``, ``routes_packs``,
+``oneway_packs``, ``provides_concurrency``).  ``"none"``, registered
+here in both registries, is the one null entry.
 """
 
 from __future__ import annotations
@@ -34,44 +34,37 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.api.registry import BACKENDS, MIDDLEWARES, STRATEGIES, register_middleware, register_strategy
+from repro.api.registry import BACKENDS, MIDDLEWARES, STRATEGIES
 from repro.errors import DeploymentError
 from repro.runtime.admission import OVERFLOW_POLICIES
 
 __all__ = ["StackSpec"]
 
 
-@register_strategy("none")
-def _no_partition(splitter: Any, creation: str, work: str, **options: Any) -> None:
-    """The null strategy: the stack has no partition module."""
-    return None
+class _Absent:
+    """The null entry, ``"none"`` in the strategy and the middleware
+    registry: built by its constructor or ``for_cluster`` it is no
+    aspect at all — a stack without partition (service-style stacks
+    that only need concurrency/distribution) or without distribution
+    (single-machine runs).  Its flags are what a partition-less spec
+    can do."""
+
+    routes_packs = oneway_packs = True
+    requires_splitter = provides_concurrency = False
+
+    def __new__(cls, *args: Any, **options: Any) -> Any:
+        return None
+
+    for_cluster = classmethod(__new__)
 
 
-@register_middleware("none")
-def _no_middleware(
-    cluster: Any,
-    creation: str,
-    work: str,
-    placement: Any = None,
-    oneway: Any = (),
-    **options: Any,
-) -> tuple[None, None, None]:
-    """The null middleware: the stack has no distribution module."""
-    return None, None, None
+STRATEGIES.register("none", _Absent)
+MIDDLEWARES.register("none", _Absent)
 
 
 #: ``Type.method`` captured from ``call(Type.method(..))``-shaped text
 _METHOD_RE = re.compile(r"\.\s*([A-Za-z_][\w]*)\s*\(")
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
-
-
-def _ensure_builtin_registrations() -> None:
-    """Import the packages whose built-ins self-register, so
-    ``validate()`` resolves catalogue names regardless of what the
-    caller imported first (the imports are no-ops after the first
-    call)."""
-    import repro.parallel  # noqa: F401 - strategy/middleware registration
-    import repro.runtime  # noqa: F401 - backend registration
 
 
 @dataclass
@@ -167,13 +160,12 @@ class StackSpec:
     def pack_routable(self) -> bool:
         """Can ``app.map(pack=N)`` route packs through this spec?
 
-        True for partition-less specs and for strategies whose
-        coordinator aspect class declares ``routes_packs`` (the single
-        source of truth, reached through the registered builder's
-        ``coordinator_class``; both this check and ``app.map`` consult
-        it) — farm, dynamic-farm and pipeline route whole packs per
-        worker through the compiled batched entry; heartbeat (an
-        iteration loop over a shared grid) genuinely cannot.
+        True for partition-less specs and for strategies whose aspect
+        class declares ``routes_packs`` (the single source of truth;
+        both this check and ``app.map`` consult it) — farm, dynamic-farm
+        and pipeline route whole packs per worker through the compiled
+        batched entry; heartbeat (an iteration loop over a shared grid)
+        genuinely cannot.
         """
         return self._strategy_flag("routes_packs")
 
@@ -191,15 +183,7 @@ class StackSpec:
         return self._strategy_flag("oneway_packs")
 
     def _strategy_flag(self, flag: str) -> bool:
-        if self.strategy == "none":
-            return True
-        _ensure_builtin_registrations()
-        builder = STRATEGIES.get(self.strategy)
-        # single source of truth: the flags live on the strategy's
-        # coordinator aspect class (exposed by the builder); a builder
-        # without the pointer may carry the flag directly
-        owner = getattr(builder, "coordinator_class", builder)
-        return bool(getattr(owner, flag, False))
+        return getattr(STRATEGIES.get(self.strategy), flag)
 
     def _oneway_covers_work(self) -> bool:
         """Does the ``oneway`` declaration touch the partition's work
@@ -244,7 +228,6 @@ class StackSpec:
         and a typo suggestion), and checks the cross-field rules the
         assembly step would otherwise fail on obscurely.
         """
-        _ensure_builtin_registrations()
         if not isinstance(self.target, type):
             raise DeploymentError(
                 f"StackSpec.target must be a class, got {self.target!r}"
@@ -254,14 +237,13 @@ class StackSpec:
                 f"StackSpec for {self.target.__name__} needs a work pointcut "
                 f"(a method name like 'filter' or a call(..) expression)"
             )
-        builder = STRATEGIES.get(self.strategy)  # raises UnknownNameError
+        strategy = STRATEGIES.get(self.strategy)  # raises UnknownNameError
         MIDDLEWARES.get(self.middleware)
         backend = self.backend  # a name, a class's instance, or None (auto)
         if isinstance(backend, str):
             backend = BACKENDS.get(backend)
         host = getattr(backend, "servant_host", None)
-        needs_splitter = getattr(builder, "requires_splitter", True)
-        if self.strategy != "none" and needs_splitter and self.splitter is None:
+        if strategy.requires_splitter and self.splitter is None:
             raise DeploymentError(
                 f"strategy {self.strategy!r} needs a splitter "
                 f"(a WorkSplitter describing duplication and call split); "

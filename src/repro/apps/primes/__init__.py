@@ -5,8 +5,6 @@ from repro.apps.primes.aspects import (
     SIEVE_WORK,
     TABLE1_COMBINATIONS,
     IPrimeFilter,
-    SieveStack,
-    build_sieve_stack,
     sieve_app,
     sieve_cost_aspect,
     sieve_spec,
@@ -30,8 +28,6 @@ __all__ = [
     "SIEVE_WORK",
     "TABLE1_COMBINATIONS",
     "IPrimeFilter",
-    "SieveStack",
-    "build_sieve_stack",
     "sieve_spec",
     "sieve_app",
     "sieve_cost_aspect",

@@ -21,7 +21,6 @@ PipeMPP, FarmHybrid, Sequential).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api.app import ParallelApp
@@ -30,19 +29,16 @@ from repro.apps.primes.core import PrimeFilter
 from repro.apps.primes.workload import SieveWorkload
 from repro.cluster.topology import Cluster
 from repro.errors import DeploymentError
-from repro.middleware.base import Middleware
 from repro.middleware.placement import PlacementPolicy, RoundRobin
-from repro.parallel import ComputeCostAspect, Composition, ParallelModule
+from repro.parallel import ComputeCostAspect
 
 __all__ = [
     "SIEVE_CREATION",
     "SIEVE_WORK",
     "IPrimeFilter",
-    "SieveStack",
     "sieve_cost_aspect",
     "sieve_spec",
     "sieve_app",
-    "build_sieve_stack",
     "TABLE1_COMBINATIONS",
 ]
 
@@ -85,28 +81,6 @@ def sieve_cost_aspect(
         aop_factor=aop_factor,
         dispatch_cost=dispatch_cost,
     )
-
-
-@dataclass
-class SieveStack:
-    """One assembled combination, with handles for tests and metrics."""
-
-    name: str
-    composition: Composition
-    partition: Any = None
-    async_aspect: Any = None
-    distribution: Any = None
-    middleware: Middleware | None = None
-    extra_middleware: Middleware | None = None
-    cost: ComputeCostAspect | None = None
-    modules: dict[str, ParallelModule] = field(default_factory=dict)
-    #: the ParallelApp this stack was assembled from
-    app: ParallelApp | None = None
-
-    def shutdown(self) -> None:
-        for mw in (self.middleware, self.extra_middleware):
-            if mw is not None:
-                mw.shutdown()
 
 
 def sieve_spec(
@@ -170,33 +144,6 @@ def sieve_app(
     except DeploymentError as exc:
         raise DeploymentError(f"combination {combo!r}: {exc}") from exc
 
-
-def build_sieve_stack(
-    combo: str,
-    workload: SieveWorkload,
-    n_filters: int,
-    cluster: Cluster | None = None,
-    placement: PlacementPolicy | None = None,
-    cost: ComputeCostAspect | None = None,
-) -> SieveStack:
-    """Assemble one named module combination for ``n_filters`` filters.
-
-    Thin wrapper over :func:`sieve_app` keeping the legacy
-    :class:`SieveStack` handle surface for tests and metrics readers.
-    """
-    app = sieve_app(combo, workload, n_filters, cluster, placement, cost)
-    return SieveStack(
-        combo,
-        app.composition,
-        partition=app.partition,
-        async_aspect=app.async_aspect,
-        distribution=app.distribution,
-        middleware=app.middleware,
-        extra_middleware=app.extra_middleware,
-        cost=cost,
-        modules=app.modules,
-        app=app,
-    )
 
 
 def _parse_combo(combo: str) -> tuple[str, str]:

@@ -16,9 +16,9 @@ and evaluates the *shape checks* EXPERIMENTS.md records:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
-from repro.apps.primes import TABLE1_COMBINATIONS, SieveWorkload, build_sieve_stack
+from repro.apps.primes import TABLE1_COMBINATIONS, SieveWorkload, sieve_app
 from repro.bench.costmodel import HANDCODED_COST_MODEL, PAPER_COST_MODEL, CostModel
 from repro.bench.harness import RunResult, run_handcoded, run_sieve
 from repro.bench.report import render_checks, render_series, render_table1
@@ -106,18 +106,15 @@ def table1() -> ExperimentResult:
     workload = SieveWorkload(10_000, 2)
     rows = []
     for combo in TABLE1_COMBINATIONS:
-        stack = build_sieve_stack(combo, workload, 2, cluster=paper_testbed(Simulator()))
-        partition_modules = stack.composition.by_concern(Concern.PARTITION)
+        app = sieve_app(combo, workload, 2, cluster=paper_testbed(Simulator()))
+        partition_modules = app.composition.by_concern(Concern.PARTITION)
         partition = partition_modules[0].name if partition_modules else "-"
-        merged = any(
-            getattr(m, "provides_concurrency", False) for m in partition_modules
-        )
         concurrency = (
             "merged"
-            if merged
-            else ("yes" if stack.composition.by_concern(Concern.CONCURRENCY) else "no")
+            if app.partition is not None and app.partition.provides_concurrency
+            else ("yes" if app.composition.by_concern(Concern.CONCURRENCY) else "no")
         )
-        dist_modules = stack.composition.by_concern(Concern.DISTRIBUTION)
+        dist_modules = app.composition.by_concern(Concern.DISTRIBUTION)
         distribution = (
             dist_modules[0].name.replace("distribution-", "").upper()
             if dist_modules
@@ -131,7 +128,7 @@ def table1() -> ExperimentResult:
                 "distribution": distribution,
             }
         )
-        stack.shutdown()
+        app.shutdown()
     expected = {
         "FarmThreads": ("farm", "no"),
         "PipeRMI": ("pipeline", "RMI"),

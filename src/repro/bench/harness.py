@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.aop.weaver import Weaver, default_weaver
+from repro.aop.weaver import Weaver
 from repro.apps.primes import (
     HandCodedFarmRMI,
     HandCodedPipelineRMI,

@@ -41,7 +41,7 @@ from repro.cluster.machine import Node
 from repro.cluster.topology import Cluster
 from repro.errors import MiddlewareError, RemoteError
 from repro.middleware.context import current_node, server_dispatch, use_node
-from repro.middleware.serialize import Serializer, measure_size
+from repro.middleware.serialize import Serializer
 from repro.runtime.backend import resolve
 from repro.runtime.dispatch import (
     dispatch_id,
@@ -253,12 +253,11 @@ class SimMiddleware(Middleware):
         self,
         cluster: Cluster,
         costs: MiddlewareCosts,
-        copy_payloads: bool = True,
     ):
         self.cluster = cluster
         self.sim: Simulator = cluster.sim
         self.costs = costs
-        self.serializer = Serializer(copy=copy_payloads)
+        self.serializer = Serializer()
         self.backend = SimBackend(self.sim)
         self._servants: dict[int, _Servant] = {}
         self._servers: list[Any] = []

@@ -48,13 +48,8 @@ class MppMiddleware(SimMiddleware):
 
     name = "mpp"
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        costs: MiddlewareCosts = MPP_COSTS,
-        copy_payloads: bool = True,
-    ):
-        super().__init__(cluster, costs, copy_payloads)
+    def __init__(self, cluster: Cluster, costs: MiddlewareCosts = MPP_COSTS):
+        super().__init__(cluster, costs)
 
 
 class CommWorld:
@@ -77,7 +72,7 @@ class CommWorld:
         self.sim = cluster.sim
         self.n_ranks = n_ranks
         self.costs = costs
-        self.serializer = Serializer(copy=True)
+        self.serializer = Serializer()
         self.backend = SimBackend(self.sim)
         self._node_of_rank = node_of_rank or (lambda r: r % len(cluster.nodes))
         self._mailboxes = [

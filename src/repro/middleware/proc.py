@@ -117,15 +117,15 @@ class ProcMiddleware(Middleware):
 
     name = "process"
 
-    def __init__(self, copy_payloads: bool = True, respawn: bool = True):
+    def __init__(self) -> None:
         #: every worker this middleware started, in start order (index ==
         #: position): crashed and stopped ones stay, for the record
         self.workers: list[ProcWorker] = []
         self._armed = False  # is shutdown registered with atexit?
-        # copy mode is meaningless here (pickling IS the copy); the
-        # serializer exists for its accounting: messages == marshalling
-        # passes, the invariant the pack-amortisation bench asserts
-        self.serializer = Serializer(copy=copy_payloads)
+        # pickling IS the copy; the serializer exists for its
+        # accounting: messages == marshalling passes, the invariant the
+        # pack-amortisation bench asserts
+        self.serializer = Serializer()
         self._servants: dict[int, _Export] = {}
         #: forward_args of the linked pipeline, as its links carry it
         self._forward_args: Any = None
@@ -134,9 +134,8 @@ class ProcMiddleware(Middleware):
         self.oneway_calls = 0
         self.batched_calls = 0
         self.worker_crashes = 0
-        #: refill a crashed worker from the parent-side twins so a
+        #: crashed workers refilled from the parent-side twins, so a
         #: retried piece finds a healthy process behind the same refs
-        self.respawn = respawn
         self.worker_respawns = 0
         #: guards the worker list and refills (a refill starts a worker)
         self._lock = threading.RLock()
@@ -373,8 +372,7 @@ class ProcMiddleware(Middleware):
                     # a previous caller's abandoned reply: discard
         except WorkerCrashed:
             self.worker_crashes += 1
-            if self.respawn:
-                self._refill(slot, worker)
+            self._refill(slot, worker)
             raise
         if event is not None and event.kind == "drop_reply":
             raise ReplyDropped(

@@ -51,13 +51,8 @@ class RmiMiddleware(SimMiddleware):
 
     name = "rmi"
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        costs: MiddlewareCosts = RMI_COSTS,
-        copy_payloads: bool = True,
-    ):
-        super().__init__(cluster, costs, copy_payloads)
+    def __init__(self, cluster: Cluster, costs: MiddlewareCosts = RMI_COSTS):
+        super().__init__(cluster, costs)
         self.registry = NameRegistry(cluster)
 
     # -- naming ------------------------------------------------------------

@@ -311,24 +311,18 @@ def exception_payload(exc: BaseException) -> BaseException:
 
 
 class Serializer:
-    """Copy/reference serialisation with cumulative accounting."""
+    """Copying serialisation with cumulative accounting."""
 
-    def __init__(self, copy: bool = True):
-        self.copy = copy
+    def __init__(self) -> None:
         self.bytes_out = 0
         self.messages = 0
 
     def pack(self, payload: Any) -> tuple[Any, int]:
-        """Prepare ``payload`` for transport; returns ``(wire, size)``.
-
-        In copy mode the returned object is independent of the original;
-        in reference mode it is the original object (size still measured).
-        """
+        """Prepare ``payload`` for transport; returns ``(wire, size)``,
+        the wire object independent of the original."""
         size = measure_size(payload)
         self.bytes_out += size
         self.messages += 1
-        if not self.copy:
-            return payload, size
         return self._deep_copy(payload), size
 
     def unpack(self, wire: Any) -> Any:

@@ -16,9 +16,6 @@ from repro.parallel.distribution import (
     HybridDistributionAspect,
     MppDistributionAspect,
     RmiDistributionAspect,
-    hybrid_distribution_module,
-    mpp_distribution_module,
-    rmi_distribution_module,
 )
 from repro.parallel.instrumentation import ComputeCostAspect
 from repro.parallel.optimisation import (
@@ -40,11 +37,6 @@ from repro.parallel.partition import (
     PipelineSplitAspect,
     ResultCollector,
     WorkSplitter,
-    divide_and_conquer_module,
-    dynamic_farm_module,
-    farm_module,
-    heartbeat_module,
-    pipeline_module,
 )
 
 __all__ = [
@@ -61,15 +53,10 @@ __all__ = [
     "PartitionAspect",
     "PipelineSplitAspect",
     "PipelineForwardAspect",
-    "pipeline_module",
     "FarmAspect",
-    "farm_module",
     "DynamicFarmAspect",
-    "dynamic_farm_module",
     "HeartbeatAspect",
-    "heartbeat_module",
     "DivideAndConquerAspect",
-    "divide_and_conquer_module",
     # concurrency
     "AsyncInvocationAspect",
     "SynchronisationAspect",
@@ -79,11 +66,8 @@ __all__ = [
     # distribution
     "DistributionAspect",
     "RmiDistributionAspect",
-    "rmi_distribution_module",
     "MppDistributionAspect",
-    "mpp_distribution_module",
     "HybridDistributionAspect",
-    "hybrid_distribution_module",
     # optimisation + instrumentation
     "ThreadPoolAspect",
     "CommunicationPackingAspect",

@@ -13,7 +13,11 @@ the rows of Table 1 are compositions.  Compositions support::
         ...run...
 
     comp.unplug("distribution")   # the paper's debugging story
-    comp.exchange("partition", farm_module)   # pipeline -> farm
+    comp.exchange("partition", ParallelModule.of(farm))   # pipeline -> farm
+
+:meth:`ParallelModule.of` plugs one concern aspect as a module named
+after its concern (the aspects it brings along included), which is how
+the registry entries become modules.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Iterable, Iterator
 from repro.aop import Aspect
 from repro.aop.weaver import Weaver, default_weaver
 from repro.errors import DeploymentError
-from repro.parallel.concern import Concern
+from repro.parallel.concern import Concern, ParallelAspect
 
 __all__ = ["ParallelModule", "Composition"]
 
@@ -38,6 +42,14 @@ class ParallelModule:
         self.aspects = tuple(aspects)
         if not self.aspects:
             raise DeploymentError(f"module {name!r} has no aspects")
+
+    @classmethod
+    def of(cls, aspect: ParallelAspect, name: str | None = None) -> "ParallelModule":
+        """``aspect`` and the aspects it brings (:meth:`ParallelAspect.aspects`)
+        as one module, named ``name`` or after the aspect's concern."""
+        concern = aspect.concern
+        name = name if name is not None else concern.value
+        return cls(name, concern, aspect.aspects())
 
     def deploy(self, weaver: Weaver, targets: Iterable[type] = ()) -> None:
         deployed: list[Aspect] = []

@@ -78,6 +78,11 @@ class ParallelAspect(Aspect):
         # in_server_dispatch() inline: asked 30 times per pipelined submit
         return not self.applies_server_side and PLACEMENT.dispatch_depth > 0
 
+    def aspects(self) -> tuple[Aspect, ...]:
+        """The aspects one module of this concern plugs: this one, and
+        any it cannot work without."""
+        return (self,)
+
     def describe(self) -> str:
         """One-line description used by composition reports."""
         return f"{type(self).__name__} ({self.concern})"

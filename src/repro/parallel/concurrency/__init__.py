@@ -29,6 +29,4 @@ def concurrency_module(
     aspects = [AsyncInvocationAspect(async_calls=async_calls)]
     if guarded_calls is not None:
         aspects.append(SynchronisationAspect(guarded_calls=guarded_calls))
-    module = ParallelModule(name, Concern.CONCURRENCY, aspects)
-    module.async_aspect = aspects[0]  # type: ignore[attr-defined]
-    return module
+    return ParallelModule(name, Concern.CONCURRENCY, aspects)

@@ -1,31 +1,16 @@
-"""Distribution concern: RMI, MPP and hybrid distribution aspects."""
+"""Distribution concern: RMI, MPP, hybrid and process distribution
+aspects."""
 
 from repro.parallel.distribution.base import DistributionAspect
-from repro.parallel.distribution.hybrid import (
-    HybridDistributionAspect,
-    hybrid_distribution_module,
-)
-from repro.parallel.distribution.mpp_aspect import (
-    MppDistributionAspect,
-    mpp_distribution_module,
-)
-from repro.parallel.distribution.proc_aspect import (
-    ProcDistributionAspect,
-    proc_distribution_module,
-)
-from repro.parallel.distribution.rmi_aspect import (
-    RmiDistributionAspect,
-    rmi_distribution_module,
-)
+from repro.parallel.distribution.hybrid import HybridDistributionAspect
+from repro.parallel.distribution.mpp_aspect import MppDistributionAspect
+from repro.parallel.distribution.proc_aspect import ProcDistributionAspect
+from repro.parallel.distribution.rmi_aspect import RmiDistributionAspect
 
 __all__ = [
     "DistributionAspect",
     "RmiDistributionAspect",
-    "rmi_distribution_module",
     "MppDistributionAspect",
-    "mpp_distribution_module",
     "HybridDistributionAspect",
-    "hybrid_distribution_module",
     "ProcDistributionAspect",
-    "proc_distribution_module",
 ]

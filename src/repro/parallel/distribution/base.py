@@ -11,15 +11,17 @@ The distribution aspect intercepts *both sides* of a call:
   flag servant execution (``in_server_dispatch``), which is what makes
   every parallelisation aspect step aside there.
 
-Concrete subclasses bind the middleware flavour (RMI, MPP, hybrid); the
-pattern — create-remote on ``new``, redirect on call, catch remote
-errors — is shared and matches the four code modifications the paper
-enumerates for RMI.
+Concrete subclasses bind the middleware flavour (RMI, MPP, hybrid,
+process); the pattern — create-remote on ``new``, redirect on call,
+catch remote errors — is shared and matches the four code modifications
+the paper enumerates for RMI.  The middleware registry holds the
+subclasses, and :meth:`DistributionAspect.for_cluster` builds one with
+its middleware.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
 from repro.aop import abstract_pointcut, around, pointcut
 from repro.aop.plan import BatchJoinPoint, ctor_pack_of
@@ -41,8 +43,13 @@ class DistributionAspect(ParallelAspect):
     remote_new = abstract_pointcut("constructions to distribute")
     remote_calls = abstract_pointcut("calls to redirect to the servant")
 
-    #: methods invoked one-way when the middleware supports it
-    oneway_methods: frozenset[str] = frozenset()
+    #: what :meth:`for_cluster` builds over the cluster
+    middleware_class: Any = None
+    #: a second transport driven beside ``middleware`` (hybrid's MPP
+    #: data path), shut down with it
+    extra_middleware: Middleware | None = None
+    #: servant names are this prefix and the running export count
+    name_prefix = "PS"
 
     def __init__(
         self,
@@ -50,7 +57,7 @@ class DistributionAspect(ParallelAspect):
         placement: PlacementPolicy | None = None,
         remote_new: str | None = None,
         remote_calls: str | None = None,
-        name_prefix: str = "PS",
+        oneway: Iterable[str] = (),
     ):
         self.middleware = middleware
         self.placement = placement if placement is not None else RoundRobin()
@@ -58,13 +65,34 @@ class DistributionAspect(ParallelAspect):
             self.remote_new = pointcut(remote_new)
         if remote_calls is not None:
             self.remote_calls = pointcut(remote_calls)
-        self.name_prefix = name_prefix
-        self._cloner = Serializer(copy=True)
+        #: methods invoked one-way when the middleware supports it
+        self.oneway_methods = frozenset(oneway)
+        self._cloner = Serializer()
         #: id(local obj) -> (local obj, RemoteRef)
         self._refs: dict[int, tuple[Any, RemoteRef]] = {}
         self.count = 0
         self.redirected = 0
         self.remote_errors = 0
+
+    @classmethod
+    def for_cluster(
+        cls,
+        cluster: Any,
+        creation: str,
+        work: str,
+        placement: PlacementPolicy | None = None,
+        oneway: Iterable[str] = (),
+        **options: Any,
+    ) -> "DistributionAspect":
+        """How the middleware registry builds the aspect: its middleware
+        over ``cluster``, exporting the ``creation`` pointcut's instances
+        where ``placement`` (the aspect's default when ``None``) puts them
+        and redirecting the ``work`` calls on them — ``oneway`` ones
+        fire-and-forget."""
+        return cls(
+            cls.middleware_class(cluster), placement, creation, work,
+            oneway=oneway, **options,
+        )
 
     # -- hooks for subclasses -----------------------------------------------
 

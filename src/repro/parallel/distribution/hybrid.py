@@ -17,19 +17,16 @@ from repro.errors import DeploymentError, RemoteError
 from repro.middleware.mpp import MppMiddleware
 from repro.middleware.placement import PlacementPolicy
 from repro.middleware.rmi import RmiMiddleware
-from repro.parallel.composition import ParallelModule
-from repro.parallel.concern import Concern
 from repro.parallel.distribution.base import DistributionAspect
 
-__all__ = [
-    "HybridDistributionAspect",
-    "hybrid_distribution_module",
-    "hybrid_bundle",
-]
+__all__ = ["HybridDistributionAspect"]
 
 
+@register_middleware("hybrid")
 class HybridDistributionAspect(DistributionAspect):
     """RMI for control calls, MPP for the listed data methods."""
+
+    name_prefix = "HY"
 
     def __init__(
         self,
@@ -39,21 +36,44 @@ class HybridDistributionAspect(DistributionAspect):
         placement: PlacementPolicy | None = None,
         remote_new: str | None = None,
         remote_calls: str | None = None,
-        name_prefix: str = "HY",
+        oneway: Iterable[str] = (),
     ):
-        super().__init__(
-            rmi,
-            placement,
-            remote_new=remote_new,
-            remote_calls=remote_calls,
-            name_prefix=name_prefix,
-        )
-        self.mpp = mpp
+        super().__init__(rmi, placement, remote_new, remote_calls, oneway)
+        self.mpp = self.extra_middleware = mpp
         self.data_methods = frozenset(data_methods)
         #: id(local obj) -> MPP ref for the same servant
         self._mpp_refs: dict[int, Any] = {}
         self.data_calls = 0
         self.control_calls = 0
+
+    @classmethod
+    def for_cluster(
+        cls,
+        cluster: Any,
+        creation: str,
+        work: str,
+        placement: PlacementPolicy | None = None,
+        oneway: Iterable[str] = (),
+        data_methods: Iterable[str] = (),
+    ) -> "HybridDistributionAspect":
+        """RMI control and MPP data transports over ``cluster``.
+
+        ``data_methods`` names the calls that travel over MPP; everything
+        else uses RMI.  Only the MPP path supports fire-and-forget, so a
+        ``oneway`` method that is not also a data method is refused
+        eagerly — its declaration would otherwise be silently ignored on
+        the blocking RMI control path.
+        """
+        missing = set(oneway) - set(data_methods)
+        if missing:
+            raise DeploymentError(
+                f"hybrid oneway methods must travel the MPP data path; "
+                f"{sorted(missing)} missing from data_methods={list(data_methods)}"
+            )
+        return cls(
+            RmiMiddleware(cluster), MppMiddleware(cluster), data_methods,
+            placement, creation, work, oneway,
+        )
 
     def register(self, servant: Any, host: Any, name: str) -> Any:
         self.middleware.export_and_bind(name, servant, host)
@@ -93,69 +113,3 @@ class HybridDistributionAspect(DistributionAspect):
     def on_undeploy(self) -> None:
         super().on_undeploy()
         self._mpp_refs.clear()
-
-
-def hybrid_distribution_module(
-    rmi: RmiMiddleware,
-    mpp: MppMiddleware,
-    data_methods: Iterable[str],
-    remote_new: str,
-    remote_calls: str,
-    placement: PlacementPolicy | None = None,
-    name: str = "distribution-hybrid",
-    **kwargs: Any,
-) -> ParallelModule:
-    aspect = HybridDistributionAspect(
-        rmi,
-        mpp,
-        data_methods,
-        placement,
-        remote_new=remote_new,
-        remote_calls=remote_calls,
-        **kwargs,
-    )
-    module = ParallelModule(name, Concern.DISTRIBUTION, [aspect])
-    module.aspect = aspect  # type: ignore[attr-defined]
-    return module
-
-
-@register_middleware("hybrid")
-def hybrid_bundle(
-    cluster: Any,
-    creation: str,
-    work: str,
-    placement: PlacementPolicy | None = None,
-    oneway: Iterable[str] = (),
-    data_methods: Iterable[str] = (),
-    **options: Any,
-) -> tuple[RmiMiddleware, MppMiddleware, ParallelModule]:
-    """Registry entry: RMI control + MPP data transports in one module.
-
-    ``data_methods`` names the calls that travel over MPP; everything
-    else uses RMI.  Only the MPP path supports fire-and-forget, so a
-    ``oneway`` method that is not also a data method is rejected
-    eagerly — its declaration would otherwise be silently ignored on
-    the blocking RMI control path.
-    """
-    oneway = tuple(oneway)
-    data_methods = tuple(data_methods)
-    missing = set(oneway) - set(data_methods)
-    if missing:
-        raise DeploymentError(
-            f"hybrid oneway methods must travel the MPP data path; "
-            f"{sorted(missing)} missing from data_methods={list(data_methods)}"
-        )
-    rmi = RmiMiddleware(cluster)
-    mpp = MppMiddleware(cluster)
-    module = hybrid_distribution_module(
-        rmi,
-        mpp,
-        data_methods,
-        creation,
-        work,
-        placement=placement,
-        **options,
-    )
-    if oneway:
-        module.aspect.oneway_methods = frozenset(oneway)  # type: ignore[attr-defined]
-    return rmi, mpp, module

@@ -11,72 +11,16 @@ about exchanging middlewares.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
-
 from repro.api.registry import register_middleware
 from repro.middleware.mpp import MppMiddleware
-from repro.middleware.placement import PlacementPolicy
-from repro.parallel.composition import ParallelModule
-from repro.parallel.concern import Concern
 from repro.parallel.distribution.base import DistributionAspect
 
-__all__ = ["MppDistributionAspect", "mpp_distribution_module", "mpp_bundle"]
-
-
-class MppDistributionAspect(DistributionAspect):
-    """Distribution over the (simulated) MPP library."""
-
-    def __init__(
-        self,
-        middleware: MppMiddleware,
-        placement: PlacementPolicy | None = None,
-        remote_new: str | None = None,
-        remote_calls: str | None = None,
-        name_prefix: str = "MP",
-        oneway: Iterable[str] = (),
-    ):
-        super().__init__(
-            middleware,
-            placement,
-            remote_new=remote_new,
-            remote_calls=remote_calls,
-            name_prefix=name_prefix,
-        )
-        self.oneway_methods = frozenset(oneway)
-
-
-def mpp_distribution_module(
-    middleware: MppMiddleware,
-    remote_new: str,
-    remote_calls: str,
-    placement: PlacementPolicy | None = None,
-    name: str = "distribution-mpp",
-    **kwargs: Any,
-) -> ParallelModule:
-    aspect = MppDistributionAspect(
-        middleware,
-        placement,
-        remote_new=remote_new,
-        remote_calls=remote_calls,
-        **kwargs,
-    )
-    module = ParallelModule(name, Concern.DISTRIBUTION, [aspect])
-    module.aspect = aspect  # type: ignore[attr-defined]
-    return module
+__all__ = ["MppDistributionAspect"]
 
 
 @register_middleware("mpp")
-def mpp_bundle(
-    cluster: Any,
-    creation: str,
-    work: str,
-    placement: PlacementPolicy | None = None,
-    oneway: Iterable[str] = (),
-    **options: Any,
-) -> tuple[MppMiddleware, None, ParallelModule]:
-    """Registry entry: MPP middleware + its distribution module."""
-    middleware = MppMiddleware(cluster)
-    module = mpp_distribution_module(
-        middleware, creation, work, placement=placement, oneway=oneway, **options
-    )
-    return middleware, None, module
+class MppDistributionAspect(DistributionAspect):
+    """Distribution over the (simulated) MPP library."""
+
+    middleware_class = MppMiddleware
+    name_prefix = "MP"

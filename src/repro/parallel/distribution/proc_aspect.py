@@ -18,38 +18,28 @@ deliberate differences from the simulated aspects:
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.middleware.placement import BlockPlacement, PlacementPolicy
 from repro.middleware.proc import ProcMiddleware
-from repro.parallel.composition import ParallelModule
-from repro.parallel.concern import Concern
 from repro.parallel.distribution.base import DistributionAspect
 from repro.runtime.dispatch import chain_built
 
-__all__ = ["ProcDistributionAspect", "proc_distribution_module", "proc_bundle"]
+__all__ = ["ProcDistributionAspect"]
 
 
 class ProcDistributionAspect(DistributionAspect):
-    """Distribution over resident worker processes."""
+    """Distribution over resident worker processes: what
+    :class:`~repro.api.app.ParallelApp` plugs for a backend whose
+    ``servant_host`` is ``"process"`` (the spec names no middleware, so
+    ``cluster`` and ``placement`` are ``None``)."""
 
-    def __init__(
-        self,
-        middleware: ProcMiddleware,
-        placement: Any = None,
-        remote_new: str | None = None,
-        remote_calls: str | None = None,
-        name_prefix: str = "Proc",
-        oneway: Iterable[str] = (),
-    ):
-        super().__init__(
-            middleware,
-            placement,
-            remote_new=remote_new,
-            remote_calls=remote_calls,
-            name_prefix=name_prefix,
-        )
-        self.oneway_methods = frozenset(oneway)
+    name_prefix = "Proc"
+
+    @staticmethod
+    def middleware_class(cluster: Any) -> ProcMiddleware:
+        """The workers are this run's processes, on no cluster."""
+        return ProcMiddleware()
 
     def make_servant(self, obj: Any) -> Any:
         """Identity: the pickle crossing the pipe at export is the value
@@ -68,42 +58,3 @@ class ProcDistributionAspect(DistributionAspect):
         chain = chain_built()
         stages = [self.ref_of(obj) for obj in objs] if chain else ()
         self.middleware.link(stages, chain and chain[0])
-
-
-def proc_distribution_module(
-    middleware: ProcMiddleware,
-    remote_new: str,
-    remote_calls: str,
-    placement: Any = None,
-    name: str = "distribution-process",
-    **kwargs: Any,
-) -> ParallelModule:
-    aspect = ProcDistributionAspect(
-        middleware,
-        placement,
-        remote_new=remote_new,
-        remote_calls=remote_calls,
-        **kwargs,
-    )
-    module = ParallelModule(name, Concern.DISTRIBUTION, [aspect])
-    module.aspect = aspect  # type: ignore[attr-defined]
-    return module
-
-
-def proc_bundle(
-    cluster: Any,
-    creation: str,
-    work: str,
-    placement: Any = None,
-    oneway: Iterable[str] = (),
-    **options: Any,
-) -> tuple[ProcMiddleware, None, ParallelModule]:
-    """Process middleware + its distribution module: what
-    :class:`~repro.api.app.ParallelApp` plugs for a backend whose
-    ``servant_host`` is ``"process"`` (the spec names no middleware, so
-    ``cluster`` and ``placement`` are ``None``)."""
-    middleware = ProcMiddleware()
-    module = proc_distribution_module(
-        middleware, creation, work, placement=placement, oneway=oneway, **options
-    )
-    return middleware, None, module

@@ -20,15 +20,16 @@ from repro.api.registry import register_middleware
 from repro.errors import DeploymentError
 from repro.middleware.placement import PlacementPolicy
 from repro.middleware.rmi import RmiMiddleware
-from repro.parallel.composition import ParallelModule
-from repro.parallel.concern import Concern
 from repro.parallel.distribution.base import DistributionAspect
 
-__all__ = ["RmiDistributionAspect", "rmi_distribution_module", "rmi_bundle"]
+__all__ = ["RmiDistributionAspect"]
 
 
+@register_middleware("rmi")
 class RmiDistributionAspect(DistributionAspect):
     """Distribution over (simulated) Java RMI."""
+
+    middleware_class = RmiMiddleware
 
     def __init__(
         self,
@@ -36,17 +37,11 @@ class RmiDistributionAspect(DistributionAspect):
         placement: PlacementPolicy | None = None,
         remote_new: str | None = None,
         remote_calls: str | None = None,
-        name_prefix: str = "PS",
+        oneway: Iterable[str] = (),
         remote_interface: type | None = None,
         distributed_classes: tuple[type, ...] = (),
     ):
-        super().__init__(
-            middleware,
-            placement,
-            remote_new=remote_new,
-            remote_calls=remote_calls,
-            name_prefix=name_prefix,
-        )
+        super().__init__(middleware, placement, remote_new, remote_calls, oneway)
         # modification #1: declare the class to implement the remote
         # interface, from within the aspect (static crosscutting)
         if remote_interface is not None and distributed_classes:
@@ -62,51 +57,24 @@ class RmiDistributionAspect(DistributionAspect):
         # charges the registry round-trip like a real Naming.lookup
         return self.middleware.lookup(name)
 
-
-def rmi_distribution_module(
-    middleware: RmiMiddleware,
-    remote_new: str,
-    remote_calls: str,
-    placement: PlacementPolicy | None = None,
-    name: str = "distribution-rmi",
-    **kwargs: Any,
-) -> ParallelModule:
-    aspect = RmiDistributionAspect(
-        middleware,
-        placement,
-        remote_new=remote_new,
-        remote_calls=remote_calls,
-        **kwargs,
-    )
-    module = ParallelModule(name, Concern.DISTRIBUTION, [aspect])
-    module.aspect = aspect  # type: ignore[attr-defined]
-    return module
-
-
-@register_middleware("rmi")
-def rmi_bundle(
-    cluster: Any,
-    creation: str,
-    work: str,
-    placement: PlacementPolicy | None = None,
-    oneway: Iterable[str] = (),
-    **options: Any,
-) -> tuple[RmiMiddleware, None, ParallelModule]:
-    """Registry entry: RMI middleware + its distribution module.
-
-    RMI has no one-way invocations (Java semantics), so a non-empty
-    ``oneway`` declaration is rejected *eagerly* — accepting it would
-    make every call to the declared method fail at invocation time.
-    """
-    oneway = tuple(oneway)
-    if oneway:
-        raise DeploymentError(
-            f"RMI has no one-way invocations; oneway={list(oneway)} needs "
-            f"the 'mpp' middleware (or 'hybrid' with those methods listed "
-            f"in data_methods)"
-        )
-    middleware = RmiMiddleware(cluster)
-    module = rmi_distribution_module(
-        middleware, creation, work, placement=placement, **options
-    )
-    return middleware, None, module
+    @classmethod
+    def for_cluster(
+        cls,
+        cluster: Any,
+        creation: str,
+        work: str,
+        placement: PlacementPolicy | None = None,
+        oneway: Iterable[str] = (),
+        **options: Any,
+    ) -> "RmiDistributionAspect":
+        """RMI has no one-way invocations (Java semantics), so a non-empty
+        ``oneway`` declaration is refused *eagerly* — accepting it would
+        make every call to the declared method fail at invocation time."""
+        oneway = tuple(oneway)
+        if oneway:
+            raise DeploymentError(
+                f"RMI has no one-way invocations; oneway={list(oneway)} needs "
+                f"the 'mpp' middleware (or 'hybrid' with those methods listed "
+                f"in data_methods)"
+            )
+        return super().for_cluster(cluster, creation, work, placement, **options)

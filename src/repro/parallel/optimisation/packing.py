@@ -28,8 +28,6 @@ Two packing modes:
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.errors import AdviceError
 from repro.parallel.concern import LAYER, Concern, ParallelAspect
 from repro.parallel.partition.base import CallPiece, PackedPiece, PartitionAspect

@@ -1,5 +1,6 @@
-"""Partition concern: pipeline, farm, dynamic farm and heartbeat
-strategies built from object duplication + method-call split."""
+"""Partition concern: pipeline, farm, dynamic farm, heartbeat and
+divide-and-conquer strategies built from object duplication +
+method-call split."""
 
 from repro.parallel.partition.base import (
     CallPiece,
@@ -12,20 +13,13 @@ from repro.parallel.partition.base import (
     dispatch_piece,
     piece_results,
 )
-from repro.parallel.partition.divide_conquer import (
-    DivideAndConquerAspect,
-    divide_and_conquer_module,
-)
-from repro.parallel.partition.dynamic_farm import (
-    DynamicFarmAspect,
-    dynamic_farm_module,
-)
-from repro.parallel.partition.farm import FarmAspect, farm_module
-from repro.parallel.partition.heartbeat import HeartbeatAspect, heartbeat_module
+from repro.parallel.partition.divide_conquer import DivideAndConquerAspect
+from repro.parallel.partition.dynamic_farm import DynamicFarmAspect
+from repro.parallel.partition.farm import FarmAspect
+from repro.parallel.partition.heartbeat import HeartbeatAspect
 from repro.parallel.partition.pipeline import (
     PipelineForwardAspect,
     PipelineSplitAspect,
-    pipeline_module,
 )
 
 __all__ = [
@@ -40,13 +34,8 @@ __all__ = [
     "PartitionAspect",
     "PipelineSplitAspect",
     "PipelineForwardAspect",
-    "pipeline_module",
     "FarmAspect",
-    "farm_module",
     "DynamicFarmAspect",
-    "dynamic_farm_module",
     "HeartbeatAspect",
-    "heartbeat_module",
     "DivideAndConquerAspect",
-    "divide_and_conquer_module",
 ]

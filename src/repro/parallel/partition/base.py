@@ -366,18 +366,21 @@ class PartitionAspect(DispatchContextOwner, ParallelAspect):
     concern = Concern.PARTITION
     precedence = LAYER["partition"]
 
+    #: The strategy registry holds the classes, and ``StackSpec`` reads
+    #: these four flags off them — the single source of truth.
+    #:
     #: does this aspect implement top-level pack routing (a
-    #: ``route_pack`` branch for pack-level BatchJoinPoints)?  This
-    #: class attribute is the SINGLE source of truth for the
-    #: capability: registered strategy builders expose their aspect via
-    #: a ``coordinator_class`` attribute, and ``StackSpec`` reads the
-    #: flags through it (``pack_routable`` / ``oneway_routable``).
+    #: ``route_pack`` branch for pack-level BatchJoinPoints)?
     routes_packs: bool = False
     #: can this aspect's work call be fire-and-forget?  Only sound when
     #: pack routing is pure scatter — no reply gathering, no
     #: inter-worker forwarding (farms yes; pipeline routes packs but
     #: needs every hop's reply, so it stays False).
     oneway_packs: bool = False
+    #: is a :class:`WorkSplitter` needed to build the aspect?
+    requires_splitter: bool = True
+    #: does the aspect spawn its pieces itself (no concurrency module)?
+    provides_concurrency: bool = False
 
     creation = abstract_pointcut("construction joinpoint to duplicate")
     work = abstract_pointcut("method call(s) to split")

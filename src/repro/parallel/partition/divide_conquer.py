@@ -10,7 +10,22 @@ aspect-managed workers for the sub-problems, recurses through the woven
 call (so division continues until :meth:`should_divide` says stop, and
 the concurrency/distribution layers see every sub-call), then merges.
 
-Hooks (constructor arguments):
+It takes no :class:`~repro.parallel.partition.base.WorkSplitter`
+(branch workers are cloned at call time, not built from a creation
+joinpoint), so a ``StackSpec`` declares it with ``splitter=None`` and
+passes the recursion hooks through ``strategy_options``::
+
+    StackSpec(
+        target=Summer,
+        work="total",
+        strategy="divide-conquer",
+        strategy_options=dict(
+            should_divide=lambda args, kwargs, depth: len(args[0]) > 4,
+            divide=halve, merge=sum,
+        ),
+    )
+
+Hooks (keyword constructor arguments):
 
 ``should_divide(args, kwargs, depth)``
     Predicate deciding whether to split further (e.g. size threshold).
@@ -29,28 +44,24 @@ import copy
 import threading
 from typing import Any, Callable, Sequence
 
-from repro.aop import abstract_pointcut, around, pointcut
+from repro.aop import around
 from repro.aop.cflow import bypassing_construction
 from repro.api.registry import register_strategy
 from repro.errors import AdviceError
-from repro.parallel.composition import ParallelModule
-from repro.parallel.concern import LAYER, Concern, ParallelAspect
 from repro.parallel.partition.base import (
     CallPiece,
-    DispatchContextOwner,
+    PartitionAspect,
     PieceOutcomes,
+    WorkSplitter,
     dispatch_with_retry,
 )
 from repro.runtime.dispatch import current_dispatch
 
-__all__ = [
-    "DivideAndConquerAspect",
-    "divide_and_conquer_module",
-    "divide_and_conquer_strategy",
-]
+__all__ = ["DivideAndConquerAspect"]
 
 
-class DivideAndConquerAspect(DispatchContextOwner, ParallelAspect):
+@register_strategy("divide-conquer")
+class DivideAndConquerAspect(PartitionAspect):
     """Recursive call-split with per-branch worker creation.
 
     The top-level intercepted call opens one per-call
@@ -65,32 +76,31 @@ class DivideAndConquerAspect(DispatchContextOwner, ParallelAspect):
     eagerly.
     """
 
-    concern = Concern.PARTITION
-    precedence = LAYER["partition"]
-    routes_packs = False
-
-    work = abstract_pointcut("the recursive method call")
+    #: there is nothing to duplicate up front: no splitter, and the
+    #: ``creation`` pointcut is accepted for the shared signature only
+    requires_splitter = False
 
     def __init__(
         self,
+        splitter: WorkSplitter | None = None,
+        creation: str | None = None,
+        work: str | None = None,
+        *,
         should_divide: Callable[[tuple, dict, int], bool],
         divide: Callable[[tuple, dict], Sequence[CallPiece]],
         merge: Callable[[list], Any],
-        work: str | None = None,
         make_worker: Callable[[Any], Any] | None = None,
         max_depth: int = 32,
     ):
         if max_depth < 1:
             raise AdviceError("max_depth must be >= 1")
-        if work is not None:
-            self.work = pointcut(work)
+        super().__init__(splitter, creation, work)
         self.should_divide = should_divide
         self.divide = divide
         self.merge = merge
         self.max_depth = max_depth
         self._make_worker = make_worker
         self._depth = threading.local()
-        DispatchContextOwner.__init__(self)
         self.divisions = 0
         self.workers_created = 0
         self.leaves = 0
@@ -185,76 +195,3 @@ class DivideAndConquerAspect(DispatchContextOwner, ParallelAspect):
     def remember_branch(self, worker: Any) -> None:
         with self._dispatch_lock:
             self.branches.append(worker)
-
-
-def divide_and_conquer_module(
-    should_divide: Callable[[tuple, dict, int], bool],
-    divide: Callable[[tuple, dict], Sequence[CallPiece]],
-    merge: Callable[[list], Any],
-    work: str,
-    name: str = "divide-and-conquer",
-    **kwargs: Any,
-) -> ParallelModule:
-    """Build the pluggable divide-and-conquer partition module."""
-    aspect = DivideAndConquerAspect(
-        should_divide, divide, merge, work=work, **kwargs
-    )
-    module = ParallelModule(name, Concern.PARTITION, [aspect])
-    module.coordinator = aspect  # type: ignore[attr-defined]
-    return module
-
-
-@register_strategy("divide-conquer")
-def divide_and_conquer_strategy(
-    splitter: Any,
-    creation: str,
-    work: str,
-    name: str = "divide-and-conquer",
-    **options: Any,
-) -> ParallelModule:
-    """Registry face of the divide-and-conquer strategy.
-
-    Unlike the duplication-based strategies it takes no
-    :class:`~repro.parallel.partition.base.WorkSplitter` (branch workers
-    are cloned at call time, not built from a creation joinpoint), so a
-    ``StackSpec`` declares it with ``splitter=None`` and passes the
-    recursion hooks through ``strategy_options``::
-
-        StackSpec(
-            target=Summer,
-            work="total",
-            strategy="divide-conquer",
-            strategy_options=dict(
-                should_divide=lambda args, kwargs, depth: len(args[0]) > 4,
-                divide=halve, merge=sum,
-            ),
-        )
-
-    ``creation`` is accepted for registry-signature uniformity and
-    ignored — there is nothing to duplicate up front.
-    """
-    missing = [
-        hook
-        for hook in ("should_divide", "divide", "merge")
-        if hook not in options
-    ]
-    if missing:
-        raise AdviceError(
-            f"divide-conquer strategy needs strategy_options "
-            f"{missing} (the recursion hooks)"
-        )
-    return divide_and_conquer_module(
-        options.pop("should_divide"),
-        options.pop("divide"),
-        options.pop("merge"),
-        work=work,
-        name=name,
-        **options,
-    )
-
-
-#: StackSpec reads capability flags off the aspect class (both pack
-#: flags stay False: the work call IS the recursion) and learns from
-#: ``requires_splitter`` that this strategy takes no WorkSplitter
-divide_and_conquer_strategy.coordinator_class = DivideAndConquerAspect  # type: ignore[attr-defined]
-divide_and_conquer_strategy.requires_splitter = False  # type: ignore[attr-defined]

@@ -11,8 +11,8 @@ allocation.
 Because the module owns its concurrency, it must NOT be combined with a
 separate asynchronous-invocation aspect (the synchronisation aspect is
 also unnecessary: one dispatcher per worker means no concurrent calls on
-a worker).  :func:`dynamic_farm_module` documents this by carrying the
-CONCURRENCY concern alongside PARTITION.
+a worker).  :class:`DynamicFarmAspect` declares this with
+``provides_concurrency``, and the app plugs no concurrency module beside it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Any
 from repro.aop import around
 from repro.aop.plan import BatchJoinPoint
 from repro.api.registry import register_strategy
-from repro.parallel.composition import ParallelModule
 from repro.parallel.concern import Concern
 from repro.parallel.concurrency.asynchronous import PooledSpawner
 from repro.parallel.partition.base import (
@@ -36,9 +35,10 @@ from repro.parallel.partition.base import (
 )
 from repro.runtime.backend import _close_awaitables, current_backend
 
-__all__ = ["DynamicFarmAspect", "dynamic_farm_module"]
+__all__ = ["DynamicFarmAspect"]
 
 
+@register_strategy("dynamic-farm")
 class DynamicFarmAspect(PartitionAspect):
     """Worker-pull farm: merged partition + concurrency.
 
@@ -53,6 +53,7 @@ class DynamicFarmAspect(PartitionAspect):
 
     #: concerns covered by this single module (see module docstring)
     concern = Concern.PARTITION
+    provides_concurrency = True
 
     routes_packs = True
     #: like the static farm: pack routing is pure scatter, oneway is sound
@@ -222,22 +223,3 @@ class DynamicFarmAspect(PartitionAspect):
                 return dispatch_with_retry(
                     ctx, pick, jp.name, PackedPiece(index, pieces)
                 )
-
-
-@register_strategy("dynamic-farm")
-def dynamic_farm_module(
-    splitter: WorkSplitter,
-    creation: str,
-    work: str,
-    name: str = "dynamic-farm",
-) -> ParallelModule:
-    """Build the merged partition+concurrency dynamic-farm module."""
-    aspect = DynamicFarmAspect(splitter, creation=creation, work=work)
-    module = ParallelModule(name, Concern.PARTITION, [aspect])
-    module.coordinator = aspect  # type: ignore[attr-defined]
-    module.provides_concurrency = True  # type: ignore[attr-defined]
-    return module
-
-
-#: StackSpec reads the pack/oneway capability flags off this class
-dynamic_farm_module.coordinator_class = DynamicFarmAspect  # type: ignore[attr-defined]

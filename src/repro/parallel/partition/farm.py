@@ -28,8 +28,6 @@ from typing import Any
 from repro.aop import around
 from repro.aop.plan import BatchJoinPoint
 from repro.api.registry import register_strategy
-from repro.parallel.composition import ParallelModule
-from repro.parallel.concern import Concern
 from repro.parallel.partition.base import (
     PackedPiece,
     PartitionAspect,
@@ -40,9 +38,10 @@ from repro.parallel.partition.base import (
 )
 from repro.runtime.backend import current_backend
 
-__all__ = ["FarmAspect", "farm_module"]
+__all__ = ["FarmAspect"]
 
 
+@register_strategy("farm")
 class FarmAspect(PartitionAspect):
     """Broadcast duplication + piece-per-worker routing.
 
@@ -143,22 +142,3 @@ class FarmAspect(PartitionAspect):
                 return dispatch_with_retry(
                     ctx, pick, jp.name, PackedPiece(slot, pieces)
                 )
-
-
-@register_strategy("farm")
-def farm_module(
-    splitter: WorkSplitter,
-    creation: str,
-    work: str,
-    name: str = "farm",
-) -> ParallelModule:
-    """Build the pluggable farm-partition module."""
-    aspect = FarmAspect(splitter, creation=creation, work=work)
-    module = ParallelModule(name, Concern.PARTITION, [aspect])
-    module.coordinator = aspect  # type: ignore[attr-defined]
-    return module
-
-
-#: StackSpec reads the pack/oneway capability flags off this class —
-#: the aspect's own attributes stay the single source of truth
-farm_module.coordinator_class = FarmAspect  # type: ignore[attr-defined]

@@ -29,8 +29,6 @@ from typing import Any
 from repro.aop import around
 from repro.aop.plan import batched_entry
 from repro.api.registry import register_strategy
-from repro.parallel.composition import ParallelModule
-from repro.parallel.concern import Concern
 from repro.parallel.partition.base import (
     CallPiece,
     PartitionAspect,
@@ -40,9 +38,10 @@ from repro.parallel.partition.base import (
 )
 from repro.runtime.backend import resolve
 
-__all__ = ["HeartbeatAspect", "heartbeat_module"]
+__all__ = ["HeartbeatAspect"]
 
 
+@register_strategy("heartbeat")
 class HeartbeatAspect(PartitionAspect):
     """Block data partition + per-iteration boundary exchange.
 
@@ -198,30 +197,3 @@ class HeartbeatAspect(PartitionAspect):
         # the forwarding cursor records exchange phases driven on
         # behalf of the originating call (gather + scatter)
         ctx.advance(2 * max(last, 0))
-
-
-@register_strategy("heartbeat")
-def heartbeat_module(
-    splitter: WorkSplitter,
-    creation: str,
-    work: str,
-    name: str = "heartbeat",
-    exchange_out: str = "get_boundary",
-    exchange_in: str = "set_boundary",
-) -> ParallelModule:
-    """Build the pluggable heartbeat-partition module."""
-    aspect = HeartbeatAspect(
-        splitter,
-        creation=creation,
-        work=work,
-        exchange_out=exchange_out,
-        exchange_in=exchange_in,
-    )
-    module = ParallelModule(name, Concern.PARTITION, [aspect])
-    module.coordinator = aspect  # type: ignore[attr-defined]
-    return module
-
-
-#: StackSpec reads the pack/oneway capability flags off this class
-#: (heartbeat leaves both at the PartitionAspect default: False)
-heartbeat_module.coordinator_class = HeartbeatAspect  # type: ignore[attr-defined]

@@ -17,8 +17,8 @@ Blocks 1–2 live in :class:`PipelineSplitAspect` (partition layer,
 outermost); block 3 lives in :class:`PipelineForwardAspect`
 (partition-forward layer) so that the concurrency aspect's spawn wraps
 *between* them — Figure 11's interleaving, where forwarding happens
-inside the per-call thread.  :func:`pipeline_module` packages both as one
-pluggable module.
+inside the per-call thread.  The split aspect builds its forward aspect,
+and both plug as one module (:meth:`PipelineSplitAspect.aspects`).
 
 **One activity per piece journey.**  The concurrency aspect spawns one
 activity per piece, for the call that feeds it into the head stage.
@@ -59,7 +59,6 @@ from repro.aop import around, pointcut
 from repro.aop.cflow import entered_advice
 from repro.aop.plan import BatchJoinPoint, batched_entry, piece_view
 from repro.api.registry import register_strategy
-from repro.parallel.composition import ParallelModule
 from repro.parallel.concern import LAYER, Concern, ParallelAspect
 from repro.parallel.partition.base import (
     CallPiece,
@@ -80,9 +79,10 @@ from repro.runtime.dispatch import (
     use_dispatch,
 )
 
-__all__ = ["PipelineSplitAspect", "PipelineForwardAspect", "pipeline_module"]
+__all__ = ["PipelineSplitAspect", "PipelineForwardAspect"]
 
 
+@register_strategy("pipeline")
 class PipelineSplitAspect(PartitionAspect):
     """Blocks 1 (duplication) and 2 (call split) of Figure 8.
 
@@ -108,6 +108,11 @@ class PipelineSplitAspect(PartitionAspect):
         #: per-thread re-entry flag: retry re-feeds re-enter the woven
         #: call from activities where jp.from_advice is False
         self._internal = threading.local()
+        #: block 3, which plugs with this aspect
+        self.forward = PipelineForwardAspect(self)
+
+    def aspects(self) -> tuple[ParallelAspect, ...]:
+        return (self, self.forward)
 
     # -- block 1: object duplication ----------------------------------------
 
@@ -416,22 +421,3 @@ class PipelineForwardAspect(ParallelAspect):
                 key = None if base is None else (base, offset)
                 ctx.deposit(result, key=key)
         return results
-
-
-@register_strategy("pipeline")
-def pipeline_module(
-    splitter: WorkSplitter,
-    creation: str,
-    work: str,
-    name: str = "pipeline",
-) -> ParallelModule:
-    """Build the pluggable pipeline-partition module (both aspects)."""
-    split_aspect = PipelineSplitAspect(splitter, creation=creation, work=work)
-    forward_aspect = PipelineForwardAspect(split_aspect)
-    module = ParallelModule(name, Concern.PARTITION, [split_aspect, forward_aspect])
-    module.coordinator = split_aspect  # type: ignore[attr-defined]
-    return module
-
-
-#: StackSpec reads the pack/oneway capability flags off this class
-pipeline_module.coordinator_class = PipelineSplitAspect  # type: ignore[attr-defined]

@@ -70,8 +70,9 @@ class ResultCollector:
         #: recovery plane (absent unless arm_retry is called)
         self.retry: Any = None
         self.redispatch: Callable[[Any], Any] | None = None
-        #: re-dispatches performed on behalf of this call
-        self.retries = 0
+        #: told ``(piece, exc, attempt)`` before each hand-back: the
+        #: ticket counts the re-dispatch (:meth:`DispatchContext.record_retry`)
+        self.on_retry: Callable[[Any, BaseException, int], Any] | None = None
         #: keys already holding a deposited result (dedup)
         self._seen: set = set()
         #: key -> failed attempts so far
@@ -149,11 +150,11 @@ class ResultCollector:
             self._first_failure.setdefault(key, exc)
             exhausted = failures >= retry.max_attempts
             original = self._first_failure[key]
-            if not exhausted:
-                self.retries += 1
         if exhausted:
             self._latch(original)
             return
+        if self.on_retry is not None:
+            self.on_retry(piece, exc, failures)
         try:
             retry.pause(failures)
             self.redispatch(piece)
@@ -345,6 +346,7 @@ class DispatchContext:
         if collector is not None:
             if self.retry_policy is not None:
                 collector.arm_retry(self.retry_policy)
+                collector.on_retry = self.record_retry
             if cause is not None:
                 collector.fail(cause)
         return True

@@ -9,7 +9,7 @@ in for the paper's 7-node Xeon cluster.
 from repro.sim.channel import Channel, Message
 from repro.sim.kernel import SimProcess, Simulator, current_process, current_simulator
 from repro.sim.resources import ProcessorSharingCPU, total_rate
-from repro.sim.sync import SimEvent, SimLock, SimQueue, SimSemaphore
+from repro.sim.sync import SimEvent, SimLock, SimQueue
 
 __all__ = [
     "Simulator",
@@ -18,7 +18,6 @@ __all__ = [
     "current_simulator",
     "SimEvent",
     "SimLock",
-    "SimSemaphore",
     "SimQueue",
     "Channel",
     "Message",

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 import threading
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.errors import ProcessKilled, SimDeadlockError, SimTimeError, SimulationError
 

@@ -21,8 +21,6 @@ version counter discards stale completion timers.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.errors import SimulationError, SimTimeError
 from repro.sim.kernel import SimProcess, Simulator, current_process
 from repro.sim.sync import SimEvent

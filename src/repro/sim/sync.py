@@ -5,8 +5,8 @@ blocked process is resumed **exactly once**.  Every wait registers a
 :class:`_Waiter` token; both the granting path and the timeout path must
 win a check-and-set on that token before scheduling the resume.
 
-Provided: :class:`SimEvent`, :class:`SimLock` (FIFO), :class:`SimSemaphore`
-and :class:`SimQueue` (unbounded FIFO used by channels and mailboxes).
+Provided: :class:`SimEvent`, :class:`SimLock` (FIFO) and
+:class:`SimQueue` (unbounded FIFO used by channels and mailboxes).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Any
 from repro.errors import SimulationError
 from repro.sim.kernel import SimProcess, Simulator, current_process
 
-__all__ = ["SimEvent", "SimLock", "SimSemaphore", "SimQueue"]
+__all__ = ["SimEvent", "SimLock", "SimQueue"]
 
 
 class _Waiter:
@@ -157,46 +157,6 @@ class SimLock:
         self._owner = None
 
     def __enter__(self) -> "SimLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.release()
-
-
-class SimSemaphore:
-    """Counting semaphore with FIFO wakeup."""
-
-    def __init__(self, sim: Simulator, value: int = 1, name: str = "semaphore"):
-        if value < 0:
-            raise ValueError("semaphore value must be >= 0")
-        self.sim = sim
-        self.name = name
-        self._value = value
-        self._waiters: deque[_Waiter] = deque()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> None:
-        proc = _require(self.sim)
-        if self._value > 0:
-            self._value -= 1
-            return
-        waiter = _Waiter(proc)
-        self._waiters.append(waiter)
-        self.sim._block(f"semaphore:{self.name}")
-
-    def release(self) -> None:
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if waiter.claim():
-                self.sim.schedule_resume(waiter.proc)
-                return
-        self._value += 1
-
-    def __enter__(self) -> "SimSemaphore":
         self.acquire()
         return self
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from typing import Any, Iterable
+from typing import Iterable
 
 __all__ = ["TenantPopulation"]
 

@@ -15,11 +15,12 @@ from repro.aop.plan import CtorPack
 from repro.aop.weaver import default_weaver
 from repro.parallel import (
     Composition,
+    DynamicFarmAspect,
+    FarmAspect,
+    HeartbeatAspect,
+    ParallelModule,
+    PipelineSplitAspect,
     WorkSplitter,
-    dynamic_farm_module,
-    farm_module,
-    heartbeat_module,
-    pipeline_module,
 )
 
 CREATION = "initialization(Worker.new(..))"
@@ -75,21 +76,19 @@ class InitCounter(Aspect):
 
 
 @pytest.mark.parametrize(
-    "module_builder",
-    [farm_module, dynamic_farm_module, heartbeat_module, pipeline_module],
+    "strategy",
+    [FarmAspect, DynamicFarmAspect, HeartbeatAspect, PipelineSplitAspect],
     ids=["farm", "dynamic-farm", "heartbeat", "pipeline"],
 )
-def test_one_init_joinpoint_per_duplicate_set(module_builder):
+def test_one_init_joinpoint_per_duplicate_set(strategy):
     Worker = make_worker()
     counter = InitCounter()
-    comp = Composition(
-        "t", [module_builder(indexed_splitter(5), CREATION, WORK)]
-    )
+    aspect = strategy(indexed_splitter(5), CREATION, WORK)
+    comp = Composition("t", [ParallelModule.of(aspect)])
     weave(Worker)
     deploy(counter)
     with comp.deployed(default_weaver, targets=[Worker]):
         first = Worker()
-        aspect = comp.modules[0].coordinator
         assert counter.passes == 1  # ONE chain pass for the whole set
         assert counter.pack_sizes == [5]
         assert counter.instances_seen == 5
@@ -126,7 +125,7 @@ def test_ctor_pack_of_rejects_non_pack_joinpoints():
 def test_distribution_exports_each_pack_instance():
     from repro.cluster import paper_testbed
     from repro.middleware.rmi import RmiMiddleware
-    from repro.parallel import rmi_distribution_module
+    from repro.parallel import RmiDistributionAspect
     from repro.sim import Simulator
 
     Worker = make_worker()
@@ -134,19 +133,13 @@ def test_distribution_exports_each_pack_instance():
     cluster = paper_testbed(sim)
     middleware = RmiMiddleware(cluster)
     counter = InitCounter()
-    comp = Composition(
-        "dist",
-        [
-            farm_module(indexed_splitter(4), CREATION, WORK),
-            rmi_distribution_module(middleware, CREATION, WORK),
-        ],
-    )
+    farm = FarmAspect(indexed_splitter(4), CREATION, WORK)
+    aspect = RmiDistributionAspect(middleware, None, CREATION, WORK)
+    comp = Composition("dist", [ParallelModule.of(farm), ParallelModule.of(aspect)])
     deploy(counter)
     try:
         with comp.deployed(default_weaver, targets=[Worker]):
             Worker()
-            aspect = comp.modules[1].aspect
-            farm = comp.modules[0].coordinator
             # one batched joinpoint...
             assert counter.passes == 1
             # ...but every worker individually exported, in index order

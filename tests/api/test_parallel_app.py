@@ -11,7 +11,7 @@ from repro.api.spec import StackSpec
 from repro.apps.primes import PrimeFilter, SieveWorkload, expected_sieve_output
 from repro.cluster import paper_testbed
 from repro.errors import DeploymentError
-from repro.parallel import Concern, ParallelModule, WorkSplitter, farm_module
+from repro.parallel import Concern, FarmAspect, WorkSplitter
 from repro.parallel.partition import CallPiece
 from repro.runtime import Future, FutureGroup
 from repro.sim import Simulator
@@ -72,10 +72,10 @@ class TestAssembly:
 
         workload = SieveWorkload(MAX, PACKS)
         spec = sieve_farm_spec(workload)
-        partition_module = STRATEGIES.get("farm")(
+        partition = STRATEGIES.get("farm")(
             workload.farm_splitter(3), spec.creation_pointcut, spec.work_pointcut
         )
-        packing = CommunicationPackingAspect(partition_module.coordinator, 2)
+        packing = CommunicationPackingAspect(partition, 2)
         app = ParallelApp(sieve_farm_spec(workload, optimisations=(packing,)))
         assert app.composition.by_concern(Concern.OPTIMISATION)
 
@@ -406,9 +406,8 @@ class TestOpenRegistry:
             STRATEGIES.unregister(name)
 
         @register_strategy(name)
-        def broadcast_module(splitter, creation, work, **options):
-            # reuse the farm mechanics under a new registered name
-            return farm_module(splitter, creation, work, name=name)
+        class BroadcastAspect(FarmAspect):
+            """The farm mechanics under a new registered name."""
 
         try:
             workload = SieveWorkload(MAX, PACKS)

@@ -98,3 +98,26 @@ class TestBuiltinRegistrations:
         sim_backend = BACKENDS.get("sim").for_cluster(None)
         assert isinstance(sim_backend, ExecutionBackend)
         assert sim_backend.sim is not None
+
+    def test_strategy_and_middleware_entries_are_aspect_classes(self):
+        from repro.parallel import ParallelAspect
+
+        flags = ("requires_splitter", "routes_packs", "oneway_packs", "provides_concurrency")
+        for registry in (STRATEGIES, MIDDLEWARES):
+            for name in registry.names():
+                if name == "none":
+                    continue
+                entry = registry.get(name)
+                assert isinstance(entry, type) and issubclass(entry, ParallelAspect), name
+                if registry is STRATEGIES:
+                    assert all(isinstance(getattr(entry, flag), bool) for flag in flags), name
+                else:
+                    assert callable(entry.for_cluster), name
+        assert STRATEGIES.get("divide-conquer").requires_splitter is False
+        assert STRATEGIES.get("dynamic-farm").provides_concurrency is True
+        assert STRATEGIES.get("farm").provides_concurrency is False
+
+    def test_none_builds_no_aspect_in_either_registry(self):
+        assert STRATEGIES.get("none")(None, "", "") is None
+        assert MIDDLEWARES.get("none").for_cluster(None, "", "") is None
+        assert STRATEGIES.get("none") is MIDDLEWARES.get("none")

@@ -24,11 +24,12 @@ from repro.cluster import paper_testbed
 from repro.middleware import MppMiddleware, RmiMiddleware, use_node
 from repro.parallel import (
     Composition,
+    FarmAspect,
+    HeartbeatAspect,
+    MppDistributionAspect,
+    ParallelModule,
+    RmiDistributionAspect,
     concurrency_module,
-    farm_module,
-    heartbeat_module,
-    mpp_distribution_module,
-    rmi_distribution_module,
 )
 from repro.runtime import Future, SimBackend, use_backend
 from repro.sim import Simulator
@@ -45,13 +46,17 @@ class TestMandelbrotOverRMI:
         comp = Composition(
             "mandel-rmi",
             [
-                farm_module(
-                    mandelbrot_splitter(workers=3, bands=4),
-                    MANDEL_CREATION,
-                    MANDEL_WORK,
+                ParallelModule.of(
+                    FarmAspect(
+                        mandelbrot_splitter(workers=3, bands=4),
+                        MANDEL_CREATION,
+                        MANDEL_WORK,
+                    )
                 ),
                 concurrency_module(MANDEL_WORK, MANDEL_WORK),
-                rmi_distribution_module(rmi, MANDEL_CREATION, MANDEL_WORK),
+                ParallelModule.of(
+                    RmiDistributionAspect(rmi, None, MANDEL_CREATION, MANDEL_WORK)
+                ),
             ],
         )
         backend = SimBackend(sim)
@@ -87,18 +92,15 @@ class TestJacobiOverMPP:
         sim = Simulator()
         cluster = paper_testbed(sim)
         mpp = MppMiddleware(cluster)
-        module = heartbeat_module(
+        heartbeat = HeartbeatAspect(
             jacobi_splitter(blocks=3), JACOBI_CREATION, JACOBI_WORK
         )
+        # boundary accessors travel through the middleware too
+        aspect = MppDistributionAspect(
+            mpp, None, JACOBI_CREATION, "call(JacobiGrid.*(..))"
+        )
         comp = Composition(
-            "jacobi-mpp",
-            [
-                module,
-                # boundary accessors travel through the middleware too
-                mpp_distribution_module(
-                    mpp, JACOBI_CREATION, "call(JacobiGrid.*(..))"
-                ),
-            ],
+            "jacobi-mpp", [ParallelModule.of(heartbeat), ParallelModule.of(aspect)]
         )
         backend = SimBackend(sim)
         out = {}
@@ -108,9 +110,8 @@ class TestJacobiOverMPP:
                 grid = JacobiGrid(rows, cols)
                 out["residual"] = grid.solve(iters)
                 # gather the distributed blocks through the middleware
-                aspect = comp.module("distribution-mpp").aspect
                 blocks = []
-                for worker in module.coordinator.workers:
+                for worker in heartbeat.workers:
                     ref = aspect.ref_of(worker)
                     blocks.append(mpp.invoke(ref, "interior"))
                 out["field"] = np.vstack(blocks)
@@ -132,12 +133,15 @@ class TestJacobiOverMPP:
         sim = Simulator()
         cluster = paper_testbed(sim)
         mpp = MppMiddleware(cluster)
-        module = heartbeat_module(
+        aspect = HeartbeatAspect(
             jacobi_splitter(blocks=blocks), JACOBI_CREATION, JACOBI_WORK
+        )
+        distribution = MppDistributionAspect(
+            mpp, None, JACOBI_CREATION, "call(JacobiGrid.*(..))"
         )
         comp = Composition(
             "jacobi-counters",
-            [module, mpp_distribution_module(mpp, JACOBI_CREATION, "call(JacobiGrid.*(..))")],
+            [ParallelModule.of(aspect), ParallelModule.of(distribution)],
         )
         backend = SimBackend(sim)
 
@@ -152,7 +156,6 @@ class TestJacobiOverMPP:
         finally:
             mpp.shutdown()
             sim.shutdown()
-        aspect = module.coordinator
         assert aspect.iterations == iters
         # (blocks-1) neighbour pairs x 2 directions x iterations
         assert aspect.exchanges == (blocks - 1) * 2 * iters

@@ -16,7 +16,7 @@ from repro.aop.weaver import default_weaver
 from repro.apps.primes import (
     PrimeFilter,
     SieveWorkload,
-    build_sieve_stack,
+    sieve_app,
     expected_sieve_output,
 )
 from repro.cluster import paper_testbed
@@ -55,7 +55,7 @@ class FaultAspect(Aspect):
 class TestWorkerFaults:
     def test_farm_thread_mode_fault_reaches_client(self):
         workload = SieveWorkload(MAX, PACKS)
-        stack = build_sieve_stack("FarmThreads", workload, 3)
+        stack = sieve_app("FarmThreads", workload, 3)
         fault = FaultAspect("call(PrimeFilter.filter(..))", fail_on=2)
         stack.composition.plug(
             ParallelModule("fault", Concern.OPTIMISATION, [fault])
@@ -96,7 +96,7 @@ class TestWorkerFaults:
         sim = Simulator()
         cluster = paper_testbed(sim)
         workload = SieveWorkload(MAX, PACKS)
-        stack = build_sieve_stack("FarmRMI", workload, 2, cluster=cluster)
+        stack = sieve_app("FarmRMI", workload, 2, cluster=cluster)
         fault = FaultAspect("call(PrimeFilter.filter(..))", fail_on=3)
         stack.composition.plug(
             ParallelModule("fault", Concern.OPTIMISATION, [fault])
@@ -129,7 +129,7 @@ class TestWorkerFaults:
         """Unplug the broken module; the stack heals (the paper's
         incremental debugging loop)."""
         workload = SieveWorkload(MAX, PACKS)
-        stack = build_sieve_stack("FarmThreads", workload, 2)
+        stack = sieve_app("FarmThreads", workload, 2)
         fault = FaultAspect("call(PrimeFilter.filter(..))", fail_on=1)
         stack.composition.plug(
             ParallelModule("fault", Concern.OPTIMISATION, [fault])

@@ -28,10 +28,11 @@ from repro.apps.wordcount import (
 )
 from repro.parallel import (
     Composition,
+    FarmAspect,
+    HeartbeatAspect,
+    ParallelModule,
+    PipelineSplitAspect,
     concurrency_module,
-    farm_module,
-    heartbeat_module,
-    pipeline_module,
 )
 from repro.runtime import Future, ThreadBackend, use_backend
 
@@ -73,10 +74,12 @@ class TestMandelbrotCore:
         comp = Composition(
             "mandel-farm",
             [
-                farm_module(
-                    mandelbrot_splitter(workers=3, bands=6),
-                    MANDEL_CREATION,
-                    MANDEL_WORK,
+                ParallelModule.of(
+                    FarmAspect(
+                        mandelbrot_splitter(workers=3, bands=6),
+                        MANDEL_CREATION,
+                        MANDEL_WORK,
+                    )
                 ),
                 concurrency_module(MANDEL_WORK, MANDEL_WORK),
             ],
@@ -134,16 +137,16 @@ class TestJacobiCore:
         sequential.solve(iters)
         expected = sequential.interior()
 
-        module = heartbeat_module(
+        heartbeat = HeartbeatAspect(
             jacobi_splitter(blocks=3), JACOBI_CREATION, JACOBI_WORK
         )
-        comp = Composition("jacobi-heartbeat", [module])
+        comp = Composition("jacobi-heartbeat", [ParallelModule.of(heartbeat)])
         weave(JacobiGrid)
         with use_backend(ThreadBackend()):
             with comp.deployed(default_weaver, targets=[JacobiGrid]):
                 grid = JacobiGrid(rows, cols)
                 grid.solve(iters)
-                workers = module.coordinator.workers
+                workers = heartbeat.workers
                 assert len(workers) == 3
                 stitched = stitch_blocks(workers)
         assert stitched.shape == expected.shape
@@ -155,12 +158,15 @@ class TestJacobiCore:
         sequential.solve(iters)
         expected = sequential.interior()
 
-        module = heartbeat_module(
+        heartbeat = HeartbeatAspect(
             jacobi_splitter(blocks=3), JACOBI_CREATION, JACOBI_WORK
         )
         comp = Composition(
             "jacobi-heartbeat-mt",
-            [module, concurrency_module(JACOBI_WORK, JACOBI_WORK)],
+            [
+                ParallelModule.of(heartbeat),
+                concurrency_module(JACOBI_WORK, JACOBI_WORK),
+            ],
         )
         weave(JacobiGrid)
         with use_backend(ThreadBackend()):
@@ -169,7 +175,7 @@ class TestJacobiCore:
                 result = grid.solve(iters)
                 if isinstance(result, Future):
                     result = result.result()
-                stitched = stitch_blocks(module.coordinator.workers)
+                stitched = stitch_blocks(heartbeat.workers)
         assert np.allclose(stitched, expected)
 
 
@@ -198,7 +204,11 @@ class TestWordCountCore:
         comp = Composition(
             "wc-pipeline",
             [
-                pipeline_module(wordcount_splitter(batches=3), WC_CREATION, WC_WORK),
+                ParallelModule.of(
+                    PipelineSplitAspect(
+                        wordcount_splitter(batches=3), WC_CREATION, WC_WORK
+                    )
+                ),
                 concurrency_module(WC_WORK, WC_WORK),
             ],
         )

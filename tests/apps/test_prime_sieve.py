@@ -14,7 +14,7 @@ from repro.apps.primes import (
     PrimeFilter,
     SieveWorkload,
     base_primes,
-    build_sieve_stack,
+    sieve_app,
     expected_sieve_output,
     primes_up_to,
 )
@@ -104,7 +104,7 @@ class TestWorkload:
 def run_thread_mode(combo: str, n_filters: int) -> np.ndarray:
     """Functional-mode run: real threads, no cluster, no cost model."""
     workload = SieveWorkload(MAX, PACKS)
-    stack = build_sieve_stack(combo, workload, n_filters)
+    stack = sieve_app(combo, workload, n_filters)
     weave(PrimeFilter)
     with use_backend(ThreadBackend()):
         with stack.composition.deployed(default_weaver, targets=[PrimeFilter]):
@@ -127,7 +127,7 @@ class TestThreadModeCombinations:
     def test_partition_only_no_concurrency_is_still_valid(self):
         """Paper: 'the program must be valid without concurrency'."""
         workload = SieveWorkload(MAX, PACKS)
-        stack = build_sieve_stack("FarmThreads", workload, 3)
+        stack = sieve_app("FarmThreads", workload, 3)
         stack.composition.unplug("concurrency")
         weave(PrimeFilter)
         with use_backend(ThreadBackend()):
@@ -138,7 +138,7 @@ class TestThreadModeCombinations:
 
     def test_unplugged_composition_restores_sequential_semantics(self):
         workload = SieveWorkload(MAX, PACKS)
-        stack = build_sieve_stack("FarmThreads", workload, 3)
+        stack = sieve_app("FarmThreads", workload, 3)
         weave(PrimeFilter)
         with use_backend(ThreadBackend()):
             with stack.composition.deployed(default_weaver, targets=[PrimeFilter]):
@@ -152,7 +152,7 @@ class TestThreadModeCombinations:
 
     def test_farm_duplicates_workers(self):
         workload = SieveWorkload(MAX, PACKS)
-        stack = build_sieve_stack("FarmThreads", workload, 4)
+        stack = sieve_app("FarmThreads", workload, 4)
         weave(PrimeFilter)
         with use_backend(ThreadBackend()):
             with stack.composition.deployed(default_weaver, targets=[PrimeFilter]):
@@ -164,7 +164,7 @@ class TestThreadModeCombinations:
 
     def test_pipeline_stages_partition_the_primes(self):
         workload = SieveWorkload(MAX, PACKS)
-        stack = build_sieve_stack("PipeThreads", workload, 3)
+        stack = sieve_app("PipeThreads", workload, 3)
         weave(PrimeFilter)
         with use_backend(ThreadBackend()):
             with stack.composition.deployed(default_weaver, targets=[PrimeFilter]):

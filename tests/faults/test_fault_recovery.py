@@ -239,6 +239,33 @@ class TestDispatchRetry:
         assert app.in_flight == 0
 
 
+@pytest.mark.parametrize(
+    "backend, site", [("thread", "dispatch"), ("sim", "dispatch"), ("process", "proc")]
+)
+def test_a_pipeline_refeed_counts_once_on_the_ticket(backend, site):
+    """A failed pipeline piece is re-fed through the collector's retry
+    plane, not :func:`dispatch_with_retry`; its ticket still counts the
+    retry once and marks it, as a farm's re-dispatch does."""
+    schedule = FaultSchedule([FaultEvent("raise_in_piece", site=site, on_call=1)])
+    app = ParallelApp(
+        echo_spec(
+            "pipeline",
+            backend=backend,
+            faults=schedule,
+            retry=RetryPolicy(max_attempts=3),
+        )
+    )
+    with app:
+        app.start()
+        future = app.submit([1, 2])
+        assert future.result(timeout=30) == [4, 8]
+        trace = app.trace(future.admission.ticket_id)
+    assert schedule.fired_count() == 1
+    assert trace["retries"] == 1
+    marks = [s["name"] for s in trace["spans"] if s["name"].startswith("retry[")]
+    assert len(marks) == 1 and marks[0].startswith("retry[piece=0 attempt=1 ")
+
+
 class TestProcessRespawn:
     """A genuinely SIGKILLed worker process raises ``WorkerCrashed``,
     the middleware refills the export from the parent-side twin, and the
@@ -268,19 +295,19 @@ class TestProcessRespawn:
         assert wait_until(lambda: app.admitted == 0)
         assert wait_until(lambda: app.middleware.live_workers == 0)
 
-    def test_proc_crash_without_respawn_or_retry_fails(self):
+    def test_proc_crash_without_retry_fails_and_the_worker_is_refilled(self):
         schedule = FaultSchedule(
             [FaultEvent("kill_worker", site="proc", on_call=1)]
         )
         app = ParallelApp(
             echo_spec("farm", backend="process", faults=schedule)
         )
-        app.middleware.respawn = False
         with app:
             app.start()
             with pytest.raises(WorkerCrashed):
                 app.submit([1, 2]).result(timeout=30)
-            assert app.middleware.worker_respawns == 0
+            assert wait_until(lambda: app.middleware.worker_respawns == 1)
+            assert app.submit([5]).result(timeout=30) == [10]
         assert wait_until(lambda: app.admitted == 0)
 
 

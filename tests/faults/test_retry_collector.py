@@ -66,11 +66,11 @@ class TestCollectorRetryUnit:
         collector.fail(InjectedFault("boom"), piece=piece)
         assert not collector.failed
         assert redispatched == [piece]
-        assert collector.retries == 1
 
     def test_exhaustion_latches_original_failure(self):
+        redispatched: list = []
         collector = make_collector(
-            1, RetryPolicy(max_attempts=3), lambda piece: None
+            1, RetryPolicy(max_attempts=3), redispatched.append
         )
         piece = CallPiece(0, ())
         first = InjectedFault("original")
@@ -81,15 +81,16 @@ class TestCollectorRetryUnit:
         assert collector.failed
         with pytest.raises(InjectedFault, match="original"):
             collector.wait(timeout=1)
-        assert collector.retries == 2  # never exceeds max_attempts - 1
+        assert len(redispatched) == 2  # never exceeds max_attempts - 1
 
     def test_non_retryable_failure_latches_immediately(self):
+        redispatched: list = []
         collector = make_collector(
-            1, RetryPolicy(max_attempts=5), lambda piece: None
+            1, RetryPolicy(max_attempts=5), redispatched.append
         )
         collector.fail(ValueError("app bug"), piece=CallPiece(0, ()))
         assert collector.failed
-        assert collector.retries == 0
+        assert redispatched == []
 
     def test_unkeyed_fail_latches_even_with_policy(self):
         # a failure that names no piece cannot be re-dispatched
@@ -102,14 +103,15 @@ class TestCollectorRetryUnit:
     def test_fail_after_result_landed_is_ignored(self):
         # drop_reply journey: the work completed (deposited late), then
         # the dispatcher reports the drop — no attempt may be charged
+        redispatched: list = []
         collector = make_collector(
-            2, RetryPolicy(max_attempts=2), lambda piece: None
+            2, RetryPolicy(max_attempts=2), redispatched.append
         )
         piece = CallPiece(0, ())
         collector.deposit("done", key=piece.index)
         collector.fail(InjectedFault("late drop"), piece=piece)
         assert not collector.failed
-        assert collector.retries == 0
+        assert redispatched == []
 
     def test_duplicate_keyed_deposits_count_once(self):
         collector = make_collector(2)

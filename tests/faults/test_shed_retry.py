@@ -58,7 +58,6 @@ class TestCollectorNeverRetriesAdmissionVerdicts:
         collector.fail(verdict("verdict"), piece=CallPiece(0, (1,)))
         assert collector.failed
         assert redispatched == []
-        assert collector.retries == 0
         with pytest.raises(verdict):
             collector.wait(timeout=1)
 
@@ -82,7 +81,7 @@ class TestCollectorNeverRetriesAdmissionVerdicts:
         collector = self.armed(redispatched)
         collector.fail(InjectedFault("worker died"), piece=CallPiece(0, ()))
         assert not collector.failed
-        assert redispatched and collector.retries == 1
+        assert len(redispatched) == 1
 
 
 class CountingService:

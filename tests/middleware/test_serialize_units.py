@@ -14,18 +14,12 @@ from repro.sim import Simulator
 
 class TestSerializer:
     def test_pack_copy_mode_isolates_numpy(self):
-        serializer = Serializer(copy=True)
+        serializer = Serializer()
         original = np.arange(10)
         wire, size = serializer.pack(original)
         assert size == measure_size(original)
         original[0] = 99
         assert wire[0] == 0
-
-    def test_pack_reference_mode_shares(self):
-        serializer = Serializer(copy=False)
-        payload = [1, 2, 3]
-        wire, _ = serializer.pack(payload)
-        assert wire is payload
 
     def test_accounting_accumulates(self):
         serializer = Serializer()

@@ -397,6 +397,6 @@ class TestWithoutTheConcurrencyAspect:
                     ]
         # all three pieces ran on the splitter, all three helper calls
         # were spawned off it — the one under the last piece included
-        assert helper_calls.async_aspect.spawned_calls == 3
+        assert helper_calls.aspects[0].spawned_calls == 3
         assert len(Helper.ran_on) == 3 and probe.splitter not in Helper.ran_on
         assert app.in_flight == 0

@@ -31,6 +31,27 @@ def make_widget():
 
 
 class TestParallelModule:
+    def test_of_names_the_module_after_the_concern(self):
+        from repro.parallel import (
+            FarmAspect,
+            MppDistributionAspect,
+            PipelineSplitAspect,
+            WorkSplitter,
+        )
+        from repro.middleware import LocalMiddleware
+
+        farm = ParallelModule.of(FarmAspect(WorkSplitter(2)))
+        assert (farm.name, farm.concern) == ("partition", Concern.PARTITION)
+        distribution = ParallelModule.of(MppDistributionAspect(LocalMiddleware()))
+        assert distribution.name == "distribution"
+        assert ParallelModule.of(FarmAspect(WorkSplitter(2)), "farm").name == "farm"
+        # the pipeline's split aspect brings its forward aspect along
+        split = PipelineSplitAspect(WorkSplitter(2))
+        assert ParallelModule.of(split).aspects == (split, split.forward)
+        comp = Composition("c", [farm, distribution])
+        assert comp.unplug("distribution") is distribution
+        assert comp.exchange("partition", ParallelModule.of(split)) is farm
+
     def test_empty_module_rejected(self):
         with pytest.raises(DeploymentError):
             ParallelModule("empty", Concern.PARTITION, [])

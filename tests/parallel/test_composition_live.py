@@ -15,9 +15,10 @@ from repro.aop.weaver import default_weaver
 from repro.apps.primes import PrimeFilter, SieveWorkload, expected_sieve_output
 from repro.parallel import (
     Composition,
+    FarmAspect,
+    ParallelModule,
+    PipelineSplitAspect,
     concurrency_module,
-    farm_module,
-    pipeline_module,
 )
 from repro.runtime import Future, ThreadBackend, use_backend
 
@@ -39,9 +40,8 @@ def run_filter(workload):
 class TestExchangeWhileDeployed:
     def test_pipeline_to_farm_exchange_mid_run(self):
         workload = SieveWorkload(MAX, PACKS)
-        pipeline = pipeline_module(
-            workload.pipeline_splitter(3), CREATION, WORK, name="partition"
-        )
+        pipeline = ParallelModule.of(PipelineSplitAspect(
+            workload.pipeline_splitter(3), CREATION, WORK))
         comp = Composition(
             "swap", [pipeline, concurrency_module(WORK, WORK)]
         )
@@ -50,9 +50,8 @@ class TestExchangeWhileDeployed:
             with comp.deployed(default_weaver, targets=[PrimeFilter]):
                 assert np.array_equal(run_filter(workload), expected)
                 # the Section 7 move: swap the partition strategy live
-                farm = farm_module(
-                    workload.farm_splitter(3), CREATION, WORK, name="partition"
-                )
+                farm = ParallelModule.of(FarmAspect(
+                    workload.farm_splitter(3), CREATION, WORK))
                 removed = comp.exchange("partition", farm)
                 assert removed is pipeline
                 # old aspects are gone from the weaver, new ones are live
@@ -62,7 +61,7 @@ class TestExchangeWhileDeployed:
                 for aspect in farm.aspects:
                     assert aspect in deployed
                 assert np.array_equal(run_filter(workload), expected)
-                assert farm.coordinator.dispatches == 1
+                assert farm.aspects[0].dispatches == 1
         # context exit undeploys the *current* module set cleanly
         assert not default_weaver.deployed
 
@@ -71,9 +70,9 @@ class TestExchangeWhileDeployed:
         conc = concurrency_module(WORK, WORK)
         comp = Composition(
             "unplug",
-            [farm_module(workload.farm_splitter(3), CREATION, WORK), conc],
+            [ParallelModule.of(FarmAspect(workload.farm_splitter(3), CREATION, WORK)), conc],
         )
-        async_aspect = conc.async_aspect
+        async_aspect = conc.aspects[0]
         expected = expected_sieve_output(MAX)
         with use_backend(ThreadBackend()):
             with comp.deployed(default_weaver, targets=[PrimeFilter]):
@@ -99,8 +98,7 @@ class TestExchangeWhileDeployed:
 
         comp = Composition(
             "targeted",
-            [farm_module(workload.farm_splitter(2), CREATION, WORK,
-                         name="partition")],
+            [ParallelModule.of(FarmAspect(workload.farm_splitter(2), CREATION, WORK))],
         )
         default_weaver.weave(Bystander)
         with comp.deployed(default_weaver, targets=[PrimeFilter]):
@@ -109,8 +107,7 @@ class TestExchangeWhileDeployed:
             work_before = stats.count(PrimeFilter, "filter")
             comp.exchange(
                 "partition",
-                farm_module(workload.farm_splitter(3), CREATION, WORK,
-                            name="partition"),
+                ParallelModule.of(FarmAspect(workload.farm_splitter(3), CREATION, WORK)),
             )
             # the work shadow recompiled (undeploy + redeploy), the
             # unrelated class did not
@@ -121,24 +118,22 @@ class TestExchangeWhileDeployed:
         workload = SieveWorkload(MAX, PACKS)
         comp = Composition(
             "init-swap",
-            [farm_module(workload.farm_splitter(2), CREATION, WORK,
-                         name="partition")],
+            [ParallelModule.of(FarmAspect(workload.farm_splitter(2), CREATION, WORK))],
         )
         with use_backend(ThreadBackend()):
             with comp.deployed(default_weaver, targets=[PrimeFilter]):
-                farm_aspect = comp.module("partition").coordinator
+                farm_aspect = comp.module("partition").aspects[0]
                 PrimeFilter(2, workload.sqrt)
                 assert len(farm_aspect.workers) == 2
-                replacement = farm_module(
-                    workload.farm_splitter(4), CREATION, WORK, name="partition"
-                )
+                replacement = ParallelModule.of(FarmAspect(
+                    workload.farm_splitter(4), CREATION, WORK))
                 comp.exchange("partition", replacement)
                 PrimeFilter(2, workload.sqrt)
-                assert len(replacement.coordinator.workers) == 4
+                assert len(replacement.aspects[0].workers) == 4
                 # init shadow chain now holds only the new aspect
                 entries, _ = default_weaver.chain(
                     PrimeFilter, "__init__", JoinPointKind.INITIALIZATION
                 )
                 aspects = {entry.aspect for entry in entries}
-                assert replacement.coordinator in aspects
+                assert replacement.aspects[0] in aspects
                 assert farm_aspect not in aspects

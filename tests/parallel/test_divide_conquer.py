@@ -13,8 +13,8 @@ from repro.errors import AdviceError
 from repro.parallel import (
     Composition,
     DivideAndConquerAspect,
+    ParallelModule,
     concurrency_module,
-    divide_and_conquer_module,
 )
 from repro.parallel.partition import CallPiece
 from repro.runtime import SimBackend, ThreadBackend, use_backend
@@ -66,7 +66,7 @@ def merge_sorted(results):
 
 
 def mergesort_module(name="dac"):
-    return divide_and_conquer_module(
+    return ParallelModule.of(DivideAndConquerAspect(
         should_divide=lambda args, kwargs, depth: len(args[0]) > THRESHOLD,
         divide=lambda args, kwargs: [
             CallPiece(0, (args[0][: len(args[0]) // 2],)),
@@ -74,8 +74,7 @@ def mergesort_module(name="dac"):
         ],
         merge=merge_sorted,
         work="call(Sorter.sort(..))",
-        name=name,
-    )
+    ), name)
 
 
 class TestDivideAndConquer:
@@ -89,7 +88,7 @@ class TestDivideAndConquer:
             with comp.deployed(default_weaver, targets=[Sorter]):
                 sorter = Sorter()
                 result = sorter.sort(data)
-        aspect = module.coordinator
+        aspect = module.aspects[0]
         assert result == sorted(data)
         # 100 elements, threshold 8 -> a real recursion tree unfolded
         assert aspect.divisions >= 7
@@ -110,7 +109,7 @@ class TestDivideAndConquer:
                 sorter = Sorter()
                 result = sorter.sort([3, 1, 2])
         assert result == [1, 2, 3]
-        assert module.coordinator.divisions == 0
+        assert module.aspects[0].divisions == 0
         assert sorter.sorted_batches == 1
 
     def test_composes_with_concurrency(self):
@@ -129,7 +128,7 @@ class TestDivideAndConquer:
 
     def test_max_depth_bounds_recursion(self):
         Sorter = make_sorter()
-        module = divide_and_conquer_module(
+        module = ParallelModule.of(DivideAndConquerAspect(
             should_divide=lambda args, kwargs, depth: True,  # divide forever
             divide=lambda args, kwargs: [
                 CallPiece(0, (args[0][: max(1, len(args[0]) // 2)],)),
@@ -138,7 +137,7 @@ class TestDivideAndConquer:
             merge=merge_sorted,
             work="call(Sorter.sort(..))",
             max_depth=3,
-        )
+        ))
         comp = Composition("bounded", [module])
         weave(Sorter)
         with use_backend(ThreadBackend()):
@@ -148,12 +147,12 @@ class TestDivideAndConquer:
 
     def test_single_piece_division_degrades_to_leaf(self):
         Sorter = make_sorter()
-        module = divide_and_conquer_module(
+        module = ParallelModule.of(DivideAndConquerAspect(
             should_divide=lambda args, kwargs, depth: True,
             divide=lambda args, kwargs: [CallPiece(0, args)],
             merge=lambda results: results[0],
             work="call(Sorter.sort(..))",
-        )
+        ))
         comp = Composition("degenerate", [module])
         weave(Sorter)
         with use_backend(ThreadBackend()):
@@ -179,7 +178,7 @@ class TestDivideAndConquer:
             made.append(worker)
             return worker
 
-        module = divide_and_conquer_module(
+        module = ParallelModule.of(DivideAndConquerAspect(
             should_divide=lambda args, kwargs, depth: len(args[0]) > 2,
             divide=lambda args, kwargs: [
                 CallPiece(0, (args[0][:2],)),
@@ -188,13 +187,13 @@ class TestDivideAndConquer:
             merge=merge_sorted,
             work="call(Sorter.sort(..))",
             make_worker=factory,
-        )
+        ))
         comp = Composition("custom", [module])
         weave(Sorter)
         with use_backend(ThreadBackend()):
             with comp.deployed(default_weaver, targets=[Sorter]):
                 assert Sorter().sort([4, 3, 2, 1]) == [1, 2, 3, 4]
-        assert len(made) == module.coordinator.workers_created
+        assert len(made) == module.aspects[0].workers_created
 
 
 class Summer:
@@ -213,7 +212,7 @@ def test_overlapped_calls_into_a_bare_composition_keep_their_own_contexts(backen
     their leaves park, and each gets its own sum back."""
     sim = Simulator()
     chosen = SimBackend(sim) if backend == "sim" else ThreadBackend()
-    module = divide_and_conquer_module(
+    module = ParallelModule.of(DivideAndConquerAspect(
         should_divide=lambda args, kwargs, depth: len(args[0]) > 4,
         divide=lambda args, kwargs: [
             CallPiece(0, (args[0][: len(args[0]) // 2],)),
@@ -221,8 +220,8 @@ def test_overlapped_calls_into_a_bare_composition_keep_their_own_contexts(backen
         ],
         merge=sum,
         work="call(Summer.total(..))",
-    )
-    aspect = module.coordinator
+    ))
+    aspect = module.aspects[0]
     payloads = [list(range(i, i + 8)) for i in range(3)]
     results: dict[int, int] = {}
 

@@ -19,8 +19,8 @@ from repro.parallel import (
     ReplicationAspect,
     SpawnPerCall,
     ThreadPoolAspect,
-    farm_module,
 )
+from repro.parallel.partition import FarmAspect, PipelineSplitAspect
 from repro.parallel.partition import CallPiece, WorkSplitter
 from repro.runtime import Future, SimBackend, ThreadBackend, use_backend
 from repro.sim import Simulator
@@ -101,13 +101,13 @@ class TestCommunicationPacking:
         splitter = WorkSplitter(
             duplicates=2, split=split, combine=combine, merge_pieces=merge
         )
-        module = farm_module(
+        module = ParallelModule.of(FarmAspect(
             splitter, "initialization(Adder.new(..))", "call(Adder.add(..))"
-        )
+        ))
         comp = Composition("farm", [module])
-        packing = CommunicationPackingAspect(module.coordinator, factor)
+        packing = CommunicationPackingAspect(module.aspects[0], factor)
         comp.plug(ParallelModule("packing", Concern.OPTIMISATION, [packing]))
-        return Adder, comp, module.coordinator, packing
+        return Adder, comp, module.aspects[0], packing
 
     def test_packing_reduces_messages(self):
         Adder, comp, farm, packing = self.make_farm(factor=3)
@@ -166,15 +166,15 @@ class TestBatchedPacking:
             combine=combine,
             merge_pieces=merge_pieces if merge else None,
         )
-        module = farm_module(
+        module = ParallelModule.of(FarmAspect(
             splitter, "initialization(Adder.new(..))", "call(Adder.add(..))"
-        )
+        ))
         comp = Composition("farm", [module])
         packing = CommunicationPackingAspect(
-            module.coordinator, factor, batch=batch
+            module.aspects[0], factor, batch=batch
         )
         comp.plug(ParallelModule("packing", Concern.OPTIMISATION, [packing]))
-        return Adder, comp, module.coordinator, packing
+        return Adder, comp, module.aspects[0], packing
 
     def test_batch_mode_is_default_without_merge_pieces(self):
         Adder, comp, farm, packing = self.make_farm(factor=3)
@@ -260,8 +260,6 @@ class TestBatchedPipeline:
     """Packs traverse pipeline stages as single batched hops."""
 
     def test_pack_forwarded_batched_through_stages(self):
-        from repro.parallel import pipeline_module
-
         class Stage:
             def __init__(self, offset=0):
                 self.offset = offset
@@ -283,11 +281,11 @@ class TestBatchedPipeline:
             combine=lambda results: sorted(results),
             forward_args=lambda result, args, kwargs: ((result,), {}),
         )
-        module = pipeline_module(
+        module = ParallelModule.of(PipelineSplitAspect(
             splitter, "initialization(Stage.new(..))", "call(Stage.work(..))"
-        )
+        ))
         comp = Composition("pipe", [module])
-        packing = CommunicationPackingAspect(module.coordinator, 2, batch=True)
+        packing = CommunicationPackingAspect(module.aspects[0], 2, batch=True)
         comp.plug(ParallelModule("packing", Concern.OPTIMISATION, [packing]))
         forward = module.aspects[1]
         with use_backend(ThreadBackend()):

@@ -8,14 +8,14 @@ import pytest
 from repro.aop import weave
 from repro.aop.weaver import default_weaver
 from repro.errors import AdviceError
-from repro.parallel import Composition
+from repro.parallel import Composition, ParallelModule
 from repro.parallel.partition import (
     CallPiece,
+    DynamicFarmAspect,
+    FarmAspect,
+    PipelineSplitAspect,
     ResultCollector,
     WorkSplitter,
-    dynamic_farm_module,
-    farm_module,
-    pipeline_module,
 )
 from repro.runtime import ThreadBackend, use_backend
 
@@ -177,17 +177,17 @@ def list_splitter(duplicates, chunks):
 class TestFarmAspect:
     def test_pieces_route_round_robin(self):
         Counter = weave_counter()
-        module = farm_module(
+        module = ParallelModule.of(FarmAspect(
             list_splitter(2, 4),
             "initialization(Counter.new(..))",
             "call(Counter.bump(..))",
-        )
+        ))
         comp = Composition("farm", [module])
         with use_backend(ThreadBackend()):
             with comp.deployed(default_weaver, targets=[Counter]):
                 counter = Counter(10)
                 result = counter.bump(list(range(8)))
-        aspect = module.coordinator
+        aspect = module.aspects[0]
         assert result == [v + 10 for v in range(8)]
         assert len(aspect.workers) == 2
         # 4 pieces over 2 workers round-robin: 2 calls each
@@ -195,11 +195,11 @@ class TestFarmAspect:
 
     def test_no_creation_seen_means_plain_call(self):
         Counter = weave_counter()
-        module = farm_module(
+        module = ParallelModule.of(FarmAspect(
             list_splitter(2, 4),
             "initialization(Widget.new(..))",  # never matches Counter
             "call(Counter.bump(..))",
-        )
+        ))
         comp = Composition("farm", [module])
         with use_backend(ThreadBackend()):
             with comp.deployed(default_weaver, targets=[Counter]):
@@ -213,11 +213,11 @@ class TestPipelineAspect:
     def test_forwarding_counts_and_stage_traversal(self):
         Counter = weave_counter()
         splitter = list_splitter(3, 2)
-        module = pipeline_module(
+        module = ParallelModule.of(PipelineSplitAspect(
             splitter,
             "initialization(Counter.new(..))",
             "call(Counter.bump(..))",
-        )
+        ))
         comp = Composition("pipe", [module])
         with use_backend(ThreadBackend()):
             with comp.deployed(default_weaver, targets=[Counter]):
@@ -235,16 +235,16 @@ class TestPipelineAspect:
 
     def test_first_stage_returned_to_client(self):
         Counter = weave_counter()
-        module = pipeline_module(
+        module = ParallelModule.of(PipelineSplitAspect(
             list_splitter(3, 2),
             "initialization(Counter.new(..))",
             "call(Counter.bump(..))",
-        )
+        ))
         comp = Composition("pipe", [module])
         with use_backend(ThreadBackend()):
             with comp.deployed(default_weaver, targets=[Counter]):
                 counter = Counter(1)
-                aspect = module.coordinator
+                aspect = module.aspects[0]
                 assert counter is aspect.first
                 assert aspect.next[id(aspect.instances[-1])] is None
 
@@ -252,17 +252,17 @@ class TestPipelineAspect:
 class TestDynamicFarmAspect:
     def test_demand_driven_serves_all_pieces(self):
         Counter = weave_counter()
-        module = dynamic_farm_module(
+        module = ParallelModule.of(DynamicFarmAspect(
             list_splitter(3, 9),
             "initialization(Counter.new(..))",
             "call(Counter.bump(..))",
-        )
+        ))
         comp = Composition("dyn", [module])
         with use_backend(ThreadBackend()):
             with comp.deployed(default_weaver, targets=[Counter]):
                 counter = Counter(5)
                 result = counter.bump(list(range(9)))
-        aspect = module.coordinator
+        aspect = module.aspects[0]
         assert result == [v + 5 for v in range(9)]
         assert sum(aspect.served.values()) == 9
         # demand-driven: whichever workers were hungry took the work —

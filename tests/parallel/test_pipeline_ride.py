@@ -34,9 +34,10 @@ from repro.errors import CallShed, DeadlineExceeded, RemoteError
 from repro.faults import RetryPolicy
 from repro.parallel import (
     Composition,
+    DivideAndConquerAspect,
+    ParallelModule,
     WorkSplitter,
     concurrency_module,
-    divide_and_conquer_module,
 )
 from repro.parallel.partition import CallPiece
 from repro.runtime import ThreadBackend, use_backend
@@ -284,7 +285,7 @@ class TestJourneyShape:
             def total(self, values):
                 return sum(values)
 
-        module = divide_and_conquer_module(
+        module = ParallelModule.of(DivideAndConquerAspect(
             should_divide=lambda args, kwargs, depth: len(args[0]) > 2,
             divide=lambda args, kwargs: [
                 CallPiece(0, (args[0][: len(args[0]) // 2],)),
@@ -292,7 +293,7 @@ class TestJourneyShape:
             ],
             merge=sum,
             work="call(Summer.total(..))",
-        )
+        ))
         conc = concurrency_module("call(Summer.total(..))")
         weave(Summer)
         backend = ThreadBackend()
@@ -304,6 +305,6 @@ class TestJourneyShape:
         # 8 values, leaves of 2: the divisions happen in the partition
         # advice, each of the 4 leaf calls it makes goes through the
         # spawner — the count before the ride existed
-        assert module.coordinator.leaves == 4
-        assert conc.async_aspect.spawned_calls == 4
+        assert module.aspects[0].leaves == 4
+        assert conc.aspects[0].spawned_calls == 4
         assert backend.spawned == 4

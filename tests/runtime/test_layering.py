@@ -314,3 +314,64 @@ def test_one_placement_decision():
         "trace_advice", "AdviceTrace", "_baseline_run_chain",
     }
     assert _defined() & gone == set()
+
+
+#: what the module factories used to patch onto the modules they built
+MODULE_ATTRS = {"coordinator", "aspect", "async_aspect", "provides_concurrency"}
+
+
+def test_one_registry_protocol():
+    """A registry name reaches its aspect one way: the strategy and
+    middleware registries hold aspect classes, as the backend registry
+    holds backend classes.  No module factory or bundle wraps them, no
+    attribute is patched onto a builder function or a module, and the
+    skeletons never learn the spec's field names."""
+    trees = _trees()
+    factories = {
+        f"{name}::{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and re.search(r"_(module|bundle)$", node.name)
+        and node.name != "concurrency_module"  # it holds two aspects
+    }
+    assert factories == set()
+
+    def module_named(node: ast.AST) -> bool:
+        return isinstance(node, ast.Name) and re.search(r"module$|^m$|^conc$", node.id)
+
+    patched = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if node.attr in ("coordinator_class", "requires_splitter") and isinstance(
+                    node.ctx, ast.Store
+                ):
+                    patched.add(f"{name}:{node.lineno}")
+                if node.attr in MODULE_ATTRS and module_named(node.value):
+                    patched.add(f"{name}:{node.lineno}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "setattr", "hasattr")
+                and len(node.args) >= 2
+                and module_named(node.args[0])
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in MODULE_ATTRS
+            ):
+                patched.add(f"{name}:{node.lineno}")
+    assert patched == set()
+
+    spec_fields = {
+        "strategy_options", "middleware_options", "creation_pointcut", "work_pointcut",
+    }
+    learned = {
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        if name.startswith("parallel/")
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in spec_fields)
+        or (isinstance(node, ast.Constant) and node.value in spec_fields)
+    }
+    assert learned == set()
+

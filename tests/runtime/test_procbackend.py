@@ -401,7 +401,7 @@ class TestWorkersIgnoreSigint:
         that took it died with a KeyboardInterrupt traceback before the
         parent's ``__exit__`` could stop it in order, and the servant's
         next call was a broken pipe."""
-        middleware = ProcMiddleware(respawn=False)
+        middleware = ProcMiddleware()
         try:
             ref = middleware.export(Doubler())
             worker = middleware.worker_of(ref)
@@ -450,7 +450,7 @@ class TestReplyWait:
         # were death only looked for between polls, this would take 5 s
         monkeypatch.setattr(ProcWorker, "POLL_INTERVAL", 5.0)
         GatedDoubler.gate_path = str(tmp_path / "gate")
-        middleware = ProcMiddleware(respawn=False)
+        middleware = ProcMiddleware()
         try:
             ref = middleware.export(GatedDoubler())
             worker = middleware.worker_of(ref)
@@ -481,7 +481,7 @@ class TestReplyWait:
             middleware.shutdown()
 
     def test_reply_in_the_pipe_survives_the_workers_death(self):
-        middleware = ProcMiddleware(respawn=False)
+        middleware = ProcMiddleware()
         try:
             ref = middleware.export(Doubler())
             worker = middleware.worker_of(ref)

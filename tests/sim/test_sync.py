@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import SimEvent, SimLock, SimQueue, SimSemaphore, Simulator
+from repro.sim import SimEvent, SimLock, SimQueue, Simulator
 
 
 class TestSimEvent:
@@ -160,37 +160,6 @@ class TestSimLock:
         sim.spawn(thief)
         sim.run()
         assert caught == ["rejected"]
-
-
-class TestSimSemaphore:
-    def test_counting_limits_concurrency(self):
-        sim = Simulator()
-        sem = SimSemaphore(sim, value=2)
-        active = [0]
-        peak = [0]
-
-        def worker():
-            with sem:
-                active[0] += 1
-                peak[0] = max(peak[0], active[0])
-                sim.hold(1.0)
-                active[0] -= 1
-
-        for _ in range(5):
-            sim.spawn(worker)
-        sim.run()
-        assert peak[0] == 2
-
-    def test_negative_initial_value_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            SimSemaphore(sim, value=-1)
-
-    def test_release_without_waiters_increments(self):
-        sim = Simulator()
-        sem = SimSemaphore(sim, value=0)
-        sem.release()
-        assert sem.value == 1
 
 
 class TestSimQueue:

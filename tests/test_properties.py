@@ -22,7 +22,7 @@ from repro.aop.weaver import default_weaver
 from repro.apps.primes import (
     PrimeFilter,
     SieveWorkload,
-    build_sieve_stack,
+    sieve_app,
     primes_up_to,
 )
 from repro.apps.primes.reference import expected_sieve_output
@@ -51,7 +51,7 @@ class TestSieveProperties:
         """Any workload shape × strategy must produce the exact primes."""
         default_weaver.reset()
         workload = SieveWorkload(maximum, packs)
-        stack = build_sieve_stack(strategy, workload, filters)
+        stack = sieve_app(strategy, workload, filters)
         weave(PrimeFilter)
         try:
             with use_backend(ThreadBackend()):
