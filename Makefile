@@ -37,8 +37,9 @@ stress:
 ## tests/faults suites (schedule determinism, retry-collector
 ## properties, kill-and-replace recovery, golden trace) plus the fault
 ## cells of the backend conformance table (every strategy, armed and
-## unarmed, on every backend) and the proc-site cells of the co-location
-## table (every placement topology).  Kills
+## unarmed, on every backend), its makespan rows (a retry-armed gather
+## still runs a call's pieces at once) and the proc-site cells of the
+## co-location table (every placement topology).  Kills
 ## and respawns are timing-sensitive by construction; 5 rounds with the
 ## cache disabled surface interleavings a single run hides.  CI wraps
 ## this in a hard timeout-minutes so a lost wakeup (a hang, not a
@@ -50,7 +51,7 @@ stress-faults:
 			tests/faults || exit 1; \
 		$(PYPATH) $(PY) -m pytest -q -p no:cacheprovider \
 			tests/parallel/test_backend_conformance.py \
-			-k fault || exit 1; \
+			-k "fault or makespan" || exit 1; \
 		$(PYPATH) $(PY) -m pytest -q -p no:cacheprovider \
 			tests/parallel/test_process_colocation.py \
 			-k "ProcFaults" || exit 1; \
@@ -188,7 +189,7 @@ lint:
 ## count and fails above LOC_CEILING, the count of the last PR that
 ## moved it — a PR that grows src/ raises the ceiling in the same diff
 ## and says why in CHANGES.md, one that shrinks it lowers the ceiling.
-LOC_CEILING := 18456
+LOC_CEILING := 18439
 loc:
 	@count=$$(find src -name '*.py' | xargs cat | wc -l); echo $$count; \
 	if [ $$count -gt $(LOC_CEILING) ]; then \

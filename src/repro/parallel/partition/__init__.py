@@ -11,7 +11,6 @@ from repro.parallel.partition.base import (
     ResultCollector,
     WorkSplitter,
     dispatch_piece,
-    piece_results,
 )
 from repro.parallel.partition.divide_conquer import DivideAndConquerAspect
 from repro.parallel.partition.dynamic_farm import DynamicFarmAspect
@@ -26,7 +25,6 @@ __all__ = [
     "CallPiece",
     "PackedPiece",
     "dispatch_piece",
-    "piece_results",
     "WorkSplitter",
     "ResultCollector",
     "DispatchContext",

@@ -8,10 +8,11 @@ provides the shared machinery:
   duplicate (per-stage constructor arguments), how to split a call's
   arguments into pieces, how to forward results between stages, and how
   to combine piece results;
-* :func:`dispatch_piece` / :func:`dispatch_with_retry` — how a piece
-  enters a worker's woven entry point (the ``"dispatch"`` fault site and
-  the retry envelope), and :class:`PieceOutcomes` — how a split's
-  outcomes become the result list ``combine`` sees;
+* :func:`dispatch_piece` — how a piece enters a worker's woven entry
+  point (the ``"dispatch"`` fault site), and :class:`PieceOutcomes` —
+  the one dispatch-and-gather of a split: every piece sent before any
+  is awaited, the outcomes resolved into the result list ``combine``
+  sees, a retryable failure re-dispatched there;
 * :class:`PartitionAspect` — base class holding the splitter and the
   aspect-managed object bookkeeping every strategy shares.
 
@@ -35,6 +36,7 @@ from repro.faults.schedule import fire_fault
 from repro.parallel.concern import LAYER, Concern, ParallelAspect
 from repro.runtime.backend import _close_awaitables, current_backend, resolve
 from repro.runtime.dispatch import carry, use_piece
+from repro.runtime.futures import Future
 from repro.runtime.ticket import (
     DispatchContext,
     DispatchContextOwner,
@@ -50,10 +52,9 @@ __all__ = [
     "DispatchContextOwner",
     "PartitionAspect",
     "dispatch_piece",
-    "dispatch_with_retry",
+    "dispatch_pack",
     "rotating",
     "piece_key",
-    "piece_results",
     "PieceOutcomes",
 ]
 
@@ -152,58 +153,12 @@ def dispatch_piece(
     return outcome
 
 
-def dispatch_with_retry(
-    ctx: "DispatchContext | None",
-    pick_worker: Callable[[int], tuple[Any, int | None]],
-    name: str,
-    piece: CallPiece,
-    carried: bool = False,
-) -> Any:
-    """Dispatch ``piece``, re-dispatching to a (possibly different)
-    worker on retryable failure, per the ticket's
-    :class:`~repro.faults.RetryPolicy`.
-
-    ``pick_worker(attempt)`` returns ``(worker, index)`` for the given
-    zero-based attempt — strategies rotate to a healthy neighbour
-    (farm), hand the piece back to the pool (dynamic farm), or clone a
-    fresh branch worker (divide & conquer).  Without an armed policy
-    this is exactly :func:`dispatch_piece` — one attempt, failures
-    propagate.  With one, future-valued outcomes are resolved *inside*
-    the protected region so a concurrency-mode worker failure is caught
-    (and retried) here rather than surfacing at gather time.
-    ``carried`` (see :func:`dispatch_piece`) holds for the first attempt
-    only: a re-dispatch spawns.
-    """
-    policy = ctx.retry_policy if ctx is not None else None
-    attempt = 0
-    while True:
-        worker, index = pick_worker(attempt)
-        try:
-            outcome = dispatch_piece(
-                worker, name, piece, worker_index=index,
-                carried=carried and attempt == 0, ctx=ctx,
-            )
-            if policy is not None:
-                # HERE, so a failure of the spawned activity or of an
-                # async servant's loop task is caught by this retry
-                # envelope too
-                outcome = resolve(outcome)
-            return outcome
-        except Exception as exc:
-            attempt += 1
-            if (
-                policy is None
-                or not policy.retryable(exc)
-                or attempt >= policy.max_attempts
-            ):
-                raise
-            ctx.record_retry(piece, exc, attempt)
-            ctx.check_deadline("retrying a failed piece")
-            policy.pause(attempt)
+#: a split's ``pick_worker``: ``attempt -> (worker, index or None)``
+Pick = Callable[[int], tuple[Any, int | None]]
 
 
-def rotating(workers: Sequence[Any], start: int) -> Callable[[int], tuple]:
-    """The farms' ``pick_worker`` for :func:`dispatch_with_retry`:
+def rotating(workers: Sequence[Any], start: int) -> Pick:
+    """The farms' ``pick_worker`` for :meth:`PieceOutcomes.dispatch`:
     attempt 0 is worker ``start`` (modulo the worker count), each retry
     rotates to the next worker round-robin — a killed worker's piece
     lands on a healthy neighbour."""
@@ -221,50 +176,110 @@ def piece_key(piece: CallPiece | None) -> Any:
     return None if piece is None else piece.index
 
 
-def piece_results(piece: CallPiece, outcome: Any) -> list:
-    """Normalise one dispatch outcome to the per-item result list: the
-    outcome is resolved (:func:`~repro.runtime.backend.resolve`), pack
-    outcomes (already per-item lists) are spread, plain piece outcomes
-    become singletons.  Skeletons flatten with this so ``combine``
-    always sees piece-granular results in piece order, packed or not."""
-    outcome = resolve(outcome)
-    if getattr(piece, "items", None) is not None:
-        return list(outcome)
-    return [outcome]
-
-
 class PieceOutcomes(list):
-    """The dispatch outcomes of one split, one per piece in piece order,
-    and the ``with`` block around its dispatch and gather: whatever
-    unwinds the block — a failed piece, a ticket shed or expired at one
-    of the boundaries — closes the coroutines an async servant already
-    handed back and nobody will await any more ("coroutine ... was never
-    awaited" otherwise, from the finalizer).  Closing a resolved or
-    plain outcome is a no-op."""
+    """The one dispatch-and-gather of a split: a ``(piece, pick_worker,
+    outcome)`` entry per piece in piece order (``size`` pre-sizes it for
+    dispatchers that fill slots), and the ``with`` block around them.
+    Every piece is dispatched before any is awaited; the gather
+    re-dispatches a retryable failure while the other pieces run on.
+    Whatever unwinds the block — a failed piece, a shed or expired
+    ticket — closes the coroutines an async servant already handed back
+    and nobody will await ("coroutine ... was never awaited" otherwise)."""
 
-    __slots__ = ()
+    __slots__ = ("ctx", "name")
+
+    def __init__(self, ctx: DispatchContext, name: str, size: int = 0):
+        super().__init__([None] * size)
+        self.ctx = ctx
+        self.name = name
 
     def __enter__(self) -> "PieceOutcomes":
         return self
 
     def __exit__(self, kind: Any, exc: Any, tb: Any) -> None:
         if kind is not None:
-            for outcome in self:
-                _close_awaitables(outcome)
+            for entry in self:
+                if entry is not None:
+                    _close_awaitables(entry[2])
 
-    def results(
-        self, ctx: DispatchContext | None, pieces: Sequence[CallPiece], where: str
-    ) -> list:
-        """Resolve the outcomes piece by piece into the result list
-        ``combine`` sees.  Each piece is a deadline/shed boundary
-        (``where`` names it in the expiry): the remaining results of a
-        call nobody waits for any more are not waited for."""
+    def dispatch(
+        self,
+        pick_worker: Pick,
+        piece: CallPiece,
+        carried: bool = False,
+        slot: int | None = None,
+        attempt: int = 0,
+    ) -> Any:
+        """Send ``piece`` to ``pick_worker(attempt)`` and keep the
+        outcome unresolved (at ``slot``, else appended); returns it.
+        With a retry policy armed, a failure at dispatch is kept for the
+        gather as an already failed :class:`~repro.runtime.futures.Future`.
+        ``carried``: see :func:`dispatch_piece`."""
+        worker, index = pick_worker(attempt)
+        try:
+            outcome = dispatch_piece(
+                worker, self.name, piece, index, carried, self.ctx
+            )
+        except Exception as exc:
+            if self.ctx.retry_policy is None:
+                raise
+            outcome = Future(name="piece")
+            outcome.set_exception(exc)
+        if slot is None:
+            self.append((piece, pick_worker, outcome))
+        else:
+            self[slot] = (piece, pick_worker, outcome)
+        return outcome
+
+    def results(self, where: str) -> list:
+        """Resolve the outcomes in piece order into the result list
+        ``combine`` sees, pack outcomes (per-item lists) spread.  Each
+        piece is a deadline/shed boundary (``where`` names it in the
+        expiry), checked before its slot is read: a call nobody waits
+        for any more is not waited for.  A retryable failure is
+        re-dispatched through the piece's ``pick_worker(attempt)``, up
+        to the ticket's policy's attempts."""
+        ctx = self.ctx
         results: list = []
-        for piece, outcome in zip(pieces, self):
-            if ctx is not None:
-                ctx.check_deadline(where)
-            results.extend(piece_results(piece, outcome))
+        for slot in range(len(self)):
+            ctx.check_deadline(where)
+            piece, pick_worker, outcome = self[slot]
+            attempt = 0
+            while True:
+                try:
+                    value = resolve(outcome)
+                    break
+                except Exception as exc:
+                    attempt += 1
+                    policy = ctx.retry_policy
+                    if (
+                        policy is None
+                        or not policy.retryable(exc)
+                        or attempt >= policy.max_attempts
+                    ):
+                        raise
+                    ctx.record_retry(piece, exc, attempt)
+                    ctx.check_deadline("retrying a failed piece")
+                    policy.pause(attempt)
+                    outcome = self.dispatch(
+                        pick_worker, piece, slot=slot, attempt=attempt
+                    )
+            packed = getattr(piece, "items", None) is not None
+            results.extend(value if packed else (value,))
         return results
+
+
+def dispatch_pack(
+    ctx: DispatchContext, pick_worker: Pick, name: str, pack: PackedPiece
+) -> Any:
+    """Route one whole submitted pack (the farms' ``route_pack``): its
+    outcome unresolved when no retry is armed — the submission may
+    detach a oneway pack — else gathered, so a failed pack re-dispatches."""
+    with PieceOutcomes(ctx, name) as outcomes:
+        outcome = outcomes.dispatch(pick_worker, pack)
+        if ctx.retry_policy is None:
+            return outcome
+        return outcomes.results("gathering the pack")
 
 
 class WorkSplitter:

@@ -5,10 +5,12 @@ creation of objects and method split calls are specified by intercepting
 method calls, but it is also possible to perform object creations when
 intercepting method calls (e.g., in divide and conquer algorithms)."
 
-This strategy does exactly that: intercepting a *call*, it creates fresh
-aspect-managed workers for the sub-problems, recurses through the woven
-call (so division continues until :meth:`should_divide` says stop, and
-the concurrency/distribution layers see every sub-call), then merges.
+This strategy does exactly that: intercepting a *call*, it unfolds the
+whole division tree in the caller (dividing until :meth:`should_divide`
+says stop), creates one fresh aspect-managed worker per leaf and sends
+every leaf through its woven call before awaiting any — so the
+concurrency/distribution layers see every leaf call and all of them
+run at once — then folds the leaf results bottom-up through ``merge``.
 
 It takes no :class:`~repro.parallel.partition.base.WorkSplitter`
 (branch workers are cloned at call time, not built from a creation
@@ -34,15 +36,16 @@ Hooks (keyword constructor arguments):
 ``merge(results)``
     Combines sub-results into the call's result.
 ``make_worker(prototype)``
-    Builds the worker for one branch; default: a state clone of the
+    Builds the worker for one leaf; default: a state clone of the
     receiver (an aspect-managed object, per Figure 4).
 """
 
 from __future__ import annotations
 
 import copy
-import threading
-from typing import Any, Callable, Sequence
+from functools import partial
+from itertools import islice
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.aop import around
 from repro.aop.cflow import bypassing_construction
@@ -53,22 +56,20 @@ from repro.parallel.partition.base import (
     PartitionAspect,
     PieceOutcomes,
     WorkSplitter,
-    dispatch_with_retry,
 )
-from repro.runtime.dispatch import current_dispatch
 
 __all__ = ["DivideAndConquerAspect"]
 
 
 @register_strategy("divide-conquer")
 class DivideAndConquerAspect(PartitionAspect):
-    """Recursive call-split with per-branch worker creation.
+    """Recursive call-split with per-leaf worker creation.
 
-    The top-level intercepted call opens one per-call
-    :class:`~repro.runtime.ticket.DispatchContext`; every
-    recursive division (whatever activity it runs on) records its pieces
-    into that originating ticket, so overlapped top-level calls keep
-    fully separate accounting.
+    The intercepted call opens one per-call
+    :class:`~repro.runtime.ticket.DispatchContext`, unfolds its
+    division tree in the calling activity and gathers every leaf
+    through one :class:`~repro.parallel.partition.base.PieceOutcomes`,
+    so overlapped calls keep fully separate accounting.
 
     ``routes_packs`` stays False: the work call is the recursion itself
     — a submitted pack has no per-worker routing that preserves the
@@ -100,98 +101,83 @@ class DivideAndConquerAspect(PartitionAspect):
         self.merge = merge
         self.max_depth = max_depth
         self._make_worker = make_worker
-        self._depth = threading.local()
         self.divisions = 0
-        self.workers_created = 0
         self.leaves = 0
-        #: branch workers in creation order (observability; survives
-        #: undeploy so post-run inspection works)
+        #: branch workers in creation order, one per leaf attempt
+        #: (observability; survives undeploy so post-run inspection works)
         self.branches: list[Any] = []
 
-    # -- worker creation at call interception --------------------------------
+    @property
+    def workers_created(self) -> int:
+        return len(self.branches)
 
-    def make_worker(self, prototype: Any) -> Any:
-        with self._dispatch_lock:  # overlapped calls create in parallel
-            self.workers_created += 1
+    def branch(self, prototype: Any, attempt: int) -> tuple[Any, None]:
+        """A leaf's ``pick_worker``: every attempt on a fresh worker,
+        a state clone of the receiver by default — a retry abandons the
+        (possibly poisoned) one."""
         if self._make_worker is not None:
-            return self._make_worker(prototype)
-        with bypassing_construction():  # a copy, not a woven construction
-            return copy.deepcopy(prototype)
+            worker = self._make_worker(prototype)
+        else:
+            with bypassing_construction():  # a copy, not a woven construction
+                worker = copy.deepcopy(prototype)
+        with self._dispatch_lock:  # overlapped calls create in parallel
+            self.branches.append(worker)
+        return worker, None
 
     # -- the advice -----------------------------------------------------------
 
     @around("work")
     def conquer(self, jp):
-        if self.passthrough(jp):
+        # the leaf calls this advice makes pass through
+        if self.passthrough(jp) or jp.from_advice:
             return jp.proceed()
-        depth = getattr(self._depth, "value", 0)
-        if depth >= self.max_depth or not self.should_divide(
-            jp.args, jp.kwargs, depth
+        with self.dispatch_scope(f"divide-conquer.{jp.name}") as ctx:
+            with PieceOutcomes(ctx, jp.name) as outcomes:
+                root = CallPiece(0, jp.args, jp.kwargs)
+                pick = partial(self.branch, jp.target)
+                tree = self._unfold(ctx, outcomes, pick, root, 0)
+                if tree is None:  # the root stays a leaf on the receiver
+                    return jp.proceed()
+                results = outcomes.results("merging sub-results")
+            return self._fold(tree, iter(results))
+
+    def _unfold(self, ctx, outcomes, pick, piece: CallPiece, depth: int) -> Any:
+        """The subtree under ``piece``: its children's subtrees while it
+        divides, else a leaf dispatched to a fresh branch worker, as its
+        result count (a pack's spread) — or ``None``, the root."""
+        # deadline/shed boundary per node: an expired call stops
+        # dividing wherever it is in the tree
+        ctx.check_deadline("dividing sub-problems")
+        items = getattr(piece, "items", None)
+        if (
+            items is None
+            and depth < self.max_depth
+            and self.should_divide(piece.args, piece.kwargs, depth)
         ):
-            with self._dispatch_lock:
-                self.leaves += 1
-            return jp.proceed()
-        ambient = current_dispatch()
-        reentered = ambient is not None and ambient.context_id in self.contexts
-        if depth == 0 and not reentered:
-            # the top-level call owns the ticket; recursive divisions
-            # (below, possibly on other activities whose thread-local
-            # depth restarts at 0) account into it via the ambient ticket
-            with self.dispatch_scope(f"divide-conquer.{jp.name}") as ctx:
-                return self._divide_and_merge(jp, depth, ctx)
-        return self._divide_and_merge(jp, depth, ambient)
-
-    def _divide_and_merge(self, jp, depth: int, ctx) -> Any:
-        with self._dispatch_lock:  # overlapped calls divide in parallel
-            self.divisions += 1
-        if ctx is not None:
+            with self._dispatch_lock:  # overlapped calls divide in parallel
+                self.divisions += 1
             ctx.mark(f"divide[depth={depth}]")
-        pieces = self.divide(jp.args, jp.kwargs)
-        if len(pieces) <= 1:
-            with self._dispatch_lock:
-                self.leaves += 1
-            return jp.proceed()
-        with PieceOutcomes() as outcomes:
-            self._depth.value = depth + 1
-            try:
-                for piece in pieces:
-                    if ctx is not None:
-                        # deadline/shed boundary per branch: an expired
-                        # recursion stops dividing wherever it is in the
-                        # tree and unwinds through the top-level ticket
-                        ctx.check_deadline("dividing sub-problems")
-                        ctx.record(piece)
-                    worker = self.make_worker(jp.target)
-                    self.remember_branch(worker)
-
-                    def pick(attempt: int, first=worker, proto=jp.target):
-                        # attempt 0 uses the branch clone just built; a
-                        # retry abandons the (possibly poisoned) clone and
-                        # recurses on a FRESH clone of the prototype
-                        if attempt == 0:
-                            return first, None
-                        fresh = self.make_worker(proto)
-                        self.remember_branch(fresh)
-                        return fresh, None
-
-                    # recurse through the branch worker's compiled plan
-                    # entry; a divide() returning PackedPiece groups
-                    # recurses through the compiled batched entry (one
-                    # advice pass per pack)
-                    outcomes.append(
-                        dispatch_with_retry(ctx, pick, jp.name, piece)
-                    )
-            except BaseException as exc:
-                if ctx is not None:
-                    ctx.fail(exc)
-                raise
-            finally:
-                self._depth.value = depth
-            results = outcomes.results(ctx, pieces, "merging sub-results")
-        return self.merge(results)
-
-    # -- bookkeeping -------------------------------------------------------------
-
-    def remember_branch(self, worker: Any) -> None:
+            pieces = self.divide(piece.args, piece.kwargs)
+            if len(pieces) > 1:  # else it stays a leaf
+                return [
+                    self._unfold(ctx, outcomes, pick, sub, depth + 1)
+                    for sub in pieces
+                ]
         with self._dispatch_lock:
-            self.branches.append(worker)
+            self.leaves += 1
+        if depth == 0:
+            return None
+        # a PackedPiece leaf enters through the compiled batched entry
+        # (one advice pass per pack)
+        outcomes.dispatch(pick, ctx.record(piece))
+        return 1 if items is None else len(items)
+
+    def _fold(self, tree: list, results: Iterator) -> Any:
+        """Merge ``tree`` bottom-up over the leaf results in leaf order."""
+        merged: list = []
+        for child in tree:
+            if isinstance(child, list):
+                merged.append(self._fold(child, results))
+            else:
+                merged.extend(islice(results, child))
+        return self.merge(merged)

@@ -30,7 +30,7 @@ from repro.parallel.partition.base import (
     PartitionAspect,
     WorkSplitter,
     PieceOutcomes,
-    dispatch_with_retry,
+    dispatch_pack,
     rotating,
 )
 from repro.runtime.backend import _close_awaitables, current_backend
@@ -109,7 +109,7 @@ class DynamicFarmAspect(PartitionAspect):
             queue = backend.make_queue(name="dynfarm.work")
             for slot, piece in enumerate(pieces):
                 queue.put((slot, ctx.record(piece)))
-            outcomes = PieceOutcomes([None] * len(pieces))
+            outcomes = PieceOutcomes(ctx, jp.name, len(pieces))
             done = backend.make_event(name="dynfarm.done")
             state: dict[str, Any] = {
                 "remaining": len(self.workers),
@@ -139,11 +139,10 @@ class DynamicFarmAspect(PartitionAspect):
                         if not ok:
                             break
                         slot, piece = pulled
-                        outcomes[slot] = dispatch_with_retry(
-                            ctx, pick, jp.name, piece
-                        )
+                        # the gather re-dispatches a retryable failure
+                        outcome = outcomes.dispatch(pick, piece, slot=slot)
                         if ctx.cancelled:  # the gather may be gone already
-                            _close_awaitables(outcomes[slot])
+                            _close_awaitables(outcome)
                         # ledger unit is ITEMS (a k-item pack counts k),
                         # matching route_pack's charge so the demand-aware
                         # pack steering compares like with like
@@ -196,9 +195,7 @@ class DynamicFarmAspect(PartitionAspect):
                     raise state["failure"]
                 with ctx.span("merge"):
                     combined = self.splitter.combine(
-                        outcomes.results(
-                            ctx, pieces, "gathering dynamic-farm results"
-                        )
+                        outcomes.results("gathering dynamic-farm results")
                     )
         return combined
 
@@ -220,6 +217,4 @@ class DynamicFarmAspect(PartitionAspect):
             ctx.record_pack(len(pieces))
             with ctx.span("dispatch"):
                 ctx.check_deadline("routing the pack")
-                return dispatch_with_retry(
-                    ctx, pick, jp.name, PackedPiece(index, pieces)
-                )
+                return dispatch_pack(ctx, pick, jp.name, PackedPiece(index, pieces))

@@ -33,7 +33,7 @@ from repro.parallel.partition.base import (
     PartitionAspect,
     WorkSplitter,
     PieceOutcomes,
-    dispatch_with_retry,
+    dispatch_pack,
     rotating,
 )
 from repro.runtime.backend import current_backend
@@ -50,8 +50,8 @@ class FarmAspect(PartitionAspect):
     activities of the thread-pool optimisation aspect); the splitting
     activity carries the last one itself.  Retry: when the call's ticket
     carries a :class:`~repro.faults.RetryPolicy`, a failed piece is
-    re-dispatched to the next worker round-robin instead of failing the
-    call.
+    re-dispatched at the gather to the next worker round-robin instead
+    of failing the call.
     """
 
     routes_packs = True
@@ -92,7 +92,7 @@ class FarmAspect(PartitionAspect):
         ) as ctx:
             with ctx.span("split"):
                 pieces = self.splitter.split(jp.args, jp.kwargs)
-            with PieceOutcomes() as outcomes:
+            with PieceOutcomes(ctx, jp.name) as outcomes:
                 with ctx.span("dispatch"):
                     for piece in pieces:
                         # deadline/shed boundary: remaining pieces of an
@@ -100,27 +100,17 @@ class FarmAspect(PartitionAspect):
                         # straight on to other calls' pieces
                         ctx.check_deadline("dispatching farm pieces")
                         # re-enters the chain (concurrency / distribution)
-                        # through the worker's compiled plan entry — per-piece
-                        # for plain pieces, per-pack through the compiled
-                        # batched entry for packs (one BatchJoinPoint per
-                        # pack); fetched per piece so an aspect (un)plugged
-                        # mid-split applies to the remainder
-                        outcomes.append(
-                            dispatch_with_retry(
-                                ctx,
-                                # attempt 0 is the static allocation
-                                rotating(self.workers, piece.index),
-                                jp.name,
-                                ctx.record(piece),
-                                # this activity would only wait while its
-                                # last piece ran on another: it carries it
-                                carried=piece is pieces[-1],
-                            )
+                        # through the worker's compiled entry: dispatch_piece
+                        outcomes.dispatch(
+                            # attempt 0 is the static allocation
+                            rotating(self.workers, piece.index),
+                            ctx.record(piece),
+                            # this activity would only wait while its
+                            # last piece ran on another: it carries it
+                            carried=piece is pieces[-1],
                         )
                 with ctx.span("merge"):
-                    results = outcomes.results(
-                        ctx, pieces, "gathering farm piece results"
-                    )
+                    results = outcomes.results("gathering farm piece results")
             combined = self.splitter.combine(results)
         return combined
 
@@ -139,6 +129,4 @@ class FarmAspect(PartitionAspect):
             ctx.record_pack(len(pieces))
             with ctx.span("dispatch"):
                 ctx.check_deadline("routing the pack")
-                return dispatch_with_retry(
-                    ctx, pick, jp.name, PackedPiece(slot, pieces)
-                )
+                return dispatch_pack(ctx, pick, jp.name, PackedPiece(slot, pieces))

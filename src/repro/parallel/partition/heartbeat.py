@@ -34,7 +34,6 @@ from repro.parallel.partition.base import (
     PartitionAspect,
     WorkSplitter,
     PieceOutcomes,
-    dispatch_with_retry,
 )
 from repro.runtime.backend import resolve
 
@@ -110,20 +109,14 @@ class HeartbeatAspect(PartitionAspect):
                     # block's state lives with its worker, so recovery
                     # means a refilled worker for that index (the process
                     # middleware re-exports on crash), never a neighbour
-                    with PieceOutcomes() as outcomes:
+                    with PieceOutcomes(ctx, jp.name) as outcomes:
                         for step, worker in zip(steps, self.workers):
-                            outcomes.append(
-                                dispatch_with_retry(
-                                    ctx,
-                                    lambda attempt, w=worker, i=step.index: (w, i),
-                                    jp.name,
-                                    step,
-                                )
+                            outcomes.dispatch(
+                                lambda attempt, w=worker, i=step.index: (w, i),
+                                step,
                             )
                         ctx.record_pack(len(outcomes))  # one step per block
-                        results = outcomes.results(
-                            ctx, steps, "gathering heartbeat steps"
-                        )
+                        results = outcomes.results("gathering heartbeat steps")
                 with ctx.span(f"merge[{beat}]"):
                     # only the latest combined value is retained (a long run
                     # must not accumulate per-iteration results)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from contextlib import contextmanager
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from repro.errors import DeadlineExceeded
@@ -34,7 +35,10 @@ __all__ = ["ResultCollector", "DispatchContext", "DispatchContextOwner"]
 
 
 class ResultCollector:
-    """Gather point for ``expected`` deposits, in deposit order.
+    """Gather point for ``expected`` deposits: keyed deposits come back
+    in key order (a piece's index, a pack's ``(base, offset)``), so
+    ``combine`` sees piece results in index order whichever journey
+    finished first; unkeyed deposits keep their arrival order.
 
     A worker that raises instead of depositing reports through
     :meth:`fail`: the first failure latches, wakes every waiter, and
@@ -103,11 +107,15 @@ class ResultCollector:
         with self._lock:
             if self._failure is not None:
                 return  # the call already failed: drop the late deposit
-            if key is not None:
+            if key is None:
+                order = (len(self._items),)  # arrival order
+            else:
                 if key in self._seen:
                     return  # duplicate delivery (retry after a late reply)
                 self._seen.add(key)
-            self._items.append(item)
+                # a piece's index sorts with the pack keys (base, offset)
+                order = (key, 0) if type(key) is int else key
+            self._items.append((order, item))
             complete = len(self._items) >= self.expected
         if complete:
             self._done.set()
@@ -174,7 +182,7 @@ class ResultCollector:
                 raise TimeoutError(
                     f"collector got {len(self._items)}/{self.expected} results"
                 )
-            return list(self._items)
+            return list(map(itemgetter(1), sorted(self._items, key=itemgetter(0))))
 
     def __len__(self) -> int:
         return len(self._items)

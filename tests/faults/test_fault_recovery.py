@@ -244,8 +244,9 @@ class TestDispatchRetry:
 )
 def test_a_pipeline_refeed_counts_once_on_the_ticket(backend, site):
     """A failed pipeline piece is re-fed through the collector's retry
-    plane, not :func:`dispatch_with_retry`; its ticket still counts the
-    retry once and marks it, as a farm's re-dispatch does."""
+    plane, not re-dispatched at a split's gather
+    (:meth:`PieceOutcomes.results`); its ticket still counts the retry
+    once and marks it, as a farm's re-dispatch does."""
     schedule = FaultSchedule([FaultEvent("raise_in_piece", site=site, on_call=1)])
     app = ParallelApp(
         echo_spec(

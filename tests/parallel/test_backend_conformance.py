@@ -49,6 +49,7 @@ from repro.errors import (
 from repro.faults import FaultEvent, FaultSchedule, RetryPolicy
 from repro.parallel import WorkSplitter
 from repro.parallel.partition import CallPiece
+from repro.runtime.backend import current_backend
 from repro.sim import Simulator
 
 STRATEGIES = ["farm", "dynamic-farm", "pipeline", "heartbeat", "divide-conquer"]
@@ -587,3 +588,108 @@ def test_a_raising_servant_fails_only_its_own_call(host, strategy):
 def test_a_raising_forward_hook_fails_only_its_own_call(host):
     splitter = WorkSplitter(duplicates=2, combine=first, forward_args=doomed_forward)
     _fails_only_its_own_call(host, "pipeline", "hook", splitter=splitter)
+
+
+# -- makespan: a call's pieces run at once -----------------------------------
+
+#: one piece's sleep, in seconds of the backend's clock
+PIECE = 0.05
+#: (strategy, leaves) rows: four pieces on four workers, a pipeline of
+#: two stages, divide-and-conquer trees of 4 and 16 leaves
+MAKESPAN_ROWS = [
+    ("farm", 4),
+    ("dynamic-farm", 4),
+    ("heartbeat", 4),
+    ("divide-conquer", 4),
+    ("divide-conquer", 16),
+    ("pipeline", 4),
+]
+#: the exact virtual makespan of one call on sim: one piece plus the mpp
+#: transport where it runs remote; divide-and-conquer's leaves are local
+#: clones; the pipeline's 4 pieces through 2 stages take 5 rounds
+SIM_MAKESPAN = {
+    "farm": 0.0503,
+    "dynamic-farm": 0.0503,
+    "heartbeat": 0.0503,
+    "divide-conquer": 0.0500,
+    "pipeline": 0.2514,
+}
+
+
+class Sleepy:
+    """Makespan target: every piece sleeps :data:`PIECE` on the
+    backend's clock and hands its values back."""
+
+    def __init__(self, size=4):
+        self.size = size
+
+    def step(self, values):
+        current_backend().sleep(PIECE)
+        return values
+
+    def get_boundary(self, side):
+        return 0.0
+
+    def set_boundary(self, side, data):
+        return None
+
+
+def one_value_each(args, kwargs):
+    return [CallPiece(i, ([v],)) for i, v in enumerate(args[0])]
+
+
+def concatenate(results):
+    return [value for result in results for value in result]
+
+
+@pytest.mark.parametrize("retry", [None, RetryPolicy(3)], ids=["plain", "retry"])
+@pytest.mark.parametrize("strategy,leaves", MAKESPAN_ROWS)
+@pytest.mark.parametrize("backend", ["thread", "sim"])
+def test_one_call_takes_one_piece_makespan(backend, strategy, leaves, retry):
+    """Every piece of a call is dispatched before any is awaited — the
+    retry-armed gather and divide-and-conquer's whole tree included —
+    so one call lasts one piece (the pipeline: its rounds)."""
+    start, payload = (), (list(range(1, leaves + 1)),)
+    fields = dict(target=Sleepy, work="step", strategy=strategy, backend=backend)
+    if strategy == "heartbeat":
+        start, payload = (4,), (1,)
+        fields["splitter"] = WorkSplitter(duplicates=4, combine=sum)
+        expected = 4
+    elif strategy == "divide-conquer":
+        fields["strategy_options"] = dict(
+            should_divide=lambda args, kwargs, depth: len(args[0]) > 1,
+            divide=divide,
+            merge=concatenate,
+        )
+        expected = payload[0]
+    else:
+        stages = 2 if strategy == "pipeline" else 4
+        fields["splitter"] = WorkSplitter(duplicates=stages, split=one_value_each)
+        expected = [[value] for value in payload[0]]
+    if backend == "sim" and strategy != "divide-conquer":
+        fields.update(middleware="mpp", cluster=paper_testbed(Simulator()))
+    app = ParallelApp(StackSpec(retry=retry, **fields))
+    timed = {}
+
+    def main():
+        app.start(*start)
+        began = app.backend.now()
+        timed["result"] = app.submit(*payload).result(timeout=20)
+        timed["makespan"] = app.backend.now() - began
+
+    try:
+        with app:
+            if app.sim is None:
+                main()
+            else:
+                app.sim.spawn(main, name="makespan")
+                app.sim.run()
+    finally:
+        if app.sim is not None:
+            app.sim.shutdown()
+    assert timed["result"] == expected
+    if backend == "sim":
+        assert timed["makespan"] == pytest.approx(SIM_MAKESPAN[strategy], abs=0.001)
+    else:  # one piece, not one per piece: 0.05 s against 0.2-0.8 s
+        rounds = 5 if strategy == "pipeline" else 1
+        assert timed["makespan"] < (rounds + 1) * PIECE

@@ -93,8 +93,9 @@ class TestDivideAndConquer:
         # 100 elements, threshold 8 -> a real recursion tree unfolded
         assert aspect.divisions >= 7
         assert aspect.leaves >= 8
-        # "perform object creations when intercepting method calls"
-        assert aspect.workers_created == 2 * aspect.divisions
+        # "perform object creations when intercepting method calls":
+        # one branch clone per leaf, none for the inner nodes
+        assert aspect.workers_created == aspect.leaves == 16
         assert len(aspect.branches) == aspect.workers_created
         # the original object only sorted nothing directly
         assert sorter.sorted_batches == 0

@@ -7,6 +7,8 @@ import pytest
 
 from repro.aop import weave
 from repro.aop.weaver import default_weaver
+from repro.api import ParallelApp, StackSpec
+from repro.cluster import paper_testbed
 from repro.errors import AdviceError
 from repro.parallel import Composition, ParallelModule
 from repro.parallel.partition import (
@@ -17,7 +19,8 @@ from repro.parallel.partition import (
     ResultCollector,
     WorkSplitter,
 )
-from repro.runtime import ThreadBackend, use_backend
+from repro.runtime import ThreadBackend, current_backend, use_backend
+from repro.sim import Simulator
 
 
 class TestWorkSplitter:
@@ -58,6 +61,17 @@ class TestResultCollector:
             for v in "abc":
                 collector.deposit(v)
             assert collector.wait(timeout=1) == ["a", "b", "c"]
+
+    def test_keyed_deposits_come_back_in_key_order(self):
+        with use_backend(ThreadBackend()):
+            pieces = ResultCollector(3)
+            for key in (2, 0, 1):
+                pieces.deposit(f"piece {key}", key=key)
+            assert pieces.wait(timeout=1) == ["piece 0", "piece 1", "piece 2"]
+            packs = ResultCollector(3)
+            for key in ((1, 0), (0, 1), (0, 0)):
+                packs.deposit(key, key=key)
+            assert packs.wait(timeout=1) == [(0, 0), (0, 1), (1, 0)]
 
     def test_zero_expected_completes_immediately(self):
         with use_backend(ThreadBackend()):
@@ -209,6 +223,14 @@ class TestFarmAspect:
         assert counter.calls == 1
 
 
+class Dawdler:
+    """Pipeline stage: value 1 (piece 0) takes 40 ms, the others 1 ms."""
+
+    def run(self, values):
+        current_backend().sleep(0.04 if values == [1] else 0.001)
+        return values
+
+
 class TestPipelineAspect:
     def test_forwarding_counts_and_stage_traversal(self):
         Counter = weave_counter()
@@ -232,6 +254,42 @@ class TestPipelineAspect:
         assert split_aspect.dispatches == 1
         # every stage saw every piece
         assert [s.calls for s in split_aspect.instances] == [2, 2, 2]
+
+    @pytest.mark.parametrize("backend", ["thread", "sim"])
+    def test_combine_sees_results_in_piece_order(self, backend):
+        """However the journeys finish — piece 0 dawdles here — the tail's
+        deposits reach ``combine`` in piece order, as the farms' do."""
+        spec = dict(backend=backend)
+        if backend == "sim":
+            spec.update(middleware="mpp", cluster=paper_testbed(Simulator()))
+        app = ParallelApp(StackSpec(
+            target=Dawdler,
+            work="run",
+            strategy="pipeline",
+            splitter=WorkSplitter(
+                duplicates=2,
+                split=lambda a, k: [CallPiece(i, ([v],)) for i, v in enumerate(a[0])],
+                combine=lambda results: results,
+            ),
+            **spec,
+        ))
+        out = {}
+
+        def main():
+            app.start()
+            out["results"] = app.submit([1, 2, 3, 4]).result(timeout=20)
+
+        try:
+            with app:
+                if app.sim is None:
+                    main()
+                else:
+                    app.sim.spawn(main, name="ordered")
+                    app.sim.run()
+        finally:
+            if app.sim is not None:
+                app.sim.shutdown()
+        assert out["results"] == [[1], [2], [3], [4]]
 
     def test_first_stage_returned_to_client(self):
         Counter = weave_counter()

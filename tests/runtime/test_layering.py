@@ -375,3 +375,25 @@ def test_one_registry_protocol():
     }
     assert learned == set()
 
+
+
+def test_one_retry_place():
+    """A split's retry lives in one gather: only
+    ``PieceOutcomes`` (``partition/base.py``) and the pipeline's
+    collector re-feed read the ticket's retry policy or ask it what is
+    retryable.  The per-piece envelope and the normaliser it fed are
+    gone."""
+    reading = {
+        name
+        for name, tree in _trees().items()
+        if name.startswith("parallel/")
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "retry_policy")
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "retryable"
+        )
+    }
+    assert reading == {"parallel/partition/base.py", "parallel/partition/pipeline.py"}
+    assert _defined() & {"dispatch_with_retry", "piece_results"} == set()
