@@ -71,7 +71,6 @@ from repro.aop.plan import (
     PlanStats,
     Shadow,
     batched_entry,
-    bound_entry,
     ctor_pack_of,
     piece_view,
 )
@@ -86,7 +85,6 @@ from repro.aop.weaver import (
     Weaver,
     default_weaver,
     deploy,
-    deployed_aspects,
     is_woven,
     raw_construct,
     undeploy,
@@ -151,7 +149,6 @@ __all__ = [
     "deploy",
     "undeploy",
     "undeploy_all",
-    "deployed_aspects",
     "raw_construct",
     "is_woven",
     # compiled dispatch plans
@@ -161,7 +158,6 @@ __all__ = [
     "BatchJoinPoint",
     "CtorPack",
     "ctor_pack_of",
-    "bound_entry",
     "batched_entry",
     "piece_view",
 ]

@@ -227,9 +227,9 @@ class JoinPoint:
         if p.__class__ is not _AROUND_CONT:
             # interpreter closures / captured continuations
             return p(*args, **kwargs)
-        # Inlined step of the compiled around-segment continuation
-        # (mirrors ``_AroundCont.__call__`` — see repro.aop.plan): the
-        # armed level ``i`` proceeds into level ``i + 1`` or, past the
+        # The step of the compiled around-segment continuation
+        # (``_AroundCont`` in repro.aop.plan), inlined here: the armed
+        # level ``i`` proceeds into level ``i + 1`` or, past the
         # last around, into the segment tail.  On success the armed view
         # is restored so a second ``proceed()`` replays; on an exception
         # it is rolled back to this level (``jp.args`` deliberately
@@ -315,12 +315,10 @@ class JoinPoint:
                 f"capture_proceed() outside an active around advice for {self.signature}"
             )
         # Compiled plans arm one mutable continuation object per around
-        # segment (as its bound ``__call__``); its state changes as the
-        # run unwinds, so capture asks it for a frozen snapshot.  The
-        # interpreter's per-level closures have no ``capture`` and are
-        # returned as-is.
-        owner = getattr(proceed, "__self__", proceed)
-        capture = getattr(owner, "capture", None)
+        # segment; its state changes as the run unwinds, so capture asks
+        # it for a frozen snapshot.  The interpreter's per-level closures
+        # have no ``capture`` and are returned as-is.
+        capture = getattr(proceed, "capture", None)
         if capture is not None:
             return capture()
         return proceed

@@ -65,11 +65,12 @@ The same Plan abstraction is what the other layers consume:
   the weaver's version moves, so the server side stops resolving methods
   per request; :meth:`MethodTable.invoke_batch` serves batched requests
   through the compiled batch plan.
-* :func:`bound_entry` — the partition skeletons' way to obtain a woven
-  entry point once per worker instead of re-walking attribute lookup and
-  the advice chain per work item.  Because the compiled plan *is* the
-  class attribute, the bound attribute is the whole artifact.
-* :func:`batched_entry` — the pack-granular sibling of ``bound_entry``:
+* the bound attribute — the partition skeletons fetch a woven entry
+  point with ``getattr`` once per worker instead of re-walking lookup
+  and the advice chain per work item.  Because the compiled plan *is*
+  the class attribute, the bound attribute is the whole artifact.
+* :func:`batched_entry` — the pack-granular sibling of the bound
+  attribute:
   one compiled call dispatches a whole pack of pieces, running the
   advice chain **once per pack** around a :class:`BatchJoinPoint`
   (pack-level args, item count, merged piece view) instead of once per
@@ -106,7 +107,6 @@ __all__ = [
     "ctor_pack_of",
     "compile_call_impl",
     "compile_batch_impl",
-    "bound_entry",
     "batched_entry",
     "piece_view",
     "resolve_caller",
@@ -423,8 +423,9 @@ def _tracking_impl(cls: type, name: str, original: Callable) -> Callable:
 
 class _AroundCont:
     """The live continuation of one *around segment*: a single mutable
-    object armed once per segment run in ``jp._proceed_map`` — calling it
-    IS ``proceed`` for whichever level is currently executing.
+    object armed once per segment run in ``jp._proceed_map``, which
+    ``JoinPoint.proceed`` steps for whichever level is currently
+    executing.
 
     The interpreter (and the first compiled plans) allocated one
     ``proceed`` closure per around level per call and re-armed the
@@ -435,8 +436,8 @@ class _AroundCont:
     during the run; stepping a level is a handful of slot loads/stores:
 
     * ``i``/``args``/``kwargs`` — the *armed* level's index and argument
-      view.  ``__call__`` (i.e. ``proceed``) invokes level ``i + 1``
-      and, on success, restores the armed view exactly like the
+      view.  ``proceed`` (which inlines the step) invokes level
+      ``i + 1`` and, on success, restores the armed view exactly like the
       interpreter's per-level closures restore ``jp.args`` and re-arm
       themselves.  On an exception the armed view is rolled back to the
       caller level (the interpreter's ``finally`` map restore) and
@@ -491,38 +492,6 @@ class _AroundCont:
             self.args = prev_args
             self.kwargs = prev_kwargs
             raise
-
-    def __call__(self, *new_args: Any, **new_kwargs: Any) -> Any:
-        i = self.i
-        args = self.args
-        kwargs = self.kwargs
-        use_args = new_args if new_args else args
-        use_kwargs = new_kwargs if new_kwargs else kwargs
-        jp = self.jp
-        nxt = i + 1
-        jp.args = use_args
-        jp.kwargs = use_kwargs
-        if nxt == self.n:
-            result = self.tail(jp, self.self_obj, use_args, use_kwargs)
-        else:
-            self.i = nxt
-            self.args = use_args
-            self.kwargs = use_kwargs
-            try:
-                result = self.funcs[nxt](jp)
-            except BaseException:
-                self.i = i
-                self.args = args
-                self.kwargs = kwargs
-                raise
-        # restore this level's view so a second proceed() or a
-        # post-proceed inspection of jp sees consistent state
-        jp.args = args
-        jp.kwargs = kwargs
-        self.i = i
-        self.args = args
-        self.kwargs = kwargs
-        return result
 
     def capture(self) -> "_CapturedCont":
         """A frozen snapshot of the armed level for deferred execution
@@ -1010,17 +979,6 @@ def compile_call_impl(weaver: "Weaver", shadow: Shadow) -> Callable:
 # ---------------------------------------------------------------------------
 # Plan consumers for the other layers
 # ---------------------------------------------------------------------------
-
-
-def bound_entry(obj: Any, name: str) -> Callable[..., Any]:
-    """The compiled entry point for ``obj.name``.
-
-    The plan compiler installs the specialised dispatcher *as the class
-    attribute*, so the bound attribute already is the complete per-shadow
-    artifact — skeletons fetch it once per worker/stage and then invoke
-    pieces through it without re-walking lookup or the advice chain.
-    """
-    return getattr(obj, name)
 
 
 def _tag_batch(impl: Callable, kind: str) -> Callable:

@@ -83,8 +83,7 @@ from repro.aop.pointcut import MAYBE, NO, Pointcut, contains_cflow
 from repro.errors import DeploymentError, WeaveError
 
 __all__ = ["Weaver", "default_weaver", "weave", "unweave", "deploy", "undeploy",
-           "undeploy_all", "unweave_all", "raw_construct", "deployed_aspects",
-           "is_woven"]
+           "undeploy_all", "unweave_all", "raw_construct", "is_woven"]
 
 _MISSING = object()
 _ORIGINALS_ATTR = "__aop_originals__"
@@ -496,9 +495,8 @@ class Weaver:
     ) -> tuple[list[BoundAdvice], bool]:
         """Advice chain for a shadow, outermost-first, version-cached.
 
-        Returns ``(entries, needs_caller)``.  Introspection-facing (see
-        :func:`repro.aop.tools.explain`); the hot path reads compiled
-        plans instead.
+        Returns ``(entries, needs_caller)``.  Introspection-facing; the
+        hot path reads compiled plans instead.
         """
         key = (cls, name, kind)
         cached = self._chain_cache.get(key)
@@ -658,10 +656,6 @@ def undeploy(aspect: Aspect) -> None:
 
 def undeploy_all() -> None:
     default_weaver.undeploy_all()
-
-
-def deployed_aspects() -> tuple[Aspect, ...]:
-    return default_weaver.deployed
 
 
 def raw_construct(cls: type, *args: Any, **kwargs: Any) -> Any:

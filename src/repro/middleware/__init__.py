@@ -1,7 +1,6 @@
 """Distribution middlewares: simulated Java RMI, simulated MPP message
-passing, a zero-cost in-process transport, and the real out-of-process
-pipe transport, plus placement policies, serialisation accounting and
-node context."""
+passing and the real out-of-process pipe transport, plus placement
+policies, serialisation accounting and node context."""
 
 from repro.middleware.base import Middleware, MiddlewareCosts, RemoteRef, SimMiddleware
 from repro.middleware.context import (
@@ -10,8 +9,7 @@ from repro.middleware.context import (
     server_dispatch,
     use_node,
 )
-from repro.middleware.local import LocalMiddleware
-from repro.middleware.mpp import MPP_COSTS, CommWorld, MppMiddleware
+from repro.middleware.mpp import MPP_COSTS, MppMiddleware
 from repro.middleware.proc import ProcMiddleware
 from repro.middleware.placement import (
     BlockPlacement,
@@ -34,8 +32,6 @@ __all__ = [
     "RMI_COSTS",
     "MppMiddleware",
     "MPP_COSTS",
-    "CommWorld",
-    "LocalMiddleware",
     "ProcMiddleware",
     "NameRegistry",
     "PlacementPolicy",

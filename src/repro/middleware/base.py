@@ -145,11 +145,11 @@ class Middleware(abc.ABC):
 
     name: str = "middleware"
 
+    @abc.abstractmethod
     def hosts(self, count: int) -> Sequence:
         """The host group ``count`` servants of one construction are
         placed on: the distribution aspect's policy chooses out of it,
-        one host per export.  None by default: nothing to place on."""
-        return ()
+        one host per export."""
 
     @abc.abstractmethod
     def export(self, obj: Any, host: Any) -> RemoteRef:
@@ -246,7 +246,7 @@ class SimMiddleware(Middleware):
     """Common simulated middleware: channels + per-request activities.
 
     Concrete subclasses supply the cost profile and a name; RMI adds a
-    name-server registry on top, MPP adds the rank/collective API.
+    name-server registry on top.
     """
 
     def __init__(
@@ -449,6 +449,9 @@ class SimMiddleware(Middleware):
     # -- lifecycle ---------------------------------------------------------------
 
     def shutdown(self) -> None:
+        """Stop the accept loops and forget the servants: a later call
+        raises ``unknown ref`` instead of waiting on a dead channel."""
         for servant, _handle in self._servers:
             servant.channel.send(_STOP)
         self._servers.clear()
+        self._servants.clear()

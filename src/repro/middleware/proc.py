@@ -24,11 +24,11 @@ where one lives — and answers once, with its ``hops``.  Stages on
 different workers keep the parent-mediated hop; a bare ``invoke`` is
 always one stage.
 
-Dispatch-ticket semantics match :class:`~repro.middleware.local.LocalMiddleware`
-on the client side (the invoke runs on the caller's activity, so the
-originating :class:`~repro.runtime.ticket.DispatchContext` is
-ambient — ``attribute_remote`` and deadline checks need no wire round
-trip) *and* :class:`~repro.middleware.base.SimMiddleware` on the wire
+Dispatch tickets: on the client side the invoke runs on the caller's
+activity, so the originating
+:class:`~repro.runtime.ticket.DispatchContext` is ambient
+(``attribute_remote`` and deadline checks need no wire round trip); on
+the wire it matches :class:`~repro.middleware.base.SimMiddleware`
 (``context_id`` travels in every envelope and echoes in the reply, so
 frames stay attributable however many calls share a worker).
 
@@ -252,11 +252,6 @@ class ProcMiddleware(Middleware):
     def live_workers(self) -> int:
         """Worker processes currently alive (leak observability)."""
         return sum(worker.alive for worker in self.workers)
-
-    def servant_of(self, ref: RemoteRef) -> Any:
-        """The parent-side twin behind a ref (observability only: the
-        authoritative state lives in the worker process)."""
-        return self._require(ref).local
 
     def worker_of(self, ref: RemoteRef) -> ProcWorker:
         """The resident worker hosting a ref (fault-injection hook)."""

@@ -82,7 +82,3 @@ class ParallelAspect(Aspect):
         """The aspects one module of this concern plugs: this one, and
         any it cannot work without."""
         return (self,)
-
-    def describe(self) -> str:
-        """One-line description used by composition reports."""
-        return f"{type(self).__name__} ({self.concern})"

@@ -129,12 +129,11 @@ class DistributionAspect(ParallelAspect):
 
     def _associate_all(self, objs: list) -> None:
         """Export the instances of one construction, in index order, each
-        on the host the policy chooses out of the middleware's host group
-        (no host where the middleware offers none)."""
+        on the host the policy chooses out of the middleware's host group."""
         hosts = self.middleware.hosts(len(objs))
         policy, first = self.policy_for(len(objs), hosts)
         for index, obj in enumerate(objs, first):
-            self._associate(obj, policy.choose(hosts, index, obj) if hosts else None)
+            self._associate(obj, policy.choose(hosts, index, obj))
 
     def policy_for(self, count: int, hosts: Any) -> tuple[PlacementPolicy, int]:
         """The policy placing a construction of ``count`` instances, and

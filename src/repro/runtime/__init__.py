@@ -12,7 +12,6 @@ from repro.runtime.backend import (
     ExecutionBackend,
     TaskHandle,
     current_backend,
-    set_default_backend,
     use_backend,
 )
 from repro.runtime.dispatch import (
@@ -31,7 +30,6 @@ __all__ = [
     "TaskHandle",
     "current_backend",
     "use_backend",
-    "set_default_backend",
     "ThreadBackend",
     "ThreadTask",
     "SimBackend",

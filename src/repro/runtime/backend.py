@@ -34,7 +34,6 @@ __all__ = [
     "ExecutionBackend",
     "current_backend",
     "use_backend",
-    "set_default_backend",
     "resolve",
 ]
 
@@ -230,12 +229,6 @@ class _BackendState(threading.local):
 
 _STATE = _BackendState()
 _DEFAULT: list[ExecutionBackend | None] = [None]
-
-
-def set_default_backend(backend: ExecutionBackend | None) -> None:
-    """Set the process-wide fallback backend (``None`` restores the
-    lazily created ThreadBackend)."""
-    _DEFAULT[0] = backend
 
 
 def current_backend() -> ExecutionBackend:

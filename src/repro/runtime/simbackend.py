@@ -38,11 +38,6 @@ class SimTask(TaskHandle):
         """Has the simulated process finished?"""
         return self._proc.finished
 
-    @property
-    def process(self) -> SimProcess:
-        """The underlying :class:`SimProcess`."""
-        return self._proc
-
 
 @register_backend("sim")
 class SimBackend(ExecutionBackend):

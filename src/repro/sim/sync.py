@@ -120,14 +120,6 @@ class SimLock:
         #: total number of acquisitions that had to wait (contention stat)
         self.contended = 0
 
-    @property
-    def locked(self) -> bool:
-        return self._owner is not None
-
-    @property
-    def owner(self) -> SimProcess | None:
-        return self._owner
-
     def acquire(self) -> None:
         proc = _require(self.sim)
         if self._owner is None:

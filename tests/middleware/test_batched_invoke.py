@@ -8,7 +8,7 @@ import pytest
 from repro.aop import Aspect, BatchJoinPoint, around, deploy, weave
 from repro.cluster import paper_testbed
 from repro.errors import MiddlewareError, RemoteError
-from repro.middleware import LocalMiddleware, RmiMiddleware, use_node
+from repro.middleware import MppMiddleware, RmiMiddleware, use_node
 from repro.sim import Simulator
 
 
@@ -37,48 +37,6 @@ def run_main(sim, fn):
     sim.spawn(main, name="main")
     sim.run()
     return out["result"]
-
-
-class TestLocalBatched:
-    def test_batch_roundtrip(self):
-        local = LocalMiddleware()
-        servant = Calc()
-        ref = local.export(servant)
-        assert local.invoke_batch(ref, "add", PIECES) == EXPECTED
-        assert servant.calls == 3
-
-    def test_batch_runs_servant_advice_once_per_pack(self):
-        weave(Calc)
-        seen = []
-
-        class Observe(Aspect):
-            applies_server_side = True
-
-            @around("call(Calc.add(..))")
-            def observe(self, jp):
-                seen.append(
-                    jp.item_count if isinstance(jp, BatchJoinPoint) else 1
-                )
-                return jp.proceed()
-
-        deploy(Observe())
-        local = LocalMiddleware()
-        ref = local.export(Calc())
-        assert local.invoke_batch(ref, "add", PIECES) == EXPECTED
-        assert seen == [3]
-
-    def test_unknown_ref(self):
-        local = LocalMiddleware()
-        ref = local.export(Calc())
-        local.shutdown()
-        with pytest.raises(MiddlewareError):
-            local.invoke_batch(ref, "add", PIECES)
-
-    def test_batch_error_wrapped(self):
-        local = LocalMiddleware()
-        ref = local.export(Calc())
-        with pytest.raises(RemoteError):
-            local.invoke_batch(ref, "boom", [((1,), {})])
 
 
 class TestSimBatched:
@@ -122,3 +80,61 @@ class TestSimBatched:
 
         message = run_main(sim, client)
         assert message is not None and "bad:7" in message
+
+    def test_batch_runs_servant_advice_once_per_pack(self):
+        weave(Calc)
+        seen = []
+
+        class Observe(Aspect):
+            applies_server_side = True
+
+            @around("call(Calc.add(..))")
+            def observe(self, jp):
+                seen.append(
+                    jp.item_count if isinstance(jp, BatchJoinPoint) else 1
+                )
+                return jp.proceed()
+
+        deploy(Observe())
+        sim = Simulator()
+        cluster = paper_testbed(sim)
+        rmi = RmiMiddleware(cluster)
+
+        def client():
+            ref = rmi.export(Calc(), cluster.node(1))
+            with use_node(cluster.head):
+                result = rmi.invoke_batch(ref, "add", PIECES)
+            rmi.shutdown()
+            return result
+
+        assert run_main(sim, client) == EXPECTED
+        assert seen == [3]
+
+
+CALLS = {
+    "invoke": lambda mw, ref: mw.invoke(ref, "add", (1,)),
+    "invoke_batch": lambda mw, ref: mw.invoke_batch(ref, "add", PIECES),
+    "oneway": lambda mw, ref: mw.invoke(ref, "add", (1,), oneway=True),
+}
+
+
+@pytest.mark.parametrize("call", sorted(CALLS))
+@pytest.mark.parametrize("middleware", [RmiMiddleware, MppMiddleware], ids=["rmi", "mpp"])
+def test_a_call_after_shutdown_raises(middleware, call):
+    """Shutdown forgets the servants: a later call is refused at once,
+    neither sent into a stopped accept loop (a wait that never ends) nor
+    dropped silently (a oneway send)."""
+    sim = Simulator()
+    cluster = paper_testbed(sim)
+    mw = middleware(cluster)
+
+    def client():
+        ref = mw.export(Calc(), cluster.node(1))
+        with use_node(cluster.head):
+            assert mw.invoke(ref, "add", (2,), {"b": 3}) == 5
+            mw.shutdown()
+            with pytest.raises(MiddlewareError):
+                CALLS[call](mw, ref)
+        return True
+
+    assert run_main(sim, client)

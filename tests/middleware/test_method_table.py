@@ -8,7 +8,6 @@ from repro.aop import Aspect, around, deploy, undeploy, weave
 from repro.aop.plan import MethodTable
 from repro.aop.weaver import Weaver, default_weaver
 from repro.cluster import paper_testbed
-from repro.middleware.local import LocalMiddleware
 from repro.middleware.mpp import MppMiddleware
 from repro.middleware.rmi import RmiMiddleware
 from repro.sim import Simulator
@@ -94,13 +93,6 @@ class TestMethodTable:
 
 
 class TestMiddlewaresRouteThroughPlans:
-    def test_local_middleware_uses_table(self):
-        mw = LocalMiddleware()
-        ref = mw.export(Echo())
-        assert mw.invoke(ref, "shout", ("hi",)) == "HI"
-        _obj, table = mw._objects[ref.object_id]
-        assert isinstance(table, MethodTable)
-
     @pytest.mark.parametrize("factory", [RmiMiddleware, MppMiddleware])
     def test_sim_middlewares_attach_tables_to_servants(self, factory):
         sim = Simulator()

@@ -1,13 +1,12 @@
-"""Middlewares: RMI, MPP, local; registry; cost charging; errors."""
+"""Middlewares: RMI, MPP; registry; cost charging; errors."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster import paper_testbed, single_node
+from repro.cluster import paper_testbed
 from repro.errors import MiddlewareError, RegistryError, RemoteError
 from repro.middleware import (
-    LocalMiddleware,
     MiddlewareCosts,
     MppMiddleware,
     RmiMiddleware,
@@ -248,88 +247,6 @@ class TestMpp:
             return run_main(sim, client)
 
         assert one_call(MppMiddleware) < one_call(RmiMiddleware)
-
-
-class TestCommWorld:
-    def test_send_recv_between_ranks(self):
-        from repro.middleware import CommWorld
-
-        sim = Simulator()
-        cluster = paper_testbed(sim)
-        world = CommWorld(cluster, n_ranks=2)
-        out = {}
-
-        def program(comm, rank):
-            if rank == 0:
-                comm.send(1, {"x": 42})
-            else:
-                out["got"] = comm.recv(rank)
-
-        world.spawn_all(program)
-        sim.run()
-        assert out["got"] == {"x": 42}
-
-    def test_collectives(self):
-        from repro.middleware import CommWorld
-
-        sim = Simulator()
-        cluster = paper_testbed(sim)
-        world = CommWorld(cluster, n_ranks=4)
-        gathered = {}
-
-        def program(comm, rank):
-            value = comm.bcast(0, rank, payload=10 if rank == 0 else None)
-            chunk = comm.scatter(
-                0, rank, chunks=[value + i for i in range(4)] if rank == 0 else None
-            )
-            result = comm.gather(0, rank, chunk * 2)
-            comm.barrier(0, rank)
-            if rank == 0:
-                gathered["result"] = result
-
-        world.spawn_all(program)
-        sim.run()
-        assert gathered["result"] == [20, 22, 24, 26]
-
-    def test_rank_validation(self):
-        from repro.middleware import CommWorld
-
-        sim = Simulator()
-        cluster = single_node(sim)
-        with pytest.raises(MiddlewareError):
-            CommWorld(cluster, n_ranks=0)
-        world = CommWorld(cluster, n_ranks=2)
-        with pytest.raises(MiddlewareError):
-            world.node(5)
-
-
-class TestLocalMiddleware:
-    def test_direct_dispatch(self):
-        local = LocalMiddleware()
-        servant = Echo()
-        ref = local.export(servant)
-        assert local.invoke(ref, "say", ("direct",)) == "echo:direct"
-        assert local.servant_of(ref) is servant
-
-    def test_error_surface_is_uniform(self):
-        local = LocalMiddleware()
-        ref = local.export(Echo())
-        with pytest.raises(RemoteError):
-            local.invoke(ref, "boom")
-
-    def test_dispatch_flag_set(self):
-        local = LocalMiddleware()
-        ref = local.export(Echo())
-        assert local.invoke(ref, "where") == (None, True)
-
-    def test_unknown_ref(self):
-        local = LocalMiddleware()
-        other = LocalMiddleware()
-        ref = other.export(Echo())
-        other.shutdown()
-        local.shutdown()
-        with pytest.raises(MiddlewareError):
-            local.invoke(ref, "say", ("x",))
 
 
 class TestCosts:

@@ -38,11 +38,15 @@ class TestParallelModule:
             PipelineSplitAspect,
             WorkSplitter,
         )
-        from repro.middleware import LocalMiddleware
+        from repro.cluster import paper_testbed
+        from repro.middleware import MppMiddleware
+        from repro.sim import Simulator
 
         farm = ParallelModule.of(FarmAspect(WorkSplitter(2)))
         assert (farm.name, farm.concern) == ("partition", Concern.PARTITION)
-        distribution = ParallelModule.of(MppDistributionAspect(LocalMiddleware()))
+        distribution = ParallelModule.of(
+            MppDistributionAspect(MppMiddleware(paper_testbed(Simulator())))
+        )
         assert distribution.name == "distribution"
         assert ParallelModule.of(FarmAspect(WorkSplitter(2)), "farm").name == "farm"
         # the pipeline's split aspect brings its forward aspect along

@@ -10,8 +10,12 @@ builds on and the runtime never imports back."""
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.parallel import partition
@@ -20,6 +24,13 @@ from repro.runtime import ticket
 SRC = Path(repro.__file__).resolve().parent
 LOWER_LAYERS = ("runtime", "middleware", "faults")
 CORE = ("DispatchContext", "ResultCollector", "DispatchContextOwner")
+#: ``repro`` itself and each of its top-level packages and modules
+TOP_LEVEL = ["repro"] + sorted(
+    f"repro.{path.stem}"
+    for path in SRC.iterdir()
+    if (path / "__init__.py").exists()
+    or (path.suffix == ".py" and path.stem != "__init__")
+)
 
 
 def test_the_per_call_core_is_defined_in_runtime_ticket():
@@ -242,12 +253,19 @@ def test_one_servant_host_declaration():
 
 def _defined() -> set:
     """Every name ``src/`` defines, imports or exports: classes,
-    functions, import aliases, assigned names and ``__all__`` entries."""
+    functions, methods (also as ``Class.method``), import aliases,
+    assigned names and ``__all__`` entries."""
     named = set()
     for tree in _trees().values():
         for node in ast.walk(tree):
             if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
                 named.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                named.update(
+                    f"{node.name}.{method.name}"
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                )
             elif isinstance(node, ast.ImportFrom):
                 named.update(alias.asname or alias.name for alias in node.names)
             elif isinstance(node, ast.Assign):
@@ -267,11 +285,18 @@ def test_code_only_tests_used_is_gone():
     """The process-wide fault plane, the phase barrier, active objects
     and the simulator's event trace had no caller outside the tests: a
     deployment's schedule rides its tickets, and nothing else needs the
-    rest.  None of them is defined, imported or exported in ``src/``."""
+    rest.  The rank API, the in-process middleware, the weaving report
+    and the definitions no product path reached (``make reach``) went
+    the same way.  None of them is defined, imported or exported in
+    ``src/``."""
     gone = {
         "install_faults", "remove_faults", "use_faults", "current_faults",
         "_ACTIVE", "_PLANE_LOCK",
         "BarrierAspect", "SimBarrier", "ActiveObject", "Trace", "TraceEvent",
+        "CommWorld", "LocalMiddleware", "explain", "weaving_report",
+        "bound_entry", "deployed_aspects", "set_default_backend",
+        "_AroundCont.__call__", "SimTask.process", "SimLock.locked",
+        "SimLock.owner", "ProcMiddleware.servant_of", "ParallelAspect.describe",
     }
     assert _defined() & gone == set()
 
@@ -397,3 +422,24 @@ def test_one_retry_place():
     }
     assert reading == {"parallel/partition/base.py", "parallel/partition/pipeline.py"}
     assert _defined() & {"dispatch_with_retry", "piece_results"} == set()
+
+
+@pytest.mark.parametrize("package", TOP_LEVEL)
+def test_every_exported_name_resolves(package):
+    """A stale string in ``__all__`` breaks nothing but ``import *``:
+    every public module exports only names it has."""
+    top = importlib.import_module(package)
+    modules = [top]
+    if package != "repro" and hasattr(top, "__path__"):
+        modules += [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(top.__path__, f"{package}.")
+            if not info.name.rsplit(".", 1)[-1].startswith("_")
+        ]
+    stale = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert stale == []
