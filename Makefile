@@ -177,9 +177,14 @@ examples:
 ## tabs/space mixes), enforces that every public module in src/repro has
 ## a module docstring, and fails on a top-level import under src/repro
 ## that its module never reads.  Swap in ruff/flake8 here when the
-## toolchain gains one.
+## toolchain gains one.  The bytecode goes to a throwaway prefix and is
+## removed: compileall writes it even under PYTHONDONTWRITEBYTECODE, and
+## a tree holding __pycache__ imports faster (setup_s reads ~40 % lower),
+## so lint must not change the cache state of the tree it checks.
 lint:
-	$(PY) -m compileall -q src tests benchmarks examples tools
+	@cache=$$(mktemp -d); \
+	PYTHONPYCACHEPREFIX=$$cache $(PY) -m compileall -q src tests benchmarks examples tools; \
+	status=$$?; rm -rf $$cache; exit $$status
 	@echo "lint ok (compileall)"
 	$(PY) tools/lint_docstrings.py
 	$(PY) tools/lint_imports.py
@@ -189,7 +194,7 @@ lint:
 ## count and fails above LOC_CEILING, the count of the last PR that
 ## moved it — a PR that grows src/ raises the ceiling in the same diff
 ## and says why in CHANGES.md, one that shrinks it lowers the ceiling.
-LOC_CEILING := 18021
+LOC_CEILING := 17097
 loc:
 	@count=$$(find src -name '*.py' | xargs cat | wc -l); echo $$count; \
 	if [ $$count -gt $(LOC_CEILING) ]; then \
@@ -209,6 +214,6 @@ loc:
 ## exceed UNREACHED_CEILING, which each PR that moves the count lowers
 ## (or raises, and says why in CHANGES.md).  Not tier-1: it runs the
 ## product paths (~45 s), not the tests.
-UNREACHED_CEILING := 2024
+UNREACHED_CEILING := 1743
 reach:
 	$(PY) tools/reach.py $(UNREACHED_CEILING)

@@ -9,8 +9,8 @@ with pytest-benchmark, grounding the model:
 * one around advice (the single-around fast path);
 * a five-aspect stack (partition-like depth);
 * a mixed-kind five-advice chain (before/after/after_returning alongside
-  arounds), and a non-separable one (before/after between the arounds)
-  — each compiled vs the generic interpreter;
+  arounds), and a non-separable one (before/after between the arounds),
+  each asserted to run its compiled plan kind;
 * batched dispatch: an 8-piece pack through the compiled batched entry
   (one BatchJoinPoint per pack) vs 8 per-item calls — plus an invariant
   check that a farm with packing factor 8 allocates exactly one
@@ -22,10 +22,9 @@ with pytest-benchmark, grounding the model:
 
 The table is read by people (``make bench-dispatch``); nothing gates
 it.  What its pairs show as ratios is pinned as exact counts in
-``tests/aop/test_dispatch_counts.py`` (Python calls per woven call, and
-no interpreter call on a compiled chain); the inline asserts (one
-joinpoint per pack, no interpreter call) still run under
-``make bench-smoke``.
+``tests/aop/test_dispatch_counts.py`` (Python calls per woven call and
+per woven construction); the inline asserts (one joinpoint per pack,
+each chain's plan kind) still run under ``make bench-smoke``.
 """
 
 from __future__ import annotations
@@ -46,8 +45,6 @@ from repro.aop import (
     unweave_all,
     weave,
 )
-from repro.aop.joinpoint import JoinPointKind
-from repro.aop.weaver import default_weaver
 
 # bound calibration so the whole suite stays fast; dispatch costs are
 # microseconds, 0.5 s of samples is plenty
@@ -124,12 +121,9 @@ def test_five_aspect_stack(benchmark):
     for level in range(5):
         deploy(make_aspect(level))
     obj = Target()
-    stats = default_weaver.plan_stats
-    interpreter_before = stats.interpreter_calls
+    # the fused all-around plan serves every call of the hot loop
+    assert vars(Target)["work"].__aop_plan_kind__ == "all-around"
     assert benchmark(lambda: run_loop(obj)) == N * (N - 1) // 2 + N
-    # acceptance invariant: the five-aspect hot loop never entered the
-    # generic interpreter (the fused all-around plan served every call)
-    assert stats.interpreter_calls == interpreter_before
 
 
 def deploy_mixed_five(Target):
@@ -172,42 +166,22 @@ def deploy_mixed_five(Target):
 
 
 def test_mixed_five_advice_stack(benchmark):
-    """The compiled mixed-chain plan (PR 2): befores/afters folded at
-    compile time around the all-around recursion."""
+    """The compiled mixed-chain plan: befores/afters folded at compile
+    time around the around segment."""
     Target = make_target()
     weave(Target)
     deploy_mixed_five(Target)
     obj = Target()
     impl = vars(Target)["work"]
     assert "runner" in impl.__code__.co_freevars, "mixed plan not compiled"
+    assert impl.__aop_plan_kind__ == "mixed"
     assert benchmark(lambda: run_loop(obj)) == N * (N - 1) // 2 + N
-
-
-def test_mixed_five_advice_interpreted(benchmark):
-    """The same five-advice mixed chain through the generic interpreter —
-    the only path the seed had for mixed chains."""
-    Target = make_target()
-    weave(Target)
-    deploy_mixed_five(Target)
-    shadow = default_weaver._shadows[Target][("work", JoinPointKind.CALL)]
-    impl = plan_mod._chain_impl(
-        Target, "work", shadow.original, shadow.entries, False
-    )
-    obj = Target()
-
-    def loop():
-        total = 0
-        for i in range(N):
-            total += impl(obj, i)
-        return total
-
-    assert benchmark(loop) == N * (N - 1) // 2 + N
 
 
 def deploy_nonseparable_five(Target):
     """Five advice with the before/after sorted BELOW (and between) the
-    arounds — the non-separable shape that used to force the generic
-    interpreter and now compiles by per-segment nesting."""
+    arounds — the non-separable shape, compiled by per-segment
+    nesting."""
 
     def make_around(level):
         class Wrap(Aspect):
@@ -240,8 +214,7 @@ def deploy_nonseparable_five(Target):
 
 def test_nonseparable_five_advice_stack(benchmark):
     """The compiled non-separable plan: before/after runs folded into
-    the around level beneath them, the around spine fused — zero
-    interpreter entries on the hot loop (asserted)."""
+    the around level beneath them."""
     Target = make_target()
     weave(Target)
     deploy_nonseparable_five(Target)
@@ -249,32 +222,7 @@ def test_nonseparable_five_advice_stack(benchmark):
     impl = vars(Target)["work"]
     assert "runner" in impl.__code__.co_freevars, "chain did not compile"
     assert impl.__aop_plan_kind__ == "mixed"
-    stats = default_weaver.plan_stats
-    interpreter_before = stats.interpreter_calls
     assert benchmark(lambda: run_loop(obj)) == N * (N - 1) // 2 + N
-    assert stats.interpreter_calls == interpreter_before
-
-
-def test_nonseparable_five_advice_interpreted(benchmark):
-    """The same non-separable five-advice chain through the generic
-    interpreter — the only path such chains had before per-segment
-    nesting."""
-    Target = make_target()
-    weave(Target)
-    deploy_nonseparable_five(Target)
-    shadow = default_weaver._shadows[Target][("work", JoinPointKind.CALL)]
-    impl = plan_mod._chain_impl(
-        Target, "work", shadow.original, shadow.entries, False
-    )
-    obj = Target()
-
-    def loop():
-        total = 0
-        for i in range(N):
-            total += impl(obj, i)
-        return total
-
-    assert benchmark(loop) == N * (N - 1) // 2 + N
 
 
 PACK = 8

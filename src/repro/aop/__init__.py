@@ -42,28 +42,7 @@ from repro.aop.aspect import (
 )
 from repro.aop.joinpoint import JoinPoint, JoinPointKind
 from repro.aop.parser import parse_pointcut
-from repro.aop.pointcut import (
-    AdviceExecution,
-    Args,
-    Call,
-    CFlow,
-    CFlowBelow,
-    Execution,
-    FalsePointcut,
-    Initialization,
-    Pointcut,
-    Target,
-    TruePointcut,
-    Within,
-    args,
-    call,
-    cflow,
-    cflowbelow,
-    execution,
-    initialization,
-    target,
-    within,
-)
+from repro.aop.pointcut import Call, Initialization, Pointcut
 from repro.aop.plan import (
     BatchJoinPoint,
     CtorPack,
@@ -76,7 +55,6 @@ from repro.aop.plan import (
 )
 from repro.aop.signature import (
     NamePattern,
-    ParamsPattern,
     SignaturePattern,
     TypePattern,
     is_subtype,
@@ -115,29 +93,11 @@ __all__ = [
     # pointcut language
     "Pointcut",
     "parse_pointcut",
-    "call",
-    "execution",
-    "initialization",
-    "within",
-    "target",
-    "args",
-    "cflow",
-    "cflowbelow",
     "Call",
-    "Execution",
     "Initialization",
-    "Within",
-    "Target",
-    "Args",
-    "CFlow",
-    "CFlowBelow",
-    "AdviceExecution",
-    "TruePointcut",
-    "FalsePointcut",
     # signatures
     "TypePattern",
     "NamePattern",
-    "ParamsPattern",
     "SignaturePattern",
     "is_subtype",
     # weaving

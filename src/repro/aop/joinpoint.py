@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 from repro.errors import ProceedError
 
-__all__ = ["JoinPointKind", "JoinPoint", "CallerInfo"]
+__all__ = ["JoinPointKind", "JoinPoint"]
 
 #: The compiled plans' around-segment continuation class, injected by
 #: :mod:`repro.aop.plan` at import time (a set-after-import hand-off —
@@ -48,24 +48,6 @@ class JoinPointKind(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-class CallerInfo:
-    """Lexical information about the code that reached a joinpoint.
-
-    Computed lazily (walking Python frames is costly) and only when a
-    deployed pointcut actually uses ``within(..)``.
-    """
-
-    __slots__ = ("module", "qualname", "function")
-
-    def __init__(self, module: str, qualname: str, function: str):
-        self.module = module
-        self.qualname = qualname
-        self.function = function
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CallerInfo({self.module}.{self.qualname})"
 
 
 class JoinPoint:
@@ -97,8 +79,6 @@ class JoinPoint:
         "kwargs",
         "_proceed_map",
         "_armed_tid",
-        "_caller",
-        "_caller_resolver",
         "result",
         "exception",
         "from_advice",
@@ -128,14 +108,13 @@ class JoinPoint:
         #: joinpoint (see ``_FusedJoinPoint`` in repro.aop.plan); ``-1``
         #: when dispatch goes through the proceed map instead.
         self._armed_tid: int = -1
-        self._caller: CallerInfo | None = None
-        self._caller_resolver: Callable[[], CallerInfo] | None = None
         #: Set on ``after_returning`` advice invocations.
         self.result: Any = None
         #: Set on ``after_throwing`` advice invocations.
         self.exception: BaseException | None = None
         #: Snapshot taken at dispatch: was this joinpoint reached from
-        #: advice code?  (``adviceexecution()`` matches on this.)
+        #: advice code?  Advice that must act on core calls only tests
+        #: it — this weaver's ``!adviceexecution()``.
         self.from_advice: bool = False
 
     # -- identity ---------------------------------------------------------
@@ -146,22 +125,6 @@ class JoinPoint:
         if self.kind is JoinPointKind.INITIALIZATION:
             return f"{self.cls.__name__}.new"
         return f"{self.cls.__name__}.{self.name}"
-
-    @property
-    def target_class(self) -> type:
-        """Dynamic type of the receiver (the defining class for inits)."""
-        if self.target is not None:
-            return type(self.target)
-        return self.cls
-
-    # -- caller (within) ---------------------------------------------------
-
-    @property
-    def caller(self) -> CallerInfo | None:
-        """Lexical caller info; resolved lazily, may be ``None``."""
-        if self._caller is None and self._caller_resolver is not None:
-            self._caller = self._caller_resolver()
-        return self._caller
 
     # -- chain control -----------------------------------------------------
 
@@ -225,7 +188,7 @@ class JoinPoint:
                 f"proceed() called outside an active around advice for {self.signature}"
             )
         if p.__class__ is not _AROUND_CONT:
-            # interpreter closures / captured continuations
+            # a captured continuation replaying on this thread
             return p(*args, **kwargs)
         # The step of the compiled around-segment continuation
         # (``_AroundCont`` in repro.aop.plan), inlined here: the armed
@@ -316,12 +279,8 @@ class JoinPoint:
             )
         # Compiled plans arm one mutable continuation object per around
         # segment; its state changes as the run unwinds, so capture asks
-        # it for a frozen snapshot.  The interpreter's per-level closures
-        # have no ``capture`` and are returned as-is.
-        capture = getattr(proceed, "capture", None)
-        if capture is not None:
-            return capture()
-        return proceed
+        # it for a frozen snapshot.
+        return proceed.capture()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<JoinPoint {self.kind} {self.signature} args={self.args!r}>"

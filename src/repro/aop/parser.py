@@ -6,36 +6,28 @@ Grammar (AspectJ-flavoured)::
     or_expr  := and_expr ( '||' and_expr )*
     and_expr := unary ( '&&' unary )*
     unary    := '!' unary | '(' expr ')' | primitive
-    primitive:= designator '(' body ')'
-    designator := call | execution | initialization | within | target
-                | args | cflow | cflowbelow | adviceexecution | true | false
+    primitive:= designator '(' signature ')'
+    designator := call | initialization
 
 Signature bodies follow :class:`repro.aop.signature.SignaturePattern`;
 ``call(Type.new(..))`` is normalised to an initialization pointcut, the
 form the paper's code sketches use (``around (PrimeFilter.new(..))``).
+Every other designator (AspectJ's ``within``, ``target``, ``args``,
+``cflow``, ``execution``, ...) and every parameter list but ``(..)`` is
+refused with a :class:`~repro.errors.PointcutSyntaxError` naming it: this
+weaver decides each pointcut once per shadow (see
+:mod:`repro.aop.pointcut`).
 """
 
 from __future__ import annotations
 
 from repro.aop import pointcut as pc
-from repro.aop.signature import ParamsPattern, SignaturePattern, _split_params
+from repro.aop.signature import SignaturePattern
 from repro.errors import PointcutSyntaxError
 
 __all__ = ["parse_pointcut"]
 
-_DESIGNATORS = {
-    "call",
-    "execution",
-    "initialization",
-    "within",
-    "target",
-    "args",
-    "cflow",
-    "cflowbelow",
-    "adviceexecution",
-    "true",
-    "false",
-}
+_DESIGNATORS = ("call", "initialization")
 
 
 class _Parser:
@@ -135,51 +127,24 @@ class _Parser:
     def primitive(self) -> pc.Pointcut:
         name = self.identifier()
         if name not in _DESIGNATORS:
-            raise self.error(f"unknown pointcut designator {name!r}")
-        body = self.balanced_body()
-        return self.build(name, body.strip())
-
-    def build(self, name: str, body: str) -> pc.Pointcut:
-        if name in ("call", "execution", "initialization"):
-            if not body:
-                raise self.error(f"{name}() requires a signature")
-            signature = SignaturePattern.parse(body)
-            if name == "initialization" or signature.is_constructor:
-                return pc.Initialization(signature)
-            if name == "execution":
-                return pc.Execution(signature)
-            return pc.Call(signature)
-        if name == "within":
-            if not body:
-                raise self.error("within() requires a pattern")
-            return pc.Within(body)
-        if name == "target":
-            if not body:
-                raise self.error("target() requires a pattern")
-            return pc.Target(body)
-        if name == "args":
-            params = ParamsPattern(_split_params(body)) if body else ParamsPattern([])
-            return pc.Args(params)
-        if name == "cflow":
-            return pc.CFlow(parse_pointcut(body))
-        if name == "cflowbelow":
-            return pc.CFlowBelow(parse_pointcut(body))
-        if name == "adviceexecution":
-            if body:
-                raise self.error("adviceexecution() takes no body")
-            return pc.AdviceExecution()
-        if name == "true":
-            return pc.TruePointcut()
-        if name == "false":
-            return pc.FalsePointcut()
-        raise self.error(f"unhandled designator {name!r}")  # pragma: no cover
+            raise self.error(
+                f"unsupported pointcut designator {name!r} "
+                "(only call and initialization)"
+            )
+        body = self.balanced_body().strip()
+        if not body:
+            raise self.error(f"{name}() requires a signature")
+        signature = SignaturePattern.parse(body)
+        if name == "initialization" or signature.is_constructor:
+            return pc.Initialization(signature)
+        return pc.Call(signature)
 
 
 def parse_pointcut(text: str) -> pc.Pointcut:
     """Parse a pointcut expression string into a :class:`Pointcut` AST.
 
-    >>> parse_pointcut("call(PrimeFilter.filter(..)) && !adviceexecution()")
-    <And (call(PrimeFilter.filter(..)) && !adviceexecution())>
+    >>> parse_pointcut("call(PrimeFilter.*(..)) && !call(PrimeFilter.stop(..))")
+    <And (call(PrimeFilter.*(..)) && !call(PrimeFilter.stop(..)))>
     """
     if not isinstance(text, str):
         raise TypeError(f"pointcut expression must be str, got {type(text)!r}")

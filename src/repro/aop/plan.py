@@ -7,55 +7,50 @@ interpreted it.  This module replaces interpretation with **compilation**
 for a closure specialised to exactly the advice that applies there.
 
 Decision tree (applied top-down by :func:`compile_call_impl`; the first
-matching shape wins):
+matching shape wins).  Every pointcut is decided once per shadow (see
+:mod:`repro.aop.pointcut`), so every chain compiles — there is no
+interpreted tier:
 
-1. **inert** — no advice matches and no flow-sensitive pointcut is live:
-   install a *clone* of the original function — same code object, so a
-   woven-inert call costs the same as a plain call (the clone is a
-   distinct object so weaving stays observable and unweave can restore
-   the true original).  If a ``cflow`` pointcut is live anywhere, the
-   inert plan is instead a minimal stack-maintaining trampoline (no
-   chain lookup, no advice scan).
-2. **static** — *any* statically matched chain (no ``within``/``args``
-   residues, no caller capture), whatever the kind mix and ordering:
-   the sorted chain is partitioned into alternating segments of
-   non-around and around entries.  Each non-around segment folds into
-   compile-time try/finally frames (:func:`_wrap_step` — identical
-   nesting to the interpreter, no per-call kind dispatch); each around
-   segment becomes one :class:`_AroundCont` run — a single mutable
-   continuation object armed **once per segment** in the joinpoint's
-   per-thread proceed map, stepping through its levels with slot
-   loads/stores instead of allocating one closure per level per call.
-   Segments nest in chain order, so a before/after sorted *below* an
-   around (the non-separable shape that used to force the interpreter)
-   compiles too: it simply lands in the try/finally frames of the
-   around segment beneath it.  Plans are labelled ``single-around`` /
-   ``all-around`` / ``mixed`` for :class:`PlanStats`, but all three are
-   the same machinery.
-3. **generic** — only chains with a dynamic residue (``within``/``args``
-   residues, caller capture) remain interpreted: a closure with the
-   chain and flags baked in, calling the chain interpreter per call and
-   counting itself in ``PlanStats.interpreter_calls``.
+1. **inert** — no advice matches: install a *clone* of the original
+   function — same code object, so a woven-inert call costs the same as
+   a plain call (the clone is a distinct object so weaving stays
+   observable and unweave can restore the true original).
+2. **compiled** — any chain, whatever the kind mix and ordering: the
+   sorted chain is partitioned into alternating segments of non-around
+   and around entries.  Each non-around segment folds into compile-time
+   try/finally frames (:func:`_wrap_step`, no per-call kind dispatch);
+   each around segment becomes one :class:`_AroundCont` run — a single
+   mutable continuation object armed **once per segment** in the
+   joinpoint's per-thread proceed map, stepping through its levels with
+   slot loads/stores instead of allocating one closure per level per
+   call.  Segments nest in chain order, so a before/after sorted *below*
+   an around (the non-separable shape) simply lands in the try/finally
+   frames of the around segment beneath it.  Plans are labelled
+   ``single-around`` / ``all-around`` / ``mixed`` for
+   :class:`PlanStats`; a chain of arounds only takes the fused
+   :func:`_all_around_impl`, the rest share :func:`_static_impl`.
+
+Construction compiles the same way: an initialization shadow's chain
+folds with :func:`_compile_static_runner` around a tail that builds the
+instance (:func:`compile_ctor_runner`), and the woven ``__new__`` enters
+that runner.
 
 Captured continuations (``jp.capture_proceed()``) cannot hand out the
 live :class:`_AroundCont` — its level state mutates as the run unwinds —
 so capture returns a frozen :class:`_CapturedCont` snapshot that replays
-the remainder of the chain on whichever thread invokes it, with the same
-per-thread arming discipline as the interpreter's closures.
+the remainder of the chain on whichever thread invokes it.
 
 Invalidation rules: plans are recompiled only when the deployment state
 *at that shadow* changes — the weaver keeps a static shadow→deployment
 match index (built from :meth:`Pointcut.matches_shadow`) so deploying an
 aspect whose pointcuts can never match a shadow leaves that shadow's
-plan untouched.  Two changes are global: flipping flow-sensitivity
-(rewrites the inert plan shape everywhere) and ``declare_parents``
-(rewrites the subtype relation other deployments' ``Base+`` pointcuts
-match against, forcing a full re-index).  Unweaving a class prunes every
-per-class artifact: its shadows (and with them the cached batch plans),
-its chain-cache rows, its :class:`PlanStats` counters (call *and* batch)
-and its entries in the deployments' match index.  :class:`PlanStats`
-counts compilations per shadow (with a per-kind histogram and a runtime
-interpreter-fallback call counter) and exposes a hook list so tests (and
+plan untouched.  One change is global: ``declare_parents`` (rewrites the
+subtype relation other deployments' ``Base+`` pointcuts match against,
+forcing a full re-index).  Unweaving a class prunes every per-class
+artifact: its shadows (and with them the cached batch plans), its
+:class:`PlanStats` counters (call *and* batch) and its entries in the
+deployments' match index.  :class:`PlanStats` counts compilations per
+shadow (with a per-kind histogram) and exposes a hook list so tests (and
 benchmarks) can assert exactly that.
 
 The same Plan abstraction is what the other layers consume:
@@ -76,14 +71,12 @@ The same Plan abstraction is what the other layers consume:
   (pack-level args, item count, merged piece view) instead of once per
   item.  Batch plans are compiled lazily per shadow, cached on the
   shadow, and invalidated by the same recompiles as the call plan; they
-  follow the same decision tree, so a five-aspect stack never sends a
-  pack through the interpreter either.
+  follow the same decision tree.
 """
 
 from __future__ import annotations
 
 import functools
-import sys
 import types
 from collections import Counter
 from itertools import groupby
@@ -91,9 +84,9 @@ from threading import get_ident
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.aop import joinpoint as _joinpoint_module
-from repro.aop.advice import AdviceKind, BoundAdvice, run_chain
+from repro.aop.advice import AdviceKind, BoundAdvice
 from repro.aop.cflow import _LOCAL as _FLOW_LOCAL
-from repro.aop.joinpoint import CallerInfo, JoinPoint, JoinPointKind
+from repro.aop.joinpoint import JoinPoint, JoinPointKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.aop.weaver import Weaver
@@ -107,29 +100,13 @@ __all__ = [
     "ctor_pack_of",
     "compile_call_impl",
     "compile_batch_impl",
+    "compile_ctor_runner",
     "batched_entry",
     "piece_view",
-    "resolve_caller",
 ]
 
 _CALL = JoinPointKind.CALL
 _MISS = object()
-
-
-def resolve_caller() -> CallerInfo | None:
-    """Find the first stack frame outside the AOP machinery."""
-    try:
-        frame = sys._getframe(2)
-    except ValueError:  # pragma: no cover - no caller frames
-        return None
-    while frame is not None:
-        module = frame.f_globals.get("__name__", "")
-        if not module.startswith("repro.aop"):
-            code = frame.f_code
-            qualname = getattr(code, "co_qualname", code.co_name)
-            return CallerInfo(module, qualname, code.co_name)
-        frame = frame.f_back
-    return None
 
 
 def piece_view(piece: Any) -> tuple[tuple, dict]:
@@ -247,7 +224,7 @@ class Shadow:
     current plan (advice chain + specialised impl)."""
 
     __slots__ = ("cls", "name", "kind", "original", "impl", "entries",
-                 "needs_caller", "compiles", "batch_impl")
+                 "compiles", "batch_impl")
 
     def __init__(self, cls: type, name: str, kind: JoinPointKind,
                  original: Callable | None):
@@ -255,11 +232,11 @@ class Shadow:
         self.name = name
         self.kind = kind
         self.original = original
-        #: the installed callable (class attribute) for CALL shadows
+        #: the installed callable (class attribute) for CALL shadows; the
+        #: compiled chain runner for INITIALIZATION shadows (None = inert)
         self.impl: Callable | None = None
         #: advice chain applicable here, outermost first
         self.entries: tuple[BoundAdvice, ...] = ()
-        self.needs_caller = False
         #: number of times this shadow's plan was compiled
         self.compiles = 0
         #: lazily compiled pack-granular plan (see :func:`batched_entry`);
@@ -288,11 +265,7 @@ class PlanStats:
 
     Beyond the per-shadow compile counts, the stats track the *shape*
     each compilation picked (``kinds`` / ``batch_kinds`` histograms over
-    the plan-kind labels the compiler stamps on every impl) and a
-    runtime ``interpreter_calls`` counter that only the generic
-    dynamic-residue plans increment — so "this hot path never enters the
-    interpreter" is a one-field assertion (see
-    :meth:`repro.api.ParallelApp.plan_stats`).
+    the plan-kind labels the compiler stamps on every impl).
     """
 
     def __init__(self) -> None:
@@ -302,9 +275,6 @@ class PlanStats:
         #: totals, ``(batch, "shadow", (cls, name, kind))`` per shadow and
         #: ``(batch, "kind", label)`` the plan-kind histogram
         self.counter: Counter = Counter()
-        #: runtime calls served by the generic interpreter fallback
-        #: (dynamic-residue chains only)
-        self.interpreter_calls = 0
 
     def record(self, shadow: Shadow, batch: bool = False) -> None:
         counter = self.counter
@@ -338,14 +308,15 @@ class PlanStats:
         return self.by_shadow
 
     def summary(self) -> dict[str, Any]:
-        """Read-only scalar snapshot: compile counts, the per-kind plan
-        histograms, and the interpreter-fallback call counter."""
+        """Read-only scalar snapshot: compile counts and the per-kind plan
+        histograms.  ``interpreter_calls`` is 0 by construction — every
+        chain compiles — and stays in the snapshot for its readers."""
         return {
             "compiles": self.counter[False, "compiles", None],
             "batch_compiles": self.counter[True, "compiles", None],
             "kinds": self._view(False, "kind"),
             "batch_kinds": self._view(True, "kind"),
-            "interpreter_calls": self.interpreter_calls,
+            "interpreter_calls": 0,
         }
 
     def prune_class(self, cls: type) -> None:
@@ -357,7 +328,6 @@ class PlanStats:
 
     def clear(self) -> None:
         self.counter.clear()
-        self.interpreter_calls = 0
 
 
 # ---------------------------------------------------------------------------
@@ -405,43 +375,25 @@ def _inert_impl(original: Callable) -> Callable:
     return _mark(impl, original, inert=True, kind="inert")
 
 
-def _tracking_impl(cls: type, name: str, original: Callable) -> Callable:
-    """Inert shadow while a flow-sensitive pointcut is live: maintain the
-    joinpoint stack (for ``cflow`` matching below) but nothing else."""
-
-    @functools.wraps(original)
-    def impl(self_obj: Any, *args: Any, **kwargs: Any) -> Any:
-        stack = _FLOW_LOCAL.flow.stack
-        stack.append(JoinPoint(_CALL, cls, name, self_obj, args, kwargs))
-        try:
-            return original(self_obj, *args, **kwargs)
-        finally:
-            stack.pop()
-
-    return _mark(impl, original, kind="tracking")
-
-
 class _AroundCont:
     """The live continuation of one *around segment*: a single mutable
     object armed once per segment run in ``jp._proceed_map``, which
     ``JoinPoint.proceed`` steps for whichever level is currently
     executing.
 
-    The interpreter (and the first compiled plans) allocated one
-    ``proceed`` closure per around level per call and re-armed the
-    per-thread proceed map at every level transition.  On a five-around
-    stack that is five closure allocations plus ~4 map operations and
-    ~20 ``get_ident`` calls per dispatch — the dominant cost of the
-    ``five_aspect_stack`` bench.  Here the armed map entry never changes
+    A closure-per-level design (the test oracle's ``run_chain``)
+    allocates one ``proceed`` closure per around level per call and
+    re-arms the per-thread proceed map at every level transition.  On a
+    five-around stack that is five closure allocations plus ~4 map
+    operations and ~20 ``get_ident`` calls per dispatch.  Here the armed map entry never changes
     during the run; stepping a level is a handful of slot loads/stores:
 
     * ``i``/``args``/``kwargs`` — the *armed* level's index and argument
       view.  ``proceed`` (which inlines the step) invokes level
-      ``i + 1`` and, on success, restores the armed view exactly like the
-      interpreter's per-level closures restore ``jp.args`` and re-arm
-      themselves.  On an exception the armed view is rolled back to the
-      caller level (the interpreter's ``finally`` map restore) and
-      ``jp.args`` is deliberately left as the failing level set it.
+      ``i + 1`` and, on success, restores the armed view, so a second
+      ``proceed()`` replays.  On an exception the armed view is rolled
+      back to the caller level and ``jp.args`` is deliberately left as
+      the failing level set it.
     * ``tail`` — the compiled remainder below this segment: the original
       call, or folded before/after frames (possibly wrapping the next
       around segment of a non-separable chain).
@@ -513,16 +465,14 @@ class _CapturedCont:
     """A captured ``proceed``: the remainder of an around segment frozen
     at capture time, runnable later on any thread.
 
-    Matches the interpreter's captured closures observably: replaying
-    arms the invoking thread's own proceed-map slot (never another
-    thread's), the innermost replay runs the tail at the invoker's
-    advice depth (a spawned activity running the original is *not* "from
-    advice"), and a successful replay leaves ``jp.args`` restored to the
-    captured view with the capture re-armed on the invoking thread —
-    unless that thread still has a *live* continuation armed (a
-    synchronous replay from inside the original run), which must keep
-    owning ``proceed`` exactly as the interpreter's per-level closures
-    re-arm themselves on unwind.
+    Replaying arms the invoking thread's own proceed-map slot (never
+    another thread's), the innermost replay runs the tail at the
+    invoker's advice depth (a spawned activity running the original is
+    *not* "from advice"), and a successful replay leaves ``jp.args``
+    restored to the captured view with the capture re-armed on the
+    invoking thread — unless that thread still has a *live* continuation
+    armed (a synchronous replay from inside the original run), which
+    keeps owning ``proceed``.
     """
 
     __slots__ = ("funcs", "n", "tail", "jp", "self_obj", "i", "args",
@@ -651,8 +601,7 @@ def _wrap_step(kind: AdviceKind, func: Callable, inner: Callable) -> Callable:
     """One compile-time frame of a non-around segment: the before/after
     entry's semantics as a dedicated closure around ``inner``.  The
     try/finally nesting is built here, at compile time, so runtime pays
-    neither kind dispatch nor generator-based context managers while
-    keeping ordering byte-identical to the interpreter's."""
+    neither kind dispatch nor generator-based context managers."""
     if kind is AdviceKind.BEFORE:
 
         def step(jp: JoinPoint, self_obj: Any, args: tuple, kwargs: dict) -> Any:
@@ -720,14 +669,8 @@ def _original_tail(original: Callable) -> Callable:
     return tail
 
 
-def _is_static(entries: tuple[BoundAdvice, ...], needs_caller: bool) -> bool:
-    """Whether a chain is fully statically matched — no per-call residue
-    evaluation, no caller capture — and therefore compilable."""
-    return not needs_caller and not any(e.needs_eval for e in entries)
-
-
 def _static_kind(entries: tuple[BoundAdvice, ...]) -> str:
-    """The :class:`PlanStats` label for a compiled static chain."""
+    """The :class:`PlanStats` label for a compiled chain."""
     if all(e.kind is AdviceKind.AROUND for e in entries):
         return "single-around" if len(entries) == 1 else "all-around"
     return "mixed"
@@ -737,8 +680,8 @@ def _compile_static_runner(
     entries: tuple[BoundAdvice, ...],
     tail: Callable[[JoinPoint, Any, tuple, dict], Any],
 ) -> Callable[[JoinPoint, Any, tuple, dict], Any]:
-    """Fold a fully static chain (outermost first) into nested runner
-    frames around ``tail``.
+    """Fold a chain (outermost first) into nested runner frames around
+    ``tail``.
 
     The chain is partitioned into maximal segments of consecutive
     around / non-around entries and folded innermost-out: non-around
@@ -746,10 +689,9 @@ def _compile_static_runner(
     segments become :func:`_around_run` continuation runs.  Because the
     fold follows chain order, non-separable shapes — a before or after
     sorted *below* an around — simply land in the tail of the around
-    segment above them, preserving the interpreter's interleaving
-    exactly (the segment's ``_invoke`` refreshes ``jp.args`` before
-    every tail entry, so the lower frames always observe the
-    possibly-substituted view).
+    segment above them, in chain order (the segment's ``_invoke``
+    refreshes ``jp.args`` before every tail entry, so the lower frames
+    always observe the possibly-substituted view).
     """
     segments = [
         (is_around, tuple(group))
@@ -774,28 +716,9 @@ def _static_impl(
     name: str,
     original: Callable,
     runner: Callable[[JoinPoint, Any, tuple, dict], Any],
-    track_stack: bool,
 ) -> Callable:
     """The dispatch wrapper shared by compiled mixed-segment plans: build
-    the joinpoint, maintain the flow stack (only while a flow-sensitive
-    pointcut is live — flipping that recompiles every plan), and enter
-    the compiled ``runner``."""
-
-    if track_stack:
-
-        @functools.wraps(original)
-        def impl(self_obj: Any, *args: Any, **kwargs: Any) -> Any:
-            jp = JoinPoint(_CALL, cls, name, self_obj, args, kwargs)
-            flow = _FLOW_LOCAL.flow
-            jp.from_advice = flow.advice_depth > 0
-            stack = flow.stack
-            stack.append(jp)
-            try:
-                return runner(jp, self_obj, args, kwargs)
-            finally:
-                stack.pop()
-
-        return impl
+    the joinpoint and enter the compiled ``runner``."""
 
     @functools.wraps(original)
     def impl(self_obj: Any, *args: Any, **kwargs: Any) -> Any:
@@ -811,7 +734,6 @@ def _all_around_impl(
     name: str,
     original: Callable,
     entries: tuple[BoundAdvice, ...],
-    track_stack: bool,
 ) -> Callable:
     """The fused plan for a chain that is *only* around advice — the
     paper's hot shape (one optimisation/distribution/concurrency stack
@@ -836,47 +758,6 @@ def _all_around_impl(
     funcs0 = funcs[0]
     tail = _original_tail(original)
 
-    if track_stack:
-
-        @functools.wraps(original)
-        def impl(self_obj: Any, *args: Any, **kwargs: Any) -> Any:
-            jp = _FusedJoinPoint.__new__(_FusedJoinPoint)
-            jp.kind = _CALL
-            jp.cls = cls
-            jp.name = name
-            jp.target = self_obj
-            jp.args = args
-            jp.kwargs = kwargs
-            jp._proceed_map = {}
-            jp._caller = None
-            jp._caller_resolver = None
-            jp.result = None
-            jp.exception = None
-            flow = _FLOW_LOCAL.flow
-            depth = flow.advice_depth
-            jp.from_advice = depth > 0
-            stack = flow.stack
-            stack.append(jp)
-            try:
-                jp._funcs = funcs
-                jp._n = n
-                jp._tail = tail
-                jp._orig = original
-                jp._i = 0
-                jp._aargs = args
-                jp._akwargs = kwargs
-                jp._armed_tid = get_ident()
-                flow.advice_depth = depth + 1
-                try:
-                    return funcs0(jp)
-                finally:
-                    flow.advice_depth = depth
-                    jp._armed_tid = -1
-            finally:
-                stack.pop()
-
-        return impl
-
     @functools.wraps(original)
     def impl(self_obj: Any, *args: Any, **kwargs: Any) -> Any:
         jp = _FusedJoinPoint.__new__(_FusedJoinPoint)
@@ -887,8 +768,6 @@ def _all_around_impl(
         jp.args = args
         jp.kwargs = kwargs
         jp._proceed_map = {}
-        jp._caller = None
-        jp._caller_resolver = None
         jp.result = None
         jp.exception = None
         flow = _FLOW_LOCAL.flow
@@ -912,68 +791,52 @@ def _all_around_impl(
     return impl
 
 
-def _chain_impl(
-    cls: type,
-    name: str,
-    original: Callable,
-    entries: tuple[BoundAdvice, ...],
-    needs_caller: bool,
-    stats: "PlanStats | None" = None,
-) -> Callable:
-    """General advised plan: chain and flags baked in, interpreted by
-    :func:`~repro.aop.advice.run_chain`.  Reached only by dynamic-residue
-    chains; each call is tallied in ``stats.interpreter_calls`` when stats
-    are supplied."""
-
-    @functools.wraps(original)
-    def impl(self_obj: Any, *args: Any, **kwargs: Any) -> Any:
-        jp = JoinPoint(_CALL, cls, name, self_obj, args, kwargs)
-        flow = _FLOW_LOCAL.flow
-        jp.from_advice = flow.advice_depth > 0
-        if needs_caller:
-            jp._caller = resolve_caller()
-        if stats is not None:
-            stats.interpreter_calls += 1
-        stack = flow.stack
-        stack.append(jp)
-        try:
-            return run_chain(
-                entries, jp, lambda *a, **k: original(self_obj, *a, **k)
-            )
-        finally:
-            stack.pop()
-
-    return _mark(impl, original, kind="interpreted")
-
-
-def compile_call_impl(weaver: "Weaver", shadow: Shadow) -> Callable:
+def compile_call_impl(shadow: Shadow) -> Callable:
     """Compile the specialised dispatcher for a CALL shadow's current
-    chain (``shadow.entries`` / ``shadow.needs_caller`` must be fresh).
-    Implements the inert / static / generic decision tree described in
-    the module docstring."""
+    chain (``shadow.entries`` must be fresh): the inert / compiled
+    decision tree described in the module docstring."""
     original = shadow.original
     entries = shadow.entries
     if not entries:
-        if weaver._cflow_active:
-            return _tracking_impl(shadow.cls, shadow.name, original)
         return _inert_impl(original)
-    if not _is_static(entries, shadow.needs_caller):
-        return _chain_impl(
-            shadow.cls, shadow.name, original, entries,
-            shadow.needs_caller, weaver.plan_stats,
-        )
-    track_stack = weaver._cflow_active
     if all(entry.kind is AdviceKind.AROUND for entry in entries):
         # kept because the five-aspect-stack gate pays for it: through
         # the segment-nested path below its numerator read 2.16-2.83 ms
         # against 1.84-2.07 ms per 1000 calls (ROADMAP 3(4), PR 18)
-        impl = _all_around_impl(shadow.cls, shadow.name, original, entries,
-                                track_stack)
+        impl = _all_around_impl(shadow.cls, shadow.name, original, entries)
     else:
         runner = _compile_static_runner(entries, _original_tail(original))
-        impl = _static_impl(shadow.cls, shadow.name, original, runner,
-                            track_stack)
+        impl = _static_impl(shadow.cls, shadow.name, original, runner)
     return _mark(impl, original, kind=_static_kind(entries))
+
+
+def compile_ctor_runner(shadow: Shadow) -> Callable | None:
+    """Compile an INITIALIZATION shadow's chain: ``run(jp, None, args,
+    kwargs)`` folds the chain with :func:`_compile_static_runner`, the
+    same as a call chain, around a tail that builds the instance.
+    ``None`` when no advice applies (the woven ``__new__`` then takes
+    the raw path).
+
+    The tail builds under the construction bypass, so the inner
+    construction is not intercepted again; a :class:`CtorPack` through
+    ``proceed`` is a *batched* construction — one chain pass builds one
+    instance per argset and returns the list."""
+    if not shadow.entries:
+        return None
+    cls = shadow.cls
+
+    def construct(jp: JoinPoint, self_obj: Any, args: tuple,
+                  kwargs: dict) -> Any:
+        flow = _FLOW_LOCAL.flow
+        flow.construction_bypass += 1
+        try:
+            if len(args) == 1 and not kwargs and isinstance(args[0], CtorPack):
+                return [cls(*pa, **pk) for pa, pk in args[0].argsets]
+            return cls(*args, **kwargs)
+        finally:
+            flow.construction_bypass -= 1
+
+    return _compile_static_runner(shadow.entries, construct)
 
 
 # ---------------------------------------------------------------------------
@@ -986,23 +849,19 @@ def _tag_batch(impl: Callable, kind: str) -> Callable:
     return impl
 
 
-def compile_batch_impl(weaver: "Weaver", shadow: Shadow) -> Callable[[Any, Any], list]:
+def compile_batch_impl(shadow: Shadow) -> Callable[[Any, Any], list]:
     """Compile the pack-granular plan for a CALL shadow.
 
     The returned ``impl(self_obj, pieces) -> [results]`` runs the advice
     chain once around a :class:`BatchJoinPoint` whose innermost original
     applies the woven method to every piece.  Specialisation follows the
     call-plan decision tree: inert packs run a bare loop (zero joinpoint
-    allocations), static chains — separable or not — run the same folded
-    segment runner as the call plan, and only dynamic-residue chains
-    fall back to one interpreted chain pass per pack (still a single
-    ``BatchJoinPoint``, counted in ``PlanStats.interpreter_calls``).
+    allocations), and any chain — separable or not — runs the same
+    folded segment runner as the call plan.
     """
     original = shadow.original
     cls, name = shadow.cls, shadow.name
     entries = shadow.entries
-    needs_caller = shadow.needs_caller
-    stats = weaver.plan_stats
 
     def batch_core(self_obj: Any, pieces: Any) -> list:
         results = []
@@ -1012,53 +871,22 @@ def compile_batch_impl(weaver: "Weaver", shadow: Shadow) -> Callable[[Any, Any],
         return results
 
     if not entries:
-        if not weaver._cflow_active:
-            return _tag_batch(batch_core, "inert")
+        return _tag_batch(batch_core, "inert")
 
-        def tracking_batch(self_obj: Any, pieces: Any) -> list:
-            stack = _FLOW_LOCAL.flow.stack
-            stack.append(BatchJoinPoint(cls, name, self_obj, tuple(pieces)))
-            try:
-                return batch_core(self_obj, pieces)
-            finally:
-                stack.pop()
+    # jp.args is (pieces,): the tail unpacks the (possibly
+    # proceed-substituted) pack back into the batch core
+    def batch_tail(jp: JoinPoint, self_obj: Any, args: tuple,
+                   kwargs: dict) -> list:
+        return batch_core(self_obj, args[0])
 
-        return _tag_batch(tracking_batch, "tracking")
-
-    if _is_static(entries, needs_caller):
-        # jp.args is (pieces,): the tail unpacks the (possibly
-        # proceed-substituted) pack back into the batch core
-        def batch_tail(jp: JoinPoint, self_obj: Any, args: tuple,
-                       kwargs: dict) -> list:
-            return batch_core(self_obj, args[0])
-
-        runner = _compile_static_runner(entries, batch_tail)
-        kind = _static_kind(entries)
-    else:
-        runner = None
-        kind = "interpreted"
+    runner = _compile_static_runner(entries, batch_tail)
 
     def advised_batch(self_obj: Any, pieces: Any) -> Any:
         jp = BatchJoinPoint(cls, name, self_obj, tuple(pieces))
-        flow = _FLOW_LOCAL.flow
-        jp.from_advice = flow.advice_depth > 0
-        if needs_caller:
-            jp._caller = resolve_caller()
-        stack = flow.stack
-        stack.append(jp)
-        try:
-            if runner is None:
-                stats.interpreter_calls += 1
-                # jp.args is (pieces,): the interpreter's innermost call
-                # unpacks it back into the batch core
-                return run_chain(
-                    entries, jp, lambda pack: batch_core(self_obj, pack)
-                )
-            return runner(jp, self_obj, jp.args, {})
-        finally:
-            stack.pop()
+        jp.from_advice = _FLOW_LOCAL.flow.advice_depth > 0
+        return runner(jp, self_obj, jp.args, {})
 
-    return _tag_batch(advised_batch, kind)
+    return _tag_batch(advised_batch, _static_kind(entries))
 
 
 def _plain_batch(func: Callable) -> Callable[[Any], list]:
@@ -1118,7 +946,7 @@ def _resolve_batch_impl(
         return None
     impl = shadow.batch_impl
     if impl is None:
-        impl = compile_batch_impl(weaver, shadow)
+        impl = compile_batch_impl(shadow)
         shadow.batch_impl = impl
         weaver.plan_stats.record(shadow, batch=True)
     return impl

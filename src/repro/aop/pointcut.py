@@ -1,333 +1,90 @@
-"""Pointcut AST and combinators.
+"""Pointcut AST.
 
-A pointcut selects a set of joinpoints.  Matching happens in two phases,
-the same split AspectJ's weaver performs:
+A pointcut selects a set of joinpoint shadows.  Every pointcut this
+weaver supports is decided statically, once per shadow:
+:meth:`Pointcut.matches_shadow` answers ``True`` or ``False`` for a
+``(class, method-name, kind)`` triple, and the weaver compiles each
+shadow's dispatch plan from the answers.  Nothing is evaluated per call.
 
-1. **Shadow matching** (:meth:`Pointcut.matches_shadow`) — purely static,
-   against a ``(class, method-name, kind)`` triple.  The registry uses it
-   to build cached advice chains per woven method.  It answers
-   :data:`NO` (never matches there), :data:`YES` (always matches there),
-   or :data:`MAYBE` (matches depending on runtime state).
-2. **Dynamic evaluation** (:meth:`Pointcut.evaluate`) — per call, for
-   residues such as argument types, ``target``, ``cflow``, ``within`` and
-   ``adviceexecution``.
-
-Pointcuts compose with ``&`` (and), ``|`` (or) and ``~`` (not), mirroring
-AspectJ's ``&&``, ``||``, ``!``.
+The supported subset is what the paper's modules intercept — a method
+call (``call(PrimeFilter.filter(..))``) and an object creation
+(``initialization(PrimeFilter.new(..))``) — combined with ``&&``, ``||``
+and ``!`` (:class:`And`, :class:`Or`, :class:`Not`).  AspectJ's dynamic
+designators (``within``, ``target``, ``args``, ``cflow``, ...) are not
+part of it: the parser refuses them.  Advice that must tell core calls
+from calls made by advice reads ``jp.from_advice``, this weaver's
+``!adviceexecution()``.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.aop import cflow as _cflow
-from repro.aop.joinpoint import JoinPoint, JoinPointKind
-from repro.aop.signature import ParamsPattern, SignaturePattern, TypePattern
+from repro.aop.joinpoint import JoinPointKind
+from repro.aop.signature import SignaturePattern
 
 __all__ = [
-    "NO",
-    "YES",
-    "MAYBE",
     "Pointcut",
     "Call",
-    "Execution",
     "Initialization",
-    "Within",
-    "Target",
-    "Args",
-    "CFlow",
-    "CFlowBelow",
-    "AdviceExecution",
-    "TruePointcut",
-    "FalsePointcut",
     "And",
     "Or",
     "Not",
-    "call",
-    "execution",
-    "initialization",
-    "within",
-    "target",
-    "args",
-    "cflow",
-    "cflowbelow",
 ]
-
-# Three-valued shadow-matching results.
-NO = 0
-YES = 1
-MAYBE = 2
 
 
 class Pointcut:
     """Base class for all pointcut AST nodes."""
 
-    #: True when dynamic evaluation needs the lexical caller (``within``).
-    needs_caller: bool = False
-
-    # -- matching ----------------------------------------------------------
-
-    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> int:
+    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> bool:
+        """Does this pointcut select the shadow ``(cls, name, kind)``?"""
         raise NotImplementedError
-
-    def evaluate(self, jp: JoinPoint) -> bool:
-        """Full dynamic test; only called when shadow said YES or MAYBE."""
-        raise NotImplementedError
-
-    # -- composition ---------------------------------------------------------
-
-    def __and__(self, other: "Pointcut") -> "Pointcut":
-        return And(self, _coerce(other))
-
-    def __or__(self, other: "Pointcut") -> "Pointcut":
-        return Or(self, _coerce(other))
-
-    def __invert__(self) -> "Pointcut":
-        return Not(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self}>"
 
 
-def _coerce(value: Any) -> "Pointcut":
-    if isinstance(value, Pointcut):
-        return value
-    if isinstance(value, str):
-        from repro.aop.parser import parse_pointcut
-
-        return parse_pointcut(value)
-    raise TypeError(f"cannot combine pointcut with {value!r}")
-
-
 class _KindedSignature(Pointcut):
-    """Common base for call/execution/initialization."""
+    """Common base for call/initialization."""
 
     kind: JoinPointKind
+    label: str
 
-    def __init__(self, signature: SignaturePattern | str):
-        if isinstance(signature, str):
-            signature = SignaturePattern.parse(signature)
+    def __init__(self, signature: SignaturePattern):
         self.signature = signature
 
-    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> int:
+    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> bool:
         if kind is not self.kind:
-            return NO
-        if self.kind is JoinPointKind.INITIALIZATION:
-            if not self.signature.type_pattern.matches_class(cls):
-                return NO
-        elif not self.signature.matches_shadow(cls, name):
-            return NO
-        return MAYBE if self.signature.has_dynamic_residue else YES
-
-    def evaluate(self, jp: JoinPoint) -> bool:
-        if jp.kind is not self.kind:
             return False
         if self.kind is JoinPointKind.INITIALIZATION:
-            if not self.signature.type_pattern.matches_class(jp.cls):
-                return False
-        elif not self.signature.matches_shadow(jp.cls, jp.name):
-            return False
-        return self.signature.matches_args(jp.args)
+            return self.signature.type_pattern.matches_class(cls)
+        return self.signature.matches_shadow(cls, name)
 
     def __str__(self) -> str:
-        label = {
-            JoinPointKind.CALL: "call",
-            JoinPointKind.INITIALIZATION: "initialization",
-        }[self.kind]
-        return f"{label}({self.signature})"
+        return f"{self.label}({self.signature})"
 
 
 class Call(_KindedSignature):
-    """``call(Type.method(params))`` — interception of a method call."""
+    """``call(Type.method(..))`` — interception of a method call."""
 
     kind = JoinPointKind.CALL
-
-
-class Execution(Call):
-    """``execution(..)`` — in this runtime weaver, call-site and execution
-    interception coincide (we wrap the method on the defining class), so
-    ``execution`` is an alias of :class:`Call`.  Kept as a distinct node so
-    expressions round-trip and the distinction can be tightened later."""
-
-    def __str__(self) -> str:
-        return f"execution({self.signature})"
+    label = "call"
 
 
 class Initialization(_KindedSignature):
-    """``initialization(Type.new(params))`` — construction interception."""
+    """``initialization(Type.new(..))`` — construction interception."""
 
     kind = JoinPointKind.INITIALIZATION
-
-
-class Within(Pointcut):
-    """``within(TypeOrModulePattern)`` — restricts to joinpoints reached
-    from code whose module/qualname matches the pattern."""
-
-    needs_caller = True
-
-    def __init__(self, pattern: TypePattern | str):
-        if isinstance(pattern, str):
-            pattern = TypePattern(pattern)
-        self.pattern = pattern
-
-    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> int:
-        return MAYBE
-
-    def evaluate(self, jp: JoinPoint) -> bool:
-        caller = jp.caller
-        if caller is None:
-            return False
-        return self.pattern.matches_string(
-            f"{caller.module}.{caller.qualname}"
-        ) or self.pattern.matches_string(caller.module)
-
-    def __str__(self) -> str:
-        return f"within({self.pattern})"
-
-
-class Target(Pointcut):
-    """``target(TypePattern)`` — dynamic type of the receiver."""
-
-    def __init__(self, pattern: TypePattern | str | type):
-        if isinstance(pattern, type):
-            pattern = TypePattern.from_class(pattern, subtypes=True)
-        elif isinstance(pattern, str):
-            pattern = TypePattern(pattern)
-        self.pattern = pattern
-
-    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> int:
-        # The receiver may be a subclass instance; decide dynamically
-        # unless the defining class itself can never match or always does.
-        if self.pattern.matches_class(cls):
-            return YES
-        return MAYBE
-
-    def evaluate(self, jp: JoinPoint) -> bool:
-        return self.pattern.matches_class(jp.target_class)
-
-    def __str__(self) -> str:
-        return f"target({self.pattern})"
-
-
-class Args(Pointcut):
-    """``args(params)`` — dynamic argument pattern."""
-
-    def __init__(self, params: ParamsPattern | str):
-        if isinstance(params, str):
-            from repro.aop.signature import _split_params
-
-            params = ParamsPattern(_split_params(params))
-        self.params = params
-
-    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> int:
-        return YES if self.params.is_any else MAYBE
-
-    def evaluate(self, jp: JoinPoint) -> bool:
-        return self.params.matches(jp.args)
-
-    def __str__(self) -> str:
-        return f"args({self.params})"
-
-
-class CFlow(Pointcut):
-    """``cflow(pc)`` — some joinpoint on the current control-flow stack
-    (including the current one) matches ``pc``."""
-
-    include_current = True
-
-    def __init__(self, inner: Pointcut):
-        self.inner = inner
-        self.needs_caller = inner.needs_caller
-
-    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> int:
-        return MAYBE
-
-    def evaluate(self, jp: JoinPoint) -> bool:
-        stack = _cflow.current_stack()
-        entries = stack if self.include_current else stack[:-1]
-        for frame_jp in entries:
-            if (
-                self.inner.matches_shadow(frame_jp.cls, frame_jp.name, frame_jp.kind)
-                is not NO
-                and self.inner.evaluate(frame_jp)
-            ):
-                return True
-        return False
-
-    def __str__(self) -> str:
-        return f"cflow({self.inner})"
-
-
-class CFlowBelow(CFlow):
-    """``cflowbelow(pc)`` — like ``cflow`` but excluding the current
-    joinpoint."""
-
-    include_current = False
-
-    def __str__(self) -> str:
-        return f"cflowbelow({self.inner})"
-
-
-class AdviceExecution(Pointcut):
-    """``adviceexecution()`` — true when the joinpoint was *reached from*
-    advice code (snapshot taken at dispatch time, so evaluating it for
-    inner advice of the same chain is not polluted by outer advice
-    bodies).  ``~AdviceExecution()`` restricts a pointcut to joinpoints
-    reached from core functionality only."""
-
-    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> int:
-        return MAYBE
-
-    def evaluate(self, jp: JoinPoint) -> bool:
-        return jp.from_advice
-
-    def __str__(self) -> str:
-        return "adviceexecution()"
-
-
-class TruePointcut(Pointcut):
-    """Matches every joinpoint (identity for ``&``)."""
-
-    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> int:
-        return YES
-
-    def evaluate(self, jp: JoinPoint) -> bool:
-        return True
-
-    def __str__(self) -> str:
-        return "true()"
-
-
-class FalsePointcut(Pointcut):
-    """Matches no joinpoint (identity for ``|``)."""
-
-    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> int:
-        return NO
-
-    def evaluate(self, jp: JoinPoint) -> bool:
-        return False
-
-    def __str__(self) -> str:
-        return "false()"
+    label = "initialization"
 
 
 class And(Pointcut):
     def __init__(self, left: Pointcut, right: Pointcut):
         self.left = left
         self.right = right
-        self.needs_caller = left.needs_caller or right.needs_caller
 
-    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> int:
-        l = self.left.matches_shadow(cls, name, kind)
-        if l is NO:
-            return NO
-        r = self.right.matches_shadow(cls, name, kind)
-        if r is NO:
-            return NO
-        return YES if (l is YES and r is YES) else MAYBE
-
-    def evaluate(self, jp: JoinPoint) -> bool:
-        return self.left.evaluate(jp) and self.right.evaluate(jp)
+    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> bool:
+        return self.left.matches_shadow(cls, name, kind) and (
+            self.right.matches_shadow(cls, name, kind)
+        )
 
     def __str__(self) -> str:
         return f"({self.left} && {self.right})"
@@ -337,19 +94,11 @@ class Or(Pointcut):
     def __init__(self, left: Pointcut, right: Pointcut):
         self.left = left
         self.right = right
-        self.needs_caller = left.needs_caller or right.needs_caller
 
-    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> int:
-        l = self.left.matches_shadow(cls, name, kind)
-        r = self.right.matches_shadow(cls, name, kind)
-        if l is YES or r is YES:
-            return YES
-        if l is NO and r is NO:
-            return NO
-        return MAYBE
-
-    def evaluate(self, jp: JoinPoint) -> bool:
-        return self.left.evaluate(jp) or self.right.evaluate(jp)
+    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> bool:
+        return self.left.matches_shadow(cls, name, kind) or (
+            self.right.matches_shadow(cls, name, kind)
+        )
 
     def __str__(self) -> str:
         return f"({self.left} || {self.right})"
@@ -358,74 +107,9 @@ class Or(Pointcut):
 class Not(Pointcut):
     def __init__(self, inner: Pointcut):
         self.inner = inner
-        self.needs_caller = inner.needs_caller
 
-    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> int:
-        inner = self.inner.matches_shadow(cls, name, kind)
-        if inner is NO:
-            return YES
-        if inner is YES:
-            return NO
-        return MAYBE
-
-    def evaluate(self, jp: JoinPoint) -> bool:
-        return not self.inner.evaluate(jp)
+    def matches_shadow(self, cls: type, name: str, kind: JoinPointKind) -> bool:
+        return not self.inner.matches_shadow(cls, name, kind)
 
     def __str__(self) -> str:
         return f"!{self.inner}"
-
-
-# ---------------------------------------------------------------------------
-# Convenience constructors (programmatic pointcut building)
-# ---------------------------------------------------------------------------
-
-
-def call(signature: str) -> Call:
-    """``call("Type.method(..)")``"""
-    return Call(signature)
-
-
-def execution(signature: str) -> Execution:
-    return Execution(signature)
-
-
-def initialization(signature: str) -> Initialization:
-    """``initialization("Type.new(..)")`` — also reachable as
-    ``call("Type.new(..)")`` in the string language."""
-    return Initialization(signature)
-
-
-def within(pattern: str) -> Within:
-    return Within(pattern)
-
-
-def target(pattern: str | type) -> Target:
-    return Target(pattern)
-
-
-def args(params: str) -> Args:
-    return Args(params)
-
-
-def cflow(inner: Pointcut | str) -> CFlow:
-    return CFlow(_coerce(inner))
-
-
-def contains_cflow(node: Pointcut) -> bool:
-    """Does this pointcut tree use ``cflow``/``cflowbelow`` anywhere?
-
-    The weaver checks this at deployment: when any live pointcut is
-    flow-sensitive, every dispatcher must maintain the joinpoint stack
-    even at shadows with no applicable advice (AspectJ instruments
-    cflow entry/exit shadows the same way)."""
-    if isinstance(node, CFlow):
-        return True
-    if isinstance(node, (And, Or)):
-        return contains_cflow(node.left) or contains_cflow(node.right)
-    if isinstance(node, Not):
-        return contains_cflow(node.inner)
-    return False
-
-
-def cflowbelow(inner: Pointcut | str) -> CFlowBelow:
-    return CFlowBelow(_coerce(inner))

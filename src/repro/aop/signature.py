@@ -1,15 +1,14 @@
 """Signature patterns for pointcut matching.
 
-Implements the pattern sub-language that appears inside ``call(..)``,
-``initialization(..)``, ``within(..)``, ``target(..)`` and ``args(..)``:
+Implements the pattern sub-language that appears inside ``call(..)`` and
+``initialization(..)``:
 
 * **Type patterns** — ``PrimeFilter``, ``*Filter``, ``pkg.mod.Class``,
   ``Pipe+`` (the class or any subtype, including *virtual* subtypes
   registered via ``declare_parents``), ``*`` (any type).
 * **Name patterns** — method names with ``*`` wildcards (``move*``).
-* **Parameter patterns** — ``..`` (any number of arguments), ``*`` (exactly
-  one argument of any type), or type patterns matched against the dynamic
-  types of the actual arguments.
+* **Parameters** — only ``(..)``, any number of arguments; a signature
+  without a parameter list means the same.
 
 AspectJ resolves subtype tests against the Java type system; we keep our
 own *virtual-subtype registry* so that ``declare parents`` (inter-type
@@ -22,14 +21,12 @@ from __future__ import annotations
 
 import fnmatch
 import re
-from typing import Any, Iterable
 
 from repro.errors import PointcutSyntaxError
 
 __all__ = [
     "TypePattern",
     "NamePattern",
-    "ParamsPattern",
     "SignaturePattern",
     "register_virtual_base",
     "unregister_virtual_base",
@@ -116,7 +113,7 @@ class TypePattern:
     matches against ``module.qualname``.
     """
 
-    __slots__ = ("text", "subtypes", "_regex", "_qualified", "_resolved")
+    __slots__ = ("text", "subtypes", "_regex", "_qualified")
 
     def __init__(self, text: str):
         text = text.strip()
@@ -130,32 +127,9 @@ class TypePattern:
         self.text = text
         self._qualified = "." in text
         self._regex = _glob_to_regex(text)
-        # Direct class reference (resolved lazily by pointcuts built from
-        # class objects rather than strings).
-        self._resolved: type | None = None
-
-    @classmethod
-    def from_class(cls, klass: type, subtypes: bool = False) -> "TypePattern":
-        """Build a pattern that matches exactly ``klass`` (or subtypes)."""
-        pat = cls.__new__(cls)
-        pat.text = klass.__name__
-        pat.subtypes = subtypes
-        pat._qualified = False
-        pat._regex = _glob_to_regex(klass.__name__)
-        pat._resolved = klass
-        return pat
-
-    @property
-    def is_wildcard_any(self) -> bool:
-        """True for the universal pattern ``*``."""
-        return self.text == "*" and not self._qualified
 
     def matches_class(self, klass: type) -> bool:
         """Does this pattern match the class ``klass``?"""
-        if self._resolved is not None:
-            if self.subtypes:
-                return is_subtype(klass, self._resolved)
-            return klass is self._resolved
         if self.subtypes:
             # Name-based subtype test: match the class itself or anything
             # on its (real + virtual) ancestry.
@@ -183,12 +157,6 @@ class TypePattern:
             full = f"{klass.__module__}.{klass.__qualname__}"
             return bool(self._regex.match(full))
         return bool(self._regex.match(klass.__name__))
-
-    def matches_string(self, dotted: str) -> bool:
-        """Match against a pre-rendered dotted name (used by ``within``)."""
-        if self._qualified:
-            return bool(self._regex.match(dotted))
-        return bool(self._regex.match(dotted.rsplit(".", 1)[-1]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TypePattern({self.text}{'+' if self.subtypes else ''})"
@@ -219,120 +187,21 @@ class NamePattern:
         return self.text
 
 
-#: Sentinel for the ``..`` parameter wildcard.
-ELLIPSIS_PARAM = ".."
-#: Sentinel for the ``*`` single-parameter wildcard.
-ANY_PARAM = "*"
-
-
-class ParamsPattern:
-    """Pattern over the *dynamic* argument list of a joinpoint.
-
-    ``(..)`` matches anything; ``(*)`` exactly one argument; ``(int, ..)``
-    one ``int`` followed by anything.  Type names are matched against the
-    dynamic type of each positional argument using :class:`TypePattern`
-    rules (so user classes match by name and ``+`` works).
-    """
-
-    __slots__ = ("elements",)
-
-    def __init__(self, elements: Iterable[str]):
-        self.elements: list[str | TypePattern] = []
-        for raw in elements:
-            raw = raw.strip()
-            if not raw:
-                continue
-            if raw == ELLIPSIS_PARAM or raw == ANY_PARAM:
-                self.elements.append(raw)
-            else:
-                self.elements.append(TypePattern(raw))
-
-    @classmethod
-    def any(cls) -> "ParamsPattern":
-        return cls([ELLIPSIS_PARAM])
-
-    @property
-    def is_any(self) -> bool:
-        return self.elements == [ELLIPSIS_PARAM]
-
-    def matches(self, args: tuple[Any, ...]) -> bool:
-        return self._match(self.elements, list(args))
-
-    def _match(self, pattern: list, args: list) -> bool:
-        if not pattern:
-            return not args
-        head, rest = pattern[0], pattern[1:]
-        if head == ELLIPSIS_PARAM:
-            # try to consume 0..len(args) arguments
-            for skip in range(len(args) + 1):
-                if self._match(rest, args[skip:]):
-                    return True
-            return False
-        if not args:
-            return False
-        if head == ANY_PARAM:
-            return self._match(rest, args[1:])
-        assert isinstance(head, TypePattern)
-        if not head.matches_class(type(args[0])) and not _primitive_match(
-            head, args[0]
-        ):
-            return False
-        return self._match(rest, args[1:])
-
-    def __str__(self) -> str:
-        return ", ".join(str(e) for e in self.elements)
-
-
-_PRIMITIVE_ALIASES = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "bool": bool,
-    "bytes": bytes,
-    "list": list,
-    "dict": dict,
-    "tuple": tuple,
-    "set": set,
-}
-
-
-def _primitive_match(pattern: TypePattern, value: Any) -> bool:
-    """Allow Java-ish primitive names (``int``, ``str``...) as type
-    patterns, including against numpy scalar/array kinds for ``int`` and
-    ``float`` arguments coming from vectorised workloads."""
-    alias = _PRIMITIVE_ALIASES.get(pattern.text)
-    if alias is None:
-        return False
-    if isinstance(value, alias):
-        return True
-    kind = getattr(getattr(value, "dtype", None), "kind", None)
-    if kind is not None:
-        if alias is int and kind in ("i", "u"):
-            return True
-        if alias is float and kind == "f":
-            return True
-    return False
-
-
 class SignaturePattern:
-    """``TypePattern.NamePattern(ParamsPattern)`` — a full signature.
+    """``TypePattern.NamePattern(..)`` — a full signature.
 
     The special method name ``new`` designates construction, mirroring
     AspectJ's ``Class.new(..)`` (the paper writes
-    ``around (PrimeFilter.new(..))``).
+    ``around (PrimeFilter.new(..))``).  The parameter list is always
+    ``(..)`` (or left out): a typed list would need testing each call's
+    arguments, and every pointcut here is decided once per shadow.
     """
 
-    __slots__ = ("type_pattern", "name_pattern", "params")
+    __slots__ = ("type_pattern", "name_pattern")
 
-    def __init__(
-        self,
-        type_pattern: TypePattern,
-        name_pattern: NamePattern,
-        params: ParamsPattern,
-    ):
+    def __init__(self, type_pattern: TypePattern, name_pattern: NamePattern):
         self.type_pattern = type_pattern
         self.name_pattern = name_pattern
-        self.params = params
 
     @property
     def is_constructor(self) -> bool:
@@ -340,47 +209,37 @@ class SignaturePattern:
 
     @classmethod
     def parse(cls, text: str) -> "SignaturePattern":
-        """Parse ``Type.name(params)`` (params optional → ``(..)``)."""
+        """Parse ``Type.name(..)`` (params optional); any other
+        parameter list is refused."""
         text = text.strip()
-        params = ParamsPattern.any()
         if "(" in text:
             if not text.endswith(")"):
                 raise PointcutSyntaxError(
                     f"unbalanced parentheses in signature {text!r}", text
                 )
             head, _, inner = text.partition("(")
-            inner = inner[:-1]
-            params = ParamsPattern(_split_params(inner)) if inner.strip() else ParamsPattern([])
+            if inner[:-1].strip() != "..":
+                raise PointcutSyntaxError(
+                    f"unsupported parameter list in signature {text!r}: "
+                    "only (..) is supported",
+                    text,
+                )
             text = head.strip()
         if "." not in text:
             raise PointcutSyntaxError(
                 f"signature {text!r} must be of the form Type.method(..)", text
             )
         type_text, _, name_text = text.rpartition(".")
-        return cls(TypePattern(type_text), NamePattern(name_text), params)
+        return cls(TypePattern(type_text), NamePattern(name_text))
 
     def matches_shadow(self, cls: type, name: str) -> bool:
-        """Static part of matching: class and method name only."""
+        """Does the signature select method ``name`` of ``cls``?"""
         return self.type_pattern.matches_class(cls) and self.name_pattern.matches(
             name
         )
 
-    def matches_args(self, args: tuple[Any, ...]) -> bool:
-        return self.params.matches(args)
-
-    @property
-    def has_dynamic_residue(self) -> bool:
-        """True when argument matching must happen at each call."""
-        return not self.params.is_any
-
     def __str__(self) -> str:
-        return f"{self.type_pattern}.{self.name_pattern}({self.params})"
+        return f"{self.type_pattern}.{self.name_pattern}(..)"
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SignaturePattern({self})"
-
-
-def _split_params(inner: str) -> list[str]:
-    """Split a parameter list on commas (no nested generics to worry
-    about in our pattern language)."""
-    return [piece for piece in (p.strip() for p in inner.split(",")) if piece]

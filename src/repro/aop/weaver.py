@@ -6,11 +6,11 @@ construction is intercepted through ``__new__`` / ``__init__`` patches.
 This is the runtime analogue of AspectJ's compile-time weaving, with one
 twist: instead of generic dispatchers interpreting an epoch-cached
 advice-chain table per call, each shadow's dispatcher is a closure
-*specialised* to the advice that applies there (the inert / static /
-generic decision tree of :mod:`repro.aop.plan` — every statically
-matched chain compiles, whatever its kind mix and ordering; only
-dynamic-residue chains fall back to the interpreter), recompiled only
-when a deploy/undeploy actually changes that shadow's chain.  A static shadow→deployment match index
+*specialised* to the advice that applies there (the inert / compiled
+decision tree of :mod:`repro.aop.plan` — every pointcut is decided once
+per shadow, so every chain compiles, whatever its kind mix and
+ordering), recompiled only when a deploy/undeploy actually changes that
+shadow's chain.  A static shadow→deployment match index
 (built from ``Pointcut.matches_shadow``) keeps "(un)plug on the fly"
 cheap under load: deploying an aspect whose pointcuts match ``Jacobi.*``
 leaves every ``Primes.*`` plan untouched.
@@ -20,23 +20,22 @@ Invalidation rules (what a mutation recompiles or prunes):
 * **deploy/undeploy** — only the shadows in the deployment's static
   match set recompile (each recompile also drops the shadow's cached
   batch plan, since batch plans bake the same chain);
-* **flow-sensitivity flips** (first/last ``cflow`` pointcut live) —
-  global recompile: the *inert* plan shape changes everywhere (stack
-  maintenance on/off);
 * **``declare_parents``** — global: it rewrites the subtype relation
   that *other* deployments' ``Base+`` pointcuts match against, so every
   deployment's match index is rebuilt before recompiling;
 * **unweave** — prunes every per-class artifact so long-lived processes
   don't pin ephemeral classes: the class's shadows (taking their call
-  and batch plans with them), its chain-cache rows, its ``PlanStats``
-  counters (call and batch), and its entries in live deployments' match
-  sets;
+  and batch plans with them), its ``PlanStats`` counters (call and
+  batch), and its entries in live deployments' match sets;
 * the weaver ``version`` bumps only *after* recompiled plans are
   installed, so :class:`~repro.aop.plan.MethodTable` consumers can never
   cache a pre-mutation entry under the new version.
 
 Construction semantics (matching paper Section 4.1):
 
+* an initialization chain compiles like a call chain
+  (:func:`~repro.aop.plan.compile_ctor_runner`); the woven ``__new__``
+  enters the compiled runner;
 * around advice on ``initialization(C.new(..))`` may call ``proceed``
   several times — each call builds a **fresh fully-initialised instance**
   (the aspect-managed objects of Figure 4) — and may return any object to
@@ -62,24 +61,18 @@ import sys
 import threading
 from typing import Any, Callable, Iterable
 
-from repro.aop.advice import AdviceKind, BoundAdvice, run_chain
+from repro.aop.advice import AdviceKind, BoundAdvice
 from repro.aop.aspect import Aspect
-from repro.aop.cflow import (
-    bypassing_construction,
-    construction_bypass,
-    entered_joinpoint,
-    in_advice,
-)
+from repro.aop.cflow import bypassing_construction, construction_bypass, in_advice
 from repro.aop.intertype import IntertypeApplier
 from repro.aop.joinpoint import JoinPoint, JoinPointKind
 from repro.aop.plan import (
-    CtorPack,
     PlanStats,
     Shadow,
     compile_call_impl,
-    resolve_caller,
+    compile_ctor_runner,
 )
-from repro.aop.pointcut import MAYBE, NO, Pointcut, contains_cflow
+from repro.aop.pointcut import Pointcut
 from repro.errors import DeploymentError, WeaveError
 
 __all__ = ["Weaver", "default_weaver", "weave", "unweave", "deploy", "undeploy",
@@ -178,12 +171,8 @@ class Weaver:
         self._deployments: list[_Deployment] = []
         self._epoch = 0
         self._seq = 0
-        self._chain_cache: dict[tuple[type, str, JoinPointKind], tuple[int, list[BoundAdvice], bool]] = {}
         self._ctor_state = _ConstructionState()
         self._lock = threading.RLock()
-        # True while any deployed pointcut is flow-sensitive; compiled
-        # plans then maintain the joinpoint stack even on inert shadows.
-        self._cflow_active = False
         #: live shadows per woven class, keyed (name, kind)
         self._shadows: dict[type, dict[tuple[str, JoinPointKind], Shadow]] = {}
         #: plan-compiler counters + hooks (targeted-invalidation tests)
@@ -263,8 +252,6 @@ class Weaver:
                 for deployment in self._deployments:
                     deployment.matched -= dead_set
             self.plan_stats.prune_class(cls)
-            for key in [k for k in self._chain_cache if k[0] is cls]:
-                del self._chain_cache[key]
             for name, attr in originals.items():
                 if attr is _MISSING:
                     if name == "__new__":
@@ -384,13 +371,6 @@ class Weaver:
     def _bump_epoch(self) -> None:
         self._epoch += 1
 
-    def _recompute_cflow(self) -> None:
-        self._cflow_active = any(
-            contains_cflow(resolved)
-            for deployment in self._deployments
-            for _, resolved, _, _ in deployment.resolved
-        )
-
     def _is_live(self, shadow: Shadow) -> bool:
         """Is ``shadow`` still the current shadow at its site?  (A class
         may have been unwoven — and even rewoven with fresh shadows —
@@ -402,11 +382,9 @@ class Weaver:
     @staticmethod
     def _deployment_matches(deployment: _Deployment, shadow: Shadow) -> bool:
         """Static index test: can any advice of ``deployment`` apply at
-        ``shadow``?  NO means never (skip recompiling it); YES/MAYBE both
-        count — MAYBE residues are evaluated per call by the plan."""
+        ``shadow``?"""
         return any(
             resolved.matches_shadow(shadow.cls, shadow.name, shadow.kind)
-            is not NO
             for _, resolved, _, _ in deployment.resolved
         )
 
@@ -416,27 +394,23 @@ class Weaver:
         """Recompile after a deploy/undeploy: only the statically matched
         shadows — unless the change invalidates the index itself.
 
-        Two changes are global by nature: flipping flow-sensitivity
-        (alters the inert plan shape everywhere — stack maintenance
-        on/off), and intertype ``declare_parents`` (alters the subtype
-        relation that *other* deployments' ``Base+`` pointcuts match
-        against, so their cached match sets must be rebuilt too).
+        One change is global by nature: intertype ``declare_parents``
+        alters the subtype relation that *other* deployments' ``Base+``
+        pointcuts match against, so their cached match sets must be
+        rebuilt too.
         """
-        was_cflow = self._cflow_active
-        self._recompute_cflow()
-        if force_global or was_cflow != self._cflow_active:
+        if force_global:
             all_shadows = [
                 shadow
                 for shadows in self._shadows.values()
                 for shadow in shadows.values()
             ]
-            if force_global:
-                for deployment in self._deployments:
-                    deployment.matched = {
-                        shadow
-                        for shadow in all_shadows
-                        if self._deployment_matches(deployment, shadow)
-                    }
+            for deployment in self._deployments:
+                deployment.matched = {
+                    shadow
+                    for shadow in all_shadows
+                    if self._deployment_matches(deployment, shadow)
+                }
             to_recompile: Iterable[Shadow] = all_shadows
         else:
             to_recompile = matched
@@ -451,61 +425,32 @@ class Weaver:
         """Recompute a shadow's chain and install its specialised impl.
         The cached batch plan is invalidated alongside: it bakes the same
         chain, so it must be recompiled lazily on next batched use."""
-        entries, needs_caller = self._compute_chain(
-            shadow.cls, shadow.name, shadow.kind
-        )
-        shadow.entries = tuple(entries)
-        shadow.needs_caller = needs_caller
+        shadow.entries = self._compute_chain(shadow)
         shadow.compiles += 1
         shadow.batch_impl = None
         if shadow.kind is JoinPointKind.CALL:
-            impl = compile_call_impl(self, shadow)
+            impl = compile_call_impl(shadow)
             shadow.impl = impl
             setattr(shadow.cls, shadow.name, impl)
+        else:
+            shadow.impl = compile_ctor_runner(shadow)
         self.plan_stats.record(shadow)
 
-    def _compute_chain(
-        self, cls: type, name: str, kind: JoinPointKind
-    ) -> tuple[list[BoundAdvice], bool]:
-        entries: list[BoundAdvice] = []
-        needs_caller = False
-        for deployment in self._deployments:
-            precedence = deployment.aspect.precedence
-            for advice_kind, resolved, bound, index in deployment.resolved:
-                shadow = resolved.matches_shadow(cls, name, kind)
-                if shadow is NO:
-                    continue
-                needs_eval = shadow is MAYBE or resolved.needs_caller
-                needs_caller = needs_caller or resolved.needs_caller
-                entries.append(
-                    BoundAdvice(
-                        advice_kind,
-                        resolved,
-                        bound,
-                        needs_eval,
-                        deployment.aspect,
-                        (-precedence, deployment.seq, index),
-                    )
-                )
+    def _compute_chain(self, shadow: Shadow) -> tuple[BoundAdvice, ...]:
+        """The advice matching ``shadow``, outermost first."""
+        entries = [
+            BoundAdvice(
+                advice_kind,
+                bound,
+                deployment.aspect,
+                (-deployment.aspect.precedence, deployment.seq, index),
+            )
+            for deployment in self._deployments
+            for advice_kind, resolved, bound, index in deployment.resolved
+            if resolved.matches_shadow(shadow.cls, shadow.name, shadow.kind)
+        ]
         entries.sort(key=lambda e: e.sort_key)
-        return entries, needs_caller
-
-    def chain(
-        self, cls: type, name: str, kind: JoinPointKind
-    ) -> tuple[list[BoundAdvice], bool]:
-        """Advice chain for a shadow, outermost-first, version-cached.
-
-        Returns ``(entries, needs_caller)``.  Introspection-facing; the
-        hot path reads compiled plans instead.
-        """
-        key = (cls, name, kind)
-        cached = self._chain_cache.get(key)
-        if cached is not None and cached[0] == self._epoch:
-            return cached[1], cached[2]
-        with self._lock:
-            entries, needs_caller = self._compute_chain(cls, name, kind)
-            self._chain_cache[key] = (self._epoch, entries, needs_caller)
-            return entries, needs_caller
+        return tuple(entries)
 
     # ------------------------------------------------------------------
     # Construction weaving
@@ -545,8 +490,8 @@ class Weaver:
                 return raw_new(kls, args, kwargs)
             # inert plan: no initialization advice applies here, so skip
             # the reconstruction frame-walk entirely
-            entries = ctor_shadow.entries
-            if not entries:
+            runner = ctor_shadow.impl
+            if runner is None:
                 return raw_new(kls, args, kwargs)
             if not args and not kwargs and (
                 init_needs_args or _called_from_reconstruction()
@@ -554,24 +499,12 @@ class Weaver:
                 # bare __new__(cls): object reconstruction, not a client
                 # construction — never an initialization joinpoint
                 return raw_new(kls, args, kwargs)
+            # never from advice: constructions inside advice took the
+            # raw path above, so jp.from_advice keeps its False default
             jp = JoinPoint(
                 JoinPointKind.INITIALIZATION, cls, "__init__", None, args, kwargs
             )
-            jp.from_advice = in_advice()
-            if ctor_shadow.needs_caller:
-                jp._caller = resolve_caller()
-
-            def construct(*a: Any, **k: Any) -> Any:
-                # a CtorPack through proceed is a *batched* construction:
-                # one chain pass built N instances (see plan.CtorPack)
-                if len(a) == 1 and not k and isinstance(a[0], CtorPack):
-                    with bypassing_construction():
-                        return [cls(*pa, **pk) for pa, pk in a[0].argsets]
-                with bypassing_construction():
-                    return cls(*a, **k)
-
-            with entered_joinpoint(jp):
-                result = run_chain(entries, jp, construct)
+            result = runner(jp, None, args, kwargs)
             if isinstance(result, cls):
                 weaver._ctor_state.skip_init_ids.add(id(result))
             return result
@@ -610,7 +543,6 @@ class Weaver:
         """Undeploy every aspect and unweave every class."""
         self.undeploy_all()
         self.unweave_all()
-        self._chain_cache.clear()
         self.plan_stats.clear()
 
 

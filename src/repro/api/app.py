@@ -235,13 +235,10 @@ class ParallelApp:
 
     def plan_stats(self) -> dict:
         """Compiler visibility for this app's weaver: a read-only
-        snapshot of :class:`~repro.aop.plan.PlanStats` — compile counts,
-        the per-kind plan histograms (``kinds`` / ``batch_kinds``), and
-        the runtime ``interpreter_calls`` fallback counter.  Benchmarks
-        and users assert "no interpreter on this path" by checking that
-        ``interpreter_calls`` does not move across a hot loop; only
-        dynamic-residue chains (``within``/``args`` residues) increment
-        it.
+        snapshot of :class:`~repro.aop.plan.PlanStats` — compile counts
+        and the per-kind plan histograms (``kinds`` / ``batch_kinds``).
+        ``interpreter_calls`` is 0 by construction: every pointcut is
+        decided per shadow, so every chain compiles.
         """
         return self.weaver.plan_stats.summary()
 

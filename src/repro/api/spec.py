@@ -34,6 +34,7 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from repro.aop.parser import parse_pointcut
 from repro.api.registry import BACKENDS, MIDDLEWARES, STRATEGIES
 from repro.errors import DeploymentError
 from repro.runtime.admission import OVERFLOW_POLICIES
@@ -225,8 +226,10 @@ class StackSpec:
 
         Resolves every registry name (raising
         :class:`~repro.api.registry.UnknownNameError` with the catalogue
-        and a typo suggestion), and checks the cross-field rules the
-        assembly step would otherwise fail on obscurely.
+        and a typo suggestion), parses the work and creation pointcuts
+        (raising :class:`~repro.errors.PointcutSyntaxError`), and checks
+        the cross-field rules the assembly step would otherwise fail on
+        obscurely.
         """
         if not isinstance(self.target, type):
             raise DeploymentError(
@@ -237,6 +240,9 @@ class StackSpec:
                 f"StackSpec for {self.target.__name__} needs a work pointcut "
                 f"(a method name like 'filter' or a call(..) expression)"
             )
+        # a malformed or refused pointcut fails here, not at deploy()
+        parse_pointcut(self.work_pointcut)
+        parse_pointcut(self.creation_pointcut)
         strategy = STRATEGIES.get(self.strategy)  # raises UnknownNameError
         MIDDLEWARES.get(self.middleware)
         backend = self.backend  # a name, a class's instance, or None (auto)

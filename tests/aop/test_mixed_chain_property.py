@@ -1,21 +1,26 @@
-"""Property-style equivalence: compiled plans vs the generic interpreter.
+"""Property-style equivalence: compiled plans vs the chain interpreter.
 
 For arbitrary mixes of before / after / after_returning / after_throwing
 / around advice (arbitrary precedences, raising targets, proceed with
 replacement arguments), whatever specialised impl the plan compiler
-picks — single-around, all-around, mixed, or the generic fallback — must
-produce byte-identical results, exceptions and advice call ordering to
-running the same chain through the generic interpreter.
+picks — single-around, all-around or mixed — must produce byte-identical
+results, exceptions and advice call ordering to running the same chain
+through the interpreter kept as the oracle (``chain_oracle.run_chain``).
+Construction chains compile with the same runner; their rows run every
+ordering of an around, a before and an after against the oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from chain_oracle import run_chain
 
 from repro.aop import (
     Aspect,
+    CtorPack,
     JoinPoint,
     JoinPointKind,
     after,
@@ -26,7 +31,7 @@ from repro.aop import (
     deploy,
     weave,
 )
-from repro.aop.advice import run_chain
+from repro.aop.cflow import bypassing_construction, flow_state
 from repro.aop.weaver import default_weaver
 
 KINDS = ("before", "after", "after_returning", "after_throwing", "around")
@@ -88,9 +93,7 @@ def run_compiled(Target, obj, arg):
 
 
 def run_interpreted(Target, obj, arg):
-    entries, needs_caller = default_weaver.chain(
-        Target, "work", JoinPointKind.CALL
-    )
+    entries = default_weaver._shadows[Target][("work", JoinPointKind.CALL)].entries
     original = getattr(Target, "__aop_originals__")["work"]
     jp = JoinPoint(JoinPointKind.CALL, Target, "work", obj, (arg,), {})
     try:
@@ -144,9 +147,8 @@ def test_compiled_paths_match_interpreter(seed):
 
 
 def test_mixed_chain_uses_compiled_path_when_separable():
-    """A (before, after, around) mix with befores/afters outermost must
-    NOT take the generic interpreter: the impl is the mixed plan (the
-    generic closure is recognisable by its needs_caller cell)."""
+    """A (before, after, around) mix with befores/afters outermost
+    compiles to the mixed plan: a runner folded at compile time."""
     Target = make_target(False)
     weave(Target)
     events: list = []
@@ -162,10 +164,9 @@ def test_mixed_chain_uses_compiled_path_when_separable():
 
 def test_interleaved_chain_compiles():
     """A before *below* an around (higher-precedence around) is not
-    separable — it used to force the generic interpreter.  The segment
-    compiler folds it into the around's tail instead: the impl is a
-    compiled runner tagged ``mixed``, and the interpreter's interleaved
-    ordering is preserved."""
+    separable.  The segment compiler folds it into the around's tail:
+    the impl is a compiled runner tagged ``mixed``, and the interleaved
+    ordering is the oracle's."""
     Target = make_target(False)
     weave(Target)
     events: list = []
@@ -184,7 +185,6 @@ def test_interleaved_chain_compiles():
 # deliberately non-separable shapes: non-around advice sorted below (and
 # between) arounds, including multi-around spines with interleaved
 # before/after segments — the chains the segment compiler must fold
-# without an interpreter fallback
 INTERLEAVED_CHAINS = [
     ("around", "before"),
     ("around", "after"),
@@ -204,7 +204,7 @@ INTERLEAVED_CHAINS = [
 def test_non_separable_chains_match_interpreter(
     kinds, should_raise, replace_args
 ):
-    """Compiled non-separable chains must match the interpreter
+    """Compiled non-separable chains must match the oracle
     byte-for-byte: advice ordering, argument substitution through
     ``proceed``, results and exception propagation."""
     Target = make_target(should_raise)
@@ -248,27 +248,101 @@ def test_non_separable_chains_match_interpreter(
     )
 
 
-def test_no_interpreter_calls_on_static_chains():
-    """The runtime fallback counter stays at zero across compiled
-    dispatches — including non-separable ones — and moves only for
-    dynamic-residue chains (here: a ``within`` residue)."""
-    Target = make_target(False)
-    weave(Target)
-    events: list = []
-    deploy(make_aspect("a", "around", 300, events, False))
-    deploy(make_aspect("b", "before", 100, events, False))
-    stats = default_weaver.plan_stats
-    before_calls = stats.interpreter_calls
-    obj = Target.__new__(Target)
-    for i in range(5):
-        obj.work(i)
-    assert stats.interpreter_calls == before_calls
+# -- construction ----------------------------------------------------------
 
-    class Residue(Aspect):
-        @around("call(Target.work(..)) && within(tests.*)")
-        def wide(self, jp):
-            return jp.proceed()
 
-    deploy(Residue())
-    obj.work(1)
-    assert stats.interpreter_calls == before_calls + 1
+class Widget:
+    def __init__(self, x):
+        self.x = x
+
+
+def ctor_view(value):
+    """A comparable view of what a construction chain handles: instances
+    by their state, packs by their argsets."""
+    if isinstance(value, Widget):
+        return ("Widget", value.x)
+    if isinstance(value, CtorPack):
+        return ("pack", value.argsets)
+    if isinstance(value, (list, tuple)):
+        return [ctor_view(item) for item in value]
+    return value
+
+
+def ctor_aspect(tag, kind, precedence, events, proceeds, raises):
+    """One construction advice of ``kind``; the around proceeds once,
+    three times or once with a :class:`CtorPack`, and the before raises
+    when ``raises``."""
+
+    def body(self, jp):
+        if kind == "around":
+            events.append((tag, "enter", ctor_view(jp.args)))
+            x = jp.args[0]
+            if proceeds == "one":
+                out = jp.proceed()
+            elif proceeds == "three":
+                out = [jp.proceed(), jp.proceed(x + 1), jp.proceed()][1]
+            else:
+                out = jp.proceed(CtorPack([((x,), {}), ((x + 5,), {})]))[1]
+            events.append((tag, "exit", ctor_view(out), ctor_view(jp.args)))
+            return out
+        events.append((tag, kind, ctor_view(jp.args)))
+        if kind == "before" and raises:
+            raise ValueError(f"refused:{jp.args[0]}")
+
+    decorator = DECORATORS[kind]("initialization(Widget.new(..))")
+    return type(
+        f"Ctor_{tag}", (Aspect,), {"precedence": precedence, "advice": decorator(body)}
+    )()
+
+
+def ctor_outcome(build):
+    try:
+        return ("ok", ctor_view(build()))
+    except ValueError as exc:
+        return ("raise", repr(exc))
+
+
+def oracle_construct(*args, **kwargs):
+    """The interpreter's innermost construction step."""
+    with bypassing_construction():
+        if len(args) == 1 and not kwargs and isinstance(args[0], CtorPack):
+            return [Widget(*a, **k) for a, k in args[0].argsets]
+        return Widget(*args, **kwargs)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(("around", "before", "after"))))
+@pytest.mark.parametrize("proceeds", ["one", "three", "pack"])
+@pytest.mark.parametrize("raises", [False, True])
+def test_compiled_construction_matches_oracle(order, proceeds, raises):
+    """A woven construction runs its chain through the compiled runner;
+    the result, the exception and the advice log are the oracle's."""
+    weave(Widget)
+    compiled_events: list = []
+    oracle_events: list = []
+    active = {"sink": compiled_events}
+
+    class Sink(list):
+        pass
+
+    events_proxy = Sink()
+    events_proxy.append = lambda item: active["sink"].append(item)  # type: ignore[method-assign]
+    # descending precedence pins the chain order to ``order``
+    for i, kind in enumerate(order):
+        deploy(ctor_aspect(f"c{i}", kind, (len(order) - i) * 100,
+                           events_proxy, proceeds, raises))
+    shadow = default_weaver._shadows[Widget][("__init__", JoinPointKind.INITIALIZATION)]
+    assert [e.kind.value for e in shadow.entries] == list(order)
+
+    compiled = ctor_outcome(lambda: Widget(3))
+    flow = flow_state()
+    assert (flow.advice_depth, flow.construction_bypass) == (0, 0)
+    active["sink"] = oracle_events
+    jp = JoinPoint(JoinPointKind.INITIALIZATION, Widget, "__init__", None, (3,), {})
+    oracle = ctor_outcome(lambda: run_chain(shadow.entries, jp, oracle_construct))
+
+    assert compiled == oracle
+    assert compiled_events == oracle_events, (
+        f"{order} {proceeds}: advice ordering diverges\n"
+        f"compiled: {compiled_events}\n"
+        f"oracle:   {oracle_events}"
+    )

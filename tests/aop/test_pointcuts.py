@@ -1,4 +1,5 @@
-"""Pointcut language: parsing, matching, combinators, dynamic residues."""
+"""Pointcut language: parsing, per-shadow matching, combinators, and
+the refusal of everything outside the supported subset."""
 
 from __future__ import annotations
 
@@ -13,21 +14,9 @@ from repro.aop import (
     weave,
 )
 from repro.aop.joinpoint import JoinPointKind
-from repro.aop.pointcut import (
-    NO,
-    YES,
-    AdviceExecution,
-    And,
-    Call,
-    FalsePointcut,
-    Initialization,
-    Not,
-    Or,
-    TruePointcut,
-)
+from repro.aop.pointcut import And, Call, Initialization, Not, Or
 from repro.aop.signature import (
     NamePattern,
-    ParamsPattern,
     SignaturePattern,
     TypePattern,
     is_subtype,
@@ -62,7 +51,6 @@ class TestTypePattern:
 
     def test_universal(self):
         pat = TypePattern("*")
-        assert pat.is_wildcard_any
         assert pat.matches_class(Alpha)
         assert pat.matches_class(int)
 
@@ -77,12 +65,6 @@ class TestTypePattern:
         assert pat.matches_class(Alpha)
         pat2 = TypePattern("other.module.Alpha")
         assert not pat2.matches_class(Alpha)
-
-    def test_from_class_identity(self):
-        pat = TypePattern.from_class(Alpha)
-        assert pat.matches_class(Alpha)
-        assert not pat.matches_class(Beta)
-        assert TypePattern.from_class(Alpha, subtypes=True).matches_class(Beta)
 
     def test_virtual_subtype_via_registry(self):
         class Marker:
@@ -105,67 +87,17 @@ class TestTypePattern:
             TypePattern("+")
 
 
-class TestParamsPattern:
-    def test_any(self):
-        pat = ParamsPattern.any()
-        assert pat.matches(())
-        assert pat.matches((1, "a", None))
-
-    def test_empty_matches_no_args(self):
-        pat = ParamsPattern([])
-        assert pat.matches(())
-        assert not pat.matches((1,))
-
-    def test_single_star(self):
-        pat = ParamsPattern(["*"])
-        assert pat.matches((object(),))
-        assert not pat.matches(())
-        assert not pat.matches((1, 2))
-
-    def test_typed_params(self):
-        pat = ParamsPattern(["int", "str"])
-        assert pat.matches((1, "a"))
-        assert not pat.matches(("a", 1))
-
-    def test_ellipsis_prefix_suffix(self):
-        pat = ParamsPattern(["int", ".."])
-        assert pat.matches((1,))
-        assert pat.matches((1, "x", "y"))
-        assert not pat.matches(("x",))
-        pat2 = ParamsPattern(["..", "str"])
-        assert pat2.matches(("end",))
-        assert pat2.matches((1, 2, "end"))
-        assert not pat2.matches((1, 2))
-
-    def test_numpy_int_arrays_match_by_dtype_kind(self):
-        np = pytest.importorskip("numpy")
-        pat = ParamsPattern(["int"])
-        assert pat.matches((np.int64(3),))
-        assert pat.matches((np.array([1, 2, 3]),))
-        assert not pat.matches((np.array([1.5]),))
-
-    def test_user_class_param(self):
-        pat = ParamsPattern(["Alpha+"])
-        assert pat.matches((Beta(),))
-        assert not pat.matches((3,))
-
-
 class TestSignatureParsing:
     def test_basic(self):
         sig = SignaturePattern.parse("PrimeFilter.filter(..)")
         assert str(sig.type_pattern) == "PrimeFilter"
         assert str(sig.name_pattern) == "filter"
-        assert sig.params.is_any
+        assert str(sig) == "PrimeFilter.filter(..)"
 
     def test_no_params_section_means_any(self):
-        sig = SignaturePattern.parse("PrimeFilter.filter")
-        assert sig.params.is_any
-
-    def test_empty_params_means_zero_args(self):
-        sig = SignaturePattern.parse("PrimeFilter.stop()")
-        assert not sig.params.is_any
-        assert sig.params.matches(())
-        assert not sig.params.matches((1,))
+        assert str(SignaturePattern.parse("PrimeFilter.filter")) == (
+            "PrimeFilter.filter(..)"
+        )
 
     def test_constructor_detection(self):
         assert SignaturePattern.parse("PrimeFilter.new(..)").is_constructor
@@ -184,7 +116,7 @@ class TestParser:
     def test_parse_call(self):
         node = parse_pointcut("call(Alpha.run(..))")
         assert isinstance(node, Call)
-        assert node.matches_shadow(Alpha, "run", JoinPointKind.CALL) is YES
+        assert node.matches_shadow(Alpha, "run", JoinPointKind.CALL) is True
 
     def test_call_with_new_normalises_to_initialization(self):
         node = parse_pointcut("call(Alpha.new(..))")
@@ -195,32 +127,26 @@ class TestParser:
         assert isinstance(node, Initialization)
         assert (
             node.matches_shadow(Alpha, "__init__", JoinPointKind.INITIALIZATION)
-            is YES
+            is True
         )
-        assert node.matches_shadow(Alpha, "run", JoinPointKind.CALL) is NO
+        assert node.matches_shadow(Alpha, "run", JoinPointKind.CALL) is False
 
     def test_boolean_operators_and_parens(self):
         node = parse_pointcut(
-            "call(Alpha.run(..)) || (call(Alpha.walk(..)) && !adviceexecution())"
+            "call(Alpha.run(..)) || (call(Alpha.*(..)) && !call(Alpha.walk(..)))"
         )
         assert isinstance(node, Or)
-        assert node.matches_shadow(Alpha, "run", JoinPointKind.CALL) is YES
+        assert node.matches_shadow(Alpha, "run", JoinPointKind.CALL) is True
+        assert node.matches_shadow(Alpha, "walk", JoinPointKind.CALL) is False
 
     def test_not_operator(self):
         node = parse_pointcut("!call(Alpha.run(..))")
         assert isinstance(node, Not)
-        assert node.matches_shadow(Alpha, "run", JoinPointKind.CALL) is NO
-        assert node.matches_shadow(Alpha, "walk", JoinPointKind.CALL) is YES
-
-    def test_true_false(self):
-        assert isinstance(parse_pointcut("true()"), TruePointcut)
-        assert isinstance(parse_pointcut("false()"), FalsePointcut)
-
-    def test_adviceexecution(self):
-        assert isinstance(parse_pointcut("adviceexecution()"), AdviceExecution)
+        assert node.matches_shadow(Alpha, "run", JoinPointKind.CALL) is False
+        assert node.matches_shadow(Alpha, "walk", JoinPointKind.CALL) is True
 
     def test_whitespace_tolerated(self):
-        node = parse_pointcut("  call( Alpha.run(..) )   &&   true() ")
+        node = parse_pointcut("  call( Alpha.run(..) )   &&   !call(Alpha.walk( .. )) ")
         assert isinstance(node, And)
 
     def test_errors(self):
@@ -242,39 +168,32 @@ class TestParser:
             parse_pointcut(42)
 
 
-class TestDynamicMatching:
-    def test_args_residue_filters_calls(self):
-        hits = []
+#: what the parser refuses -> the name its error must carry: every
+#: designator but call/initialization, and every parameter list but (..)
+REFUSED = {
+    "call(Alpha.run(..)) && within(tests.*)": "'within'",
+    "call(Alpha.run(..)) && target(Beta)": "'target'",
+    "call(Alpha.run(..)) && args(int)": "'args'",
+    "call(Alpha.run(..)) && cflow(call(Alpha.walk(..)))": "'cflow'",
+    "call(Alpha.run(..)) && cflowbelow(call(Alpha.run(..)))": "'cflowbelow'",
+    "call(Alpha.run(..)) && !adviceexecution()": "'adviceexecution'",
+    "execution(Alpha.run(..))": "'execution'",
+    "true()": "'true'",
+    "call(Alpha.run(..)) || false()": "'false'",
+    "call(A.f(int))": "'A.f(int)'",
+    "call(A.f())": "'A.f()'",
+    "call(A.f(*))": "'A.f(*)'",
+}
 
-        class OnlyInts(Aspect):
-            @before("call(Alpha.run(int))")
-            def hit(self, jp):
-                hits.append(jp.args)
 
-        weave(Alpha, methods=["run", "walk"])
-        deploy(OnlyInts())
-        a = Alpha.__new__(Alpha)
-        a.run(5)
-        a.run("five")
-        assert hits == [(5,)]
+@pytest.mark.parametrize("text", REFUSED)
+def test_the_parser_refuses_what_is_not_decided_per_shadow(text):
+    with pytest.raises(PointcutSyntaxError) as refused:
+        parse_pointcut(text)
+    assert REFUSED[text] in str(refused.value)
 
-    def test_target_pointcut_matches_subclass_receiver(self):
-        hits = []
 
-        class OnBeta(Aspect):
-            # Alpha+ is required to match the override, as in AspectJ
-            @before("call(Alpha+.run(..)) && target(Beta)")
-            def hit(self, jp):
-                hits.append(type(jp.target).__name__)
-
-        # Beta overrides run; weave both classes.
-        weave(Alpha, methods=["run"])
-        weave(Beta, methods=["run"])
-        deploy(OnBeta())
-        Alpha.__new__(Alpha).run(1)
-        Beta.__new__(Beta).run(1)
-        assert hits == ["Beta"]
-
+class TestAdvisedMatching:
     def test_wildcard_method_pattern(self):
         hits = []
 
@@ -290,51 +209,11 @@ class TestDynamicMatching:
         a.walk()
         assert hits == ["run", "walk"]
 
-    def test_cflow_pointcut(self):
-        class Outer:
-            def entry(self, inner):
-                return inner.leaf()
+    def test_from_advice_guard(self):
+        """``jp.from_advice`` is this weaver's ``!adviceexecution()``: a
+        call the advice makes is re-intercepted, and the guard lets it
+        through untouched."""
 
-        class Inner:
-            def leaf(self):
-                return "leaf"
-
-        hits = []
-
-        class OnlyUnderEntry(Aspect):
-            @before("call(Inner.leaf(..)) && cflow(call(Outer.entry(..)))")
-            def hit(self, jp):
-                hits.append("under-entry")
-
-        weave(Outer)
-        weave(Inner)
-        deploy(OnlyUnderEntry())
-        inner = Inner()
-        inner.leaf()  # not under entry
-        Outer().entry(inner)  # under entry
-        assert hits == ["under-entry"]
-
-    def test_cflowbelow_excludes_current_joinpoint(self):
-        class Rec:
-            def f(self, n):
-                if n > 0:
-                    return self.f(n - 1)
-                return 0
-
-        hits = []
-
-        class BelowOnly(Aspect):
-            @before("call(Rec.f(..)) && cflowbelow(call(Rec.f(..)))")
-            def hit(self, jp):
-                hits.append(jp.args)
-
-        weave(Rec)
-        deploy(BelowOnly())
-        Rec().f(2)
-        # top-level f(2) is not below itself; f(1) and f(0) are
-        assert hits == [(1,), (0,)]
-
-    def test_adviceexecution_guard(self):
         class Svc:
             def ping(self):
                 return "pong"
@@ -342,10 +221,12 @@ class TestDynamicMatching:
         core_hits = []
 
         class Fwd(Aspect):
-            @around("call(Svc.ping(..)) && !adviceexecution()")
+            @around("call(Svc.ping(..))")
             def fwd(self, jp):
+                if jp.from_advice:
+                    return jp.proceed()
                 core_hits.append("advised")
-                jp.target.ping()  # from advice: must NOT re-match
+                jp.target.ping()  # from advice: must NOT count
                 return jp.proceed()
 
         weave(Svc)
@@ -353,57 +234,12 @@ class TestDynamicMatching:
         assert Svc().ping() == "pong"
         assert core_hits == ["advised"]
 
-    def test_within_restricts_to_calling_module(self):
-        class Svc:
-            def ping(self):
-                return "pong"
-
-        hits = []
-
-        class OnlyFromHere(Aspect):
-            @before(f"call(Svc.ping(..)) && within({__name__}.*)")
-            def hit(self, jp):
-                hits.append(jp.caller.module)
-
-        weave(Svc)
-        deploy(OnlyFromHere())
-        Svc().ping()
-        assert hits == [__name__]
-
-    def test_within_rejects_other_modules(self):
-        class Svc:
-            def ping(self):
-                return "pong"
-
-        hits = []
-
-        class OnlyElsewhere(Aspect):
-            @before("call(Svc.ping(..)) && within(nonexistent.module.*)")
-            def hit(self, jp):
-                hits.append(1)
-
-        weave(Svc)
-        deploy(OnlyElsewhere())
-        Svc().ping()
-        assert hits == []
-
-
 class TestCombinatorAlgebra:
-    def test_operator_overloads(self):
-        a = parse_pointcut("call(Alpha.run(..))")
-        b = parse_pointcut("call(Alpha.walk(..))")
-        assert isinstance(a & b, And)
-        assert isinstance(a | b, Or)
-        assert isinstance(~a, Not)
-
-    def test_and_with_string_coercion(self):
-        a = parse_pointcut("call(Alpha.run(..))")
-        combined = a & "true()"
-        assert combined.matches_shadow(Alpha, "run", JoinPointKind.CALL) is YES
-
-    def test_shadow_three_valued_logic(self):
-        yes = TruePointcut()
-        no = FalsePointcut()
-        assert And(yes, no).matches_shadow(Alpha, "run", JoinPointKind.CALL) is NO
-        assert Or(yes, no).matches_shadow(Alpha, "run", JoinPointKind.CALL) is YES
-        assert Not(no).matches_shadow(Alpha, "run", JoinPointKind.CALL) is YES
+    def test_shadow_two_valued_logic(self):
+        run = parse_pointcut("call(Alpha.run(..))")
+        never = parse_pointcut("call(Gamma.run(..))")
+        shadow = (Alpha, "run", JoinPointKind.CALL)
+        assert And(run, never).matches_shadow(*shadow) is False
+        assert Or(run, never).matches_shadow(*shadow) is True
+        assert Not(never).matches_shadow(*shadow) is True
+        assert Not(run).matches_shadow(*shadow) is False

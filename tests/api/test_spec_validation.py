@@ -6,7 +6,7 @@ import pytest
 
 from repro.api.registry import UnknownNameError
 from repro.api.spec import StackSpec
-from repro.errors import DeploymentError
+from repro.errors import DeploymentError, PointcutSyntaxError
 from repro.parallel import WorkSplitter
 
 
@@ -71,6 +71,22 @@ class TestValidation:
     def test_work_is_mandatory(self):
         with pytest.raises(DeploymentError, match="work pointcut"):
             StackSpec(target=Widget).validate()
+
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            (dict(work="call(Widget.work(..)"), "unbalanced"),
+            (dict(work="call(Widget.work(..)) && within(tests.*)"), "'within'"),
+            (dict(creation="initialization(Widget.new(int))"), "'Widget.new(int)'"),
+        ],
+        ids=["malformed-work", "refused-work", "malformed-creation"],
+    )
+    def test_pointcuts_are_parsed(self, fields, named):
+        """A pointcut that cannot deploy fails spec validation, naming
+        what it refuses."""
+        with pytest.raises(PointcutSyntaxError) as refused:
+            widget_spec(**fields).validate()
+        assert named in str(refused.value)
 
     def test_unknown_strategy_suggests_nearest(self):
         with pytest.raises(UnknownNameError, match="did you mean 'farm'"):

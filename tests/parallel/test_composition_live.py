@@ -131,9 +131,9 @@ class TestExchangeWhileDeployed:
                 PrimeFilter(2, workload.sqrt)
                 assert len(replacement.aspects[0].workers) == 4
                 # init shadow chain now holds only the new aspect
-                entries, _ = default_weaver.chain(
-                    PrimeFilter, "__init__", JoinPointKind.INITIALIZATION
-                )
-                aspects = {entry.aspect for entry in entries}
+                shadow = default_weaver._shadows[PrimeFilter][
+                    ("__init__", JoinPointKind.INITIALIZATION)
+                ]
+                aspects = {entry.aspect for entry in shadow.entries}
                 assert replacement.aspects[0] in aspects
                 assert farm_aspect not in aspects

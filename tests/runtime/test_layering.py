@@ -287,8 +287,11 @@ def test_code_only_tests_used_is_gone():
     deployment's schedule rides its tickets, and nothing else needs the
     rest.  The rank API, the in-process middleware, the weaving report
     and the definitions no product path reached (``make reach``) went
-    the same way.  None of them is defined, imported or exported in
-    ``src/``."""
+    the same way, and so did the pointcut language beyond what is decided
+    per shadow: the dynamic designators, the programmatic builders, the
+    per-call residue evaluator, the ``cflow`` joinpoint stack, the caller
+    capture and the chain interpreter (kept as the tests' oracle).  None
+    of them is defined, imported or exported in ``src/``."""
     gone = {
         "install_faults", "remove_faults", "use_faults", "current_faults",
         "_ACTIVE", "_PLANE_LOCK",
@@ -297,6 +300,18 @@ def test_code_only_tests_used_is_gone():
         "bound_entry", "deployed_aspects", "set_default_backend",
         "_AroundCont.__call__", "SimTask.process", "SimLock.locked",
         "SimLock.owner", "ProcMiddleware.servant_of", "ParallelAspect.describe",
+        "Within", "Target", "Args", "CFlow", "CFlowBelow", "AdviceExecution",
+        "Execution", "TruePointcut", "FalsePointcut", "execution",
+        "initialization", "within", "cflow", "cflowbelow", "_coerce",
+        "Pointcut.__and__", "Pointcut.__or__", "Pointcut.__invert__",
+        "Pointcut.evaluate", "contains_cflow", "needs_caller", "NO", "YES",
+        "MAYBE", "ParamsPattern", "_primitive_match", "_split_params",
+        "SignaturePattern.matches_args", "SignaturePattern.has_dynamic_residue",
+        "TypePattern.from_class", "TypePattern.matches_string",
+        "TypePattern.is_wildcard_any", "CallerInfo", "JoinPoint.caller",
+        "JoinPoint.target_class", "current_stack", "entered_joinpoint",
+        "advice_depth", "resolve_caller", "_tracking_impl", "_is_static",
+        "_chain_impl", "run_chain", "Weaver.chain", "Weaver._recompute_cflow",
     }
     assert _defined() & gone == set()
 

@@ -13,12 +13,10 @@ import time
 import pytest
 
 from repro.aop.cflow import (
-    advice_depth,
     bypassing_construction,
     construction_bypass,
-    current_stack,
     entered_advice,
-    entered_joinpoint,
+    flow_state,
 )
 from repro.middleware.context import (
     current_node,
@@ -233,7 +231,7 @@ class TestLooksLikeAFreshThread:
             var.set("dirty")
             with use_backend(other), use_dispatch(ticket), use_piece(object()):
                 with use_node(object()), server_dispatch():
-                    with entered_joinpoint(object()), entered_advice():
+                    with entered_advice():
                         with bypassing_construction():
                             raise RuntimeError(threading.get_ident())
 
@@ -251,8 +249,7 @@ class TestLooksLikeAFreshThread:
                 "piece": current_piece(),
                 "node": current_node(),
                 "server_dispatch": in_server_dispatch(),
-                "cflow": list(current_stack()),
-                "advice_depth": advice_depth(),
+                "advice_depth": flow_state().advice_depth,
                 "construction_bypass": construction_bypass(),
                 "contextvar": var.get(),
             }
@@ -265,7 +262,6 @@ class TestLooksLikeAFreshThread:
             "piece": None,
             "node": None,
             "server_dispatch": False,
-            "cflow": [],
             "advice_depth": 0,
             "construction_bypass": False,
             "contextvar": "unset",

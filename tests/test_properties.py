@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.aop import weave
-from repro.aop.signature import ParamsPattern, TypePattern
+from repro.aop.signature import TypePattern
 from repro.aop.weaver import default_weaver
 from repro.apps.primes import (
     PrimeFilter,
@@ -201,24 +201,6 @@ class TestPatternProperties:
         assert TypePattern(pattern).matches_class(cls) == bool(
             fnmatch.fnmatch(name, pattern)
         )
-
-    @COMMON
-    @given(args=st.lists(st.integers() | st.text() | st.booleans(), max_size=5))
-    def test_any_params_pattern_matches_everything(self, args):
-        assert ParamsPattern.any().matches(tuple(args))
-
-    @COMMON
-    @given(
-        prefix=st.lists(st.integers(), max_size=3),
-        suffix=st.lists(st.text(), max_size=3),
-    )
-    def test_ellipsis_absorbs_middle(self, prefix, suffix):
-        """(int..int, .., str..str) matches prefix+anything+suffix."""
-        elements = ["int"] * len(prefix) + [".."] + ["str"] * len(suffix)
-        pattern = ParamsPattern(elements)
-        middle = (3.5, b"x")
-        assert pattern.matches(tuple(prefix) + middle + tuple(suffix))
-        assert pattern.matches(tuple(prefix) + tuple(suffix))
 
     @COMMON
     @given(st.lists(st.integers(min_value=0, max_value=255), max_size=20))
