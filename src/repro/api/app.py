@@ -50,7 +50,7 @@ from repro.runtime.admission import AdmissionController, Deadline
 from repro.runtime.backend import ExecutionBackend, use_backend
 from repro.runtime.dispatch import use_dispatch
 from repro.runtime.futures import Future, FutureGroup
-from repro.runtime.ticket import DispatchContext, DispatchContextOwner
+from repro.runtime.ticket import DispatchContext
 from repro.runtime.simbackend import SimBackend
 from repro.sim import current_process
 
@@ -142,9 +142,6 @@ class ParallelApp:
         if self.scheduler is not None:
             self.scheduler.ensure_tenant(self.tenant)
         self._submissions = 0
-        #: the tickets submit()/map() build: live from admission until
-        #: the future resolves, then a bounded history of timelines
-        self._tickets = DispatchContextOwner()
         #: the spec's fault schedule while in force (deploy to undeploy);
         #: it rides every ticket built meanwhile
         self._faults_active: Any = None
@@ -221,18 +218,6 @@ class ParallelApp:
         and their future resolving)."""
         return self.admission.admitted
 
-    def stats(self) -> dict:
-        """Read-only deployment snapshot: the admission table's
-        :meth:`~repro.runtime.admission.AdmissionController.stats` plus
-        the live split counters (and the tenant name when this app
-        submits through a cluster scheduler)."""
-        snapshot = self.admission.stats()
-        snapshot["in_flight"] = self.in_flight
-        snapshot["peak_in_flight"] = self.peak_in_flight
-        if self.tenant is not None:
-            snapshot["tenant"] = self.tenant
-        return snapshot
-
     def plan_stats(self) -> dict:
         """Compiler visibility for this app's weaver: a read-only
         snapshot of :class:`~repro.aop.plan.PlanStats` — compile counts
@@ -241,23 +226,6 @@ class ParallelApp:
         decided per shadow, so every chain compiles.
         """
         return self.weaver.plan_stats.summary()
-
-    def trace(self, ticket_id: int) -> dict | None:
-        """The span timeline of one submission's ticket, on any spec.
-
-        ``ticket_id`` is ``future.admission.ticket_id`` (set when
-        ``submit`` returns), or the ``context_id`` of the ``trace`` a
-        :class:`~repro.errors.DeadlineExceeded` carries.  A call in
-        flight is snapshotted in place, a finished one comes from the
-        bounded history (the newest ``TRACE_HISTORY``); ``None`` for
-        unknown or evicted ids.
-        """
-        return self._tickets.trace_of(ticket_id)
-
-    def traces(self) -> list[dict]:
-        """Recent submission timelines, oldest first: the finished ones
-        still in the bounded history, then every call in flight."""
-        return self._tickets.trace_history()
 
     # -- execution context ---------------------------------------------------
 
@@ -316,7 +284,7 @@ class ParallelApp:
                 self.backend.spawn(body, name=name)
         except BaseException:
             # an activity that never started will never close its call
-            self._close(ticket)
+            ticket.release()
             raise
 
     # -- submission ----------------------------------------------------------
@@ -375,7 +343,6 @@ class ParallelApp:
         except BaseException:
             ticket.release()
             raise
-        self._tickets.enter_ticket(ticket)
         return ticket
 
     def submit(
@@ -406,8 +373,8 @@ class ParallelApp:
         its collector, and the future raises
         :class:`~repro.errors.DeadlineExceeded` carrying the ticket's
         trace.  The ticket rides on the returned future as
-        ``future.admission`` (its ``ticket_id`` resolves traces via
-        :meth:`trace`).
+        ``future.admission``, the call's one record: its
+        ``trace_snapshot()`` is the call's timeline, live or finished.
 
         Like ``oneway``, the ``timeout`` keyword is reserved by the
         submission API and never forwarded to the work method — a work
@@ -435,11 +402,6 @@ class ParallelApp:
             detach=oneway and self.backend.servant_host == "loop",
         )
         return future
-
-    def _close(self, ticket: DispatchContext) -> None:
-        """The call is over: places back, timeline kept (idempotent)."""
-        ticket.release()
-        self._tickets.leave_ticket(ticket, retire=True)
 
     def _run_admitted(
         self,
@@ -496,7 +458,7 @@ class ParallelApp:
         except Exception as exc:  # noqa: BLE001 - delivered via futures
             failure = exc
         finally:
-            self._close(ticket)  # capacity first, then the waiters
+            ticket.release()  # capacity first, then the waiters
         if failure is not None:
             for future in futures:
                 future.set_exception(failure)

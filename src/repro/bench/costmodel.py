@@ -14,8 +14,8 @@ magnitudes for a 2005-era dual Xeon 3.2 GHz / JDK 1.5 / Gigabit setup:
 * middleware profiles live with the middlewares (``RMI_COSTS``,
   ``MPP_COSTS``); the network preset is ``GIGABIT_ETHERNET``.
 
-Nothing here is fitted to the paper's exact numbers — EXPERIMENTS.md
-compares shapes, not absolutes.
+Nothing here is fitted to the paper's exact numbers — ``make reproduce``
+checks shapes, not absolutes (``benchmarks/README.md``, "Running").
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Each ``figNN``/``tableN`` function sweeps the corresponding
 configurations, returns the raw series, renders the paper-format table,
-and evaluates the *shape checks* EXPERIMENTS.md records:
+and evaluates the *shape checks* ``make reproduce`` asserts
+(``benchmarks/README.md``, "Running"):
 
 * **Figure 16** — hand-coded RMI vs woven AspectJ-analogue sieve;
   check: overhead < 5 % at every filter count (compute-bound scale).

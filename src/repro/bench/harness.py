@@ -31,7 +31,7 @@ from repro.apps.primes import (
     sieve_cost_aspect,
 )
 from repro.bench.costmodel import HANDCODED_COST_MODEL, PAPER_COST_MODEL, CostModel
-from repro.cluster import paper_testbed, single_node, snapshot
+from repro.cluster import paper_testbed, single_node
 from repro.middleware.context import use_node
 from repro.runtime import SimBackend, use_backend
 from repro.sim import Simulator
@@ -126,7 +126,7 @@ def run_sieve(
         remote_messages=cluster.network.remote_messages,
         bytes=cluster.network.bytes,
         middleware_calls=getattr(app.middleware, "calls", 0),
-        mean_utilisation=snapshot(cluster)["mean_utilisation"],
+        mean_utilisation=cluster.mean_utilisation(),
         detail={
             "cost_charged": cost.total_charged,
             "spawned": getattr(app.async_aspect, "spawned_calls", 0)
@@ -179,5 +179,5 @@ def run_handcoded(
         remote_messages=cluster.network.remote_messages,
         bytes=cluster.network.bytes,
         middleware_calls=app.rmi.calls,
-        mean_utilisation=snapshot(cluster)["mean_utilisation"],
+        mean_utilisation=cluster.mean_utilisation(),
     )

@@ -58,7 +58,7 @@ def render_table1(rows: Iterable[Mapping[str, str]]) -> str:
 
 
 def render_checks(title: str, checks: Sequence[tuple[str, bool]]) -> str:
-    """Shape-assertion summary (what EXPERIMENTS.md records)."""
+    """Shape-assertion summary (what ``make reproduce`` asserts)."""
     lines = [title, "-" * len(title)]
     for label, ok in checks:
         lines.append(f"  [{'PASS' if ok else 'FAIL'}] {label}")

@@ -2,7 +2,6 @@
 latency/bandwidth network, plus the paper's 7-machine preset."""
 
 from repro.cluster.machine import Node
-from repro.cluster.metrics import format_report, snapshot
 from repro.cluster.network import GIGABIT_ETHERNET, Network
 from repro.cluster.topology import Cluster, paper_testbed, single_node
 
@@ -13,6 +12,4 @@ __all__ = [
     "Cluster",
     "paper_testbed",
     "single_node",
-    "snapshot",
-    "format_report",
 ]

@@ -50,6 +50,10 @@ class Cluster:
     def total_physical_cores(self) -> int:
         return sum(n.cores for n in self.nodes)
 
+    def mean_utilisation(self) -> float:
+        """The nodes' CPU utilisation so far, averaged over the nodes."""
+        return sum(n.cpu.utilisation() for n in self.nodes) / len(self.nodes)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Cluster {len(self.nodes)} nodes, {self.total_physical_cores()} cores>"
 

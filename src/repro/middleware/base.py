@@ -20,13 +20,13 @@ Cost charging uses the *caller's* CPU for marshalling and the *servant's*
 CPU for unmarshalling + dispatch, with wire time from the cluster network
 model.
 
-Every request carries the **originating dispatch-ticket id**
-(:func:`repro.runtime.dispatch.dispatch_id`): the server-side activity
-re-installs the caller's per-call
-:class:`~repro.runtime.ticket.DispatchContext` around the
-servant execution, so work done — and replies produced — on behalf of a
-call stay attributed to that call however many calls are in flight on
-one servant.
+Every request carries the **originating dispatch ticket**, the
+caller's ambient :class:`~repro.runtime.ticket.DispatchContext`: a
+simulated request never leaves the process, so it holds the ticket
+itself.  The server-side activity re-installs it around the servant
+execution, so work done — and replies produced — on behalf of a call
+stay attributed to that call however many calls are in flight on one
+servant.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from repro.middleware.context import current_node, server_dispatch, use_node
 from repro.middleware.serialize import Serializer
 from repro.runtime.backend import resolve
 from repro.runtime.dispatch import (
-    dispatch_id,
-    find_dispatch,
+    current_dispatch,
     shield_dispatch,
     use_dispatch,
 )
@@ -170,6 +169,7 @@ class Middleware(abc.ABC):
         result is ``None``) where the middleware supports it.
         """
 
+    @abc.abstractmethod
     def invoke_batch(
         self, ref: RemoteRef, method: str, pieces: Any, oneway: bool = False
     ) -> list:
@@ -180,14 +180,8 @@ class Middleware(abc.ABC):
         With ``oneway=True`` the pack is fire-and-forget where the
         middleware supports it: the call returns (a list of ``None``
         placeholders) as soon as the send completes, and no reply is
-        ever produced or waited for.  The base implementation degrades
-        to one :meth:`invoke` per piece (correct, unbatched); transports
-        that can ship a pack as one message override it.
+        ever produced or waited for.
         """
-        return [
-            self.invoke(ref, method, tuple(args), dict(kwargs), oneway=oneway)
-            for args, kwargs in map(piece_view, pieces)
-        ]
 
     @abc.abstractmethod
     def shutdown(self) -> None:
@@ -218,11 +212,11 @@ class _Request:
         "size",
         "caller_node",
         "batch",
-        "context_id",
+        "ticket",
     )
 
     def __init__(self, method, args, kwargs, reply_channel, oneway, size,
-                 caller_node, batch=False, context_id=None):
+                 caller_node, batch=False, ticket=None):
         self.method = method
         #: for batched requests ``args`` holds the piece views and
         #: ``kwargs`` is unused
@@ -233,10 +227,10 @@ class _Request:
         self.size = size
         self.caller_node = caller_node
         self.batch = batch
-        #: originating per-call dispatch ticket id (None outside any):
-        #: the servant side re-installs the ticket so work performed on
-        #: behalf of a call — and its reply — stays attributed to it
-        self.context_id = context_id
+        #: originating per-call dispatch ticket (None outside any): the
+        #: servant side re-installs it so work performed on behalf of a
+        #: call — and its reply — stays attributed to it
+        self.ticket = ticket
 
 
 _STOP = object()
@@ -278,7 +272,7 @@ class SimMiddleware(Middleware):
         self._servants[ref.object_id] = servant
         node.place(obj)
         # shield: the accept loop outlives any call that happens to be
-        # exporting (it resolves each request's OWN ticket id instead)
+        # exporting (it serves each request under its OWN ticket instead)
         handle = self.backend.spawn(
             shield_dispatch(lambda: self._serve(servant)),
             name=f"{self.name}.server.{ref.object_id}",
@@ -362,7 +356,7 @@ class SimMiddleware(Middleware):
         servant.channel.send(
             _Request(
                 method, args, kwargs, reply_channel, oneway, size, src,
-                batch=batch, context_id=dispatch_id(),
+                batch=batch, ticket=current_dispatch(),
             ),
             delay=delay,
             size_bytes=size,
@@ -400,11 +394,10 @@ class SimMiddleware(Middleware):
                 )
 
     def _dispatch(self, servant: _Servant, request: _Request) -> None:
-        # resolve the originating per-call ticket (it travels the wire as
-        # an id, not an object) and execute the servant work under it —
-        # the request's reply therefore resolves against the call that
+        # execute the servant work under the originating per-call ticket
+        # — the request's reply therefore resolves against the call that
         # sent it, however many calls are in flight on this servant
-        context = find_dispatch(request.context_id)
+        context = request.ticket
         if context is not None and context.cancelled:
             # the originating call is gone (shed, or its deadline
             # expired): don't burn servant CPU on work nobody will

@@ -14,12 +14,7 @@ from repro.runtime.backend import (
     current_backend,
     use_backend,
 )
-from repro.runtime.dispatch import (
-    current_dispatch,
-    dispatch_id,
-    find_dispatch,
-    use_dispatch,
-)
+from repro.runtime.dispatch import current_dispatch, use_dispatch
 from repro.runtime.futures import Future, FutureGroup
 from repro.runtime.procbackend import ProcessBackend, ProcWorker
 from repro.runtime.simbackend import SimBackend, SimTask
@@ -42,8 +37,6 @@ __all__ = [
     "FutureGroup",
     "current_dispatch",
     "use_dispatch",
-    "dispatch_id",
-    "find_dispatch",
     "OVERFLOW_POLICIES",
     "AdmissionController",
     "AdmissionSlot",

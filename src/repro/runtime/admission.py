@@ -558,23 +558,6 @@ class AdmissionController(SlotTable):
         """Submitters currently parked by the ``block`` policy."""
         return len(self._waiters[self.name])
 
-    def stats(self) -> dict:
-        """Read-only snapshot of the table: occupancy, queue depth and
-        the append-only counters, without reaching into private state."""
-        with self._lock:
-            return {
-                "name": self.name,
-                "limit": self.limit,
-                "policy": self.policy,
-                "admitted": self.admitted,
-                "waiting": self.waiting,
-                "admitted_total": self.admitted_total,
-                "rejected": self.rejected,
-                "shed": self.shed_calls,
-                "blocked": self.blocked,
-                "peak_admitted": self.peak_admitted,
-            }
-
     # -- admission ---------------------------------------------------------
 
     def admit(self, ticket: Any = None, name: str = "call") -> AdmissionSlot:

@@ -17,15 +17,7 @@ is the backend-neutral plumbing that makes the ticket *ambient*:
   re-install it inside the spawned activity, so the ticket follows the
   call across every activity boundary the stack creates;
 * :func:`ride` / :func:`leave_hop` / :func:`carry` / :func:`take_tail`
-  keep a piece on ONE activity (see *The tail mark* below);
-* :func:`find_dispatch` resolves a ticket by id — the middlewares stamp
-  the originating ticket id onto each request and re-install the ticket
-  around the servant-side execution, so work performed on behalf of a
-  call is attributed to that call even on the server side of the wire.
-
-Tickets register themselves on creation and are dropped automatically
-(the registry holds weak references), so a ticket's lifetime is exactly
-its call's.
+  keep a piece on ONE activity (see *The tail mark* below).
 
 **The tail mark.**  One per-thread, one-shot mark names the object whose
 next woven call is the *tail* of the running activity: the concurrency
@@ -60,16 +52,12 @@ from __future__ import annotations
 
 import itertools
 import threading
-import weakref
 from typing import Any, Callable
 
 __all__ = [
     "Ambient",
     "current_dispatch",
     "use_dispatch",
-    "dispatch_id",
-    "find_dispatch",
-    "register_dispatch",
     "next_dispatch_id",
     "bind_dispatch",
     "shield_dispatch",
@@ -106,8 +94,6 @@ class _DispatchState(threading.local):
 
 _STATE = _DispatchState()
 _IDS = itertools.count(1)
-#: live tickets by id — weak, so a finished call's ticket vanishes with it
-_LIVE: "weakref.WeakValueDictionary[int, Any]" = weakref.WeakValueDictionary()
 
 
 def next_dispatch_id() -> int:
@@ -115,31 +101,10 @@ def next_dispatch_id() -> int:
     return next(_IDS)
 
 
-def register_dispatch(ticket: Any) -> Any:
-    """Make ``ticket`` resolvable via :func:`find_dispatch` by its
-    ``context_id`` for as long as it is referenced; returns the ticket."""
-    _LIVE[ticket.context_id] = ticket
-    return ticket
-
-
 def current_dispatch() -> Any | None:
     """The innermost ambient ticket for this activity, or ``None``."""
     stack = _STATE.stack
     return stack[-1] if stack else None
-
-
-def dispatch_id() -> int | None:
-    """The ambient ticket's id, or ``None`` outside any dispatch."""
-    ticket = current_dispatch()
-    return ticket.context_id if ticket is not None else None
-
-
-def find_dispatch(context_id: Any) -> Any | None:
-    """The live ticket registered under ``context_id``, or ``None`` when
-    the id is unknown or its call already finished."""
-    if context_id is None:
-        return None
-    return _LIVE.get(context_id)
 
 
 class Ambient:

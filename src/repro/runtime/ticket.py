@@ -4,12 +4,13 @@ A deployed stack is immutable topology; everything ONE in-flight call
 owns lives on its *ticket* (:class:`DispatchContext`, made ambient by
 :mod:`repro.runtime.dispatch`), with a :class:`ResultCollector` where
 results arrive out of band; :class:`DispatchContextOwner` keeps the
-books of whoever opens tickets — the skeletons mix it in, a deployment
-holds one.  Runtime types: ``ParallelApp.submit`` builds the ticket
-before it asks for capacity, the slot tables point their places at it,
-the middlewares re-install it on the servant side of the wire, the fault
-plane retries through it and every backend carries it across its
-activities, so they are defined below all of those.  Of a *piece* this
+books of whoever opens tickets — the skeletons mix it in, and its live
+table is the one every call's ticket enters.  Runtime types:
+``ParallelApp.submit`` builds the ticket before it asks for capacity,
+the slot tables point their places at it, the middlewares re-install it
+on the servant side of the wire, the fault plane retries through it and
+every backend carries it across its activities, so they are defined
+below all of those.  Of a *piece* this
 module reads ``index`` and, on a pack, ``items``.
 """
 
@@ -27,7 +28,6 @@ from repro.runtime.backend import current_backend
 from repro.runtime.dispatch import (
     current_dispatch,
     next_dispatch_id,
-    register_dispatch,
     use_dispatch,
 )
 
@@ -231,7 +231,7 @@ class DispatchContext:
       ``delivered`` latch closing the deliver-vs-cancel race
       (:meth:`finish`);
     * the lightweight ``spans`` timeline (split → piece dispatch →
-      merge) that ``ParallelApp.trace`` exports.
+      merge) that :meth:`trace_snapshot` exports.
 
     The ticket is made *ambient* (:mod:`repro.runtime.dispatch`) for the
     duration of the call and follows it across spawned activities and
@@ -267,7 +267,6 @@ class DispatchContext:
         "spans",
         "_clock",
         "_lock",
-        "__weakref__",
     )
 
     def __init__(
@@ -323,7 +322,6 @@ class DispatchContext:
         #: lock keeps the ticket's counters exact (never held across a
         #: blocking operation)
         self._lock = threading.Lock()
-        register_dispatch(self)
         if expected is not None:
             self.claim(name, expected, backend)
 
@@ -382,7 +380,8 @@ class DispatchContext:
 
     def attribute_remote(self) -> None:
         """Count one servant-side execution performed for this call
-        (called by the middlewares after resolving the wire ticket id)."""
+        (called by the middlewares, which carry the ticket to the
+        servant side)."""
         with self._lock:
             self.remote_dispatches += 1
 
@@ -512,9 +511,9 @@ class DispatchContext:
             self.spans.append({"name": name, "start": now, "end": now})
 
     def trace_snapshot(self) -> dict:
-        """An immutable copy of the ticket's timeline and accounting —
-        what ``ParallelApp.trace`` returns and what
-        :class:`~repro.errors.DeadlineExceeded` carries."""
+        """An immutable copy of the ticket's timeline and accounting,
+        live or finished — what :class:`~repro.errors.DeadlineExceeded`
+        carries."""
         with self._lock:
             return {
                 "context_id": self.context_id,
@@ -574,16 +573,13 @@ class DispatchContext:
 
 class DispatchContextOwner:
     """The books of whoever opens tickets: the live table (``contexts``
-    maps context id → in-flight ticket), the bounded history of retired
-    timelines and append-only aggregates (``dispatches`` served,
-    ``peak_in_flight`` overlap high-water mark) — observability, none of
-    it coordinating.  The skeletons mix it in and open a ticket per
-    intercepted call (:meth:`dispatch_scope`); a deployment holds one
-    for the tickets its ``submit``/``map`` build.
+    maps context id → in-flight ticket) and append-only aggregates
+    (``dispatches`` served, ``peak_in_flight`` overlap high-water mark)
+    — observability, none of it coordinating.  The skeletons mix it in
+    and open a ticket per intercepted call (:meth:`dispatch_scope`); a
+    finished call's timeline stays on its ticket
+    (:meth:`DispatchContext.trace_snapshot`), which its future carries.
     """
-
-    #: completed-ticket trace snapshots retained for ``trace_of``
-    TRACE_HISTORY = 64
 
     def __init__(self) -> None:
         #: live in-flight tickets, context_id -> DispatchContext
@@ -592,8 +588,6 @@ class DispatchContextOwner:
         self.dispatches = 0
         #: most tickets ever live at once (overlap high-water mark)
         self.peak_in_flight = 0
-        #: bounded ring of retired tickets' trace snapshots, newest last
-        self.trace_log: deque[dict] = deque(maxlen=self.TRACE_HISTORY)
         #: guards the table and counters above — overlapped submits hit
         #: them from many activities; held only for the mutation itself,
         #: never across a blocking operation (safe on both backends: sim
@@ -607,14 +601,10 @@ class DispatchContextOwner:
             self.dispatches += 1
             self.peak_in_flight = max(self.peak_in_flight, len(self.contexts))
 
-    def leave_ticket(self, ctx: DispatchContext, retire: bool) -> None:
-        """Take ``ctx`` out of the live table and, built here
-        (``retire``), put its timeline into the history: a ticket is
-        retired once, by whoever built it."""
-        snapshot = ctx.trace_snapshot() if retire else None
+    def leave_ticket(self, ctx: DispatchContext) -> None:
+        """Take ``ctx`` out of the live table."""
         with self._dispatch_lock:
-            if self.contexts.pop(ctx.context_id, None) is not None and retire:
-                self.trace_log.append(snapshot)
+            self.contexts.pop(ctx.context_id, None)
 
     @contextmanager
     def dispatch_scope(
@@ -630,9 +620,9 @@ class DispatchContextOwner:
         Under a submission's ticket nobody claimed yet this IS that
         ticket (:meth:`DispatchContext.claim`): deadline, retry policy
         and a cancel latch a shed or a drained deadline already set are
-        the submission's, and the submitter retires it.  Anywhere else
+        the submission's, and the submitter releases it.  Anywhere else
         (no ambient ticket, or nested inside a claimed one) a fresh
-        ticket opens, under the same fault schedule, and retires here.
+        ticket opens, under the same fault schedule, for the block.
         """
         ctx = current_dispatch()
         fresh = ctx is None or not ctx.claim(name, expected, backend)
@@ -648,28 +638,7 @@ class DispatchContextOwner:
             else:  # claimed: ambient already
                 yield ctx
         finally:
-            self.leave_ticket(ctx, retire=fresh)
-
-    def trace_of(self, context_id: int) -> dict | None:
-        """The span timeline of one ticket — live tickets are
-        snapshotted on the fly, retired ones come from the bounded
-        history (``None`` when the id is unknown or already evicted)."""
-        live = self.contexts.get(context_id)
-        if live is not None:
-            return live.trace_snapshot()
-        with self._dispatch_lock:
-            for snapshot in reversed(self.trace_log):
-                if snapshot["context_id"] == context_id:
-                    return snapshot
-        return None
-
-    def trace_history(self) -> list[dict]:
-        """Recent ticket timelines, oldest first: the retired snapshots
-        still in the bounded history followed by every live ticket."""
-        with self._dispatch_lock:
-            retired = list(self.trace_log)
-            live = [ctx.trace_snapshot() for ctx in self.contexts.values()]
-        return retired + live
+            self.leave_ticket(ctx)
 
     @property
     def in_flight(self) -> int:

@@ -1,4 +1,4 @@
-"""Cluster model: nodes, network delays, topology presets, metrics."""
+"""Cluster model: nodes, network delays, topology presets, utilisation."""
 
 from __future__ import annotations
 
@@ -9,10 +9,8 @@ from repro.cluster import (
     Cluster,
     Network,
     Node,
-    format_report,
     paper_testbed,
     single_node,
-    snapshot,
 )
 from repro.errors import ClusterError
 from repro.sim import Simulator
@@ -119,7 +117,7 @@ class TestCluster:
 
 
 class TestMetrics:
-    def test_snapshot_and_format(self):
+    def test_mean_utilisation_averages_the_nodes(self):
         sim = Simulator()
         cluster = paper_testbed(sim)
 
@@ -129,10 +127,18 @@ class TestMetrics:
         sim.spawn(work)
         sim.run()
         cluster.network.transit_delay(500, 0, 1)
-        snap = snapshot(cluster)
-        assert snap["sim_time"] == pytest.approx(1.0)
-        assert snap["network"]["messages"] == 1
-        assert snap["nodes"][0]["jobs_completed"] == 1
-        report = format_report(snap)
-        assert "node0" in report
-        assert "messages=1" in report
+        assert sim.now == pytest.approx(1.0)
+        assert cluster.network.messages == 1
+        assert cluster.head.cpu.jobs_completed == 1
+        busy = cluster.head.cpu.utilisation()
+        assert busy > 0
+        assert cluster.mean_utilisation() == pytest.approx(busy / len(cluster))
+
+    def test_mean_utilisation_of_an_idle_cluster_is_zero(self):
+        sim = Simulator()
+        cluster = single_node(sim)
+        assert cluster.mean_utilisation() == 0.0  # no time has passed
+        sim.spawn(lambda: sim.hold(2.0))
+        sim.run()
+        assert sim.now == pytest.approx(2.0)
+        assert cluster.mean_utilisation() == 0.0  # time passed, no work

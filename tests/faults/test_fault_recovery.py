@@ -196,7 +196,7 @@ class TestDispatchRetry:
             futures = [app.submit(values) for _ in range(submits)]
             for future in futures:
                 assert future.result(timeout=10) == [v * 2 for v in values]
-            traces = app.traces()
+            traces = [f.admission.trace_snapshot() for f in futures]
         assert len(traces) == submits
         assert schedule.fired_count() > 0
         assert sum(t["retries"] for t in traces) == schedule.fired_count()
@@ -260,7 +260,7 @@ def test_a_pipeline_refeed_counts_once_on_the_ticket(backend, site):
         app.start()
         future = app.submit([1, 2])
         assert future.result(timeout=30) == [4, 8]
-        trace = app.trace(future.admission.ticket_id)
+        trace = future.admission.trace_snapshot()
     assert schedule.fired_count() == 1
     assert trace["retries"] == 1
     marks = [s["name"] for s in trace["spans"] if s["name"].startswith("retry[")]

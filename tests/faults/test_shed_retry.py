@@ -141,11 +141,10 @@ class TestShedWithRetryArmedEndToEnd:
             assert fresh.result(timeout=10) == [3]
             # exactly one release: the table is back to empty and a
             # sequential reuse still fits the single slot
-            assert wait_until(lambda: app.stats()["admitted"] == 0)
+            assert wait_until(lambda: app.admission.admitted == 0)
             assert app.submit([5]).result(timeout=10) == [6]
-        stats = app.stats()
-        assert stats["shed"] == 1
-        assert stats["admitted_total"] == 3
+        assert app.admission.shed_calls == 1
+        assert app.admission.admitted_total == 3
         # the victim's duplicated pieces ran at most once each — the
         # armed retry plane never re-dispatched the shed call's work
         assert CountingService.calls[1] <= 2

@@ -242,13 +242,12 @@ class TestFailureInTheCarriedPiece:
         with app:
             app.start()
             spawned, calls = spawn_counts(app)
-            assert app.submit([1, 2, 3, 4, 5, 6]).result(timeout=20) == [
-                2, 3, 4, 5, 6, 7,
-            ]
+            future = app.submit([1, 2, 3, 4, 5, 6])
+            assert future.result(timeout=20) == [2, 3, 4, 5, 6, 7]
             # two pieces, then the re-dispatch of the third: the attempt
             # the splitter carried is the only one that did not spawn
             assert spawn_counts(app) == (spawned + 4, calls + 3)
-            assert app.traces()[-1]["retries"] == 1
+            assert future.admission.trace_snapshot()["retries"] == 1
             # the retry rotated to the next worker, on another thread
             assert visits(2, [5, 6]) == 1 and visits(0, [5, 6]) == 1
             assert probe.carried_by[(5, 6)] != probe.splitter
@@ -259,15 +258,14 @@ class TestFailureInTheCarriedPiece:
         app, _ = build(backend, "pipeline", retry=RETRY)
         with app:
             app.start()
-            assert app.submit([1, 2, 3, 4, 5, 6]).result(timeout=20) == [
-                4, 5, 6, 7, 8, 9,
-            ]
+            future = app.submit([1, 2, 3, 4, 5, 6])
+            assert future.result(timeout=20) == [4, 5, 6, 7, 8, 9]
             # one failed journey + one re-fed one; had a stage upstream
             # reported the failure again the head would have been re-fed
             # once per stage
             assert [visits(s, [5 + s, 6 + s]) for s in range(3)] == [2, 2, 2]
             assert [visits(s, [1 + s, 2 + s]) for s in range(3)] == [1, 1, 1]
-            assert app.traces()[-1]["cancelled"] is False
+            assert future.admission.trace_snapshot()["cancelled"] is False
         assert app.in_flight == 0
 
 
@@ -354,9 +352,10 @@ class TestJourneyShape:
         with app:
             app.start()
             before = app.backend.spawned
-            assert app.submit([3, 1, 2]).result(timeout=30) == [3, 1, 2]
+            future = app.submit([3, 1, 2])
+            assert future.result(timeout=30) == [3, 1, 2]
             assert app.backend.spawned - before == 1  # the submission only
-            assert app.traces()[-1]["hops"] == 255
+            assert future.admission.trace_snapshot()["hops"] == 255
         assert app.in_flight == 0
 
 

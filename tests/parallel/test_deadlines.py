@@ -1,7 +1,8 @@
 """Per-ticket deadlines: expiry mid-pipeline-forward and
 mid-heartbeat-exchange unwinds the ticket (collector cancelled, piece
 dropped before the next hop / worker) while the deployed workers keep
-serving the next call — plus the span-timeline export (``app.trace``)."""
+serving the next call — plus the span timeline the future's ticket
+carries (``future.admission.trace_snapshot()``)."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import pytest
 from repro.api import ParallelApp, StackSpec
 from repro.errors import DeadlineExceeded
 from repro.parallel import WorkSplitter
-from repro.runtime.ticket import DispatchContextOwner
 
 
 class SlowStage:
@@ -157,8 +157,7 @@ class TestHeartbeatDeadlines:
             app.start(4)
             future = app.submit(2)
             assert future.result(timeout=30) == 2.0
-            trace = app.trace(future.admission.ticket_id)
-        assert trace is not None
+            trace = future.admission.trace_snapshot()
         names = [span["name"] for span in trace["spans"]]
         assert "compute[0]" in names and "exchange[1]" in names
         assert all(span["end"] is not None for span in trace["spans"])
@@ -283,18 +282,14 @@ class TestTraces:
             future = app.submit([1, 2])
             assert future.result(timeout=10) == [2, 4]
             ticket = future.admission.ticket_id
-            trace = app.trace(ticket)
-            assert trace is not None and trace["context_id"] == ticket
+            trace = future.admission.trace_snapshot()
+            assert trace["context_id"] == ticket
             names = [span["name"] for span in trace["spans"]]
             assert names[:2] == ["split", "dispatch"]
             assert "merge" in names
             assert trace["pieces"] == 1 and not trace["cancelled"]
-            # traces() lists it too (retired into the bounded history)
-            assert any(
-                t["context_id"] == ticket for t in app.traces()
-            )
-            # unknown ids resolve to None, not an error
-            assert app.trace(10**9) is None
+            # the finished call left no ticket behind in the live table
+            assert app.in_flight == 0 and app.partition.contexts == {}
 
 
 class Dawdler:
@@ -328,8 +323,8 @@ def plain_app(target, backend, **spec):
 class TestPartitionLessCallsGetATicket:
     """The ticket opens at admission, not at the first split: a spec
     with no partition skeleton has ``future.admission.ticket_id``, a
-    timeline in the bounded history and a ``DeadlineExceeded`` that
-    carries it — and on the loop its deadline cancels the await."""
+    timeline on that ticket and a ``DeadlineExceeded`` that carries
+    it — and on the loop its deadline cancels the await."""
 
     @pytest.mark.parametrize(
         "target, backend", [(Dawdler, "thread"), (AsyncDawdler, "asyncio")]
@@ -343,23 +338,10 @@ class TestPartitionLessCallsGetATicket:
             ticket = future.admission.ticket_id
             assert ticket is not None
             assert future.result(timeout=10) == 0.0
-            trace = app.trace(ticket)  # after the call ended: the history
-            assert trace is not None and trace["context_id"] == ticket
+            # after the call ended: the ticket the future carries
+            trace = future.admission.trace_snapshot()
+            assert trace["context_id"] == ticket
             assert trace["name"] == "submit.nap" and not trace["cancelled"]
-            assert [t["context_id"] for t in app.traces()] == [ticket]
-
-    def test_the_history_is_bounded(self):
-        with plain_app(Dawdler, "thread") as app:
-            app.start()
-            futures = [
-                app.submit(0.0)
-                for _ in range(DispatchContextOwner.TRACE_HISTORY + 6)
-            ]
-            for future in futures:
-                future.result(timeout=10)
-            assert len(app.traces()) == DispatchContextOwner.TRACE_HISTORY == 64
-            assert app.trace(futures[0].admission.ticket_id) is None  # evicted
-            assert app.trace(futures[-1].admission.ticket_id) is not None
 
     @pytest.mark.parametrize(
         "target, backend", [(Dawdler, "thread"), (AsyncDawdler, "asyncio")]
@@ -375,7 +357,7 @@ class TestPartitionLessCallsGetATicket:
             assert trace["context_id"] == future.admission.ticket_id
             assert trace["deadline"] == 0.05 and trace["cancelled"]
             assert trace["spans"][-1]["name"] == "cancelled"
-            assert app.trace(trace["context_id"])["cancelled"]
+            assert future.admission.trace_snapshot()["cancelled"]
             assert app.admitted == 0
 
     def test_an_expired_await_is_cancelled_mid_flight(self):

@@ -199,7 +199,8 @@ class TestPlacement:
             assert app.submit([1]).result(timeout=20) == [4]
             before = app.middleware.calls
             messages = app.middleware.serializer.messages
-            assert app.submit([5]).result(timeout=20) == [8]
+            future = app.submit([5])
+            assert future.result(timeout=20) == [8]
             assert app.middleware.calls - before == TOPOLOGIES[cpus][1]
             assert (
                 app.middleware.serializer.messages - messages
@@ -207,7 +208,7 @@ class TestPlacement:
             )
             assert [visits(s, [5 + s]) for s in range(STAGES)] == [1, 1, 1]
             # the ticket saw the same journey whatever carried it
-            trace = app.traces()[-1]
+            trace = future.admission.trace_snapshot()
             assert trace["hops"] == STAGES - 1
             assert trace["remote_dispatches"] == STAGES
             assert [s["name"] for s in trace["spans"]].count("forward") == 2

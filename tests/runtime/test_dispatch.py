@@ -1,19 +1,19 @@
-"""Ambient dispatch tickets: propagation, registry, middleware routing."""
+"""Ambient dispatch tickets: propagation and middleware routing."""
 
 from __future__ import annotations
 
-import gc
 import threading
 
-from repro.middleware import MppMiddleware, use_node
+import pytest
+
 from repro.cluster import paper_testbed
+from repro.errors import CallShed, RemoteError
+from repro.middleware import MppMiddleware, use_node
 from repro.parallel.concurrency import PooledSpawner
 from repro.parallel.partition import DispatchContext
 from repro.runtime import (
     ThreadBackend,
     current_dispatch,
-    dispatch_id,
-    find_dispatch,
     use_backend,
     use_dispatch,
 )
@@ -27,7 +27,6 @@ class TestAmbientTicket:
         outer, inner = DispatchContext("outer"), DispatchContext("inner")
         with use_dispatch(outer):
             assert current_dispatch() is outer
-            assert dispatch_id() == outer.context_id
             with use_dispatch(inner):
                 assert current_dispatch() is inner
             assert current_dispatch() is outer
@@ -36,15 +35,6 @@ class TestAmbientTicket:
     def test_none_is_a_passthrough(self):
         with use_dispatch(None):
             assert current_dispatch() is None
-
-    def test_registry_resolves_live_tickets_and_forgets_dead_ones(self):
-        ctx = DispatchContext("registered")
-        ctx_id = ctx.context_id
-        assert find_dispatch(ctx_id) is ctx
-        del ctx
-        gc.collect()
-        assert find_dispatch(ctx_id) is None
-        assert find_dispatch(None) is None
 
     def test_bind_dispatch_captures_creation_context(self):
         ctx = DispatchContext("captured")
@@ -89,7 +79,7 @@ class TestBackendPropagation:
 
 
 class TestMiddlewareContextRouting:
-    def test_request_carries_ticket_id_and_server_runs_under_it(self):
+    def test_request_carries_its_ticket_and_server_runs_under_it(self):
         sim = Simulator()
         cluster = paper_testbed(sim)
         mpp = MppMiddleware(cluster)
@@ -121,3 +111,39 @@ class TestMiddlewareContextRouting:
         assert out["batched"] == [out["ticket"]]
         # ...and both dispatches were attributed to it
         assert out["remote"] == 2
+
+    def test_a_request_whose_call_was_cancelled_on_the_wire_never_runs(self):
+        sim = Simulator()
+        cluster = paper_testbed(sim)
+        mpp = MppMiddleware(cluster)
+        ran = []
+
+        class Probe:
+            def observe(self):
+                ran.append(current_dispatch())
+
+        cause = CallShed("shed while the request was on the wire")
+        ctx = DispatchContext("wire")
+        out = {}
+
+        def client():
+            ref = mpp.export(Probe(), cluster.node(1))
+            # cancelled after the send, before the request reaches the
+            # servant: half the transit of an empty message
+            wire = cluster.transit_delay(0, cluster.head, cluster.node(1))
+            sim.call_later(wire / 2, lambda: ctx.cancel(cause))
+            with use_node(cluster.head), use_dispatch(ctx):
+                with pytest.raises(RemoteError) as failure:
+                    mpp.invoke(ref, "observe")
+            out["cause"] = failure.value.cause
+
+        try:
+            sim.spawn(client, name="client")
+            sim.run()
+        finally:
+            mpp.shutdown()
+            sim.shutdown()
+        # answered with the cancellation cause, the servant never ran
+        assert out["cause"] is cause
+        assert ran == []
+        assert ctx.remote_dispatches == 0

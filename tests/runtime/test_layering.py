@@ -183,14 +183,14 @@ def test_ticket_and_admission_import_one_way():
     assert between == [("ticket", "admission")]  # the record names its places
 
 
-def test_the_app_asks_its_own_ticket_table_for_traces():
-    """Every spec opens a ticket, so ``api/app.py`` has nothing to probe
-    the partition for."""
-    assert "hasattr(" not in (SRC / "api" / "app.py").read_text()
-    for function in ast.walk(_trees()["api/app.py"]):
-        if isinstance(function, ast.FunctionDef) and function.name in ("trace", "traces"):
-            source = ast.unparse(function.body[1:])  # past the docstring
-            assert "getattr(" not in source and "self.partition" not in source
+def test_the_app_keeps_no_ticket_table():
+    """Every spec opens a ticket and its future carries it, the call's
+    one record, so ``api/app.py`` probes nothing and enters the ticket
+    in no table of its own: the partition's is the only live one."""
+    source = (SRC / "api" / "app.py").read_text()
+    assert "hasattr(" not in source
+    assert "DispatchContextOwner" not in source
+    assert "enter_ticket" not in source and "leave_ticket" not in source
 
 
 def test_one_servant_host_declaration():
@@ -290,8 +290,11 @@ def test_code_only_tests_used_is_gone():
     the same way, and so did the pointcut language beyond what is decided
     per shadow: the dynamic designators, the programmatic builders, the
     per-call residue evaluator, the ``cflow`` joinpoint stack, the caller
-    capture and the chain interpreter (kept as the tests' oracle).  None
-    of them is defined, imported or exported in ``src/``."""
+    capture and the chain interpreter (kept as the tests' oracle).  So
+    did every copy of a call's record beside its ticket: the weak ticket
+    registry, the app's second ticket table, the trace history, the
+    stats snapshots and the cluster report.  None of them is defined,
+    imported, exported or assigned in ``src/``."""
     gone = {
         "install_faults", "remove_faults", "use_faults", "current_faults",
         "_ACTIVE", "_PLANE_LOCK",
@@ -312,8 +315,21 @@ def test_code_only_tests_used_is_gone():
         "JoinPoint.target_class", "current_stack", "entered_joinpoint",
         "advice_depth", "resolve_caller", "_tracking_impl", "_is_static",
         "_chain_impl", "run_chain", "Weaver.chain", "Weaver._recompute_cflow",
+        "_LIVE", "register_dispatch", "find_dispatch", "dispatch_id",
+        "TRACE_HISTORY", "trace_of", "trace_history", "ParallelApp.trace",
+        "ParallelApp.traces", "ParallelApp.stats", "ParallelApp._close",
+        "AdmissionController.stats", "format_report",
     }
     assert _defined() & gone == set()
+    assigned = {
+        target.attr
+        for tree in _trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute)
+    }
+    assert assigned & {"_tickets", "trace_log"} == set()
 
 
 def test_one_placement_decision():

@@ -52,17 +52,17 @@ from repro.runtime.threads import CARRIER_LIFETIME
 
 OPS = 100
 ROUND_TRIPS_PER_OP = 6  # 2 batches through 3 stages
-#: what the hop measures is 550 per op on CPython 3.11, the same on
-#: every run (542 before the forwarder asked whether a stage's
-#: successors may run ahead; the path before the hop's diet read 716
-#: counted this way, with 14 generator scopes per op and every frame
-#: through multiprocessing.Connection)
-CALLS_PER_OP_CEILING = 560
+#: what the hop measures is 535 per op on CPython 3.11, the same on
+#: every run (545 while a ticket entered three tables, 542 before the
+#: forwarder asked whether a stage's successors may run ahead; the path
+#: before the hop's diet read 716 counted this way, with 14 generator
+#: scopes per op and every frame through multiprocessing.Connection)
+CALLS_PER_OP_CEILING = 550
 #: one run per batch: the request, then the reply with its hops
 COLOCATED_ROUND_TRIPS_PER_OP = 2
-#: measured 319 per op on CPython 3.11, the same on every run; the
-#: ceiling is 3 % above it
-COLOCATED_CALLS_PER_OP_CEILING = 329
+#: measured 305 per op on CPython 3.11, the same on every run (315
+#: while a ticket entered three tables); the ceiling is 14 calls above it
+COLOCATED_CALLS_PER_OP_CEILING = 319
 GENERATOR_SCOPES_PER_OP_CEILING = 1
 
 DOCUMENTS = [

@@ -162,15 +162,15 @@ class TestStatsSurfaces:
         with app:
             app.start()
             app.submit(1).result()
-            stats = app.stats()
-        assert stats["limit"] == 3
-        assert stats["policy"] == "fail"
-        assert stats["admitted"] == 0
-        assert stats["admitted_total"] == 1
-        assert stats["rejected"] == 0
-        assert "tenant" not in stats
+            table = app.admission
+        assert table.limit == 3
+        assert table.policy == "fail"
+        assert table.admitted == 0
+        assert table.admitted_total == 1
+        assert table.rejected == 0
+        assert app.tenant is None
 
     def test_app_stats_names_its_tenant(self):
         sched = make_scheduler(2, gold={})
         app = ParallelApp(plain_spec(tenant="gold", scheduler=sched))
-        assert app.stats()["tenant"] == "gold"
+        assert app.tenant == "gold"
