@@ -7,10 +7,8 @@ with pytest-benchmark, grounding the model:
 * plain method call (unwoven class);
 * woven-inert call (class instrumented, no advice deployed);
 * one around advice (the single-around fast path);
-* a five-aspect stack (partition-like depth);
-* a mixed-kind five-advice chain (before/after/after_returning alongside
-  arounds), and a non-separable one (before/after between the arounds),
-  each asserted to run its compiled plan kind;
+* a five-aspect stack (partition-like depth), asserted to run the
+  fused all-around plan;
 * batched dispatch: an 8-piece pack through the compiled batched entry
   (one BatchJoinPoint per pack) vs 8 per-item calls — plus an invariant
   check that a farm with packing factor 8 allocates exactly one
@@ -34,11 +32,8 @@ import pytest
 import repro.aop.plan as plan_mod
 from repro.aop import (
     Aspect,
-    after,
-    after_returning,
     around,
     batched_entry,
-    before,
     deploy,
     undeploy,
     undeploy_all,
@@ -123,105 +118,6 @@ def test_five_aspect_stack(benchmark):
     obj = Target()
     # the fused all-around plan serves every call of the hot loop
     assert vars(Target)["work"].__aop_plan_kind__ == "all-around"
-    assert benchmark(lambda: run_loop(obj)) == N * (N - 1) // 2 + N
-
-
-def deploy_mixed_five(Target):
-    """Five advice of mixed kinds, separable (befores/afters outermost):
-    the shape the compiled mixed plan covers."""
-
-    class Pre(Aspect):
-        precedence = 500
-
-        @before("call(Target.work(..))")
-        def pre(self, jp):
-            pass
-
-    class Post(Aspect):
-        precedence = 400
-
-        @after("call(Target.work(..))")
-        def post(self, jp):
-            pass
-
-    class Ret(Aspect):
-        precedence = 300
-
-        @after_returning("call(Target.work(..))")
-        def ret(self, jp):
-            pass
-
-    def make_around(level):
-        class Wrap(Aspect):
-            precedence = level
-
-            @around("call(Target.work(..))")
-            def wrap(self, jp):
-                return jp.proceed()
-
-        return Wrap()
-
-    for aspect in (Pre(), Post(), Ret(), make_around(200), make_around(100)):
-        deploy(aspect)
-
-
-def test_mixed_five_advice_stack(benchmark):
-    """The compiled mixed-chain plan: befores/afters folded at compile
-    time around the around segment."""
-    Target = make_target()
-    weave(Target)
-    deploy_mixed_five(Target)
-    obj = Target()
-    impl = vars(Target)["work"]
-    assert "runner" in impl.__code__.co_freevars, "mixed plan not compiled"
-    assert impl.__aop_plan_kind__ == "mixed"
-    assert benchmark(lambda: run_loop(obj)) == N * (N - 1) // 2 + N
-
-
-def deploy_nonseparable_five(Target):
-    """Five advice with the before/after sorted BELOW (and between) the
-    arounds — the non-separable shape, compiled by per-segment
-    nesting."""
-
-    def make_around(level):
-        class Wrap(Aspect):
-            precedence = level
-
-            @around("call(Target.work(..))")
-            def wrap(self, jp):
-                return jp.proceed()
-
-        return Wrap()
-
-    class Pre(Aspect):
-        precedence = 400
-
-        @before("call(Target.work(..))")
-        def pre(self, jp):
-            pass
-
-    class Post(Aspect):
-        precedence = 200
-
-        @after("call(Target.work(..))")
-        def post(self, jp):
-            pass
-
-    for aspect in (make_around(500), Pre(), make_around(300), Post(),
-                   make_around(100)):
-        deploy(aspect)
-
-
-def test_nonseparable_five_advice_stack(benchmark):
-    """The compiled non-separable plan: before/after runs folded into
-    the around level beneath them."""
-    Target = make_target()
-    weave(Target)
-    deploy_nonseparable_five(Target)
-    obj = Target()
-    impl = vars(Target)["work"]
-    assert "runner" in impl.__code__.co_freevars, "chain did not compile"
-    assert impl.__aop_plan_kind__ == "mixed"
     assert benchmark(lambda: run_loop(obj)) == N * (N - 1) // 2 + N
 
 

@@ -34,8 +34,8 @@ def main():
         app.start()
         parallel = app.submit(list(DOCUMENTS)).result()
         # the same deployed stack serves overlapped requests: every
-        # in-flight split owns its per-call dispatch context, so all
-        # four submissions stream through the stages concurrently
+        # in-flight call owns its per-call ticket, so all four
+        # submissions stream through the stages concurrently
         futures = [app.submit([doc]) for doc in DOCUMENTS]
         per_doc = [future.result() for future in futures]
         overlapped = app.peak_in_flight
@@ -47,7 +47,7 @@ def main():
     print(f"pipeline == sequential: {identical}")
     print(f"per-document submissions recombine identically: "
           f"{recombined == expected}")
-    print(f"peak in-flight splits on one deployed pipeline: {overlapped}\n")
+    print(f"peak in-flight calls on one deployed pipeline: {overlapped}\n")
     for word, count in expected.most_common(8):
         print(f"  {word:>10}: {count}")
     if not identical or recombined != expected:

@@ -25,17 +25,12 @@ Quickstart (paper Figure 3, the logging aspect)::
     Point().move_x(10)          # prints "Move called"
 """
 
-from repro.aop.advice import AdviceKind
 from repro.aop.aspect import (
     AbstractPointcut,
     Aspect,
     ParentDeclaration,
     abstract_pointcut,
-    after,
-    after_returning,
-    after_throwing,
     around,
-    before,
     declare_parents,
     introduce,
     pointcut,
@@ -76,10 +71,6 @@ __all__ = [
     # aspect declaration
     "Aspect",
     "around",
-    "before",
-    "after",
-    "after_returning",
-    "after_throwing",
     "introduce",
     "pointcut",
     "abstract_pointcut",
@@ -89,7 +80,6 @@ __all__ = [
     # joinpoints
     "JoinPoint",
     "JoinPointKind",
-    "AdviceKind",
     # pointcut language
     "Pointcut",
     "parse_pointcut",

@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from typing import Any, Callable, Iterable
 
-from repro.aop.advice import AdviceDecl, AdviceKind
+from repro.aop.advice import AdviceDecl
 from repro.aop.parser import parse_pointcut
 from repro.aop.pointcut import Pointcut
 from repro.errors import AdviceError, DeploymentError
@@ -41,10 +41,6 @@ from repro.errors import AdviceError, DeploymentError
 __all__ = [
     "Aspect",
     "around",
-    "before",
-    "after",
-    "after_returning",
-    "after_throwing",
     "introduce",
     "pointcut",
     "abstract_pointcut",
@@ -82,44 +78,19 @@ def pointcut(expression: str | Pointcut) -> Pointcut:
     return parse_pointcut(expression)
 
 
-def _advice(kind: AdviceKind, expression: Any) -> Callable:
+def around(expression: str | Pointcut) -> Callable:
+    """Around advice — receives the :class:`JoinPoint`; must call
+    ``jp.proceed(..)`` to run the original behaviour.  The only advice
+    kind: "before" or "after" is code written around ``proceed()``."""
     if expression is None:
-        raise AdviceError(f"{kind} advice requires a pointcut expression")
+        raise AdviceError("around advice requires a pointcut expression")
 
     def decorator(func: Callable) -> Callable:
         markers = getattr(func, _ADVICE_ATTR, [])
-        markers = list(markers) + [(kind, expression)]
-        setattr(func, _ADVICE_ATTR, markers)
+        setattr(func, _ADVICE_ATTR, list(markers) + [expression])
         return func
 
     return decorator
-
-
-def around(expression: str | Pointcut) -> Callable:
-    """Around advice — receives the :class:`JoinPoint`; must call
-    ``jp.proceed(..)`` to run the original behaviour."""
-    return _advice(AdviceKind.AROUND, expression)
-
-
-def before(expression: str | Pointcut) -> Callable:
-    """Before advice — runs prior to the joinpoint."""
-    return _advice(AdviceKind.BEFORE, expression)
-
-
-def after(expression: str | Pointcut) -> Callable:
-    """After (finally) advice — runs whether the joinpoint returned or
-    raised."""
-    return _advice(AdviceKind.AFTER, expression)
-
-
-def after_returning(expression: str | Pointcut) -> Callable:
-    """After-returning advice — ``jp.result`` holds the return value."""
-    return _advice(AdviceKind.AFTER_RETURNING, expression)
-
-
-def after_throwing(expression: str | Pointcut) -> Callable:
-    """After-throwing advice — ``jp.exception`` holds the raised error."""
-    return _advice(AdviceKind.AFTER_THROWING, expression)
 
 
 def introduce(target: type) -> Callable:
@@ -189,8 +160,8 @@ class Aspect:
         for name, attr in vars(cls).items():
             markers = getattr(attr, _ADVICE_ATTR, None)
             if markers:
-                for kind, expression in markers:
-                    decls.append(AdviceDecl(kind, expression, attr, index))
+                for expression in markers:
+                    decls.append(AdviceDecl(expression, attr, index))
                     index += 1
             intro_target = getattr(attr, _INTRODUCE_ATTR, None)
             if intro_target is not None:

@@ -26,7 +26,7 @@ from repro.errors import ProceedError
 
 __all__ = ["JoinPointKind", "JoinPoint"]
 
-#: The compiled plans' around-segment continuation class, injected by
+#: The compiled plans' around continuation class, injected by
 #: :mod:`repro.aop.plan` at import time (a set-after-import hand-off —
 #: ``plan`` imports this module, so it cannot be imported here).
 #: :meth:`JoinPoint.proceed` type-checks the armed continuation against
@@ -79,8 +79,6 @@ class JoinPoint:
         "kwargs",
         "_proceed_map",
         "_armed_tid",
-        "result",
-        "exception",
         "from_advice",
     )
 
@@ -104,14 +102,10 @@ class JoinPoint:
         # while the original thread unwinds — neither may clobber the
         # other's view of ``proceed``.
         self._proceed_map: dict[int, Callable] = {}
-        #: Thread whose around-segment continuation is fused into this
+        #: Thread whose around continuation is fused into this
         #: joinpoint (see ``_FusedJoinPoint`` in repro.aop.plan); ``-1``
         #: when dispatch goes through the proceed map instead.
         self._armed_tid: int = -1
-        #: Set on ``after_returning`` advice invocations.
-        self.result: Any = None
-        #: Set on ``after_throwing`` advice invocations.
-        self.exception: BaseException | None = None
         #: Snapshot taken at dispatch: was this joinpoint reached from
         #: advice code?  Advice that must act on core calls only tests
         #: it — this weaver's ``!adviceexecution()``.
@@ -157,6 +151,10 @@ class JoinPoint:
                 except BaseException:
                     self._i = i
                     raise
+                # an inner level that caught a failure below it left
+                # jp.args as the failing level set them
+                self.args = cargs
+                self.kwargs = ckwargs
                 self._i = i
                 return result
             use_args = args if args else cargs
@@ -190,10 +188,10 @@ class JoinPoint:
         if p.__class__ is not _AROUND_CONT:
             # a captured continuation replaying on this thread
             return p(*args, **kwargs)
-        # The step of the compiled around-segment continuation
+        # The step of the compiled around continuation
         # (``_AroundCont`` in repro.aop.plan), inlined here: the armed
         # level ``i`` proceeds into level ``i + 1`` or, past the
-        # last around, into the segment tail.  On success the armed view
+        # last around, into the tail.  On success the armed view
         # is restored so a second ``proceed()`` replays; on an exception
         # it is rolled back to this level (``jp.args`` deliberately
         # stays as the failing level set it).
@@ -217,6 +215,8 @@ class JoinPoint:
             except BaseException:
                 p.i = i
                 raise
+            self.args = cargs
+            self.kwargs = ckwargs
             p.i = i
             return result
         use_args = args if args else cargs
@@ -277,8 +277,8 @@ class JoinPoint:
             raise ProceedError(
                 f"capture_proceed() outside an active around advice for {self.signature}"
             )
-        # Compiled plans arm one mutable continuation object per around
-        # segment; its state changes as the run unwinds, so capture asks
+        # Construction and pack plans arm one mutable continuation object
+        # per run; its state changes as the run unwinds, so capture asks
         # it for a frozen snapshot.
         return proceed.capture()
 

@@ -6,34 +6,25 @@ interpreted it.  This module replaces interpretation with **compilation**
 — per (shadow, deployment-state) the weaver asks :func:`compile_call_impl`
 for a closure specialised to exactly the advice that applies there.
 
-Decision tree (applied top-down by :func:`compile_call_impl`; the first
-matching shape wins).  Every pointcut is decided once per shadow (see
-:mod:`repro.aop.pointcut`), so every chain compiles — there is no
-interpreted tier:
+Every advice is ``around`` and every pointcut is decided once per shadow
+(see :mod:`repro.aop.pointcut`), so every chain compiles — there is no
+interpreted tier.  :func:`compile_call_impl` picks one of two shapes:
 
 1. **inert** — no advice matches: install a *clone* of the original
    function — same code object, so a woven-inert call costs the same as
    a plain call (the clone is a distinct object so weaving stays
    observable and unweave can restore the true original).
-2. **compiled** — any chain, whatever the kind mix and ordering: the
-   sorted chain is partitioned into alternating segments of non-around
-   and around entries.  Each non-around segment folds into compile-time
-   try/finally frames (:func:`_wrap_step`, no per-call kind dispatch);
-   each around segment becomes one :class:`_AroundCont` run — a single
-   mutable continuation object armed **once per segment** in the
-   joinpoint's per-thread proceed map, stepping through its levels with
-   slot loads/stores instead of allocating one closure per level per
-   call.  Segments nest in chain order, so a before/after sorted *below*
-   an around (the non-separable shape) simply lands in the try/finally
-   frames of the around segment beneath it.  Plans are labelled
-   ``single-around`` / ``all-around`` / ``mixed`` for
-   :class:`PlanStats`; a chain of arounds only takes the fused
-   :func:`_all_around_impl`, the rest share :func:`_static_impl`.
+2. **around** — any chain: the fused :func:`_all_around_impl`, whose
+   joinpoint carries the continuation state in its own slots and
+   steps through the levels with slot loads/stores instead of
+   allocating one closure per level per call.  Plans are labelled
+   ``single-around`` / ``all-around`` for :class:`PlanStats`.
 
-Construction compiles the same way: an initialization shadow's chain
-folds with :func:`_compile_static_runner` around a tail that builds the
-instance (:func:`compile_ctor_runner`), and the woven ``__new__`` enters
-that runner.
+Construction and packs run the chain as one :func:`_around_run` — a
+single mutable :class:`_AroundCont` armed once per run in the
+joinpoint's per-thread proceed map — around a tail that builds the
+instance (:func:`compile_ctor_runner`) or applies the method to every
+piece (:func:`compile_batch_impl`).
 
 Captured continuations (``jp.capture_proceed()``) cannot hand out the
 live :class:`_AroundCont` — its level state mutates as the run unwinds —
@@ -70,8 +61,7 @@ The same Plan abstraction is what the other layers consume:
   advice chain **once per pack** around a :class:`BatchJoinPoint`
   (pack-level args, item count, merged piece view) instead of once per
   item.  Batch plans are compiled lazily per shadow, cached on the
-  shadow, and invalidated by the same recompiles as the call plan; they
-  follow the same decision tree.
+  shadow, and invalidated by the same recompiles as the call plan.
 """
 
 from __future__ import annotations
@@ -79,12 +69,11 @@ from __future__ import annotations
 import functools
 import types
 from collections import Counter
-from itertools import groupby
 from threading import get_ident
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.aop import joinpoint as _joinpoint_module
-from repro.aop.advice import AdviceKind, BoundAdvice
+from repro.aop.advice import BoundAdvice
 from repro.aop.cflow import _LOCAL as _FLOW_LOCAL
 from repro.aop.joinpoint import JoinPoint, JoinPointKind
 
@@ -224,7 +213,7 @@ class Shadow:
     current plan (advice chain + specialised impl)."""
 
     __slots__ = ("cls", "name", "kind", "original", "impl", "entries",
-                 "compiles", "batch_impl")
+                 "batch_impl")
 
     def __init__(self, cls: type, name: str, kind: JoinPointKind,
                  original: Callable | None):
@@ -237,8 +226,6 @@ class Shadow:
         self.impl: Callable | None = None
         #: advice chain applicable here, outermost first
         self.entries: tuple[BoundAdvice, ...] = ()
-        #: number of times this shadow's plan was compiled
-        self.compiles = 0
         #: lazily compiled pack-granular plan (see :func:`batched_entry`);
         #: reset to None whenever the call plan recompiles
         self.batch_impl: Callable | None = None
@@ -376,8 +363,8 @@ def _inert_impl(original: Callable) -> Callable:
 
 
 class _AroundCont:
-    """The live continuation of one *around segment*: a single mutable
-    object armed once per segment run in ``jp._proceed_map``, which
+    """The live continuation of one around run: a single mutable
+    object armed once per run in ``jp._proceed_map``, which
     ``JoinPoint.proceed`` steps for whichever level is currently
     executing.
 
@@ -394,12 +381,11 @@ class _AroundCont:
       ``proceed()`` replays.  On an exception the armed view is rolled
       back to the caller level and ``jp.args`` is deliberately left as
       the failing level set it.
-    * ``tail`` — the compiled remainder below this segment: the original
-      call, or folded before/after frames (possibly wrapping the next
-      around segment of a non-separable chain).
+    * ``tail`` — what runs below the innermost level: the original
+      call, the construction or the batch core.
 
-    ``flow.advice_depth`` is maintained by the segment *run* (±1 for the
-    whole segment, see :func:`_around_run`) rather than per level — every
+    ``flow.advice_depth`` is maintained by the *run* (±1 for the whole
+    chain, see :func:`_around_run`) rather than per level — every
     reader treats it as a boolean ("is advice on the stack?"), and the
     balanced hoist keeps it zero outside dispatch.
     """
@@ -462,7 +448,7 @@ _joinpoint_module._AROUND_CONT = _AroundCont
 
 
 class _CapturedCont:
-    """A captured ``proceed``: the remainder of an around segment frozen
+    """A captured ``proceed``: the remainder of an around chain frozen
     at capture time, runnable later on any thread.
 
     Replaying arms the invoking thread's own proceed-map slot (never
@@ -545,13 +531,13 @@ _joinpoint_module._CAPTURED_CONT = _CapturedCont
 
 
 class _FusedJoinPoint(JoinPoint):
-    """A joinpoint whose around-segment continuation is *fused into it*.
+    """A joinpoint whose around continuation is *fused into it*.
 
-    The all-around plan is the hot shape, and after inlining the
+    The call plan is the hot shape, and after inlining the
     continuation step into ``JoinPoint.proceed`` the remaining per-call
     overhead was the continuation object itself: one allocation, one
     proceed-map store + pop, and a dict lookup plus class check on every
-    ``proceed``.  For a pure-around chain the continuation holds nothing
+    ``proceed``.  For a call the continuation holds nothing
     the joinpoint could not hold, so this subclass grows the seven
     continuation slots and the plan arms dispatch by writing the calling
     thread's id into ``_armed_tid`` (a base-class slot, ``-1`` =
@@ -570,11 +556,11 @@ def _around_run(
     funcs: tuple[Callable, ...],
     tail: Callable[[JoinPoint, Any, tuple, dict], Any],
 ) -> Callable[[JoinPoint, Any, tuple, dict], Any]:
-    """One compiled around segment: ``run(jp, self_obj, args, kwargs)``
+    """One compiled around chain: ``run(jp, self_obj, args, kwargs)``
     arms a fresh :class:`_AroundCont` on the calling thread (one map
-    write + one restore for the whole segment), bumps the advice depth
-    once, and enters level 0.  ``tail`` runs below the innermost level —
-    the original, or the next folded segment of a non-separable chain."""
+    write + one restore for the whole run), bumps the advice depth
+    once, and enters level 0.  ``tail`` runs below the innermost level:
+    the construction or the batch core."""
     n = len(funcs)
 
     def run(jp: JoinPoint, self_obj: Any, args: tuple, kwargs: dict) -> Any:
@@ -597,66 +583,6 @@ def _around_run(
     return run
 
 
-def _wrap_step(kind: AdviceKind, func: Callable, inner: Callable) -> Callable:
-    """One compile-time frame of a non-around segment: the before/after
-    entry's semantics as a dedicated closure around ``inner``.  The
-    try/finally nesting is built here, at compile time, so runtime pays
-    neither kind dispatch nor generator-based context managers."""
-    if kind is AdviceKind.BEFORE:
-
-        def step(jp: JoinPoint, self_obj: Any, args: tuple, kwargs: dict) -> Any:
-            flow = _FLOW_LOCAL.flow
-            flow.advice_depth += 1
-            try:
-                func(jp)
-            finally:
-                flow.advice_depth -= 1
-            return inner(jp, self_obj, args, kwargs)
-
-    elif kind is AdviceKind.AFTER:
-
-        def step(jp: JoinPoint, self_obj: Any, args: tuple, kwargs: dict) -> Any:
-            try:
-                return inner(jp, self_obj, args, kwargs)
-            finally:
-                flow = _FLOW_LOCAL.flow
-                flow.advice_depth += 1
-                try:
-                    func(jp)
-                finally:
-                    flow.advice_depth -= 1
-
-    elif kind is AdviceKind.AFTER_RETURNING:
-
-        def step(jp: JoinPoint, self_obj: Any, args: tuple, kwargs: dict) -> Any:
-            result = inner(jp, self_obj, args, kwargs)
-            jp.result = result
-            flow = _FLOW_LOCAL.flow
-            flow.advice_depth += 1
-            try:
-                func(jp)
-            finally:
-                flow.advice_depth -= 1
-            return result
-
-    else:  # AdviceKind.AFTER_THROWING — arounds never reach _wrap_step
-
-        def step(jp: JoinPoint, self_obj: Any, args: tuple, kwargs: dict) -> Any:
-            try:
-                return inner(jp, self_obj, args, kwargs)
-            except BaseException as exc:
-                jp.exception = exc
-                flow = _FLOW_LOCAL.flow
-                flow.advice_depth += 1
-                try:
-                    func(jp)
-                finally:
-                    flow.advice_depth -= 1
-                raise
-
-    return step
-
-
 def _original_tail(original: Callable) -> Callable:
     """The innermost runner frame: invoke the original method.  The
     ``__aop_original__`` tag lets :class:`_AroundCont` (and the inlined
@@ -669,64 +595,9 @@ def _original_tail(original: Callable) -> Callable:
     return tail
 
 
-def _static_kind(entries: tuple[BoundAdvice, ...]) -> str:
+def _plan_kind(entries: tuple[BoundAdvice, ...]) -> str:
     """The :class:`PlanStats` label for a compiled chain."""
-    if all(e.kind is AdviceKind.AROUND for e in entries):
-        return "single-around" if len(entries) == 1 else "all-around"
-    return "mixed"
-
-
-def _compile_static_runner(
-    entries: tuple[BoundAdvice, ...],
-    tail: Callable[[JoinPoint, Any, tuple, dict], Any],
-) -> Callable[[JoinPoint, Any, tuple, dict], Any]:
-    """Fold a chain (outermost first) into nested runner frames around
-    ``tail``.
-
-    The chain is partitioned into maximal segments of consecutive
-    around / non-around entries and folded innermost-out: non-around
-    segments become compile-time :func:`_wrap_step` frames, around
-    segments become :func:`_around_run` continuation runs.  Because the
-    fold follows chain order, non-separable shapes — a before or after
-    sorted *below* an around — simply land in the tail of the around
-    segment above them, in chain order (the segment's ``_invoke``
-    refreshes ``jp.args`` before every tail entry, so the lower frames
-    always observe the possibly-substituted view).
-    """
-    segments = [
-        (is_around, tuple(group))
-        for is_around, group in groupby(
-            entries, key=lambda e: e.kind is AdviceKind.AROUND
-        )
-    ]
-    runner = tail
-    for is_around, segment in reversed(segments):
-        if is_around:
-            runner = _around_run(
-                tuple(entry.func for entry in segment), runner
-            )
-        else:
-            for entry in reversed(segment):
-                runner = _wrap_step(entry.kind, entry.func, runner)
-    return runner
-
-
-def _static_impl(
-    cls: type,
-    name: str,
-    original: Callable,
-    runner: Callable[[JoinPoint, Any, tuple, dict], Any],
-) -> Callable:
-    """The dispatch wrapper shared by compiled mixed-segment plans: build
-    the joinpoint and enter the compiled ``runner``."""
-
-    @functools.wraps(original)
-    def impl(self_obj: Any, *args: Any, **kwargs: Any) -> Any:
-        jp = JoinPoint(_CALL, cls, name, self_obj, args, kwargs)
-        jp.from_advice = _FLOW_LOCAL.flow.advice_depth > 0
-        return runner(jp, self_obj, args, kwargs)
-
-    return impl
+    return "single-around" if len(entries) == 1 else "all-around"
 
 
 def _all_around_impl(
@@ -735,14 +606,14 @@ def _all_around_impl(
     original: Callable,
     entries: tuple[BoundAdvice, ...],
 ) -> Callable:
-    """The fused plan for a chain that is *only* around advice — the
-    paper's hot shape (one optimisation/distribution/concurrency stack
-    around a compute method, dispatched millions of times).
+    """The call plan of an advised shadow — the paper's hot shape (one
+    optimisation/distribution/concurrency stack around a compute
+    method, dispatched millions of times).
 
-    Behaviourally identical to ``_static_impl`` over a single
-    :func:`_around_run` segment, but flattened into one frame with every
-    per-call constant held in closure cells and a single allocation done
-    via ``__new__`` + slot stores:
+    Behaviourally a :func:`_around_run` over the original, but
+    flattened into one frame with every per-call constant held in
+    closure cells and a single allocation done via ``__new__`` + slot
+    stores:
 
     * the joinpoint is a :class:`_FusedJoinPoint` built inline (no
       ``__init__`` frame) — the continuation state lives in its slots,
@@ -768,8 +639,6 @@ def _all_around_impl(
         jp.args = args
         jp.kwargs = kwargs
         jp._proceed_map = {}
-        jp.result = None
-        jp.exception = None
         flow = _FLOW_LOCAL.flow
         depth = flow.advice_depth
         jp.from_advice = depth > 0
@@ -793,27 +662,20 @@ def _all_around_impl(
 
 def compile_call_impl(shadow: Shadow) -> Callable:
     """Compile the specialised dispatcher for a CALL shadow's current
-    chain (``shadow.entries`` must be fresh): the inert / compiled
-    decision tree described in the module docstring."""
+    chain (``shadow.entries`` must be fresh): inert, or the fused
+    around plan (module docstring)."""
     original = shadow.original
     entries = shadow.entries
     if not entries:
         return _inert_impl(original)
-    if all(entry.kind is AdviceKind.AROUND for entry in entries):
-        # kept because the five-aspect-stack gate pays for it: through
-        # the segment-nested path below its numerator read 2.16-2.83 ms
-        # against 1.84-2.07 ms per 1000 calls (ROADMAP 3(4), PR 18)
-        impl = _all_around_impl(shadow.cls, shadow.name, original, entries)
-    else:
-        runner = _compile_static_runner(entries, _original_tail(original))
-        impl = _static_impl(shadow.cls, shadow.name, original, runner)
-    return _mark(impl, original, kind=_static_kind(entries))
+    impl = _all_around_impl(shadow.cls, shadow.name, original, entries)
+    return _mark(impl, original, kind=_plan_kind(entries))
 
 
 def compile_ctor_runner(shadow: Shadow) -> Callable | None:
     """Compile an INITIALIZATION shadow's chain: ``run(jp, None, args,
-    kwargs)`` folds the chain with :func:`_compile_static_runner`, the
-    same as a call chain, around a tail that builds the instance.
+    kwargs)`` is one :func:`_around_run` of the chain around a tail
+    that builds the instance.
     ``None`` when no advice applies (the woven ``__new__`` then takes
     the raw path).
 
@@ -836,7 +698,7 @@ def compile_ctor_runner(shadow: Shadow) -> Callable | None:
         finally:
             flow.construction_bypass -= 1
 
-    return _compile_static_runner(shadow.entries, construct)
+    return _around_run(tuple(entry.func for entry in shadow.entries), construct)
 
 
 # ---------------------------------------------------------------------------
@@ -854,10 +716,8 @@ def compile_batch_impl(shadow: Shadow) -> Callable[[Any, Any], list]:
 
     The returned ``impl(self_obj, pieces) -> [results]`` runs the advice
     chain once around a :class:`BatchJoinPoint` whose innermost original
-    applies the woven method to every piece.  Specialisation follows the
-    call-plan decision tree: inert packs run a bare loop (zero joinpoint
-    allocations), and any chain — separable or not — runs the same
-    folded segment runner as the call plan.
+    applies the woven method to every piece: inert packs run a bare
+    loop (zero joinpoint allocations), any chain one :func:`_around_run`.
     """
     original = shadow.original
     cls, name = shadow.cls, shadow.name
@@ -879,14 +739,14 @@ def compile_batch_impl(shadow: Shadow) -> Callable[[Any, Any], list]:
                    kwargs: dict) -> list:
         return batch_core(self_obj, args[0])
 
-    runner = _compile_static_runner(entries, batch_tail)
+    runner = _around_run(tuple(entry.func for entry in entries), batch_tail)
 
     def advised_batch(self_obj: Any, pieces: Any) -> Any:
         jp = BatchJoinPoint(cls, name, self_obj, tuple(pieces))
         jp.from_advice = _FLOW_LOCAL.flow.advice_depth > 0
         return runner(jp, self_obj, jp.args, {})
 
-    return _tag_batch(advised_batch, _static_kind(entries))
+    return _tag_batch(advised_batch, _plan_kind(entries))
 
 
 def _plain_batch(func: Callable) -> Callable[[Any], list]:

@@ -6,11 +6,10 @@ construction is intercepted through ``__new__`` / ``__init__`` patches.
 This is the runtime analogue of AspectJ's compile-time weaving, with one
 twist: instead of generic dispatchers interpreting an epoch-cached
 advice-chain table per call, each shadow's dispatcher is a closure
-*specialised* to the advice that applies there (the inert / compiled
-decision tree of :mod:`repro.aop.plan` — every pointcut is decided once
-per shadow, so every chain compiles, whatever its kind mix and
-ordering), recompiled only when a deploy/undeploy actually changes that
-shadow's chain.  A static shadow→deployment match index
+*specialised* to the advice that applies there (the plans of
+:mod:`repro.aop.plan` — every pointcut is decided once per shadow, so
+every chain compiles), recompiled only when a deploy/undeploy actually
+changes that shadow's chain.  A static shadow→deployment match index
 (built from ``Pointcut.matches_shadow``) keeps "(un)plug on the fly"
 cheap under load: deploying an aspect whose pointcuts match ``Jacobi.*``
 leaves every ``Primes.*`` plan untouched.
@@ -61,7 +60,7 @@ import sys
 import threading
 from typing import Any, Callable, Iterable
 
-from repro.aop.advice import AdviceKind, BoundAdvice
+from repro.aop.advice import BoundAdvice
 from repro.aop.aspect import Aspect
 from repro.aop.cflow import bypassing_construction, construction_bypass, in_advice
 from repro.aop.intertype import IntertypeApplier
@@ -151,8 +150,8 @@ class _Deployment:
     def __init__(self, aspect: Aspect, seq: int):
         self.aspect = aspect
         self.seq = seq
-        # list of (kind, pointcut, bound_func, decl_index)
-        self.resolved: list[tuple[AdviceKind, Pointcut, Callable, int]] = []
+        # list of (pointcut, bound_func, decl_index)
+        self.resolved: list[tuple[Pointcut, Callable, int]] = []
         self.intertype = IntertypeApplier()
         #: shadows whose chains this deployment can affect (static index)
         self.matched: set[Shadow] = set()
@@ -307,7 +306,7 @@ class Weaver:
             for decl in type(aspect)._advice_decls:
                 resolved = aspect.resolve_pointcut(decl.pointcut_source)
                 bound = decl.func.__get__(aspect, type(aspect))
-                deployment.resolved.append((decl.kind, resolved, bound, decl.index))
+                deployment.resolved.append((resolved, bound, decl.index))
             try:
                 for target_cls, name, func in type(aspect)._introductions:
                     deployment.intertype.introduce_member(
@@ -385,7 +384,7 @@ class Weaver:
         ``shadow``?"""
         return any(
             resolved.matches_shadow(shadow.cls, shadow.name, shadow.kind)
-            for _, resolved, _, _ in deployment.resolved
+            for resolved, _, _ in deployment.resolved
         )
 
     def _apply_deployment_change(
@@ -426,7 +425,6 @@ class Weaver:
         The cached batch plan is invalidated alongside: it bakes the same
         chain, so it must be recompiled lazily on next batched use."""
         shadow.entries = self._compute_chain(shadow)
-        shadow.compiles += 1
         shadow.batch_impl = None
         if shadow.kind is JoinPointKind.CALL:
             impl = compile_call_impl(shadow)
@@ -440,13 +438,12 @@ class Weaver:
         """The advice matching ``shadow``, outermost first."""
         entries = [
             BoundAdvice(
-                advice_kind,
                 bound,
                 deployment.aspect,
                 (-deployment.aspect.precedence, deployment.seq, index),
             )
             for deployment in self._deployments
-            for advice_kind, resolved, bound, index in deployment.resolved
+            for resolved, bound, index in deployment.resolved
             if resolved.matches_shadow(shadow.cls, shadow.name, shadow.kind)
         ]
         entries.sort(key=lambda e: e.sort_key)

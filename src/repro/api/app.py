@@ -68,7 +68,6 @@ class ParallelApp:
         self.async_aspect: Any = None
         self.middleware: Any = None
         self.extra_middleware: Any = None
-        self.modules: dict[str, ParallelModule] = {}
         creation = spec.creation_pointcut
         work = spec.work_pointcut
         name = spec.name if spec.name is not None else f"{spec.strategy}+{spec.middleware}"
@@ -80,11 +79,13 @@ class ParallelApp:
             spec.splitter, creation, work, **spec.strategy_options
         )
         if self.partition is not None:
-            self._plug(ParallelModule.of(self.partition, spec.strategy))
+            self.composition.plug(ParallelModule.of(self.partition, spec.strategy))
 
         # -- concurrency (unless the partition spawns its pieces itself) ---
         if spec.concurrency and not strategy.provides_concurrency:
-            self.async_aspect = self._plug(concurrency_module(work, work)).aspects[0]
+            module = concurrency_module(work, work)
+            self.composition.plug(module)
+            self.async_aspect = module.aspects[0]
 
         # -- execution backend, then distribution: servants a backend
         # hosts in worker processes get there through the process
@@ -105,19 +106,21 @@ class ParallelApp:
         if self.distribution is not None:
             self.middleware = self.distribution.middleware
             self.extra_middleware = self.distribution.extra_middleware
-            self._plug(ParallelModule.of(self.distribution, f"distribution-{name}"))
+            self.composition.plug(
+                ParallelModule.of(self.distribution, f"distribution-{name}")
+            )
 
         # -- instrumentation + optimisations -------------------------------
         if spec.cost is not None:
-            self._plug(
+            self.composition.plug(
                 ParallelModule("cost-model", Concern.INSTRUMENTATION, [spec.cost])
             )
         for index, extra in enumerate(spec.optimisations):
             if isinstance(extra, ParallelModule):
-                self._plug(extra)
+                self.composition.plug(extra)
             else:  # a bare aspect: wrap it as its own module
                 concern = getattr(extra, "concern", Concern.OPTIMISATION)
-                self._plug(
+                self.composition.plug(
                     ParallelModule(f"optimisation-{index}", concern, [extra])
                 )
 
@@ -141,7 +144,6 @@ class ParallelApp:
         self.tenant = spec.tenant
         if self.scheduler is not None:
             self.scheduler.ensure_tenant(self.tenant)
-        self._submissions = 0
         #: the spec's fault schedule while in force (deploy to undeploy);
         #: it rides every ticket built meanwhile
         self._faults_active: Any = None
@@ -159,11 +161,6 @@ class ParallelApp:
                 f"ExecutionBackend, got {backend!r}"
             )
         return backend
-
-    def _plug(self, module: ParallelModule) -> ParallelModule:
-        self.composition.plug(module)
-        self.modules[module.name] = module
-        return module
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -200,23 +197,16 @@ class ParallelApp:
 
     @property
     def in_flight(self) -> int:
-        """Live per-call dispatch tickets on the partition coordinator —
-        how many splits this deployed stack is serving right now."""
-        return getattr(self.partition, "in_flight", 0)
+        """Calls this deployment is serving right now: its admission
+        slots held, from admit until each call's future resolves (every
+        spec, with or without a partition strategy)."""
+        return self.admission.admitted
 
     @property
     def peak_in_flight(self) -> int:
-        """Most splits ever in flight at once on this deployed stack
-        (the overlap high-water mark the stress tests assert on)."""
-        return getattr(self.partition, "peak_in_flight", 0)
-
-    # -- admission observability ---------------------------------------------
-
-    @property
-    def admitted(self) -> int:
-        """Admission slots currently held (submissions between admit
-        and their future resolving)."""
-        return self.admission.admitted
+        """Most calls ever in flight at once on this deployment (the
+        overlap high-water mark the stress tests assert on)."""
+        return self.admission.peak_admitted
 
     def plan_stats(self) -> dict:
         """Compiler visibility for this app's weaver: a read-only
@@ -387,9 +377,8 @@ class ParallelApp:
         # acquire before dispatching: this is where backpressure (block),
         # rejection (fail) and shedding happen — in the submitter
         ticket = self._admit(f"submit.{method}", timeout)
-        self._submissions += 1
         future = Future(
-            name=f"submit.{method}.{self._submissions}", backend=self.backend
+            name=f"submit.{method}.{ticket.context_id}", backend=self.backend
         )
         future.admission = ticket  # type: ignore[attr-defined]
         self._dispatch(

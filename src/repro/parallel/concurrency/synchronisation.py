@@ -35,7 +35,6 @@ class SynchronisationAspect(ParallelAspect):
             self.guarded_calls = pointcut(guarded_calls)
         # id(target) -> (target, lock); the strong reference keeps ids stable
         self._locks: dict[int, tuple[Any, Any]] = {}
-        self.guarded = 0
 
     def _lock_for(self, target: Any) -> Any:
         key = id(target)
@@ -53,7 +52,6 @@ class SynchronisationAspect(ParallelAspect):
     def serialise(self, jp):
         if self.passthrough(jp):
             return jp.proceed()
-        self.guarded += 1
         with self._lock_for(jp.target):
             return jp.proceed()
 

@@ -43,8 +43,6 @@ class HybridDistributionAspect(DistributionAspect):
         self.data_methods = frozenset(data_methods)
         #: id(local obj) -> MPP ref for the same servant
         self._mpp_refs: dict[int, Any] = {}
-        self.data_calls = 0
-        self.control_calls = 0
 
     @classmethod
     def for_cluster(
@@ -97,14 +95,12 @@ class HybridDistributionAspect(DistributionAspect):
         self.redirected += 1
         try:
             if jp.name in self.data_methods:
-                self.data_calls += 1
                 return self.remote_invoke(
                     self.mpp,
                     self._mpp_refs[id(jp.target)],
                     jp,
                     oneway=self.is_oneway(jp),
                 )
-            self.control_calls += 1
             return self.remote_invoke(self.middleware, entry[1], jp)
         except RemoteError:
             self.remote_errors += 1

@@ -5,7 +5,6 @@ method-call split."""
 from repro.parallel.partition.base import (
     CallPiece,
     DispatchContext,
-    DispatchContextOwner,
     PackedPiece,
     PartitionAspect,
     ResultCollector,
@@ -28,7 +27,6 @@ __all__ = [
     "WorkSplitter",
     "ResultCollector",
     "DispatchContext",
-    "DispatchContextOwner",
     "PartitionAspect",
     "PipelineSplitAspect",
     "PipelineForwardAspect",

@@ -16,15 +16,17 @@ provides the shared machinery:
 * :class:`PartitionAspect` — base class holding the splitter and the
   aspect-managed object bookkeeping every strategy shares.
 
-The per-call ticket the skeletons open (:class:`DispatchContext`), its
-:class:`ResultCollector` and the :class:`DispatchContextOwner` mixin are
-runtime concepts and live in :mod:`repro.runtime.ticket`; they are
-re-exported here under the names the skeletons have always used.
+The per-call ticket the skeletons claim with
+:func:`~repro.runtime.ticket.dispatch_scope` (:class:`DispatchContext`)
+and its :class:`ResultCollector` are runtime concepts and live in
+:mod:`repro.runtime.ticket`; the two classes are re-exported here under
+the names the skeletons have always used.
 """
 
 from __future__ import annotations
 
 import copy
+import threading
 from functools import partial
 from typing import Any, Callable, Sequence
 
@@ -37,11 +39,7 @@ from repro.parallel.concern import LAYER, Concern, ParallelAspect
 from repro.runtime.backend import _close_awaitables, current_backend, resolve
 from repro.runtime.dispatch import carry, use_piece
 from repro.runtime.futures import Future
-from repro.runtime.ticket import (
-    DispatchContext,
-    DispatchContextOwner,
-    ResultCollector,
-)
+from repro.runtime.ticket import DispatchContext, ResultCollector
 
 __all__ = [
     "CallPiece",
@@ -49,7 +47,6 @@ __all__ = [
     "WorkSplitter",
     "ResultCollector",
     "DispatchContext",
-    "DispatchContextOwner",
     "PartitionAspect",
     "dispatch_piece",
     "dispatch_pack",
@@ -366,7 +363,7 @@ class WorkSplitter:
         return self._merge_pieces(pieces)
 
 
-class PartitionAspect(DispatchContextOwner, ParallelAspect):
+class PartitionAspect(ParallelAspect):
     """Common state for partition strategies.
 
     Abstract pointcuts every strategy binds (by constructor keyword or in
@@ -415,7 +412,10 @@ class PartitionAspect(DispatchContextOwner, ParallelAspect):
         self.managed: dict[int, int] = {}
         #: duplicates in creation order (index order)
         self.instances: list[Any] = []
-        DispatchContextOwner.__init__(self)
+        #: guards a strategy's own counters (heartbeat, divide and
+        #: conquer, dynamic farm) against overlapped calls; held only
+        #: for the mutation itself, never across a blocking operation
+        self._dispatch_lock = threading.Lock()
 
     # -- shared duplication bookkeeping ------------------------------------
 

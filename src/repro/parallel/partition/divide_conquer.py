@@ -57,6 +57,7 @@ from repro.parallel.partition.base import (
     PieceOutcomes,
     WorkSplitter,
 )
+from repro.runtime.ticket import dispatch_scope
 
 __all__ = ["DivideAndConquerAspect"]
 
@@ -131,7 +132,7 @@ class DivideAndConquerAspect(PartitionAspect):
         # the leaf calls this advice makes pass through
         if self.passthrough(jp) or jp.from_advice:
             return jp.proceed()
-        with self.dispatch_scope(f"divide-conquer.{jp.name}") as ctx:
+        with dispatch_scope(f"divide-conquer.{jp.name}") as ctx:
             with PieceOutcomes(ctx, jp.name) as outcomes:
                 root = CallPiece(0, jp.args, jp.kwargs)
                 pick = partial(self.branch, jp.target)

@@ -34,6 +34,7 @@ from repro.parallel.partition.base import (
     rotating,
 )
 from repro.runtime.backend import _close_awaitables, current_backend
+from repro.runtime.ticket import dispatch_scope
 
 __all__ = ["DynamicFarmAspect"]
 
@@ -101,7 +102,7 @@ class DynamicFarmAspect(PartitionAspect):
         if isinstance(jp, BatchJoinPoint):
             return self.route_pack(jp)
         backend = current_backend()
-        with self.dispatch_scope(f"dynamic-farm.{jp.name}", backend=backend) as ctx:
+        with dispatch_scope(f"dynamic-farm.{jp.name}", backend=backend) as ctx:
             with ctx.span("split"):
                 pieces = self.splitter.split(jp.args, jp.kwargs)
             # the per-ticket queue: THIS call's pieces, pulled on demand
@@ -211,7 +212,7 @@ class DynamicFarmAspect(PartitionAspect):
             index = min(self.served, key=lambda i: self.served[i])
             self.served[index] += len(pieces)
         pick = rotating(self.workers, index)
-        with self.dispatch_scope(
+        with dispatch_scope(
             f"dynamic-farm.pack.{jp.name}", backend=current_backend()
         ) as ctx:
             ctx.record_pack(len(pieces))

@@ -37,6 +37,7 @@ from repro.parallel.partition.base import (
     rotating,
 )
 from repro.runtime.backend import current_backend
+from repro.runtime.ticket import dispatch_scope
 
 __all__ = ["FarmAspect"]
 
@@ -87,7 +88,7 @@ class FarmAspect(PartitionAspect):
             return jp.proceed()  # partition never saw a creation
         if isinstance(jp, BatchJoinPoint):
             return self.route_pack(jp)
-        with self.dispatch_scope(
+        with dispatch_scope(
             f"farm.{jp.name}", backend=current_backend()
         ) as ctx:
             with ctx.span("split"):
@@ -123,7 +124,7 @@ class FarmAspect(PartitionAspect):
         slot = next(self._pack_cursor)
         pick = rotating(self.workers, slot)
         pieces = tuple(jp.args[0])
-        with self.dispatch_scope(
+        with dispatch_scope(
             f"farm.pack.{jp.name}", backend=current_backend()
         ) as ctx:
             ctx.record_pack(len(pieces))

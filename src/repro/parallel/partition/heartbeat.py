@@ -36,6 +36,7 @@ from repro.parallel.partition.base import (
     PieceOutcomes,
 )
 from repro.runtime.backend import resolve
+from repro.runtime.ticket import dispatch_scope
 
 __all__ = ["HeartbeatAspect"]
 
@@ -93,7 +94,7 @@ class HeartbeatAspect(PartitionAspect):
         (iterations,) = jp.args or (1,)
         last_combined: Any = None
         steps = [CallPiece(index, (1,)) for index in range(len(self.workers))]
-        with self.dispatch_scope(f"heartbeat.{jp.name}") as ctx:
+        with dispatch_scope(f"heartbeat.{jp.name}") as ctx:
             for beat in range(iterations):
                 # deadline boundary per beat: an expired or shed iterate
                 # call stops rhythm here — the ticket unwinds with the

@@ -78,6 +78,7 @@ from repro.runtime.dispatch import (
     shield_dispatch,
     use_dispatch,
 )
+from repro.runtime.ticket import dispatch_scope
 
 __all__ = ["PipelineSplitAspect", "PipelineForwardAspect"]
 
@@ -159,7 +160,7 @@ class PipelineSplitAspect(PartitionAspect):
         expected = sum(
             len(getattr(piece, "items", ())) or 1 for piece in pieces
         )
-        with self.dispatch_scope(
+        with dispatch_scope(
             f"pipeline.{jp.name}", expected=expected, backend=current_backend()
         ) as ctx:
             self._arm_refeed(ctx, head, jp.name)
@@ -238,7 +239,7 @@ class PipelineSplitAspect(PartitionAspect):
         """
         pieces = tuple(jp.args[0])
         pack = PackedPiece(0, pieces)
-        with self.dispatch_scope(
+        with dispatch_scope(
             f"pipeline.pack.{jp.name}",
             expected=len(pieces),
             backend=current_backend(),
@@ -256,11 +257,11 @@ class PipelineForwardAspect(ParallelAspect):
     """Block 3 of Figure 8: forward calls among pipeline elements.
 
     "This code also applies recursively to the filter method" — it
-    advises every call, including the ones it makes itself.  Stateless
-    apart from the append-only ``forwards`` counter: the collector it
-    deposits into and the forwarding cursor it advances belong to the
-    ambient per-call :class:`~repro.runtime.ticket.DispatchContext`
-    of whichever split originated the piece.
+    advises every call, including the ones it makes itself.  Stateless:
+    the collector it deposits into, the forwarding cursor it advances
+    and the ``forward`` marks it records belong to the ambient per-call
+    :class:`~repro.runtime.ticket.DispatchContext` of whichever split
+    originated the piece.
     """
 
     concern = Concern.PARTITION
@@ -271,10 +272,6 @@ class PipelineForwardAspect(ParallelAspect):
         self.work = work if work is not None else coordinator.work
         if isinstance(self.work, str):
             self.work = pointcut(self.work)
-        self.forwards = 0
-        # own lock for the hot-path counter: forwards from overlapped
-        # splits must not contend on the coordinator's ticket-table lock
-        self._forwards_lock = threading.Lock()
 
     @around("work")
     def forward(self, jp):
@@ -355,10 +352,8 @@ class PipelineForwardAspect(ParallelAspect):
             raise
 
     def _forwarded(self, ctx: Any, hops: int, remote: bool = False) -> None:
-        """Account ``hops`` forwards to this aspect and the ticket —
-        ``remote``: taken servant-side, each into a stage run for it."""
-        with self._forwards_lock:
-            self.forwards += hops
+        """Account ``hops`` forwards to the ticket — ``remote``: taken
+        servant-side, each into a stage run for it."""
         if ctx is not None:
             ctx.advance(hops)
             for _ in range(hops):

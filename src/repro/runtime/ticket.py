@@ -1,11 +1,10 @@
-"""The per-call core: dispatch ticket, result collector, ticket owner.
+"""The per-call core: dispatch ticket and result collector.
 
 A deployed stack is immutable topology; everything ONE in-flight call
 owns lives on its *ticket* (:class:`DispatchContext`, made ambient by
 :mod:`repro.runtime.dispatch`), with a :class:`ResultCollector` where
-results arrive out of band; :class:`DispatchContextOwner` keeps the
-books of whoever opens tickets — the skeletons mix it in, and its live
-table is the one every call's ticket enters.  Runtime types:
+results arrive out of band; a skeleton's split claims the ticket with
+:func:`dispatch_scope`.  Runtime types:
 ``ParallelApp.submit`` builds the ticket before it asks for capacity,
 the slot tables point their places at it, the middlewares re-install it
 on the servant side of the wire, the fault plane retries through it and
@@ -18,9 +17,8 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from contextlib import contextmanager
 from operator import itemgetter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.errors import DeadlineExceeded
 from repro.runtime.admission import AdmissionSlot, Deadline
@@ -31,7 +29,7 @@ from repro.runtime.dispatch import (
     use_dispatch,
 )
 
-__all__ = ["ResultCollector", "DispatchContext", "DispatchContextOwner"]
+__all__ = ["ResultCollector", "DispatchContext", "dispatch_scope"]
 
 
 class ResultCollector:
@@ -571,76 +569,24 @@ class DispatchContext:
         )
 
 
-class DispatchContextOwner:
-    """The books of whoever opens tickets: the live table (``contexts``
-    maps context id → in-flight ticket) and append-only aggregates
-    (``dispatches`` served, ``peak_in_flight`` overlap high-water mark)
-    — observability, none of it coordinating.  The skeletons mix it in
-    and open a ticket per intercepted call (:meth:`dispatch_scope`); a
-    finished call's timeline stays on its ticket
-    (:meth:`DispatchContext.trace_snapshot`), which its future carries.
+def dispatch_scope(
+    name: str,
+    expected: int | None = None,
+    backend: Any = None,
+) -> Any:
+    """The ticket of one intercepted call, as the context manager that
+    makes it ambient for the block (``with dispatch_scope(..) as ctx``).
+
+    Under a submission's ticket nobody claimed yet this IS that ticket
+    (:meth:`DispatchContext.claim`): deadline, retry policy and a cancel
+    latch a shed or a drained deadline already set are the
+    submission's, and the submitter releases it.  Anywhere else (no
+    ambient ticket, or nested inside a claimed one) a fresh ticket
+    opens, under the same fault schedule, for the block.
     """
-
-    def __init__(self) -> None:
-        #: live in-flight tickets, context_id -> DispatchContext
-        self.contexts: dict[int, DispatchContext] = {}
-        #: total calls served since deployment
-        self.dispatches = 0
-        #: most tickets ever live at once (overlap high-water mark)
-        self.peak_in_flight = 0
-        #: guards the table and counters above — overlapped submits hit
-        #: them from many activities; held only for the mutation itself,
-        #: never across a blocking operation (safe on both backends: sim
-        #: processes are OS threads)
-        self._dispatch_lock = threading.Lock()
-
-    def enter_ticket(self, ctx: DispatchContext) -> None:
-        """Put ``ctx`` into the live table."""
-        with self._dispatch_lock:
-            self.contexts[ctx.context_id] = ctx
-            self.dispatches += 1
-            self.peak_in_flight = max(self.peak_in_flight, len(self.contexts))
-
-    def leave_ticket(self, ctx: DispatchContext) -> None:
-        """Take ``ctx`` out of the live table."""
-        with self._dispatch_lock:
-            self.contexts.pop(ctx.context_id, None)
-
-    @contextmanager
-    def dispatch_scope(
-        self,
-        name: str,
-        expected: int | None = None,
-        backend: Any = None,
-    ) -> Iterator[DispatchContext]:
-        """The ticket of one intercepted call, ambient and in the live
-        table for the block (the ``finally`` runs even when the call
-        fails, so the table never leaks tickets).
-
-        Under a submission's ticket nobody claimed yet this IS that
-        ticket (:meth:`DispatchContext.claim`): deadline, retry policy
-        and a cancel latch a shed or a drained deadline already set are
-        the submission's, and the submitter releases it.  Anywhere else
-        (no ambient ticket, or nested inside a claimed one) a fresh
-        ticket opens, under the same fault schedule, for the block.
-        """
-        ctx = current_dispatch()
-        fresh = ctx is None or not ctx.claim(name, expected, backend)
-        if fresh:
-            faults = ctx.faults if ctx is not None else None
-            ctx = DispatchContext(name, expected, backend, faults=faults)
-            ctx.claimed = True
-        self.enter_ticket(ctx)
-        try:
-            if fresh:
-                with use_dispatch(ctx):
-                    yield ctx
-            else:  # claimed: ambient already
-                yield ctx
-        finally:
-            self.leave_ticket(ctx)
-
-    @property
-    def in_flight(self) -> int:
-        """Live per-call tickets (calls being served right now)."""
-        return len(self.contexts)
+    ctx = current_dispatch()
+    if ctx is None or not ctx.claim(name, expected, backend):
+        faults = ctx.faults if ctx is not None else None
+        ctx = DispatchContext(name, expected, backend, faults=faults)
+        ctx.claimed = True
+    return use_dispatch(ctx)

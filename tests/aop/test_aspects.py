@@ -8,9 +8,7 @@ import pytest
 from repro.aop import (
     Aspect,
     abstract_pointcut,
-    after,
     around,
-    before,
     declare_parents,
     deploy,
     introduce,
@@ -64,9 +62,10 @@ class TestPrecedence:
 
         def mk(name):
             class A(Aspect):
-                @before("call(Service.ping(..))")
+                @around("call(Service.ping(..))")
                 def advice(self, jp):
                     order.append(name)
+                    return jp.proceed()
 
             return A()
 
@@ -100,16 +99,17 @@ class TestPrecedence:
         Service().ping()
         assert order == ["outer>", "inner>", "<inner", "<outer"]
 
-    def test_before_and_after_nest_with_around(self):
+    def test_code_before_and_after_proceed_nests_by_precedence(self):
         Service = make_service()
         order = []
 
         class A(Aspect):
             precedence = 10
 
-            @before("call(Service.ping(..))")
+            @around("call(Service.ping(..))")
             def pre(self, jp):
                 order.append("before")
+                return jp.proceed()
 
         class B(Aspect):
             precedence = 5
@@ -124,9 +124,12 @@ class TestPrecedence:
         class C(Aspect):
             precedence = 1
 
-            @after("call(Service.ping(..))")
+            @around("call(Service.ping(..))")
             def post(self, jp):
-                order.append("after")
+                try:
+                    return jp.proceed()
+                finally:
+                    order.append("after")
 
         weave(Service)
         deploy(A())
@@ -141,9 +144,9 @@ class TestAbstractAspects:
         class AbstractLogger(Aspect):
             targets = abstract_pointcut("what to log")
 
-            @before("targets")
+            @around("targets")
             def log(self, jp):
-                pass
+                return jp.proceed()
 
         aspect = AbstractLogger()
         assert aspect.is_abstract()
@@ -157,9 +160,10 @@ class TestAbstractAspects:
         class AbstractLogger(Aspect):
             targets = abstract_pointcut()
 
-            @before("targets")
+            @around("targets")
             def log(self, jp):
                 hits.append(jp.name)
+                return jp.proceed()
 
         class ServiceLogger(AbstractLogger):
             targets = pointcut("call(Service.ping(..))")
@@ -183,9 +187,10 @@ class TestAbstractAspects:
                 if targets is not None:
                     self.targets = pointcut(targets)
 
-            @before("targets")
+            @around("targets")
             def log(self, jp):
                 hits.append(jp.name)
+                return jp.proceed()
 
         weave(Service)
         deploy(Generic(targets="call(Service.echo(..))"))
@@ -201,9 +206,10 @@ class TestAbstractAspects:
         class A(Aspect):
             mine = "call(Service.ping(..))"  # named pointcut as string
 
-            @before("mine")
+            @around("mine")
             def log(self, jp):
                 hits.append(1)
+                return jp.proceed()
 
         weave(Service)
         deploy(A())
@@ -212,9 +218,9 @@ class TestAbstractAspects:
 
     def test_unknown_named_pointcut_fails_at_deploy(self):
         class A(Aspect):
-            @before("nonexistent_name")
+            @around("nonexistent_name")
             def log(self, jp):
-                pass
+                return jp.proceed()
 
         with pytest.raises(DeploymentError):
             deploy(A())
@@ -223,9 +229,9 @@ class TestAbstractAspects:
         class A(Aspect):
             alpha = "alpha"
 
-            @before("alpha")
+            @around("alpha")
             def log(self, jp):
-                pass
+                return jp.proceed()
 
         with pytest.raises(DeploymentError):
             deploy(A())
@@ -259,9 +265,10 @@ class TestAdviceOverriding:
         hits = []
 
         class Base(Aspect):
-            @before("call(Service.ping(..))")
+            @around("call(Service.ping(..))")
             def advice(self, jp):
                 hits.append(type(self).__name__)
+                return jp.proceed()
 
         class Derived(Base):
             pass
@@ -326,9 +333,9 @@ class TestIntertype:
         events = []
 
         class Hooked(Aspect):
-            @before("call(X.f(..))")
+            @around("call(X.f(..))")
             def advice(self, jp):
-                pass
+                return jp.proceed()
 
             def on_deploy(self):
                 events.append("deployed")

@@ -14,10 +14,8 @@ import repro.aop.plan as plan_mod
 from repro.aop import (
     Aspect,
     BatchJoinPoint,
-    after,
     around,
     batched_entry,
-    before,
     deploy,
     undeploy,
     weave,
@@ -101,7 +99,7 @@ class TestBatchedEntryContract:
         deploy(Halve())
         assert batched_entry(Target(), "work")(PIECES) == [2]
 
-    def test_mixed_chain_batched(self):
+    def test_three_level_chain_batched(self):
         Target = make_target()
         weave(Target)
         events = []
@@ -109,16 +107,20 @@ class TestBatchedEntryContract:
         class Pre(Aspect):
             precedence = 300
 
-            @before("call(Target.work(..))")
+            @around("call(Target.work(..))")
             def pre(self, jp):
                 events.append(("before", jp.item_count))
+                return jp.proceed()
 
         class Post(Aspect):
             precedence = 200
 
-            @after("call(Target.work(..))")
+            @around("call(Target.work(..))")
             def post(self, jp):
-                events.append(("after",))
+                try:
+                    return jp.proceed()
+                finally:
+                    events.append(("after",))
 
         class Wrap(Aspect):
             precedence = 100

@@ -8,7 +8,6 @@ import pytest
 from repro.aop import (
     Aspect,
     around,
-    before,
     deploy,
     parse_pointcut,
     weave,
@@ -198,9 +197,10 @@ class TestAdvisedMatching:
         hits = []
 
         class All(Aspect):
-            @before("call(Alpha.*(..))")
+            @around("call(Alpha.*(..))")
             def hit(self, jp):
                 hits.append(jp.name)
+                return jp.proceed()
 
         weave(Alpha, methods=["run", "walk"])
         deploy(All())

@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from repro.aop import Aspect, around, before, deploy, undeploy, weave
+from repro.aop import Aspect, around, deploy, undeploy, weave
 from repro.aop.weaver import Weaver, default_weaver
 
 
@@ -37,9 +37,10 @@ class TestIsolatedWeavers:
         hits = []
 
         class A(Aspect):
-            @before("call(Thing.go(..))")
+            @around("call(Thing.go(..))")
             def note(self, jp):
                 hits.append(1)
+                return jp.proceed()
 
         mine.deploy(A())
         Thing().go()
@@ -57,9 +58,9 @@ class TestIsolatedWeavers:
         weaver.weave(Thing)
 
         class A(Aspect):
-            @before("call(Thing.go(..))")
+            @around("call(Thing.go(..))")
             def note(self, jp):
-                pass
+                return jp.proceed()
 
         weaver.deploy(A())
         weaver.reset()
@@ -150,9 +151,10 @@ class TestWildcardClassPatterns:
         hits = []
 
         class All(Aspect):
-            @before("call(*Service.run(..))")
+            @around("call(*Service.run(..))")
             def note(self, jp):
                 hits.append(jp.cls.__name__)
+                return jp.proceed()
 
         weave(AlphaService)
         weave(BetaService)

@@ -6,11 +6,7 @@ import pytest
 
 from repro.aop import (
     Aspect,
-    after,
-    after_returning,
-    after_throwing,
     around,
-    before,
     deploy,
     raw_construct,
     undeploy,
@@ -85,9 +81,10 @@ class TestWeaving:
         calls = []
 
         class Log(Aspect):
-            @before("call(Point.move*(..))")
+            @around("call(Point.move*(..))")
             def log(self, jp):
                 calls.append(jp.name)
+                return jp.proceed()
 
         deploy(Log())
         p = Point()
@@ -101,15 +98,16 @@ class TestWeaving:
             weave(Point, methods=["no_such_method"])
 
 
-class TestAdviceKinds:
-    def test_before_advice_runs_first(self):
+class TestAroundAdvice:
+    def test_code_before_proceed_runs_first(self):
         Point = make_point()
         order = []
 
         class A(Aspect):
-            @before("call(Point.move_x(..))")
+            @around("call(Point.move_x(..))")
             def note(self, jp):
                 order.append("before")
+                return jp.proceed()
 
         weave(Point)
         deploy(A())
@@ -162,21 +160,23 @@ class TestAdviceKinds:
         assert p.move_x(5) == 10
         assert p.x == 10
 
-    def test_after_returning_sees_result(self):
+    def test_code_after_proceed_sees_the_result(self):
         Point = make_point()
         seen = []
 
         class Observe(Aspect):
-            @after_returning("call(Point.move_x(..))")
+            @around("call(Point.move_x(..))")
             def observe(self, jp):
-                seen.append(jp.result)
+                result = jp.proceed()
+                seen.append(result)
+                return result
 
         weave(Point)
         deploy(Observe())
         Point().move_x(7)
         assert seen == [7]
 
-    def test_after_throwing_sees_exception_and_reraises(self):
+    def test_advice_sees_the_exception_and_reraises(self):
         class Boom:
             def explode(self):
                 raise ValueError("bang")
@@ -184,9 +184,13 @@ class TestAdviceKinds:
         seen = []
 
         class Catcher(Aspect):
-            @after_throwing("call(Boom.explode(..))")
+            @around("call(Boom.explode(..))")
             def caught(self, jp):
-                seen.append(type(jp.exception).__name__)
+                try:
+                    return jp.proceed()
+                except ValueError as exc:
+                    seen.append(type(exc).__name__)
+                    raise
 
         weave(Boom)
         deploy(Catcher())
@@ -194,7 +198,7 @@ class TestAdviceKinds:
             Boom().explode()
         assert seen == ["ValueError"]
 
-    def test_after_finally_runs_on_both_paths(self):
+    def test_finally_around_proceed_runs_on_both_paths(self):
         class Maybe:
             def work(self, ok):
                 if not ok:
@@ -204,9 +208,12 @@ class TestAdviceKinds:
         runs = []
 
         class Fin(Aspect):
-            @after("call(Maybe.work(..))")
+            @around("call(Maybe.work(..))")
             def fin(self, jp):
-                runs.append("fin")
+                try:
+                    return jp.proceed()
+                finally:
+                    runs.append("fin")
 
         weave(Maybe)
         deploy(Fin())
@@ -216,14 +223,15 @@ class TestAdviceKinds:
             m.work(False)
         assert runs == ["fin", "fin"]
 
-    def test_proceed_outside_around_raises(self):
+    def test_proceed_after_the_advice_returned_raises(self):
         Point = make_point()
         captured = {}
 
         class Cap(Aspect):
-            @before("call(Point.move_x(..))")
+            @around("call(Point.move_x(..))")
             def cap(self, jp):
                 captured["jp"] = jp
+                return jp.proceed()
 
         weave(Point)
         deploy(Cap())
@@ -240,9 +248,10 @@ class TestPlugUnplug:
         count = [0]
 
         class C(Aspect):
-            @before("call(Point.move_x(..))")
+            @around("call(Point.move_x(..))")
             def c(self, jp):
                 count[0] += 1
+                return jp.proceed()
 
         weave(Point)
         aspect = deploy(C())
@@ -257,9 +266,10 @@ class TestPlugUnplug:
         count = [0]
 
         class C(Aspect):
-            @before("call(Point.move_x(..))")
+            @around("call(Point.move_x(..))")
             def c(self, jp):
                 count[0] += 1
+                return jp.proceed()
 
         weave(Point)
         a = C()
@@ -273,9 +283,9 @@ class TestPlugUnplug:
         from repro.errors import DeploymentError
 
         class C(Aspect):
-            @before("call(X.f(..))")
+            @around("call(X.f(..))")
             def c(self, jp):
-                pass
+                return jp.proceed()
 
         a = C()
         deploy(a)
@@ -286,9 +296,9 @@ class TestPlugUnplug:
         from repro.errors import DeploymentError
 
         class C(Aspect):
-            @before("call(X.f(..))")
+            @around("call(X.f(..))")
             def c(self, jp):
-                pass
+                return jp.proceed()
 
         with pytest.raises(DeploymentError):
             undeploy(C())
@@ -298,9 +308,10 @@ class TestPlugUnplug:
         count = [0]
 
         class C(Aspect):
-            @before("call(Point.move*(..))")
+            @around("call(Point.move*(..))")
             def c(self, jp):
                 count[0] += 1
+                return jp.proceed()
 
         deploy(C(), targets=[Point])
         assert is_woven(Point)
@@ -465,9 +476,9 @@ class TestConstructionInterception:
 class TestWeaverRegistry:
     def test_deployed_listing(self):
         class A(Aspect):
-            @before("call(X.f(..))")
+            @around("call(X.f(..))")
             def f(self, jp):
-                pass
+                return jp.proceed()
 
         a = A()
         deploy(a)

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.api.app import ParallelApp
 from repro.api.registry import STRATEGIES, register_strategy
 from repro.api.spec import StackSpec
+from repro.apps.jacobi import jacobi_spec
+from repro.apps.mandelbrot import mandelbrot_spec
 from repro.apps.primes import PrimeFilter, SieveWorkload, expected_sieve_output
+from repro.apps.primes import sieve_spec
+from repro.apps.wordcount import wordcount_spec
 from repro.cluster import paper_testbed
 from repro.errors import DeploymentError
-from repro.parallel import Concern, FarmAspect, WorkSplitter
+from repro.parallel import Concern, FarmAspect, ParallelModule, WorkSplitter
+from repro.parallel.optimisation import CommunicationPackingAspect
 from repro.parallel.partition import CallPiece
 from repro.runtime import Future, FutureGroup
 from repro.sim import Simulator
@@ -39,6 +46,13 @@ def sieve_farm_spec(workload, filters=3, **overrides):
     )
     fields.update(overrides)
     return StackSpec(**fields)
+
+
+def pack_splits(group):
+    """The names the splits gave the tickets of ``group``'s packs, one
+    per pack (a pack's futures share their ticket), claimed ones only."""
+    tickets = {id(future.admission): future.admission for future in group}
+    return [ticket.name for ticket in tickets.values() if ticket.claimed]
 
 
 class TestAssembly:
@@ -162,10 +176,10 @@ class TestThreadSubmission:
             app.start()
             group = app.map([1, 2, 3, 4, 5, 6], pack=2)
             assert group.results() == [2, 4, 6, 8, 10, 12]
-        farm = app.partition
-        # 3 packs of 2 routed round-robin over 2 workers, whole-pack
-        assert farm.dispatches == 3
-        # every ticket retired; accounting is per call, not per aspect
+        # 3 packs of 2 routed round-robin over 2 workers, whole-pack:
+        # one ticket per pack, each claimed by the farm's pack split
+        assert pack_splits(group) == ["farm.pack.handle"] * 3
+        # every slot released; accounting is per call, not per aspect
         assert app.in_flight == 0
 
     def test_map_pack_rejected_only_when_unroutable(self):
@@ -344,7 +358,7 @@ class TestOnewayPacks:
                 assert cluster.network.messages - before == 4
                 assert app.middleware.batched_calls == 2
                 farm = app.partition
-                assert farm.dispatches == 2
+                assert pack_splits(group) == ["farm.pack.handle"] * 2
                 # round-robin: each worker served one whole pack
                 served = [
                     app.middleware.servant_of(app.distribution.ref_of(w)).calls
@@ -414,7 +428,7 @@ class TestOpenRegistry:
             app = ParallelApp(
                 sieve_farm_spec(workload, strategy=name)
             )
-            assert name in app.modules
+            assert app.composition.module(name).aspects[0] is app.partition
             with app:
                 app.start(2, workload.sqrt)
                 result = app.submit(workload.candidates).result()
@@ -423,3 +437,74 @@ class TestOpenRegistry:
             )
         finally:
             STRATEGIES.unregister(name)
+
+
+class Parked:
+    """A servant that parks its call until the test opens the gate."""
+
+    entered = None
+    gate = None
+
+    def run(self, value):
+        Parked.entered.set()
+        Parked.gate.wait(5)
+        return value
+
+
+class TestInFlight:
+    def test_a_parked_call_without_a_strategy_is_in_flight(self):
+        # the count is the deployment's admission table, which every
+        # spec has: a spec with no partition strategy counts its calls
+        Parked.entered, Parked.gate = threading.Event(), threading.Event()
+        app = ParallelApp(
+            StackSpec(target=Parked, work="run", strategy="none", backend="thread")
+        )
+        with app:
+            app.start()
+            future = app.submit(7)
+            assert Parked.entered.wait(5)
+            assert (app.in_flight, app.peak_in_flight) == (1, 1)
+            Parked.gate.set()
+            assert future.result(timeout=5) == 7
+            assert (app.in_flight, app.peak_in_flight) == (0, 1)
+
+
+#: the sieve's advised combinations (``Sequential`` deploys no advice)
+SIEVE_COMBOS = (
+    "FarmThreads", "PipeThreads", "PipeRMI", "FarmRMI", "FarmDRMI",
+    "FarmMPP", "PipeMPP", "FarmDMPP", "FarmHybrid",
+)
+
+
+def table1_stack(combo):
+    sim = Simulator()
+    return sieve_spec(combo, SieveWorkload(MAX, PACKS), 3, cluster=paper_testbed(sim))
+
+
+#: every stack the product deploys: the sieve's combinations (Table 1 and
+#: the rest of the catalogue), the other apps' stacks, the word counter
+#: on worker processes, and a pipeline under communication packing
+PRODUCT_STACKS = {
+    **{combo: (lambda combo=combo: table1_stack(combo)) for combo in SIEVE_COMBOS},
+    "jacobi-heartbeat": lambda: jacobi_spec(4),
+    "mandelbrot-farm": lambda: mandelbrot_spec(2, 4),
+    "wordcount-pipeline": lambda: wordcount_spec(2),
+    "wordcount-process": lambda: wordcount_spec(2, backend="process"),
+    "PipeRMI+packing": lambda: table1_stack("PipeRMI"),
+}
+
+
+@pytest.mark.parametrize("stack", PRODUCT_STACKS)
+def test_a_product_stack_compiles_only_around_plans(stack):
+    """The advice language is ``around`` only, and so is every stack the
+    product deploys: each advised shadow takes the fused call plan."""
+    app = ParallelApp(PRODUCT_STACKS[stack]())
+    if stack.endswith("+packing"):
+        packing = CommunicationPackingAspect(app.partition, 2)
+        app.composition.plug(
+            ParallelModule("packing", Concern.OPTIMISATION, [packing])
+        )
+    with app:
+        kinds = app.plan_stats()["kinds"]
+    advised = set(kinds) - {"inert"}
+    assert advised and advised <= {"single-around", "all-around"}, kinds

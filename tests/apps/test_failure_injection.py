@@ -148,15 +148,15 @@ class TestWorkerFaults:
 
 
 class TestAdviceFaults:
-    def test_exception_in_before_advice_propagates(self):
+    def test_exception_in_advice_propagates(self):
         class Widget:
             def go(self):
                 return 1
 
-        from repro.aop import before, deploy
+        from repro.aop import around, deploy
 
         class Broken(Aspect):
-            @before("call(Widget.go(..))")
+            @around("call(Widget.go(..))")
             def pre(self, jp):
                 raise ValueError("advice bug")
 
@@ -165,19 +165,23 @@ class TestAdviceFaults:
         with pytest.raises(ValueError, match="advice bug"):
             Widget().go()
 
-    def test_after_throwing_does_not_swallow(self):
+    def test_observing_advice_does_not_swallow(self):
         class Widget:
             def go(self):
                 raise KeyError("original")
 
-        from repro.aop import after_throwing, deploy
+        from repro.aop import around, deploy
 
         seen = []
 
         class Observer(Aspect):
-            @after_throwing("call(Widget.go(..))")
+            @around("call(Widget.go(..))")
             def observe(self, jp):
-                seen.append(type(jp.exception).__name__)
+                try:
+                    return jp.proceed()
+                except KeyError as exc:
+                    seen.append(type(exc).__name__)
+                    raise
 
         weave(Widget)
         deploy(Observer())

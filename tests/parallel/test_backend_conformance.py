@@ -75,6 +75,23 @@ _CARRIED = (
     "simulator) without looking at the deadline: the call fails when the "
     "parked servant returns, not at the budget"
 )
+_CARRIED_SHED = (
+    "the splitter carries its single piece on the submitting activity, "
+    "which waits for the servant (threads) or for its reply (mpp on the "
+    "simulator) without looking at the cancel latch: the shed call fails "
+    "when the parked servant returns, not at the shed"
+)
+_DRAINED_SHED = (
+    "the call waits for the dispatchers to drain its queue, a wait the "
+    "deadline bounds but a shed does not wake, and a dispatcher waits "
+    "for its parked servant: the shed call fails when the servant "
+    "returns, not at the shed"
+)
+_GATHERED_SHED = (
+    "the gather waits for each spawned piece without looking at the "
+    "cancel latch, which it checks between pieces only: the shed call "
+    "fails when the parked servant returns, not at the shed"
+)
 _GATHERED = (
     "the gather waits for each spawned piece without looking at the "
     "deadline, which it checks between pieces only: the call fails when "
@@ -82,7 +99,8 @@ _GATHERED = (
 )
 #: (case, host, strategy) cells that legitimately differ, with the reason.
 #: The process host's reply wait and the loop host's await are bounded
-#: by the deadline; divide-and-conquer's branch clones run in the caller
+#: by the deadline and woken by a shed; divide-and-conquer's branch
+#: clones run in the caller
 DIFFERS = {
     **{
         ("deadline", host, strategy): _CARRIED
@@ -94,6 +112,18 @@ DIFFERS = {
         ("deadline", host, "divide-conquer"): _GATHERED
         for host in ("thread", "sim", "process")
     },
+    **{
+        ("shed", host, strategy): _CARRIED_SHED
+        for host in ("thread", "sim")
+        for strategy in ("farm", "pipeline")
+    },
+    **{("shed", host, "dynamic-farm"): _DRAINED_SHED for host in ("thread", "sim")},
+    **{
+        ("shed", host, strategy): _GATHERED_SHED
+        for host in ("thread", "sim")
+        for strategy in ("heartbeat", "divide-conquer")
+    },
+    ("shed", "process", "divide-conquer"): _GATHERED_SHED,
 }
 
 
@@ -357,7 +387,7 @@ class Host:
             unfinished = [p.name for p in app.sim.processes if not (p.finished or p.daemon)]
             assert unfinished == []
             app.sim.shutdown()
-        assert wait_until(lambda: app.admitted == 0 and app.in_flight == 0)
+        assert wait_until(lambda: app.in_flight == 0)
         assert getattr(app.middleware, "live_workers", 0) == 0
         assert wait_until(lambda: not multiprocessing.active_children())
         assert getattr(app.backend, "live_tasks", 0) == 0
@@ -379,6 +409,15 @@ def results(futures):
     return [future.result(timeout=20) for future in futures]
 
 
+def claimed(futures, strategy):
+    """The futures whose call's ticket ``strategy``'s split claimed."""
+    return [
+        future for future in futures
+        if future.admission.claimed
+        and future.admission.name.startswith(f"{strategy}.")
+    ]
+
+
 # -- the table ---------------------------------------------------------------
 
 
@@ -389,7 +428,7 @@ def test_fail_rejects_beyond_max_in_flight(host, strategy):
 
     def body():
         futures = [app.submit(*case.payload(i)) for i in range(2)]
-        assert app.admitted == 2  # slots are taken synchronously
+        assert app.in_flight == 2  # slots are taken synchronously
         with pytest.raises(AdmissionRejected, match="2 calls already"):
             app.submit(*case.payload(2))
         assert app.admission.rejected == 1
@@ -403,16 +442,23 @@ def test_fail_rejects_beyond_max_in_flight(host, strategy):
 def test_shed_oldest_cancels_the_oldest_call(host, strategy):
     app, case = host.app(strategy, max_in_flight=1, overflow="shed-oldest")
     gate = host.flag(app, "gate")
+    late = ("shed", host.name, strategy) in DIFFERS
 
     def body():
         oldest = app.submit(*case.payload(0))
+        settle(app, lambda: oldest.admission.claimed)  # its split under way
+        app.backend.sleep(0.2)  # ... and its servants parked
         newest = app.submit(*case.payload(1))  # sheds `oldest`
         assert app.admission.shed_calls == 1
         assert oldest.admission.cancelled
+        if late:  # the declared difference, asserted
+            app.backend.sleep(0.2)
+            assert not oldest.resolved
+            gate.set()
+        with pytest.raises(CallShed):
+            oldest.result(timeout=1)  # the servant parks for 10
         gate.set()
         assert newest.result(timeout=20) == case.expected(1)
-        with pytest.raises(CallShed):
-            oldest.result(timeout=20)
 
     host.drive(app, case, body)
 
@@ -442,11 +488,14 @@ def test_overlapped_submits_are_in_flight_together(host, strategy):
 
     def body():
         futures = [app.submit(*case.payload(i)) for i in range(3)]
-        settle(app, lambda: app.in_flight >= 2)  # while the servants park
+        # two splits under way at once while the servants park
+        settle(app, lambda: sum(
+            not future.resolved for future in claimed(futures, strategy)
+        ) >= 2)
         gate.set()
         assert results(futures) == case.expect(3)
-        assert app.peak_in_flight >= 2
-        assert app.partition.dispatches == 3  # each submit dispatched once
+        assert app.peak_in_flight == 3 and app.in_flight == 0
+        assert len(claimed(futures, strategy)) == 3  # each split once
 
     host.drive(app, case, body)
 
@@ -458,7 +507,7 @@ def test_interleaved_calls_route_to_their_own_futures(host, strategy):
     def body():
         futures = [app.submit(*case.payload(i)) for i in range(8)]
         assert results(futures) == case.expect(8)
-        assert app.partition.dispatches == 8
+        assert len(claimed(futures, strategy)) == 8
 
     host.drive(app, case, body)
 

@@ -271,8 +271,7 @@ class TestFailureInTheCarriedPiece:
 
 def census(app, scheduler):
     return {
-        "slots": app.admitted,
-        "tickets": app.in_flight,
+        "slots": app.in_flight,
         "grants": scheduler.stats()["in_use"],
         "processes": len(multiprocessing.active_children()),
     }
@@ -304,7 +303,7 @@ def cancelled_call(backend, parked, **admission):
             doomed.result(timeout=20)
         if "overflow" in admission:
             assert survivor.result(timeout=20) == [2, 3, 4, 5, 6, 7]
-        assert wait_until(lambda: app.admitted == 0)
+        assert wait_until(lambda: app.in_flight == 0)
     os.remove(f"{Worker.root}/gate")
     # carriers retire by age: the census waits them out
     assert wait_until(lambda: threading.active_count() <= threads_before)
@@ -313,7 +312,7 @@ def cancelled_call(backend, parked, **admission):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestCancelledWhileThePieceRuns:
-    NOTHING = {"slots": 0, "tickets": 0, "grants": 0, "processes": 0}
+    NOTHING = {"slots": 0, "grants": 0, "processes": 0}
 
     def test_shed_ends_the_carried_piece_as_a_spawned_one(self, backend):
         admission = dict(max_in_flight=1, overflow="shed-oldest")

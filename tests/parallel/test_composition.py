@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.aop import Aspect, before
+from repro.aop import Aspect, around
 from repro.aop.weaver import default_weaver
 from repro.errors import DeploymentError
 from repro.parallel import Composition, Concern, ParallelModule
@@ -14,9 +14,10 @@ def make_counting_module(name, concern=Concern.PARTITION):
     hits = []
 
     class Counting(Aspect):
-        @before("call(Widget.work(..))")
+        @around("call(Widget.work(..))")
         def count(self, jp):
             hits.append(name)
+            return jp.proceed()
 
     module = ParallelModule(name, concern, [Counting()])
     return module, hits
@@ -75,14 +76,14 @@ class TestParallelModule:
         Widget = make_widget()
 
         class Good(Aspect):
-            @before("call(Widget.work(..))")
+            @around("call(Widget.work(..))")
             def ok(self, jp):
-                pass
+                return jp.proceed()
 
         class Bad(Aspect):
-            @before("no_such_named_pointcut")
+            @around("no_such_named_pointcut")
             def broken(self, jp):
-                pass
+                return jp.proceed()
 
         good = Good()
         module = ParallelModule("mixed", Concern.PARTITION, [good, Bad()])

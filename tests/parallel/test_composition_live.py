@@ -61,7 +61,10 @@ class TestExchangeWhileDeployed:
                 for aspect in farm.aspects:
                     assert aspect in deployed
                 assert np.array_equal(run_filter(workload), expected)
-                assert farm.aspects[0].dispatches == 1
+                # the new farm's duplicates served the call's pieces
+                workers = farm.aspects[0].instances
+                served = [w.packs_filtered for w in workers]
+                assert sum(served) == PACKS and min(served) == 1
         # context exit undeploys the *current* module set cleanly
         assert not default_weaver.deployed
 

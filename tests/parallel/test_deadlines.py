@@ -288,8 +288,8 @@ class TestTraces:
             assert names[:2] == ["split", "dispatch"]
             assert "merge" in names
             assert trace["pieces"] == 1 and not trace["cancelled"]
-            # the finished call left no ticket behind in the live table
-            assert app.in_flight == 0 and app.partition.contexts == {}
+            # the finished call holds no slot any more
+            assert app.in_flight == 0
 
 
 class Dawdler:
@@ -358,7 +358,7 @@ class TestPartitionLessCallsGetATicket:
             assert trace["deadline"] == 0.05 and trace["cancelled"]
             assert trace["spans"][-1]["name"] == "cancelled"
             assert future.admission.trace_snapshot()["cancelled"]
-            assert app.admitted == 0
+            assert app.in_flight == 0
 
     def test_an_expired_await_is_cancelled_mid_flight(self):
         AsyncDawdler.finished = []

@@ -17,7 +17,7 @@ from repro.parallel import (
     concurrency_module,
 )
 from repro.parallel.partition import CallPiece
-from repro.runtime import SimBackend, ThreadBackend, use_backend
+from repro.runtime import SimBackend, ThreadBackend, current_dispatch, use_backend
 from repro.sim import Simulator
 
 THRESHOLD = 8
@@ -199,9 +199,12 @@ class TestDivideAndConquer:
 
 class Summer:
     gate = None
+    #: the ambient ticket of every leaf that parked at the gate
+    parked: list = []
 
     def total(self, values):
         if Summer.gate is not None:
+            Summer.parked.append(current_dispatch())
             Summer.gate.wait(5)
         return sum(values)
 
@@ -222,9 +225,11 @@ def test_overlapped_calls_into_a_bare_composition_keep_their_own_contexts(backen
         merge=sum,
         work="call(Summer.total(..))",
     ))
-    aspect = module.aspects[0]
     payloads = [list(range(i, i + 8)) for i in range(3)]
     results: dict[int, int] = {}
+
+    def tickets():
+        return {id(ticket): ticket for ticket in Summer.parked}
 
     def drive():
         with use_backend(chosen):
@@ -235,16 +240,17 @@ def test_overlapped_calls_into_a_bare_composition_keep_their_own_contexts(backen
                 for i in range(3)
             ]
             for _ in range(1000):  # two seconds, of the backend's clock
-                if len(aspect.contexts) >= 2:
+                if len(tickets()) >= 2:
                     break
                 chosen.sleep(0.002)
-            assert len(aspect.contexts) >= 2
+            assert len(tickets()) >= 2  # two calls' leaves parked at once
             Summer.gate.set()
             for caller in callers:
                 caller.join()
 
     weave(Summer)
     Summer.gate = chosen.make_event(name="gate")
+    Summer.parked = []
     try:
         with Composition("dnc", [module]).deployed(default_weaver, targets=[Summer]):
             if backend == "sim":
@@ -256,6 +262,8 @@ def test_overlapped_calls_into_a_bare_composition_keep_their_own_contexts(backen
         Summer.gate = None
         sim.shutdown()
     assert results == {i: sum(payloads[i]) for i in range(3)}
-    assert aspect.peak_in_flight >= 2
-    assert not aspect.contexts
-    assert aspect.dispatches == 3
+    # each call opened and claimed a ticket of its own
+    assert [
+        (ticket.name, ticket.claimed) for ticket in tickets().values()
+    ] == [("divide-conquer.total", True)] * 3
+    assert current_dispatch() is None

@@ -22,7 +22,13 @@ from repro.parallel import (
 )
 from repro.parallel.partition import FarmAspect, PipelineSplitAspect
 from repro.parallel.partition import CallPiece, WorkSplitter
-from repro.runtime import Future, SimBackend, ThreadBackend, use_backend
+from repro.runtime import (
+    Future,
+    SimBackend,
+    ThreadBackend,
+    current_dispatch,
+    use_backend,
+)
 from repro.sim import Simulator
 
 
@@ -264,9 +270,11 @@ class TestBatchedPipeline:
             def __init__(self, offset=0):
                 self.offset = offset
                 self.calls = 0
+                self.tickets = []
 
             def work(self, value):
                 self.calls += 1
+                self.tickets.append(current_dispatch())
                 return value + self.offset + 1
 
         weave(Stage)
@@ -294,8 +302,12 @@ class TestBatchedPipeline:
         # two stages, each +1 -> every item gains 2
         assert result == [12, 22, 32, 42]
         # 4 items / factor 2 -> 2 packs, each forwarded once (stage1 ->
-        # stage2), batched: 2 forwards instead of 4
-        assert forward.forwards == 2
+        # stage2), batched: 2 forwards instead of 4, on the call's ticket
+        assert forward.coordinator is module.aspects[0]
+        stages = module.aspects[0].instances
+        (ticket,) = {id(t): t for s in stages for t in s.tickets}.values()
+        spans = ticket.trace_snapshot()["spans"]
+        assert [s["name"] for s in spans].count("forward") == 2
 
 
 class TestObjectCache:

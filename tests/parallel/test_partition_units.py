@@ -19,7 +19,7 @@ from repro.parallel.partition import (
     ResultCollector,
     WorkSplitter,
 )
-from repro.runtime import ThreadBackend, current_backend, use_backend
+from repro.runtime import ThreadBackend, current_backend, current_dispatch, use_backend
 from repro.sim import Simulator
 
 
@@ -161,9 +161,12 @@ def weave_counter():
         def __init__(self, base):
             self.base = base
             self.calls = 0
+            #: the ambient ticket of every call this stage served
+            self.tickets = []
 
         def bump(self, values):
             self.calls += 1
+            self.tickets.append(current_dispatch())
             return [v + self.base for v in values]
 
     weave(Counter)
@@ -249,9 +252,15 @@ class TestPipelineAspect:
         forward_aspect = module.aspects[1]
         # each of 3 stages adds base=1: every element gains 3
         assert result == [3, 3, 3, 3]
-        # 2 pieces × (3-1) forwards
-        assert forward_aspect.forwards == 4
-        assert split_aspect.dispatches == 1
+        # one call, one ticket, claimed by the split: 2 pieces × (3-1)
+        # forwards, each a hop and a forward mark on it
+        assert forward_aspect.coordinator is split_aspect
+        tickets = {id(t): t for s in split_aspect.instances for t in s.tickets}
+        (ticket,) = tickets.values()
+        assert (ticket.name, ticket.claimed) == ("pipeline.bump", True)
+        trace = ticket.trace_snapshot()
+        assert trace["hops"] == 4
+        assert [s["name"] for s in trace["spans"]].count("forward") == 4
         # every stage saw every piece
         assert [s.calls for s in split_aspect.instances] == [2, 2, 2]
 

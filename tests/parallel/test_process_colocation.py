@@ -166,8 +166,7 @@ def deployed(app, cpus):
         app.start()
         assert app.middleware.live_workers == TOPOLOGIES[cpus][0]
         yield app
-    assert wait_until(lambda: app.admitted == 0)  # slots released
-    assert app.in_flight == 0
+    assert wait_until(lambda: app.in_flight == 0)  # slots released
     assert app.middleware.live_workers == 0
     assert wait_until(lambda: not multiprocessing.active_children())
     assert wait_until(lambda: _open_fds() == fds), (_open_fds(), fds)
@@ -196,7 +195,8 @@ RETRY = RetryPolicy(max_attempts=3)
 class TestPlacement:
     def test_workers_and_round_trips_per_journey(self, cpus):
         with deployed(pipeline_app(), cpus) as app:
-            assert app.submit([1]).result(timeout=20) == [4]
+            first = app.submit([1])
+            assert first.result(timeout=20) == [4]
             before = app.middleware.calls
             messages = app.middleware.serializer.messages
             future = app.submit([5])
@@ -211,9 +211,9 @@ class TestPlacement:
             trace = future.admission.trace_snapshot()
             assert trace["hops"] == STAGES - 1
             assert trace["remote_dispatches"] == STAGES
-            assert [s["name"] for s in trace["spans"]].count("forward") == 2
-            forwarder = app.modules["pipeline"].aspects[1]
-            assert forwarder.forwards == 2 * (STAGES - 1)
+            for call in (first, future):
+                spans = call.admission.trace_snapshot()["spans"]
+                assert [s["name"] for s in spans].count("forward") == STAGES - 1
 
     def test_a_bare_invoke_is_one_stage_and_one_round_trip(self, cpus):
         with deployed(pipeline_app(), cpus) as app:

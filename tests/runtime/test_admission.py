@@ -16,7 +16,7 @@ from repro.errors import (
     DeadlineExceeded,
     DeploymentError,
 )
-from repro.parallel.partition.base import DispatchContext, DispatchContextOwner
+from repro.parallel.partition.base import DispatchContext
 from repro.runtime import (
     AdmissionController,
     Deadline,
@@ -25,6 +25,7 @@ from repro.runtime import (
     use_backend,
     use_dispatch,
 )
+from repro.runtime.ticket import dispatch_scope
 from repro.tenancy import ClusterScheduler
 
 
@@ -401,24 +402,20 @@ class TestTheTicketIsTheEnvelope:
             assert current_dispatch() is None
 
     def test_the_first_scope_claims_the_submission_ticket(self):
-        class Owner(DispatchContextOwner):
-            pass
-
         deadline = Deadline(30.0, clock=time.monotonic)
         ticket = DispatchContext(
             "submit.timed", backend=ThreadBackend(), deadline=deadline, retry="policy"
         )
         slot = AdmissionController(backend=ThreadBackend()).admit(ticket, name="timed")
-        owner = Owner()
         with use_backend(ThreadBackend()), use_dispatch(ticket):
-            with owner.dispatch_scope("timed.call") as ctx:
+            with dispatch_scope("timed.call") as ctx:
                 assert ctx is ticket and slot.ticket is ctx  # one record
                 assert ctx.name == "timed.call" and ctx.claimed
                 assert ctx.deadline is deadline
                 assert ctx.retry_policy == "policy"
-                assert owner.contexts == {ticket.ticket_id: ticket}
+                assert current_dispatch() is ticket
                 ctx.check_deadline()  # plenty of budget: no-op
-                with owner.dispatch_scope("nested.call") as nested:
+                with dispatch_scope("nested.call") as nested:
                     # a scope below a claimed ticket opens its own
                     assert nested is not ticket and nested.deadline is None
                     assert current_dispatch() is nested
@@ -426,16 +423,15 @@ class TestTheTicketIsTheEnvelope:
                 ticket.cancel(CallShed("gone"))  # what a shed does
                 with pytest.raises(CallShed):
                     ctx.check_deadline()
-        assert owner.contexts == {} and owner.dispatches == 2
+            assert current_dispatch() is ticket
+        assert current_dispatch() is None and nested.claimed
 
     def test_a_scope_with_no_submission_opens_and_retires_its_own(self):
-        owner = DispatchContextOwner()
         with use_backend(ThreadBackend()):
-            with owner.dispatch_scope("bare.call", expected=1) as ctx:
+            with dispatch_scope("bare.call", expected=1) as ctx:
                 assert ctx.claimed and ctx.collector is not None
                 assert current_dispatch() is ctx
-                assert owner.contexts == {ctx.context_id: ctx}
-        assert owner.contexts == {} and current_dispatch() is None
+        assert current_dispatch() is None
         assert ctx.trace_snapshot()["name"] == "bare.call"
 
     def test_delivery_and_cancellation_race_is_decided_once(self):

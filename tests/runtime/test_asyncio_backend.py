@@ -562,6 +562,6 @@ class TestDeployedOnTheLoop:
                 Gated.gate.set()
                 assert newest.result(timeout=20) == expected(1)
                 del oldest  # its traceback holds the gather's frame
-            _spin_until(lambda: app.admitted == 0)
+            _spin_until(lambda: app.in_flight == 0)
             gc.collect()
         assert [str(w.message) for w in caught if "awaited" in str(w.message)] == []

@@ -18,12 +18,13 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.aop.joinpoint import JoinPoint
 from repro.parallel import partition
 from repro.runtime import ticket
 
 SRC = Path(repro.__file__).resolve().parent
 LOWER_LAYERS = ("runtime", "middleware", "faults")
-CORE = ("DispatchContext", "ResultCollector", "DispatchContextOwner")
+CORE = ("DispatchContext", "ResultCollector")
 #: ``repro`` itself and each of its top-level packages and modules
 TOP_LEVEL = ["repro"] + sorted(
     f"repro.{path.stem}"
@@ -185,12 +186,16 @@ def test_ticket_and_admission_import_one_way():
 
 def test_the_app_keeps_no_ticket_table():
     """Every spec opens a ticket and its future carries it, the call's
-    one record, so ``api/app.py`` probes nothing and enters the ticket
-    in no table of its own: the partition's is the only live one."""
+    one record, so ``api/app.py`` probes nothing, and no live table in
+    ``src/`` holds tickets: the app counts its calls in flight on the
+    admission table, a split claims the ticket with ``dispatch_scope``
+    and enters it nowhere."""
     source = (SRC / "api" / "app.py").read_text()
-    assert "hasattr(" not in source
-    assert "DispatchContextOwner" not in source
-    assert "enter_ticket" not in source and "leave_ticket" not in source
+    assert "hasattr(" not in source and "getattr(self.partition" not in source
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        assert "DispatchContextOwner" not in text, path
+        assert "enter_ticket" not in text and "leave_ticket" not in text, path
 
 
 def test_one_servant_host_declaration():
@@ -293,8 +298,15 @@ def test_code_only_tests_used_is_gone():
     capture and the chain interpreter (kept as the tests' oracle).  So
     did every copy of a call's record beside its ticket: the weak ticket
     registry, the app's second ticket table, the trace history, the
-    stats snapshots and the cluster report.  None of them is defined,
-    imported, exported or assigned in ``src/``."""
+    stats snapshots and the cluster report; and so did the second
+    copies of one count — the partition's ticket table and its
+    counters, the forward, guard and data/control counters, the app's
+    module dict and submission count, ``Shadow.compiles``.  The advice
+    language is what the product uses, ``around`` only: the
+    before/after kinds, their decorators, ``AdviceKind``, the
+    joinpoint's result/exception slots and the segmented plan that
+    folded them went.  None of them is defined, imported, exported or
+    assigned in ``src/``."""
     gone = {
         "install_faults", "remove_faults", "use_faults", "current_faults",
         "_ACTIVE", "_PLANE_LOCK",
@@ -319,6 +331,10 @@ def test_code_only_tests_used_is_gone():
         "TRACE_HISTORY", "trace_of", "trace_history", "ParallelApp.trace",
         "ParallelApp.traces", "ParallelApp.stats", "ParallelApp._close",
         "AdmissionController.stats", "format_report",
+        "before", "after", "after_returning", "after_throwing", "_advice",
+        "AdviceKind", "_wrap_step", "_static_impl", "_compile_static_runner",
+        "_static_kind", "DispatchContextOwner", "enter_ticket", "leave_ticket",
+        "ParallelApp.admitted", "ParallelApp._plug",
     }
     assert _defined() & gone == set()
     assigned = {
@@ -329,7 +345,13 @@ def test_code_only_tests_used_is_gone():
         for target in node.targets
         if isinstance(target, ast.Attribute)
     }
-    assert assigned & {"_tickets", "trace_log"} == set()
+    assert assigned & {
+        "_tickets", "trace_log", "contexts", "dispatches", "forwards",
+        "_forwards_lock", "guarded", "data_calls", "control_calls",
+        "compiles", "_submissions",
+    } == set()
+    assert "self.modules" not in (SRC / "api" / "app.py").read_text()
+    assert {"result", "exception"} & set(JoinPoint.__slots__) == set()
 
 
 def test_one_placement_decision():

@@ -12,8 +12,8 @@ round trips per op).  A subprocess that really pins itself to one CPU,
 as the end-to-end benchmark does, must land on the second.
 
 * Python-level ``call`` events per op, over every parent thread;
-* ``contextlib._GeneratorContextManager`` objects built per op — only
-  the ticket's ``dispatch_scope`` is still a generator;
+* ``contextlib._GeneratorContextManager`` objects built per op — none:
+  the ticket's ``dispatch_scope`` is a plain push/pop too;
 * ``os.read`` calls per frame received and ``os.write`` calls per frame
   sent on the worker pipes — one each: these frames are under 1 KB;
 * in the worker: no generator scope and no ``multiprocessing.connection``
@@ -52,18 +52,20 @@ from repro.runtime.threads import CARRIER_LIFETIME
 
 OPS = 100
 ROUND_TRIPS_PER_OP = 6  # 2 batches through 3 stages
-#: what the hop measures is 535 per op on CPython 3.11, the same on
-#: every run (545 while a ticket entered three tables, 542 before the
-#: forwarder asked whether a stage's successors may run ahead; the path
-#: before the hop's diet read 716 counted this way, with 14 generator
-#: scopes per op and every frame through multiprocessing.Connection)
-CALLS_PER_OP_CEILING = 550
+#: what the hop measures is 532 per op on CPython 3.11, the same on
+#: every run (535 while the split's ticket entered the partition's table
+#: through a generator scope, 545 while it entered three tables, 542
+#: before the forwarder asked whether a stage's successors may run
+#: ahead; the path before the hop's diet read 716 counted this way, with
+#: 14 generator scopes per op and every frame through
+#: multiprocessing.Connection)
+CALLS_PER_OP_CEILING = 547
 #: one run per batch: the request, then the reply with its hops
 COLOCATED_ROUND_TRIPS_PER_OP = 2
-#: measured 305 per op on CPython 3.11, the same on every run (315
-#: while a ticket entered three tables); the ceiling is 14 calls above it
-COLOCATED_CALLS_PER_OP_CEILING = 319
-GENERATOR_SCOPES_PER_OP_CEILING = 1
+#: measured 301 per op on CPython 3.11, the same on every run (305
+#: while the split's ticket entered the partition's table, 315 while it
+#: entered three tables); the ceiling is 14 calls above it
+COLOCATED_CALLS_PER_OP_CEILING = 315
 
 DOCUMENTS = [
     "the quick brown fox jumps over the lazy dog",
@@ -174,7 +176,7 @@ def _parent_side_budget(monkeypatch, topology, workers, round_trips_per_op, ceil
     assert round_trips == messages == round_trips_per_op * OPS
     assert reads[0] == round_trips
     assert writes[0] == round_trips
-    assert len(scopes_built) <= GENERATOR_SCOPES_PER_OP_CEILING * OPS
+    assert scopes_built == []
     assert calls[0] / OPS <= ceiling
 
 
