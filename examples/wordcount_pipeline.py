@@ -3,9 +3,9 @@
 
 One pipeline stage per text-processing role (normalise → tokenise →
 filter → count); document batches stream through the stages and the
-final Counters merge.  ``app.map`` submits several document batches and
-hands back one future per batch — the futures-first face of the same
-stack.
+final Counters merge.  ``app.map`` then submits one call per document
+and hands back one future per call — the futures-first face of the same
+stack — and the per-document counts recombine to the whole.
 
 Run:  python examples/wordcount_pipeline.py
 """
@@ -33,12 +33,9 @@ def main():
     with app:
         app.start()
         parallel = app.submit(list(DOCUMENTS)).result()
-        # the same deployed stack serves overlapped requests: every
-        # in-flight call owns its per-call ticket, so all four
-        # submissions stream through the stages concurrently
-        futures = [app.submit([doc]) for doc in DOCUMENTS]
-        per_doc = [future.result() for future in futures]
-        overlapped = app.peak_in_flight
+        # the same deployed stack serves one call per document: each
+        # item is the work method's argument, a one-document batch
+        per_doc = app.map([[doc] for doc in DOCUMENTS]).results()
 
     identical = parallel == expected
     recombined = Counter()
@@ -46,8 +43,7 @@ def main():
         recombined.update(counts)
     print(f"pipeline == sequential: {identical}")
     print(f"per-document submissions recombine identically: "
-          f"{recombined == expected}")
-    print(f"peak in-flight calls on one deployed pipeline: {overlapped}\n")
+          f"{recombined == expected}\n")
     for word, count in expected.most_common(8):
         print(f"  {word:>10}: {count}")
     if not identical or recombined != expected:

@@ -14,6 +14,17 @@ of the advice chain (and ultimately the original behaviour).  Around advice
 may call ``proceed`` zero, one or *many* times — the paper's partition
 aspect calls the constructor joinpoint's ``proceed`` once per pipeline
 stage to create its "aspect managed objects".
+
+The joinpoint is also the chain's only continuation.  Every compiled plan
+(call, construction, pack; :mod:`repro.aop.plan`) stores its advice
+functions and its innermost callable in the joinpoint's slots and enters
+level 0 through :meth:`JoinPoint._enter`, which arms the joinpoint on the
+calling thread.  ``proceed`` steps from the armed level to the next with
+slot loads and stores; a thread the joinpoint is not armed on gets
+:class:`~repro.errors.ProceedError`.  :meth:`JoinPoint.capture_proceed`
+hands the rest of the chain to another activity: the capture replays on
+a *copy* of the joinpoint, so the replay never shares an argument view or
+an armed thread with the run that captured it.
 """
 
 from __future__ import annotations
@@ -22,22 +33,10 @@ import enum
 from threading import get_ident
 from typing import Any, Callable
 
+from repro.aop.cflow import _LOCAL as _FLOW_LOCAL
 from repro.errors import ProceedError
 
 __all__ = ["JoinPointKind", "JoinPoint"]
-
-#: The compiled plans' around continuation class, injected by
-#: :mod:`repro.aop.plan` at import time (a set-after-import hand-off —
-#: ``plan`` imports this module, so it cannot be imported here).
-#: :meth:`JoinPoint.proceed` type-checks the armed continuation against
-#: it and *inlines* the level step: one Python frame per around level
-#: instead of two, and no re-packing of the argument views.
-_AROUND_CONT: type | None = None
-
-#: The frozen-continuation class used by :meth:`JoinPoint.capture_proceed`
-#: for *fused* all-around plans (see ``_FusedJoinPoint`` in
-#: :mod:`repro.aop.plan`); injected the same way as ``_AROUND_CONT``.
-_CAPTURED_CONT: type | None = None
 
 
 class JoinPointKind(enum.Enum):
@@ -68,6 +67,13 @@ class JoinPoint:
         The *current* arguments.  ``proceed`` with no arguments re-uses
         them; ``proceed(x, y)`` replaces the positional arguments, exactly
         like AspectJ's ``proceed``.
+
+    The private slots hold the run: ``_funcs`` (the advice functions,
+    outermost first), ``_n`` (their count), ``_orig`` (what runs below
+    the innermost level, called ``_orig(target, *args, **kwargs)``),
+    ``_i``/``_aargs``/``_akwargs`` (the armed level and its argument
+    view) and ``_armed_tid`` (the thread the run is armed on, ``-1``
+    when disarmed).
     """
 
     __slots__ = (
@@ -77,9 +83,14 @@ class JoinPoint:
         "target",
         "args",
         "kwargs",
-        "_proceed_map",
-        "_armed_tid",
         "from_advice",
+        "_funcs",
+        "_n",
+        "_orig",
+        "_i",
+        "_aargs",
+        "_akwargs",
+        "_armed_tid",
     )
 
     def __init__(
@@ -97,19 +108,11 @@ class JoinPoint:
         self.target = target
         self.args = args
         self.kwargs = kwargs
-        # Continuations are tracked *per thread*: an async concurrency
-        # aspect may hand the rest of the chain to a spawned activity
-        # while the original thread unwinds — neither may clobber the
-        # other's view of ``proceed``.
-        self._proceed_map: dict[int, Callable] = {}
-        #: Thread whose around continuation is fused into this
-        #: joinpoint (see ``_FusedJoinPoint`` in repro.aop.plan); ``-1``
-        #: when dispatch goes through the proceed map instead.
-        self._armed_tid: int = -1
         #: Snapshot taken at dispatch: was this joinpoint reached from
         #: advice code?  Advice that must act on core calls only tests
         #: it — this weaver's ``!adviceexecution()``.
         self.from_advice: bool = False
+        self._armed_tid: int = -1
 
     # -- identity ---------------------------------------------------------
 
@@ -122,6 +125,32 @@ class JoinPoint:
 
     # -- chain control -----------------------------------------------------
 
+    def _enter(self, i: int, args: tuple, kwargs: dict) -> Any:
+        """Run level ``i`` with ``args``/``kwargs`` as the current view.
+
+        The entry of every plan (level 0) and of every captured replay:
+        arms this joinpoint on the calling thread and holds the advice
+        depth one above the caller's for the whole run (every reader
+        treats the depth as "is advice on the stack?").  Past the last
+        level it runs the innermost callable at the caller's depth — a
+        spawned activity running the original is not "from advice"."""
+        self.args = args
+        self.kwargs = kwargs
+        if i == self._n:
+            return self._orig(self.target, *args, **kwargs)
+        self._i = i
+        self._aargs = args
+        self._akwargs = kwargs
+        self._armed_tid = get_ident()
+        flow = _FLOW_LOCAL.flow
+        depth = flow.advice_depth
+        flow.advice_depth = depth + 1
+        try:
+            return self._funcs[i](self)
+        finally:
+            flow.advice_depth = depth
+            self._armed_tid = -1
+
     def proceed(self, *args: Any, **kwargs: Any) -> Any:
         """Continue with the rest of the advice chain / original code.
 
@@ -130,121 +159,62 @@ class JoinPoint:
         remainder of the chain (AspectJ ``proceed(..)`` semantics).
         For initialization joinpoints, each invocation constructs and
         returns a *fresh, fully initialised* instance.
+
+        The armed level ``i`` proceeds into level ``i + 1`` or, past the
+        last advice, into the innermost callable.  On success the armed
+        view is restored, so a second ``proceed()`` replays; on an
+        exception it is rolled back to this level (``jp.args``
+        deliberately stays as the failing level set it).
         """
-        tid = get_ident()
-        if self._armed_tid == tid:
-            # Fused all-around plan: the continuation state lives in
-            # slots on this joinpoint itself (see ``_FusedJoinPoint`` in
-            # repro.aop.plan) — no dict lookup, no continuation object.
-            i = self._i
-            nxt = i + 1
-            cargs = self._aargs
-            ckwargs = self._akwargs
-            if not args and not kwargs:
-                self.args = cargs
-                self.kwargs = ckwargs
-                if nxt == self._n:
-                    return self._orig(self.target, *cargs, **ckwargs)
-                self._i = nxt
-                try:
-                    result = self._funcs[nxt](self)
-                except BaseException:
-                    self._i = i
-                    raise
-                # an inner level that caught a failure below it left
-                # jp.args as the failing level set them
-                self.args = cargs
-                self.kwargs = ckwargs
-                self._i = i
-                return result
-            use_args = args if args else cargs
-            use_kwargs = kwargs if kwargs else ckwargs
-            self.args = use_args
-            self.kwargs = use_kwargs
-            if nxt == self._n:
-                result = self._orig(self.target, *use_args, **use_kwargs)
-            else:
-                self._i = nxt
-                self._aargs = use_args
-                self._akwargs = use_kwargs
-                try:
-                    result = self._funcs[nxt](self)
-                except BaseException:
-                    self._i = i
-                    self._aargs = cargs
-                    self._akwargs = ckwargs
-                    raise
-            self.args = cargs
-            self.kwargs = ckwargs
-            self._i = i
-            self._aargs = cargs
-            self._akwargs = ckwargs
-            return result
-        p = self._proceed_map.get(tid)
-        if p is None:
+        if self._armed_tid != get_ident():
             raise ProceedError(
                 f"proceed() called outside an active around advice for {self.signature}"
             )
-        if p.__class__ is not _AROUND_CONT:
-            # a captured continuation replaying on this thread
-            return p(*args, **kwargs)
-        # The step of the compiled around continuation
-        # (``_AroundCont`` in repro.aop.plan), inlined here: the armed
-        # level ``i`` proceeds into level ``i + 1`` or, past the
-        # last around, into the tail.  On success the armed view
-        # is restored so a second ``proceed()`` replays; on an exception
-        # it is rolled back to this level (``jp.args`` deliberately
-        # stays as the failing level set it).
-        i = p.i
+        i = self._i
         nxt = i + 1
-        cargs = p.args
-        ckwargs = p.kwargs
+        cargs = self._aargs
+        ckwargs = self._akwargs
         if not args and not kwargs:
             # no substitution: every argument view is already current,
             # only the armed level index moves
             self.args = cargs
             self.kwargs = ckwargs
-            if nxt == p.n:
-                orig = p.orig
-                if orig is not None:  # bare original: skip the tail frame
-                    return orig(p.self_obj, *cargs, **ckwargs)
-                return p.tail(self, p.self_obj, cargs, ckwargs)
-            p.i = nxt
+            if nxt == self._n:
+                return self._orig(self.target, *cargs, **ckwargs)
+            self._i = nxt
             try:
-                result = p.funcs[nxt](self)
+                result = self._funcs[nxt](self)
             except BaseException:
-                p.i = i
+                self._i = i
                 raise
+            # an inner level that caught a failure below it left
+            # jp.args as the failing level set them
             self.args = cargs
             self.kwargs = ckwargs
-            p.i = i
+            self._i = i
             return result
         use_args = args if args else cargs
         use_kwargs = kwargs if kwargs else ckwargs
         self.args = use_args
         self.kwargs = use_kwargs
-        if nxt == p.n:
-            orig = p.orig
-            if orig is not None:
-                result = orig(p.self_obj, *use_args, **use_kwargs)
-            else:
-                result = p.tail(self, p.self_obj, use_args, use_kwargs)
+        if nxt == self._n:
+            result = self._orig(self.target, *use_args, **use_kwargs)
         else:
-            p.i = nxt
-            p.args = use_args
-            p.kwargs = use_kwargs
+            self._i = nxt
+            self._aargs = use_args
+            self._akwargs = use_kwargs
             try:
-                result = p.funcs[nxt](self)
+                result = self._funcs[nxt](self)
             except BaseException:
-                p.i = i
-                p.args = cargs
-                p.kwargs = ckwargs
+                self._i = i
+                self._aargs = cargs
+                self._akwargs = ckwargs
                 raise
         self.args = cargs
         self.kwargs = ckwargs
-        p.i = i
-        p.args = cargs
-        p.kwargs = ckwargs
+        self._i = i
+        self._aargs = cargs
+        self._akwargs = ckwargs
         return result
 
     def capture_proceed(self) -> Callable[..., Any]:
@@ -255,32 +225,52 @@ class JoinPoint:
         the continuation while the advice body is still active — after
         the advice returns, :meth:`proceed` is disarmed.  The returned
         callable stays valid and runs the remainder of the chain on
-        whichever thread invokes it.
+        whichever thread invokes it, with ``proceed`` semantics for its
+        arguments.  Each replay runs on a fresh copy of this joinpoint:
+        the capturing run's ``args``/``kwargs`` and armed thread are
+        never touched by it, and the copy is disarmed when the replay
+        returns.
         """
-        tid = get_ident()
-        if self._armed_tid == tid:
-            # Fused all-around plan: freeze the slot-resident state into
-            # a replayable continuation (same shape the non-fused plans
-            # capture from their ``_AroundCont``).
-            return _CAPTURED_CONT(  # type: ignore[misc]
-                self._funcs,
-                self._n,
-                self._tail,
-                self,
-                self.target,
-                self._i,
-                self._aargs,
-                self._akwargs,
-            )
-        proceed = self._proceed_map.get(tid)
-        if proceed is None:
+        if self._armed_tid != get_ident():
             raise ProceedError(
                 f"capture_proceed() outside an active around advice for {self.signature}"
             )
-        # Construction and pack plans arm one mutable continuation object
-        # per run; its state changes as the run unwinds, so capture asks
-        # it for a frozen snapshot.
-        return proceed.capture()
+        return _Captured(self, self._i, self._aargs, self._akwargs)
+
+    def _clone(self) -> "JoinPoint":
+        """A disarmed copy carrying this joinpoint's identity and chain
+        (the replay target of a capture)."""
+        cls = self.__class__
+        jp = cls.__new__(cls)
+        jp.kind = self.kind
+        jp.cls = self.cls
+        jp.name = self.name
+        jp.target = self.target
+        jp.from_advice = self.from_advice
+        jp._funcs = self._funcs
+        jp._n = self._n
+        jp._orig = self._orig
+        jp._armed_tid = -1
+        return jp
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<JoinPoint {self.kind} {self.signature} args={self.args!r}>"
+
+
+class _Captured:
+    """A captured ``proceed``: the level and argument view armed at
+    capture time, replayed on a copy of the joinpoint (see
+    :meth:`JoinPoint.capture_proceed`)."""
+
+    __slots__ = ("jp", "i", "args", "kwargs")
+
+    def __init__(self, jp: JoinPoint, i: int, args: tuple, kwargs: dict):
+        self.jp = jp
+        self.i = i
+        self.args = args
+        self.kwargs = kwargs
+
+    def __call__(self, *args: Any, **kwargs: Any) -> Any:
+        return self.jp._clone()._enter(
+            self.i + 1, args if args else self.args, kwargs if kwargs else self.kwargs
+        )

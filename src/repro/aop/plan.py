@@ -14,22 +14,20 @@ interpreted tier.  :func:`compile_call_impl` picks one of two shapes:
    function — same code object, so a woven-inert call costs the same as
    a plain call (the clone is a distinct object so weaving stays
    observable and unweave can restore the true original).
-2. **around** — any chain: the fused :func:`_all_around_impl`, whose
-   joinpoint carries the continuation state in its own slots and
-   steps through the levels with slot loads/stores instead of
+2. **around** — any chain: :func:`_all_around_impl`, whose joinpoint
+   carries the chain in its own slots and steps through the levels
+   with slot loads and stores (``JoinPoint.proceed``) instead of
    allocating one closure per level per call.  Plans are labelled
    ``single-around`` / ``all-around`` for :class:`PlanStats`.
 
-Construction and packs run the chain as one :func:`_around_run` — a
-single mutable :class:`_AroundCont` armed once per run in the
-joinpoint's per-thread proceed map — around a tail that builds the
-instance (:func:`compile_ctor_runner`) or applies the method to every
-piece (:func:`compile_batch_impl`).
-
-Captured continuations (``jp.capture_proceed()``) cannot hand out the
-live :class:`_AroundCont` — its level state mutates as the run unwinds —
-so capture returns a frozen :class:`_CapturedCont` snapshot that replays
-the remainder of the chain on whichever thread invokes it.
+Construction (:func:`compile_ctor_runner`) and packs
+(:func:`compile_batch_impl`) run on the same joinpoint: the plan stores
+the advice functions and an innermost callable — the construction, or
+the batch core that applies the method to every piece — in the
+joinpoint's slots and enters level 0 through ``JoinPoint._enter``.  The
+call plan is that entry inlined into one frame.  A captured continuation
+(``jp.capture_proceed()``) replays through the same entry, on a copy of
+the joinpoint.  So there is one continuation and one level step.
 
 Invalidation rules: plans are recompiled only when the deployment state
 *at that shadow* changes — the weaver keeps a static shadow→deployment
@@ -72,7 +70,6 @@ from collections import Counter
 from threading import get_ident
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.aop import joinpoint as _joinpoint_module
 from repro.aop.advice import BoundAdvice
 from repro.aop.cflow import _LOCAL as _FLOW_LOCAL
 from repro.aop.joinpoint import JoinPoint, JoinPointKind
@@ -95,6 +92,7 @@ __all__ = [
 ]
 
 _CALL = JoinPointKind.CALL
+_INIT = JoinPointKind.INITIALIZATION
 _MISS = object()
 
 
@@ -145,6 +143,11 @@ class BatchJoinPoint(JoinPoint):
     def item_count(self) -> int:
         """Number of items in the pack."""
         return len(self.pieces)
+
+    def _clone(self) -> "BatchJoinPoint":
+        jp = super()._clone()
+        jp.pieces = self.pieces
+        return jp
 
     def merged_view(self) -> tuple[tuple, dict]:
         """The merged piece view: concatenated positional arguments and
@@ -283,17 +286,6 @@ class PlanStats:
     by_shadow = property(lambda self: self._view(False, "shadow"))
     batch_by_shadow = property(lambda self: self._view(True, "shadow"))
 
-    def count(self, cls: type, name: str,
-              kind: JoinPointKind = JoinPointKind.CALL) -> int:
-        return self.counter[False, "shadow", (cls, name, kind)]
-
-    def batch_count(self, cls: type, name: str,
-                    kind: JoinPointKind = JoinPointKind.CALL) -> int:
-        return self.counter[True, "shadow", (cls, name, kind)]
-
-    def snapshot(self) -> dict[tuple[type, str, JoinPointKind], int]:
-        return self.by_shadow
-
     def summary(self) -> dict[str, Any]:
         """Read-only scalar snapshot: compile counts and the per-kind plan
         histograms.  ``interpreter_calls`` is 0 by construction — every
@@ -362,239 +354,6 @@ def _inert_impl(original: Callable) -> Callable:
     return _mark(impl, original, inert=True, kind="inert")
 
 
-class _AroundCont:
-    """The live continuation of one around run: a single mutable
-    object armed once per run in ``jp._proceed_map``, which
-    ``JoinPoint.proceed`` steps for whichever level is currently
-    executing.
-
-    A closure-per-level design (the test oracle's ``run_chain``)
-    allocates one ``proceed`` closure per around level per call and
-    re-arms the per-thread proceed map at every level transition.  On a
-    five-around stack that is five closure allocations plus ~4 map
-    operations and ~20 ``get_ident`` calls per dispatch.  Here the armed map entry never changes
-    during the run; stepping a level is a handful of slot loads/stores:
-
-    * ``i``/``args``/``kwargs`` — the *armed* level's index and argument
-      view.  ``proceed`` (which inlines the step) invokes level
-      ``i + 1`` and, on success, restores the armed view, so a second
-      ``proceed()`` replays.  On an exception the armed view is rolled
-      back to the caller level and ``jp.args`` is deliberately left as
-      the failing level set it.
-    * ``tail`` — what runs below the innermost level: the original
-      call, the construction or the batch core.
-
-    ``flow.advice_depth`` is maintained by the *run* (±1 for the whole
-    chain, see :func:`_around_run`) rather than per level — every
-    reader treats it as a boolean ("is advice on the stack?"), and the
-    balanced hoist keeps it zero outside dispatch.
-    """
-
-    __slots__ = ("funcs", "n", "tail", "orig", "jp", "self_obj", "i",
-                 "args", "kwargs")
-
-    def __init__(self, funcs: tuple[Callable, ...], n: int, tail: Callable,
-                 jp: JoinPoint, self_obj: Any):
-        self.funcs = funcs
-        self.n = n
-        self.tail = tail
-        # when the tail is nothing but the original call, the inlined
-        # proceed step skips the tail frame and calls it directly
-        self.orig = getattr(tail, "__aop_original__", None)
-        self.jp = jp
-        self.self_obj = self_obj
-        # placeholder armed state; _invoke() sets the real view before
-        # any advice body can observe it
-        self.i = 0
-        self.args: tuple = ()
-        self.kwargs: dict = {}
-
-    def _invoke(self, i: int, args: tuple, kwargs: dict) -> Any:
-        """Run level ``i`` with ``args``/``kwargs`` as the current view
-        (the entry point for level 0 and for captured replays)."""
-        jp = self.jp
-        jp.args = args
-        jp.kwargs = kwargs
-        if i == self.n:
-            return self.tail(jp, self.self_obj, args, kwargs)
-        prev_i, prev_args, prev_kwargs = self.i, self.args, self.kwargs
-        self.i = i
-        self.args = args
-        self.kwargs = kwargs
-        try:
-            return self.funcs[i](jp)
-        except BaseException:
-            # unwind: roll the armed view back to the caller level so an
-            # outer advice that catches can still proceed()
-            self.i = prev_i
-            self.args = prev_args
-            self.kwargs = prev_kwargs
-            raise
-
-    def capture(self) -> "_CapturedCont":
-        """A frozen snapshot of the armed level for deferred execution
-        (see :meth:`JoinPoint.capture_proceed`) — the live object cannot
-        be handed out because its state mutates as the run unwinds."""
-        return _CapturedCont(
-            self.funcs, self.n, self.tail, self.jp, self.self_obj,
-            self.i, self.args, self.kwargs,
-        )
-
-
-# Hand the continuation class to the joinpoint module:
-# ``JoinPoint.proceed`` type-checks the armed continuation against it
-# and inlines the level step (one frame per level instead of two).
-_joinpoint_module._AROUND_CONT = _AroundCont
-
-
-class _CapturedCont:
-    """A captured ``proceed``: the remainder of an around chain frozen
-    at capture time, runnable later on any thread.
-
-    Replaying arms the invoking thread's own proceed-map slot (never
-    another thread's), the innermost replay runs the tail at the
-    invoker's advice depth (a spawned activity running the original is
-    *not* "from advice"), and a successful replay leaves ``jp.args``
-    restored to the captured view with the capture re-armed on the
-    invoking thread — unless that thread still has a *live* continuation
-    armed (a synchronous replay from inside the original run), which
-    keeps owning ``proceed``.
-    """
-
-    __slots__ = ("funcs", "n", "tail", "jp", "self_obj", "i", "args",
-                 "kwargs")
-
-    def __init__(self, funcs: tuple[Callable, ...], n: int, tail: Callable,
-                 jp: JoinPoint, self_obj: Any, i: int, args: tuple,
-                 kwargs: dict):
-        self.funcs = funcs
-        self.n = n
-        self.tail = tail
-        self.jp = jp
-        self.self_obj = self_obj
-        self.i = i
-        self.args = args
-        self.kwargs = kwargs
-
-    def capture(self) -> "_CapturedCont":
-        return self
-
-    def __call__(self, *new_args: Any, **new_kwargs: Any) -> Any:
-        jp = self.jp
-        use_args = new_args if new_args else self.args
-        use_kwargs = new_kwargs if new_kwargs else self.kwargs
-        nxt = self.i + 1
-        tid = get_ident()
-        if nxt >= self.n:
-            jp.args = use_args
-            jp.kwargs = use_kwargs
-            result = self.tail(jp, self.self_obj, use_args, use_kwargs)
-        else:
-            cont = _AroundCont(self.funcs, self.n, self.tail, jp,
-                               self.self_obj)
-            pm = jp._proceed_map
-            saved = pm.get(tid)
-            fused_live = jp._armed_tid == tid
-            if fused_live:
-                # live fused run on this thread: the replay owns proceed
-                # for its duration — the fused fast path must not shadow
-                # the replay continuation armed below
-                jp._armed_tid = -1
-            pm[tid] = cont
-            flow = _FLOW_LOCAL.flow
-            flow.advice_depth += 1
-            try:
-                result = cont._invoke(nxt, use_args, use_kwargs)
-            finally:
-                flow.advice_depth -= 1
-                if fused_live:
-                    jp._armed_tid = tid
-                if saved is None:
-                    pm.pop(tid, None)
-                else:
-                    pm[tid] = saved
-        jp.args = self.args
-        jp.kwargs = self.kwargs
-        if jp._proceed_map.get(tid) is None:
-            # deferred (post-run) replay: stay armed so the capture can
-            # be replayed again.  During a live run the armed live
-            # continuation keeps ownership (its state at this instant is
-            # identical to the capture's).
-            jp._proceed_map[tid] = self
-        return result
-
-
-# Hand the captured-continuation class to the joinpoint module as well:
-# ``JoinPoint.capture_proceed`` builds one directly when the continuation
-# state is fused into the joinpoint (no ``_AroundCont`` exists to ask).
-_joinpoint_module._CAPTURED_CONT = _CapturedCont
-
-
-class _FusedJoinPoint(JoinPoint):
-    """A joinpoint whose around continuation is *fused into it*.
-
-    The call plan is the hot shape, and after inlining the
-    continuation step into ``JoinPoint.proceed`` the remaining per-call
-    overhead was the continuation object itself: one allocation, one
-    proceed-map store + pop, and a dict lookup plus class check on every
-    ``proceed``.  For a call the continuation holds nothing
-    the joinpoint could not hold, so this subclass grows the seven
-    continuation slots and the plan arms dispatch by writing the calling
-    thread's id into ``_armed_tid`` (a base-class slot, ``-1`` =
-    disarmed).  ``proceed`` checks ``_armed_tid == get_ident()`` first —
-    a slot load and int compare — and steps on these slots directly.
-
-    The proceed map still exists (empty) for captured replays and for
-    cross-thread callers, which take the dict path as before.
-    """
-
-    __slots__ = ("_funcs", "_n", "_tail", "_orig", "_i", "_aargs",
-                 "_akwargs")
-
-
-def _around_run(
-    funcs: tuple[Callable, ...],
-    tail: Callable[[JoinPoint, Any, tuple, dict], Any],
-) -> Callable[[JoinPoint, Any, tuple, dict], Any]:
-    """One compiled around chain: ``run(jp, self_obj, args, kwargs)``
-    arms a fresh :class:`_AroundCont` on the calling thread (one map
-    write + one restore for the whole run), bumps the advice depth
-    once, and enters level 0.  ``tail`` runs below the innermost level:
-    the construction or the batch core."""
-    n = len(funcs)
-
-    def run(jp: JoinPoint, self_obj: Any, args: tuple, kwargs: dict) -> Any:
-        cont = _AroundCont(funcs, n, tail, jp, self_obj)
-        pm = jp._proceed_map
-        tid = get_ident()
-        saved = pm.get(tid)
-        pm[tid] = cont
-        flow = _FLOW_LOCAL.flow
-        flow.advice_depth += 1
-        try:
-            return cont._invoke(0, args, kwargs)
-        finally:
-            flow.advice_depth -= 1
-            if saved is None:
-                pm.pop(tid, None)
-            else:
-                pm[tid] = saved
-
-    return run
-
-
-def _original_tail(original: Callable) -> Callable:
-    """The innermost runner frame: invoke the original method.  The
-    ``__aop_original__`` tag lets :class:`_AroundCont` (and the inlined
-    proceed step) bypass this frame and call the original directly."""
-
-    def tail(jp: JoinPoint, self_obj: Any, args: tuple, kwargs: dict) -> Any:
-        return original(self_obj, *args, **kwargs)
-
-    tail.__aop_original__ = original  # type: ignore[attr-defined]
-    return tail
-
-
 def _plan_kind(entries: tuple[BoundAdvice, ...]) -> str:
     """The :class:`PlanStats` label for a compiled chain."""
     return "single-around" if len(entries) == 1 else "all-around"
@@ -610,41 +369,30 @@ def _all_around_impl(
     optimisation/distribution/concurrency stack around a compute
     method, dispatched millions of times).
 
-    Behaviourally a :func:`_around_run` over the original, but
-    flattened into one frame with every per-call constant held in
-    closure cells and a single allocation done via ``__new__`` + slot
-    stores:
-
-    * the joinpoint is a :class:`_FusedJoinPoint` built inline (no
-      ``__init__`` frame) — the continuation state lives in its slots,
-      so there is no continuation object to allocate at all;
-    * arming is one int store (``jp._armed_tid = get_ident()``) instead
-      of a proceed-map store + pop; ``JoinPoint.proceed`` takes its
-      slot-compare fast path;
-    * level 0 is entered by calling its advice func directly: the fused
-      armed view already carries the entry arguments.
+    Behaviourally ``JoinPoint(...)._enter(0, args, kwargs)`` over the
+    original, flattened into one frame with every per-call constant held
+    in closure cells: the joinpoint is built with ``__new__`` and slot
+    stores (no ``__init__`` frame), armed with one int store, and level
+    0 is entered by calling its advice function directly.
     """
     funcs = tuple(entry.func for entry in entries)
     n = len(funcs)
     funcs0 = funcs[0]
-    tail = _original_tail(original)
 
     @functools.wraps(original)
     def impl(self_obj: Any, *args: Any, **kwargs: Any) -> Any:
-        jp = _FusedJoinPoint.__new__(_FusedJoinPoint)
+        jp = JoinPoint.__new__(JoinPoint)
         jp.kind = _CALL
         jp.cls = cls
         jp.name = name
         jp.target = self_obj
         jp.args = args
         jp.kwargs = kwargs
-        jp._proceed_map = {}
         flow = _FLOW_LOCAL.flow
         depth = flow.advice_depth
         jp.from_advice = depth > 0
         jp._funcs = funcs
         jp._n = n
-        jp._tail = tail
         jp._orig = original
         jp._i = 0
         jp._aargs = args
@@ -673,22 +421,22 @@ def compile_call_impl(shadow: Shadow) -> Callable:
 
 
 def compile_ctor_runner(shadow: Shadow) -> Callable | None:
-    """Compile an INITIALIZATION shadow's chain: ``run(jp, None, args,
-    kwargs)`` is one :func:`_around_run` of the chain around a tail
-    that builds the instance.
-    ``None`` when no advice applies (the woven ``__new__`` then takes
-    the raw path).
+    """Compile an INITIALIZATION shadow's chain: ``run(args, kwargs)``
+    enters the chain on a fresh initialization joinpoint whose innermost
+    callable builds the instance.  ``None`` when no advice applies (the
+    woven ``__new__`` then takes the raw path).
 
-    The tail builds under the construction bypass, so the inner
+    The innermost builds under the construction bypass, so the inner
     construction is not intercepted again; a :class:`CtorPack` through
     ``proceed`` is a *batched* construction — one chain pass builds one
     instance per argset and returns the list."""
     if not shadow.entries:
         return None
     cls = shadow.cls
+    funcs = tuple(entry.func for entry in shadow.entries)
+    n = len(funcs)
 
-    def construct(jp: JoinPoint, self_obj: Any, args: tuple,
-                  kwargs: dict) -> Any:
+    def construct(_target: None, *args: Any, **kwargs: Any) -> Any:
         flow = _FLOW_LOCAL.flow
         flow.construction_bypass += 1
         try:
@@ -698,7 +446,16 @@ def compile_ctor_runner(shadow: Shadow) -> Callable | None:
         finally:
             flow.construction_bypass -= 1
 
-    return _around_run(tuple(entry.func for entry in shadow.entries), construct)
+    def run(args: tuple, kwargs: dict) -> Any:
+        # never from advice: constructions inside advice take the raw
+        # path, so jp.from_advice keeps its False default
+        jp = JoinPoint(_INIT, cls, "__init__", None, args, kwargs)
+        jp._funcs = funcs
+        jp._n = n
+        jp._orig = construct
+        return jp._enter(0, args, kwargs)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +474,8 @@ def compile_batch_impl(shadow: Shadow) -> Callable[[Any, Any], list]:
     The returned ``impl(self_obj, pieces) -> [results]`` runs the advice
     chain once around a :class:`BatchJoinPoint` whose innermost original
     applies the woven method to every piece: inert packs run a bare
-    loop (zero joinpoint allocations), any chain one :func:`_around_run`.
+    loop (zero joinpoint allocations), any chain one run entered
+    through :meth:`JoinPoint._enter` with ``batch_core`` innermost.
     """
     original = shadow.original
     cls, name = shadow.cls, shadow.name
@@ -733,18 +491,18 @@ def compile_batch_impl(shadow: Shadow) -> Callable[[Any, Any], list]:
     if not entries:
         return _tag_batch(batch_core, "inert")
 
-    # jp.args is (pieces,): the tail unpacks the (possibly
-    # proceed-substituted) pack back into the batch core
-    def batch_tail(jp: JoinPoint, self_obj: Any, args: tuple,
-                   kwargs: dict) -> list:
-        return batch_core(self_obj, args[0])
-
-    runner = _around_run(tuple(entry.func for entry in entries), batch_tail)
+    funcs = tuple(entry.func for entry in entries)
+    n = len(funcs)
 
     def advised_batch(self_obj: Any, pieces: Any) -> Any:
         jp = BatchJoinPoint(cls, name, self_obj, tuple(pieces))
         jp.from_advice = _FLOW_LOCAL.flow.advice_depth > 0
-        return runner(jp, self_obj, jp.args, {})
+        jp._funcs = funcs
+        jp._n = n
+        # jp.args is (pieces,), so a (possibly proceed-substituted) pack
+        # reaches the core as its one argument
+        jp._orig = batch_core
+        return jp._enter(0, jp.args, {})
 
     return _tag_batch(advised_batch, _plan_kind(entries))
 

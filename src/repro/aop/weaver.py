@@ -34,7 +34,8 @@ Construction semantics (matching paper Section 4.1):
 
 * an initialization chain compiles like a call chain
   (:func:`~repro.aop.plan.compile_ctor_runner`); the woven ``__new__``
-  enters the compiled runner;
+  hands the compiled runner its arguments, and the runner builds the
+  initialization joinpoint;
 * around advice on ``initialization(C.new(..))`` may call ``proceed``
   several times — each call builds a **fresh fully-initialised instance**
   (the aspect-managed objects of Figure 4) — and may return any object to
@@ -64,7 +65,7 @@ from repro.aop.advice import BoundAdvice
 from repro.aop.aspect import Aspect
 from repro.aop.cflow import bypassing_construction, construction_bypass, in_advice
 from repro.aop.intertype import IntertypeApplier
-from repro.aop.joinpoint import JoinPoint, JoinPointKind
+from repro.aop.joinpoint import JoinPointKind
 from repro.aop.plan import (
     PlanStats,
     Shadow,
@@ -496,12 +497,7 @@ class Weaver:
                 # bare __new__(cls): object reconstruction, not a client
                 # construction — never an initialization joinpoint
                 return raw_new(kls, args, kwargs)
-            # never from advice: constructions inside advice took the
-            # raw path above, so jp.from_advice keeps its False default
-            jp = JoinPoint(
-                JoinPointKind.INITIALIZATION, cls, "__init__", None, args, kwargs
-            )
-            result = runner(jp, None, args, kwargs)
+            result = runner(args, kwargs)
             if isinstance(result, cls):
                 weaver._ctor_state.skip_init_ids.add(id(result))
             return result

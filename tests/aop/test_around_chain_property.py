@@ -2,8 +2,9 @@
 
 Every advice is ``around``.  For random chains of one to five levels
 (random precedences, so ties fall back to deployment order; replacement
-arguments through ``proceed``; zero, one or two ``proceed`` calls, or
-one whose exception the advice catches; a raising target) the compiled
+arguments through ``proceed``; zero, one or two ``proceed`` calls, one
+whose exception the advice catches, or a captured ``proceed`` replayed
+on a fresh thread; a raising target) the compiled
 plan must produce the same results, exceptions and advice log as
 running the same chain through the interpreter kept as the oracle
 (``chain_oracle.run_chain``).  Each seed runs on the three plans: the
@@ -14,15 +15,14 @@ runner (where a ``CtorPack`` through ``proceed`` is one more shape).
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
-from chain_oracle import run_chain
+from chain_oracle import OracleBatchJoinPoint, OracleJoinPoint, run_chain
 
 from repro.aop import (
     Aspect,
-    BatchJoinPoint,
     CtorPack,
-    JoinPoint,
     JoinPointKind,
     around,
     batched_entry,
@@ -33,7 +33,7 @@ from repro.aop.cflow import bypassing_construction, flow_state
 from repro.aop.weaver import default_weaver
 
 SEEDS = range(40)
-PROCEEDS = (0, 1, 2, "catch")
+PROCEEDS = (0, 1, 2, "catch", "capture")
 
 
 def make_target(should_raise: bool):
@@ -107,8 +107,8 @@ class Plan:
         shadow = default_weaver._shadows[self.cls][self.key]
         cls = self.cls
         if self.name == "construction":
-            jp = JoinPoint(JoinPointKind.INITIALIZATION, cls, "__init__",
-                           None, (arg,), {})
+            jp = OracleJoinPoint(JoinPointKind.INITIALIZATION, cls,
+                                 "__init__", None, (arg,), {})
 
             def original(*args, **kwargs):
                 with bypassing_construction():
@@ -119,10 +119,11 @@ class Plan:
             return run_chain(shadow.entries, jp, original)
         method = cls.__aop_originals__["work"]
         if self.name == "call":
-            jp = JoinPoint(JoinPointKind.CALL, cls, "work", obj, (arg,), {})
+            jp = OracleJoinPoint(JoinPointKind.CALL, cls, "work", obj,
+                                 (arg,), {})
             return run_chain(shadow.entries, jp,
                              lambda *a, **k: method(obj, *a, **k))
-        jp = BatchJoinPoint(cls, "work", obj, self.pieces(arg))
+        jp = OracleBatchJoinPoint(cls, "work", obj, self.pieces(arg))
         return run_chain(
             shadow.entries, jp,
             lambda pieces: [method(obj, *a, **k) for a, k in pieces],
@@ -131,6 +132,26 @@ class Plan:
     @staticmethod
     def pieces(arg):
         return (((arg,), {}), ((arg + 1,), {}), ((arg + 2,), {}))
+
+
+def replay_on_a_thread(continuation, args):
+    """Run a captured ``proceed`` on a fresh thread and join it: its
+    result, or its exception raised here."""
+    box = {}
+
+    def replay():
+        try:
+            box["out"] = continuation(*args)
+        except ValueError as exc:
+            box["exc"] = exc
+
+    thread = threading.Thread(target=replay)
+    thread.start()
+    thread.join(10)
+    assert not thread.is_alive()
+    if "exc" in box:
+        raise box["exc"]
+    return box["out"]
 
 
 def make_aspect(plan, tag, precedence, events, proceeds, replace):
@@ -146,6 +167,9 @@ def make_aspect(plan, tag, precedence, events, proceeds, replace):
             except ValueError as exc:
                 events.append((tag, "caught", repr(exc), view(jp.args)))
                 out = ("caught", tag)
+        elif proceeds == "capture":
+            args = plan.bump(jp.args, 10) if replace else ()
+            out = replay_on_a_thread(jp.capture_proceed(), args)
         else:
             out = jp.proceed(*plan.bump(jp.args, 10)) if replace else jp.proceed()
             if proceeds == 2:

@@ -21,6 +21,7 @@ from repro.aop import (
     weave,
     unweave,
 )
+from repro.aop.joinpoint import JoinPointKind
 from repro.aop.plan import MethodTable
 from repro.aop.weaver import default_weaver
 
@@ -31,6 +32,13 @@ def make_target():
             return x * 2 + bias
 
     return Target
+
+
+def batch_compiles(cls):
+    """Batch-plan compilations of ``cls.work`` so far."""
+    return default_weaver.plan_stats.batch_by_shadow.get(
+        (cls, "work", JoinPointKind.CALL), 0
+    )
 
 
 PIECES = [((1,), {}), ((2,), {"bias": 10}), ((3,), {})]
@@ -169,13 +177,12 @@ class TestBatchPlanInvalidation:
     def test_batch_compiles_are_counted_and_lazy(self):
         Target = make_target()
         weave(Target)
-        stats = default_weaver.plan_stats
-        assert stats.batch_count(Target, "work") == 0
+        assert batch_compiles(Target) == 0
         entry = batched_entry(Target(), "work")
-        assert stats.batch_count(Target, "work") == 1
+        assert batch_compiles(Target) == 1
         entry(PIECES)
         batched_entry(Target(), "work")(PIECES)  # cached — no recompile
-        assert stats.batch_count(Target, "work") == 2 - 1
+        assert batch_compiles(Target) == 2 - 1
 
     def test_unweave_prunes_batch_plans_and_counters(self):
         """Regression: unweave must prune batch plans exactly like call
@@ -185,16 +192,16 @@ class TestBatchPlanInvalidation:
         weave(Target)
         batched_entry(Target(), "work")(PIECES)
         stats = default_weaver.plan_stats
-        assert stats.batch_count(Target, "work") == 1
+        assert batch_compiles(Target) == 1
         unweave(Target)
-        assert stats.batch_count(Target, "work") == 0
+        assert batch_compiles(Target) == 0
         assert not any(key[0] is Target for key in stats.by_shadow)
         assert not any(key[0] is Target for key in stats.batch_by_shadow)
         assert Target not in default_weaver._shadows
         # a fresh weave starts from a clean slate
         weave(Target)
         assert batched_entry(Target(), "work")(PIECES) == EXPECTED
-        assert stats.batch_count(Target, "work") == 1
+        assert batch_compiles(Target) == 1
 
 
 class TestMethodTableBatch:
@@ -219,11 +226,10 @@ class TestMethodTableBatch:
         weave(Target)
         table = MethodTable(Target)
         obj = Target()
-        stats = default_weaver.plan_stats
         assert table.invoke_batch(obj, "work", PIECES) == EXPECTED
         assert table.invoke_batch(obj, "work", PIECES) == EXPECTED
         # served from the version-keyed cache: one batch compile total
-        assert stats.batch_count(Target, "work") == 1
+        assert batch_compiles(Target) == 1
 
         class Shift(Aspect):
             @around("call(Target.work(..))")

@@ -114,11 +114,11 @@ def make_widget():
 
 
 #: proceeds per around -> exact calls per woven construction (CPython 3.11):
-#: the caller, ``__new__``, the joinpoint, the compiled around run and
-#: its continuation, the advice, each ``proceed`` with its construction
-#: tail, and the ``__init__`` calls type() makes.  Through the
-#: interpreter these read 33 and 63.
-CONSTRUCTIONS = {"one-around": (1, 17), "three-proceeds": (3, 31)}
+#: the caller, ``__new__``, the compiled runner, the joinpoint and its
+#: ``_enter``, the advice, each ``proceed`` with its construction, and
+#: the ``__init__`` calls type() makes.  Through the interpreter these
+#: read 33 and 63.
+CONSTRUCTIONS = {"one-around": (1, 16), "three-proceeds": (3, 30)}
 
 
 @pytest.mark.parametrize("shape", CONSTRUCTIONS)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.aop import Aspect, around, deploy, undeploy, unweave, weave
+from repro.aop.joinpoint import JoinPointKind
 from repro.aop.weaver import default_weaver
 
 
@@ -195,11 +196,11 @@ class TestReweaveWithAspects:
             Bare = make_counterless()
             weave(Bare)
             assert any(s.cls is Bare for s in deployment.matched)
-            assert stats.count(Bare, "ping") > 0
+            assert stats.by_shadow[(Bare, "ping", JoinPointKind.CALL)] > 0
             unweave(Bare)
             assert not any(s.cls is Bare for s in deployment.matched)
             # counters must not pin ephemeral classes either
-            assert stats.count(Bare, "ping") == 0
+            assert (Bare, "ping", JoinPointKind.CALL) not in stats.by_shadow
         undeploy(aspect)
 
     def test_shim_marked_after_unweave(self):

@@ -1,16 +1,20 @@
 """Advanced weaving behaviours: isolated weavers, pickling woven
 instances, shim semantics after unweave, wildcard class patterns,
-interactions between multiple aspects on construction."""
+interactions between multiple aspects on construction, and captured
+continuations replayed on another thread."""
 
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
+import threading
 
 import pytest
 
-from repro.aop import Aspect, around, deploy, undeploy, weave
+from repro.aop import Aspect, JoinPoint, around, deploy, undeploy, weave
 from repro.aop.weaver import Weaver, default_weaver
+from repro.errors import ProceedError
 
 
 class Picklee:
@@ -243,3 +247,143 @@ class TestConstructionInteractions:
         assert Widget().tagged
         undeploy(aspect)
         assert not Widget().tagged
+
+
+def make_work():
+    class Work:
+        def __init__(self):
+            self.runs = []
+
+        def run(self, x):
+            self.runs.append(x)
+            return x * 10
+
+    return Work
+
+
+def on_a_thread(fn):
+    """Start ``fn`` on a fresh thread and return the thread."""
+    thread = threading.Thread(target=fn)
+    thread.start()
+    return thread
+
+
+def joined(thread):
+    thread.join(5)
+    assert not thread.is_alive()
+
+
+class TestCapturedProceed:
+    def test_a_replayed_capture_leaves_no_joinpoint_behind(self):
+        """A capture replayed on another thread holds its joinpoint in
+        no reference cycle: with the collector off, every joinpoint of
+        the calls is freed when the call returns."""
+        Work = make_work()
+
+        class Defer(Aspect):
+            @around("call(Work.run(..))")
+            def defer(self, jp):
+                continuation = jp.capture_proceed()
+                out = []
+                joined(on_a_thread(lambda: out.append(continuation())))
+                return out[0]
+
+        weave(Work)
+        deploy(Defer())
+        work = Work()
+        payload = bytes(1024)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(50):
+                assert work.run(payload) == payload * 10
+            alive = sum(
+                1 for obj in gc.get_objects()
+                if isinstance(obj, JoinPoint) and obj.cls is Work
+            )
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive == 0
+        assert len(work.runs) == 50
+
+    def test_a_replay_leaves_the_capturing_view_alone(self):
+        """An outer advice that proceeds with substituted arguments into
+        a level that captures reads its own arguments after the replay
+        ran."""
+        Work = make_work()
+        proceeded = threading.Event()
+        replayed = threading.Event()
+        seen = {}
+
+        class Outer(Aspect):
+            precedence = 10
+
+            @around("call(Work.run(..))")
+            def outer(self, jp):
+                out = jp.proceed(2)
+                proceeded.set()
+                assert replayed.wait(5)
+                seen["outer args"] = jp.args
+                return out
+
+        class Capture(Aspect):
+            precedence = 1
+
+            @around("call(Work.run(..))")
+            def capture(self, jp):
+                continuation = jp.capture_proceed()
+
+                def later():
+                    assert proceeded.wait(5)
+                    seen["replay"] = continuation()
+                    replayed.set()
+
+                seen["thread"] = on_a_thread(later)
+                return "deferred"
+
+        weave(Work)
+        deploy(Outer())
+        deploy(Capture())
+        work = Work()
+        assert work.run(1) == "deferred"
+        joined(seen["thread"])
+        assert seen["replay"] == 20
+        assert work.runs == [2]
+        assert seen["outer args"] == (1,)
+
+    def test_proceed_after_a_deferred_replay_is_refused(self):
+        """After a deferred replay the replaying thread holds no live
+        run: its ``jp.proceed()`` raises instead of running the target
+        again."""
+        Work = make_work()
+        returned = threading.Event()
+        seen = {}
+
+        class Defer(Aspect):
+            @around("call(Work.run(..))")
+            def defer(self, jp):
+                continuation = jp.capture_proceed()
+
+                def later():
+                    assert returned.wait(5)
+                    seen["replay"] = continuation()
+                    try:
+                        jp.proceed()
+                        seen["second proceed"] = "ran"
+                    except ProceedError:
+                        seen["second proceed"] = "refused"
+
+                seen["thread"] = on_a_thread(later)
+                return "deferred"
+
+        weave(Work)
+        deploy(Defer())
+        work = Work()
+        assert work.run(3) == "deferred"
+        returned.set()
+        joined(seen["thread"])
+        assert seen["replay"] == 30
+        assert seen["second proceed"] == "refused"
+        assert work.runs == [3]

@@ -201,19 +201,12 @@ class TestBatchedPacking:
 
         counts = {"jp": 0, "batch": 0}
 
+        # the call plan allocates its joinpoint via __new__ (no __init__
+        # frame), so count allocations there
         class CountingJP(JoinPoint):
             __slots__ = ()
 
-            def __init__(self, *args, **kwargs):
-                counts["jp"] += 1
-                super().__init__(*args, **kwargs)
-
-        # the all-around plan allocates a _FusedJoinPoint via __new__
-        # (no __init__ frame), so count allocations there
-        class CountingFusedJP(plan_mod._FusedJoinPoint):
-            __slots__ = ()
-
-            def __new__(cls):
+            def __new__(cls, *args, **kwargs):
                 counts["jp"] += 1
                 return super().__new__(cls)
 
@@ -225,25 +218,16 @@ class TestBatchedPacking:
                 super().__init__(*args, **kwargs)
 
         Adder, comp, farm, packing = self.make_farm(factor=4, batch=True)
-        saved = (
-            plan_mod.JoinPoint,
-            plan_mod._FusedJoinPoint,
-            plan_mod.BatchJoinPoint,
-        )
+        saved = (plan_mod.JoinPoint, plan_mod.BatchJoinPoint)
         with use_backend(ThreadBackend()):
             with comp.deployed(default_weaver, targets=[Adder]):
                 adder = Adder()
                 plan_mod.JoinPoint = CountingJP
-                plan_mod._FusedJoinPoint = CountingFusedJP
                 plan_mod.BatchJoinPoint = CountingBatchJP
                 try:
                     result = adder.add(list(range(8)))
                 finally:
-                    (
-                        plan_mod.JoinPoint,
-                        plan_mod._FusedJoinPoint,
-                        plan_mod.BatchJoinPoint,
-                    ) = saved
+                    plan_mod.JoinPoint, plan_mod.BatchJoinPoint = saved
         assert result == [v + 1 for v in range(8)]
         # 8 items / factor 4 -> 2 packs -> 2 BatchJoinPoints, plus the
         # single JoinPoint of the client's own split call

@@ -305,7 +305,9 @@ def test_code_only_tests_used_is_gone():
     language is what the product uses, ``around`` only: the
     before/after kinds, their decorators, ``AdviceKind``, the
     joinpoint's result/exception slots and the segmented plan that
-    folded them went.  None of them is defined, imported, exported or
+    folded them went.  The joinpoint is the chain's one continuation:
+    the continuation objects, the per-thread proceed map, the fused
+    subclass and the plan stats' restating reads went.  None of them is defined, imported, exported or
     assigned in ``src/``."""
     gone = {
         "install_faults", "remove_faults", "use_faults", "current_faults",
@@ -335,6 +337,9 @@ def test_code_only_tests_used_is_gone():
         "AdviceKind", "_wrap_step", "_static_impl", "_compile_static_runner",
         "_static_kind", "DispatchContextOwner", "enter_ticket", "leave_ticket",
         "ParallelApp.admitted", "ParallelApp._plug",
+        "_AroundCont", "_CapturedCont", "_FusedJoinPoint", "_around_run",
+        "_original_tail", "_AROUND_CONT", "_CAPTURED_CONT",
+        "PlanStats.count", "PlanStats.batch_count", "PlanStats.snapshot",
     }
     assert _defined() & gone == set()
     assigned = {
@@ -348,7 +353,8 @@ def test_code_only_tests_used_is_gone():
     assert assigned & {
         "_tickets", "trace_log", "contexts", "dispatches", "forwards",
         "_forwards_lock", "guarded", "data_calls", "control_calls",
-        "compiles", "_submissions",
+        "compiles", "_submissions", "_proceed_map", "_tail",
+        "_AROUND_CONT", "_CAPTURED_CONT",
     } == set()
     assert "self.modules" not in (SRC / "api" / "app.py").read_text()
     assert {"result", "exception"} & set(JoinPoint.__slots__) == set()
