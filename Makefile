@@ -194,7 +194,7 @@ lint:
 ## count and fails above LOC_CEILING, the count of the last PR that
 ## moved it — a PR that grows src/ raises the ceiling in the same diff
 ## and says why in CHANGES.md, one that shrinks it lowers the ceiling.
-LOC_CEILING := 16366
+LOC_CEILING := 16369
 loc:
 	@count=$$(find src -name '*.py' | xargs cat | wc -l); echo $$count; \
 	if [ $$count -gt $(LOC_CEILING) ]; then \

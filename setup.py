@@ -21,4 +21,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
+    # the core is stdlib-only; the sample apps and the paper benchmarks
+    # compute on numpy arrays
+    extras_require={"apps": ["numpy"]},
 )

@@ -21,18 +21,19 @@ Two pitfalls handled here:
 * unpickling instances of *woven* classes must not re-trigger
   initialization advice — ``loads`` runs under the construction bypass;
 * numpy arrays get a fast path (``nbytes`` + header, ``copy()``) so the
-  benchmarks don't spend wall-clock time in pickle.
+  benchmarks don't spend wall-clock time in pickle — when the caller has
+  already imported numpy.  This module never imports it: the core is
+  stdlib-only, and a payload can only be an ndarray once numpy is loaded.
 """
 
 from __future__ import annotations
 
 import copy
 import pickle
+import sys
 import traceback
 from operator import attrgetter
 from typing import Any
-
-import numpy as np
 
 from repro.aop.cflow import bypassing_construction, flow_state
 from repro.errors import SerializationError
@@ -63,8 +64,6 @@ def measure_size(payload: Any) -> int:
 def _body_size(payload: Any) -> int:
     if payload is None:
         return 0
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
     if isinstance(payload, (bytes, bytearray)):
         return len(payload)
     if isinstance(payload, str):
@@ -77,6 +76,9 @@ def _body_size(payload: Any) -> int:
         return sum(
             _body_size(k) + _body_size(v) for k, v in payload.items()
         ) + 16 * len(payload)
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(payload, np.ndarray):
+        return int(payload.nbytes)
     try:
         return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
     except Exception as exc:  # noqa: BLE001
@@ -350,8 +352,6 @@ class Serializer:
     def _deep_copy(self, payload: Any) -> Any:
         if payload is None or isinstance(payload, (int, float, bool, str, bytes)):
             return payload
-        if isinstance(payload, np.ndarray):
-            return payload.copy()
         if isinstance(payload, tuple):
             return tuple(self._deep_copy(item) for item in payload)
         if isinstance(payload, list):
@@ -360,6 +360,9 @@ class Serializer:
             return {
                 self._deep_copy(k): self._deep_copy(v) for k, v in payload.items()
             }
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(payload, np.ndarray):
+            return payload.copy()
         # Arbitrary objects: value semantics via copy.  ``deepcopy`` (not a
         # pickle round-trip) so module-local classes work in-process; the
         # construction bypass keeps woven classes from re-running

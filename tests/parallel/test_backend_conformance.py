@@ -665,15 +665,37 @@ SIM_MAKESPAN = {
 }
 
 
+#: how long a piece that has slept waits for the rest to arrive: only a
+#: gather that awaits a piece before dispatching the next waits it out
+HOLD = 2.0
+
+
 class Sleepy:
     """Makespan target: every piece sleeps :data:`PIECE` on the
-    backend's clock and hands its values back."""
+    backend's clock and hands its values back.  The class gauges the
+    pieces in flight at once, and ``peak`` keeps the most it saw.  A
+    piece that has slept returns once the peak reaches ``hold_for`` (or
+    after :data:`HOLD`), so the count does not hinge on how soon the
+    threads start."""
+
+    gauge = threading.Condition()
+    in_flight = peak = hold_for = 0
 
     def __init__(self, size=4):
         self.size = size
 
     def step(self, values):
-        current_backend().sleep(PIECE)
+        with Sleepy.gauge:
+            Sleepy.in_flight += 1
+            Sleepy.peak = max(Sleepy.peak, Sleepy.in_flight)
+            Sleepy.gauge.notify_all()
+        try:
+            current_backend().sleep(PIECE)
+            with Sleepy.gauge:
+                Sleepy.gauge.wait_for(lambda: Sleepy.peak >= Sleepy.hold_for, HOLD)
+        finally:
+            with Sleepy.gauge:
+                Sleepy.in_flight -= 1
         return values
 
     def get_boundary(self, side):
@@ -697,8 +719,13 @@ def concatenate(results):
 def test_one_call_takes_one_piece_makespan(backend, strategy, leaves, retry):
     """Every piece of a call is dispatched before any is awaited — the
     retry-armed gather and divide-and-conquer's whole tree included —
-    so one call lasts one piece (the pipeline: its rounds)."""
+    so every piece is in flight at once (the pipeline: one per stage).
+    On sim one call then lasts exactly one piece (the pipeline: its
+    rounds).  The pipeline's first stage cannot hold its piece for the
+    next (that one waits on the stage), and sim has no wall clock to
+    hold on: those rows count without a hold."""
     start, payload = (), (list(range(1, leaves + 1)),)
+    at_once = 2 if strategy == "pipeline" else leaves
     fields = dict(target=Sleepy, work="step", strategy=strategy, backend=backend)
     if strategy == "heartbeat":
         start, payload = (4,), (1,)
@@ -719,6 +746,8 @@ def test_one_call_takes_one_piece_makespan(backend, strategy, leaves, retry):
         fields.update(middleware="mpp", cluster=paper_testbed(Simulator()))
     app = ParallelApp(StackSpec(retry=retry, **fields))
     timed = {}
+    Sleepy.peak = 0
+    Sleepy.hold_for = at_once if backend == "thread" and strategy != "pipeline" else 0
 
     def main():
         app.start(*start)
@@ -737,8 +766,7 @@ def test_one_call_takes_one_piece_makespan(backend, strategy, leaves, retry):
         if app.sim is not None:
             app.sim.shutdown()
     assert timed["result"] == expected
+    # a gather that awaited each piece before dispatching the next reads 1
+    assert Sleepy.peak == at_once
     if backend == "sim":
         assert timed["makespan"] == pytest.approx(SIM_MAKESPAN[strategy], abs=0.001)
-    else:  # one piece, not one per piece: 0.05 s against 0.2-0.8 s
-        rounds = 5 if strategy == "pipeline" else 1
-        assert timed["makespan"] < (rounds + 1) * PIECE

@@ -73,6 +73,20 @@ def test_lower_layers_do_not_import_the_skeletons():
     assert upward == []
 
 
+def test_the_core_does_not_import_numpy():
+    """The core is stdlib-only: numpy is the data type the sample apps
+    compute on, so only they (and the paper-benchmark harness that
+    drives them) import it, in any ``import`` or ``from`` form."""
+    importing = [
+        f"{path.relative_to(SRC).as_posix()} imports {module}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).parts[0] not in ("apps", "bench")
+        for module in _imports(path)
+        if module == "numpy" or module.startswith("numpy.")
+    ]
+    assert importing == []
+
+
 def test_the_skeletons_do_not_import_the_middlewares():
     """The pipeline shows its chain of stages to whoever hosts them, and
     learns how far a run went, through ``runtime.dispatch`` only: the

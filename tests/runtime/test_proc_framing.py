@@ -219,11 +219,24 @@ class TestLiveWorker:
             ref = middleware.export(Sleeper())
             worker = middleware.worker_of(ref)
             assert middleware.invoke(ref, "nap", (0.0, "warm")) == "warm"  # call 1
+            send, sent = worker.send, []
+
+            def send_then_expire(*args):
+                send(*args)
+                sent.append(args[0])
+
+            def stepped_clock():
+                # call 2's deadline passes once its request is written,
+                # never before: the worker always owes the stale reply
+                return time.monotonic() + (3600.0 if sent else 0.0)
+
+            monkeypatch.setattr(worker, "send", send_then_expire)
             ticket = DispatchContext(
-                "abandons-its-wait", deadline=Deadline(0.005, time.monotonic)
+                "abandons-its-wait", deadline=Deadline(1.0, stepped_clock)
             )
             with use_dispatch(ticket), pytest.raises(DeadlineExceeded):
                 middleware.invoke(ref, "nap", (0.05, "abandoned"))  # call 2
+            assert len(sent) == 1  # sent, then abandoned
             # bounded, so a reader that lost the kept reply fails, not hangs
             mine = DispatchContext(
                 "finds-both-replies", deadline=Deadline(5.0, time.monotonic)
