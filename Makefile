@@ -194,7 +194,7 @@ lint:
 ## count and fails above LOC_CEILING, the count of the last PR that
 ## moved it — a PR that grows src/ raises the ceiling in the same diff
 ## and says why in CHANGES.md, one that shrinks it lowers the ceiling.
-LOC_CEILING := 16369
+LOC_CEILING := 16359
 loc:
 	@count=$$(find src -name '*.py' | xargs cat | wc -l); echo $$count; \
 	if [ $$count -gt $(LOC_CEILING) ]; then \
@@ -214,6 +214,6 @@ loc:
 ## exceed UNREACHED_CEILING, which each PR that moves the count lowers
 ## (or raises, and says why in CHANGES.md).  Not tier-1: it runs the
 ## product paths (~45 s), not the tests.
-UNREACHED_CEILING := 1637
+UNREACHED_CEILING := 1624
 reach:
 	$(PY) tools/reach.py $(UNREACHED_CEILING)

@@ -133,6 +133,9 @@ class Aspect:
         ``partition > concurrency > distribution > optimisation``.
     ``parents``
         Iterable of :class:`ParentDeclaration` applied at deploy time.
+    ``applies_server_side``
+        ``False`` leaves this aspect's advice out of every serving plan
+        (calls made while a middleware executes a servant).
     named pointcuts
         Any class attribute whose value is a :class:`Pointcut` (from
         :func:`pointcut`) or :class:`AbstractPointcut`.
@@ -140,6 +143,7 @@ class Aspect:
 
     precedence: int = 0
     parents: Iterable[ParentDeclaration] = ()
+    applies_server_side: bool = True
 
     # populated by __init_subclass__
     _advice_decls: tuple[AdviceDecl, ...] = ()

@@ -10,7 +10,10 @@ Tracks, per thread (simulated processes are real threads, so
   only intercepts object creations in the core functionality");
 * the construction bypass — woven constructors take the raw path while
   it is up (``proceed`` of an initialization joinpoint, unmarshalling,
-  :func:`repro.aop.raw_construct`).
+  :func:`repro.aop.raw_construct`);
+* the serving depth — up while a middleware executes a servant
+  (:class:`server_dispatch`): every woven call made then runs its
+  shadow's *serving plan* (:mod:`repro.aop.plan`).
 
 Every attribute read on a ``threading.local`` pays a thread-dictionary
 lookup, which adds up on the woven hot path (the compiled dispatch plans
@@ -32,17 +35,20 @@ __all__ = [
     "entered_advice",
     "construction_bypass",
     "bypassing_construction",
+    "in_server_dispatch",
+    "server_dispatch",
 ]
 
 
 class _Flow:
     """Per-thread flow state; plain slots so field access is cheap."""
 
-    __slots__ = ("advice_depth", "construction_bypass")
+    __slots__ = ("advice_depth", "construction_bypass", "serving")
 
     def __init__(self) -> None:
         self.advice_depth: int = 0
         self.construction_bypass: int = 0
+        self.serving: int = 0
 
 
 class _FlowLocal(threading.local):
@@ -92,3 +98,22 @@ def bypassing_construction() -> Iterator[None]:
         yield
     finally:
         flow.construction_bypass -= 1
+
+
+def in_server_dispatch() -> bool:
+    """Is this activity executing a servant method on behalf of the
+    middleware?"""
+    return _LOCAL.flow.serving > 0
+
+
+class server_dispatch:
+    """``with`` block marking servant execution: woven calls run their
+    serving plans.  Plain bumps, no generator: one per request."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        _LOCAL.flow.serving += 1
+
+    def __exit__(self, *exc: object) -> None:
+        _LOCAL.flow.serving -= 1

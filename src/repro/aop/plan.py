@@ -1,9 +1,6 @@
 """Compiled dispatch plans.
 
-The weaver used to install one *generic* dispatcher per woven method:
-every call re-fetched the advice chain from an epoch-checked cache, then
-interpreted it.  This module replaces interpretation with **compilation**
-— per (shadow, deployment-state) the weaver asks :func:`compile_call_impl`
+Per (shadow, deployment state) the weaver asks :func:`compile_call_impl`
 for a closure specialised to exactly the advice that applies there.
 
 Every advice is ``around`` and every pointcut is decided once per shadow
@@ -20,6 +17,12 @@ interpreted tier.  :func:`compile_call_impl` picks one of two shapes:
    allocating one closure per level per call.  Plans are labelled
    ``single-around`` / ``all-around`` for :class:`PlanStats`.
 
+Every advised plan also carries its **serving plan**, the chain without
+the aspects whose ``applies_server_side`` is false: a call made while a
+middleware executes a servant (:class:`~repro.aop.cflow.server_dispatch`)
+runs it (paper Figure 13).  With no advice left it runs the innermost
+callable one advice level up, where the innermost ``proceed`` would.
+
 Construction (:func:`compile_ctor_runner`) and packs
 (:func:`compile_batch_impl`) run on the same joinpoint: the plan stores
 the advice functions and an innermost callable — the construction, or
@@ -29,18 +32,10 @@ call plan is that entry inlined into one frame.  A captured continuation
 (``jp.capture_proceed()``) replays through the same entry, on a copy of
 the joinpoint.  So there is one continuation and one level step.
 
-Invalidation rules: plans are recompiled only when the deployment state
-*at that shadow* changes — the weaver keeps a static shadow→deployment
-match index (built from :meth:`Pointcut.matches_shadow`) so deploying an
-aspect whose pointcuts can never match a shadow leaves that shadow's
-plan untouched.  One change is global: ``declare_parents`` (rewrites the
-subtype relation other deployments' ``Base+`` pointcuts match against,
-forcing a full re-index).  Unweaving a class prunes every per-class
-artifact: its shadows (and with them the cached batch plans), its
-:class:`PlanStats` counters (call *and* batch) and its entries in the
-deployments' match index.  :class:`PlanStats` counts compilations per
-shadow (with a per-kind histogram) and exposes a hook list so tests (and
-benchmarks) can assert exactly that.
+Which mutation recompiles or prunes what is the weaver's rule (see
+:mod:`repro.aop.weaver`): only the shadows a deployment can match.
+:class:`PlanStats` counts compilations per shadow and per plan kind,
+with a hook list so tests can assert exactly that.
 
 The same Plan abstraction is what the other layers consume:
 
@@ -54,8 +49,7 @@ The same Plan abstraction is what the other layers consume:
   and the advice chain per work item.  Because the compiled plan *is*
   the class attribute, the bound attribute is the whole artifact.
 * :func:`batched_entry` — the pack-granular sibling of the bound
-  attribute:
-  one compiled call dispatches a whole pack of pieces, running the
+  attribute: one compiled call dispatches a whole pack of pieces, running the
   advice chain **once per pack** around a :class:`BatchJoinPoint`
   (pack-level args, item count, merged piece view) instead of once per
   item.  Batch plans are compiled lazily per shadow, cached on the
@@ -72,6 +66,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.aop.advice import BoundAdvice
 from repro.aop.cflow import _LOCAL as _FLOW_LOCAL
+from repro.aop.cflow import entered_advice
 from repro.aop.joinpoint import JoinPoint, JoinPointKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -359,6 +354,15 @@ def _plan_kind(entries: tuple[BoundAdvice, ...]) -> str:
     return "single-around" if len(entries) == 1 else "all-around"
 
 
+def _chains(entries: tuple[BoundAdvice, ...]) -> tuple[tuple, tuple]:
+    """The advice functions of a chain and of its serving plan (the
+    advice of aspects that apply server side), outermost first."""
+    return (
+        tuple(entry.func for entry in entries),
+        tuple(entry.func for entry in entries if entry.aspect.applies_server_side),
+    )
+
+
 def _all_around_impl(
     cls: type,
     name: str,
@@ -373,14 +377,27 @@ def _all_around_impl(
     original, flattened into one frame with every per-call constant held
     in closure cells: the joinpoint is built with ``__new__`` and slot
     stores (no ``__init__`` frame), armed with one int store, and level
-    0 is entered by calling its advice function directly.
+    0 is entered by calling its advice function directly.  The flow
+    state it loads anyway says whether a servant is being served, and
+    so which of the two chains runs.
     """
-    funcs = tuple(entry.func for entry in entries)
-    n = len(funcs)
-    funcs0 = funcs[0]
+    funcs, served = _chains(entries)
+    n, sn = len(funcs), len(served)
 
     @functools.wraps(original)
     def impl(self_obj: Any, *args: Any, **kwargs: Any) -> Any:
+        flow = _FLOW_LOCAL.flow
+        depth = flow.advice_depth
+        if flow.serving:
+            if not sn:
+                flow.advice_depth = depth + 1
+                try:
+                    return original(self_obj, *args, **kwargs)
+                finally:
+                    flow.advice_depth = depth
+            chain, k = served, sn
+        else:
+            chain, k = funcs, n
         jp = JoinPoint.__new__(JoinPoint)
         jp.kind = _CALL
         jp.cls = cls
@@ -388,11 +405,9 @@ def _all_around_impl(
         jp.target = self_obj
         jp.args = args
         jp.kwargs = kwargs
-        flow = _FLOW_LOCAL.flow
-        depth = flow.advice_depth
         jp.from_advice = depth > 0
-        jp._funcs = funcs
-        jp._n = n
+        jp._funcs = chain
+        jp._n = k
         jp._orig = original
         jp._i = 0
         jp._aargs = args
@@ -400,7 +415,7 @@ def _all_around_impl(
         jp._armed_tid = get_ident()
         flow.advice_depth = depth + 1
         try:
-            return funcs0(jp)
+            return chain[0](jp)
         finally:
             flow.advice_depth = depth
             jp._armed_tid = -1
@@ -433,8 +448,7 @@ def compile_ctor_runner(shadow: Shadow) -> Callable | None:
     if not shadow.entries:
         return None
     cls = shadow.cls
-    funcs = tuple(entry.func for entry in shadow.entries)
-    n = len(funcs)
+    funcs, served = _chains(shadow.entries)
 
     def construct(_target: None, *args: Any, **kwargs: Any) -> Any:
         flow = _FLOW_LOCAL.flow
@@ -447,11 +461,15 @@ def compile_ctor_runner(shadow: Shadow) -> Callable | None:
             flow.construction_bypass -= 1
 
     def run(args: tuple, kwargs: dict) -> Any:
+        chain = served if _FLOW_LOCAL.flow.serving else funcs
+        if not chain:
+            with entered_advice():
+                return construct(None, *args, **kwargs)
         # never from advice: constructions inside advice take the raw
         # path, so jp.from_advice keeps its False default
         jp = JoinPoint(_INIT, cls, "__init__", None, args, kwargs)
-        jp._funcs = funcs
-        jp._n = n
+        jp._funcs = chain
+        jp._n = len(chain)
         jp._orig = construct
         return jp._enter(0, args, kwargs)
 
@@ -491,14 +509,18 @@ def compile_batch_impl(shadow: Shadow) -> Callable[[Any, Any], list]:
     if not entries:
         return _tag_batch(batch_core, "inert")
 
-    funcs = tuple(entry.func for entry in entries)
-    n = len(funcs)
+    funcs, served = _chains(entries)
 
     def advised_batch(self_obj: Any, pieces: Any) -> Any:
+        flow = _FLOW_LOCAL.flow
+        chain = served if flow.serving else funcs
+        if not chain:
+            with entered_advice():
+                return batch_core(self_obj, pieces)
         jp = BatchJoinPoint(cls, name, self_obj, tuple(pieces))
-        jp.from_advice = _FLOW_LOCAL.flow.advice_depth > 0
-        jp._funcs = funcs
-        jp._n = n
+        jp.from_advice = flow.advice_depth > 0
+        jp._funcs = chain
+        jp._n = len(chain)
         # jp.args is (pieces,), so a (possibly proceed-substituted) pack
         # reaches the core as its one argument
         jp._orig = batch_core

@@ -74,10 +74,11 @@ def perform_request(
     The shared server-side dispatch step of every transport — the
     simulated middlewares' per-request activities and the process
     backend's resident workers both call it: execution runs under the
-    ``server_dispatch`` marker so every parallelisation aspect steps
-    aside (crucial in a forked worker, which inherits the parent's woven
-    classes and deployed aspects), and method resolution goes through
-    the servant's compiled :class:`~repro.aop.plan.MethodTable`.  For
+    ``server_dispatch`` marker, so every woven call runs its serving
+    plan, without the parallelisation advice (crucial in a forked
+    worker, which inherits the parent's woven classes and deployed
+    aspects), and method resolution goes through the servant's compiled
+    :class:`~repro.aop.plan.MethodTable`.  For
     batched requests ``args`` holds the pack's piece views.
 
     An ``async def`` servant method hands back a coroutine here; the

@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 
 from repro.aop import Aspect
-from repro.middleware.context import STATE as PLACEMENT
 
 __all__ = ["Concern", "LAYER", "ParallelAspect"]
 
@@ -56,27 +55,15 @@ LAYER: dict[str, int] = {
 class ParallelAspect(Aspect):
     """Base class for parallelisation-concern aspects.
 
-    Provides the *server-side passthrough* rule: when a servant method
-    executes on behalf of the middleware, partition / concurrency /
-    distribution advice must not apply again (the server side of
-    Figure 13 runs the call locally).  Advice bodies call
-    :meth:`passthrough` first::
-
-        @around("stage_call")
-        def split(self, jp):
-            if self.passthrough(jp):
-                return jp.proceed()
-            ...
+    When a servant method executes on behalf of the middleware, partition
+    / concurrency / distribution advice must not apply again (the server
+    side of Figure 13 runs the call locally).  So these aspects do not
+    apply server side: the weaver leaves them out of each shadow's
+    serving plan, and an advice body never asks.
     """
 
     concern: Concern = Concern.OPTIMISATION
-    #: aspects that apply on the servant side set this to True
     applies_server_side: bool = False
-
-    def passthrough(self, jp) -> bool:
-        """Should this advice step aside for the current call?"""
-        # in_server_dispatch() inline: asked 30 times per pipelined submit
-        return not self.applies_server_side and PLACEMENT.dispatch_depth > 0
 
     def aspects(self) -> tuple[Aspect, ...]:
         """The aspects one module of this concern plugs: this one, and

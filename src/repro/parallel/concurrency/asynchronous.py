@@ -220,8 +220,6 @@ class AsyncInvocationAspect(ParallelAspect):
 
     @around("async_calls")
     def make_asynchronous(self, jp):
-        if self.passthrough(jp):
-            return jp.proceed()
         backend = current_backend()
         # read (and so clear) the mark whatever path answers the call
         carried = take_tail(jp.target)

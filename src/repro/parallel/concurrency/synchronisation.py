@@ -50,8 +50,6 @@ class SynchronisationAspect(ParallelAspect):
 
     @around("guarded_calls")
     def serialise(self, jp):
-        if self.passthrough(jp):
-            return jp.proceed()
         with self._lock_for(jp.target):
             return jp.proceed()
 

@@ -8,8 +8,9 @@ The distribution aspect intercepts *both sides* of a call:
   middleware offers a host group (``Middleware.hosts``) and this
   aspect's policy chooses a host out of it for each export;
 * at the server, the servant executes the call locally — our middlewares
-  flag servant execution (``in_server_dispatch``), which is what makes
-  every parallelisation aspect step aside there.
+  flag servant execution (``server_dispatch``), and a woven call made
+  then runs its serving plan, which leaves every parallelisation aspect
+  out.
 
 Concrete subclasses bind the middleware flavour (RMI, MPP, hybrid,
 process); the pattern — create-remote on ``new``, redirect on call,
@@ -121,8 +122,6 @@ class DistributionAspect(ParallelAspect):
         execution, so a farm of N workers pays one initialization
         joinpoint, not N.
         """
-        if self.passthrough(jp):
-            return jp.proceed()
         result = jp.proceed()  # local reference(s) the client will hold
         self._associate_all(result if ctor_pack_of(jp) is not None else [result])
         return result
@@ -167,8 +166,6 @@ class DistributionAspect(ParallelAspect):
     def redirect(self, jp):
         """Client-side call → middleware invocation (Fig 14 lines 18-23),
         including the RemoteException handler logic."""
-        if self.passthrough(jp):
-            return jp.proceed()
         entry = self._refs.get(id(jp.target))
         if entry is None or entry[0] is not jp.target:
             return jp.proceed()  # not a distributed object

@@ -87,8 +87,6 @@ class HybridDistributionAspect(DistributionAspect):
 
     @around("remote_calls")
     def redirect(self, jp):
-        if self.passthrough(jp):
-            return jp.proceed()
         entry = self._refs.get(id(jp.target))
         if entry is None or entry[0] is not jp.target:
             return jp.proceed()

@@ -93,8 +93,6 @@ class ObjectCacheAspect(ParallelAspect):
 
     @around("cached_calls")
     def memoise(self, jp):
-        if self.passthrough(jp):
-            return jp.proceed()
         pieces = getattr(jp, "pieces", None)
         if pieces is not None:
             return self._memoise_pack(jp, pieces)

@@ -53,7 +53,7 @@ class ReplicationAspect(ParallelAspect):
 
     @around("replicated_calls")
     def replicate(self, jp):
-        if self.passthrough(jp) or getattr(self._local, "racing", False):
+        if getattr(self._local, "racing", False):
             return jp.proceed()
         peers = [w for w in self.partition.instances if w is not jp.target]
         if not peers or self.replicas < 2:
@@ -177,11 +177,7 @@ class ReadReplicaAspect(ParallelAspect):
     @around("read_calls")
     def serve_read(self, jp):
         target = jp.target
-        if (
-            self.passthrough(jp)
-            or target is None
-            or not self.partition.is_managed(target)
-        ):
+        if target is None or not self.partition.is_managed(target):
             return jp.proceed()
         replica = self._replica_for(target)
         originals = getattr(type(target), "__aop_originals__", {})
@@ -201,8 +197,6 @@ class ReadReplicaAspect(ParallelAspect):
 
     @around("write_calls")
     def write_through(self, jp):
-        if self.passthrough(jp):
-            return jp.proceed()
         result = jp.proceed()
         self.invalidate(jp.target)
         return result

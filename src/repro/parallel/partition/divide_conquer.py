@@ -130,7 +130,7 @@ class DivideAndConquerAspect(PartitionAspect):
     @around("work")
     def conquer(self, jp):
         # the leaf calls this advice makes pass through
-        if self.passthrough(jp) or jp.from_advice:
+        if jp.from_advice:
             return jp.proceed()
         with dispatch_scope(f"divide-conquer.{jp.name}") as ctx:
             with PieceOutcomes(ctx, jp.name) as outcomes:

@@ -73,7 +73,7 @@ class DynamicFarmAspect(PartitionAspect):
 
     @around("creation")
     def duplicate(self, jp):
-        if self.passthrough(jp) or jp.from_advice:
+        if jp.from_advice:
             return jp.proceed()
         # one batched initialization joinpoint builds the whole worker set
         self.workers = self.build_duplicates(jp)
@@ -95,7 +95,7 @@ class DynamicFarmAspect(PartitionAspect):
 
     @around("work")
     def dispatch(self, jp):
-        if self.passthrough(jp) or getattr(self._internal, "active", False):
+        if getattr(self._internal, "active", False):
             return jp.proceed()
         if jp.from_advice or not self.workers:
             return jp.proceed()

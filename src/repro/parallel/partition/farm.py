@@ -72,7 +72,7 @@ class FarmAspect(PartitionAspect):
 
     @around("creation")
     def duplicate(self, jp):
-        if self.passthrough(jp) or jp.from_advice:
+        if jp.from_advice:
             return jp.proceed()
         # one batched initialization joinpoint builds the whole worker set
         self.workers = self.build_duplicates(jp)
@@ -82,7 +82,7 @@ class FarmAspect(PartitionAspect):
 
     @around("work")
     def split(self, jp):
-        if self.passthrough(jp) or jp.from_advice:
+        if jp.from_advice:
             return jp.proceed()
         if not self.workers:
             return jp.proceed()  # partition never saw a creation

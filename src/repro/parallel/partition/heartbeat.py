@@ -77,7 +77,7 @@ class HeartbeatAspect(PartitionAspect):
 
     @around("creation")
     def duplicate(self, jp):
-        if self.passthrough(jp) or jp.from_advice:
+        if jp.from_advice:
             return jp.proceed()
         # one batched initialization joinpoint builds the whole block set
         self.workers = self.build_duplicates(jp)
@@ -87,7 +87,7 @@ class HeartbeatAspect(PartitionAspect):
 
     @around("work")
     def beat(self, jp):
-        if self.passthrough(jp) or jp.from_advice:
+        if jp.from_advice:
             return jp.proceed()
         if not self.workers:
             return jp.proceed()

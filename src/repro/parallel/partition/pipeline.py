@@ -119,7 +119,7 @@ class PipelineSplitAspect(PartitionAspect):
 
     @around("creation")
     def duplicate(self, jp):
-        if self.passthrough(jp) or jp.from_advice:
+        if jp.from_advice:
             return jp.proceed()
         self.next.clear()
         # The paper's sketch creates filters in reverse order because each
@@ -144,10 +144,9 @@ class PipelineSplitAspect(PartitionAspect):
 
     @around("work")
     def split(self, jp):
-        # Core-functionality calls only: forwarded (advice-made) calls,
-        # retry re-feeds (per-thread flag) and servant-side execution
-        # pass through untouched.
-        if self.passthrough(jp) or getattr(self._internal, "active", False):
+        # Core-functionality calls only: forwarded (advice-made) calls
+        # and retry re-feeds (per-thread flag) pass through untouched.
+        if getattr(self._internal, "active", False):
             return jp.proceed()
         if jp.from_advice:
             return jp.proceed()
@@ -275,8 +274,6 @@ class PipelineForwardAspect(ParallelAspect):
 
     @around("work")
     def forward(self, jp):
-        if self.passthrough(jp):
-            return jp.proceed()
         co = self.coordinator
         key = id(jp.target)
         if key not in co.next:

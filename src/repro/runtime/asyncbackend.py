@@ -71,7 +71,7 @@ from repro.faults.schedule import fire_fault
 from repro.runtime.backend import _carries_awaitables, _close_awaitables
 from repro.runtime.dispatch import current_dispatch
 from repro.runtime.futures import Future
-from repro.runtime.threads import ThreadBackend
+from repro.runtime.threads import ThreadBackend, _ThreadEvent
 
 __all__ = ["AsyncioBackend", "AsyncioEvent"]
 
@@ -89,10 +89,12 @@ class _LoopHost:
         atexit.register(self.stop)
 
     def ensure(self) -> None:
-        """Start the loop thread if it is not running yet (idempotent;
-        safe to race from many submitters)."""
+        """Start the loop thread unless it runs (safe to race); once it
+        runs, one attribute test: only :meth:`stop` takes it away."""
+        if self._thread is not None:
+            return
         with self._lock:
-            if self._thread is None or not self._thread.is_alive():
+            if self._thread is None:
                 self._thread = threading.Thread(
                     target=self._run, name="repro.asyncio-loop", daemon=True
                 )
@@ -117,38 +119,29 @@ class _LoopHost:
 _HOST = _LoopHost()
 
 
-class AsyncioEvent:
-    """Dual-face event: the sync ``wait()``/``set()``/``is_set`` surface
-    every backend event exposes (submitter threads, collectors, the
-    admission table's ``block`` parking) plus an awaitable face
-    (:meth:`wait_async`) for coroutines running on the backend's loop.
+class AsyncioEvent(_ThreadEvent):
+    """Dual-face event: the thread backend's event (the sync surface
+    every backend event exposes) plus an awaitable face
+    (:meth:`wait_async`) for coroutines on the backend's loop.
 
-    The thread flag is the truth; the loop face is an
-    :class:`asyncio.Event` built by the first :meth:`wait_async` and
-    kept in step with the flag by a callback run *on* the loop.  So
-    ``set()``/``clear()`` are safe from any thread, and they call into
-    the loop only once some coroutine has awaited the event — a future
-    resolved for a thread costs no loop wakeup.
+    The flag is the truth, and each face is built by its first waiter:
+    the ``threading.Event`` by a thread that finds the flag down, the
+    :class:`asyncio.Event` by the first :meth:`wait_async`, kept in step
+    by a callback run *on* the loop.  An event set before anybody waits
+    builds neither face and calls into no loop.
     """
 
-    def __init__(self, host: _LoopHost, name: str = "event"):
-        self.name = name
-        self._host = host
-        self._thread_event = threading.Event()
-        self._async_event: asyncio.Event | None = None
-        self.value: Any = None
+    __slots__ = ("_host", "_async_event")
 
-    @property
-    def is_set(self) -> bool:
-        """Has the event been set (and not cleared since)?"""
-        return self._thread_event.is_set()
+    def __init__(self, host: _LoopHost, name: str = "event"):
+        super().__init__(name)
+        self._host = host
+        self._async_event: asyncio.Event | None = None
 
     def set(self, value: Any = None) -> None:
         """Set the event (first value wins), waking sync waiters and
         loop-side awaiters alike."""
-        if not self._thread_event.is_set():
-            self.value = value
-            self._thread_event.set()
+        super().set(value)
         # flag first, THEN look for the face: wait_async publishes the
         # face and then reads the flag, so one of the two sees the other
         if self._async_event is not None:
@@ -156,15 +149,9 @@ class AsyncioEvent:
 
     def clear(self) -> None:
         """Reset both faces of the event."""
-        self._thread_event.clear()
-        self.value = None
+        super().clear()
         if self._async_event is not None:
             self._host.loop.call_soon_threadsafe(self._mirror)
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block the calling *thread* until set (never call from a loop
-        task — that is what :meth:`wait_async` is for)."""
-        return self._thread_event.wait(timeout)
 
     async def wait_async(self) -> bool:
         """Await the event from a coroutine on the backend's loop —
@@ -178,11 +165,11 @@ class AsyncioEvent:
         return True
 
     def _mirror(self) -> None:
-        """Copy the thread flag onto the loop face (loop thread only).
+        """Copy the flag onto the loop face (loop thread only).
         Copying the flag, not a set/clear order, means racing callers
         cannot leave the face disagreeing with the flag: whichever
         mirror runs last reads the final flag."""
-        if self._thread_event.is_set():
+        if self._flag:
             self._async_event.set()
         else:
             self._async_event.clear()

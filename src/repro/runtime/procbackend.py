@@ -41,9 +41,10 @@ fail fast through their collectors.
 Forked children inherit the parent's *woven* classes and deployed
 aspects; the worker loop therefore executes every request under the
 ``server_dispatch`` marker (via
-:func:`~repro.middleware.base.perform_request`), which is what makes
-the inherited parallelisation advice step aside — the same contract the
-simulated middlewares' servant activities follow.
+:func:`~repro.middleware.base.perform_request`), so each woven call
+there runs its serving plan, which leaves the inherited parallelisation
+advice out — the same contract the simulated middlewares' servant
+activities follow.
 """
 
 from __future__ import annotations

@@ -86,8 +86,6 @@ class TestSimBatched:
         seen = []
 
         class Observe(Aspect):
-            applies_server_side = True
-
             @around("call(Calc.add(..))")
             def observe(self, jp):
                 seen.append(

@@ -665,6 +665,20 @@ SIM_MAKESPAN = {
 }
 
 
+#: activities one call spawns (``backend.spawned``): its submission, and
+#: one per piece but the one the splitting activity carries (farm; the
+#: pipeline, whose forwards ride each piece's activity), one per resident
+#: worker (dynamic farm, heartbeat: a fresh app starts its pool) or one
+#: per leaf (divide-and-conquer).  A spawn run inline reads fewer.
+SPAWNS_PER_CALL = {
+    "farm": lambda leaves: leaves,
+    "dynamic-farm": lambda leaves: leaves + 1,
+    "heartbeat": lambda leaves: leaves + 1,
+    "divide-conquer": lambda leaves: leaves + 1,
+    "pipeline": lambda leaves: leaves,
+}
+
+
 #: how long a piece that has slept waits for the rest to arrive: only a
 #: gather that awaits a piece before dispatching the next waits it out
 HOLD = 2.0
@@ -723,7 +737,8 @@ def test_one_call_takes_one_piece_makespan(backend, strategy, leaves, retry):
     On sim one call then lasts exactly one piece (the pipeline: its
     rounds).  The pipeline's first stage cannot hold its piece for the
     next (that one waits on the stage), and sim has no wall clock to
-    hold on: those rows count without a hold."""
+    hold on: those rows count without a hold.  Every row also counts
+    the activities the call spawned, exactly."""
     start, payload = (), (list(range(1, leaves + 1)),)
     at_once = 2 if strategy == "pipeline" else leaves
     fields = dict(target=Sleepy, work="step", strategy=strategy, backend=backend)
@@ -752,8 +767,10 @@ def test_one_call_takes_one_piece_makespan(backend, strategy, leaves, retry):
     def main():
         app.start(*start)
         began = app.backend.now()
+        spawned = app.backend.spawned
         timed["result"] = app.submit(*payload).result(timeout=20)
         timed["makespan"] = app.backend.now() - began
+        timed["spawned"] = app.backend.spawned - spawned
 
     try:
         with app:
@@ -768,5 +785,8 @@ def test_one_call_takes_one_piece_makespan(backend, strategy, leaves, retry):
     assert timed["result"] == expected
     # a gather that awaited each piece before dispatching the next reads 1
     assert Sleepy.peak == at_once
+    # the pipeline's stages overlap through its own forwarding, so its
+    # peak holds even with the per-call spawn run inline: the count does not
+    assert timed["spawned"] == SPAWNS_PER_CALL[strategy](leaves)
     if backend == "sim":
         assert timed["makespan"] == pytest.approx(SIM_MAKESPAN[strategy], abs=0.001)

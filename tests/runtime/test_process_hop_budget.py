@@ -17,7 +17,8 @@ as the end-to-end benchmark does, must land on the second.
 * ``os.read`` calls per frame received and ``os.write`` calls per frame
   sent on the worker pipes — one each: these frames are under 1 KB;
 * in the worker: no generator scope and no ``multiprocessing.connection``
-  frame per request served.
+  frame per request served; serving the word counter's woven stages, no
+  ``JoinPoint.proceed`` and a pinned count of Python calls per op.
 """
 
 from __future__ import annotations
@@ -33,10 +34,13 @@ from pathlib import Path
 
 import repro
 
+from repro.aop import raw_construct
+from repro.aop.joinpoint import JoinPoint
 from repro.api import ParallelApp
-from repro.apps.wordcount import wordcount_spec
+from repro.apps.wordcount import ALL_ROLES, TextPipeline, wordcount_spec
 from repro.middleware.serialize import (
     ExportEnvelope,
+    LinkEnvelope,
     RequestEnvelope,
     decode_envelope,
     encode_envelope,
@@ -52,20 +56,27 @@ from repro.runtime.threads import CARRIER_LIFETIME
 
 OPS = 100
 ROUND_TRIPS_PER_OP = 6  # 2 batches through 3 stages
-#: what the hop measures is 532 per op on CPython 3.11, the same on
-#: every run (535 while the split's ticket entered the partition's table
-#: through a generator scope, 545 while it entered three tables, 542
-#: before the forwarder asked whether a stage's successors may run
-#: ahead; the path before the hop's diet read 716 counted this way, with
-#: 14 generator scopes per op and every frame through
-#: multiprocessing.Connection)
-CALLS_PER_OP_CEILING = 547
+#: what the hop measures is 501 per op on CPython 3.11, 500.5-500.9
+#: over runs (532 while every parallelisation advice asked whether a
+#: servant was being served, 535 while the split's ticket entered the
+#: partition's table through a generator scope, 545 while it entered
+#: three tables, 542 before the forwarder asked whether a stage's
+#: successors may run ahead; the path before the hop's diet read 716
+#: counted this way, with 14 generator scopes per op and every frame
+#: through multiprocessing.Connection); the ceiling is 4 calls above it
+CALLS_PER_OP_CEILING = 505
 #: one run per batch: the request, then the reply with its hops
 COLOCATED_ROUND_TRIPS_PER_OP = 2
-#: measured 301 per op on CPython 3.11, the same on every run (305
-#: while the split's ticket entered the partition's table, 315 while it
-#: entered three tables); the ceiling is 14 calls above it
-COLOCATED_CALLS_PER_OP_CEILING = 315
+#: measured 290 per op on CPython 3.11, the same on every run (301
+#: while every parallelisation advice asked whether a servant was being
+#: served, 305 while the split's ticket entered the partition's table,
+#: 315 while it entered three tables); the ceiling is 3 calls above it
+COLOCATED_CALLS_PER_OP_CEILING = 293
+#: 5 % above what a worker measures serving the co-located word
+#: counter's woven stages: 124 per op on CPython 3.11 (214, with 30
+#: JoinPoint.proceed calls, while each stage call climbed five advice
+#: levels that only proceeded)
+WOVEN_WORKER_CALLS_PER_OP_CEILING = 130
 
 DOCUMENTS = [
     "the quick brown fox jumps over the lazy dog",
@@ -221,14 +232,71 @@ def test_worker_side_hop_budget(monkeypatch):
     """The serving loop of a resident worker, hosted on a thread so the
     same hooks can see it: per request served it builds no generator
     scope and runs no ``multiprocessing.connection`` frame."""
+    requests = [(1, "echo", ([n],), None) for n in range(3)]
+    counts = _serve_on_a_thread(monkeypatch, {1: Echo()}, {}, requests)
+    calls, proceeds, scopes, connection_calls = (n / 3 for n in counts)
+    print(
+        f"\nprocess hop budget, worker side, per request over {OPS}: "
+        f"python calls {calls:.0f}, "
+        f"generator scopes {scopes:.2f}, "
+        f"multiprocessing.connection frames {connection_calls:.2f}"
+    )
+    assert scopes == 0
+    assert connection_calls == 0
+
+
+def test_worker_side_woven_stages(monkeypatch):
+    """The co-located word counter as its worker serves it: the three
+    stages are woven and the parent's partition, concurrency, forward
+    and distribution advice is deployed (a forked worker inherits both),
+    but a stage called while serving runs its serving plan, which
+    leaves all of it out — no ``JoinPoint.proceed`` at all."""
+    monkeypatch.setattr(procbackend, "usable_cpus", lambda: 1)
+    spec = wordcount_spec(batches=2, backend="process")
+    with ParallelApp(spec) as app:
+        app.start()
+        app.submit(DOCUMENTS).result(timeout=10)
+        assert vars(TextPipeline)["process"].__aop_plan_kind__ == "all-around"
+        stages = {
+            1 + i: raw_construct(TextPipeline, (role,))
+            for i, role in enumerate(ALL_ROLES)
+        }
+        # one op: its two batches, each a run through the three stages
+        requests = [
+            (1, "process", piece.args, float("inf"))
+            for piece in spec.splitter.split((DOCUMENTS,), {})
+        ]
+        assert len(requests) == 2
+        calls, proceeds, _, _ = _serve_on_a_thread(
+            monkeypatch, stages, {1: 2, 2: 3}, requests
+        )
+    print(
+        f"\nprocess hop budget, worker side, woven co-located stages, per op "
+        f"over {OPS}: python calls {calls:.0f}, JoinPoint.proceed {proceeds:.2f}"
+    )
+    assert proceeds == 0
+    assert calls <= WOVEN_WORKER_CALLS_PER_OP_CEILING
+
+
+def _serve_on_a_thread(monkeypatch, servants, links, requests):
+    """Host a worker's serving loop on a thread, export ``servants`` (by
+    object id) and ``links`` into it, serve ``requests`` (``(object_id,
+    method, args, budget)``) ten times to warm it, then :data:`OPS`
+    more times under the hooks, each reply equal to its warm one.
+
+    Per pass over ``requests``: Python calls, ``JoinPoint.proceed``
+    calls, generator scopes and ``multiprocessing.connection`` frames,
+    all on the worker's thread."""
     parent_conn, child_conn = multiprocessing.Pipe()
     scopes_built: list = []
     connection_calls: list = []
-    calls = [0]
+    calls = [0, 0]
+    proceed = JoinPoint.proceed.__code__
 
     def profiler(frame, event, arg):
         if event == "call":
             calls[0] += 1
+            calls[1] += frame.f_code is proceed
             filename = frame.f_code.co_filename
             if filename.endswith(os.path.join("multiprocessing", "connection.py")):
                 connection_calls.append(frame.f_code.co_name)
@@ -241,6 +309,7 @@ def test_worker_side_hop_budget(monkeypatch):
         threading.setprofile(None)
     fd = parent_conn.fileno()
     reader = FrameReader(fd)
+    call_ids = iter(range(1, 1_000_000))
 
     def reply():
         frame = reader.take() if reader.pending else None
@@ -248,36 +317,42 @@ def test_worker_side_hop_budget(monkeypatch):
             frame = reader.read()
         return decode_envelope(frame)
 
-    try:
-        write_frame(fd, encode_envelope(ExportEnvelope(1, Echo(), "Echo")))
-        assert reply().outcome == "ok"
-        for call_id in range(1, 11):  # warm: the method table's plans
-            write_frame(
-                fd, encode_envelope(RequestEnvelope(call_id, 1, "echo", ([call_id],), {}))
-            )
-            assert reply().payload == [call_id]
-        _count_generator_scopes(monkeypatch, scopes_built)
-        calls[0] = 0
-        del connection_calls[:]
-        for call_id in range(11, 11 + OPS):
-            write_frame(
-                fd, encode_envelope(RequestEnvelope(call_id, 1, "echo", ([call_id],), {}))
-            )
+    def serve():
+        payloads = []
+        for object_id, method, args, budget in requests:
+            call_id = next(call_ids)
+            write_frame(fd, encode_envelope(RequestEnvelope(
+                call_id, object_id, method, args, {}, budget=budget
+            )))
             answer = reply()
-            assert (answer.call_id, answer.payload) == (call_id, [call_id])
-        served_calls = calls[0]
+            assert (answer.call_id, answer.outcome) == (call_id, "ok")
+            payloads.append(answer.payload)
+        return payloads
+
+    try:
+        for object_id, servant in servants.items():
+            write_frame(fd, encode_envelope(ExportEnvelope(object_id, servant)))
+            assert reply().outcome == "ok"
+        for object_id, next_id in links.items():
+            write_frame(fd, encode_envelope(LinkEnvelope(object_id, next_id)))
+            assert reply().outcome == "ok"
+        for _ in range(10):  # warm: the method table's plans
+            expected = serve()
+        _count_generator_scopes(monkeypatch, scopes_built)
+        calls[:] = [0, 0]
+        del connection_calls[:]
+        for _ in range(OPS):
+            assert serve() == expected
+        counts = list(calls)
     finally:
         write_frame(fd, STOP_FRAME)
         worker.join(timeout=10)
         parent_conn.close()
         child_conn.close()
     assert not worker.is_alive()
-
-    print(
-        f"\nprocess hop budget, worker side, per request over {OPS}: "
-        f"python calls {served_calls / OPS:.0f}, "
-        f"generator scopes {scopes_built.count(worker.ident) / OPS:.2f}, "
-        f"multiprocessing.connection frames {len(connection_calls) / OPS:.2f}"
+    return (
+        counts[0] / OPS,
+        counts[1] / OPS,
+        scopes_built.count(worker.ident) / OPS,
+        len(connection_calls) / OPS,
     )
-    assert scopes_built.count(worker.ident) == 0
-    assert connection_calls == []
