@@ -33,6 +33,7 @@ API itself.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from repro.aop.plan import batched_entry
@@ -261,13 +262,14 @@ class ParallelApp:
         detach: bool = False,
     ) -> None:
         """Run one admitted unit asynchronously in context: a spawned
-        activity inside a live execution, a driven simulation run from
-        outside."""
-        body = self._contextualise(
-            lambda: self._run_admitted(ticket, futures, produce, packed, detach)
-        )
+        activity inside a live execution (the backend's spawn runs it
+        under the backend), a driven simulation run from outside."""
+        body = partial(self._run_admitted, ticket, futures, produce, packed, detach)
+        outside = self._outside_simulation()
+        if outside or self.spec.cluster is not None:
+            body = self._contextualise(body)
         try:
-            if self._outside_simulation():
+            if outside:
                 self.sim.spawn(body, name=name)
                 self.sim.run()
             else:
@@ -377,15 +379,14 @@ class ParallelApp:
         # acquire before dispatching: this is where backpressure (block),
         # rejection (fail) and shedding happen — in the submitter
         ticket = self._admit(f"submit.{method}", timeout)
-        future = Future(
-            name=f"submit.{method}.{ticket.context_id}", backend=self.backend
-        )
+        name = f"submit.{method}.{ticket.context_id}"
+        future = Future(name=name, backend=self.backend)
         future.admission = ticket  # type: ignore[attr-defined]
         self._dispatch(
             ticket,
             [future],
             lambda: getattr(instance, method)(*args, **kwargs),
-            future.name,
+            name,
             # oneway on the loop: no transport drops the reply, so the
             # backend detaches the outcome itself — a fire-and-forget task
             detach=oneway and self.backend.servant_host == "loop",

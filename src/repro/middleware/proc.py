@@ -343,7 +343,8 @@ class ProcMiddleware(Middleware):
         # fails the call before the send; delay_reply stalls the round
         # trip; drop_reply completes the call in the worker but discards
         # the matched reply on the way back.
-        event = fire_fault("proc", worker.index, context)
+        faults = context is not None and context.faults is not None
+        event = fire_fault("proc", worker.index, context) if faults else None
         if event is not None:
             if event.kind == "kill_worker":
                 worker.kill()

@@ -234,11 +234,11 @@ class AsyncInvocationAspect(ParallelAspect):
             try:
                 outcome = jp.proceed()
             except Exception as exc:  # noqa: BLE001 - delivered via future
-                failed = Future(name=f"async.{jp.signature}", backend=backend)
+                failed = Future(name=jp, backend=backend)
                 failed.set_exception(exc)
                 return failed
-            return backend.bridge(outcome, name=f"async.{jp.signature}")
-        future = Future(name=f"async.{jp.signature}", backend=backend)
+            return backend.bridge(outcome, name=jp)
+        future = Future(name=jp, backend=backend)
         continuation = jp.proceed if carried else jp.capture_proceed()
 
         def call() -> None:

@@ -37,7 +37,7 @@ from repro.errors import AdviceError, InjectedFault, ReplyDropped, WorkerKilled
 from repro.faults.schedule import fire_fault
 from repro.parallel.concern import LAYER, Concern, ParallelAspect
 from repro.runtime.backend import _close_awaitables, current_backend, resolve
-from repro.runtime.dispatch import carry, use_piece
+from repro.runtime.dispatch import AMBIENT, carry
 from repro.runtime.futures import Future
 from repro.runtime.ticket import DispatchContext, ResultCollector
 
@@ -108,22 +108,20 @@ def dispatch_piece(
     applies to the remaining pieces); packs go through the compiled
     batched entry — one advice pass for the whole pack.
 
-    This is the ``"dispatch"`` fault-injection site: the
-    :class:`~repro.faults.FaultSchedule` the call's ticket ``ctx``
-    carries (the deployment's) is consulted once per piece (keyed by
-    ``worker_index`` when the strategy routes to a known worker).
-    ``raise_in_piece``/``kill_worker`` fail the piece before
-    the call, ``delay_reply`` stalls it, and ``drop_reply`` runs the
-    call but discards its outcome — so recovery needs keyed deposits to
-    stay exactly-once.  The piece is made ambient for the duration of
-    the call (:func:`~repro.runtime.dispatch.current_piece`), which is
-    how forwarding advice hops away attributes tail results to it.
+    The ``"dispatch"`` fault site: the schedule the ticket ``ctx``
+    carries, if any, is consulted once per piece (keyed by
+    ``worker_index``).  ``raise_in_piece``/``kill_worker`` fail the
+    piece before the call, ``delay_reply`` stalls it, ``drop_reply``
+    discards its outcome (recovery needs keyed deposits).  The piece is
+    ambient during the call (:func:`~repro.runtime.dispatch.current_piece`):
+    forwarding advice hops away attributes tail results to it.
 
     ``carried``: the splitter's last piece — the entry call is made as
     the calling activity's tail (:func:`~repro.runtime.dispatch.carry`),
     so a concurrency aspect runs it here instead of spawning.
     """
-    event = fire_fault("dispatch", worker_index, ctx)
+    faults = ctx is not None and ctx.faults is not None
+    event = fire_fault("dispatch", worker_index, ctx) if faults else None
     if event is not None:
         where = f"worker {worker_index}" if worker_index is not None else "dispatch"
         if event.kind == "raise_in_piece":
@@ -137,12 +135,16 @@ def dispatch_piece(
         if event.kind == "delay_reply":
             current_backend().sleep(event.delay)
     items = getattr(piece, "items", None)
-    with use_piece(piece):
+    pieces = AMBIENT.pieces  # the piece is ambient for the call
+    pieces.append(piece)
+    try:
         if items is not None:
             enter = partial(batched_entry(target, name), items)
         else:
             enter = partial(getattr(target, name), *piece.args, **piece.kwargs)
         outcome = carry(target, enter) if carried else enter()
+    finally:
+        pieces.pop()
     if event is not None and event.kind == "drop_reply":
         raise ReplyDropped(
             f"injected reply drop for piece #{piece.index} ({where})"

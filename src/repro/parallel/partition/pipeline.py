@@ -308,7 +308,8 @@ class PipelineForwardAspect(ParallelAspect):
                     hops, view = run
                     for _ in range(hops):
                         nxt = co.next[id(nxt)]
-                    self._forwarded(ctx, hops, remote=True)
+                    if ctx is not None:
+                        ctx.mark("forward", hops, remote=True)
             # mid-forward deadline boundary: a deadline that ran out
             # while this stage processed unwinds HERE — the ticket is
             # expired (latching DeadlineExceeded with its trace into the
@@ -325,7 +326,8 @@ class PipelineForwardAspect(ParallelAspect):
                     jp.name, view[0] if view else jp.args[0], result, nxt, ctx
                 )
             if nxt is not None:
-                self._forwarded(ctx, 1)
+                if ctx is not None:
+                    ctx.mark("forward", 1)
                 args, kwargs = co.splitter.forward_args(
                     result, *(view or (jp.args, jp.kwargs))
                 )
@@ -347,16 +349,6 @@ class PipelineForwardAspect(ParallelAspect):
                 # the collector's retry plane when one is armed
                 ctx.fail(exc, piece=current_piece())
             raise
-
-    def _forwarded(self, ctx: Any, hops: int, remote: bool = False) -> None:
-        """Account ``hops`` forwards to the ticket — ``remote``: taken
-        servant-side, each into a stage run for it."""
-        if ctx is not None:
-            ctx.advance(hops)
-            for _ in range(hops):
-                ctx.mark("forward")
-                if remote:
-                    ctx.attribute_remote()
 
     @staticmethod
     def _hand_on(nxt: Any, call: Callable[[], Any], ctx: Any) -> Any:
@@ -391,7 +383,8 @@ class PipelineForwardAspect(ParallelAspect):
         called with."""
         co = self.coordinator
         if nxt is not None:
-            self._forwarded(ctx, 1)
+            if ctx is not None:
+                ctx.mark("forward", 1)
             items = []
             # the pack at this advice level — an outer around may have
             # substituted it via proceed(new_pieces)

@@ -46,9 +46,8 @@ that no coroutine awaits is none.
   stays free), ``drop_reply`` discards an outcome that was actually
   computed.
 
-One loop, owned by the backend, runs in a dedicated daemon thread
-(started lazily, shared process-wide) so the synchronous submission API
-keeps working unchanged.
+One loop runs in a daemon thread (started lazily, shared process-wide),
+so the synchronous submission API works unchanged.
 """
 
 from __future__ import annotations
@@ -56,12 +55,15 @@ from __future__ import annotations
 import asyncio
 import atexit
 import inspect
+import os
 import threading
+import time
 from concurrent.futures import CancelledError
 from typing import Any, Awaitable
 
 from repro.api.registry import register_backend
 from repro.errors import (
+    BackendError,
     DeadlineExceeded,
     InjectedFault,
     ReplyDropped,
@@ -80,12 +82,15 @@ class _LoopHost:
     """One long-lived event loop in a daemon thread, shared by every
     :class:`AsyncioBackend` instance (apps are cheap to build; loop
     threads are not — a singleton keeps "construct an app per test"
-    from leaking a thread per construction)."""
+    from leaking a thread per construction).  A forked child's copy
+    has no thread, and a loop it may neither run nor close (its epoll
+    instance and self-pipe are the parent's): its bridges raise."""
 
     def __init__(self) -> None:
         self.loop = asyncio.new_event_loop()
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
+        self._inherited = False  # a forked child's copy
         atexit.register(self.stop)
 
     def ensure(self) -> None:
@@ -94,6 +99,9 @@ class _LoopHost:
         if self._thread is not None:
             return
         with self._lock:
+            if self._inherited:
+                msg = "a forked child cannot run async servants on its parent's loop"
+                raise BackendError(msg)
             if self._thread is None:
                 self._thread = threading.Thread(
                     target=self._run, name="repro.asyncio-loop", daemon=True
@@ -114,9 +122,13 @@ class _LoopHost:
             self.loop.call_soon_threadsafe(self.loop.stop)
             thread.join(timeout=1.0)
 
+    def _forget(self) -> None:  # in a forked child
+        self._thread, self._lock, self._inherited = None, threading.Lock(), True
+
 
 #: the process-wide loop host every AsyncioBackend shares
 _HOST = _LoopHost()
+os.register_at_fork(after_in_child=_HOST._forget)
 
 
 class AsyncioEvent(_ThreadEvent):
@@ -124,11 +136,10 @@ class AsyncioEvent(_ThreadEvent):
     every backend event exposes) plus an awaitable face
     (:meth:`wait_async`) for coroutines on the backend's loop.
 
-    The flag is the truth, and each face is built by its first waiter:
-    the ``threading.Event`` by a thread that finds the flag down, the
-    :class:`asyncio.Event` by the first :meth:`wait_async`, kept in step
-    by a callback run *on* the loop.  An event set before anybody waits
-    builds neither face and calls into no loop.
+    The flag is the truth.  A thread that finds it down parks on a lock
+    of its own (the thread backend's latch); the :class:`asyncio.Event`
+    is built by the first :meth:`wait_async`, kept in step by a callback
+    run *on* the loop.  An event nobody awaits calls into no loop.
     """
 
     __slots__ = ("_host", "_async_event")
@@ -215,11 +226,10 @@ class AsyncioBackend(ThreadBackend):
         thread once any coroutine has been bridged)."""
         return self._host.loop
 
-    def now(self) -> float:
-        """The loop clock — ticket deadlines measured here translate
-        exactly into ``asyncio.wait_for`` timeouts, which is what lets
-        an expiry cancel a task mid-await."""
-        return self._host.loop.time()
+    #: the loop clock (the host's selector loop's ``time()`` is
+    #: ``time.monotonic``): ticket deadlines translate exactly into
+    #: ``asyncio.wait_for`` timeouts, so an expiry cancels mid-await
+    now = staticmethod(time.monotonic)
 
     def make_event(self, name: str = "event") -> AsyncioEvent:
         """A dual-face :class:`AsyncioEvent` (sync wait + loop await)."""
@@ -227,7 +237,7 @@ class AsyncioBackend(ThreadBackend):
 
     # -- coroutine bridging -------------------------------------------------
 
-    def bridge(self, outcome: Any, name: str = "asyncio.task") -> Future:
+    def bridge(self, outcome: Any, name: Any = "asyncio.task") -> Future:
         """Adopt one dispatch outcome as this backend's activity.
 
         A coroutine (or a batched-entry list containing coroutines)
@@ -245,7 +255,11 @@ class AsyncioBackend(ThreadBackend):
             future.set_result(outcome)
             return future
         ticket = current_dispatch()
-        self._host.ensure()
+        try:
+            self._host.ensure()
+        except BackendError:
+            _close_awaitables(outcome)  # nothing will ever await them
+            raise
         loop = self._host.loop
 
         def start() -> None:
@@ -313,7 +327,8 @@ class AsyncioBackend(ThreadBackend):
         self.live_tasks += 1
         self.peak_tasks = max(self.peak_tasks, self.live_tasks)
         try:
-            event = fire_fault("loop", None, ticket)
+            faults = ticket is not None and ticket.faults is not None
+            event = fire_fault("loop", None, ticket) if faults else None
             if event is not None:
                 if event.kind in ("raise_in_piece", "kill_worker"):
                     # failing before the await: close the unconsumed

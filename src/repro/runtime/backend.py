@@ -21,9 +21,10 @@ threads, so this is correct in both modes) with a global default of
 from __future__ import annotations
 
 import abc
-import inspect
 import threading
 import time
+from inspect import isawaitable
+from types import GeneratorType
 from typing import Any, Callable
 
 from repro.errors import BackendError
@@ -77,18 +78,12 @@ class ExecutionBackend(abc.ABC):
 
         Template method: the caller's ambient dispatch ticket
         (:mod:`repro.runtime.dispatch`) is captured HERE, once, so every
-        backend — including third-party ones registered via
-        ``register_backend`` — propagates per-call collector routing
-        into the spawned activity by construction.  Backends implement
-        :meth:`_spawn`; thunks marked with
-        :func:`~repro.runtime.dispatch.shield_dispatch` (long-lived
-        workers) pass through uncaptured.
-
-        The spawned activity also runs with THIS backend as its ambient
-        one (:func:`use_backend`): work a backend spawns belongs to that
-        backend, so resolution points deep inside worker activities
-        (e.g. awaiting an async servant's coroutine) reach the backend
-        that owns the loop instead of the process-wide default.
+        backend, registered ones included, carries per-call routing into
+        the spawned activity (backends implement :meth:`_spawn`; thunks
+        marked :func:`~repro.runtime.dispatch.shield_dispatch` pass
+        uncaptured).  The activity runs with THIS backend as its ambient
+        one, so work a backend spawns (e.g. awaiting an async servant's
+        coroutine) reaches the backend that owns it, not the default.
         """
         bound = bind_dispatch(fn)
 
@@ -120,15 +115,10 @@ class ExecutionBackend(abc.ABC):
     def make_queue(self, name: str = "queue") -> Any:
         """A FIFO with blocking ``get()`` and ``put(item)``."""
 
-    def now(self) -> float:
-        """This backend's monotonic clock, in seconds.
-
-        Deadlines and tracing spans are measured against the clock of
-        the backend the call runs on: wall time for real threads, the
-        simulator's virtual time for simulated processes — so a
-        ``timeout=`` means the same thing in both execution modes.
-        """
-        return time.monotonic()
+    #: This backend's monotonic clock in seconds (one C call here): the
+    #: deadlines and spans of a call use its backend's clock, wall or
+    #: virtual time, so a ``timeout=`` means the same on both.
+    now = staticmethod(time.monotonic)
 
     def sleep(self, seconds: float) -> None:
         """Pause the calling activity for ``seconds`` on :meth:`now`'s
@@ -180,15 +170,17 @@ def _carries_awaitables(outcome: Any) -> bool:
     some?  The one such test: every resolution site imports it, so the
     result of every piece of every call passes through.  Plain builtin
     values, and lists of them, are told by their exact type; only what
-    is left is asked ``inspect.isawaitable`` (three ABC checks a value)."""
+    ``await`` could take (a type with ``__await__``, a generator) is
+    asked ``isawaitable`` (three ABC checks a value)."""
     kind = type(outcome)
     if kind in _PLAIN:
         if kind is not list or _PLAIN.issuperset(map(type, outcome)):
             return False
-    elif inspect.isawaitable(outcome):
+    elif (kind is GeneratorType or hasattr(kind, "__await__")) and isawaitable(outcome):
         return True
     return isinstance(outcome, list) and any(
-        inspect.isawaitable(item) for item in outcome
+        isawaitable(item) for item in outcome
+        if type(item) is GeneratorType or hasattr(type(item), "__await__")
     )
 
 

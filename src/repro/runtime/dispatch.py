@@ -55,6 +55,7 @@ import threading
 from typing import Any, Callable
 
 __all__ = [
+    "AMBIENT",
     "Ambient",
     "current_dispatch",
     "use_dispatch",
@@ -62,7 +63,6 @@ __all__ = [
     "bind_dispatch",
     "shield_dispatch",
     "current_piece",
-    "use_piece",
     "ride",
     "leave_hop",
     "carry",
@@ -92,7 +92,8 @@ class _DispatchState(threading.local):
         self.run: Any = None
 
 
-_STATE = _DispatchState()
+#: the calling thread's ambient stacks and marks (hot paths push inline)
+AMBIENT = _DispatchState()
 _IDS = itertools.count(1)
 
 
@@ -103,7 +104,7 @@ def next_dispatch_id() -> int:
 
 def current_dispatch() -> Any | None:
     """The innermost ambient ticket for this activity, or ``None``."""
-    stack = _STATE.stack
+    stack = AMBIENT.stack
     return stack[-1] if stack else None
 
 
@@ -134,7 +135,7 @@ def use_dispatch(ticket: Any | None) -> Ambient:
     """Make ``ticket`` the ambient dispatch for this activity within the
     block.  ``None`` is a no-op (so call sites can pass through an
     absent ticket unconditionally)."""
-    return Ambient(_STATE.stack, ticket)
+    return Ambient(AMBIENT.stack, ticket)
 
 
 def current_piece() -> Any | None:
@@ -145,14 +146,8 @@ def current_piece() -> Any | None:
     pipeline's forwarding advice, running hops and threads away from the
     split, can still tell WHICH head piece a tail result belongs to
     (keyed deposits, the dedup retry/re-dispatch needs)."""
-    pieces = _STATE.pieces
+    pieces = AMBIENT.pieces
     return pieces[-1] if pieces else None
-
-
-def use_piece(piece: Any | None) -> Ambient:
-    """Make ``piece`` the ambient in-flight piece for the block
-    (``None`` is a no-op pass-through, like :func:`use_dispatch`)."""
-    return Ambient(_STATE.pieces, piece)
 
 
 def ride(call: Callable[[], Any]) -> None:
@@ -164,7 +159,7 @@ def ride(call: Callable[[], Any]) -> None:
     stack is as deep at stage 200 as at stage 1.  A hop is run marked as
     this activity's tail call (:func:`take_tail`); run as one, ``call``
     is just called — the body under way makes the next hop too."""
-    state = _STATE
+    state = AMBIENT
     outer = state.journey
     ticket = current_dispatch()
     if outer is not None and outer[0] is ticket:
@@ -188,7 +183,7 @@ def leave_hop(hop: Callable[[], Any], target: Any) -> bool:
     takes hops of the ticket it was started under only — a call nested
     inside a stage waits for its own pieces, which must not queue behind
     it."""
-    journey = _STATE.journey
+    journey = AMBIENT.journey
     if journey is None or journey[0] is not current_dispatch():
         return False
     journey[1], journey[2] = hop, target
@@ -199,7 +194,7 @@ def carry(target: Any, enter: Callable[[], Any]) -> Any:
     """Splitters only: make ``enter`` — the call into a woven entry
     point of ``target`` — as the tail of the calling activity, which
     carries the piece instead of waiting for an activity spawned for it."""
-    state = _STATE
+    state = AMBIENT
     state.tail = target
     try:
         return enter()
@@ -212,7 +207,7 @@ def take_tail(target: Any) -> bool:
     of the running activity (one-shot: reading the mark clears it)?
     Calls other advice makes — divide & conquer, heartbeat, dynamic
     farm — and calls a servant makes are never marked and spawn."""
-    state = _STATE
+    state = AMBIENT
     marked, state.tail = state.tail, None
     return marked is not None and marked is target
 
@@ -222,7 +217,7 @@ def publish_chain(build: Callable[[], list], forward_args: Any) -> list:
     instances are the stages in pipeline order, as one a distribution
     layer may recognise (:func:`chain_built`).  ``forward_args`` is the
     splitter's hook, ``None`` for the default."""
-    state = _STATE
+    state = AMBIENT
     state.chain = (forward_args,)
     try:
         return build()
@@ -233,7 +228,7 @@ def publish_chain(build: Callable[[], list], forward_args: Any) -> list:
 def chain_built() -> tuple | None:
     """Distribution aspects: ``(forward_args,)`` when the batched
     construction under way is a pipeline's chain of stages, else ``None``."""
-    return _STATE.chain
+    return AMBIENT.chain
 
 
 def run_ahead(enter: Callable[[], Any]) -> tuple[Any, Any]:
@@ -241,7 +236,7 @@ def run_ahead(enter: Callable[[], Any]) -> tuple[Any, Any]:
     that has a successor — marked as one whose successors may run ahead.
     Returns ``(result, run)``; ``run`` is ``None`` when that stage alone
     ran, else what :func:`leave_run` left."""
-    state = _STATE
+    state = AMBIENT
     state.run = True
     try:
         result = enter()
@@ -254,7 +249,7 @@ def run_ahead(enter: Callable[[], Any]) -> tuple[Any, Any]:
 def take_run() -> bool:
     """Middlewares: was this invocation marked by :func:`run_ahead`?
     One-shot: a second invocation under the same stage call is bare."""
-    state = _STATE
+    state = AMBIENT
     marked, state.run = state.run is True, None
     return marked
 
@@ -264,7 +259,7 @@ def leave_run(hops: int, view: Any) -> None:
     further stages; its result is the last one's, and ``view`` what that
     stage was called with where the forwarder needs it (a custom
     ``forward_args``)."""
-    _STATE.run = (hops, view)
+    AMBIENT.run = (hops, view)
 
 
 def bind_dispatch(fn: Callable[[], Any]) -> Callable[[], Any]:
@@ -286,8 +281,8 @@ def bind_dispatch(fn: Callable[[], Any]) -> Callable[[], Any]:
         return fn
 
     def bound() -> Any:
-        # use_dispatch + use_piece, inline: once per spawned activity
-        state = _STATE
+        # use_dispatch + the piece's push, inline: once per activity
+        state = AMBIENT
         if ticket is not None:
             state.stack.append(ticket)
         if piece is not None:

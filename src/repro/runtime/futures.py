@@ -21,25 +21,30 @@ _PENDING = object()
 
 
 class Future:
-    """Single-assignment result holder with blocking read."""
+    """Single-assignment result holder with blocking read; ``name`` is a
+    string, or the joinpoint a piece future answers (named when read)."""
 
-    def __init__(self, name: str = "future", backend: Any = None):
-        self.name = name
+    def __init__(self, name: Any = "future", backend: Any = None):
+        self._name = name
         self._backend = backend if backend is not None else current_backend()
-        self._event = self._backend.make_event(name=f"{name}.ready")
+        self._event = self._backend.make_event(name if type(name) is str else "async")
         self._value: Any = _PENDING
         self._exception: BaseException | None = None
+
+    @property
+    def name(self) -> str:
+        return self._name if type(self._name) is str else f"async.{self._name.signature}"
 
     # -- producer side -----------------------------------------------------
 
     def set_result(self, value: Any) -> None:
-        if self.resolved:
+        if self._value is not _PENDING or self._exception is not None:
             raise FutureError(f"future {self.name} already resolved")
         self._value = value
         self._event.set()
 
     def set_exception(self, exc: BaseException) -> None:
-        if self.resolved:
+        if self._value is not _PENDING or self._exception is not None:
             raise FutureError(f"future {self.name} already resolved")
         self._exception = exc
         self._event.set()
@@ -68,7 +73,7 @@ class Future:
 
     def result(self, timeout: float | None = None) -> Any:
         """Wait-by-necessity read: blocks until resolved."""
-        if not self.resolved:
+        if self._value is _PENDING and self._exception is None:
             if not self._event.wait(timeout):
                 raise FutureError(f"future {self.name} timed out")
         if self._exception is not None:

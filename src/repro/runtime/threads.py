@@ -50,8 +50,7 @@ CARRIER_LIFETIME = 0.1
 # table it caches: every backend instance shares it.
 _idle: list["_Carrier"] = []
 _idle_lock = _thread.allocate_lock()
-# Guards every write of a _ThreadEvent's waiting face (its build, and
-# set/clear once it exists); never held across a wait.
+# Guards every _ThreadEvent's list of parked waiters (never held in a wait)
 _face_lock = _thread.allocate_lock()
 
 
@@ -143,21 +142,20 @@ class _Carrier:
 
 
 class _ThreadEvent:
-    """threading.Event with a value slot, matching SimEvent's surface.
+    """An event with a value slot, matching SimEvent's surface.
 
-    The flag is the truth.  The ``threading.Event`` (with its Condition
-    and lock) is only the *face* waiters park on, built by the first
-    waiter that finds the flag down: four of the five futures of a farm
-    submit resolve before anybody waits on them and never build one.
+    The flag is the truth.  A waiter that finds it down parks on a held
+    ``_thread`` lock of its own, published in ``_parked``; ``set()``
+    releases them all, ``clear()`` leaves them parked.
     """
 
-    __slots__ = ("name", "value", "_flag", "_face")
+    __slots__ = ("name", "value", "_flag", "_parked")
 
     def __init__(self, name: str = "event"):
         self.name = name
         self.value: Any = None
         self._flag = False
-        self._face: threading.Event | None = None
+        self._parked: list = []
 
     @property
     def is_set(self) -> bool:
@@ -167,41 +165,34 @@ class _ThreadEvent:
         if self._flag:
             return
         self.value = value
-        # flag first, THEN look for the face: wait() publishes the face
+        # flag first, THEN look for waiters: wait() publishes its lock
         # and then reads the flag, so one of the two sees the other
         self._flag = True
-        face = self._face
-        if face is not None:
+        if self._parked:
             with _face_lock:
-                face.set()  # every parked waiter wakes, whatever follows
-                if not self._flag:  # a clear() overtook this set
-                    face.clear()
+                parked, self._parked = self._parked, []
+            for lock in parked:
+                lock.release()
 
     def clear(self) -> None:
         self._flag = False
         self.value = None
-        face = self._face
-        if face is not None:
-            # under the lock whoever writes the face last leaves it
-            # agreeing with the flag, however set() and clear() race
-            with _face_lock:
-                if not self._flag:
-                    face.clear()
 
     def wait(self, timeout: float | None = None) -> bool:
         if self._flag:
             return True
-        face = self._face
-        if face is None:
-            with _face_lock:  # racing first waiters share one face
-                face = self._face
-                if face is None:
-                    face = self._face = threading.Event()
-            # re-read the flag AFTER the face is published: a set() that
-            # looked for the face too early to find it is seen here
-            if self._flag:
-                return True
-        return face.wait(timeout)
+        lock = _thread.allocate_lock()
+        lock.acquire()
+        with _face_lock:
+            self._parked.append(lock)
+        seen = self._flag  # re-read AFTER publishing: see set() above
+        if not seen and lock.acquire(True, -1 if timeout is None else max(timeout, 0)):
+            return True  # released by a set(), which unpublished it
+        with _face_lock:
+            if lock not in self._parked:
+                return True  # a set() took it: the wakeup is on its way
+            self._parked.remove(lock)
+        return seen
 
 
 class _ThreadQueue:

@@ -501,12 +501,17 @@ class DispatchContext:
             self.spans.append(entry)
         return _Span(entry, self._clock)
 
-    def mark(self, name: str) -> None:
+    def mark(self, name: str, hops: int = 0, remote: bool = False) -> None:
         """Record one point event (a forwarding hop, an exchange phase)
-        on the call's timeline."""
+        on the call's timeline; with ``hops``, one per hop as the cursor
+        moves on, in one locked step (``remote``: each a servant-side run)."""
         now = self._clock()
         with self._lock:
-            self.spans.append({"name": name, "start": now, "end": now})
+            self.hops += hops
+            if remote:
+                self.remote_dispatches += hops
+            for _ in range(hops or 1):
+                self.spans.append({"name": name, "start": now, "end": now})
 
     def trace_snapshot(self) -> dict:
         """An immutable copy of the ticket's timeline and accounting,

@@ -15,6 +15,8 @@ import asyncio
 import concurrent.futures
 import gc
 import inspect
+import os
+import signal
 import sys
 import threading
 import time
@@ -33,6 +35,9 @@ from repro.runtime.dispatch import use_dispatch
 from repro.runtime.futures import Future
 
 
+PATIENCE = 10.0
+
+
 @pytest.fixture()
 def backend():
     return AsyncioBackend()
@@ -40,12 +45,54 @@ def backend():
 
 class TestLoopClock:
     def test_now_is_the_loop_clock(self, backend):
-        assert abs(backend.now() - backend.loop.time()) < 0.5
+        before = backend.now()
+        loop_time = backend.loop.time()
+        assert before <= loop_time <= backend.now()
 
     def test_now_advances(self, backend):
         t0 = backend.now()
         time.sleep(0.01)
         assert backend.now() > t0
+
+
+class TestForkedChild:
+    def test_a_bridge_in_a_forked_child_raises_at_once(self, backend):
+        """A child forked after the loop thread ran inherits a loop no
+        thread runs, whose epoll instance and self-pipe are its
+        parent's: its first bridge raises a named error at once (it
+        used to time out) and closes the coroutine, and the parent's
+        loop is untouched."""
+
+        async def seven():
+            return 7
+
+        assert backend.bridge(seven()).result(timeout=PATIENCE) == 7
+        pid = os.fork()
+        if pid == 0:  # the child: report through the exit status only
+            status = 1
+            try:
+                coroutine = seven()
+                started = time.monotonic()
+                try:
+                    backend.bridge(coroutine)
+                except BackendError as exc:
+                    if (
+                        "forked" in str(exc)
+                        and time.monotonic() - started < 1.0
+                        and inspect.getcoroutinestate(coroutine) == "CORO_CLOSED"
+                    ):
+                        status = 0
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + PATIENCE
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's bridge hung")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert backend.bridge(seven()).result(timeout=PATIENCE) == 7
 
 
 class TestAsyncioEvent:

@@ -11,7 +11,9 @@ three stages share a worker and a batch's journey is one run — two
 round trips per op).  A subprocess that really pins itself to one CPU,
 as the end-to-end benchmark does, must land on the second.
 
-* Python-level ``call`` events per op, over every parent thread;
+* Python-level ``call`` events per op, over every parent thread, and
+  of those ``inspect.isawaitable`` — none: a stage's ``Counter`` is not
+  a type ``await`` could take, so no resolve asks;
 * ``contextlib._GeneratorContextManager`` objects built per op — none:
   the ticket's ``dispatch_scope`` is a plain push/pop too;
 * ``os.read`` calls per frame received and ``os.write`` calls per frame
@@ -24,6 +26,7 @@ as the end-to-end benchmark does, must land on the second.
 from __future__ import annotations
 
 import contextlib
+import inspect
 import multiprocessing
 import os
 import subprocess
@@ -56,27 +59,32 @@ from repro.runtime.threads import CARRIER_LIFETIME
 
 OPS = 100
 ROUND_TRIPS_PER_OP = 6  # 2 batches through 3 stages
-#: what the hop measures is 501 per op on CPython 3.11, 500.5-500.9
-#: over runs (532 while every parallelisation advice asked whether a
-#: servant was being served, 535 while the split's ticket entered the
-#: partition's table through a generator scope, 545 while it entered
-#: three tables, 542 before the forwarder asked whether a stage's
+#: what the hop measures is 424 per op on CPython 3.11, 423.9 over
+#: runs; the ceiling is 1 % above it (501 while the clock, the piece
+#: scope, the fault sites, the resolved test and the piece futures'
+#: names were Python calls, each Counter asked inspect.isawaitable and
+#: each hop was three ticket calls; 532 while every parallelisation
+#: advice asked whether a servant was being served, 535 while the
+#: split's ticket entered the partition's table through a generator
+#: scope, 545 while it entered three tables, 542 before the forwarder asked whether a stage's
 #: successors may run ahead; the path before the hop's diet read 716
 #: counted this way, with 14 generator scopes per op and every frame
-#: through multiprocessing.Connection); the ceiling is 4 calls above it
-CALLS_PER_OP_CEILING = 505
+#: through multiprocessing.Connection)
+CALLS_PER_OP_CEILING = 428
 #: one run per batch: the request, then the reply with its hops
 COLOCATED_ROUND_TRIPS_PER_OP = 2
-#: measured 290 per op on CPython 3.11, the same on every run (301
-#: while every parallelisation advice asked whether a servant was being
-#: served, 305 while the split's ticket entered the partition's table,
-#: 315 while it entered three tables); the ceiling is 3 calls above it
-COLOCATED_CALLS_PER_OP_CEILING = 293
-#: 5 % above what a worker measures serving the co-located word
-#: counter's woven stages: 124 per op on CPython 3.11 (214, with 30
-#: JoinPoint.proceed calls, while each stage call climbed five advice
-#: levels that only proceeded)
-WOVEN_WORKER_CALLS_PER_OP_CEILING = 130
+#: measured 223 per op on CPython 3.11, 223.4-223.5 over runs (290
+#: before the wrappers the spread hop lost went, 301 while every
+#: parallelisation advice asked whether a servant was being served, 305
+#: while the split's ticket entered the partition's table, 315 while it
+#: entered three tables); the ceiling is 1 % above it
+COLOCATED_CALLS_PER_OP_CEILING = 226
+#: 1 % above what a worker measures serving the co-located word
+#: counter's woven stages: 120 per op on CPython 3.11 (124 while each
+#: Counter asked inspect.isawaitable; 214, with 30 JoinPoint.proceed
+#: calls, while each stage call climbed five advice levels that only
+#: proceeded)
+WOVEN_WORKER_CALLS_PER_OP_CEILING = 121
 
 DOCUMENTS = [
     "the quick brown fox jumps over the lazy dog",
@@ -127,11 +135,13 @@ def _parent_side_budget(monkeypatch, topology, workers, round_trips_per_op, ceil
     app = ParallelApp(wordcount_spec(batches=2, backend="process"))
     scopes_built: list = []
     reads, writes = [0], [0]
-    calls = [0]
+    calls = [0, 0]
+    isawaitable = inspect.isawaitable.__code__
 
     def profiler(frame, event, arg):
         if event == "call":
             calls[0] += 1
+            calls[1] += frame.f_code is isawaitable
 
     with app:
         app.start()
@@ -179,7 +189,8 @@ def _parent_side_budget(monkeypatch, topology, workers, round_trips_per_op, ceil
 
     print(
         f"\nprocess hop budget ({topology}), per op over {OPS} ops: "
-        f"python calls {calls[0] / OPS:.0f}, "
+        f"python calls {calls[0] / OPS:.1f}, "
+        f"inspect.isawaitable {calls[1] / OPS:.2f}, "
         f"generator scopes {len(scopes_built) / OPS:.2f}, "
         f"os.read per frame received {reads[0] / round_trips:.2f}, "
         f"os.write per frame sent {writes[0] / round_trips:.2f}"
@@ -189,6 +200,7 @@ def _parent_side_budget(monkeypatch, topology, workers, round_trips_per_op, ceil
     assert writes[0] == round_trips
     assert scopes_built == []
     assert calls[0] / OPS <= ceiling
+    assert calls[1] == 0
 
 
 _PINNED = """

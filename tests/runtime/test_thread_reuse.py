@@ -29,7 +29,7 @@ from repro.parallel.partition import DispatchContext
 from repro.runtime import ThreadBackend, current_backend, current_dispatch, use_backend
 from repro.runtime import backend as backend_module
 from repro.runtime import threads
-from repro.runtime.dispatch import current_piece, use_dispatch, use_piece
+from repro.runtime.dispatch import AMBIENT, Ambient, current_piece, use_dispatch
 
 PATIENCE = 5.0
 
@@ -229,7 +229,8 @@ class TestLooksLikeAFreshThread:
 
         def dirty():
             var.set("dirty")
-            with use_backend(other), use_dispatch(ticket), use_piece(object()):
+            piece = Ambient(AMBIENT.pieces, object())
+            with use_backend(other), use_dispatch(ticket), piece:
                 with use_node(object()), server_dispatch():
                     with entered_advice():
                         with bypassing_construction():
